@@ -30,8 +30,8 @@
 //! dead peer, which is what makes hinted-handoff replay prompt.
 
 use crate::client;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Consecutive transport failures that open a peer's breaker.
@@ -251,7 +251,7 @@ pub fn probe_once(health: &PeerHealth, peer: &str, timeout: Duration) -> bool {
 /// [`ProbeHandle::stop`] (or drop).
 #[derive(Debug)]
 pub struct ProbeHandle {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -262,7 +262,9 @@ impl ProbeHandle {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        // Dropping the sender disconnects the prober's receiver, which
+        // ends its wait for the next round at once.
+        self.stop = None;
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -283,36 +285,35 @@ pub fn spawn_prober(
     interval: Duration,
     skip_self: Option<String>,
 ) -> ProbeHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop_flag = Arc::clone(&stop);
+    let (stop, stop_rx) = mpsc::channel::<()>();
+    // Every pause is a wait on the stop channel (which the handle
+    // disconnects), so stop is prompt however long the probe interval.
+    let stopped = move |pause| {
+        !matches!(
+            stop_rx.recv_timeout(pause),
+            Err(mpsc::RecvTimeoutError::Timeout)
+        )
+    };
     let timeout = (interval / 2).max(Duration::from_millis(50));
     let thread = std::thread::Builder::new()
         .name("gmap-health-prober".into())
-        .spawn(move || {
-            while !stop_flag.load(Ordering::SeqCst) {
-                for peer in health.peers() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if skip_self.as_deref() == Some(peer.as_str()) {
-                        continue;
-                    }
-                    probe_once(&health, peer, timeout);
+        .spawn(move || loop {
+            for peer in health.peers() {
+                if stopped(Duration::ZERO) {
+                    return;
                 }
-                // Sleep in small slices so shutdown stays prompt even
-                // with a long probe interval.
-                let deadline = Instant::now() + interval;
-                while Instant::now() < deadline {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(20).min(interval));
+                if skip_self.as_deref() == Some(peer.as_str()) {
+                    continue;
                 }
+                probe_once(&health, peer, timeout);
+            }
+            if stopped(interval) {
+                return;
             }
         })
         .expect("spawn prober thread");
     ProbeHandle {
-        stop,
+        stop: Some(stop),
         thread: Some(thread),
     }
 }

@@ -146,6 +146,10 @@ pub struct Metrics {
     pub ingest_bytes: AtomicU64,
     /// Trace streams fully received by `/v1/ingest`.
     pub ingest_streams: AtomicU64,
+    /// Connections lost on the accept thread: `accept()` failures
+    /// (EMFILE, ENFILE, ECONNABORTED, …; each followed by a short
+    /// back-off) and connection threads that could not be spawned (503).
+    pub accept_errors: AtomicU64,
     /// Per-peer router counters; `None` outside router mode.
     pub route: Option<RouteMetrics>,
 }
@@ -330,6 +334,10 @@ impl Metrics {
                 "gmap_ingest_streams_total",
                 self.ingest_streams.load(Ordering::Relaxed),
             ),
+            (
+                "gmap_accept_errors_total",
+                self.accept_errors.load(Ordering::Relaxed),
+            ),
             ("gmap_cache_evictions_total", rt.cache_evictions),
             ("gmap_cache_quarantined_total", rt.cache_quarantined),
             ("gmap_worker_panics_total", rt.worker_panics),
@@ -425,6 +433,7 @@ mod tests {
         m.jobs_shed.fetch_add(3, Ordering::Relaxed);
         m.ingest_bytes.fetch_add(4096, Ordering::Relaxed);
         m.ingest_streams.fetch_add(2, Ordering::Relaxed);
+        m.accept_errors.fetch_add(13, Ordering::Relaxed);
         m.record_request(Endpoint::Ingest, Duration::from_millis(2), 200);
         let text = m.render(RuntimeStats {
             queue_depth: 4,
@@ -453,6 +462,7 @@ mod tests {
         assert!(text.contains("gmap_requests_total{endpoint=\"ingest\"} 1"));
         assert_eq!(scrape(&text, "gmap_ingest_bytes_total"), Some(4096.0));
         assert_eq!(scrape(&text, "gmap_ingest_streams_total"), Some(2.0));
+        assert_eq!(scrape(&text, "gmap_accept_errors_total"), Some(13.0));
         assert_eq!(scrape(&text, "gmap_cache_evictions_total"), Some(6.0));
         assert_eq!(scrape(&text, "gmap_cache_quarantined_total"), Some(2.0));
         assert_eq!(scrape(&text, "gmap_worker_panics_total"), Some(1.0));

@@ -56,7 +56,8 @@ pub struct ReplicationState {
     store: Arc<ModelStore>,
     health: Arc<PeerHealth>,
     faults: Option<Arc<FaultInjector>>,
-    tx: SyncSender<String>,
+    /// `Some(key)` is work; `None` wakes the worker to observe `stop`.
+    tx: SyncSender<Option<String>>,
     /// Hinted handoff records: peer → keys owed to it. BTree keeps
     /// replay order deterministic.
     hints: Mutex<BTreeMap<String, BTreeSet<String>>>,
@@ -102,7 +103,7 @@ impl ReplicationState {
     /// A full queue drops the work (counted) instead of blocking the
     /// request path.
     pub fn enqueue(&self, key: &str) {
-        match self.tx.try_send(key.to_string()) {
+        match self.tx.try_send(Some(key.to_string())) {
             Ok(()) => {}
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -336,6 +337,9 @@ impl ReplicationWorker {
 
     fn shutdown(&mut self) {
         self.state.stop.store(true, Ordering::SeqCst);
+        // Wake a worker idling in `recv_timeout`; a full queue means it
+        // is busy and meets the flag at its next dequeue anyway.
+        let _ = self.state.tx.try_send(None);
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -394,12 +398,12 @@ pub fn spawn(
     )
 }
 
-fn worker_loop(state: &ReplicationState, rx: &Receiver<String>, tick: Duration) {
+fn worker_loop(state: &ReplicationState, rx: &Receiver<Option<String>>, tick: Duration) {
     while !state.stop.load(Ordering::SeqCst) {
         match rx.recv_timeout(tick) {
-            Ok(key) => state.replicate_key(&key),
+            Ok(Some(key)) => state.replicate_key(&key),
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            Ok(None) | Err(RecvTimeoutError::Disconnected) => break,
         }
         state.replay_hints();
     }

@@ -1,7 +1,7 @@
 //! The HTTP server: accept loop, keep-alive request routing, deadline
 //! enforcement, load shedding, and drain-first graceful shutdown.
 //!
-//! Threading model: one accept thread polls a non-blocking listener; each
+//! Threading model: one accept thread blocks in `accept()`; each
 //! accepted connection gets a connection thread that serves up to
 //! [`ServeConfig::keepalive_max`] requests over one socket, and — for the
 //! pipeline endpoints — submits a job to the bounded [`JobQueue`] and
@@ -25,8 +25,10 @@
 //!   path, and the response writer.
 //!
 //! Shutdown ordering guarantees that no *accepted* request is dropped:
-//! stop accepting → wait for connection threads (each waits for its job)
-//! → stop the queue → drain remaining jobs → join workers.
+//! wake the accept thread with one loopback connection → serve what the
+//! kernel's backlog already holds → wait for connection threads (each
+//! waits for its job) → stop the queue → drain remaining jobs → join
+//! workers. No thread sleeps in order to notice any of these events.
 
 use crate::api::{self, ApiError};
 use crate::cache::{ModelStore, DEFAULT_MEM_CAPACITY};
@@ -42,15 +44,26 @@ use gmap_core::cachekey::canonical_json;
 use gmap_gpu::hierarchy::LaunchConfig;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Seconds advertised in `Retry-After` on transient-error responses.
 const RETRY_AFTER_SECS: u64 = 1;
+
+/// Pause after a failed `accept` (EMFILE, ENFILE, ECONNABORTED, …) so a
+/// persistent error cannot hot-spin the blocking accept loop.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Most connections the post-`stop` backlog drain serves: above any
+/// kernel accept queue, yet finite under a connection flood.
+const DRAIN_LIMIT: usize = 4096;
+
+/// How long `shutdown` waits for its wake connection to the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Default replication factor in fleet mode: the owner plus one ring
 /// successor.
@@ -144,7 +157,37 @@ pub struct ServerState {
     health: Arc<PeerHealth>,
     replication: Option<Arc<ReplicationState>>,
     draining: AtomicBool,
-    active_connections: AtomicUsize,
+    connections: Connections,
+}
+
+/// Count of live connection threads; the last one out signals
+/// [`ServerHandle::shutdown`], which waits on the condvar.
+#[derive(Default)]
+struct Connections {
+    live: Mutex<usize>,
+    idle: Condvar,
+}
+
+impl Connections {
+    /// A bare counter is valid at every step, so a lock poisoned by a
+    /// panicking connection thread is recovered, not propagated.
+    fn live(&self) -> MutexGuard<'_, usize> {
+        self.live.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// One counted connection, uncounted on drop — which also covers a task
+/// dropped by a failed spawn and a handler that panics.
+struct ConnGuard(Arc<ServerState>);
+
+impl Drop for ConnGuard {
+    fn drop(&mut self) {
+        let mut live = self.0.connections.live();
+        *live -= 1;
+        if *live == 0 {
+            self.0.connections.idle.notify_all();
+        }
+    }
 }
 
 impl ServerState {
@@ -182,7 +225,7 @@ impl ServerState {
             jobs_in_flight: self.queue.in_flight(),
             models_cached: self.store.len(),
             cache_capacity: self.store.capacity(),
-            active_connections: self.active_connections.load(Ordering::SeqCst),
+            active_connections: *self.connections.live(),
             cache_evictions: self.store.evictions(),
             cache_quarantined: self.store.quarantined(),
             worker_panics: self.queue.panics(),
@@ -205,6 +248,7 @@ impl ServerState {
 /// [`ServerHandle::shutdown`].
 pub struct ServerHandle {
     addr: SocketAddr,
+    listener: Arc<TcpListener>,
     stop: Arc<AtomicBool>,
     state: Arc<ServerState>,
     accept_thread: thread::JoinHandle<()>,
@@ -220,8 +264,7 @@ pub struct ServerHandle {
 /// Fails if the listen address cannot be bound or the cache directory
 /// cannot be created.
 pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.listen)?;
-    listener.set_nonblocking(true)?;
+    let listener = Arc::new(TcpListener::bind(&config.listen)?);
     let addr = listener.local_addr()?;
     let faults = config.faults.clone().map(|spec| {
         let injector = Arc::new(FaultInjector::new(spec));
@@ -313,7 +356,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         health,
         replication,
         draining: AtomicBool::new(false),
-        active_connections: AtomicUsize::new(0),
+        connections: Connections::default(),
     });
     let worker_threads = (0..config.workers.max(1))
         .map(|i| {
@@ -326,6 +369,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         .collect();
     let stop = Arc::new(AtomicBool::new(false));
     let accept_thread = {
+        let listener = Arc::clone(&listener);
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);
         thread::Builder::new()
@@ -335,6 +379,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     };
     Ok(ServerHandle {
         addr,
+        listener,
         stop,
         state,
         accept_thread,
@@ -357,13 +402,30 @@ impl ServerHandle {
 
     /// Graceful shutdown: stop accepting, let in-flight connections
     /// finish (each waits on its job), drain the queue, join the pool.
-    /// Every request accepted before the call is answered.
+    /// Every request whose connection the kernel completed before the
+    /// call is answered.
     pub fn shutdown(self) {
+        self.shutdown_with(|addr| TcpStream::connect_timeout(&wake_addr(addr), WAKE_TIMEOUT));
+    }
+
+    /// [`ServerHandle::shutdown`] with the wake connection injectable, so
+    /// a test can make it fail.
+    fn shutdown_with(self, wake: impl FnOnce(SocketAddr) -> std::io::Result<TcpStream>) {
         self.stop.store(true, Ordering::SeqCst);
-        self.accept_thread.join().expect("accept thread exits");
-        while self.state.active_connections.load(Ordering::SeqCst) > 0 {
-            thread::sleep(Duration::from_millis(2));
+        // One connection wakes the accept thread out of `accept()`; to
+        // the server it is a peer that closes without sending.
+        match wake(self.addr) {
+            Ok(_) => self.accept_thread.join().expect("accept thread exits"),
+            // Port unreachable from loopback: the thread stays parked
+            // (until the next connection or process exit), so serve the
+            // backlog from here rather than hang or drop what it holds.
+            Err(_) => drain_backlog(&self.listener, &self.state),
         }
+        // Close the listener before waiting on connections: a late peer
+        // is refused at once, not parked in a backlog nobody serves.
+        drop(self.listener);
+        let live = self.state.connections.live();
+        drop(self.state.connections.idle.wait_while(live, |n| *n > 0));
         // Background availability machinery stops only after the last
         // connection finished, so late stores still enqueue; remaining
         // queued replication work is best-effort by design.
@@ -381,30 +443,62 @@ impl ServerHandle {
     }
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &Arc<AtomicBool>) {
+/// Where `shutdown` connects to wake the accept thread: the bound
+/// address, a wildcard bind mapped to the loopback of its family.
+fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    bound
+}
+
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => {
-                state.active_connections.fetch_add(1, Ordering::SeqCst);
-                let conn_state = Arc::clone(state);
-                let spawned =
-                    thread::Builder::new()
-                        .name("gmap-serve-conn".into())
-                        .spawn(move || {
-                            handle_connection(stream, &conn_state);
-                            conn_state.active_connections.fetch_sub(1, Ordering::SeqCst);
-                        });
-                if spawned.is_err() {
-                    // Could not spawn: undo the count; the stream drops
-                    // and the peer sees a reset rather than a hang.
-                    state.active_connections.fetch_sub(1, Ordering::SeqCst);
-                }
+            Ok((stream, _)) => dispatch(stream, state, connection_thread()),
+            Err(_) => {
+                state.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(5)),
         }
+    }
+    drain_backlog(listener, state);
+}
+
+/// Serves the connections the kernel completed before `stop` was
+/// observed: the listener goes non-blocking and is accepted from until
+/// it would block (or errors — a stopping server does not retry).
+fn drain_backlog(listener: &TcpListener, state: &Arc<ServerState>) {
+    if listener.set_nonblocking(true).is_err() {
+        return;
+    }
+    for stream in listener.incoming().take(DRAIN_LIMIT).map_while(Result::ok) {
+        // Some platforms hand the listener's non-blocking flag down.
+        if stream.set_nonblocking(false).is_ok() {
+            dispatch(stream, state, connection_thread());
+        }
+    }
+}
+
+fn connection_thread() -> thread::Builder {
+    thread::Builder::new().name("gmap-serve-conn".into())
+}
+
+/// Hands one accepted connection to a thread of its own. When `thread`
+/// cannot be spawned the peer gets a structured 503 with `Retry-After`
+/// from the accept thread — an honest transient, not a bare reset.
+fn dispatch(stream: TcpStream, state: &Arc<ServerState>, thread: thread::Builder) {
+    let stream = Arc::new(stream);
+    let conn = Arc::clone(&stream);
+    *state.connections.live() += 1;
+    let guard = ConnGuard(Arc::clone(state));
+    if let Err(cause) = thread.spawn(move || handle_connection(&conn, &guard.0)) {
+        state.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
+        let e = ApiError::new(503, format!("cannot serve this connection now: {cause}"));
+        write_reply(&stream, state, 503, "application/json", &e.body(), true);
     }
 }
 
@@ -417,20 +511,14 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &Arc<Atom
 /// quiet); once the request line has arrived the socket runs under
 /// `read_timeout` and a stall is answered with 408 before closing.
 /// Malformed or oversized input always downgrades to `Connection: close`.
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
+fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
     // A `trunc_body` fault cuts the inbound byte stream for this whole
     // connection, simulating a peer that dies mid-send.
     let trunc_budget = state.faults.as_ref().and_then(|f| f.truncate_after());
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(TruncatedReader::new(read_half, trunc_budget));
+    let mut reader = BufReader::new(TruncatedReader::new(stream, trunc_budget));
     let mut served = 0usize;
     while served < state.keepalive_max {
-        // Idle phase: wait for the first byte of the next request. The
-        // read timeout is set on `stream`, which shares the socket with
-        // the reader's clone.
+        // Idle phase: wait for the first byte of the next request.
         if stream.set_read_timeout(Some(state.idle_timeout)).is_err() {
             return;
         }
@@ -442,24 +530,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
         let _ = stream.set_read_timeout(Some(state.read_timeout));
         let head = match http::read_request_head(&mut reader) {
             Ok(h) => h,
-            Err(ReadError::Eof)
-            | Err(ReadError::Io(_))
-            | Err(ReadError::Timeout { mid_request: false }) => return,
-            Err(ReadError::Timeout { mid_request: true }) => {
-                let e = ApiError::new(408, "timed out reading request");
-                write_reply(&mut stream, state, 408, "application/json", &e.body(), true);
-                return;
-            }
-            Err(ReadError::Malformed(msg)) => {
-                let e = ApiError::bad_request(msg);
-                write_reply(&mut stream, state, 400, "application/json", &e.body(), true);
-                return;
-            }
-            Err(ReadError::TooLarge(msg)) => {
-                let e = ApiError::new(413, msg);
-                write_reply(&mut stream, state, 413, "application/json", &e.body(), true);
-                return;
-            }
+            Err(e) => return reject_unreadable(stream, state, e),
         };
         served += 1;
         let started = Instant::now();
@@ -485,7 +556,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             // otherwise unread trace bytes would be parsed as the next
             // request head.
             let close = !consumed || head.wants_close() || served >= state.keepalive_max;
-            if !write_reply(&mut stream, state, status, "application/json", &body, close) || close {
+            if !write_reply(stream, state, status, "application/json", &body, close) || close {
                 return;
             }
             continue;
@@ -493,24 +564,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
 
         let request = match http::read_body(&mut reader, &head) {
             Ok(body) => Request::from_parts(head, body),
-            Err(ReadError::Eof)
-            | Err(ReadError::Io(_))
-            | Err(ReadError::Timeout { mid_request: false }) => return,
-            Err(ReadError::Timeout { mid_request: true }) => {
-                let e = ApiError::new(408, "timed out reading request");
-                write_reply(&mut stream, state, 408, "application/json", &e.body(), true);
-                return;
-            }
-            Err(ReadError::Malformed(msg)) => {
-                let e = ApiError::bad_request(msg);
-                write_reply(&mut stream, state, 400, "application/json", &e.body(), true);
-                return;
-            }
-            Err(ReadError::TooLarge(msg)) => {
-                let e = ApiError::new(413, msg);
-                write_reply(&mut stream, state, 413, "application/json", &e.body(), true);
-                return;
-            }
+            Err(e) => return reject_unreadable(stream, state, e),
         };
         let endpoint = classify(&request);
         let (status, body, content_type) = route(&request, state, started, deadline);
@@ -518,10 +572,22 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
             .metrics
             .record_request(endpoint, started.elapsed(), status);
         let close = request.wants_close() || served >= state.keepalive_max;
-        if !write_reply(&mut stream, state, status, content_type, &body, close) || close {
+        if !write_reply(stream, state, status, content_type, &body, close) || close {
             return;
         }
     }
+}
+
+/// Ends a connection whose request could not be read: silently when the
+/// peer went away or idled out, with a 408/400/413 and a close otherwise.
+fn reject_unreadable(stream: &TcpStream, state: &Arc<ServerState>, err: ReadError) {
+    let e = match err {
+        ReadError::Eof | ReadError::Io(_) | ReadError::Timeout { mid_request: false } => return,
+        ReadError::Timeout { mid_request: true } => ApiError::new(408, "timed out reading request"),
+        ReadError::Malformed(msg) => ApiError::bad_request(msg),
+        ReadError::TooLarge(msg) => ApiError::new(413, msg),
+    };
+    write_reply(stream, state, e.status, "application/json", &e.body(), true);
 }
 
 /// The effective deadline of one request: the server's configured
@@ -637,7 +703,7 @@ fn ingest_endpoint<R: BufRead>(
 /// for well-behaved clients (every `/v1/*` endpoint is idempotent, and
 /// a request the server timed out reading is safe to resend).
 fn write_reply(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     state: &Arc<ServerState>,
     status: u16,
     content_type: &str,
@@ -946,5 +1012,69 @@ where
                 (e.status, e.body())
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn failed_spawn_answers_503_and_releases_the_connection_count() {
+        let server = start(ServeConfig::default()).expect("bind");
+        // A socket pair of our own stands in for an accepted connection.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind pair");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+
+        // No address space holds this stack, so the spawn must fail.
+        let unspawnable = thread::Builder::new().stack_size(usize::MAX / 2);
+        dispatch(accepted, server.state(), unspawnable);
+
+        assert_eq!(*server.state().connections.live(), 0, "count released");
+        let counted = server.state().metrics.accept_errors.load(Ordering::Relaxed);
+        assert_eq!(counted, 1, "visible in /metrics");
+        let mut reply = String::new();
+        peer.read_to_string(&mut reply)
+            .expect("replied, then closed");
+        assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+        assert!(
+            reply.to_ascii_lowercase().contains("retry-after: 1"),
+            "{reply}"
+        );
+        assert!(reply.contains("\"status\":503"), "structured body: {reply}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_returns_when_the_wake_connection_fails() {
+        let server = start(ServeConfig::default()).expect("bind");
+        let addr = server.addr().to_string();
+        // One served request: the accept thread is up and back in
+        // `accept()` (or about to be) when shutdown starts.
+        assert!(crate::client::get(&addr, "/healthz").is_ok());
+        let began = Instant::now();
+        server.shutdown_with(|_| Err(std::io::Error::other("port unreachable from loopback")));
+        assert!(began.elapsed() < Duration::from_secs(1), "no hang");
+        // A parked accept thread is woken by the next peer, answers it
+        // honestly and exits; one that saw `stop` before parking has
+        // already closed the listener.
+        match crate::client::get(&addr, "/healthz") {
+            Ok(late) => assert_eq!(late.status, 200),
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused),
+        }
+    }
+
+    #[test]
+    fn wake_address_maps_wildcard_binds_to_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:8080", "127.0.0.1:8080"),
+            ("[::]:8080", "[::1]:8080"),
+            ("192.0.2.7:8080", "192.0.2.7:8080"),
+        ] {
+            let bound: SocketAddr = bound.parse().expect("addr");
+            assert_eq!(wake_addr(bound).to_string(), wake);
+        }
     }
 }

@@ -6,7 +6,11 @@
 //!   byte-identical to direct library calls,
 //! * repeat profile requests observed as cache hits in `/metrics`,
 //! * queue overflow answered with 429 (no hang, no crash),
-//! * graceful shutdown that drains every accepted request.
+//! * graceful shutdown that drains every accepted request,
+//! * the accept path ([`accept`]): no poll interval per connection, no
+//!   sleeping thread between `shutdown()` and its return.
+
+mod accept;
 
 use gmap_core::cachekey::canonical_json;
 use gmap_serve::api::{
@@ -299,6 +303,9 @@ fn queue_overflow_returns_429_without_hanging() {
     };
     // Occupy the worker first, then fill the single queue slot — in two
     // observed steps, so neither occupier can race the other into a 429.
+    // The warm-up's reply can outrun its worker's bookkeeping, so let
+    // that job retire first or its stale "in flight" is what step one sees.
+    wait_for("gmap_jobs_in_flight", 0.0);
     let first = spawn_occupier();
     wait_for("gmap_jobs_in_flight", 1.0);
     let second = spawn_occupier();
@@ -410,6 +417,51 @@ fn graceful_shutdown_drains_every_accepted_request() {
         client::get(&addr, "/healthz").is_err(),
         "server must be unreachable after shutdown"
     );
+}
+
+#[test]
+fn connections_racing_shutdown_get_a_full_reply_or_none() {
+    const PEERS: usize = 48;
+    let (handle, addr) = start(ServeConfig::default());
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(PEERS + 1));
+    let peers: Vec<_> = (0..PEERS)
+        .map(|_| {
+            let addr = addr.clone();
+            let barrier = std::sync::Arc::clone(&barrier);
+            thread::spawn(move || {
+                barrier.wait();
+                // Refused, reset or closed unanswered all end as "no
+                // bytes"; what matters is which bytes arrived otherwise.
+                let mut reply = Vec::new();
+                if let Ok(mut stream) = TcpStream::connect(&addr) {
+                    let _ = stream.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
+                    let _ = stream.read_to_end(&mut reply);
+                }
+                reply
+            })
+        })
+        .collect();
+    barrier.wait();
+    handle.shutdown();
+
+    let expected = "{\"status\":\"ok\"}";
+    for peer in peers {
+        let reply = peer.join().expect("peer thread returns");
+        if reply.is_empty() {
+            continue;
+        }
+        let reply = String::from_utf8(reply).expect("utf8 reply");
+        assert!(
+            reply.starts_with("HTTP/1.1 200"),
+            "partial reply: {reply:?}"
+        );
+        let lower = reply.to_ascii_lowercase();
+        assert!(
+            lower.contains(&format!("content-length: {}\r\n", expected.len())),
+            "headers cut short: {reply:?}"
+        );
+        assert!(reply.ends_with(expected), "body cut short: {reply:?}");
+    }
 }
 
 #[test]
@@ -624,8 +676,9 @@ fn panicking_handler_is_a_structured_500_and_the_worker_survives() {
         resp.body
     );
 
-    let m = client::get(&addr, "/metrics").expect("metrics reachable");
-    assert_eq!(scrape(&m.body, "gmap_worker_panics_total"), Some(1.0));
+    // The 500 is sent as the panic unwinds past the reply channel; the
+    // pool counts the panic just after, so the reply can win that race.
+    wait_for_metric(&addr, "gmap_worker_panics_total", |v| v == 1.0);
 
     // Disarm and reuse the same single worker: it survived the panic.
     handle
