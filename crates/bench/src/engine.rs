@@ -1,6 +1,6 @@
 //! Single-pass multi-configuration sweep engine.
 //!
-//! `sweep_benchmark` evaluates a figure's configuration grid with `2 × N`
+//! Evaluated directly, a figure's configuration grid costs `2 × N`
 //! independent full simulations per benchmark — each one re-running the
 //! warp scheduler and the entire hierarchy. But the pure-LRU,
 //! no-prefetcher sweeps (fig6a, fig6b, fig6e) only vary the geometry of
@@ -43,15 +43,15 @@
 //!
 //! Anything the plan can't prove sweepable — replacement policies other
 //! than LRU/FIFO, prefetcher parameters outside the supported envelope,
-//! configs that vary more than one level — falls back to the direct
-//! path (`sweep_benchmark`), unchanged.
+//! configs that vary more than one level — gets no plan, and
+//! [`crate::evaluate_grid`] runs one full simulation per config.
 //!
-//! Figure binaries that share a reference configuration (all stock
-//! sweeps mask to the Table 2 baseline) also share the *capture*:
+//! Grids that share a reference configuration (all stock sweeps mask to
+//! the Table 2 baseline) also share the *capture*:
 //! [`capture_stream_cached`] keys captures by
 //! `gmap_core::cachekey` over (stream source, reference config) in a
-//! bounded process-wide cache, so e.g. fig6a and fig6c capture each
-//! benchmark once between them.
+//! bounded process-wide cache, so `fig6 --grid all` captures each
+//! benchmark's stream pair once for all five grids.
 //!
 //! Capturing at one reference configuration means the warp interleaving
 //! is that of the reference run: the scheduler's feedback loop (latency →
@@ -61,8 +61,8 @@
 //! what the engine's tests assert to 1e-9 against an independent
 //! hierarchy-mirroring replay.
 
-use crate::{BenchData, Metric};
-use gmap_core::{cachekey, compare_series, BenchmarkComparison, SimtConfig};
+use crate::Metric;
+use gmap_core::{cachekey, SimtConfig};
 use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::schedule::{run_schedule, MemoryModel, ScheduleOutcome, WarpStream};
 use gmap_memsim::cache::{AccessRequest, Cache, CacheConfig, ReplacementPolicy};
@@ -730,9 +730,8 @@ pub fn capture_cache_stats() -> CaptureCacheStats {
     }
 }
 
-/// Drops every cached capture and resets the counters. The perf tracker
-/// clears between timed sections so cross-figure reuse cannot inflate a
-/// measured speedup.
+/// Drops every cached capture and resets the counters, so a caller that
+/// counts or times captures starts from a cold cache.
 pub fn capture_cache_clear() {
     let mut c = capture_cache().lock().expect("capture cache lock");
     c.map.clear();
@@ -781,30 +780,12 @@ pub fn capture_stream_cached(
     fresh
 }
 
-/// Sweeps one benchmark through the engine: two capture runs (original
-/// and proxy, memoized process-wide via [`capture_stream_cached`]) plus
-/// one evaluator pass per plan group, instead of `2 × N` full
-/// simulations.
-pub fn sweep_benchmark_single_pass(
-    data: &BenchData,
-    plan: &SweepPlan,
-    configs: &[SimtConfig],
-) -> BenchmarkComparison {
-    let orig = capture_stream_cached(
-        &data.capture_source(false),
-        &data.orig_streams,
-        &data.kernel.launch,
-        &plan.capture_cfg,
-    );
-    let proxy = capture_stream_cached(
-        &data.capture_source(true),
-        &data.proxy_streams,
-        &data.profile.launch,
-        &plan.capture_cfg,
-    );
-    let o = eval_captured(plan, &orig, configs);
-    let p = eval_captured(plan, &proxy, configs);
-    compare_series(&data.kernel.name, o.values, p.values)
+/// Held by every unit test that goes through the process-wide capture
+/// cache, so the one asserting exact counters sees only its own lookups.
+#[cfg(test)]
+pub(crate) fn capture_cache_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -1206,6 +1187,7 @@ mod tests {
 
     #[test]
     fn capture_cache_shares_captures_across_plans() {
+        let _cache = capture_cache_test_guard();
         capture_cache_clear();
         let data = prepare("aes", Scale::Tiny, 42);
         // fig6a and fig6c mask to the same reference configuration…
@@ -1259,19 +1241,5 @@ mod tests {
         for (e, d) in engine.values.iter().zip(&direct) {
             assert!((e - d).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn single_pass_comparison_has_sane_shape() {
-        let configs = sweeps::l1_sweep();
-        let plan = plan_single_pass(&configs, Metric::L1MissPct).expect("fig6a plans");
-        let data = prepare("scalarprod", Scale::Tiny, 42);
-        let cmp = sweep_benchmark_single_pass(&data, &plan, &configs);
-        assert_eq!(cmp.original.len(), configs.len());
-        assert_eq!(cmp.proxy.len(), configs.len());
-        assert!(cmp.original.iter().all(|v| (0.0..=100.0).contains(v)));
-        // Identical geometries at different grid points would be equal;
-        // at minimum the series must not be all-zero for a real workload.
-        assert!(cmp.original.iter().any(|&v| v > 0.0));
     }
 }

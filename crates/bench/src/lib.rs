@@ -3,31 +3,30 @@
 //! One binary per table/figure of the paper (see `src/bin/`); this library
 //! holds what they share: the configuration sweeps of §5, benchmark
 //! preparation (execute → profile → clone, each done once per benchmark),
-//! multi-threaded sweep execution, and result formatting.
+//! the one grid evaluator ([`evaluate_grid`]), multi-threaded sweep
+//! execution, and result formatting.
 //!
 //! | Binary | Regenerates |
 //! |---|---|
 //! | `table1` | Table 1 — per-application access signatures |
 //! | `fig5`   | Figure 5 — reuse distance worked example |
-//! | `fig6a`  | Figure 6a — L1 cache sweep (30 configs/benchmark) |
-//! | `fig6b`  | Figure 6b — L2 cache sweep (30 configs/benchmark) |
-//! | `fig6c`  | Figure 6c — L1 + stride prefetcher (72 configs/benchmark) |
-//! | `fig6d`  | Figure 6d — L2 + stream prefetcher (96 configs/benchmark) |
-//! | `fig6e`  | Figure 6e — LRR vs GTO scheduling policies |
+//! | `fig6`   | Figure 6a–6e — `--grid a` L1 sweep (30 configs/benchmark), `b` L2 sweep (30), `c` L1 + stride prefetcher (72), `d` L2 + stream prefetcher (96), `e` LRR vs GTO scheduling and LRU/FIFO replacement; `all` (default) runs the five back to back over one preparation and one capture pair per benchmark |
 //! | `fig7`   | Figure 7 — DRAM metrics across 11 GDDR5 configs |
 //! | `fig8`   | Figure 8 — miniaturization accuracy/speedup sweep |
 //! | `ablation` | DESIGN.md §4 — design-choice ablations |
 
 #![warn(missing_docs)]
 
+use engine::SweepPlan;
 use gmap_core::{
     compare_series, generate::generate_streams, profile_kernel, simulate_streams, summarize,
-    BenchmarkComparison, GmapProfile, ProfilerConfig, SimtConfig, SweepSummary,
+    GmapProfile, ProfilerConfig, SimtConfig, SweepSummary,
 };
+use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::kernel::KernelDesc;
 use gmap_gpu::schedule::WarpStream;
 use gmap_gpu::workloads::{self, Scale};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 pub mod engine;
@@ -47,7 +46,7 @@ pub struct ExperimentOpts {
 }
 
 impl ExperimentOpts {
-    /// Usage text printed for `--help`/`-h`.
+    /// Usage text printed for `--help`/`-h` and after a usage error.
     pub const HELP: &'static str = "\
 G-MAP experiment options:
   --scale tiny|small|default   workload scale (default: default)
@@ -57,68 +56,84 @@ G-MAP experiment options:
   -h, --help                   print this help and exit
 ";
 
-    /// Parses the experiment flags from the command line; `--help`/`-h`
-    /// prints [`Self::HELP`] and exits.
+    /// Parses the experiment flags from the command line. `--help`/`-h`
+    /// prints [`Self::HELP`] and exits 0; an unknown flag, a missing
+    /// value or a value that does not parse prints the mistake and the
+    /// help to stderr and exits 2.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            print!("{}", Self::HELP);
-            std::process::exit(0);
-        }
-        Self::parse(&args)
+        Self::from_args_with("", |_, _| Ok(false))
     }
 
-    /// Parses an argument list (without the program name). Each flag
-    /// consumes the following token as its value — but never another
-    /// `--flag`, so `--csv --seed 7` leaves `csv` unset (with a warning)
-    /// instead of silently recording `csv = "--seed"`. Unknown tokens are
-    /// ignored.
-    pub fn parse(args: &[String]) -> Self {
+    /// [`Self::from_args`] for a binary with a flag of its own:
+    /// `extra_help` is appended to [`Self::HELP`], and `extra` sees every
+    /// `--flag value` pair that is not an experiment option (see
+    /// [`Self::parse`]).
+    pub fn from_args_with(
+        extra_help: &str,
+        extra: impl FnMut(&str, &str) -> Result<bool, String>,
+    ) -> Self {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            print!("{}{extra_help}", Self::HELP);
+            std::process::exit(0);
+        }
+        Self::parse(&args, extra).unwrap_or_else(|e| {
+            eprint!("error: {e}\n\n{}{extra_help}", Self::HELP);
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses an argument list (without the program name). Every token
+    /// must be a `--flag` followed by its value, and the value is never
+    /// another `--flag`, so `--csv --seed 7` is a missing value rather
+    /// than `csv = "--seed"`. A flag that is not an experiment option goes
+    /// to `extra(flag, value)`, which answers `Ok(true)` if it is the
+    /// binary's own and the value is good.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending token: an unknown flag, a flag without a
+    /// value, or a value its flag cannot take.
+    pub fn parse(
+        args: &[String],
+        mut extra: impl FnMut(&str, &str) -> Result<bool, String>,
+    ) -> Result<Self, String> {
         let mut opts = ExperimentOpts {
             scale: Scale::Default,
             seed: 42,
             threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
             csv: None,
         };
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if !matches!(flag, "--scale" | "--seed" | "--threads" | "--csv") {
-                i += 1;
-                continue;
+        let mut rest = args;
+        while let [flag, tail @ ..] = rest {
+            if !flag.starts_with("--") || flag.contains('=') {
+                return Err(format!(
+                    "unexpected argument `{flag}` (options are written `--flag value`)"
+                ));
             }
-            let value = match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v,
-                _ => {
-                    eprintln!("warning: {flag} requires a value; ignored");
-                    i += 1;
-                    continue;
-                }
+            let value = match tail.first() {
+                Some(v) if !v.starts_with("--") => v.as_str(),
+                _ => return Err(format!("{flag} requires a value")),
             };
-            match flag {
+            let bad = || format!("invalid value `{value}` for {flag}");
+            match flag.as_str() {
                 "--scale" => {
-                    opts.scale = match value.as_str() {
+                    opts.scale = match value {
                         "tiny" => Scale::Tiny,
                         "small" => Scale::Small,
-                        _ => Scale::Default,
+                        "default" => Scale::Default,
+                        _ => return Err(bad()),
                     }
                 }
-                "--seed" => {
-                    if let Ok(s) = value.parse() {
-                        opts.seed = s;
-                    }
-                }
-                "--threads" => {
-                    if let Ok(t) = value.parse() {
-                        opts.threads = t;
-                    }
-                }
-                "--csv" => opts.csv = Some(value.clone()),
-                _ => unreachable!("matched above"),
+                "--seed" => opts.seed = value.parse().map_err(|_| bad())?,
+                "--threads" => opts.threads = value.parse().map_err(|_| bad())?,
+                "--csv" => opts.csv = Some(value.to_string()),
+                _ if extra(flag, value)? => {}
+                _ => return Err(format!("unknown option `{flag}`")),
             }
-            i += 2;
+            rest = &tail[1..];
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -154,6 +169,30 @@ impl BenchData {
             if proxy { "proxy" } else { "orig" }
         )
     }
+
+    /// The original (`proxy == false`) or clone stream with its launch.
+    fn stream(&self, proxy: bool) -> (&[WarpStream], &LaunchConfig) {
+        if proxy {
+            (&self.proxy_streams, &self.profile.launch)
+        } else {
+            (&self.orig_streams, &self.kernel.launch)
+        }
+    }
+
+    /// [`evaluate_grid`] over this bundle's original (`proxy == false`)
+    /// or clone stream.
+    pub fn evaluate(
+        &self,
+        proxy: bool,
+        configs: &[SimtConfig],
+        metric: Metric,
+        plan: Option<&SweepPlan>,
+    ) -> Vec<f64> {
+        let (streams, launch) = self.stream(proxy);
+        let source = self.capture_source(proxy);
+        evaluate_grid(&source, streams, launch, configs, metric, plan, None)
+            .expect("no cancel token was given")
+    }
 }
 
 /// Prepares one benchmark: execute, profile, clone.
@@ -170,6 +209,21 @@ pub fn prepare(name: &str, scale: Scale, seed: u64) -> BenchData {
         scale,
         seed,
     }
+}
+
+/// Prepares all 18 benchmarks, one per worker thread at a time, and
+/// prints how long that took.
+pub fn prepare_all(opts: &ExperimentOpts) -> Vec<BenchData> {
+    let t0 = Instant::now();
+    let data = parallel_map(&workloads::NAMES, opts.threads, |name| {
+        prepare(name, opts.scale, opts.seed)
+    });
+    println!(
+        "phase timings: prepare {:.2}s ({} benchmarks)",
+        t0.elapsed().as_secs_f64(),
+        data.len()
+    );
+    data
 }
 
 /// Metric extracted from a simulation for figure comparison.
@@ -190,24 +244,51 @@ impl Metric {
     }
 }
 
-/// Runs one benchmark through every configuration, original and proxy,
-/// and compares the chosen metric.
-pub fn sweep_benchmark(
-    data: &BenchData,
+/// The one grid evaluator: `metric` in percent for every configuration
+/// of `configs`, aligned with the slice, over one access stream.
+///
+/// With a `plan` (from [`engine::plan_single_pass`] over the same
+/// `configs` and `metric`) the stream is captured once at the plan's
+/// reference configuration — memoized process-wide under `source`, which
+/// must identify the stream content (see
+/// [`engine::capture_stream_cached`]) — and every configuration is
+/// evaluated from the capture. Without one, each configuration is one
+/// full simulation.
+///
+/// `cancel` is a cooperative cancellation token, checked on entry, after
+/// the capture and before each full simulation; once it reads `true` the
+/// function returns `None` without completing the grid.
+pub fn evaluate_grid(
+    source: &str,
+    streams: &[WarpStream],
+    launch: &LaunchConfig,
     configs: &[SimtConfig],
     metric: Metric,
-) -> BenchmarkComparison {
-    let mut orig = Vec::with_capacity(configs.len());
-    let mut proxy = Vec::with_capacity(configs.len());
-    for cfg in configs {
-        let o = simulate_streams(&data.orig_streams, &data.kernel.launch, cfg)
-            .expect("sweep configurations are valid");
-        let p = simulate_streams(&data.proxy_streams, &data.profile.launch, cfg)
-            .expect("sweep configurations are valid");
-        orig.push(metric.extract(&o));
-        proxy.push(metric.extract(&p));
+    plan: Option<&SweepPlan>,
+    cancel: Option<&AtomicBool>,
+) -> Option<Vec<f64>> {
+    let cancelled = || cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+    if cancelled() {
+        return None;
     }
-    compare_series(&data.kernel.name, orig, proxy)
+    if let Some(plan) = plan {
+        let capture = engine::capture_stream_cached(source, streams, launch, &plan.capture_cfg);
+        if cancelled() {
+            return None;
+        }
+        return Some(engine::eval_captured(plan, &capture, configs).values);
+    }
+    configs
+        .iter()
+        .map(|cfg| {
+            if cancelled() {
+                return None;
+            }
+            let out =
+                simulate_streams(streams, launch, cfg).expect("grid configurations are valid");
+            Some(metric.extract(&out))
+        })
+        .collect()
 }
 
 /// Outcome of evaluating one profile's clone across a configuration grid
@@ -227,182 +308,120 @@ pub struct ProfileEvaluation {
 /// any other caller that has a [`GmapProfile`] rather than a named
 /// benchmark.
 ///
-/// The clone stream is generated once from `profile` with `seed`; the
-/// grid is then evaluated by the single-pass stack-distance engine when
-/// [`engine::plan_single_pass`] proves the sweep eligible, and by direct
-/// per-config simulation otherwise.
+/// The clone stream is generated once from `profile` with `seed` and
+/// handed to [`evaluate_grid`], planned when
+/// [`engine::plan_single_pass`] proves the sweep eligible. The capture is
+/// keyed by profile content + seed, so repeated evaluations of the same
+/// model (the common service pattern — one clone, many grids) capture
+/// once per process.
 ///
-/// `cancel` is a cooperative cancellation token: it is checked between
-/// coarse units of work (stream generation, capture, each direct-path
-/// configuration), and once observed `true` the function returns `None`
-/// without completing the grid.
+/// `cancel` is checked before the stream is generated and then as
+/// [`evaluate_grid`] does; `None` means the grid was not completed.
 pub fn evaluate_profile(
     profile: &GmapProfile,
     configs: &[SimtConfig],
     metric: Metric,
     seed: u64,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
+    cancel: Option<&AtomicBool>,
 ) -> Option<ProfileEvaluation> {
-    let cancelled = || cancel.is_some_and(|c| c.load(std::sync::atomic::Ordering::Relaxed));
-    if cancelled() {
+    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
         return None;
     }
     let streams = generate_streams(profile, seed);
-    if cancelled() {
-        return None;
-    }
-    if let Some(plan) = engine::plan_single_pass(configs, metric) {
-        // Keyed by profile content + seed: repeated evaluations of the
-        // same model (the common service pattern — one clone, many
-        // grids) capture once per process.
-        let source = format!("profile:{}:{}", gmap_core::cachekey::key_of(profile), seed);
-        let capture =
-            engine::capture_stream_cached(&source, &streams, &profile.launch, &plan.capture_cfg);
-        if cancelled() {
-            return None;
-        }
-        let series = engine::eval_captured(&plan, &capture, configs);
-        return Some(ProfileEvaluation {
-            values: series.values,
-            single_pass: true,
-        });
-    }
-    let mut values = Vec::with_capacity(configs.len());
-    for cfg in configs {
-        if cancelled() {
-            return None;
-        }
-        let out = simulate_streams(&streams, &profile.launch, cfg)
-            .expect("evaluation configurations are valid");
-        values.push(metric.extract(&out));
-    }
+    let plan = engine::plan_single_pass(configs, metric);
+    // Only a planned grid captures, so only it needs the content key.
+    let source = match plan {
+        Some(_) => format!("profile:{}:{}", gmap_core::cachekey::key_of(profile), seed),
+        None => String::new(),
+    };
+    let values = evaluate_grid(
+        &source,
+        &streams,
+        &profile.launch,
+        configs,
+        metric,
+        plan.as_ref(),
+        cancel,
+    )?;
     Some(ProfileEvaluation {
         values,
-        single_pass: false,
+        single_pass: plan.is_some(),
     })
 }
 
-/// One unit of sweep work: a benchmark and a contiguous config range.
-struct SweepJob {
-    data: Arc<BenchData>,
-    bench: usize,
-    lo: usize,
-    hi: usize,
+/// Compares original and clone on every prepared benchmark across
+/// `configs`, on up to `threads` worker threads.
+///
+/// The work is a flat queue of (benchmark, config-chunk) jobs, each two
+/// [`BenchData::evaluate`] calls: with a `plan` the whole series of a
+/// benchmark is one cheap job; without one the grid is cut in quarters so
+/// the queue stays deeper than the thread pool even when a few benchmarks
+/// dominate.
+pub fn sweep_grid(
+    data: &[BenchData],
+    configs: &[SimtConfig],
+    metric: Metric,
+    plan: Option<&SweepPlan>,
+    threads: usize,
+) -> SweepSummary {
+    let chunk = match plan {
+        Some(_) => configs.len(),
+        None => configs.len().div_ceil(4),
+    }
+    .max(1);
+    let jobs: Vec<(usize, usize)> = (0..data.len())
+        .flat_map(|b| (0..configs.len()).step_by(chunk).map(move |lo| (b, lo)))
+        .collect();
+    let results = parallel_map(&jobs, threads, |&(b, lo)| {
+        let part = &configs[lo..(lo + chunk).min(configs.len())];
+        (
+            data[b].evaluate(false, part, metric, plan),
+            data[b].evaluate(true, part, metric, plan),
+        )
+    });
+    // Jobs are ordered by benchmark, then by chunk: appending stitches
+    // the chunks back into aligned per-benchmark series.
+    let mut series = vec![(Vec::new(), Vec::new()); data.len()];
+    for (&(b, _), (orig, proxy)) in jobs.iter().zip(results) {
+        series[b].0.extend(orig);
+        series[b].1.extend(proxy);
+    }
+    summarize(
+        data.iter()
+            .zip(series)
+            .map(|(d, (orig, proxy))| compare_series(&d.kernel.name, orig, proxy))
+            .collect(),
+    )
 }
 
-/// Runs a whole figure: all 18 benchmarks across the sweep.
-///
-/// Preparation (execute → profile → clone) runs once per benchmark in
-/// parallel; the sweep itself is a flat work queue of (benchmark,
-/// config-chunk) jobs over shared [`Arc<BenchData>`], so thread
-/// utilization no longer collapses to one-thread-per-benchmark when a
-/// few benchmarks dominate. Pure-LRU no-prefetcher sweeps are detected
-/// by [`engine::plan_single_pass`] and evaluated in one stack-distance
-/// pass per (benchmark, line size) instead of one full simulation per
-/// config.
+/// Runs a whole figure: prepares all 18 benchmarks, then
+/// [`run_figure_on`] them.
 pub fn run_figure(
     title: &str,
     configs: &[SimtConfig],
     metric: Metric,
     opts: ExperimentOpts,
 ) -> SweepSummary {
-    print_header(title, configs.len(), &opts);
+    run_figure_on(&prepare_all(&opts), title, configs, metric, &opts)
+}
 
+/// Runs one figure over already prepared benchmarks: banner, the sweep
+/// ([`sweep_grid`], planned when [`engine::plan_single_pass`] accepts the
+/// grid), the per-benchmark table, the CSV if `opts.csv` asks for one,
+/// and a timing footer that says which path evaluated the grid.
+pub fn run_figure_on(
+    data: &[BenchData],
+    title: &str,
+    configs: &[SimtConfig],
+    metric: Metric,
+    opts: &ExperimentOpts,
+) -> SweepSummary {
+    print_header(title, configs.len(), opts);
     let t0 = Instant::now();
-    let names: Vec<&str> = workloads::NAMES.to_vec();
-    let data: Vec<Arc<BenchData>> = parallel_map(&names, opts.threads, |name| {
-        Arc::new(prepare(name, opts.scale, opts.seed))
-    });
-    let prepare_secs = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
     let plan = engine::plan_single_pass(configs, metric);
-    let jobs: Vec<SweepJob> = match &plan {
-        // Single-pass: the whole series per benchmark is one cheap job.
-        Some(_) => data
-            .iter()
-            .enumerate()
-            .map(|(b, d)| SweepJob {
-                data: Arc::clone(d),
-                bench: b,
-                lo: 0,
-                hi: configs.len(),
-            })
-            .collect(),
-        // Direct: chunk the config grid so the queue stays deeper than
-        // the thread pool even with few benchmarks in flight.
-        None => {
-            let chunk = configs.len().div_ceil(4).max(1);
-            let mut jobs = Vec::new();
-            for (b, d) in data.iter().enumerate() {
-                let mut lo = 0;
-                while lo < configs.len() {
-                    let hi = (lo + chunk).min(configs.len());
-                    jobs.push(SweepJob {
-                        data: Arc::clone(d),
-                        bench: b,
-                        lo,
-                        hi,
-                    });
-                    lo = hi;
-                }
-            }
-            jobs
-        }
-    };
-    let results: Vec<Vec<(f64, f64)>> = parallel_map(&jobs, opts.threads, |job| match &plan {
-        Some(plan) => {
-            let orig = engine::capture_stream_cached(
-                &job.data.capture_source(false),
-                &job.data.orig_streams,
-                &job.data.kernel.launch,
-                &plan.capture_cfg,
-            );
-            let proxy = engine::capture_stream_cached(
-                &job.data.capture_source(true),
-                &job.data.proxy_streams,
-                &job.data.profile.launch,
-                &plan.capture_cfg,
-            );
-            let o = engine::eval_captured(plan, &orig, configs);
-            let p = engine::eval_captured(plan, &proxy, configs);
-            o.values.into_iter().zip(p.values).collect()
-        }
-        None => configs[job.lo..job.hi]
-            .iter()
-            .map(|cfg| {
-                let o = simulate_streams(&job.data.orig_streams, &job.data.kernel.launch, cfg)
-                    .expect("sweep configurations are valid");
-                let p = simulate_streams(&job.data.proxy_streams, &job.data.profile.launch, cfg)
-                    .expect("sweep configurations are valid");
-                (metric.extract(&o), metric.extract(&p))
-            })
-            .collect(),
-    });
-    // Stitch the chunks back into aligned per-benchmark series.
-    let mut orig = vec![vec![0.0f64; configs.len()]; names.len()];
-    let mut proxy = vec![vec![0.0f64; configs.len()]; names.len()];
-    for (job, values) in jobs.iter().zip(results) {
-        for (k, (o, p)) in values.into_iter().enumerate() {
-            orig[job.bench][job.lo + k] = o;
-            proxy[job.bench][job.lo + k] = p;
-        }
-    }
-    let comparisons: Vec<BenchmarkComparison> = names
-        .iter()
-        .enumerate()
-        .map(|(b, name)| {
-            compare_series(
-                name,
-                std::mem::take(&mut orig[b]),
-                std::mem::take(&mut proxy[b]),
-            )
-        })
-        .collect();
-    let sweep_secs = t1.elapsed().as_secs_f64();
+    let summary = sweep_grid(data, configs, metric, plan.as_ref(), opts.threads);
+    let sweep_secs = t0.elapsed().as_secs_f64();
 
-    let t2 = Instant::now();
-    let summary = summarize(comparisons);
     println!("{summary}");
     if let Some(path) = &opts.csv {
         match write_summary_csv(&summary, path) {
@@ -410,15 +429,11 @@ pub fn run_figure(
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-    let summarize_secs = t2.elapsed().as_secs_f64();
-
-    let points = names.len() * configs.len();
+    println!("phase timings: sweep {sweep_secs:.2}s");
     println!(
-        "phase timings: prepare {prepare_secs:.2}s  sweep {sweep_secs:.2}s  summarize {summarize_secs:.2}s"
-    );
-    println!(
-        "throughput: {:.0} configs/s over {points} validation points ({})",
-        points as f64 / sweep_secs.max(1e-9),
+        "throughput: {:.0} configs/s over {} validation points ({})",
+        summary.validation_points as f64 / sweep_secs.max(1e-9),
+        summary.validation_points,
         if plan.is_some() {
             "single-pass engine"
         } else {
@@ -514,21 +529,27 @@ mod tests {
         assert!(parallel_map(&empty, 4, |&x: &u64| x).is_empty());
     }
 
+    fn args(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(tokens: &[&str]) -> Result<ExperimentOpts, String> {
+        ExperimentOpts::parse(&args(tokens), |_, _| Ok(false))
+    }
+
     #[test]
     fn arg_parsing_does_not_eat_flags_as_values() {
-        let args: Vec<String> = ["--csv", "--seed", "7"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let opts = ExperimentOpts::parse(&args);
-        // `--csv` has no value (the next token is a flag): left unset.
-        assert_eq!(opts.csv, None);
-        assert_eq!(opts.seed, 7);
+        // `--csv` has no value (the next token is a flag): an error, not
+        // `csv = "--seed"` and not a silently unset option.
+        let err = parse(&["--csv", "--seed", "7"]).expect_err("missing value");
+        assert!(err.contains("--csv requires a value"), "{err}");
+        let err = parse(&["--seed"]).expect_err("missing value at the end");
+        assert!(err.contains("--seed requires a value"), "{err}");
     }
 
     #[test]
     fn arg_parsing_accepts_the_documented_flags() {
-        let args: Vec<String> = [
+        let opts = parse(&[
             "--scale",
             "tiny",
             "--seed",
@@ -537,11 +558,8 @@ mod tests {
             "3",
             "--csv",
             "out.csv",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let opts = ExperimentOpts::parse(&args);
+        ])
+        .expect("documented flags parse");
         assert_eq!(opts.scale, Scale::Tiny);
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.threads, 3);
@@ -549,6 +567,44 @@ mod tests {
         for flag in ["--scale", "--seed", "--threads", "--csv"] {
             assert!(ExperimentOpts::HELP.contains(flag), "help must list {flag}");
         }
+        let defaults = parse(&[]).expect("no flags is fine");
+        assert_eq!((defaults.scale, defaults.seed), (Scale::Default, 42));
+        assert_eq!(
+            parse(&["--scale", "default"]).map(|o| o.scale),
+            Ok(Scale::Default)
+        );
+
+        // Mistakes are errors that name the token, never a silent default.
+        for (tokens, needle) in [
+            (&["--scale", "smal"][..], "`smal`"),
+            (&["--scale=tiny"][..], "--scale=tiny"),
+            (&["--seed", "x"][..], "`x`"),
+            (&["--threads", "-1"][..], "`-1`"),
+            (&["--sale", "tiny"][..], "unknown option `--sale`"),
+            (&["tiny"][..], "unexpected argument `tiny`"),
+        ] {
+            let err = parse(tokens).expect_err("rejected");
+            assert!(err.contains(needle), "{tokens:?}: {err}");
+        }
+
+        // A binary's own flag goes through `extra`, value checked there.
+        let mut grid = String::new();
+        let mut own = |flag: &str, value: &str| match (flag, value) {
+            ("--grid", "a" | "all") => {
+                grid = value.to_string();
+                Ok(true)
+            }
+            ("--grid", _) => Err(format!("bad grid `{value}`")),
+            _ => Ok(false),
+        };
+        let opts = ExperimentOpts::parse(&args(&["--grid", "a", "--seed", "3"]), &mut own)
+            .expect("own flag accepted");
+        assert_eq!(opts.seed, 3);
+        let err = ExperimentOpts::parse(&args(&["--grid", "z"]), &mut own).expect_err("bad grid");
+        assert!(err.contains("bad grid `z`"), "{err}");
+        let err = ExperimentOpts::parse(&args(&["--gird", "a"]), &mut own).expect_err("typo");
+        assert!(err.contains("unknown option `--gird`"), "{err}");
+        assert_eq!(grid, "a");
     }
 
     #[test]
@@ -560,17 +616,6 @@ mod tests {
             data.profile.launch.total_warps(data.profile.warp_size) as usize,
             data.proxy_streams.len()
         );
-    }
-
-    #[test]
-    fn sweep_benchmark_runs_every_config() {
-        let data = prepare("scalarprod", Scale::Tiny, 7);
-        let configs = vec![SimtConfig::default(); 3];
-        let cmp = sweep_benchmark(&data, &configs, Metric::L1MissPct);
-        assert_eq!(cmp.original.len(), 3);
-        assert_eq!(cmp.proxy.len(), 3);
-        // Identical configs: identical values.
-        assert_eq!(cmp.original[0], cmp.original[2]);
     }
 
     #[test]
@@ -591,48 +636,112 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_profile_matches_direct_simulation() {
+    fn evaluate_grid_planned_is_exactly_capture_then_eval() {
+        let _cache = engine::capture_cache_test_guard();
         let data = prepare("kmeans", Scale::Tiny, 7);
-        // A grid the single-pass planner accepts...
         let grid = sweeps::l1_sweep();
-        let single = evaluate_profile(&data.profile, &grid, Metric::L1MissPct, 7, None)
-            .expect("not cancelled");
-        assert!(single.single_pass);
-        assert_eq!(single.values.len(), grid.len());
-        // ...must agree with the direct path on a spot-checked subset.
-        let subset = &grid[..3];
-        let direct = evaluate_profile(
-            &data.profile,
-            subset,
-            Metric::L2MissPct, // metric/grid mismatch forces the direct path
-            7,
-            None,
-        )
-        .expect("not cancelled");
-        assert!(!direct.single_pass);
-        for (i, v) in direct.values.iter().enumerate() {
-            let out = simulate_streams(&data.proxy_streams, &data.profile.launch, &subset[i])
-                .expect("valid config");
-            assert!((v - Metric::L2MissPct.extract(&out)).abs() < 1e-12);
+        let plan = engine::plan_single_pass(&grid, Metric::L1MissPct).expect("fig6a plans");
+        for proxy in [false, true] {
+            let (streams, launch) = data.stream(proxy);
+            let capture = engine::capture_stream(streams, launch, &plan.capture_cfg);
+            let want = engine::eval_captured(&plan, &capture, &grid).values;
+            let got = data.evaluate(proxy, &grid, Metric::L1MissPct, Some(&plan));
+            assert_eq!(got, want, "proxy={proxy}");
+            assert_eq!(got.len(), grid.len());
+            assert!(got.iter().all(|v| (0.0..=100.0).contains(v)));
+            assert!(got.iter().any(|&v| v > 0.0), "a real workload misses");
         }
-        // Single-pass values are exact vs direct simulation of the same
-        // proxy stream at the captured reference interleaving; here we
-        // only assert both series are sane percentages.
-        assert!(single.values.iter().all(|v| (0.0..=100.0).contains(v)));
+        // `evaluate_profile` regenerates the same clone and plans the
+        // same grid.
+        let eval = evaluate_profile(&data.profile, &grid, Metric::L1MissPct, 7, None)
+            .expect("not cancelled");
+        assert!(eval.single_pass);
+        assert_eq!(
+            eval.values,
+            data.evaluate(true, &grid, Metric::L1MissPct, Some(&plan))
+        );
     }
 
     #[test]
-    fn evaluate_profile_honors_cancellation() {
-        use std::sync::atomic::AtomicBool;
+    fn evaluate_grid_unplanned_is_exactly_one_simulation_per_config() {
         let data = prepare("scalarprod", Scale::Tiny, 7);
-        let cancelled = AtomicBool::new(true);
+        // The two ways a grid falls off the planner: the metric is not
+        // the swept level's, or a point uses PLRU.
+        let mismatch: Vec<SimtConfig> = sweeps::l1_sweep()[..3].to_vec();
+        let mut plru = vec![SimtConfig::default(); 3];
+        plru[1].hierarchy.l1.policy = gmap_memsim::cache::ReplacementPolicy::PseudoLru;
+        for (grid, metric) in [(mismatch, Metric::L2MissPct), (plru, Metric::L1MissPct)] {
+            assert!(engine::plan_single_pass(&grid, metric).is_none());
+            for proxy in [false, true] {
+                let (streams, launch) = data.stream(proxy);
+                let want: Vec<f64> = grid
+                    .iter()
+                    .map(|cfg| {
+                        metric.extract(&simulate_streams(streams, launch, cfg).expect("valid"))
+                    })
+                    .collect();
+                assert_eq!(data.evaluate(proxy, &grid, metric, None), want);
+            }
+            let eval = evaluate_profile(&data.profile, &grid, metric, 7, None).expect("runs");
+            assert!(!eval.single_pass);
+            assert_eq!(eval.values, data.evaluate(true, &grid, metric, None));
+        }
+        // Identical configs: identical values.
+        let same = data.evaluate(false, &[SimtConfig::default(); 3], Metric::L1MissPct, None);
+        assert_eq!(same.len(), 3);
+        assert_eq!(same[0], same[2]);
+    }
+
+    #[test]
+    fn sweep_grid_stitches_direct_chunks_in_config_order() {
+        let data = vec![
+            prepare("scalarprod", Scale::Tiny, 7),
+            prepare("aes", Scale::Tiny, 7),
+        ];
+        // Five configs, no plan: chunks of 2, 2 and 1 per benchmark.
+        let grid: Vec<SimtConfig> = sweeps::l1_sweep()[..5].to_vec();
+        let summary = sweep_grid(&data, &grid, Metric::L1MissPct, None, 3);
+        assert_eq!(summary.validation_points, 10);
+        for (d, cmp) in data.iter().zip(&summary.per_benchmark) {
+            assert_eq!(cmp.name, d.kernel.name);
+            assert_eq!(
+                cmp.original,
+                d.evaluate(false, &grid, Metric::L1MissPct, None)
+            );
+            assert_eq!(cmp.proxy, d.evaluate(true, &grid, Metric::L1MissPct, None));
+        }
+    }
+
+    #[test]
+    fn evaluation_honors_cancellation_on_both_branches() {
+        let _cache = engine::capture_cache_test_guard();
+        let data = prepare("scalarprod", Scale::Tiny, 7);
+        let grid = &sweeps::l1_sweep()[..2];
+        let plan = engine::plan_single_pass(grid, Metric::L1MissPct);
+        assert!(plan.is_some());
+        let (streams, launch) = data.stream(true);
+        for plan in [plan.as_ref(), None] {
+            let run = |cancel: &AtomicBool| {
+                evaluate_grid(
+                    "test:cancel",
+                    streams,
+                    launch,
+                    grid,
+                    Metric::L1MissPct,
+                    plan,
+                    Some(cancel),
+                )
+            };
+            assert_eq!(run(&AtomicBool::new(true)), None);
+            assert_eq!(run(&AtomicBool::new(false)).map(|v| v.len()), Some(2));
+        }
         assert_eq!(
             evaluate_profile(
                 &data.profile,
-                &sweeps::l1_sweep(),
+                grid,
                 Metric::L1MissPct,
                 7,
-                Some(&cancelled)
+                Some(&AtomicBool::new(true))
             ),
             None
         );

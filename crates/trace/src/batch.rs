@@ -9,13 +9,9 @@
 //! stable Rust. The batched kernels are bit-exact by construction and by
 //! test; selection only ever trades speed.
 //!
-//! [`default_mode`] is the process-wide switch: batched unless the
-//! `GMAP_SCALAR_KERNELS` environment variable is set to `1`/`true` (the
-//! escape hatch for A/B perf measurement and for bisecting a suspected
-//! kernel bug). The perf tracker asserts the batched path is selected in
-//! CI, so a regression to scalar cannot land silently.
-
-use std::sync::OnceLock;
+//! [`default_mode`] is what production code passes: always
+//! [`KernelMode::Batched`]. The scalar side runs only where a test asks
+//! for it by name, as the oracle the batched kernels are compared with.
 
 /// Lane width of the unrolled batch kernels.
 ///
@@ -40,17 +36,10 @@ impl KernelMode {
     }
 }
 
-/// The process-wide kernel mode: [`KernelMode::Batched`] unless the
-/// `GMAP_SCALAR_KERNELS` environment variable is `1` or `true`.
-///
-/// Read once and cached — flipping the variable mid-process has no
-/// effect, which keeps every pass of one run on one path.
+/// The kernel mode every production call site passes:
+/// [`KernelMode::Batched`].
 pub fn default_mode() -> KernelMode {
-    static MODE: OnceLock<KernelMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("GMAP_SCALAR_KERNELS") {
-        Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => KernelMode::Scalar,
-        _ => KernelMode::Batched,
-    })
+    KernelMode::Batched
 }
 
 #[cfg(test)]
@@ -59,7 +48,6 @@ mod tests {
 
     #[test]
     fn batched_is_the_default() {
-        // The test environment does not set the escape hatch.
         assert_eq!(default_mode(), KernelMode::Batched);
         assert!(default_mode().is_batched());
         assert!(!KernelMode::Scalar.is_batched());

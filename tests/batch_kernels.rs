@@ -25,8 +25,8 @@ use proptest::prelude::*;
 
 #[test]
 fn batched_mode_is_the_tier1_default() {
-    // The suite must exercise the batched kernels: fail loudly if the
-    // scalar escape hatch leaked into the test environment.
+    // Production call sites pass `default_mode()`: the differential
+    // tests below guard shipped code only while that is the batched side.
     assert!(gmap_trace::default_mode().is_batched());
 }
 

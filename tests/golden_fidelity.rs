@@ -60,8 +60,8 @@ fn metric_name(metric: Metric) -> &'static str {
     }
 }
 
-/// The figure grids under golden control — the same five the perf
-/// tracker gates on.
+/// The figure grids under golden control: `fig6 --grid a`…`d` and 6e's
+/// replacement grid.
 fn grids() -> Vec<(&'static str, Vec<SimtConfig>, Metric)> {
     vec![
         ("fig6a_l1", sweeps::l1_sweep(), Metric::L1MissPct),
@@ -94,12 +94,11 @@ fn compute_figure(
     let plan = engine::plan_single_pass(configs, metric)
         .unwrap_or_else(|| panic!("{grid} must plan single-pass"));
     let rows = parallel_map(data, threads, |d| {
-        let cmp = engine::sweep_benchmark_single_pass(d, &plan, configs);
         (
             d.kernel.name.clone(),
             SeriesPair {
-                original: cmp.original,
-                proxy: cmp.proxy,
+                original: d.evaluate(false, configs, metric, Some(&plan)),
+                proxy: d.evaluate(true, configs, metric, Some(&plan)),
             },
         )
     });
