@@ -13,7 +13,7 @@ use gmap_ingest::{
     ClassifierConfig, IngestConfig, IngestError, Ingestor, OverflowPolicy, PatternClass, PatternFsm,
 };
 use gmap_trace::io::{read_binary, write_binary, write_text, TraceEntry};
-use gmap_trace::record::{AccessKind, ByteAddr, MemAccess, Pc, ThreadId};
+use gmap_trace::record::{ByteAddr, MemAccess, Pc, ThreadId};
 use proptest::prelude::*;
 
 fn entry(tid: u32, pc: u64, addr: u64, write: bool) -> TraceEntry {

@@ -2,11 +2,14 @@
 //! plus a retrying wrapper with exponential backoff and decorrelated
 //! jitter.
 //!
-//! Each call opens one connection, writes one request (looping on
-//! partial writes), and reads the `Connection: close` response to EOF.
-//! The response's `Content-Length` is verified against the bytes
-//! actually received, so a connection reset mid-body surfaces as a
-//! transport error instead of a silently truncated result.
+//! Every outbound request of the crate — `gmap client`, the router's
+//! forwards, replication pushes, health probes — is one call of
+//! `exchange`: it opens one connection (bounded by the deadline
+//! budget), writes one request head and body through the one framer,
+//! and reads the `Connection: close` response to EOF. The response's
+//! `Content-Length` is verified against the bytes actually received, so
+//! a connection reset mid-body surfaces as a transport error instead of
+//! a silently truncated result.
 //!
 //! Retry policy: only idempotent requests are retried. Every pipeline
 //! endpoint is content-addressed — the same spec always produces the
@@ -17,18 +20,18 @@
 //! seeded (via [`gmap_trace::rng::mix64`]) so a given policy replays the
 //! same sleep schedule.
 
-use crate::health::{self, PeerHealth, ProbeHandle};
+use crate::health::{Peers, DEFAULT_PROBE_INTERVAL};
 use crate::shard::Ring;
 use gmap_core::cachekey;
 use gmap_trace::rng::mix64;
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Request header carrying the remaining deadline budget in
-/// milliseconds. Set by the router (and [`request_with_deadline`]),
-/// honored by replicas: a peer clamps its own per-request deadline to
+/// milliseconds. Set by every exchange that has a budget, honored by
+/// replicas: a peer clamps its own per-request deadline to
 /// this value so it never keeps working on a request whose requester
 /// has already been answered 504 upstream.
 pub const DEADLINE_HEADER: &str = "X-Gmap-Deadline-Ms";
@@ -36,6 +39,10 @@ pub const DEADLINE_HEADER: &str = "X-Gmap-Deadline-Ms";
 /// Read-timeout grace beyond the propagated budget: long enough for a
 /// peer's honest in-budget 504 to arrive before the transport gives up.
 const BUDGET_GRACE: Duration = Duration::from_secs(2);
+
+/// Longest an exchange waits for its TCP connect, whatever its budget:
+/// a black-holed peer costs this much, not the OS's SYN retries.
+const CONNECT_CAP: Duration = Duration::from_secs(5);
 
 /// A parsed HTTP response.
 #[derive(Debug, Clone)]
@@ -66,7 +73,7 @@ pub fn is_idempotent(method: &str, path: &str) -> bool {
     method == "GET" || (method == "POST" && path.starts_with("/v1/"))
 }
 
-/// Backoff configuration for [`request_with_retry`].
+/// Backoff configuration for [`request_with_retry`] and [`PeerClient`].
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = single attempt).
@@ -102,108 +109,206 @@ impl RetryPolicy {
     }
 }
 
+/// What an exchange sends after the request head.
+pub(crate) enum Payload<'a> {
+    /// A materialized JSON body, `Content-Length` framed.
+    Json(&'a str),
+    /// A body of unknown length, pulled from `next` in pieces of at most
+    /// `piece` bytes (0 ends it) and re-framed chunked, so the resident
+    /// buffer is one piece whatever the body's size.
+    Stream {
+        /// Size of the buffer `next` fills.
+        piece: usize,
+        /// Fills the buffer with the next piece of the body.
+        next: &'a mut dyn FnMut(&mut [u8]) -> io::Result<usize>,
+    },
+}
+
+impl Payload<'_> {
+    /// The same payload for one more attempt (a stream resumes where
+    /// its source stands).
+    pub(crate) fn reborrow(&mut self) -> Payload<'_> {
+        match self {
+            Payload::Json(body) => Payload::Json(body),
+            Payload::Stream { piece, next } => Payload::Stream {
+                piece: *piece,
+                next: &mut **next,
+            },
+        }
+    }
+}
+
+/// Why an exchange produced no response.
+#[derive(Debug)]
+pub(crate) enum ExchangeError {
+    /// No connection was made: nothing was sent or pulled from the
+    /// payload, so the request can still go to another peer.
+    Connect(io::Error),
+    /// The peer failed after the request had started to flow.
+    Peer(io::Error),
+    /// The streamed payload's source failed; the peer is not at fault.
+    Source(io::Error),
+}
+
+impl From<ExchangeError> for io::Error {
+    fn from(e: ExchangeError) -> io::Error {
+        match e {
+            ExchangeError::Connect(e) | ExchangeError::Peer(e) | ExchangeError::Source(e) => e,
+        }
+    }
+}
+
+/// The head of an outbound request: JSON with `Content-Length` or an
+/// octet stream with `Transfer-Encoding: chunked`, plus the remaining
+/// deadline budget when there is one.
+fn request_head(
+    method: &str,
+    path: &str,
+    host: &str,
+    payload: &Payload<'_>,
+    budget: Option<Duration>,
+) -> String {
+    let framing = match payload {
+        Payload::Json(body) => format!(
+            "Content-Type: application/json\r\nContent-Length: {}",
+            body.len()
+        ),
+        Payload::Stream { .. } => {
+            "Content-Type: application/octet-stream\r\nTransfer-Encoding: chunked".to_string()
+        }
+    };
+    let deadline = budget.map_or(String::new(), |b| {
+        format!("{DEADLINE_HEADER}: {}\r\n", b.as_millis())
+    });
+    format!(
+        "{method} {path} HTTP/1.1\r\nHost: {host}\r\n{framing}\r\n{deadline}Connection: close\r\n\r\n"
+    )
+}
+
+/// Writes one chunk of a chunked body (`<hex len>\r\n<data>\r\n`); the
+/// empty chunk is the terminator.
+fn write_chunk<W: Write>(writer: &mut W, data: &[u8]) -> io::Result<()> {
+    writer.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
+    writer.write_all(data)?;
+    writer.write_all(b"\r\n")
+}
+
+/// The one peer exchange: connects to `addr`, sends one request and
+/// reads the response to EOF. `budget` is what remains of the request's
+/// deadline: it bounds the connect (clamped to [`CONNECT_CAP`]), travels
+/// to the peer in [`DEADLINE_HEADER`], and tightens the read timeout to
+/// budget + a small grace, so a replica's honest in-budget 504 wins over
+/// the transport timeout.
+///
+/// # Errors
+///
+/// [`ExchangeError`] says how far the exchange got; an unparseable or
+/// truncated response is the peer's failure.
+pub(crate) fn exchange(
+    addr: &str,
+    method: &str,
+    path: &str,
+    payload: Payload<'_>,
+    budget: Option<Duration>,
+) -> Result<Response, ExchangeError> {
+    let started = Instant::now();
+    let patience = budget
+        .map_or(CONNECT_CAP, |b| b.min(CONNECT_CAP))
+        .max(Duration::from_millis(1));
+    let mut stream = addr
+        .to_socket_addrs()
+        .and_then(|resolved| {
+            let mut last = io::Error::new(io::ErrorKind::InvalidInput, "no address to connect to");
+            for target in resolved {
+                match TcpStream::connect_timeout(&target, patience) {
+                    Ok(stream) => return Ok(stream),
+                    Err(e) => last = e,
+                }
+            }
+            Err(last)
+        })
+        .map_err(ExchangeError::Connect)?;
+    let budget = budget.map(|b| b.saturating_sub(started.elapsed()));
+    let read_timeout = budget.map_or(Duration::from_secs(120), |b| b + BUDGET_GRACE);
+    stream
+        .set_read_timeout(Some(read_timeout))
+        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(30))))
+        .map_err(ExchangeError::Peer)?;
+    let mut request = request_head(method, path, addr, &payload, budget).into_bytes();
+    match payload {
+        Payload::Json(body) => {
+            // Head and body leave in one write.
+            request.extend_from_slice(body.as_bytes());
+            stream.write_all(&request).map_err(ExchangeError::Peer)?;
+        }
+        Payload::Stream { piece, next } => {
+            stream.write_all(&request).map_err(ExchangeError::Peer)?;
+            let mut buf = vec![0u8; piece.max(1)];
+            loop {
+                let n = match next(&mut buf) {
+                    Ok(n) => n,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(ExchangeError::Source(e)),
+                };
+                // The empty piece that ends the body is the terminator.
+                write_chunk(&mut stream, &buf[..n]).map_err(ExchangeError::Peer)?;
+                if n == 0 {
+                    break;
+                }
+            }
+        }
+    }
+    let mut raw = Vec::new();
+    stream
+        .flush()
+        .and_then(|()| stream.read_to_end(&mut raw))
+        .map_err(ExchangeError::Peer)?;
+    parse_response(&raw).map_err(ExchangeError::Peer)
+}
+
 /// Performs one request against `addr` (e.g. `"127.0.0.1:8080"`).
 ///
 /// # Errors
 ///
 /// Transport failures and unparseable responses surface as `io::Error`.
-pub fn request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<Response> {
-    request_with_deadline(addr, method, path, body, None)
+pub fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::Result<Response> {
+    let payload = Payload::Json(body.unwrap_or(""));
+    Ok(exchange(addr, method, path, payload, None)?)
 }
 
-/// Performs one request carrying a deadline budget: the remaining
-/// budget is propagated in [`DEADLINE_HEADER`] and the read timeout is
-/// tightened to budget + a small grace (so a replica's honest in-budget
-/// 504 wins over the transport timeout). `None` behaves like
-/// [`request`].
-///
-/// # Errors
-///
-/// Transport failures and unparseable responses surface as `io::Error`.
-pub fn request_with_deadline(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    budget: Option<Duration>,
-) -> std::io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    let read_timeout = budget.map_or(Duration::from_secs(120), |b| b + BUDGET_GRACE);
-    stream.set_read_timeout(Some(read_timeout))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let payload = body.unwrap_or("");
-    let deadline_line = budget.map_or(String::new(), |b| {
-        format!("{DEADLINE_HEADER}: {}\r\n", b.as_millis())
-    });
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n{deadline_line}Connection: close\r\n\r\n",
-        payload.len()
-    );
-    let mut request = head.into_bytes();
-    request.extend_from_slice(payload.as_bytes());
-    write_all_looping(&mut stream, &request)?;
-    stream.flush()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
-}
-
-/// Writes the whole buffer, looping on short writes instead of assuming
-/// one `write` call moves everything (a stalled or slow server must not
-/// silently truncate the request).
-pub(crate) fn write_all_looping<W: Write>(writer: &mut W, mut buf: &[u8]) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        match writer.write(buf) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "connection closed mid-request",
-                ))
-            }
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Performs a request, retrying transient failures when the request is
-/// idempotent. Non-idempotent requests get exactly one attempt.
-///
-/// # Errors
-///
-/// The last transport error once retries are exhausted.
-pub fn request_with_retry(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
+/// The one retry loop. Transient *statuses* (408/429/500/503/504) stay
+/// on the same peer — the replica is alive and its `Retry-After` (honored
+/// up to the policy cap) is the better signal; a failed transport
+/// advances to the next peer of `walk`, wrapping around. Both back off on
+/// the policy's seeded schedule, and a non-idempotent request gets
+/// exactly one attempt.
+fn retry_over(
+    walk: &[&str],
     policy: &RetryPolicy,
-) -> std::io::Result<Response> {
-    let attempts = if is_idempotent(method, path) {
+    idempotent: bool,
+    mut attempt_on: impl FnMut(&str) -> io::Result<Response>,
+) -> io::Result<Response> {
+    let attempts = if idempotent {
         policy.max_retries + 1
     } else {
         1
     };
     let mut sleep = policy.base;
+    let mut peer_idx = 0usize;
     let mut last_err = None;
     for attempt in 0..attempts {
         if attempt > 0 {
             std::thread::sleep(sleep);
         }
-        let hint = match request(addr, method, path, body) {
+        let hint = match attempt_on(walk[peer_idx % walk.len()]) {
             Ok(resp) if !RETRYABLE_STATUSES.contains(&resp.status) => return Ok(resp),
             Ok(resp) if attempt + 1 == attempts => return Ok(resp),
             Ok(resp) => resp.retry_after,
             Err(e) => {
+                // Transport failure: this peer is unreachable or died
+                // mid-response — fail over to the successor.
                 last_err = Some(e);
+                peer_idx += 1;
                 None
             }
         };
@@ -214,7 +319,25 @@ pub fn request_with_retry(
             sleep = sleep.max(Duration::from_secs(secs)).min(policy.cap);
         }
     }
-    Err(last_err.unwrap_or_else(|| std::io::Error::other("retries exhausted")))
+    Err(last_err.unwrap_or_else(|| io::Error::other("retries exhausted")))
+}
+
+/// Performs a request, retrying transient failures when the request is
+/// idempotent: the one-peer case of [`PeerClient`]'s loop.
+///
+/// # Errors
+///
+/// The last transport error once retries are exhausted.
+pub fn request_with_retry(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    policy: &RetryPolicy,
+) -> io::Result<Response> {
+    retry_over(&[addr], policy, is_idempotent(method, path), |peer| {
+        request(peer, method, path, body)
+    })
 }
 
 /// Peer-aware sharded client: computes each request's shard key (the
@@ -226,67 +349,30 @@ pub fn request_with_retry(
 /// failover preserves byte-identical results and only costs cache
 /// locality on the substitute replica.
 ///
-/// Transient *statuses* (408/429/500/503/504) stay on the same peer —
-/// the replica is alive and its `Retry-After` is the better signal;
-/// only a failed transport advances to the successor. Both paths share
-/// the policy's seeded backoff schedule, and non-idempotent requests
-/// get exactly one attempt, as in [`request_with_retry`].
-///
-/// Every exchange feeds a shared [`PeerHealth`] circuit breaker:
+/// The walk and every exchange go through the client's own [`Peers`]:
 /// ejected (or draining) peers are moved to the *end* of the walk, so
 /// repeated requests stop paying a dead replica's connect timeout —
 /// without ever making a key unservable (the ejected peers remain the
-/// last resort). [`PeerClient::spawn_prober`] adds active `/healthz`
-/// probing on top for long-lived clients.
+/// last resort).
 #[derive(Debug, Clone)]
 pub struct PeerClient {
-    ring: Ring,
+    peers: Arc<Peers>,
     policy: RetryPolicy,
-    health: Arc<PeerHealth>,
 }
-
-/// Probe interval assumed when a client builds its own health registry
-/// (drives the breaker cooldown; [`PeerClient::spawn_prober`] may use a
-/// different cadence).
-pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 impl PeerClient {
     /// Builds a client over `peers` (replica `host:port` addresses)
     /// with its own private health registry.
     pub fn new(peers: &[String], policy: RetryPolicy) -> PeerClient {
-        let health = Arc::new(PeerHealth::new(peers, DEFAULT_PROBE_INTERVAL));
-        PeerClient::with_health(peers, policy, health)
-    }
-
-    /// Builds a client sharing an existing health registry (a server
-    /// embedding a client reuses its prober's view of the fleet).
-    pub fn with_health(
-        peers: &[String],
-        policy: RetryPolicy,
-        health: Arc<PeerHealth>,
-    ) -> PeerClient {
         PeerClient {
-            ring: Ring::new(peers),
+            peers: Arc::new(Peers::new(peers, DEFAULT_PROBE_INTERVAL)),
             policy,
-            health,
         }
     }
 
     /// The underlying consistent-hash ring.
     pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
-    /// The shared peer-health registry.
-    pub fn health(&self) -> &Arc<PeerHealth> {
-        &self.health
-    }
-
-    /// Spawns an active `/healthz` prober over this client's peers,
-    /// feeding its health registry. The returned handle stops the
-    /// prober when dropped.
-    pub fn spawn_prober(&self, interval: Duration) -> ProbeHandle {
-        health::spawn_prober(Arc::clone(&self.health), interval, None)
+        self.peers.ring()
     }
 
     /// Performs a request against the owning replica, deriving the
@@ -297,12 +383,7 @@ impl PeerClient {
     ///
     /// The last transport error once every peer and retry is exhausted,
     /// or immediately when the ring is empty.
-    pub fn request(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> std::io::Result<Response> {
+    pub fn request(&self, method: &str, path: &str, body: Option<&str>) -> io::Result<Response> {
         let key = crate::shard::request_key(path, body.unwrap_or(""))
             .unwrap_or_else(|| cachekey::content_key(body.unwrap_or(path)));
         self.request_keyed(&key, method, path, body)
@@ -319,53 +400,15 @@ impl PeerClient {
         method: &str,
         path: &str,
         body: Option<&str>,
-    ) -> std::io::Result<Response> {
-        let order = self.ring.successors(key);
-        if order.is_empty() {
-            return Err(std::io::Error::other("peer ring is empty"));
+    ) -> io::Result<Response> {
+        let walk = self.peers.walk(key);
+        if walk.is_empty() {
+            return Err(io::Error::other("peer ring is empty"));
         }
-        // Health-aware walk: usable peers in ring order, then ejected/
-        // draining ones as the last resort (skipping them outright
-        // could strand a key when the whole fleet looks down).
-        let (mut walk, skipped): (Vec<&str>, Vec<&str>) =
-            order.into_iter().partition(|p| self.health.usable(p));
-        walk.extend(skipped);
-        let attempts = if is_idempotent(method, path) {
-            self.policy.max_retries + 1
-        } else {
-            1
-        };
-        let mut sleep = self.policy.base;
-        let mut peer_idx = 0usize;
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(sleep);
-            }
-            let peer = walk[peer_idx % walk.len()];
-            let outcome = request(peer, method, path, body);
-            match &outcome {
-                Ok(_) => self.health.record_success(peer),
-                Err(_) => self.health.record_failure(peer),
-            }
-            let hint = match outcome {
-                Ok(resp) if !RETRYABLE_STATUSES.contains(&resp.status) => return Ok(resp),
-                Ok(resp) if attempt + 1 == attempts => return Ok(resp),
-                Ok(resp) => resp.retry_after,
-                Err(e) => {
-                    // Transport failure: this replica is unreachable or
-                    // died mid-response — fail over to the successor.
-                    last_err = Some(e);
-                    peer_idx += 1;
-                    None
-                }
-            };
-            sleep = self.policy.next_sleep(sleep, attempt);
-            if let Some(secs) = hint {
-                sleep = sleep.max(Duration::from_secs(secs)).min(self.policy.cap);
-            }
-        }
-        Err(last_err.unwrap_or_else(|| std::io::Error::other("retries exhausted")))
+        retry_over(&walk, &self.policy, is_idempotent(method, path), |peer| {
+            let payload = Payload::Json(body.unwrap_or(""));
+            Ok(self.peers.exchange(peer, method, path, payload, None)?)
+        })
     }
 }
 
@@ -374,7 +417,7 @@ impl PeerClient {
 /// # Errors
 ///
 /// See [`request`].
-pub fn get(addr: &str, path: &str) -> std::io::Result<Response> {
+pub fn get(addr: &str, path: &str) -> io::Result<Response> {
     request(addr, "GET", path, None)
 }
 
@@ -383,16 +426,15 @@ pub fn get(addr: &str, path: &str) -> std::io::Result<Response> {
 /// # Errors
 ///
 /// See [`request`].
-pub fn post_json(addr: &str, path: &str, json: &str) -> std::io::Result<Response> {
+pub fn post_json(addr: &str, path: &str, json: &str) -> io::Result<Response> {
     request(addr, "POST", path, Some(json))
 }
 
 /// `POST` with a `Transfer-Encoding: chunked` body streamed from
 /// `reader` in `chunk_size`-byte pieces — for `/v1/ingest`, where the
 /// body is a raw trace that may be too large to hold in memory. Each
-/// piece is framed (`<hex len>\r\n<data>\r\n`) and written immediately,
-/// so the client's resident buffer is one chunk regardless of trace
-/// size.
+/// piece is framed and written immediately, so the client's resident
+/// buffer is one chunk regardless of trace size.
 ///
 /// # Errors
 ///
@@ -402,36 +444,16 @@ pub fn post_chunked<R: Read>(
     path: &str,
     reader: &mut R,
     chunk_size: usize,
-) -> std::io::Result<Response> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(30)))?;
-    let head = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/octet-stream\r\n\
-         Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
-    );
-    write_all_looping(&mut stream, head.as_bytes())?;
-    let mut buf = vec![0u8; chunk_size.max(1)];
-    loop {
-        let n = match reader.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        write_all_looping(&mut stream, format!("{n:x}\r\n").as_bytes())?;
-        write_all_looping(&mut stream, &buf[..n])?;
-        write_all_looping(&mut stream, b"\r\n")?;
-    }
-    write_all_looping(&mut stream, b"0\r\n\r\n")?;
-    stream.flush()?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
+) -> io::Result<Response> {
+    let payload = Payload::Stream {
+        piece: chunk_size,
+        next: &mut |buf| reader.read(buf),
+    };
+    Ok(exchange(addr, "POST", path, payload, None)?)
 }
 
-pub(crate) fn parse_response(raw: &[u8]) -> std::io::Result<Response> {
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
+fn parse_response(raw: &[u8]) -> io::Result<Response> {
+    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
     let text = String::from_utf8_lossy(raw);
     let (head, body) = text
         .split_once("\r\n\r\n")
@@ -451,8 +473,8 @@ pub(crate) fn parse_response(raw: &[u8]) -> std::io::Result<Response> {
     };
     if let Some(expected) = header("content-length").and_then(|v| v.parse::<usize>().ok()) {
         if body.len() != expected {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
                 format!(
                     "response truncated: got {} of {} body bytes",
                     body.len(),
@@ -541,24 +563,89 @@ mod tests {
         assert!(differs, "different seeds decorrelate");
     }
 
-    #[test]
-    fn partial_writes_are_looped() {
-        // A writer that accepts one byte at a time.
-        struct OneByte(Vec<u8>);
-        impl Write for OneByte {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                if buf.is_empty() {
-                    return Ok(0);
-                }
-                self.0.push(buf[0]);
-                Ok(1)
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+    /// A writer that accepts one byte at a time.
+    struct OneByte(Vec<u8>);
+    impl Write for OneByte {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.extend(buf.first());
+            Ok(buf.len().min(1))
         }
-        let mut w = OneByte(Vec::new());
-        write_all_looping(&mut w, b"hello world").expect("writes fully");
-        assert_eq!(w.0, b"hello world");
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_framer_writes_both_head_shapes_and_chunks_survive_partial_writes() {
+        let json = Payload::Json("{}");
+        let budget = Some(Duration::from_millis(1500));
+        assert_eq!(
+            request_head("POST", "/v1/clone", "h:1", &json, budget),
+            "POST /v1/clone HTTP/1.1\r\nHost: h:1\r\nContent-Type: application/json\r\n\
+             Content-Length: 2\r\nX-Gmap-Deadline-Ms: 1500\r\nConnection: close\r\n\r\n"
+        );
+
+        let stream = Payload::Stream {
+            piece: 4,
+            next: &mut |_| Ok(0),
+        };
+        let mut w =
+            OneByte(request_head("POST", "/v1/ingest?name=t", "h:1", &stream, None).into_bytes());
+        write_chunk(&mut w, b"0123456789abcdef").expect("writes fully");
+        write_chunk(&mut w, b"").expect("writes fully");
+        assert_eq!(
+            String::from_utf8(w.0).expect("ascii"),
+            "POST /v1/ingest?name=t HTTP/1.1\r\nHost: h:1\r\n\
+             Content-Type: application/octet-stream\r\nTransfer-Encoding: chunked\r\n\
+             Connection: close\r\n\r\n10\r\n0123456789abcdef\r\n0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn connect_is_bounded_by_the_budget() {
+        // TEST-NET-1 is never routed. A sandbox may answer "unreachable"
+        // at once, swallow the SYN, or even accept and reset — so only
+        // the upper bound is asserted: the budget (plus the read grace),
+        // not the OS's minutes of SYN retries.
+        let budget = Duration::from_millis(200);
+        let began = Instant::now();
+        let _ = exchange(
+            "192.0.2.1:9",
+            "GET",
+            "/healthz",
+            Payload::Json(""),
+            Some(budget),
+        );
+        let bound = budget + BUDGET_GRACE + Duration::from_secs(1);
+        assert!(began.elapsed() < bound, "took {:?}", began.elapsed());
+    }
+
+    #[test]
+    fn a_failed_stream_source_is_not_the_peers_fault() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let mut pieces = 0;
+        let outcome = exchange(
+            &addr,
+            "POST",
+            "/v1/ingest",
+            Payload::Stream {
+                piece: 8,
+                next: &mut |buf| {
+                    pieces += 1;
+                    if pieces == 1 {
+                        buf.fill(b'x');
+                        Ok(buf.len())
+                    } else {
+                        Err(io::Error::other("upload died"))
+                    }
+                },
+            },
+            None,
+        );
+        assert!(
+            matches!(outcome, Err(ExchangeError::Source(_))),
+            "{outcome:?}"
+        );
     }
 }

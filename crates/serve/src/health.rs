@@ -1,10 +1,13 @@
 //! Peer health registry: a per-replica circuit breaker fed by passive
-//! request outcomes and periodic active `/healthz` probes.
+//! request outcomes and periodic active `/healthz` probes — and
+//! [`Peers`], the ring plus that registry, which is the one place the
+//! crate walks a key's successors and talks to a peer.
 //!
-//! Every component that talks to peers — the router's failover walk,
-//! [`crate::client::PeerClient`], and the replication worker — shares
-//! one [`PeerHealth`] registry. The breaker runs the classic three
-//! states per peer:
+//! Every component that talks to peers — the router,
+//! [`crate::client::PeerClient`], the replication worker and the
+//! prober — does it through one [`Peers`], so every outcome lands in one
+//! [`PeerHealth`] registry. The breaker runs the classic three states
+//! per peer:
 //!
 //! * **Closed** (healthy): requests flow; consecutive transport
 //!   failures are counted.
@@ -29,7 +32,8 @@
 //! recovery-detection latency even when no client traffic touches the
 //! dead peer, which is what makes hinted-handoff replay prompt.
 
-use crate::client;
+use crate::client::{self, ExchangeError, Payload, Response};
+use crate::shard::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -41,6 +45,11 @@ pub const FAILURE_THRESHOLD: u32 = 3;
 /// half-opening. Two intervals guarantees at least one full probe cycle
 /// passes before the trial request.
 pub const COOLDOWN_INTERVALS: u32 = 2;
+
+/// Default cadence of the active health prober (also the replication
+/// worker's hint-replay tick, and the cadence a client-side registry
+/// assumes for its breaker cooldown).
+pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Breaker state of one peer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,11 +120,6 @@ impl PeerHealth {
         }
     }
 
-    /// The peer addresses this registry tracks, in listing order.
-    pub fn peers(&self) -> &[String] {
-        &self.peers
-    }
-
     fn index_of(&self, peer: &str) -> Option<usize> {
         self.peers.iter().position(|p| p == peer)
     }
@@ -159,7 +163,7 @@ impl PeerHealth {
     /// Records a successful exchange with `peer`: resets the failure
     /// count and closes the breaker (counting a recovery if it was
     /// open or half-open).
-    pub fn record_success(&self, peer: &str) {
+    fn record_success(&self, peer: &str) {
         let Some(i) = self.index_of(peer) else {
             return;
         };
@@ -177,7 +181,7 @@ impl PeerHealth {
     /// failure re-opens immediately; a closed peer opens after
     /// [`FAILURE_THRESHOLD`] consecutive failures. Every Closed/
     /// HalfOpen → Open edge counts as an ejection.
-    pub fn record_failure(&self, peer: &str) {
+    fn record_failure(&self, peer: &str) {
         let Some(i) = self.index_of(peer) else {
             return;
         };
@@ -229,39 +233,104 @@ impl PeerHealth {
     }
 }
 
-/// Probes one peer's `/healthz` once and feeds the result into the
-/// registry. Returns whether the peer answered at all.
-pub fn probe_once(health: &PeerHealth, peer: &str, timeout: Duration) -> bool {
-    match client::request_with_deadline(peer, "GET", "/healthz", None, Some(timeout)) {
-        Ok(resp) if resp.is_ok() => {
-            health.record_success(peer);
-            health.set_draining(peer, resp.body.contains("\"draining\""));
-            true
+/// A peer set: the consistent-hash ring over it plus its health
+/// registry. The one owner of the failover walk and of the exchange
+/// that feeds the breaker.
+#[derive(Debug)]
+pub struct Peers {
+    ring: Ring,
+    health: PeerHealth,
+}
+
+impl Peers {
+    /// Builds the ring and an all-closed registry over `peers`.
+    pub fn new(peers: &[String], probe_interval: Duration) -> Peers {
+        Peers {
+            ring: Ring::new(peers),
+            health: PeerHealth::new(peers, probe_interval),
         }
-        // A non-2xx /healthz means the process is up but unhealthy —
-        // treat it like a transport failure for routing purposes.
-        Ok(_) | Err(_) => {
-            health.record_failure(peer);
-            false
+    }
+
+    /// The consistent-hash ring.
+    pub fn ring(&self) -> &Ring {
+        &self.ring
+    }
+
+    /// The health registry.
+    pub fn health(&self) -> &PeerHealth {
+        &self.health
+    }
+
+    /// The failover walk for `key`: usable peers in ring order first,
+    /// then ejected/draining ones as the last resort. Skipping an
+    /// ejected peer up front saves its connect timeout on the hot path;
+    /// keeping it at the end means a key never becomes unservable just
+    /// because the whole fleet looks down. Always as long as the ring's
+    /// own successor list.
+    pub fn walk(&self, key: &str) -> Vec<&str> {
+        let (mut walk, last_resort): (Vec<&str>, Vec<&str>) = self
+            .ring
+            .successors(key)
+            .into_iter()
+            .partition(|peer| self.health.usable(peer));
+        walk.extend(last_resort);
+        walk
+    }
+
+    /// One [`client::exchange`] with `peer`, its outcome fed to the
+    /// breaker: any response proves the peer alive, a failed connect or
+    /// transport counts against it, and a failed payload source (the
+    /// streamed body's sender, not the peer) counts for nothing.
+    pub(crate) fn exchange(
+        &self,
+        peer: &str,
+        method: &str,
+        path: &str,
+        payload: Payload<'_>,
+        budget: Option<Duration>,
+    ) -> Result<Response, ExchangeError> {
+        let outcome = client::exchange(peer, method, path, payload, budget);
+        match &outcome {
+            Ok(_) => self.health.record_success(peer),
+            Err(ExchangeError::Connect(_) | ExchangeError::Peer(_)) => {
+                self.health.record_failure(peer)
+            }
+            Err(ExchangeError::Source(_)) => {}
         }
+        outcome
     }
 }
 
-/// A handle over the background prober thread; stops and joins it on
-/// [`ProbeHandle::stop`] (or drop).
+/// Probes one peer's `/healthz` once, within `timeout`. Returns whether
+/// the peer answered healthy.
+pub fn probe_once(peers: &Peers, peer: &str, timeout: Duration) -> bool {
+    match peers.exchange(peer, "GET", "/healthz", Payload::Json(""), Some(timeout)) {
+        Ok(resp) if resp.is_ok() => {
+            peers
+                .health
+                .set_draining(peer, resp.body.contains("\"draining\""));
+            true
+        }
+        // A non-2xx /healthz means the process is up but unhealthy —
+        // count it against the peer like a transport failure.
+        Ok(_) => {
+            peers.health.record_failure(peer);
+            false
+        }
+        Err(_) => false,
+    }
+}
+
+/// A handle over the background prober thread; dropping it stops and
+/// joins the prober.
 #[derive(Debug)]
 pub struct ProbeHandle {
     stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl ProbeHandle {
-    /// Signals the prober to stop and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+impl Drop for ProbeHandle {
+    fn drop(&mut self) {
         // Dropping the sender disconnects the prober's receiver, which
         // ends its wait for the next round at once.
         self.stop = None;
@@ -271,17 +340,11 @@ impl ProbeHandle {
     }
 }
 
-impl Drop for ProbeHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Spawns the active prober: every `interval` it probes each peer's
 /// `/healthz` (excluding `skip_self`, the server's own advertised
 /// address) with a timeout of half the interval.
 pub fn spawn_prober(
-    health: Arc<PeerHealth>,
+    peers: Arc<Peers>,
     interval: Duration,
     skip_self: Option<String>,
 ) -> ProbeHandle {
@@ -298,14 +361,14 @@ pub fn spawn_prober(
     let thread = std::thread::Builder::new()
         .name("gmap-health-prober".into())
         .spawn(move || loop {
-            for peer in health.peers() {
+            for peer in peers.ring.peers() {
                 if stopped(Duration::ZERO) {
                     return;
                 }
                 if skip_self.as_deref() == Some(peer.as_str()) {
                     continue;
                 }
-                probe_once(&health, peer, timeout);
+                probe_once(&peers, peer, timeout);
             }
             if stopped(interval) {
                 return;
@@ -417,12 +480,68 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
             l.local_addr().expect("addr").to_string()
         };
-        let fleet = vec![addr.clone()];
-        let h = PeerHealth::new(&fleet, Duration::from_millis(50));
+        let fleet = Peers::new(std::slice::from_ref(&addr), Duration::from_millis(50));
         for _ in 0..FAILURE_THRESHOLD {
-            assert!(!probe_once(&h, &addr, Duration::from_millis(100)));
+            assert!(!probe_once(&fleet, &addr, Duration::from_millis(100)));
         }
+        let h = fleet.health();
         assert!(!h.available(&addr), "probes alone eject a dead peer");
         assert_eq!(h.ejections(), 1);
+    }
+
+    #[test]
+    fn walk_keeps_the_ring_set_and_puts_usable_peers_first() {
+        let fleet = peers(4);
+        let key = "00112233445566778899aabbccddeeff";
+        let ring_order: Vec<String> = Ring::new(&fleet)
+            .successors(key)
+            .into_iter()
+            .map(str::to_string)
+            .collect();
+        fn eject(p: &Peers, peer: &str) {
+            for _ in 0..FAILURE_THRESHOLD {
+                p.health.record_failure(peer);
+            }
+        }
+        // (case, how the ring-ordered peers fall sick, how many do)
+        type Sicken = fn(&Peers, &[String]);
+        let cases: [(&str, Sicken, usize); 4] = [
+            ("all healthy", |_, _| {}, 0),
+            ("owner ejected", |p, order| eject(p, &order[0]), 1),
+            (
+                "owner draining",
+                |p, order| p.health.set_draining(&order[0], true),
+                1,
+            ),
+            (
+                "all ejected",
+                |p, order| order.iter().for_each(|peer| eject(p, peer)),
+                4,
+            ),
+        ];
+        for (what, sicken, sick) in cases {
+            let p = Peers::new(&fleet, Duration::from_secs(60));
+            sicken(&p, &ring_order);
+            let walk = p.walk(key);
+            let mut sorted = walk.clone();
+            sorted.sort_unstable();
+            let mut ring_set: Vec<&str> = fleet.iter().map(String::as_str).collect();
+            ring_set.sort_unstable();
+            assert_eq!(sorted, ring_set, "{what}: the walk never loses a peer");
+            let (usable, last_resort) = walk.split_at(fleet.len() - sick);
+            assert!(usable.iter().all(|peer| p.health.usable(peer)), "{what}");
+            assert!(
+                !last_resort.iter().any(|peer| p.health.usable(peer)),
+                "{what}"
+            );
+            let in_ring_order = |group: &[&str]| {
+                let at = |peer: &str| ring_order.iter().position(|o| o == peer);
+                group.windows(2).all(|w| at(w[0]) < at(w[1]))
+            };
+            assert!(
+                in_ring_order(usable) && in_ring_order(last_resort),
+                "{what}: {walk:?} against ring order {ring_order:?}"
+            );
+        }
     }
 }

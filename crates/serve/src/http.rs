@@ -17,6 +17,7 @@
 //! materializing it; [`read_request`] composes the two phases back into
 //! the materialized [`Request`] every other endpoint uses.
 
+use crate::api::ApiError;
 use std::io::{self, BufRead, Read, Write};
 
 /// Maximum accepted request-line + header bytes.
@@ -72,50 +73,17 @@ impl RequestHead {
     }
 }
 
-/// One parsed HTTP request.
+/// One parsed HTTP request: its head plus the materialized body.
 #[derive(Debug, Clone)]
 pub struct Request {
-    /// Request method, uppercased (`GET`, `POST`, ...).
-    pub method: String,
-    /// Request target path (query strings are kept verbatim).
-    pub path: String,
-    /// Header `(name, value)` pairs; names lowercased.
-    pub headers: Vec<(String, String)>,
+    /// Request line and headers.
+    pub head: RequestHead,
     /// Raw request body (empty unless `Content-Length` or a chunked body
     /// was sent).
     pub body: Vec<u8>,
 }
 
 impl Request {
-    /// Assembles a request from its already-read head and body.
-    pub fn from_parts(head: RequestHead, body: Vec<u8>) -> Self {
-        Request {
-            method: head.method,
-            path: head.path,
-            headers: head.headers,
-            body,
-        }
-    }
-
-    /// First value of a header, by case-insensitive name.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the client asked for the connection to close after this
-    /// request (`Connection: close`).
-    pub fn wants_close(&self) -> bool {
-        self.header("connection").is_some_and(|v| {
-            v.to_ascii_lowercase()
-                .split(',')
-                .any(|t| t.trim() == "close")
-        })
-    }
-
     /// The body as UTF-8, or an error suitable for a 400 response.
     ///
     /// # Errors
@@ -144,6 +112,24 @@ pub enum ReadError {
     Malformed(String),
     /// The declared body exceeds [`MAX_BODY_BYTES`] (answer 413).
     TooLarge(String),
+}
+
+impl ReadError {
+    /// The reply an unreadable request (`what` names the part that was
+    /// being read) deserves: 408 for a mid-request stall, 400 for
+    /// malformed bytes, 413 for an oversized body — and `None` when the
+    /// peer went away or merely idled out, so nothing can be answered.
+    /// Every `Some` abandons unread bytes: the connection must close.
+    pub fn reply(self, what: &str) -> Option<ApiError> {
+        match self {
+            ReadError::Eof | ReadError::Io(_) | ReadError::Timeout { mid_request: false } => None,
+            ReadError::Timeout { mid_request: true } => {
+                Some(ApiError::new(408, format!("timed out reading {what}")))
+            }
+            ReadError::Malformed(msg) => Some(ApiError::bad_request(msg)),
+            ReadError::TooLarge(msg) => Some(ApiError::new(413, msg)),
+        }
+    }
 }
 
 fn is_timeout(e: &io::Error) -> bool {
@@ -305,6 +291,16 @@ impl<'a, R: BufRead> BodyReader<'a, R> {
         })
     }
 
+    /// Starts reading the body that follows `head`, however it is
+    /// framed.
+    ///
+    /// # Errors
+    ///
+    /// [`body_kind`]'s and [`BodyReader::new`]'s.
+    pub fn open(reader: &'a mut R, head: &RequestHead, limit: u64) -> Result<Self, ReadError> {
+        BodyReader::new(reader, body_kind(head)?, limit)
+    }
+
     /// Total body bytes yielded so far (excluding chunk framing).
     pub fn consumed(&self) -> u64 {
         self.consumed
@@ -439,8 +435,7 @@ impl<'a, R: BufRead> BodyReader<'a, R> {
 /// See [`BodyReader::next_piece`]; a declared or running length over the
 /// limit is [`ReadError::TooLarge`].
 pub fn read_body<R: BufRead>(reader: &mut R, head: &RequestHead) -> Result<Vec<u8>, ReadError> {
-    let kind = body_kind(head)?;
-    let mut body_reader = BodyReader::new(reader, kind, MAX_BODY_BYTES as u64)?;
+    let mut body_reader = BodyReader::open(reader, head, MAX_BODY_BYTES as u64)?;
     let mut body = Vec::new();
     let mut buf = [0u8; 8 * 1024];
     loop {
@@ -464,7 +459,7 @@ pub fn read_body<R: BufRead>(reader: &mut R, head: &RequestHead) -> Result<Vec<u
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, ReadError> {
     let head = read_request_head(reader)?;
     let body = read_body(reader, &head)?;
-    Ok(Request::from_parts(head, body))
+    Ok(Request { head, body })
 }
 
 /// Classifies a transport error: timeouts become [`ReadError::Timeout`]
@@ -598,10 +593,10 @@ mod tests {
     #[test]
     fn parses_get_without_body() {
         let r = parse(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").expect("valid");
-        assert_eq!(r.method, "GET");
-        assert_eq!(r.path, "/healthz");
-        assert_eq!(r.header("host"), Some("x"));
-        assert_eq!(r.header("HOST"), Some("x"));
+        assert_eq!(r.head.method, "GET");
+        assert_eq!(r.head.path, "/healthz");
+        assert_eq!(r.head.header("host"), Some("x"));
+        assert_eq!(r.head.header("HOST"), Some("x"));
         assert!(r.body.is_empty());
     }
 
@@ -609,7 +604,7 @@ mod tests {
     fn parses_post_with_body() {
         let r =
             parse(b"POST /v1/profile HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"").expect("valid");
-        assert_eq!(r.method, "POST");
+        assert_eq!(r.head.method, "POST");
         assert_eq!(r.body, b"{\"a\"");
         assert_eq!(r.body_utf8().expect("utf8"), "{\"a\"");
     }
@@ -617,7 +612,7 @@ mod tests {
     #[test]
     fn tolerates_bare_lf_lines() {
         let r = parse(b"GET / HTTP/1.1\nHost: y\n\n").expect("valid");
-        assert_eq!(r.header("host"), Some("y"));
+        assert_eq!(r.head.header("host"), Some("y"));
     }
 
     #[test]
@@ -660,13 +655,13 @@ mod tests {
     #[test]
     fn connection_close_header_is_detected() {
         let r = parse(b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n").expect("valid");
-        assert!(r.wants_close());
+        assert!(r.head.wants_close());
         let r = parse(b"GET / HTTP/1.1\r\nConnection: keep-alive, close\r\n\r\n").expect("valid");
-        assert!(r.wants_close());
+        assert!(r.head.wants_close());
         let r = parse(b"GET / HTTP/1.1\r\nConnection: keep-alive\r\n\r\n").expect("valid");
-        assert!(!r.wants_close());
+        assert!(!r.head.wants_close());
         let r = parse(b"GET / HTTP/1.1\r\n\r\n").expect("valid");
-        assert!(!r.wants_close());
+        assert!(!r.head.wants_close());
     }
 
     #[test]
@@ -698,7 +693,7 @@ mod tests {
         let first = read_request(&mut reader).expect("chunked request");
         assert_eq!(first.body, b"hi");
         let second = read_request(&mut reader).expect("next request parses");
-        assert_eq!(second.path, "/healthz");
+        assert_eq!(second.head.path, "/healthz");
     }
 
     #[test]

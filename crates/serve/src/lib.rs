@@ -31,22 +31,29 @@
 //! * [`handlers`] — endpoint logic with cooperative cancellation.
 //! * [`server`] — accept loop, worker pool, deadlines, load shedding,
 //!   graceful shutdown.
-//! * [`client`] — the minimal client used by `gmap client` and tests,
-//!   with an idempotent-only retry wrapper (backoff + jitter) and a
-//!   peer-aware sharded client that fails over on transport errors.
+//! * [`client`] — the one outbound exchange (connect within the
+//!   deadline budget, one request framer, read to EOF) behind `gmap
+//!   client`, the tests and every peer-facing module, plus the one
+//!   idempotent-only retry loop (backoff + jitter) and the peer-aware
+//!   sharded client built on it.
 //! * [`faults`] — deterministic seeded fault injection for chaos tests.
 //! * [`shard`] — consistent-hash ring over the FNV-128 content-key
 //!   space (128 virtual nodes per replica, minimal remapping on
 //!   membership change).
-//! * [`router`] — the `--route` mode: forwards pipeline requests to the
-//!   owning replica on the connection thread, propagating the remaining
-//!   deadline budget and failing over to ring successors.
+//! * [`router`] — the `--route` mode: forwards pipeline requests (and
+//!   re-frames `/v1/ingest` streams) to the owning replica on the
+//!   connection thread, propagating the remaining deadline budget and
+//!   failing over to ring successors.
 //! * [`health`] — per-peer circuit breaker fed by passive request
-//!   outcomes and an active `/healthz` prober; shared by the router,
-//!   the sharded client, and the replication worker.
+//!   outcomes and an active `/healthz` prober, and [`health::Peers`]:
+//!   the ring plus that registry, owner of the one health-ordered
+//!   successor walk and of the exchange that feeds the breaker. The
+//!   router, the sharded client, the replication worker and the prober
+//!   all talk to peers through it.
 //! * [`replicate`] — RF-way successor replication over
-//!   `POST /v1/replicate` with hinted handoff, read-repair, and the
-//!   drain path behind `POST /v1/admin/drain`.
+//!   `POST /v1/replicate` (one round of RF−1 pushes per store), hinted
+//!   handoff as the one recovery mechanism, and the drain path behind
+//!   `POST /v1/admin/drain`.
 //!
 //! ```no_run
 //! let handle = gmap_serve::start(gmap_serve::ServeConfig::default())

@@ -192,9 +192,6 @@ pub struct RuntimeStats {
     pub hints_queued: u64,
     /// Hinted models successfully replayed to their recovered owner.
     pub hints_replayed: u64,
-    /// Replica-held models pushed back toward their owner after an
-    /// owner-side miss was served locally (read-repair).
-    pub read_repairs: u64,
     /// Whether this replica is draining (gauge `gmap_draining`).
     pub draining: bool,
     /// Per-peer breaker/drain view (`gmap_peer_up`,
@@ -349,7 +346,6 @@ impl Metrics {
             ("gmap_replication_dropped_total", rt.replication_dropped),
             ("gmap_hints_queued_total", rt.hints_queued),
             ("gmap_hints_replayed_total", rt.hints_replayed),
-            ("gmap_read_repairs_total", rt.read_repairs),
         ] {
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
         }
@@ -448,7 +444,6 @@ mod tests {
             peer_ejections: 11,
             replication_sent: 12,
             hints_replayed: 13,
-            read_repairs: 14,
             ..RuntimeStats::default()
         });
         assert!(text.contains("gmap_requests_total{endpoint=\"profile\"} 2"));
@@ -475,7 +470,6 @@ mod tests {
         assert_eq!(scrape(&text, "gmap_peer_ejections_total"), Some(11.0));
         assert_eq!(scrape(&text, "gmap_replication_total"), Some(12.0));
         assert_eq!(scrape(&text, "gmap_hints_replayed_total"), Some(13.0));
-        assert_eq!(scrape(&text, "gmap_read_repairs_total"), Some(14.0));
         assert_eq!(scrape(&text, "gmap_draining"), Some(0.0));
     }
 

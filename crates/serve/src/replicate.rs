@@ -7,33 +7,35 @@
 //! byte-identically, and anti-entropy reduces to key-set exchange.
 //! That lets the whole layer be write-through and asynchronous:
 //!
-//! * On a cache **store** (a profile miss, an ingest, or a replicate
-//!   receive that created a new entry) the server enqueues the key on a
-//!   bounded queue ([`ReplicationState::enqueue`]). Overflow drops the
-//!   work and counts it — correctness is untouched, only warm-failover
-//!   locality is lost.
+//! * On a cache **store** (a profile miss or an ingest) the server
+//!   enqueues the key on a bounded queue
+//!   ([`ReplicationState::enqueue`]). Overflow drops the work and counts
+//!   it — correctness is untouched, only warm-failover locality is lost.
 //! * The **replication worker** drains the queue: for each key it
 //!   pushes the model to every member of the key's replica set (owner +
 //!   RF−1 ring successors) except itself, over the internal
-//!   `POST /v1/replicate` endpoint.
-//! * A push toward a peer whose circuit breaker is open is recorded as
-//!   a **hint** instead of attempted — Dynamo-style hinted handoff,
+//!   `POST /v1/replicate` endpoint. That is the whole round: a store
+//!   costs RF−1 pushes, and a receiver does not push onward — the
+//!   originator already aimed at every member of the set.
+//! * A push toward a peer whose circuit breaker is open, or one that
+//!   fails, is recorded as a **hint** — Dynamo-style hinted handoff,
 //!   specialized to immutable entries (a hint is just a key). Each
 //!   worker tick replays hints whose target the health registry admits
-//!   again, so a restarted owner receives everything it missed.
-//! * Serving a cache **hit** for a key this replica does not own
-//!   triggers **read-repair** ([`ReplicationState::read_repair`]): the
-//!   key is re-enqueued once, pushing the model back toward its owner.
+//!   again, so a restarted owner receives everything it missed. Hints
+//!   are the one recovery mechanism: whatever a member of the set could
+//!   not be given when the entry was stored, it is owed until it is
+//!   back. At most [`MAX_HINTS_PER_PEER`] keys are owed to one peer; a
+//!   hint dropped beyond that costs the recovered peer one recompute,
+//!   never a wrong byte.
 //!
 //! The `replicate_err` fault kind drops a queued push deterministically
 //! (counted as dropped, recorded as a hint), exercising exactly the
 //! retry path a flaky network would.
 
 use crate::cache::ModelStore;
-use crate::client;
+use crate::client::{self, Payload};
 use crate::faults::{FaultInjector, FaultKind};
-use crate::health::PeerHealth;
-use crate::shard::Ring;
+use crate::health::Peers;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -44,33 +46,32 @@ use std::time::Duration;
 /// enough that a wedged fleet cannot grow memory without bound.
 pub const QUEUE_CAPACITY: usize = 256;
 
+/// Most keys owed to one peer: a peer that stays down for long cannot
+/// grow the hint table without bound.
+pub const MAX_HINTS_PER_PEER: usize = 1024;
+
 /// Per-push network timeout.
 const PUSH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Shared replication state: the enqueue side lives on the request
 /// path, the worker owns the drain side.
 pub struct ReplicationState {
-    ring: Ring,
+    peers: Arc<Peers>,
     self_addr: String,
     rf: usize,
     store: Arc<ModelStore>,
-    health: Arc<PeerHealth>,
     faults: Option<Arc<FaultInjector>>,
     /// `Some(key)` is work; `None` wakes the worker to observe `stop`.
     tx: SyncSender<Option<String>>,
     /// Hinted handoff records: peer → keys owed to it. BTree keeps
     /// replay order deterministic.
     hints: Mutex<BTreeMap<String, BTreeSet<String>>>,
-    /// Keys already read-repaired once (the repair is idempotent; the
-    /// dedup only bounds queue traffic).
-    repaired: Mutex<BTreeSet<String>>,
     stop: AtomicBool,
     sent: AtomicU64,
     failed: AtomicU64,
     dropped: AtomicU64,
     hints_queued: AtomicU64,
     hints_replayed: AtomicU64,
-    read_repairs: AtomicU64,
 }
 
 /// Outcome of one push attempt.
@@ -84,21 +85,6 @@ enum Push {
 }
 
 impl ReplicationState {
-    /// Whether this server is the ring owner of `key`.
-    pub fn is_owner(&self, key: &str) -> bool {
-        self.ring.owner(key) == Some(self.self_addr.as_str())
-    }
-
-    /// This server's advertised fleet address.
-    pub fn self_addr(&self) -> &str {
-        &self.self_addr
-    }
-
-    /// The configured replication factor.
-    pub fn replication_factor(&self) -> usize {
-        self.rf
-    }
-
     /// Enqueues `key` for asynchronous replication to its replica set.
     /// A full queue drops the work (counted) instead of blocking the
     /// request path.
@@ -108,25 +94,6 @@ impl ReplicationState {
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
-        }
-    }
-
-    /// Read-repair: this replica served a hit for a key it does not
-    /// own, so the owner is likely missing the entry — push it back.
-    /// Deduplicated per key, so storm traffic enqueues each repair
-    /// once.
-    pub fn read_repair(&self, key: &str) {
-        if self.is_owner(key) {
-            return;
-        }
-        let fresh = self
-            .repaired
-            .lock()
-            .expect("repair lock")
-            .insert(key.to_string());
-        if fresh {
-            self.read_repairs.fetch_add(1, Ordering::Relaxed);
-            self.enqueue(key);
         }
     }
 
@@ -140,7 +107,8 @@ impl ReplicationState {
         self.failed.load(Ordering::Relaxed)
     }
 
-    /// Work dropped by queue overflow or an injected `replicate_err`.
+    /// Work dropped by queue overflow, an injected `replicate_err`, or
+    /// the per-peer hint cap.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -155,11 +123,6 @@ impl ReplicationState {
         self.hints_replayed.load(Ordering::Relaxed)
     }
 
-    /// Read-repairs triggered.
-    pub fn read_repairs(&self) -> u64 {
-        self.read_repairs.load(Ordering::Relaxed)
-    }
-
     /// Hints currently pending, across all peers (tests).
     pub fn hints_pending(&self) -> usize {
         self.hints
@@ -171,16 +134,17 @@ impl ReplicationState {
     }
 
     fn record_hint(&self, peer: &str, key: &str) {
-        let fresh = self
-            .hints
-            .lock()
-            .expect("hints lock")
-            .entry(peer.to_string())
-            .or_default()
-            .insert(key.to_string());
-        if fresh {
-            self.hints_queued.fetch_add(1, Ordering::Relaxed);
+        let mut hints = self.hints.lock().expect("hints lock");
+        let owed = hints.entry(peer.to_string()).or_default();
+        if owed.contains(key) {
+            return;
         }
+        if owed.len() >= MAX_HINTS_PER_PEER {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        owed.insert(key.to_string());
+        self.hints_queued.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Pushes the locally held model for `key` to `peer` once.
@@ -191,30 +155,22 @@ impl ReplicationState {
         // The stored JSON is already canonical, so the request body can
         // be framed without re-serializing the model.
         let body = format!("{{\"model_id\":\"{key}\",\"model\":{}}}", stored.json);
-        match client::request_with_deadline(
-            peer,
-            "POST",
-            "/v1/replicate",
-            Some(&body),
-            Some(PUSH_TIMEOUT),
-        ) {
+        let payload = Payload::Json(&body);
+        match self
+            .peers
+            .exchange(peer, "POST", "/v1/replicate", payload, Some(PUSH_TIMEOUT))
+        {
             Ok(resp) if resp.is_ok() => {
-                self.health.record_success(peer);
                 self.sent.fetch_add(1, Ordering::Relaxed);
                 Push::Sent
             }
-            Ok(resp) => {
+            // Deterministic rejection (4xx): retrying cannot change the
+            // answer, so do not hint.
+            Ok(resp) if !client::RETRYABLE_STATUSES.contains(&resp.status) => {
                 self.failed.fetch_add(1, Ordering::Relaxed);
-                if client::RETRYABLE_STATUSES.contains(&resp.status) {
-                    Push::Failed
-                } else {
-                    // Deterministic rejection (4xx): retrying cannot
-                    // change the answer, so do not hint.
-                    Push::Gone
-                }
+                Push::Gone
             }
-            Err(_) => {
-                self.health.record_failure(peer);
+            _ => {
                 self.failed.fetch_add(1, Ordering::Relaxed);
                 Push::Failed
             }
@@ -223,14 +179,8 @@ impl ReplicationState {
 
     /// Replicates one dequeued key to its replica set (minus self).
     fn replicate_key(&self, key: &str) {
-        let targets: Vec<String> = self
-            .ring
-            .replica_set(key, self.rf)
-            .into_iter()
-            .filter(|p| *p != self.self_addr)
-            .map(str::to_string)
-            .collect();
-        for peer in targets {
+        let targets = self.peers.ring().replica_set(key, self.rf);
+        for peer in targets.into_iter().filter(|p| *p != self.self_addr) {
             let fault_drop = self
                 .faults
                 .as_ref()
@@ -239,15 +189,14 @@ impl ReplicationState {
                 // The injected network "ate" the push: count the drop
                 // and leave a hint so the replay path recovers it.
                 self.dropped.fetch_add(1, Ordering::Relaxed);
-                self.record_hint(&peer, key);
+                self.record_hint(peer, key);
                 continue;
             }
-            if !self.health.available(&peer) {
-                self.record_hint(&peer, key);
-                continue;
-            }
-            if matches!(self.push(&peer, key), Push::Failed) {
-                self.record_hint(&peer, key);
+            // An ejected peer is not even tried: the store is owed to it.
+            let reached = self.peers.health().available(peer)
+                && !matches!(self.push(peer, key), Push::Failed);
+            if !reached {
+                self.record_hint(peer, key);
             }
         }
     }
@@ -259,7 +208,7 @@ impl ReplicationState {
             let hints = self.hints.lock().expect("hints lock");
             hints
                 .iter()
-                .filter(|(peer, keys)| !keys.is_empty() && self.health.available(peer))
+                .filter(|(peer, keys)| !keys.is_empty() && self.peers.health().available(peer))
                 .map(|(peer, keys)| (peer.clone(), keys.iter().cloned().collect()))
                 .collect()
         };
@@ -281,61 +230,36 @@ impl ReplicationState {
         }
     }
 
-    /// Synchronously streams every locally held model to a reachable
-    /// member of its replica set (falling back to any ring successor),
-    /// for graceful decommission. Returns `(keys, pushed, failed)`.
+    /// Synchronously streams every locally held model to the first
+    /// peer of its health-ordered successor walk that takes it — the
+    /// key's replica set first, then the rest of the ring, ejected and
+    /// draining peers last: drain must not lose a key just because its
+    /// first successor is down. Returns `(keys, pushed, failed)`.
     pub fn drain_to_successors(&self) -> (usize, usize, usize) {
         let keys = self.store.keys();
-        let total = keys.len();
         let mut pushed = 0usize;
-        let mut failed = 0usize;
-        for key in keys {
-            // Preferred targets first (the key's replica set), then the
-            // rest of the successor walk: drain must not lose a key
-            // just because its first successor is down.
-            let walk: Vec<String> = self
-                .ring
-                .successors(&key)
+        for key in &keys {
+            let taken = self
+                .peers
+                .walk(key)
                 .into_iter()
-                .filter(|p| *p != self.self_addr)
-                .map(str::to_string)
-                .collect();
-            let mut done = false;
-            for peer in walk {
-                if !self.health.available(&peer) {
-                    continue;
-                }
-                match self.push(&peer, &key) {
-                    Push::Sent | Push::Gone => {
-                        done = true;
-                        break;
-                    }
-                    Push::Failed => continue,
-                }
-            }
-            if done {
-                pushed += 1;
-            } else {
-                failed += 1;
-            }
+                .filter(|peer| *peer != self.self_addr)
+                .any(|peer| !matches!(self.push(peer, key), Push::Failed));
+            pushed += usize::from(taken);
         }
-        (total, pushed, failed)
+        (keys.len(), pushed, keys.len() - pushed)
     }
 }
 
-/// Handle over the background replication worker.
+/// Handle over the background replication worker; dropping it stops
+/// and joins the worker.
 pub struct ReplicationWorker {
     state: Arc<ReplicationState>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl ReplicationWorker {
-    /// Signals the worker to stop and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+impl Drop for ReplicationWorker {
+    fn drop(&mut self) {
         self.state.stop.store(true, Ordering::SeqCst);
         // Wake a worker idling in `recv_timeout`; a full queue means it
         // is busy and meets the flag at its next dequeue anyway.
@@ -346,42 +270,33 @@ impl ReplicationWorker {
     }
 }
 
-impl Drop for ReplicationWorker {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Builds the replication state and spawns its worker. `tick` bounds
+/// Builds the replication state over the fleet's `peers` (which include
+/// `self_addr`) and spawns its worker. `tick` bounds
 /// both the queue poll latency and the hint-replay cadence (the server
 /// passes its probe interval).
 pub fn spawn(
-    fleet: &[String],
+    peers: Arc<Peers>,
     self_addr: &str,
     rf: usize,
     store: Arc<ModelStore>,
-    health: Arc<PeerHealth>,
     faults: Option<Arc<FaultInjector>>,
     tick: Duration,
 ) -> (Arc<ReplicationState>, ReplicationWorker) {
     let (tx, rx) = std::sync::mpsc::sync_channel(QUEUE_CAPACITY);
     let state = Arc::new(ReplicationState {
-        ring: Ring::new(fleet),
+        peers,
         self_addr: self_addr.to_string(),
         rf: rf.max(1),
         store,
-        health,
         faults,
         tx,
         hints: Mutex::new(BTreeMap::new()),
-        repaired: Mutex::new(BTreeSet::new()),
         stop: AtomicBool::new(false),
         sent: AtomicU64::new(0),
         failed: AtomicU64::new(0),
         dropped: AtomicU64::new(0),
         hints_queued: AtomicU64::new(0),
         hints_replayed: AtomicU64::new(0),
-        read_repairs: AtomicU64::new(0),
     });
     let worker_state = Arc::clone(&state);
     let tick = tick.max(Duration::from_millis(10));
@@ -431,137 +346,110 @@ mod tests {
 
     /// A fleet whose peers are bound-then-dropped addresses: everything
     /// is unreachable, so pushes fail deterministically.
-    fn dead_fleet(n: usize) -> Vec<String> {
-        (0..n)
+    fn dead_fleet(n: usize) -> (Vec<String>, Arc<Peers>) {
+        let fleet: Vec<String> = (0..n)
             .map(|_| {
                 let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
                 l.local_addr().expect("addr").to_string()
             })
-            .collect()
+            .collect();
+        let peers = Arc::new(Peers::new(&fleet, Duration::from_secs(60)));
+        (fleet, peers)
+    }
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
     fn unreachable_peers_accumulate_hints_not_blocking() {
-        let fleet = dead_fleet(2);
-        let store = store_with(&["00aa00aa00aa00aa00aa00aa00aa00aa"]);
-        let health = Arc::new(PeerHealth::new(&fleet, Duration::from_secs(60)));
+        let (fleet, peers) = dead_fleet(2);
+        let key = |i: usize| format!("{i:032x}");
+        let store = store_with(&[&key(0), &key(1), &key(2)]);
         let (state, worker) = spawn(
-            &fleet,
+            Arc::clone(&peers),
             &fleet[0],
             2,
             store,
-            health,
             None,
             Duration::from_millis(20),
         );
-        state.enqueue("00aa00aa00aa00aa00aa00aa00aa00aa");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while state.hints_queued() + state.failed() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
+        state.enqueue(&key(0));
+        wait_until("a dead peer yields a failed push or a hint", || {
+            state.hints_queued() + state.failed() > 0
+        });
+
+        // While the peer stays down every store is owed to it — up to
+        // the cap, past which the hint is dropped and counted. The held
+        // keys fail their pushes until the breaker opens; from then on a
+        // hint is recorded without touching the store.
+        state.enqueue(&key(1));
+        state.enqueue(&key(2));
+        wait_until("the breaker to open on the dead peer", || {
+            state.hints_queued() == 3 && !peers.health().available(&fleet[1])
+        });
+        let total = MAX_HINTS_PER_PEER + 10;
+        let settled = || (state.hints_queued() + state.dropped()) as usize;
+        for i in 3..total {
+            // Stay under the queue's own bound: the only drops are the cap's.
+            wait_until("the worker to keep up", || {
+                i - settled() < QUEUE_CAPACITY / 2
+            });
+            state.enqueue(&key(i));
         }
-        assert!(
-            state.hints_queued() + state.failed() > 0,
-            "a dead peer yields a failed push or a hint"
-        );
+        wait_until("every store to settle as a hint or a drop", || {
+            settled() == total
+        });
+        assert_eq!(state.hints_pending(), MAX_HINTS_PER_PEER);
+        assert_eq!(state.hints_queued(), MAX_HINTS_PER_PEER as u64);
+        assert_eq!(state.dropped(), 10, "overflow is counted, not kept");
         assert_eq!(state.sent(), 0);
-        worker.stop();
+        drop(worker);
     }
 
     #[test]
     fn replicate_err_fault_drops_and_hints() {
-        let fleet = dead_fleet(2);
+        let (fleet, peers) = dead_fleet(2);
         let store = store_with(&["00bb00bb00bb00bb00bb00bb00bb00bb"]);
-        let health = Arc::new(PeerHealth::new(&fleet, Duration::from_secs(60)));
         let faults = Arc::new(FaultInjector::new(
             crate::faults::FaultSpec::quiet(5).with(FaultKind::ReplicateErr, 1.0),
         ));
         let (state, worker) = spawn(
-            &fleet,
+            peers,
             &fleet[0],
             2,
             store,
-            health,
             Some(faults.clone()),
             Duration::from_millis(20),
         );
         state.enqueue("00bb00bb00bb00bb00bb00bb00bb00bb");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while state.dropped() == 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            state.dropped() >= 1,
-            "rate-1.0 replicate_err drops the push"
-        );
+        wait_until("rate-1.0 replicate_err drops the push", || {
+            state.dropped() >= 1
+        });
         assert!(faults.injected(FaultKind::ReplicateErr) >= 1);
         assert!(
             state.hints_pending() >= 1,
             "the dropped push leaves a hint for replay"
         );
-        worker.stop();
-    }
-
-    #[test]
-    fn read_repair_is_owner_aware_and_deduplicated() {
-        let fleet = dead_fleet(3);
-        let store = store_with(&[]);
-        let health = Arc::new(PeerHealth::new(&fleet, Duration::from_secs(60)));
-        let (state, worker) = spawn(
-            &fleet,
-            &fleet[0],
-            2,
-            store,
-            health,
-            None,
-            Duration::from_millis(20),
-        );
-        // Find keys this member does / does not own.
-        let mut owned = None;
-        let mut foreign = None;
-        for i in 0..512u64 {
-            // Vary the *high* half: 32-hex keys ring-hash their first
-            // 16 hex digits (the content-key fast path).
-            let key = format!("{:032x}", u128::from(i) << 96 | 0xabcd);
-            if state.is_owner(&key) {
-                owned.get_or_insert(key);
-            } else {
-                foreign.get_or_insert(key);
-            }
-            if owned.is_some() && foreign.is_some() {
-                break;
-            }
-        }
-        let owned = owned.expect("some key is owned");
-        let foreign = foreign.expect("some key is foreign");
-        state.read_repair(&owned);
-        assert_eq!(state.read_repairs(), 0, "owned keys never read-repair");
-        state.read_repair(&foreign);
-        state.read_repair(&foreign);
-        assert_eq!(state.read_repairs(), 1, "repairs deduplicate per key");
-        worker.stop();
+        drop(worker);
     }
 
     #[test]
     fn drain_with_no_reachable_peer_reports_failures() {
-        let fleet = dead_fleet(2);
+        let (fleet, peers) = dead_fleet(2);
         let store = store_with(&[
             "00cc00cc00cc00cc00cc00cc00cc00cc",
             "00dd00dd00dd00dd00dd00dd00dd00dd",
         ]);
-        let health = Arc::new(PeerHealth::new(&fleet, Duration::from_secs(60)));
-        let (state, worker) = spawn(
-            &fleet,
-            &fleet[0],
-            2,
-            store,
-            health,
-            None,
-            Duration::from_millis(20),
-        );
+        let (state, worker) = spawn(peers, &fleet[0], 2, store, None, Duration::from_millis(20));
         let (keys, pushed, failed) = state.drain_to_successors();
         assert_eq!(keys, 2);
         assert_eq!(pushed, 0);
         assert_eq!(failed, 2, "an unreachable fleet loses nothing silently");
-        worker.stop();
+        drop(worker);
     }
 }

@@ -17,7 +17,7 @@
 //!   `/v1/analyze` are served. Backpressure is the replicas' job —
 //!   their 429/503 flows straight through.
 //! * **Deadline budget propagation.** The remaining budget travels in
-//!   [`client::DEADLINE_HEADER`]; a replica clamps its own deadline to
+//!   [`crate::client::DEADLINE_HEADER`]; a replica clamps its own deadline to
 //!   it, so a request that expires in a replica's queue is shed there
 //!   (504, handler never runs) instead of being computed for a
 //!   requester the router has already given up on.
@@ -27,72 +27,49 @@
 //!   the router's point of view — the client's retry policy owns that
 //!   decision. Any replica computes any request correctly, so failover
 //!   can't change bytes, only cache locality.
-//! * **Health-aware walks.** Every attempt's outcome feeds the shared
-//!   [`PeerHealth`] circuit breaker; peers whose breaker is open (or
-//!   that advertise draining) are moved to the *end* of the walk
-//!   instead of being paid a connect timeout up front. They are never
-//!   dropped entirely — if every healthy peer fails, the ejected ones
-//!   are still tried, so routing is never worse than breaker-less
-//!   failover.
+//! * **Health-aware walks.** The walk and every exchange are
+//!   [`Peers`]': each attempt's outcome feeds the shared circuit
+//!   breaker, and peers whose breaker is open (or that advertise
+//!   draining) are moved to the *end* of the walk instead of being paid
+//!   a connect timeout up front. They are never dropped entirely — if
+//!   every healthy peer fails, the ejected ones are still tried, so
+//!   routing is never worse than breaker-less failover.
 //!
-//! `/v1/ingest` streams: the body is re-framed chunk by chunk to the
-//! owning replica (never materialized on the router). Failover happens
-//! only while connecting — once body bytes have flowed they cannot be
-//! replayed, so a mid-stream failure is an honest 503 with
-//! `Connection: close`.
+//! `/v1/ingest` streams: the same exchange pulls the inbound body piece
+//! by piece and re-frames it chunked to the owning replica (never
+//! materialized on the router). Failover happens only while connecting
+//! — once body bytes have flowed they cannot be replayed, so a
+//! mid-stream failure is an honest 503 with `Connection: close`.
 
 use crate::api::ApiError;
-use crate::client;
-use crate::health::PeerHealth;
-use crate::http::{self, ReadError, RequestHead};
+use crate::client::{ExchangeError, Payload, Response};
+use crate::health::Peers;
+use crate::http::{self, RequestHead};
 use crate::metrics::Metrics;
 use crate::shard::{self, Ring};
 use gmap_core::cachekey;
-use std::io::Read;
-use std::net::TcpStream;
+use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The routing state of a router-mode server: the ring plus the shared
-/// peer-health registry — no model cache, so any number of routers can
-/// front the same replica fleet.
+/// The routing state of a router-mode server: the replica set, shared
+/// with the server's prober and metrics sampler — no model cache, so
+/// any number of routers can front the same replica fleet.
 #[derive(Debug)]
 pub struct Router {
-    ring: Ring,
-    health: Arc<PeerHealth>,
+    peers: Arc<Peers>,
 }
 
 impl Router {
-    /// Builds a router over the replica addresses, sharing `health`
-    /// with the server's prober and metrics sampler.
-    pub fn new(peers: &[String], health: Arc<PeerHealth>) -> Router {
-        Router {
-            ring: Ring::new(peers),
-            health,
-        }
+    /// Builds a router over the replica set.
+    pub fn new(peers: Arc<Peers>) -> Router {
+        Router { peers }
     }
 
     /// The consistent-hash ring (tests compute expected owners from it).
     pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
-    /// The shared peer-health registry.
-    pub fn health(&self) -> &Arc<PeerHealth> {
-        &self.health
-    }
-
-    /// The failover walk for `key`: healthy peers in ring order first,
-    /// then ejected/draining peers as a last resort. Skipping an
-    /// ejected peer saves its connect timeout on the hot path without
-    /// ever making a key unservable.
-    fn walk(&self, key: &str) -> Vec<&str> {
-        let order = self.ring.successors(key);
-        let (mut usable, skipped): (Vec<&str>, Vec<&str>) =
-            order.into_iter().partition(|p| self.health.usable(p));
-        usable.extend(skipped);
-        usable
+        self.peers.ring()
     }
 
     /// Forwards one materialized JSON request to the owning replica and
@@ -108,41 +85,22 @@ impl Router {
     ) -> (u16, String) {
         let key = shard::request_key(path, body)
             .unwrap_or_else(|| cachekey::content_key(if body.is_empty() { path } else { body }));
-        let give_up = Instant::now() + budget;
-        let mut attempted = 0usize;
-        for peer in self.walk(&key) {
-            let remaining = give_up.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                break;
-            }
-            if attempted > 0 {
-                self.count_failover(metrics);
-            }
-            attempted += 1;
-            match client::request_with_deadline(peer, "POST", path, Some(body), Some(remaining)) {
-                Ok(resp) => {
-                    self.health.record_success(peer);
-                    self.count_forward(metrics, peer);
-                    return (resp.status, resp.body);
-                }
-                Err(_) => {
-                    // Transport failure: feed the breaker, try the
-                    // successor.
-                    self.health.record_failure(peer);
-                    continue;
-                }
+        match self.walk_until_answered(metrics, &key, path, Payload::Json(body), budget) {
+            Ok(resp) => (resp.status, resp.body),
+            Err(reply) => {
+                let e = reply.expect("a materialized body has no source to fail");
+                (e.status, e.body())
             }
         }
-        self.no_replica_reply(attempted, give_up)
     }
 
     /// Forwards a streaming `/v1/ingest` request: decodes the inbound
-    /// body with the normal [`http::BodyReader`] limits and re-frames it
-    /// chunked to the owning replica. Returns `(status, body,
-    /// body_fully_consumed)` like the local ingest endpoint, or `None`
-    /// when the *client* transport died mid-body and nothing can be
-    /// answered.
-    pub fn forward_ingest<R: std::io::BufRead>(
+    /// body with the normal [`http::BodyReader`] limits while the
+    /// exchange re-frames it chunked to the owning replica. Returns
+    /// `(status, body, body_fully_consumed)` like the local ingest
+    /// endpoint, or `None` when the *client* transport died mid-body and
+    /// nothing can be answered.
+    pub fn forward_ingest<R: io::BufRead>(
         &self,
         metrics: &Metrics,
         head: &RequestHead,
@@ -151,164 +109,88 @@ impl Router {
     ) -> Option<(u16, String, bool)> {
         let err = |e: ApiError| Some((e.status, e.body(), false));
         let key = cachekey::content_key(&head.path);
-        let kind = match http::body_kind(head) {
-            Ok(k) => k,
-            Err(ReadError::Malformed(msg)) => return err(ApiError::bad_request(msg)),
-            Err(_) => return None,
-        };
-        let mut body = match http::BodyReader::new(reader, kind, http::MAX_INGEST_BODY_BYTES) {
+        let mut body = match http::BodyReader::open(reader, head, http::MAX_INGEST_BODY_BYTES) {
             Ok(b) => b,
-            Err(ReadError::TooLarge(msg)) => return err(ApiError::new(413, msg)),
-            Err(_) => return None,
+            Err(e) => return e.reply("trace body").and_then(err),
         };
-        let give_up = Instant::now() + budget;
+        // Why the inbound body stopped is kept aside: the exchange only
+        // learns that its source failed.
+        let mut inbound = None;
+        let mut next = |buf: &mut [u8]| {
+            body.next_piece(buf).map_err(|e| {
+                inbound = Some(e);
+                io::Error::other("inbound body failed")
+            })
+        };
+        let payload = Payload::Stream {
+            piece: 64 * 1024,
+            next: &mut next,
+        };
+        match self.walk_until_answered(metrics, &key, &head.path, payload, budget) {
+            Ok(resp) => Some((resp.status, resp.body, true)),
+            // No reply from the walk means the client-side body failed
+            // mid-stream: answer its error. Either way force a close (the
+            // unread tail is unframed garbage).
+            Err(reply) => reply.or_else(|| inbound?.reply("trace body")).and_then(err),
+        }
+    }
 
-        // Connect phase: the only point where failover is still free —
-        // no body bytes have been consumed yet.
+    /// Offers the request to `key`'s walk until a replica answers. A
+    /// failed exchange advances to the successor while the payload can
+    /// still be replayed: always for a materialized body, only until
+    /// the connection stands for a streamed one. `Err` carries the
+    /// honest reply when no replica answered, or `None` when the
+    /// streamed payload's own source failed (its owner knows why).
+    fn walk_until_answered(
+        &self,
+        metrics: &Metrics,
+        key: &str,
+        path: &str,
+        mut payload: Payload<'_>,
+        budget: Duration,
+    ) -> Result<Response, Option<ApiError>> {
+        let give_up = Instant::now() + budget;
         let mut attempted = 0usize;
-        let mut connected: Option<(&str, TcpStream)> = None;
-        for peer in self.walk(&key) {
-            if give_up.saturating_duration_since(Instant::now()).is_zero() {
+        for peer in self.peers.walk(key) {
+            let remaining = give_up.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
                 break;
             }
-            if attempted > 0 {
-                self.count_failover(metrics);
+            if let Some(route) = metrics.route.as_ref().filter(|_| attempted > 0) {
+                route.failovers.fetch_add(1, Ordering::Relaxed);
             }
             attempted += 1;
-            match TcpStream::connect(peer) {
-                Ok(stream) => {
-                    connected = Some((peer, stream));
-                    break;
+            let offer = payload.reborrow();
+            match self
+                .peers
+                .exchange(peer, "POST", path, offer, Some(remaining))
+            {
+                Ok(resp) => {
+                    if let Some(route) = &metrics.route {
+                        route.record_forward(peer);
+                    }
+                    return Ok(resp);
                 }
-                Err(_) => self.health.record_failure(peer),
+                // The peer died after body bytes flowed: the stream
+                // cannot be replayed, so this is an honest transient 503.
+                Err(ExchangeError::Peer(_)) if matches!(payload, Payload::Stream { .. }) => {
+                    let reply = format!("replica {peer} failed mid-stream, retry");
+                    return Err(Some(ApiError::new(503, reply)));
+                }
+                Err(ExchangeError::Connect(_) | ExchangeError::Peer(_)) => continue,
+                Err(ExchangeError::Source(_)) => return Err(None),
             }
         }
-        let Some((peer, mut stream)) = connected else {
-            let (status, reply) = self.no_replica_reply(attempted, give_up);
-            return Some((status, reply, false));
-        };
-
-        let remaining = give_up.saturating_duration_since(Instant::now());
-        let exchange = stream_body_to_peer(&mut stream, head, &mut body, remaining);
-        match exchange {
-            Ok(resp) => {
-                self.health.record_success(peer);
-                self.count_forward(metrics, peer);
-                Some((resp.status, resp.body, true))
-            }
-            // The client-side body failed mid-stream: answer its error
-            // and force a close (the unread tail is unframed garbage).
-            Err(StreamError::Client(e)) => err(e),
-            Err(StreamError::ClientGone) => None,
-            // The peer died after body bytes flowed: the stream cannot
-            // be replayed, so this is an honest transient 503.
-            Err(StreamError::Peer) => {
-                self.health.record_failure(peer);
-                Some((
-                    503,
-                    ApiError::new(503, format!("replica {peer} failed mid-stream, retry")).body(),
-                    false,
-                ))
-            }
-        }
+        // Nobody answered: 504 when the budget ran out mid-walk, 503
+        // otherwise — both transient, both carrying `Retry-After` (added
+        // by the response writer).
+        Err(Some(
+            if give_up.saturating_duration_since(Instant::now()).is_zero() {
+                ApiError::new(504, "deadline exceeded while forwarding")
+            } else {
+                let reply = format!("no replica reachable ({attempted} tried), retry");
+                ApiError::new(503, reply)
+            },
+        ))
     }
-
-    /// The honest reply when no replica produced a response: 504 when
-    /// the budget ran out mid-walk, 503 otherwise — both transient,
-    /// both carrying `Retry-After` (added by the response writer).
-    fn no_replica_reply(&self, attempted: usize, give_up: Instant) -> (u16, String) {
-        if give_up.saturating_duration_since(Instant::now()).is_zero() {
-            let e = ApiError::new(504, "deadline exceeded while forwarding");
-            (e.status, e.body())
-        } else {
-            let e = ApiError::new(
-                503,
-                format!("no replica reachable ({attempted} tried), retry"),
-            );
-            (e.status, e.body())
-        }
-    }
-
-    fn count_forward(&self, metrics: &Metrics, peer: &str) {
-        if let Some(route) = &metrics.route {
-            route.record_forward(peer);
-        }
-    }
-
-    fn count_failover(&self, metrics: &Metrics) {
-        if let Some(route) = &metrics.route {
-            route.failovers.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Why a streamed forward failed.
-enum StreamError {
-    /// The inbound body was malformed/oversized/stalled: answer the
-    /// mapped error to the client.
-    Client(ApiError),
-    /// The inbound transport died: nothing can be answered.
-    ClientGone,
-    /// The peer connection failed after body bytes were sent.
-    Peer,
-}
-
-/// Streams the decoded body to the connected peer as chunked transfer
-/// encoding and reads back its response.
-fn stream_body_to_peer<R: std::io::BufRead>(
-    stream: &mut TcpStream,
-    head: &RequestHead,
-    body: &mut http::BodyReader<'_, R>,
-    budget: Duration,
-) -> Result<client::Response, StreamError> {
-    let setup = stream
-        .set_read_timeout(Some(budget + Duration::from_secs(2)))
-        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(30))));
-    if setup.is_err() {
-        return Err(StreamError::Peer);
-    }
-    let peer_head = format!(
-        "POST {} HTTP/1.1\r\nHost: router\r\nContent-Type: application/octet-stream\r\n\
-         Transfer-Encoding: chunked\r\n{}: {}\r\nConnection: close\r\n\r\n",
-        head.path,
-        client::DEADLINE_HEADER,
-        budget.as_millis()
-    );
-    if client::write_all_looping(stream, peer_head.as_bytes()).is_err() {
-        return Err(StreamError::Peer);
-    }
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        let n = match body.next_piece(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(ReadError::Malformed(msg)) => {
-                return Err(StreamError::Client(ApiError::bad_request(msg)))
-            }
-            Err(ReadError::TooLarge(msg)) => {
-                return Err(StreamError::Client(ApiError::new(413, msg)))
-            }
-            Err(ReadError::Timeout { .. }) => {
-                return Err(StreamError::Client(ApiError::new(
-                    408,
-                    "timed out reading trace body",
-                )))
-            }
-            Err(ReadError::Eof) | Err(ReadError::Io(_)) => return Err(StreamError::ClientGone),
-        };
-        let framed_ok = client::write_all_looping(stream, format!("{n:x}\r\n").as_bytes()).is_ok()
-            && client::write_all_looping(stream, &buf[..n]).is_ok()
-            && client::write_all_looping(stream, b"\r\n").is_ok();
-        if !framed_ok {
-            return Err(StreamError::Peer);
-        }
-    }
-    if client::write_all_looping(stream, b"0\r\n\r\n").is_err() {
-        return Err(StreamError::Peer);
-    }
-    let mut raw = Vec::new();
-    if stream.read_to_end(&mut raw).is_err() {
-        return Err(StreamError::Peer);
-    }
-    client::parse_response(&raw).map_err(|_| StreamError::Peer)
 }

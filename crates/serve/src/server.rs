@@ -32,9 +32,10 @@
 
 use crate::api::{self, ApiError};
 use crate::cache::{ModelStore, DEFAULT_MEM_CAPACITY};
+use crate::client;
 use crate::faults::{FaultInjector, FaultSpec, TruncatedReader};
 use crate::handlers;
-use crate::health::{self, PeerHealth, ProbeHandle};
+use crate::health::{self, Peers, ProbeHandle, DEFAULT_PROBE_INTERVAL};
 use crate::http::{self, ReadError, Request, RequestHead, ResponseOpts};
 use crate::jobs::{JobQueue, SubmitError};
 use crate::metrics::{Endpoint, Metrics, RuntimeStats};
@@ -68,10 +69,6 @@ const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Default replication factor in fleet mode: the owner plus one ring
 /// successor.
 pub const DEFAULT_REPLICATION_FACTOR: usize = 2;
-
-/// Default cadence of the active health prober (also the replication
-/// worker's hint-replay tick).
-pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -154,7 +151,7 @@ pub struct ServerState {
     idle_timeout: Duration,
     faults: Option<Arc<FaultInjector>>,
     router: Option<Router>,
-    health: Arc<PeerHealth>,
+    peers: Arc<Peers>,
     replication: Option<Arc<ReplicationState>>,
     draining: AtomicBool,
     connections: Connections,
@@ -201,12 +198,6 @@ impl ServerState {
         self.router.as_ref()
     }
 
-    /// The shared peer-health registry (empty outside router/fleet
-    /// mode).
-    pub fn health(&self) -> &Arc<PeerHealth> {
-        &self.health
-    }
-
     /// The replication state, when this server runs in `--fleet` mode.
     pub fn replication(&self) -> Option<&Arc<ReplicationState>> {
         self.replication.as_ref()
@@ -220,6 +211,7 @@ impl ServerState {
     /// Samples the point-in-time values rendered alongside the counters.
     fn runtime_stats(&self) -> RuntimeStats {
         let repl = self.replication.as_deref();
+        let health = self.peers.health();
         RuntimeStats {
             queue_depth: self.queue.depth(),
             jobs_in_flight: self.queue.in_flight(),
@@ -230,16 +222,15 @@ impl ServerState {
             cache_quarantined: self.store.quarantined(),
             worker_panics: self.queue.panics(),
             faults_injected: self.faults.as_ref().map_or(0, |f| f.injected_total()),
-            peer_ejections: self.health.ejections(),
-            peer_recoveries: self.health.recoveries(),
+            peer_ejections: health.ejections(),
+            peer_recoveries: health.recoveries(),
             replication_sent: repl.map_or(0, ReplicationState::sent),
             replication_failed: repl.map_or(0, ReplicationState::failed),
             replication_dropped: repl.map_or(0, ReplicationState::dropped),
             hints_queued: repl.map_or(0, ReplicationState::hints_queued),
             hints_replayed: repl.map_or(0, ReplicationState::hints_replayed),
-            read_repairs: repl.map_or(0, ReplicationState::read_repairs),
             draining: self.is_draining(),
-            peer_states: self.health.snapshot(),
+            peer_states: health.snapshot(),
         }
     }
 }
@@ -278,22 +269,22 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         ));
     }
     let probe_interval = config.probe_interval.max(Duration::from_millis(50));
-    // The health registry tracks route peers in router mode and fleet
+    // The peer set is the route peers in router mode and the fleet
     // members in replica mode; otherwise it is empty and every lookup
     // degrades to "available".
-    let health_peers: &[String] = config
+    let peer_addrs: &[String] = config
         .route
         .as_deref()
         .or(config.fleet.as_deref())
         .unwrap_or(&[]);
-    let health = Arc::new(PeerHealth::new(health_peers, probe_interval));
+    let peers = Arc::new(Peers::new(peer_addrs, probe_interval));
     let router = match &config.route {
         Some(peers) if peers.is_empty() => {
             return Err(invalid(
                 "router mode needs at least one replica address".into(),
             ))
         }
-        Some(peers) => Some(Router::new(peers, Arc::clone(&health))),
+        Some(_) => Some(Router::new(Arc::clone(&peers))),
         None => None,
     };
     let metrics = match &config.route {
@@ -317,13 +308,12 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
                 "advertised address {advertise} is not a member of the fleet"
             )))
         }
-        Some(fleet) => {
+        Some(_) => {
             let (state, worker) = replicate::spawn(
-                fleet,
+                Arc::clone(&peers),
                 &advertise,
                 config.replication_factor,
                 Arc::clone(&store),
-                Arc::clone(&health),
                 faults.clone(),
                 probe_interval,
             );
@@ -333,12 +323,12 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     };
     // Active probing: a router probes its replicas, a fleet member
     // probes every peer but itself.
-    let prober = if health.peers().is_empty() {
+    let prober = if peer_addrs.is_empty() {
         None
     } else {
         let skip_self = config.fleet.is_some().then(|| advertise.clone());
         Some(health::spawn_prober(
-            Arc::clone(&health),
+            Arc::clone(&peers),
             probe_interval,
             skip_self,
         ))
@@ -353,7 +343,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         idle_timeout: config.idle_timeout,
         faults,
         router,
-        health,
+        peers,
         replication,
         draining: AtomicBool::new(false),
         connections: Connections::default(),
@@ -429,12 +419,8 @@ impl ServerHandle {
         // Background availability machinery stops only after the last
         // connection finished, so late stores still enqueue; remaining
         // queued replication work is best-effort by design.
-        if let Some(prober) = self.prober {
-            prober.stop();
-        }
-        if let Some(worker) = self.repl_worker {
-            worker.stop();
-        }
+        drop(self.prober);
+        drop(self.repl_worker);
         self.state.queue.shutdown();
         self.state.queue.wait_drained();
         for w in self.worker_threads {
@@ -563,7 +549,7 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         }
 
         let request = match http::read_body(&mut reader, &head) {
-            Ok(body) => Request::from_parts(head, body),
+            Ok(body) => Request { head, body },
             Err(e) => return reject_unreadable(stream, state, e),
         };
         let endpoint = classify(&request);
@@ -571,7 +557,7 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         state
             .metrics
             .record_request(endpoint, started.elapsed(), status);
-        let close = request.wants_close() || served >= state.keepalive_max;
+        let close = request.head.wants_close() || served >= state.keepalive_max;
         if !write_reply(stream, state, status, content_type, &body, close) || close {
             return;
         }
@@ -581,13 +567,9 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
 /// Ends a connection whose request could not be read: silently when the
 /// peer went away or idled out, with a 408/400/413 and a close otherwise.
 fn reject_unreadable(stream: &TcpStream, state: &Arc<ServerState>, err: ReadError) {
-    let e = match err {
-        ReadError::Eof | ReadError::Io(_) | ReadError::Timeout { mid_request: false } => return,
-        ReadError::Timeout { mid_request: true } => ApiError::new(408, "timed out reading request"),
-        ReadError::Malformed(msg) => ApiError::bad_request(msg),
-        ReadError::TooLarge(msg) => ApiError::new(413, msg),
-    };
-    write_reply(stream, state, e.status, "application/json", &e.body(), true);
+    if let Some(e) = err.reply("request") {
+        write_reply(stream, state, e.status, "application/json", &e.body(), true);
+    }
 }
 
 /// The effective deadline of one request: the server's configured
@@ -596,14 +578,14 @@ fn reject_unreadable(stream: &TcpStream, state: &Arc<ServerState>, err: ReadErro
 /// already answered 504 upstream. The header can only shrink the
 /// budget, never extend it.
 fn request_deadline(state: &ServerState, head: &RequestHead) -> Duration {
-    head.header(crate::client::DEADLINE_HEADER)
+    head.header(client::DEADLINE_HEADER)
         .and_then(|v| v.trim().parse::<u64>().ok())
         .map(Duration::from_millis)
         .map_or(state.deadline, |propagated| propagated.min(state.deadline))
 }
 
 fn classify(request: &Request) -> Endpoint {
-    match request.path.as_str() {
+    match request.head.path.as_str() {
         "/v1/profile" => Endpoint::Profile,
         "/v1/clone" => Endpoint::Clone,
         "/v1/evaluate" => Endpoint::Evaluate,
@@ -633,15 +615,9 @@ fn ingest_endpoint<R: BufRead>(
         Ok(q) => q,
         Err(e) => return err(e),
     };
-    let kind = match http::body_kind(head) {
-        Ok(k) => k,
-        Err(ReadError::Malformed(msg)) => return err(ApiError::bad_request(msg)),
-        Err(_) => return None,
-    };
-    let mut body = match http::BodyReader::new(reader, kind, http::MAX_INGEST_BODY_BYTES) {
+    let mut body = match http::BodyReader::open(reader, head, http::MAX_INGEST_BODY_BYTES) {
         Ok(b) => b,
-        Err(ReadError::TooLarge(msg)) => return err(ApiError::new(413, msg)),
-        Err(_) => return None,
+        Err(e) => return e.reply("trace body").and_then(err),
     };
     let launch = LaunchConfig::new(query.grid, query.block);
     let mut ing =
@@ -664,12 +640,7 @@ fn ingest_endpoint<R: BufRead>(
         let n = match body.next_piece(&mut buf) {
             Ok(0) => break,
             Ok(n) => n,
-            Err(ReadError::Malformed(msg)) => return err(ApiError::bad_request(msg)),
-            Err(ReadError::TooLarge(msg)) => return err(ApiError::new(413, msg)),
-            Err(ReadError::Timeout { .. }) => {
-                return err(ApiError::new(408, "timed out reading trace body"))
-            }
-            Err(ReadError::Eof) | Err(ReadError::Io(_)) => return None,
+            Err(e) => return e.reply("trace body").and_then(err),
         };
         state
             .metrics
@@ -712,7 +683,9 @@ fn write_reply(
 ) -> bool {
     let opts = ResponseOpts {
         close,
-        retry_after: matches!(status, 408 | 429 | 500 | 503 | 504).then_some(RETRY_AFTER_SECS),
+        retry_after: client::RETRYABLE_STATUSES
+            .contains(&status)
+            .then_some(RETRY_AFTER_SECS),
     };
     let mut buf = Vec::with_capacity(body.len() + 128);
     if http::write_response_opts(&mut buf, status, content_type, body, opts).is_err() {
@@ -747,9 +720,9 @@ fn route(
     // budget propagated. `/healthz`, `/metrics`, and `/v1/analyze`
     // (stateless) are still answered locally.
     if let Some(router) = &state.router {
-        if request.method == "POST"
+        if request.head.method == "POST"
             && matches!(
-                request.path.as_str(),
+                request.head.path.as_str(),
                 "/v1/profile" | "/v1/clone" | "/v1/evaluate"
             )
         {
@@ -761,11 +734,11 @@ fn route(
                 }
             };
             let budget = deadline.saturating_sub(started.elapsed());
-            let (status, reply) = router.forward(&state.metrics, &request.path, body, budget);
+            let (status, reply) = router.forward(&state.metrics, &request.head.path, body, budget);
             return (status, reply, "application/json");
         }
     }
-    match (request.method.as_str(), request.path.as_str()) {
+    match (request.head.method.as_str(), request.head.path.as_str()) {
         ("GET", "/healthz") => {
             // A draining replica is still *alive* (200) but advertises
             // the state so peers and routers deprioritize it.
@@ -812,17 +785,10 @@ fn route(
         ("POST", "/v1/replicate") => {
             // Internal fleet endpoint: idempotent model push from a
             // peer. Runs through the worker pool like any store-touching
-            // job, so injected faults apply. A push that created a new
-            // entry is re-enqueued once, which converges the rest of
-            // the replica set (an already-present entry stops the walk).
+            // job, so injected faults apply. The receiver pushes nothing
+            // onward: the originator aims at the whole replica set itself.
             json_endpoint(request, state, started, deadline, |state, req, cancel| {
-                let resp = handlers::replicate_store(&state.store, &req, cancel)?;
-                if resp.stored {
-                    if let Some(repl) = state.replication() {
-                        repl.enqueue(&resp.model_id);
-                    }
-                }
-                Ok(resp)
+                handlers::replicate_store(&state.store, &req, cancel)
             })
         }
         ("POST", "/v1/admin/drain") => {
@@ -845,7 +811,7 @@ fn route(
             (200, canonical_json(&resp), "application/json")
         }
         ("GET", _) | ("POST", _) => {
-            let e = ApiError::new(404, format!("no such route {}", request.path));
+            let e = ApiError::new(404, format!("no such route {}", request.head.path));
             (404, e.body(), "application/json")
         }
         (method, _) => {
@@ -897,16 +863,9 @@ fn profile_endpoint(
     let budget = deadline.saturating_sub(started.elapsed());
     let (status, body) = run_job(state, budget, parsed, |state, req, cancel| {
         let resp = handlers::profile(&state.store, &state.metrics, &req, cancel)?;
-        if let Some(repl) = state.replication() {
-            if !resp.cached {
-                // Fresh store: fan it out to the key's replica set.
-                repl.enqueue(&resp.model_id);
-            } else if !repl.is_owner(&resp.model_id) {
-                // A hit for a key this replica does not own means the
-                // owner was unreachable when the entry was created —
-                // push it back (read-repair, deduplicated per key).
-                repl.read_repair(&resp.model_id);
-            }
+        if let Some(repl) = state.replication().filter(|_| !resp.cached) {
+            // Fresh store: fan it out to the key's replica set.
+            repl.enqueue(&resp.model_id);
         }
         Ok(resp)
     });

@@ -887,6 +887,12 @@ fn replicated_fleet_serves_victim_keys_from_replica_without_recompute() {
     // serve the victim's keys from its replica copy with zero
     // recompute: its miss counter stays exactly where it was.
     let misses_before = route_metric(&successor, "gmap_cache_misses_total");
+    // Nor does serving them make the successor push anything: the owner
+    // is owed nothing it did not already hold.
+    let outbound = |peer: &str| {
+        route_metric(peer, "gmap_replication_total") + route_metric(peer, "gmap_hints_queued_total")
+    };
+    let outbound_before = outbound(&successor);
     fleet.kill(victim);
     wait_for_metric(
         &addr,
@@ -918,6 +924,14 @@ fn replicated_fleet_serves_victim_keys_from_replica_without_recompute() {
         "the successor must serve the victim's keys from its replica copy, not recompute \
          (misses {misses_before} -> {misses_after})"
     );
+    // Two probe intervals and a worker tick: anything enqueued by the
+    // two reads above would have been pushed or hinted by now.
+    thread::sleep(Duration::from_millis(300));
+    assert_eq!(
+        outbound(&successor),
+        outbound_before,
+        "a hit at a non-owner replica pushes nothing and owes nothing"
+    );
 
     // Restart the victim: the router's half-open probe must close the
     // breaker again, and a clean routed pass stays byte-identical.
@@ -941,6 +955,57 @@ fn replicated_fleet_serves_victim_keys_from_replica_without_recompute() {
         verify_profile(&r.body, want, &format!("clean routed {w}"));
     }
     router.shutdown();
+    fleet.shutdown();
+}
+
+/// One store costs RF−1 pushes: the originator aims at every other
+/// member of the key's replica set and nobody pushes onward, so N
+/// distinct profiles on a healthy RF=2 fleet settle at exactly N pushes
+/// fleet-wide — with every model held by both members of its set.
+#[test]
+fn replicated_store_costs_one_push_per_extra_replica() {
+    let expected = expectations();
+    let fleet = start_repl_fleet(3);
+    let ring = gmap_serve::shard::Ring::new(&fleet.peers);
+    for (w, want) in &expected {
+        let owner = ring.owner(&want.model_id).expect("nonempty ring");
+        let r = client::post_json(owner, "/v1/profile", &profile_req(w)).expect("owner profile");
+        assert_eq!(r.status, 200, "profile {w}: {}", r.body);
+        verify_profile(&r.body, want, &format!("owner profile {w}"));
+    }
+    let sent = || -> f64 {
+        fleet
+            .peers
+            .iter()
+            .map(|p| route_metric(p, "gmap_replication_total"))
+            .sum()
+    };
+    let stores = expected.len() as f64;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while sent() < stores {
+        assert!(
+            Instant::now() < deadline,
+            "replication never settled ({} of {stores} pushes)",
+            sent()
+        );
+        thread::sleep(Duration::from_millis(25));
+    }
+    // Several worker ticks of quiet: an echo would have landed by now.
+    thread::sleep(Duration::from_millis(500));
+    assert_eq!(sent(), stores, "RF=2: one push per store, no echo");
+    for peer in &fleet.peers {
+        for name in ["gmap_hints_queued_total", "gmap_replication_failed_total"] {
+            assert_eq!(route_metric(peer, name), 0.0, "{name} on healthy {peer}");
+        }
+    }
+    for (w, want) in &expected {
+        for member in ring.replica_set(&want.model_id, 2) {
+            let r = client::post_json(member, "/v1/evaluate", &eval_req(&want.model_id))
+                .expect("replica-set member reachable");
+            assert_eq!(r.status, 200, "{w} on {member}: {}", r.body);
+            assert_eq!(r.body, want.evaluate_body, "{w} on {member}");
+        }
+    }
     fleet.shutdown();
 }
 

@@ -1204,3 +1204,85 @@ fn ingest_rejects_bad_queries_and_malformed_traces() {
 
     handle.shutdown();
 }
+
+/// `/v1/ingest` through a router: the stream is re-framed to the replica
+/// owning the upload's path, and the client cannot tell the difference —
+/// same bytes back for either framing, same 400 and close for a broken
+/// chunk.
+#[test]
+fn routed_ingest_is_byte_identical_to_direct_and_lands_on_the_owner() {
+    let (direct, direct_addr) = start(ServeConfig::default());
+    let replicas: Vec<_> = (0..3).map(|_| start(ServeConfig::default())).collect();
+    let peers: Vec<String> = replicas.iter().map(|(_, addr)| addr.clone()).collect();
+    let (router, router_addr) = start(ServeConfig {
+        route: Some(peers.clone()),
+        ..ServeConfig::default()
+    });
+    let trace = ingest_trace(50);
+    let path = "/v1/ingest?grid=2&block=64&name=routed";
+
+    let upload = |addr: &str, chunked: bool| {
+        let resp = if chunked {
+            client::post_chunked(addr, path, &mut trace.as_bytes(), 777)
+        } else {
+            client::request(addr, "POST", path, Some(&trace))
+        }
+        .expect("ingest answers");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp.body
+    };
+    for chunked in [false, true] {
+        assert_eq!(
+            upload(&router_addr, chunked),
+            upload(&direct_addr, chunked),
+            "routed and direct uploads must answer the same bytes (chunked: {chunked})"
+        );
+    }
+
+    // Both routed streams went to the owner of the path, nowhere else.
+    let ring = router.state().router().expect("router mode").ring();
+    let owner = ring
+        .owner(&gmap_core::cachekey::content_key(path))
+        .expect("nonempty ring");
+    for peer in &peers {
+        let metrics = client::get(peer, "/metrics").expect("metrics").body;
+        let want = if peer == owner { 2.0 } else { 0.0 };
+        assert_eq!(
+            scrape(&metrics, "gmap_ingest_streams_total"),
+            Some(want),
+            "streams on {peer} (owner {owner})"
+        );
+    }
+    let metrics = client::get(&router_addr, "/metrics").expect("metrics").body;
+    let forwards = format!("gmap_route_forwards_total{{peer=\"{owner}\"}}");
+    assert_eq!(scrape(&metrics, &forwards), Some(2.0));
+
+    // A chunk-size line that is not hex: the router's own body reader
+    // rejects it exactly as a replica's would, then closes.
+    let broken = |addr: &str| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let head = format!(
+            "POST {path} HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
+             5\r\n0 0x1\r\nzz\r\n"
+        );
+        stream.write_all(head.as_bytes()).expect("send");
+        let mut reader = BufReader::new(stream);
+        let resp = read_one_response(&mut reader);
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("closed cleanly");
+        assert!(rest.is_empty(), "nothing follows the error reply");
+        resp
+    };
+    let (routed, plain) = (broken(&router_addr), broken(&direct_addr));
+    assert_eq!(routed.status, 400, "{}", routed.body);
+    assert_eq!(routed.body, plain.body);
+    assert!(routed.body.contains("bad chunk size"), "{}", routed.body);
+    assert_eq!(routed.connection, "close");
+    assert_eq!(plain.connection, "close");
+
+    router.shutdown();
+    for (replica, _) in replicas {
+        replica.shutdown();
+    }
+    direct.shutdown();
+}

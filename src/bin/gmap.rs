@@ -160,8 +160,8 @@ SERVE OPTIONS:
                                 rejected)
   --fleet P1,P2,...             replica-fleet membership, enabling successor
                                 replication (RF-1 ring successors receive an
-                                async copy of every stored model), hinted
-                                handoff while a peer is down, and read-repair
+                                async copy of every stored model) and hinted
+                                handoff while a peer is down
   --advertise HOST:PORT         this server's own address inside --fleet
                                 (default: the bound listen address)
   --replication-factor N        replica-set size per key (default 2:
