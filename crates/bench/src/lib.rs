@@ -19,8 +19,8 @@
 
 use engine::SweepPlan;
 use gmap_core::{
-    compare_series, generate::generate_streams, profile_kernel, simulate_streams, summarize,
-    GmapProfile, ProfilerConfig, SimtConfig, SweepSummary,
+    compare_series, generate::generate_streams, profile_kernel_with_streams, simulate_streams,
+    summarize, GmapProfile, ProfilerConfig, SimtConfig, SweepSummary,
 };
 use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::kernel::KernelDesc;
@@ -39,7 +39,9 @@ pub struct ExperimentOpts {
     pub scale: Scale,
     /// Clone-generation / scheduling seed.
     pub seed: u64,
-    /// Worker threads (one benchmark per thread).
+    /// Worker threads. Preparation runs one benchmark per thread at a
+    /// time, a sweep one stream (a benchmark's original or its clone);
+    /// results do not depend on the count.
     pub threads: usize,
     /// Optional CSV output path for the raw per-config series.
     pub csv: Option<String>,
@@ -179,6 +181,12 @@ impl BenchData {
         }
     }
 
+    /// Warp-level accesses in the original or clone stream: what
+    /// [`sweep_grid`] orders its jobs by.
+    fn num_accesses(&self, proxy: bool) -> usize {
+        self.stream(proxy).0.iter().map(|s| s.num_accesses()).sum()
+    }
+
     /// [`evaluate_grid`] over this bundle's original (`proxy == false`)
     /// or clone stream.
     pub fn evaluate(
@@ -195,11 +203,13 @@ impl BenchData {
     }
 }
 
-/// Prepares one benchmark: execute, profile, clone.
+/// Prepares one benchmark: execute, profile, clone. The kernel is
+/// executed and coalesced once (at [`gmap_core::COALESCE_BYTES`], the
+/// default profiler's line size); the same streams are profiled and kept
+/// as the original.
 pub fn prepare(name: &str, scale: Scale, seed: u64) -> BenchData {
     let kernel = workloads::by_name(name, scale).expect("known benchmark name");
-    let orig_streams = gmap_core::model::original_streams(&kernel);
-    let profile = profile_kernel(&kernel, &ProfilerConfig::default());
+    let (orig_streams, profile) = profile_kernel_with_streams(&kernel, &ProfilerConfig::default());
     let proxy_streams = generate_streams(&profile, seed);
     BenchData {
         kernel,
@@ -211,8 +221,10 @@ pub fn prepare(name: &str, scale: Scale, seed: u64) -> BenchData {
     }
 }
 
-/// Prepares all 18 benchmarks, one per worker thread at a time, and
-/// prints how long that took.
+/// Prepares all 18 benchmarks, one [`prepare`] per worker thread at a
+/// time (preparation's unit is the benchmark: the clone needs the
+/// profile, the profile the executed streams), and prints how long that
+/// took.
 pub fn prepare_all(opts: &ExperimentOpts) -> Vec<BenchData> {
     let t0 = Instant::now();
     let data = parallel_map(&workloads::NAMES, opts.threads, |name| {
@@ -349,14 +361,56 @@ pub fn evaluate_profile(
     })
 }
 
+/// One unit of sweep work: one stream of one benchmark over the config
+/// chunk starting at `lo`. A job is one [`BenchData::evaluate`] call.
+#[derive(Debug)]
+struct SweepJob {
+    /// Index into the prepared benchmarks.
+    bench: usize,
+    /// First configuration of the chunk.
+    lo: usize,
+    /// Clone stream (`true`) or original (`false`).
+    proxy: bool,
+}
+
+/// The job list of [`sweep_grid`]: every (benchmark, config-chunk,
+/// original|clone) triple, longest stream first. Workers take jobs in
+/// list order, so the order is longest-processing-time-first scheduling
+/// with a stream's access count as the estimate of its cost: the streams
+/// that bound the sweep start at t = 0 on different workers. The sort is
+/// stable — equal streams keep (benchmark, chunk, original-then-clone)
+/// order.
+fn sweep_jobs(data: &[BenchData], num_configs: usize, chunk: usize) -> Vec<SweepJob> {
+    let mut jobs = Vec::new();
+    for bench in 0..data.len() {
+        for lo in (0..num_configs).step_by(chunk) {
+            for proxy in [false, true] {
+                jobs.push(SweepJob { bench, lo, proxy });
+            }
+        }
+    }
+    let weights: Vec<[usize; 2]> = data
+        .iter()
+        .map(|d| [d.num_accesses(false), d.num_accesses(true)])
+        .collect();
+    jobs.sort_by_key(|j| std::cmp::Reverse(weights[j.bench][usize::from(j.proxy)]));
+    jobs
+}
+
 /// Compares original and clone on every prepared benchmark across
 /// `configs`, on up to `threads` worker threads.
 ///
-/// The work is a flat queue of (benchmark, config-chunk) jobs, each two
-/// [`BenchData::evaluate`] calls: with a `plan` the whole series of a
-/// benchmark is one cheap job; without one the grid is cut in quarters so
-/// the queue stays deeper than the thread pool even when a few benchmarks
-/// dominate.
+/// The unit of work is one *stream*: the queue holds (benchmark,
+/// config-chunk, original|clone) jobs, each one [`BenchData::evaluate`]
+/// call, ordered longest stream first (see `sweep_jobs`), so a
+/// benchmark's original and clone — independent replays of the same
+/// experiment — run side by side instead of one behind the other. With a
+/// `plan` the whole series of a stream is one job (one capture, every
+/// config from it); without one the grid is cut in quarters so the queue
+/// stays deeper than the thread pool even when a few benchmarks dominate.
+///
+/// Results are placed by (benchmark, chunk, stream) index, so the summary
+/// is bit-identical for any thread count and any job order.
 pub fn sweep_grid(
     data: &[BenchData],
     configs: &[SimtConfig],
@@ -364,34 +418,54 @@ pub fn sweep_grid(
     plan: Option<&SweepPlan>,
     threads: usize,
 ) -> SweepSummary {
+    sweep_grid_timed(data, configs, metric, plan, threads).0
+}
+
+/// [`sweep_grid`] that also names its longest job (`kmeans/clone`) and
+/// that job's seconds for the timing footer; `None` when there was
+/// nothing to run.
+fn sweep_grid_timed(
+    data: &[BenchData],
+    configs: &[SimtConfig],
+    metric: Metric,
+    plan: Option<&SweepPlan>,
+    threads: usize,
+) -> (SweepSummary, Option<(String, f64)>) {
     let chunk = match plan {
         Some(_) => configs.len(),
         None => configs.len().div_ceil(4),
     }
     .max(1);
-    let jobs: Vec<(usize, usize)> = (0..data.len())
-        .flat_map(|b| (0..configs.len()).step_by(chunk).map(move |lo| (b, lo)))
-        .collect();
-    let results = parallel_map(&jobs, threads, |&(b, lo)| {
-        let part = &configs[lo..(lo + chunk).min(configs.len())];
-        (
-            data[b].evaluate(false, part, metric, plan),
-            data[b].evaluate(true, part, metric, plan),
-        )
+    let jobs = sweep_jobs(data, configs.len(), chunk);
+    let results = parallel_map(&jobs, threads, |job| {
+        let t0 = Instant::now();
+        let part = &configs[job.lo..(job.lo + chunk).min(configs.len())];
+        let values = data[job.bench].evaluate(job.proxy, part, metric, plan);
+        (values, t0.elapsed().as_secs_f64())
     });
-    // Jobs are ordered by benchmark, then by chunk: appending stitches
-    // the chunks back into aligned per-benchmark series.
-    let mut series = vec![(Vec::new(), Vec::new()); data.len()];
-    for (&(b, _), (orig, proxy)) in jobs.iter().zip(results) {
-        series[b].0.extend(orig);
-        series[b].1.extend(proxy);
+    let longest = jobs
+        .iter()
+        .zip(&results)
+        .map(|(job, &(_, secs))| (job, secs))
+        .max_by(|a, b| a.1.total_cmp(&b.1));
+    // series[benchmark][original|clone], each slot written by exactly
+    // one job.
+    let mut series = vec![[vec![0.0; configs.len()], vec![0.0; configs.len()]]; data.len()];
+    for (job, (values, _)) in jobs.iter().zip(results) {
+        series[job.bench][usize::from(job.proxy)][job.lo..job.lo + values.len()]
+            .copy_from_slice(&values);
     }
-    summarize(
+    let summary = summarize(
         data.iter()
             .zip(series)
-            .map(|(d, (orig, proxy))| compare_series(&d.kernel.name, orig, proxy))
+            .map(|(d, [orig, proxy])| compare_series(&d.kernel.name, orig, proxy))
             .collect(),
-    )
+    );
+    let longest = longest.map(|(job, secs)| {
+        let stream = if job.proxy { "clone" } else { "original" };
+        (format!("{}/{stream}", data[job.bench].kernel.name), secs)
+    });
+    (summary, longest)
 }
 
 /// Runs a whole figure: prepares all 18 benchmarks, then
@@ -419,7 +493,7 @@ pub fn run_figure_on(
     print_header(title, configs.len(), opts);
     let t0 = Instant::now();
     let plan = engine::plan_single_pass(configs, metric);
-    let summary = sweep_grid(data, configs, metric, plan.as_ref(), opts.threads);
+    let (summary, longest) = sweep_grid_timed(data, configs, metric, plan.as_ref(), opts.threads);
     let sweep_secs = t0.elapsed().as_secs_f64();
 
     println!("{summary}");
@@ -429,7 +503,13 @@ pub fn run_figure_on(
             Err(e) => eprintln!("could not write {path}: {e}"),
         }
     }
-    println!("phase timings: sweep {sweep_secs:.2}s");
+    // The longest job bounds the sweep from below whatever the thread
+    // count: a share near 100% says one stream is the critical path.
+    let longest = longest.map_or(String::new(), |(job, secs)| {
+        let share = 100.0 * secs / sweep_secs.max(1e-9);
+        format!(", longest job {job} {secs:.2}s = {share:.0}%")
+    });
+    println!("phase timings: sweep {sweep_secs:.2}s{longest}");
     println!(
         "throughput: {:.0} configs/s over {} validation points ({})",
         summary.validation_points as f64 / sweep_secs.max(1e-9),
@@ -619,6 +699,25 @@ mod tests {
     }
 
     #[test]
+    fn prepare_executes_once_and_changes_no_stream_or_model_id() {
+        for name in workloads::NAMES {
+            let data = prepare(name, Scale::Tiny, 7);
+            assert_eq!(
+                data.orig_streams,
+                gmap_core::model::original_streams(&data.kernel),
+                "{name}: original streams"
+            );
+            // The content key is what `gmap serve` derives model ids from.
+            let reference = gmap_core::profile_kernel(&data.kernel, &ProfilerConfig::default());
+            assert_eq!(
+                gmap_core::cachekey::key_of(&data.profile),
+                gmap_core::cachekey::key_of(&reference),
+                "{name}: profile key"
+            );
+        }
+    }
+
+    #[test]
     fn csv_output_has_expected_shape() {
         let summary = gmap_core::summarize(vec![
             compare_series("a", vec![1.0, 2.0], vec![1.5, 2.5]),
@@ -710,6 +809,80 @@ mod tests {
             );
             assert_eq!(cmp.proxy, d.evaluate(true, &grid, Metric::L1MissPct, None));
         }
+    }
+
+    #[test]
+    fn sweep_grid_is_bit_identical_at_any_thread_count() {
+        let _cache = engine::capture_cache_test_guard();
+        let data: Vec<BenchData> = ["kmeans", "scalarprod", "aes"]
+            .iter()
+            .map(|name| prepare(name, Scale::Tiny, 7))
+            .collect();
+        let planned: Vec<SimtConfig> = sweeps::l1_prefetch_sweep()[..4].to_vec();
+        let mut plru = vec![SimtConfig::default(); 3];
+        plru[1].hierarchy.l1.policy = gmap_memsim::cache::ReplacementPolicy::PseudoLru;
+        for grid in [planned, plru] {
+            let plan = engine::plan_single_pass(&grid, Metric::L1MissPct);
+            // What a sweep must return: every stream evaluated whole, one
+            // call each.
+            let whole =
+                |d: &BenchData, proxy| d.evaluate(proxy, &grid, Metric::L1MissPct, plan.as_ref());
+            let want = summarize(
+                data.iter()
+                    .map(|d| compare_series(&d.kernel.name, whole(d, false), whole(d, true)))
+                    .collect(),
+            );
+            for threads in [1, 2, 8] {
+                engine::capture_cache_clear();
+                let got = sweep_grid(&data, &grid, Metric::L1MissPct, plan.as_ref(), threads);
+                assert_eq!(got, want, "threads={threads} planned={}", plan.is_some());
+                // One job per stream when planned: no capture is computed
+                // twice, whatever the thread count. Direct grids capture
+                // nothing.
+                let stats = engine::capture_cache_stats();
+                let captures = if plan.is_some() {
+                    2 * data.len() as u64
+                } else {
+                    0
+                };
+                assert_eq!(
+                    (stats.misses, stats.hits),
+                    (captures, 0),
+                    "threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_jobs_cover_every_stream_chunk_longest_first() {
+        let data = vec![
+            prepare("scalarprod", Scale::Tiny, 7),
+            prepare("kmeans", Scale::Tiny, 7),
+            prepare("aes", Scale::Tiny, 7),
+        ];
+        let weight = |job: &SweepJob| data[job.bench].num_accesses(job.proxy);
+        // Planned shape: one chunk. kmeans' two streams are the longest of
+        // the six, so they lead the queue wherever kmeans sits in the data.
+        let jobs = sweep_jobs(&data, 4, 4);
+        assert_eq!(jobs.len(), 6);
+        assert_eq!((jobs[0].bench, jobs[1].bench), (1, 1));
+        assert_ne!(jobs[0].proxy, jobs[1].proxy);
+        // Direct shape: five configs in chunks of 2, 2 and 1.
+        let jobs = sweep_jobs(&data, 5, 2);
+        assert!(jobs.windows(2).all(|w| weight(&w[0]) >= weight(&w[1])));
+        assert!(jobs[..6].iter().all(|j| j.bench == 1));
+        let mut triples: Vec<(usize, usize, bool)> =
+            jobs.iter().map(|j| (j.bench, j.lo, j.proxy)).collect();
+        triples.sort_unstable();
+        let mut all = Vec::new();
+        for bench in 0..3 {
+            for lo in [0, 2, 4] {
+                all.extend([(bench, lo, false), (bench, lo, true)]);
+            }
+        }
+        assert_eq!(triples, all);
+        assert!(sweep_jobs(&[], 4, 4).is_empty());
     }
 
     #[test]

@@ -49,10 +49,27 @@ impl Default for ProfilerConfig {
 /// Panics if the kernel produces no memory accesses (a validated workload
 /// kernel always does); use [`profile_streams`] for a fallible interface.
 pub fn profile_kernel(kernel: &KernelDesc, cfg: &ProfilerConfig) -> GmapProfile {
+    profile_kernel_with_streams(kernel, cfg).1
+}
+
+/// [`profile_kernel`] that also hands back the streams it profiled: the
+/// kernel's per-warp streams coalesced at `cfg.line_size`. With the
+/// default configuration that is [`COALESCE_BYTES`], so they equal
+/// [`crate::model::original_streams`] and a caller that needs both the
+/// original and its profile executes the kernel once.
+///
+/// # Panics
+///
+/// As [`profile_kernel`].
+pub fn profile_kernel_with_streams(
+    kernel: &KernelDesc,
+    cfg: &ProfilerConfig,
+) -> (Vec<WarpStream>, GmapProfile) {
     let app = execute_kernel(kernel);
     let streams = coalesce_app(&app, cfg.line_size);
-    profile_streams(&kernel.name, &streams, &app.launch, app.warp_size, cfg)
-        .expect("executed kernel has memory accesses")
+    let profile = profile_streams(&kernel.name, &streams, &app.launch, app.warp_size, cfg)
+        .expect("executed kernel has memory accesses");
+    (streams, profile)
 }
 
 /// Profiles coalesced warp streams.
