@@ -29,17 +29,28 @@
 //!    * FIFO groups (fig6e's FIFO column): the insertion-order variant
 //!      ([`gmap_memsim::stackdist::evaluate_fifo_multi`]);
 //!    * L1 stride-prefetcher groups (fig6c): one
-//!      [`StridePrefetcher`] replay per (core, prefetcher config)
-//!      produces a geometry-independent [`PrefetchSchedule`] — the
-//!      hierarchy trains it on every demand load, hit or miss — which
-//!      the prefetch-composed stack-distance pass merges with the
-//!      demand stream;
+//!      [`StridePrefetcher`] training replay per (core, table size,
+//!      confidence) records a geometry-independent trace — the
+//!      hierarchy trains on every demand load, hit or miss — which each
+//!      group expands into its [`PrefetchSchedule`] for the
+//!      prefetch-composed stack-distance pass. A pass is a pure
+//!      function of (core stream, trace, degree, distance, geometries),
+//!      so groups for which all of these compare equal — typically the
+//!      two table sizes, whenever no two PCs of a core share a slot of
+//!      the smaller table — run it once and share the counts
+//!      ([`EvalSeries::reused_passes`]);
 //!    * L2 stream-prefetcher groups (fig6d): the stream prefetcher
 //!      trains on demand *misses*, which are geometry-dependent, so no
 //!      shared schedule exists; each config replays the once-derived L2
-//!      stream through a folded bank cache + [`StreamPrefetcher`] —
+//!      stream through the folded bank geometry with a live prefetcher
+//!      on the same recency-list kernel
+//!      ([`gmap_memsim::stackdist::replay_lru_stream_prefetch`]) —
 //!      still eliding the scheduler, the L1s and the MSHRs, which
 //!      dominate the direct path's cost.
+//!
+//!    Every evaluation runs on that one kernel; the engine builds a
+//!    general-purpose [`Cache`] only for the sweep's *fixed* L1 when it
+//!    derives the L2 stream.
 //!
 //! Anything the plan can't prove sweepable — replacement policies other
 //! than LRU/FIFO, prefetcher parameters outside the supported envelope,
@@ -67,12 +78,10 @@ use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::schedule::{run_schedule, MemoryModel, ScheduleOutcome, WarpStream};
 use gmap_memsim::cache::{AccessRequest, Cache, CacheConfig, ReplacementPolicy};
 use gmap_memsim::hierarchy::{GpuHierarchy, HierarchyConfig, L1WritePolicy, TraceCapture};
-use gmap_memsim::prefetch::{
-    StreamPrefetcher, StreamPrefetcherConfig, StridePrefetcher, StridePrefetcherConfig,
-};
+use gmap_memsim::prefetch::{StreamPrefetcherConfig, StridePrefetcher, StridePrefetcherConfig};
 use gmap_memsim::stackdist::{
-    evaluate_fifo_multi, evaluate_lru_multi, evaluate_lru_prefetch_multi, GeomCounts, LineAccess,
-    PrefetchSchedule, WriteMode,
+    evaluate_fifo_multi, evaluate_lru_multi, evaluate_lru_prefetch_multi,
+    replay_lru_stream_prefetch, GeomCounts, LineAccess, PrefetchSchedule, WriteMode,
 };
 use gmap_trace::record::{AccessKind, ByteAddr, CoreId, Pc};
 use gmap_trace::soa::AccessColumns;
@@ -335,9 +344,14 @@ pub struct EvalSeries {
     /// slice the plan was built from.
     pub values: Vec<f64>,
     /// Whether any group hit the stack-distance evaluator's internal
-    /// exact per-config replay (divergent no-allocate store). Counts stay
+    /// per-geometry re-score (divergent no-allocate store). Counts stay
     /// exact either way; this only marks the slower path.
     pub fell_back: bool,
+    /// Stride-prefetch evaluator passes (one per group and core) that
+    /// were not run because an earlier pass on the same core had the same
+    /// training trajectory, emission shape and geometries, and answered
+    /// for them. Zero outside L1 prefetch grids.
+    pub reused_passes: usize,
 }
 
 /// Evaluates every planned configuration against one captured stream.
@@ -357,8 +371,9 @@ pub fn eval_captured(
 /// candidates would be expanded from — `observe(pc, line)` on every
 /// demand load (hit or miss), nothing on stores. Training depends only
 /// on `table_size` and `min_confidence`, so one trace serves every
-/// config in that class regardless of `degree`/`distance` (fig6c's 24
-/// prefetcher groups share two trajectories).
+/// config with that pair regardless of `degree`/`distance` — and two
+/// pairs whose traces come out equal (no two PCs of the core share a
+/// slot of the smaller table) are one trajectory.
 fn stride_trace(
     table_size: u32,
     min_confidence: u32,
@@ -470,25 +485,27 @@ fn eval_l1(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
     }
 
     // Prefetch groups: the stride prefetcher is per core, like the L1 it
-    // feeds, and its training trajectory depends only on the line size,
-    // table size, and confidence threshold. Groups differing only in
-    // degree/distance therefore share one training replay per core and
-    // expand their own candidate schedules from the recorded trace.
-    type TrainingClass = (u32, u32, u32);
-    let mut classes: Vec<(TrainingClass, Vec<&SweepGroup>)> = Vec::new();
-    for group in plan.groups.iter().filter(|g| g.l1_prefetch.is_some()) {
-        let pf = group.l1_prefetch.expect("filtered on l1_prefetch");
-        let key = (
-            group.line_size.trailing_zeros(),
-            pf.table_size,
-            pf.min_confidence,
-        );
-        match classes.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => v.push(group),
-            None => classes.push((key, vec![group])),
-        }
-    }
-    for ((shift, table_size, min_confidence), groups) in classes {
+    // feeds, so a pass is a pure function of (core stream, training
+    // trajectory, emission shape, geometries). Walk the groups per line
+    // size and per core and run each distinct pass once.
+    let prefetch_groups: Vec<(&SweepGroup, StridePrefetcherConfig)> = plan
+        .groups
+        .iter()
+        .filter_map(|g| Some((g, g.l1_prefetch?)))
+        .collect();
+    let mut shifts: Vec<u32> = prefetch_groups
+        .iter()
+        .map(|(g, _)| g.line_size.trailing_zeros())
+        .collect();
+    shifts.sort_unstable();
+    shifts.dedup();
+    let mut reused_passes = 0;
+    for shift in shifts {
+        let groups: Vec<(&SweepGroup, StridePrefetcherConfig, Vec<CacheConfig>)> = prefetch_groups
+            .iter()
+            .filter(|(g, _)| g.line_size.trailing_zeros() == shift)
+            .map(|&(g, pf)| (g, pf, group_geoms(g)))
+            .collect();
         let per_core = splits
             .entry(shift)
             .or_insert_with(|| split_per_core(capture, shift));
@@ -500,32 +517,76 @@ fn eval_l1(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
             }
             pcs
         });
-        let geoms: Vec<Vec<CacheConfig>> = groups.iter().map(|g| group_geoms(g)).collect();
-        let mut totals: Vec<Vec<GeomCounts>> = geoms
+        let mut totals: Vec<Vec<GeomCounts>> = groups
             .iter()
-            .map(|g| vec![GeomCounts::default(); g.len()])
+            .map(|(_, _, geoms)| vec![GeomCounts::default(); geoms.len()])
             .collect();
         let mut sched = PrefetchSchedule::new();
         for (core, stream) in per_core.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
-            let trace = stride_trace(table_size, min_confidence, stream, &per_core_pcs[core]);
-            for (gi, group) in groups.iter().enumerate() {
-                let pf = group.l1_prefetch.expect("prefetch class");
-                schedule_from_trace(pf, &trace, &mut sched);
-                let r = evaluate_lru_prefetch_multi(&geoms[gi], stream, &sched, mode)
-                    .expect("plan guarantees a uniform line-size/policy group");
-                fell_back |= r.fell_back;
-                for (t, c) in totals[gi].iter_mut().zip(&r.counts) {
-                    t.merge(c);
-                }
+            // Training depends only on (table size, confidence): record
+            // each such trace once, and give traces that compare equal
+            // one trajectory id. Equality is decided on the recorded
+            // trace, so PCs colliding in a small table simply make two
+            // trajectories.
+            let mut trajectories: Vec<Vec<Option<(u64, i64)>>> = Vec::new();
+            let mut trained: Vec<((u32, u32), usize)> = Vec::new();
+            // Per group walked so far on this core: the trajectory it
+            // ran on and its counts.
+            let mut done: Vec<(usize, Vec<GeomCounts>)> = Vec::with_capacity(groups.len());
+            for (_, pf, geoms) in &groups {
+                let key = (pf.table_size, pf.min_confidence);
+                let trajectory = match trained.iter().find(|(k, _)| *k == key) {
+                    Some(&(_, t)) => t,
+                    None => {
+                        let trace = stride_trace(key.0, key.1, stream, &per_core_pcs[core]);
+                        let t = trajectories
+                            .iter()
+                            .position(|known| *known == trace)
+                            .unwrap_or_else(|| {
+                                trajectories.push(trace);
+                                trajectories.len() - 1
+                            });
+                        trained.push((key, t));
+                        t
+                    }
+                };
+                let equal_pass = done.iter().zip(&groups).find(|((t, _), (_, epf, egeoms))| {
+                    *t == trajectory
+                        && epf.degree == pf.degree
+                        && epf.distance == pf.distance
+                        && egeoms == geoms
+                });
+                let counts = match equal_pass {
+                    Some(((_, counts), _)) => {
+                        reused_passes += 1;
+                        counts.clone()
+                    }
+                    None => {
+                        schedule_from_trace(*pf, &trajectories[trajectory], &mut sched);
+                        let r = evaluate_lru_prefetch_multi(geoms, stream, &sched, mode)
+                            .expect("plan guarantees a uniform line-size/policy group");
+                        fell_back |= r.fell_back;
+                        r.counts
+                    }
+                };
+                done.push((trajectory, counts));
+            }
+            let core_counts = done.iter().flat_map(|(_, counts)| counts);
+            for (t, c) in totals.iter_mut().flatten().zip(core_counts) {
+                t.merge(c);
             }
         }
-        for (gi, group) in groups.iter().enumerate() {
+        for ((group, _, _), totals) in groups.iter().zip(&totals) {
             for (k, &i) in group.config_indices.iter().enumerate() {
-                values[i] = totals[gi][k].miss_rate() * 100.0;
+                values[i] = totals[k].miss_rate() * 100.0;
             }
         }
     }
-    EvalSeries { values, fell_back }
+    EvalSeries {
+        values,
+        fell_back,
+        reused_passes,
+    }
 }
 
 /// Replays the captured stream through the sweep's *fixed* L1s once and
@@ -585,42 +646,6 @@ fn derive_l2_stream(capture: &CapturedStream, hier: &HierarchyConfig) -> Vec<(u6
     out
 }
 
-/// Replays the derived L2 stream through one folded bank cache plus a
-/// [`StreamPrefetcher`], mirroring `GpuHierarchy::l2_demand`: the
-/// prefetcher trains on demand misses (loads *and* stores), and each
-/// candidate is probed and conditionally prefetch-filled. Exact by the
-/// same bank-folding bijection as the demand-only path — a folded probe
-/// answers exactly what the candidate's home bank would.
-fn replay_l2_prefetch(
-    bank_cfg: CacheConfig,
-    pf_cfg: StreamPrefetcherConfig,
-    stream: &[LineAccess],
-) -> f64 {
-    let mut cache = Cache::new(bank_cfg);
-    let mut pf = StreamPrefetcher::new(pf_cfg);
-    for acc in stream {
-        let out = cache.request(AccessRequest {
-            line: acc.line,
-            is_write: acc.is_write,
-            allocate_on_miss: true,
-            mark_dirty: acc.is_write,
-        });
-        if !out.hit {
-            for cand in pf.observe(acc.line) {
-                if !cache.probe(cand) {
-                    cache.prefetch_fill(cand);
-                }
-            }
-        }
-    }
-    let s = cache.stats();
-    if s.accesses == 0 {
-        0.0
-    } else {
-        s.misses as f64 / s.accesses as f64 * 100.0
-    }
-}
-
 fn eval_l2(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -> EvalSeries {
     // The L1 is fixed across an L2 sweep (and has no prefetcher — the
     // plan checked), so the stream feeding the L2 is derived once and
@@ -643,13 +668,17 @@ fn eval_l2(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
             // The stream prefetcher trains on geometry-dependent demand
             // misses, so no shared candidate schedule exists; replay the
             // derived stream per config (still one capture, no
-            // scheduler/L1/MSHR work per config).
+            // scheduler/L1/MSHR work per config). Exact by the same
+            // bank-folding bijection as the demand-only path — a folded
+            // lookup answers exactly what the candidate's home bank would.
             for &i in &group.config_indices {
                 let bank_cfg = configs[i]
                     .hierarchy
                     .l2_bank_config()
                     .expect("plan verified the bank split");
-                values[i] = replay_l2_prefetch(bank_cfg, pf_cfg, stream);
+                let counts = replay_lru_stream_prefetch(&bank_cfg, stream, pf_cfg)
+                    .expect("plan guarantees LRU under a prefetcher");
+                values[i] = counts.miss_rate() * 100.0;
             }
             continue;
         }
@@ -677,7 +706,11 @@ fn eval_l2(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
             values[i] = r.counts[k].miss_rate() * 100.0;
         }
     }
-    EvalSeries { values, fell_back }
+    EvalSeries {
+        values,
+        fell_back,
+        reused_passes: 0,
+    }
 }
 
 /// Bounded process-wide capture cache: figure binaries (and service
@@ -793,7 +826,7 @@ mod tests {
     use super::*;
     use crate::{prepare, sweeps};
     use gmap_gpu::workloads::Scale;
-    use gmap_memsim::prefetch::StridePrefetcherConfig;
+    use gmap_memsim::prefetch::StreamPrefetcher;
 
     /// Independent per-config trace replay of the captured stream through
     /// per-core L1 caches, mirroring `GpuHierarchy`'s L1 demand path
@@ -1131,11 +1164,31 @@ mod tests {
         }
     }
 
+    /// kmeans and backprop are the two sides of the reuse: no kmeans core
+    /// has two PCs in one slot of the 64-entry table, so its table-64 and
+    /// table-256 groups are one experiment each; every backprop core has
+    /// such a collision, so none of its passes may be shared.
     #[test]
     fn fig6c_prefetch_engine_matches_direct_replay_within_1e9() {
         let configs = sweeps::l1_prefetch_sweep();
         let plan = plan_single_pass(&configs, Metric::L1MissPct).expect("fig6c plans");
-        for name in ["kmeans", "scalarprod"] {
+        assert_eq!(plan.groups.len(), 24);
+        // The grid's innermost loop is the table size: configs 2k and
+        // 2k + 1 differ in nothing else.
+        let differs_only_in_table = |pair: &[SimtConfig]| {
+            let mut small = pair[0];
+            let pf = small.hierarchy.l1_prefetch.as_mut().expect("fig6c config");
+            pf.table_size = 256;
+            pair[0] != pair[1] && small == pair[1]
+        };
+        assert!(configs.chunks_exact(2).all(differs_only_in_table));
+        // (benchmark, occupied cores, passes reused): 24 groups per core,
+        // half of them answered by the other table size's pass or none.
+        for (name, cores, reused) in [
+            ("kmeans", 15, 180),
+            ("backprop", 15, 0),
+            ("scalarprod", 4, 48),
+        ] {
             let data = prepare(name, Scale::Tiny, 42);
             let cap = capture_stream(&data.orig_streams, &data.kernel.launch, &plan.capture_cfg);
             let engine = eval_captured(&plan, &cap, &configs);
@@ -1146,6 +1199,20 @@ mod tests {
                     "{name} config {i}: engine {e} vs direct {d}"
                 );
             }
+            let occupied = (0..cap.cores as u16)
+                .filter(|c| cap.accesses.cores().contains(c))
+                .count();
+            assert_eq!(occupied, cores, "{name}");
+            assert_eq!(engine.reused_passes, reused, "{name}");
+            let table_is_moot = engine
+                .values
+                .chunks_exact(2)
+                .all(|pair| pair[0].to_bits() == pair[1].to_bits());
+            assert_eq!(
+                table_is_moot,
+                reused > 0,
+                "{name}: values agree across table sizes exactly when every core shares"
+            );
         }
     }
 

@@ -434,7 +434,7 @@ mod tests {
 
     #[test]
     fn constant_stream() {
-        let f = feed(std::iter::repeat(0x8000).take(50));
+        let f = feed(std::iter::repeat_n(0x8000, 50));
         assert_eq!(f.class(), PatternClass::Constant);
     }
 

@@ -264,6 +264,9 @@ pub struct RequestOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// `num_sets - 1`, fixed at construction: `num_sets()` is a 64-bit
+    /// division and every lookup needs the set index.
+    set_mask: u64,
     ways: Vec<Way>,
     /// Per-set PLRU tree bits (assoc-1 bits packed in a u64).
     plru: Vec<u64>,
@@ -275,11 +278,12 @@ pub struct Cache {
 impl Cache {
     /// Creates an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
-        let sets = cfg.num_sets() as usize;
+        let sets = cfg.num_sets();
         Cache {
             cfg,
-            ways: vec![Way::default(); sets * cfg.assoc as usize],
-            plru: vec![0; sets],
+            set_mask: sets - 1,
+            ways: vec![Way::default(); sets as usize * cfg.assoc as usize],
+            plru: vec![0; sets as usize],
             counter: 0,
             rng: Rng::seed_from(0xCAC4E ^ cfg.size_bytes ^ (cfg.assoc as u64) << 40),
             stats: CacheStats::default(),
@@ -298,7 +302,7 @@ impl Cache {
 
     #[inline]
     fn set_of(&self, line: u64) -> usize {
-        (line & (self.cfg.num_sets() - 1)) as usize
+        (line & self.set_mask) as usize
     }
 
     #[inline]
@@ -677,7 +681,7 @@ mod tests {
         c.access(0, true);
         c.access(1, false);
         assert!(c.invalidate(0));
-        assert!(!c.invalidate(1) || true); // clean line
+        assert!(!c.invalidate(1)); // clean line
         assert!(!c.probe(0));
         assert!(!c.invalidate(42)); // absent line
     }

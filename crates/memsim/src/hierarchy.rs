@@ -190,6 +190,12 @@ pub struct GpuHierarchy {
     l2: Vec<Cache>,
     l1_pf: Vec<Option<StridePrefetcher>>,
     l2_pf: Option<StreamPrefetcher>,
+    /// Candidate buffer `l1_prefetch` fills in place per demand load.
+    l1_cands: Vec<u64>,
+    /// Candidate buffer `l2_demand` fills in place per demand miss — its
+    /// own, because an L1 candidate's dirty victim re-enters `l2_demand`
+    /// while the L1 list is still being walked.
+    l2_cands: Vec<u64>,
     mem_trace: Vec<MemRequest>,
     mem_reads: u64,
     mem_writes: u64,
@@ -220,6 +226,8 @@ impl GpuHierarchy {
             l2,
             l1_pf,
             l2_pf,
+            l1_cands: Vec::new(),
+            l2_cands: Vec::new(),
             mem_trace: Vec::new(),
             mem_reads: 0,
             mem_writes: 0,
@@ -329,19 +337,19 @@ impl GpuHierarchy {
         } else {
             self.send_mem(l2_line, AccessKind::Read, cycle);
             // Stream prefetcher trains on demand misses.
-            let candidates = self
-                .l2_pf
-                .as_mut()
-                .map(|pf| pf.observe(l2_line))
-                .unwrap_or_default();
-            for cand in candidates {
-                let b = self.bank_of(cand);
-                if !self.l2[b].probe(cand) {
-                    self.send_mem(cand, AccessKind::Read, cycle);
-                    if let Some(victim) = self.l2[b].prefetch_fill(cand) {
-                        self.send_mem(victim, AccessKind::Write, cycle);
+            if let Some(pf) = self.l2_pf.as_mut() {
+                let mut candidates = std::mem::take(&mut self.l2_cands);
+                pf.observe_into(l2_line, &mut candidates);
+                for &cand in &candidates {
+                    let b = self.bank_of(cand);
+                    if !self.l2[b].probe(cand) {
+                        self.send_mem(cand, AccessKind::Read, cycle);
+                        if let Some(victim) = self.l2[b].prefetch_fill(cand) {
+                            self.send_mem(victim, AccessKind::Write, cycle);
+                        }
                     }
                 }
+                self.l2_cands = candidates;
             }
             self.cfg.l2_hit_latency + self.cfg.mem_latency
         }
@@ -354,8 +362,9 @@ impl GpuHierarchy {
         let Some(pf) = self.l1_pf[core].as_mut() else {
             return;
         };
-        let candidates = pf.observe(pc.0, l1_line);
-        for cand in candidates {
+        let mut candidates = std::mem::take(&mut self.l1_cands);
+        pf.observe_into(pc.0, l1_line, &mut candidates);
+        for &cand in &candidates {
             if self.l1s[core].probe(cand) {
                 continue;
             }
@@ -375,6 +384,7 @@ impl GpuHierarchy {
                 let _ = self.l2_demand(victim_addr, true, cycle);
             }
         }
+        self.l1_cands = candidates;
     }
 }
 
@@ -668,7 +678,7 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             let addr = (state >> 20) % 0x20000;
-            let kind = if state % 5 == 0 {
+            let kind = if state.is_multiple_of(5) {
                 AccessKind::Write
             } else {
                 AccessKind::Read

@@ -242,6 +242,16 @@ impl StreamPrefetcher {
 
     /// Observes an L2 demand miss and returns lines to prefetch.
     pub fn observe(&mut self, line: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.observe_into(line, &mut out);
+        out
+    }
+
+    /// Allocation-free [`observe`](Self::observe): clears `out` and fills
+    /// it with the candidate lines. The fig6d replay and the hierarchy
+    /// call this once per demand miss and reuse one buffer.
+    pub fn observe_into(&mut self, line: u64, out: &mut Vec<u64>) {
+        out.clear();
         self.clock += 1;
         let window = self.cfg.window as i64;
         // Try to extend an existing stream.
@@ -257,7 +267,7 @@ impl StreamPrefetcher {
                 s.direction = delta.signum();
                 s.last_line = line;
                 s.lru = self.clock;
-                let mut out = Vec::with_capacity(self.cfg.degree as usize);
+                out.reserve(self.cfg.degree as usize);
                 for k in 1..=self.cfg.degree {
                     let target = line as i64 + s.direction * k as i64;
                     if target >= 0 {
@@ -265,7 +275,7 @@ impl StreamPrefetcher {
                     }
                 }
                 self.issued += out.len() as u64;
-                return out;
+                return;
             }
         }
         // Allocate a new stream (LRU replacement).
@@ -287,7 +297,6 @@ impl StreamPrefetcher {
             direction: 0,
             lru: self.clock,
         };
-        Vec::new()
     }
 
     /// Prefetch candidates issued so far.
@@ -355,7 +364,7 @@ mod tests {
         });
         pf.observe(0x10, 0);
         pf.observe(0x10, 4);
-        assert!(!pf.observe(0x10, 8).is_empty() || true);
+        assert!(!pf.observe(0x10, 8).is_empty()); // conf 2 -> fire
         assert!(pf.observe(0x10, 100).is_empty()); // stride broke
         assert!(pf.observe(0x10, 104).is_empty()); // conf 1 again
         assert!(!pf.observe(0x10, 108).is_empty()); // conf 2 -> fire

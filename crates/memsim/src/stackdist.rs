@@ -29,10 +29,13 @@
 //!   * present at a position every associativity of the class covers →
 //!     uniform hit, move to MRU (exact);
 //!   * anything else is *divergent for that class*: inclusion breaks, so
-//!     the class's geometries are transparently re-evaluated by exact
-//!     per-configuration replay through [`crate::cache::Cache`] — the
-//!     returned counts are **always** exact; divergence only costs
-//!     speed, never correctness, and only for the affected class.
+//!     the class's geometries are transparently re-scored one at a time
+//!     by the same pass. Alone in its class a geometry has `a_min ==
+//!     a_max`, the divergence band is empty, and the recency list *is*
+//!     that cache — the returned counts are **always** exact; divergence
+//!     only costs speed, never correctness, and only for the affected
+//!     class. [`replay_per_config`] through [`crate::cache::Cache`] is
+//!     the independent reference the tests compare against.
 //!
 //! # Prefetch-fill composition
 //!
@@ -44,12 +47,22 @@
 //! no-op when it is resident, exactly the probe-then-fill protocol of
 //! `GpuHierarchy::l1_prefetch`. Per class it is classified like a
 //! no-allocate store: absent everywhere → uniform fill, resident
-//! everywhere → uniform skip, anything else → divergent, exact replay.
+//! everywhere → uniform skip, anything else → divergent, re-scored per
+//! geometry.
 //! A demand load that lands in the divergence band *while carrying
 //! candidates* also diverges, because the hierarchy fills candidates
 //! between the lookup and the demand fill: the relative insertion order
 //! of the line and its candidates differs between hit- and
 //! miss-geometries of the class.
+//!
+//! # Live stream prefetcher
+//!
+//! A prefetcher that trains on demand *misses* (the L2 stream
+//! prefetcher, fig6d) sees a geometry-dependent input, so its candidates
+//! cannot be precomputed as a schedule. [`replay_lru_stream_prefetch`]
+//! runs it live against one geometry on the same recency-list rows:
+//! locate, hit → rotate to front, miss → insert, then conditional
+//! candidate fills.
 //!
 //! # FIFO insertion order
 //!
@@ -63,12 +76,13 @@
 //! newest insertions — the top-`a` prefix of one insertion-ordered class
 //! list. [`evaluate_fifo_multi`] runs that pass and, the moment an
 //! allocating access hits only part of a class (the insertion sequences
-//! would fork), marks the class divergent and replays its geometries
-//! exactly — same fallback contract as the LRU path. No-allocate stores
-//! never modify FIFO state (hits do not touch, misses do not insert), so
-//! under the write-through L1 model they never diverge.
+//! would fork), marks the class divergent and re-scores its geometries
+//! one at a time — same fallback contract as the LRU path. No-allocate
+//! stores never modify FIFO state (hits do not touch, misses do not
+//! insert), so under the write-through L1 model they never diverge.
 
-use crate::cache::{Cache, CacheConfig, ReplacementPolicy};
+use crate::cache::{Cache, CacheConfig, CacheStats, ReplacementPolicy};
+use crate::prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
 use gmap_trace::batch::{KernelMode, LANES};
 use std::error::Error;
 use std::fmt;
@@ -176,6 +190,19 @@ pub struct GeomCounts {
     pub writes: u64,
 }
 
+impl From<&CacheStats> for GeomCounts {
+    /// The demand counters of a [`Cache`] that replayed the stream.
+    fn from(s: &CacheStats) -> Self {
+        GeomCounts {
+            accesses: s.accesses,
+            hits: s.hits,
+            misses: s.misses,
+            reads: s.reads,
+            writes: s.writes,
+        }
+    }
+}
+
 impl GeomCounts {
     /// Accumulates another counter set (e.g. the same geometry evaluated
     /// over several per-core streams).
@@ -202,9 +229,9 @@ impl GeomCounts {
 pub struct MultiEvalResult {
     /// Per-geometry counters, aligned with the input `configs` slice.
     pub counts: Vec<GeomCounts>,
-    /// `true` if a divergent access forced the exact per-configuration
-    /// replay fallback for at least one set-count class; unaffected
-    /// classes keep their single-pass counts.
+    /// `true` if a divergent access forced the per-geometry re-score of
+    /// at least one set-count class; unaffected classes keep their
+    /// single-pass counts.
     pub fell_back: bool,
 }
 
@@ -273,7 +300,7 @@ struct SetClass {
     /// access whose state effect depends on hitting at or beyond this
     /// way-position diverges.
     a_min: usize,
-    /// Divergence hit this class; its geometries will be replayed.
+    /// Divergence hit this class; its geometries will be re-scored.
     dirty: bool,
     /// `num_sets × stride` recency-ordered line slots (way-position 0 =
     /// MRU). Both layouts keep the same ordering and the same
@@ -298,6 +325,40 @@ struct SetClass {
 }
 
 impl SetClass {
+    /// An unallocated class of `sets` sets holding one `assoc`-way
+    /// geometry; [`single_pass`] widens `a_max` / `a_min` as further
+    /// geometries join, then calls [`SetClass::allocate`].
+    fn new(sets: u64, assoc: usize) -> Self {
+        SetClass {
+            mask: sets - 1,
+            a_max: assoc,
+            a_min: assoc,
+            dirty: false,
+            lines: Vec::new(),
+            occ: Vec::new(),
+            chunked: false,
+            stride: 0,
+        }
+    }
+
+    /// Picks the row layout for `kmode` and allocates the empty recency
+    /// arrays. Chunked scanning only pays once a row spans more than one
+    /// vector: an `a_max <= LANES` row is at most one compare either
+    /// way, while padding it to a full chunk would inflate the recency
+    /// arrays (8x for direct-mapped classes — enough to push fig6b's
+    /// 64k-set classes out of the host cache).
+    fn allocate(&mut self, kmode: KernelMode) {
+        let sets = (self.mask + 1) as usize;
+        self.chunked = kmode.is_batched() && self.a_max > LANES;
+        self.stride = if self.chunked {
+            self.a_max.next_multiple_of(LANES)
+        } else {
+            self.a_max
+        };
+        self.lines = vec![0; sets * self.stride];
+        self.occ = vec![0; sets];
+    }
+
     /// Way-position of `line` within its set, or [`ABSENT`].
     fn locate(&self, line: u64) -> usize {
         let set = (line & self.mask) as usize;
@@ -451,7 +512,7 @@ pub fn evaluate_lru_multi_with_mode(
 /// Like [`evaluate_lru_multi`], but additionally replays the per-access
 /// prefetch-fill candidates of `schedule` in hierarchy order (demand
 /// lookup → candidate fills → demand fill). Exact for every geometry —
-/// divergent classes fall back to per-config replay internally.
+/// divergent classes are re-scored per geometry internally.
 ///
 /// # Panics
 ///
@@ -509,8 +570,8 @@ pub fn evaluate_lru_prefetch_multi_with_mode(
 }
 
 /// Evaluate every FIFO geometry in `configs` (which must share one line
-/// size) over `stream` in a single insertion-order pass, falling back to
-/// exact per-config replay for any set-count class where the insertion
+/// size) over `stream` in a single insertion-order pass, re-scoring
+/// geometry by geometry any set-count class where the insertion
 /// sequences would fork (see module docs — FIFO is not a stack
 /// algorithm). Counts are always exact.
 ///
@@ -541,6 +602,64 @@ pub fn evaluate_fifo_multi_with_mode(
     evaluate(configs, stream, None, mode, PassPolicy::Fifo, kmode)
 }
 
+/// Replays `stream` through one LRU geometry with a live
+/// [`StreamPrefetcher`] attached and returns the exact demand counters —
+/// `GpuHierarchy::l2_demand` on the recency-list kernel. Every access
+/// allocates (the L2 is write-back write-allocate, so stores fill and
+/// train like loads); the prefetcher observes each demand *miss* after
+/// its fill, and each candidate is filled at MRU unless resident. That
+/// is `Cache::request` with allocation followed by probe-then-
+/// `prefetch_fill`, in the same order.
+///
+/// The prefetcher trains on misses, which depend on the geometry, so
+/// unlike [`evaluate_lru_prefetch_multi`] there is no shared candidate
+/// schedule and no multi-geometry pass: one call is one configuration.
+/// With one geometry the class has `a_min == a_max`, so nothing can
+/// diverge and the replay never leaves the kernel.
+///
+/// # Panics
+///
+/// Panics if `pf_cfg` has a zero field (see [`StreamPrefetcher::new`]).
+///
+/// # Errors
+///
+/// Returns [`StackDistError::NotLru`] if `config` is not LRU.
+pub fn replay_lru_stream_prefetch(
+    config: &CacheConfig,
+    stream: &[LineAccess],
+    pf_cfg: StreamPrefetcherConfig,
+) -> Result<GeomCounts, StackDistError> {
+    validate_configs(std::slice::from_ref(config), PassPolicy::Lru)?;
+    let mut class = SetClass::new(config.num_sets(), config.assoc as usize);
+    class.allocate(gmap_trace::default_mode());
+    let mut pf = StreamPrefetcher::new(pf_cfg);
+    let mut cands = Vec::new();
+    let mut hits = 0u64;
+    for acc in stream {
+        match class.locate(acc.line) {
+            ABSENT => {
+                class.insert_front(acc.line);
+                pf.observe_into(acc.line, &mut cands);
+                class.apply_prefetches(&cands);
+            }
+            pos => {
+                hits += 1;
+                class.rotate_to_front(acc.line, pos);
+            }
+        }
+    }
+    debug_assert!(!class.dirty, "a one-geometry class has no divergence band");
+    let accesses = stream.len() as u64;
+    let writes = count_stream_writes(stream);
+    Ok(GeomCounts {
+        accesses,
+        hits,
+        misses: accesses - hits,
+        reads: accesses - writes,
+        writes,
+    })
+}
+
 fn evaluate(
     configs: &[CacheConfig],
     stream: &[LineAccess],
@@ -551,19 +670,23 @@ fn evaluate(
 ) -> Result<MultiEvalResult, StackDistError> {
     validate_configs(configs, policy)?;
     let (mut counts, dirty) = single_pass(configs, stream, schedule, mode, policy, kmode);
-    let fell_back = !dirty.is_empty();
-    if fell_back {
-        // Replay only the geometries whose set-count class diverged; the
-        // rest keep their (exact) single-pass counts.
-        let sub: Vec<CacheConfig> = dirty.iter().map(|&i| configs[i]).collect();
-        for (&i, c) in dirty
-            .iter()
-            .zip(replay_per_config_prefetch(&sub, stream, schedule, mode))
-        {
-            counts[i] = c;
-        }
+    // Re-score only the geometries whose set-count class diverged, one
+    // at a time; the rest keep their (exact) single-pass counts. Alone in
+    // its class a geometry has `a_min == a_max`: the divergence band is
+    // empty, so the same pass is exact and cannot go dirty again.
+    for &i in &dirty {
+        let (alone, still_dirty) =
+            single_pass(&configs[i..=i], stream, schedule, mode, policy, kmode);
+        assert!(
+            still_dirty.is_empty(),
+            "a one-geometry class has no divergence band"
+        );
+        counts[i] = alone[0];
     }
-    Ok(MultiEvalResult { counts, fell_back })
+    Ok(MultiEvalResult {
+        counts,
+        fell_back: !dirty.is_empty(),
+    })
 }
 
 fn validate_configs(configs: &[CacheConfig], policy: PassPolicy) -> Result<(), StackDistError> {
@@ -593,7 +716,7 @@ const ABSENT: usize = usize::MAX;
 
 /// The shared single pass. Returns per-geometry counts plus the indices
 /// of configs whose set-count class hit a divergent access (their counts
-/// are garbage and must be recomputed by replay).
+/// are garbage and must be recomputed, each alone in its class).
 ///
 /// Counting strategy depends on `kmode`:
 ///
@@ -627,16 +750,7 @@ fn single_pass(
                 i
             }
             None => {
-                classes.push(SetClass {
-                    mask: sets - 1,
-                    a_max: assoc,
-                    a_min: assoc,
-                    dirty: false,
-                    lines: Vec::new(),
-                    occ: Vec::new(),
-                    chunked: false,
-                    stride: 0,
-                });
+                classes.push(SetClass::new(sets, assoc));
                 classes.len() - 1
             }
         };
@@ -645,20 +759,7 @@ fn single_pass(
     let uniform_writes = mode == WriteMode::Allocate;
     let batched = kmode.is_batched();
     for class in classes.iter_mut() {
-        let sets = (class.mask + 1) as usize;
-        // Chunked scanning only pays once a row spans more than one
-        // vector: an `a_max <= LANES` row is at most one compare either
-        // way, while padding it to a full chunk would inflate the
-        // recency arrays (8x for direct-mapped classes — enough to push
-        // fig6b's 64k-set classes out of the host cache).
-        class.chunked = batched && class.a_max > LANES;
-        class.stride = if class.chunked {
-            class.a_max.next_multiple_of(LANES)
-        } else {
-            class.a_max
-        };
-        class.lines = vec![0; sets * class.stride];
-        class.occ = vec![0; sets];
+        class.allocate(kmode);
     }
     let mut counts = vec![GeomCounts::default(); configs.len()];
     // Reused per-access scratch: the line's way-position per class.
@@ -686,7 +787,7 @@ fn single_pass(
 
         // Phase 2: count. A way-position `p` hits every geometry of the
         // class with associativity > p. (Dirty-class counts are garbage
-        // and get overwritten by the replay fallback.)
+        // and get overwritten by the per-geometry re-score.)
         if batched {
             // One bump per class; the per-view expansion happens in the
             // epilogue below.
@@ -766,7 +867,7 @@ fn update_lru(class: &mut SetClass, acc: &LineAccess, pos: usize, cands: &[u64],
     if acc.is_write {
         // Demand-store effect first (prefetchers in this hierarchy only
         // trigger on loads, but keep the write-then-candidates order in
-        // lockstep with the replay fallback for generality).
+        // lockstep with `replay_per_config_prefetch` for generality).
         if pos != ABSENT {
             if alloc_w || pos < class.a_min {
                 // Uniform recency touch: every geometry of the class that
@@ -841,9 +942,9 @@ fn update_fifo(class: &mut SetClass, acc: &LineAccess, pos: usize, cands: &[u64]
     }
 }
 
-/// Exact per-configuration replay through [`Cache`] — the fallback for
-/// divergent accesses, and the reference the single pass is tested
-/// against. The replacement policy comes from each config.
+/// Exact per-configuration replay through [`Cache`] — the reference the
+/// single pass is tested against (no evaluator calls it). The
+/// replacement policy comes from each config.
 pub fn replay_per_config(
     configs: &[CacheConfig],
     stream: &[LineAccess],
@@ -899,14 +1000,7 @@ pub fn replay_per_config_prefetch(
                     }
                 }
             }
-            let s = cache.stats();
-            GeomCounts {
-                accesses: s.accesses,
-                hits: s.hits,
-                misses: s.misses,
-                reads: s.reads,
-                writes: s.writes,
-            }
+            GeomCounts::from(cache.stats())
         })
         .collect()
 }

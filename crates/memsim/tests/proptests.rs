@@ -1,15 +1,33 @@
 //! Property-based tests of cache-model invariants.
 
 use gmap_gpu::schedule::MemoryModel;
-use gmap_memsim::cache::{Cache, CacheConfig, ReplacementPolicy};
+use gmap_memsim::cache::{AccessRequest, Cache, CacheConfig, ReplacementPolicy};
 use gmap_memsim::hierarchy::{GpuHierarchy, HierarchyConfig};
 use gmap_memsim::mshr::Mshr;
+use gmap_memsim::prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
 use gmap_memsim::stackdist::{
-    evaluate_fifo_multi, evaluate_lru_multi, evaluate_lru_prefetch_multi, replay_per_config,
-    replay_per_config_prefetch, LineAccess, PrefetchSchedule, WriteMode,
+    evaluate_fifo_multi, evaluate_lru_multi, evaluate_lru_prefetch_multi,
+    replay_lru_stream_prefetch, replay_per_config, replay_per_config_prefetch, GeomCounts,
+    LineAccess, PrefetchSchedule, WriteMode,
 };
 use gmap_trace::record::{AccessKind, ByteAddr, CoreId, Pc};
 use proptest::prelude::*;
+
+fn stream_prefetcher() -> impl Strategy<Value = StreamPrefetcherConfig> {
+    (1u32..=4, 1u32..=32, 1u32..=8).prop_map(|(num_streams, window, degree)| {
+        StreamPrefetcherConfig {
+            num_streams,
+            window,
+            degree,
+        }
+    })
+}
+
+/// Lines in two windows 2^40 apart that alias in every set index, so a
+/// tag compare that dropped the high bits would show.
+fn wide_line() -> impl Strategy<Value = u64> {
+    (0u64..512, any::<bool>()).prop_map(|(l, high)| l + (u64::from(high) << 40))
+}
 
 fn any_policy() -> impl Strategy<Value = ReplacementPolicy> {
     prop_oneof![
@@ -218,5 +236,60 @@ proptest! {
             .expect("uniform LRU group");
         let reference = replay_per_config_prefetch(&configs, &accesses, Some(&schedule), mode);
         prop_assert_eq!(&result.counts, &reference);
+    }
+
+    /// The live stream-prefetch replay on the recency-list kernel equals
+    /// `GpuHierarchy::l2_demand` spelled out on `Cache` +
+    /// `StreamPrefetcher::observe` (allocating request, then
+    /// probe-then-fill per candidate): direct-mapped, 8-way and 16-way
+    /// (the chunked row layout) geometries, stores included.
+    #[test]
+    fn stream_prefetch_replay_matches_cache_replay(
+        stream in proptest::collection::vec((wide_line(), any::<bool>()), 1..400),
+        sets in prop_oneof![Just(1u64), Just(4), Just(32)],
+        assoc in prop_oneof![Just(1u32), Just(8), Just(16)],
+        pf_cfg in stream_prefetcher(),
+    ) {
+        let cfg = CacheConfig::new(sets * u64::from(assoc) * 64, assoc, 64, ReplacementPolicy::Lru)
+            .expect("valid");
+        let accesses: Vec<LineAccess> =
+            stream.iter().map(|&(l, w)| LineAccess::new(l, w)).collect();
+        let mut cache = Cache::new(cfg);
+        let mut pf = StreamPrefetcher::new(pf_cfg);
+        for acc in &accesses {
+            let out = cache.request(AccessRequest {
+                line: acc.line,
+                is_write: acc.is_write,
+                allocate_on_miss: true,
+                mark_dirty: acc.is_write,
+            });
+            if !out.hit {
+                for cand in pf.observe(acc.line) {
+                    if !cache.probe(cand) {
+                        cache.prefetch_fill(cand);
+                    }
+                }
+            }
+        }
+        let counts = replay_lru_stream_prefetch(&cfg, &accesses, pf_cfg).expect("LRU geometry");
+        prop_assert_eq!(counts, GeomCounts::from(cache.stats()));
+    }
+
+    /// `observe_into` is `observe` without the allocation: same
+    /// candidates at every step, same `issued()`.
+    #[test]
+    fn stream_observe_into_matches_observe(
+        lines in proptest::collection::vec(wide_line(), 1..300),
+        pf_cfg in stream_prefetcher(),
+    ) {
+        let mut owned = StreamPrefetcher::new(pf_cfg);
+        let mut reusing = StreamPrefetcher::new(pf_cfg);
+        // Stale content, which `observe_into` must clear.
+        let mut buf = vec![u64::MAX; 3];
+        for &line in &lines {
+            reusing.observe_into(line, &mut buf);
+            prop_assert_eq!(&owned.observe(line), &buf);
+        }
+        prop_assert_eq!(owned.issued(), reusing.issued());
     }
 }

@@ -404,7 +404,7 @@ mod tests {
         assert_eq!(from_str::<i64>(&to_string(&-7i64).unwrap()).unwrap(), -7);
         assert_eq!(from_str::<f64>(&to_string(&1.5f64).unwrap()).unwrap(), 1.5);
         assert_eq!(from_str::<f64>(&to_string(&2.0f64).unwrap()).unwrap(), 2.0);
-        assert_eq!(from_str::<bool>("true").unwrap(), true);
+        assert!(from_str::<bool>("true").unwrap());
         assert_eq!(
             from_str::<String>(&to_string("a\"b\\c\nd").unwrap()).unwrap(),
             "a\"b\\c\nd"

@@ -382,7 +382,7 @@ mod tests {
 
     #[test]
     fn truncated_reader_cuts_the_stream() {
-        let data = vec![7u8; 100];
+        let data = [7u8; 100];
         let mut r = TruncatedReader::new(&data[..], Some(10));
         let mut out = Vec::new();
         let err = r.read_to_end(&mut out).expect_err("stream dies");

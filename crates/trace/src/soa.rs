@@ -315,7 +315,7 @@ mod tests {
                 core: (rng.next_u64() % 13) as u16,
                 addr: rng.next_u64() >> 8,
                 pc: (i as u64) * 8,
-                is_write: rng.next_u64() % 3 == 0,
+                is_write: rng.next_u64().is_multiple_of(3),
             })
             .collect()
     }

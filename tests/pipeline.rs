@@ -98,13 +98,17 @@ fn clone_preserves_config_ranking() {
 fn sched_p_self_replay_matches_measurement() {
     use gmap::gpu::schedule::Policy;
     let kernel = workloads::kmeans(Scale::Tiny);
-    let mut gto = SimtConfig::default();
-    gto.policy = Policy::Gto;
+    let gto = SimtConfig {
+        policy: Policy::Gto,
+        ..Default::default()
+    };
     let orig = run_original(&kernel, &gto).expect("valid");
     let measured = orig.schedule.sched_p_self;
     let profile = profile_kernel(&kernel, &ProfilerConfig::default());
-    let mut replay_cfg = SimtConfig::default();
-    replay_cfg.policy = Policy::SelfProb(measured);
+    let replay_cfg = SimtConfig {
+        policy: Policy::SelfProb(measured),
+        ..Default::default()
+    };
     let replay = run_proxy(&profile, &replay_cfg).expect("valid");
     assert!(
         (replay.schedule.sched_p_self - measured).abs() < 0.25,
