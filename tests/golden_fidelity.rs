@@ -8,6 +8,13 @@
 //! error, so only true behavioural drift trips it (the engine is
 //! deterministic; the slack covers nothing but JSON number formatting).
 //!
+//! One more file, `fig7_dram.json`, freezes what happens *below* the
+//! caches on the Figure 7 path: per benchmark and stream, the baseline
+//! simulation's cycle count, memory-trace length and MSHR counters, and
+//! the DRAM metrics of the recorded trace under each of the 11
+//! [`sweeps::dram_sweep`] configurations — counters exactly, averages at
+//! the same 1e-12.
+//!
 //! Regenerate after an *intentional* change with:
 //!
 //! ```text
@@ -17,8 +24,10 @@
 //! and review the diff like any other code change.
 
 use gmap::bench::{engine, parallel_map, prepare, sweeps, BenchData, Metric};
-use gmap::core::SimtConfig;
+use gmap::core::{simulate_streams, SimOutcome, SimtConfig};
+use gmap::dram::{DramConfig, DramMetrics};
 use gmap::gpu::workloads::{self, Scale};
+use gmap::memsim::hierarchy::TraceCapture;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -186,4 +195,167 @@ fn figure_series_match_goldens() {
         "every grid shares one capture pair per benchmark"
     );
     engine::capture_cache_clear();
+}
+
+/// One stream's frozen Figure 7 path: the Table 2 baseline simulation
+/// with full trace capture, then the trace replayed through every DRAM
+/// configuration of the sweep.
+#[derive(Debug, Serialize, Deserialize)]
+struct DramStream {
+    cycles: u64,
+    mem_trace_len: usize,
+    mem_reads: u64,
+    mem_writes: u64,
+    mshr_merges: u64,
+    mshr_full_stalls: u64,
+    /// Aligned with [`GoldenDram::configs`].
+    dram: Vec<DramMetrics>,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct DramPair {
+    original: DramStream,
+    proxy: DramStream,
+}
+
+/// The golden file below the caches.
+#[derive(Debug, Serialize, Deserialize)]
+struct GoldenDram {
+    scale: String,
+    seed: u64,
+    /// Labels of [`sweeps::dram_sweep`], in order.
+    configs: Vec<String>,
+    benchmarks: BTreeMap<String, DramPair>,
+}
+
+fn dram_stream(out: &SimOutcome, dram_cfgs: &[(String, DramConfig)]) -> DramStream {
+    DramStream {
+        cycles: out.schedule.cycles,
+        mem_trace_len: out.mem_trace.len(),
+        mem_reads: out.stats.mem_reads,
+        mem_writes: out.stats.mem_writes,
+        mshr_merges: out.stats.mshr_merges,
+        mshr_full_stalls: out.stats.mshr_full_stalls,
+        dram: dram_cfgs
+            .iter()
+            .map(|(_, d)| out.dram_metrics(*d))
+            .collect(),
+    }
+}
+
+fn assert_dram_stream_matches(what: &str, got: &DramStream, want: &DramStream) {
+    let counters = |s: &DramStream| {
+        (
+            s.cycles,
+            s.mem_trace_len,
+            s.mem_reads,
+            s.mem_writes,
+            s.mshr_merges,
+            s.mshr_full_stalls,
+        )
+    };
+    assert_eq!(
+        counters(got),
+        counters(want),
+        "{what}: (cycles, mem_trace_len, mem_reads, mem_writes, mshr_merges, mshr_full_stalls) drifted"
+    );
+    assert_eq!(got.dram.len(), want.dram.len(), "{what}: DRAM sweep size");
+    for (ci, (g, w)) in got.dram.iter().zip(&want.dram).enumerate() {
+        let exact = |m: &DramMetrics| (m.requests, m.reads, m.writes, m.row_hits, m.finish_cycle);
+        assert_eq!(
+            exact(g),
+            exact(w),
+            "{what}/cfg {ci}: (requests, reads, writes, row_hits, finish_cycle) drifted"
+        );
+        for (field, g, w) in [
+            ("rbl", g.rbl, w.rbl),
+            ("avg_queue_len", g.avg_queue_len, w.avg_queue_len),
+            ("avg_read_latency", g.avg_read_latency, w.avg_read_latency),
+            (
+                "avg_write_latency",
+                g.avg_write_latency,
+                w.avg_write_latency,
+            ),
+        ] {
+            assert!(
+                (g - w).abs() <= TOLERANCE,
+                "{what}/cfg {ci}: {field} {g} drifted from golden {w} \
+                 (rerun with UPDATE_GOLDEN=1 if the change is intentional)"
+            );
+        }
+    }
+}
+
+/// Below the caches: the MSHR file, the recorded memory trace and the
+/// DRAM controller on the Figure 7 path, for all 18 benchmarks, original
+/// and clone, must match `fig7_dram.json`. With `UPDATE_GOLDEN=1` the
+/// file is rewritten instead.
+#[test]
+fn dram_replay_matches_golden() {
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4);
+    let dram_cfgs = sweeps::dram_sweep();
+    let sim_cfg = SimtConfig {
+        seed: SEED,
+        ..SimtConfig::default()
+    }
+    .with_trace_capture(TraceCapture::Full);
+
+    let names: Vec<&str> = workloads::NAMES.to_vec();
+    let rows = parallel_map(&names, threads, |name| {
+        let data = prepare(name, Scale::Tiny, SEED);
+        let orig = simulate_streams(&data.orig_streams, &data.kernel.launch, &sim_cfg)
+            .expect("baseline config is valid");
+        let proxy = simulate_streams(&data.proxy_streams, &data.profile.launch, &sim_cfg)
+            .expect("baseline config is valid");
+        (
+            name.to_string(),
+            DramPair {
+                original: dram_stream(&orig, &dram_cfgs),
+                proxy: dram_stream(&proxy, &dram_cfgs),
+            },
+        )
+    });
+    let got = GoldenDram {
+        scale: "tiny".to_string(),
+        seed: SEED,
+        configs: dram_cfgs.iter().map(|(label, _)| label.clone()).collect(),
+        benchmarks: rows.into_iter().collect(),
+    };
+
+    let path = golden_path("fig7_dram");
+    if update {
+        let json = serde_json::to_string_pretty(&got).expect("golden serializes");
+        std::fs::write(&path, json + "\n").expect("golden file is writable");
+        return;
+    }
+    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); generate it with \
+             UPDATE_GOLDEN=1 cargo test --test golden_fidelity",
+            path.display()
+        )
+    });
+    let want: GoldenDram = serde_json::from_str(&raw)
+        .unwrap_or_else(|e| panic!("golden {} is corrupt: {e}", path.display()));
+    assert_eq!(got.seed, want.seed, "fig7_dram: seed changed");
+    assert_eq!(got.configs, want.configs, "fig7_dram: DRAM sweep changed");
+    let got_names: Vec<&String> = got.benchmarks.keys().collect();
+    let want_names: Vec<&String> = want.benchmarks.keys().collect();
+    assert_eq!(got_names, want_names, "fig7_dram: benchmark set changed");
+    for (name, got_pair) in &got.benchmarks {
+        let want_pair = &want.benchmarks[name];
+        assert_dram_stream_matches(
+            &format!("fig7_dram/{name}/original"),
+            &got_pair.original,
+            &want_pair.original,
+        );
+        assert_dram_stream_matches(
+            &format!("fig7_dram/{name}/proxy"),
+            &got_pair.proxy,
+            &want_pair.proxy,
+        );
+    }
 }
