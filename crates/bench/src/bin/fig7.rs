@@ -8,22 +8,10 @@
 
 use gmap_bench::{parallel_map, prepare, sweeps, ExperimentOpts};
 use gmap_core::SimtConfig;
-use gmap_dram::{DramMetrics, DramRequest, DramSystem};
+use gmap_dram::{DramMetrics, DramSystem};
 use gmap_gpu::workloads;
-use gmap_memsim::hierarchy::{MemRequest, TraceCapture};
+use gmap_memsim::hierarchy::TraceCapture;
 use gmap_trace::stats;
-
-fn replay(trace: &[MemRequest], cfg: &gmap_dram::DramConfig) -> DramMetrics {
-    let reqs: Vec<DramRequest> = trace
-        .iter()
-        .map(|m| DramRequest {
-            cycle: m.cycle,
-            addr: m.addr,
-            kind: m.kind,
-        })
-        .collect();
-    DramSystem::new(*cfg).run(&reqs)
-}
 
 fn main() {
     let opts = ExperimentOpts::from_args();
@@ -43,14 +31,21 @@ fn main() {
     // Per benchmark, per config: (orig metrics, proxy metrics).
     let results = parallel_map(&names, opts.threads.min(4), |name| {
         let data = prepare(name, opts.scale, opts.seed);
-        let orig = gmap_core::simulate_streams(&data.orig_streams, &data.kernel.launch, &sim_cfg)
-            .expect("baseline config is valid");
-        let proxy =
-            gmap_core::simulate_streams(&data.proxy_streams, &data.profile.launch, &sim_cfg)
+        // The recorded memory requests of one stream, converted once;
+        // every configuration replays them.
+        let trace = |streams, launch| {
+            let out = gmap_core::simulate_streams(streams, launch, &sim_cfg)
                 .expect("baseline config is valid");
+            gmap_core::dram_requests(&out.mem_trace)
+        };
+        let orig_reqs = trace(&data.orig_streams, &data.kernel.launch);
+        let proxy_reqs = trace(&data.proxy_streams, &data.profile.launch);
         let per_cfg: Vec<(DramMetrics, DramMetrics)> = dram_cfgs
             .iter()
-            .map(|(_, d)| (replay(&orig.mem_trace, d), replay(&proxy.mem_trace, d)))
+            .map(|(_, d)| {
+                let dram = DramSystem::new(*d);
+                (dram.run(&orig_reqs), dram.run(&proxy_reqs))
+            })
             .collect();
         per_cfg
     });

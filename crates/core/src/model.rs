@@ -86,19 +86,24 @@ impl SimOutcome {
     }
 
     /// Replays the recorded memory trace through a DRAM configuration
-    /// (Figure 7).
+    /// (Figure 7). A sweep over many configurations converts the trace
+    /// once with [`dram_requests`] and replays that.
     pub fn dram_metrics(&self, cfg: DramConfig) -> DramMetrics {
-        let reqs: Vec<DramRequest> = self
-            .mem_trace
-            .iter()
-            .map(|m| DramRequest {
-                cycle: m.cycle,
-                addr: m.addr,
-                kind: m.kind,
-            })
-            .collect();
-        DramSystem::new(cfg).run(&reqs)
+        DramSystem::new(cfg).run(&dram_requests(&self.mem_trace))
     }
+}
+
+/// The memory requests a hierarchy recorded, as the DRAM model takes
+/// them: same arrival cycle, address and kind, same order.
+pub fn dram_requests(trace: &[MemRequest]) -> Vec<DramRequest> {
+    trace
+        .iter()
+        .map(|m| DramRequest {
+            cycle: m.cycle,
+            addr: m.addr,
+            kind: m.kind,
+        })
+        .collect()
 }
 
 /// Executes and coalesces a kernel into per-warp transaction streams at

@@ -5,12 +5,48 @@
 //! by the cache hierarchy) and produces the three metrics of the paper's
 //! Figure 7: row-buffer locality, time-averaged controller queue length,
 //! and average read/write latency.
+//!
+//! # How a channel's queue is held
+//!
+//! Requests are scattered once into per-channel slices, in arrival order.
+//! A channel's queue is two parts of its slice:
+//!
+//! - the *arbitration window*: the oldest ≤ 64 queued requests, in
+//!   arrival order, as small fixed arrays plus a `u64` row-hit mask with
+//!   one bit per window position;
+//! - the *tail*: everything younger. Arbitration never reorders it, so it
+//!   is just a range of the slice — admitted by moving an index, copied
+//!   nowhere.
+//!
+//! Order is position: the window is filled from the tail in arrival order
+//! and a removal closes the gap, so the oldest entry is position 0 and
+//! the oldest row hit is the *first* set bit of the mask. FR-FCFS is
+//! `mask.trailing_zeros()`, or position 0 when the mask is empty. The mask
+//! is kept true at the only three events that can change it: an entry
+//! enters the window (tested against its bank's open row), the picked
+//! entry leaves (the gap closes in the mask as in the arrays), and a bank
+//! opens a different row (that bank's lanes are re-marked in one
+//! branch-free pass — only when the served request was not a hit).
+//!
+//! The straightforward form — one double-ended queue, a scan of the
+//! window for the oldest hit and a second one for the oldest entry — is
+//! kept as the oracle of the differential tests in `tests/proptests.rs`;
+//! the two produce bit-identical [`DramMetrics`].
 
-use crate::mapping::{AddressMapping, DramGeometry, DramLoc, MappingPlan};
+use crate::mapping::{AddressMapping, DramGeometry, MappingPlan};
 use crate::timing::DramTiming;
 use gmap_trace::record::{AccessKind, ByteAddr};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+
+/// Controller buffer capacity per channel. Arrivals beyond it wait at the
+/// sender until a queued request is served.
+const QUEUE_CAPACITY: usize = 4096;
+
+/// FR-FCFS arbitrates over the oldest `SCAN_WINDOW` queued requests only:
+/// real controllers arbitrate over a bounded CAM, and an unbounded scan
+/// would make saturated channels quadratic in trace length. One bit of
+/// the row-hit mask per position, so at most 64.
+const SCAN_WINDOW: usize = 64;
 
 /// A memory request presented to the DRAM system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -146,14 +182,121 @@ struct BankState {
     activated_at: u64,
 }
 
-#[derive(Debug, Clone)]
+/// A request as its channel's controller sees it: what arbitration and
+/// the timing model read, nothing else. Age is position in the channel's
+/// slice.
+#[derive(Debug, Clone, Copy, Default)]
 struct Pending {
     arrival: u64,
     row: u64,
-    flat_bank: usize,
+    flat_bank: u32,
     bank_group: u32,
     is_write: bool,
-    seq: u64,
+}
+
+/// A mask of the low `n` bits (`n` ≤ 64).
+#[inline]
+fn low_bits(n: usize) -> u64 {
+    u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
+}
+
+/// The arbitration window of one channel: the oldest ≤ [`SCAN_WINDOW`]
+/// queued requests, oldest at position 0.
+///
+/// Position `i` lives at index `head + i` of arrays twice the window's
+/// size, so that a removal moves whichever side of the gap is shorter —
+/// nothing at all for position 0, the common pick — and the window slides
+/// back to index 0 once per `SCAN_WINDOW` steps of `head`.
+#[derive(Debug)]
+struct Window {
+    /// Index of position 0; below `SCAN_WINDOW`.
+    head: usize,
+    len: usize,
+    /// Index into the channel's request slice.
+    req: [usize; 2 * SCAN_WINDOW],
+    /// Flat bank of each entry.
+    bank: [u32; 2 * SCAN_WINDOW],
+    /// Row of each entry.
+    row: [u64; 2 * SCAN_WINDOW],
+    /// Bit `i` is set iff the row of the entry at position `i` is the
+    /// open row of its bank. Bits at and above `len` are clear.
+    hits: u64,
+}
+
+impl Window {
+    fn new() -> Self {
+        Window {
+            head: 0,
+            len: 0,
+            req: [0; 2 * SCAN_WINDOW],
+            bank: [0; 2 * SCAN_WINDOW],
+            row: [0; 2 * SCAN_WINDOW],
+            hits: 0,
+        }
+    }
+
+    /// Appends request `req` as the youngest entry.
+    #[inline]
+    fn push(&mut self, req: usize, p: &Pending, banks: &[BankState]) {
+        let at = self.head + self.len;
+        self.req[at] = req;
+        self.bank[at] = p.flat_bank;
+        self.row[at] = p.row;
+        let hit = banks[p.flat_bank as usize].open_row == Some(p.row);
+        self.hits |= u64::from(hit) << self.len;
+        self.len += 1;
+    }
+
+    /// Moves the entries at indices `src` to start at index `dst`.
+    #[inline]
+    fn shift(&mut self, src: std::ops::Range<usize>, dst: usize) {
+        self.req.copy_within(src.clone(), dst);
+        self.bank.copy_within(src.clone(), dst);
+        self.row.copy_within(src, dst);
+    }
+
+    /// Removes the entry at position `pos`, closing the gap in the arrays
+    /// and in the mask, and returns its request index.
+    #[inline]
+    fn remove(&mut self, pos: usize) -> usize {
+        let at = self.head + pos;
+        let req = self.req[at];
+        if pos < self.len / 2 {
+            // Fewer older entries than younger: move the older ones up.
+            self.shift(self.head..at, self.head + 1);
+            self.head += 1;
+            if self.head == SCAN_WINDOW {
+                self.shift(self.head..self.head + self.len - 1, 0);
+                self.head = 0;
+            }
+        } else {
+            self.shift(at + 1..self.head + self.len, at);
+        }
+        let older = low_bits(pos);
+        self.hits = (self.hits & older) | ((self.hits >> 1) & !older);
+        self.len -= 1;
+        req
+    }
+
+    /// `bank` now has `row` open where it had another (or none): re-marks
+    /// that bank's entries. One branch-free pass over all lanes; lanes
+    /// past `len` hold stale copies and are masked out.
+    #[inline]
+    fn bank_opened(&mut self, bank: u32, row: u64) {
+        let mut bank_lanes = 0u64;
+        let mut row_lanes = 0u64;
+        let lanes = self.head..self.head + SCAN_WINDOW;
+        for (i, (&b, &r)) in self.bank[lanes.clone()]
+            .iter()
+            .zip(&self.row[lanes])
+            .enumerate()
+        {
+            bank_lanes |= u64::from(b == bank) << i;
+            row_lanes |= u64::from(r == row) << i;
+        }
+        bank_lanes &= low_bits(self.len);
+        self.hits = (self.hits & !bank_lanes) | (bank_lanes & row_lanes);
+    }
 }
 
 /// The DRAM system: a set of independent channel controllers.
@@ -180,34 +323,51 @@ impl DramSystem {
 
     /// Simulates a request stream to completion and returns the metrics.
     /// Requests must be in non-decreasing arrival order (the hierarchy
-    /// records them that way).
-    pub fn run(&mut self, requests: &[DramRequest]) -> DramMetrics {
+    /// records them that way); debug builds assert it.
+    pub fn run(&self, requests: &[DramRequest]) -> DramMetrics {
+        debug_assert!(
+            requests.windows(2).all(|w| w[0].cycle <= w[1].cycle),
+            "DRAM requests must be in non-decreasing arrival order"
+        );
         let geom = self.cfg.geometry;
-        let mut per_channel: Vec<Vec<Pending>> = vec![Vec::new(); geom.channels as usize];
-        // Front-end address decomposition runs as a batch kernel over the
-        // whole request stream; queue insertion stays scalar (it is a
-        // scatter keyed on the decomposed channel).
         let plan = MappingPlan::new(&geom, self.cfg.mapping);
-        let addrs: Vec<u64> = requests.iter().map(|r| r.addr.0).collect();
-        let mut locs: Vec<DramLoc> = Vec::new();
-        plan.decompose_batch(&addrs, gmap_trace::default_mode(), &mut locs);
-        for (seq, (r, loc)) in requests.iter().zip(&locs).enumerate() {
-            per_channel[loc.channel as usize].push(Pending {
+        // Front end: a counting pass sizes the channels, then one scatter
+        // places every request in its channel's slice of one buffer, in
+        // arrival order.
+        let mut cursor = vec![0usize; geom.channels as usize];
+        for r in requests {
+            cursor[plan.decompose(r.addr.0).channel as usize] += 1;
+        }
+        let mut start = 0;
+        for c in &mut cursor {
+            let count = *c;
+            *c = start;
+            start += count;
+        }
+        let mut pending = vec![Pending::default(); requests.len()];
+        for r in requests {
+            let loc = plan.decompose(r.addr.0);
+            let slot = &mut cursor[loc.channel as usize];
+            pending[*slot] = Pending {
                 arrival: r.cycle,
                 row: loc.row,
-                flat_bank: loc.flat_bank(&geom),
+                // `rank * banks + bank` of `u32`s: the cast back is exact.
+                flat_bank: loc.flat_bank(&geom) as u32,
                 bank_group: geom.group_of_bank(loc.bank),
                 is_write: r.kind.is_write(),
-                seq: seq as u64,
-            });
+            };
+            *slot += 1;
         }
         let mut total = DramMetrics::default();
         let mut read_lat_sum = 0u64;
         let mut write_lat_sum = 0u64;
         let mut queue_area = 0f64;
         let mut busy_time = 0u64;
-        for reqs in per_channel {
-            let ch = self.run_channel(&reqs);
+        // The scatter left each cursor at the end of its channel's slice.
+        let mut lo = 0;
+        for hi in cursor {
+            let ch = self.run_channel(&pending[lo..hi]);
+            lo = hi;
             total.requests += ch.requests;
             total.reads += ch.reads;
             total.writes += ch.writes;
@@ -249,56 +409,46 @@ impl DramSystem {
         if reqs.is_empty() {
             return out;
         }
-        let mut queue: VecDeque<Pending> = VecDeque::new();
+        // The queue is the window plus the tail `reqs[tail_lo..next]`.
+        let mut window = Window::new();
+        let mut tail_lo = 0usize;
         let mut next = 0usize;
         let mut now = reqs[0].arrival;
         let mut bus_free_at = now;
         let start_time = now;
         // Bank-group column gating: last column command's group and time.
         let mut last_col: Option<(u32, u64)> = None;
-        while next < reqs.len() || !queue.is_empty() {
+        // An empty window is an empty queue: the refill below leaves the
+        // tail non-empty only behind a full window.
+        while next < reqs.len() || window.len > 0 {
             // Admit arrivals, up to the controller buffer capacity —
             // senders stall when the queue is full.
-            const QUEUE_CAPACITY: usize = 4096;
-            while next < reqs.len() && reqs[next].arrival <= now && queue.len() < QUEUE_CAPACITY {
-                queue.push_back(reqs[next].clone());
+            while next < reqs.len()
+                && reqs[next].arrival <= now
+                && window.len + (next - tail_lo) < QUEUE_CAPACITY
+            {
                 next += 1;
             }
-            if queue.is_empty() {
-                let t = reqs[next].arrival;
-                out.queue_area += 0.0; // empty queue contributes nothing
-                now = t;
+            // Refill the window from the tail, oldest first: it lost an
+            // entry to the last pick, or the queue was shorter than it.
+            while window.len < SCAN_WINDOW && tail_lo < next {
+                window.push(tail_lo, &reqs[tail_lo], &banks);
+                tail_lo += 1;
+            }
+            if window.len == 0 {
+                // Idle: jump to the next arrival.
+                now = reqs[next].arrival;
                 continue;
             }
-            // Pick a request. FR-FCFS considers only the oldest
-            // SCAN_WINDOW entries — real controllers arbitrate over a
-            // bounded CAM, and an unbounded scan would make saturated
-            // channels quadratic in trace length.
-            const SCAN_WINDOW: usize = 64;
+            // Pick a request: the oldest row hit in the window, else the
+            // oldest request. Both are positional (see the module docs).
             let pick = match self.cfg.scheduler {
                 MemSched::Fcfs => 0,
-                MemSched::FrFcfs => {
-                    let window = queue.len().min(SCAN_WINDOW);
-                    queue
-                        .iter()
-                        .take(window)
-                        .enumerate()
-                        .filter(|(_, p)| banks[p.flat_bank].open_row == Some(p.row))
-                        .min_by_key(|(_, p)| p.seq)
-                        .map(|(i, _)| i)
-                        .unwrap_or_else(|| {
-                            queue
-                                .iter()
-                                .take(window)
-                                .enumerate()
-                                .min_by_key(|(_, p)| p.seq)
-                                .map(|(i, _)| i)
-                                .expect("queue is non-empty")
-                        })
-                }
+                MemSched::FrFcfs if window.hits != 0 => window.hits.trailing_zeros() as usize,
+                MemSched::FrFcfs => 0,
             };
-            let p = queue.remove(pick).expect("index in range");
-            let bank = &mut banks[p.flat_bank];
+            let p = reqs[window.remove(pick)];
+            let bank = &mut banks[p.flat_bank as usize];
             // Command issue respects the bank and the column-command gap
             // (long within a bank group); the data bus is reserved
             // separately so commands pipeline under transfers.
@@ -335,10 +485,14 @@ impl DramSystem {
             last_col = Some((p.bank_group, data_at.saturating_sub(timing.t_cas)));
             bank.open_row = Some(p.row);
             bank.ready_at = data_at + timing.t_ccd + if p.is_write { timing.t_wr } else { 0 };
+            if !hit {
+                window.bank_opened(p.flat_bank, p.row);
+            }
             // Queue-length accounting: the queue (including the request in
             // service) occupies the interval [now, finish).
             let dt = finish.saturating_sub(now);
-            out.queue_area += (queue.len() + 1) as f64 * dt as f64;
+            let queued = window.len + (next - tail_lo);
+            out.queue_area += (queued + 1) as f64 * dt as f64;
             bus_free_at = finish;
             // Advance time just past the command slot: the next command
             // can issue while this burst is still on the data bus.

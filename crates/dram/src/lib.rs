@@ -22,7 +22,7 @@
 //! use gmap_dram::{DramConfig, DramSystem, DramRequest};
 //! use gmap_trace::record::{AccessKind, ByteAddr};
 //!
-//! let mut sys = DramSystem::new(DramConfig::gddr5_baseline());
+//! let sys = DramSystem::new(DramConfig::gddr5_baseline());
 //! let reqs: Vec<DramRequest> = (0..64)
 //!     .map(|i| DramRequest { cycle: i * 4, addr: ByteAddr(i * 128), kind: AccessKind::Read })
 //!     .collect();

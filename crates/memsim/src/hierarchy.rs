@@ -420,10 +420,9 @@ impl MemoryModel for GpuHierarchy {
                 }
                 // Miss: consult the MSHR file before going below. The fill
                 // completion depends on L2/memory, which we must consult
-                // exactly once per primary miss; allocate with a
-                // provisional completion and refine it afterwards.
-                let provisional = cycle + self.cfg.l1_hit_latency;
-                let stall = match self.mshrs[core].on_miss(l1_line, cycle, provisional) {
+                // exactly once per primary miss; the file grants the
+                // register first and learns the completion afterwards.
+                let stall = match self.mshrs[core].on_miss(l1_line, cycle) {
                     MshrOutcome::Merged { remaining } => {
                         // Secondary miss: wait for the in-flight fill.
                         return self.cfg.l1_hit_latency + remaining;
@@ -435,8 +434,8 @@ impl MemoryModel for GpuHierarchy {
                 // fetch through L2 and fill the L1.
                 let below = self.l2_demand(line, false, cycle);
                 let total = self.cfg.l1_hit_latency + stall + below;
-                // Record the true completion time for later mergers.
-                self.mshrs[core].set_completion(l1_line, cycle + total);
+                // Record the completion time for later mergers.
+                self.mshrs[core].fill(l1_line, cycle + total);
                 // Fill L1; under a write-back policy the evicted victim
                 // may be dirty and must reach the L2.
                 if let Some(victim) = self.l1s[core].demand_fill(l1_line) {

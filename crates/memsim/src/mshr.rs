@@ -5,13 +5,34 @@
 //! to a line that is already being fetched merges into the existing entry
 //! and waits only for the remaining latency; a miss arriving when the file
 //! is full pays a stall penalty, modeling allocation back-pressure.
+//!
+//! # Protocol
+//!
+//! A primary miss is two calls: [`Mshr::on_miss`] decides whether the line
+//! merges, allocates, or must wait for the earliest fill to retire; on
+//! [`MshrOutcome::Allocated`] and [`MshrOutcome::Full`] the caller finds
+//! out below how long the fill takes and hands the register its
+//! completion cycle with [`Mshr::fill`], before the next call on the file.
+//!
+//! # Representation
+//!
+//! The file is a min-heap on `(completion, line)`. The tuple order is the
+//! retirement rule — earliest completion leaves first, ties go to the
+//! lowest line — so retiring is popping while the top has completed and a
+//! full file gives up its top; a key never changes once pushed. At the
+//! Table 2 baseline the file is full on 87 % of L1 misses, so the full
+//! path is the normal path and has to cost a pop and a push, not a walk
+//! of the file. Only the merge check looks at every entry, in storage
+//! order, which is irrelevant because lines are unique.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Outcome of presenting a miss to the MSHR file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MshrOutcome {
-    /// A new entry was allocated; the caller pays the full miss latency.
+    /// A register is free; the caller pays the full miss latency and
+    /// reports the completion with [`Mshr::fill`].
     Allocated,
     /// The line was already in flight; the caller waits for the remaining
     /// cycles only.
@@ -20,7 +41,8 @@ pub enum MshrOutcome {
         remaining: u64,
     },
     /// The file was full; the caller pays `stall` extra cycles (time until
-    /// the earliest entry retires) plus the full miss latency.
+    /// the earliest entry retires, whose register the miss takes) plus the
+    /// full miss latency, and reports the completion with [`Mshr::fill`].
     Full {
         /// Cycles until a register frees up.
         stall: u64,
@@ -31,11 +53,12 @@ pub enum MshrOutcome {
 #[derive(Debug, Clone)]
 pub struct Mshr {
     capacity: usize,
-    /// line -> completion cycle. Ordered so that completion-time ties in
-    /// [`RemoveEarliest`] resolve identically on every thread — HashMap's
-    /// per-instance hash seeds would make simulation results depend on
-    /// which thread runs them.
-    entries: BTreeMap<u64, u64>,
+    /// Fills in flight as `(completion cycle, line)`, earliest on top.
+    /// Lines are unique. A total order on the key, not a hash, so that
+    /// completion-time ties resolve identically on every thread —
+    /// HashMap's per-instance hash seeds would make simulation results
+    /// depend on which thread runs them.
+    entries: BinaryHeap<Reverse<(u64, u64)>>,
     /// Merged (secondary) misses observed.
     merges: u64,
     /// Misses that found the file full.
@@ -52,40 +75,63 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be positive");
         Mshr {
             capacity,
-            entries: BTreeMap::new(),
+            entries: BinaryHeap::with_capacity(capacity),
             merges: 0,
             full_stalls: 0,
         }
     }
 
-    /// Presents a miss for `line` at `cycle`; `completion` is the cycle the
-    /// fill would finish if a new entry is allocated. Retired entries are
-    /// reclaimed lazily.
-    pub fn on_miss(&mut self, line: u64, cycle: u64, completion: u64) -> MshrOutcome {
+    /// The completion cycle of the entry holding `line`, if any. Lines
+    /// are unique, so storage order does not matter; and "absent" is the
+    /// common answer, so the walk over the ≤ `capacity` entries has no
+    /// early exit to mispredict.
+    fn completion_of(&self, line: u64) -> Option<u64> {
+        let mut found = None;
+        for &Reverse((done, l)) in &self.entries {
+            if l == line {
+                found = Some(done);
+            }
+        }
+        found
+    }
+
+    /// Presents a miss for `line` at `cycle`. Entries whose fill has
+    /// completed are reclaimed first. Unless the miss merges, the caller
+    /// owes the file a [`Mshr::fill`] for `line`.
+    pub fn on_miss(&mut self, line: u64, cycle: u64) -> MshrOutcome {
         // Reclaim finished fills.
-        self.entries.retain(|_, &mut done| done > cycle);
-        if let Some(&done) = self.entries.get(&line) {
+        while let Some(&Reverse((done, _))) = self.entries.peek() {
+            if done > cycle {
+                break;
+            }
+            self.entries.pop();
+        }
+        if let Some(done) = self.completion_of(line) {
             self.merges += 1;
             return MshrOutcome::Merged {
-                remaining: done.saturating_sub(cycle),
+                remaining: done - cycle,
             };
         }
         if self.entries.len() >= self.capacity {
             self.full_stalls += 1;
-            let earliest = self
-                .entries
-                .values()
-                .copied()
-                .min()
-                .expect("file is non-empty");
-            let stall = earliest.saturating_sub(cycle);
             // The stalled miss allocates once the earliest entry retires.
-            self.entries.remove_earliest(earliest);
-            self.entries.insert(line, completion + stall);
-            return MshrOutcome::Full { stall };
+            let Reverse((earliest, _)) = self.entries.pop().expect("file is non-empty");
+            return MshrOutcome::Full {
+                stall: earliest - cycle,
+            };
         }
-        self.entries.insert(line, completion);
         MshrOutcome::Allocated
+    }
+
+    /// Records that the fill of `line`, whose miss [`Mshr::on_miss`] just
+    /// answered with `Allocated` or `Full`, completes at `completion`
+    /// (for `Full`, the stall included).
+    pub fn fill(&mut self, line: u64, completion: u64) {
+        debug_assert!(
+            self.entries.len() < self.capacity,
+            "fill without a register granted by on_miss"
+        );
+        self.entries.push(Reverse((completion, line)));
     }
 
     /// If `line` has a fill in flight at `cycle`, returns the remaining
@@ -93,8 +139,8 @@ impl Mshr {
     /// tag hit on a line whose data is still being fetched must wait for
     /// the fill, not the L1 hit latency.
     pub fn pending_remaining(&mut self, line: u64, cycle: u64) -> Option<u64> {
-        match self.entries.get(&line) {
-            Some(&done) if done > cycle => {
+        match self.completion_of(line) {
+            Some(done) if done > cycle => {
                 self.merges += 1;
                 Some(done - cycle)
             }
@@ -102,18 +148,12 @@ impl Mshr {
         }
     }
 
-    /// Updates the completion time of an in-flight entry once the real
-    /// fill latency is known (the hierarchy allocates with a provisional
-    /// completion, then consults the lower levels).
-    pub fn set_completion(&mut self, line: u64, completion: u64) {
-        if let Some(done) = self.entries.get_mut(&line) {
-            *done = completion;
-        }
-    }
-
     /// Entries currently in flight at `cycle`.
     pub fn in_flight(&self, cycle: u64) -> usize {
-        self.entries.values().filter(|&&done| done > cycle).count()
+        self.entries
+            .iter()
+            .filter(|Reverse((done, _))| *done > cycle)
+            .count()
     }
 
     /// Secondary misses merged so far.
@@ -127,63 +167,72 @@ impl Mshr {
     }
 }
 
-/// Small extension to drop one entry with a given completion time.
-trait RemoveEarliest {
-    fn remove_earliest(&mut self, completion: u64);
-}
-
-impl RemoveEarliest for BTreeMap<u64, u64> {
-    fn remove_earliest(&mut self, completion: u64) {
-        if let Some(key) = self.iter().find(|(_, &v)| v == completion).map(|(&k, _)| k) {
-            self.remove(&key);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The hierarchy's protocol for one miss whose fill, once a register
+    /// is granted, takes `latency` cycles.
+    fn miss(m: &mut Mshr, line: u64, cycle: u64, latency: u64) -> MshrOutcome {
+        let out = m.on_miss(line, cycle);
+        match out {
+            MshrOutcome::Merged { .. } => {}
+            MshrOutcome::Allocated => m.fill(line, cycle + latency),
+            MshrOutcome::Full { stall } => m.fill(line, cycle + stall + latency),
+        }
+        out
+    }
+
     #[test]
     fn allocate_then_merge() {
         let mut m = Mshr::new(4);
-        assert_eq!(m.on_miss(10, 0, 100), MshrOutcome::Allocated);
+        assert_eq!(miss(&mut m, 10, 0, 100), MshrOutcome::Allocated);
         assert_eq!(
-            m.on_miss(10, 40, 140),
+            miss(&mut m, 10, 40, 100),
             MshrOutcome::Merged { remaining: 60 }
         );
         assert_eq!(m.merges(), 1);
+        // The merge took no register and moved no completion.
+        assert_eq!(m.in_flight(40), 1);
+        assert_eq!(m.pending_remaining(10, 99), Some(1));
     }
 
     #[test]
     fn entries_retire() {
         let mut m = Mshr::new(2);
-        m.on_miss(1, 0, 50);
+        miss(&mut m, 1, 0, 50);
         assert_eq!(m.in_flight(0), 1);
         assert_eq!(m.in_flight(50), 0);
         // After retirement the same line allocates anew.
-        assert_eq!(m.on_miss(1, 60, 160), MshrOutcome::Allocated);
+        assert_eq!(miss(&mut m, 1, 60, 100), MshrOutcome::Allocated);
     }
 
     #[test]
     fn full_file_stalls() {
         let mut m = Mshr::new(2);
-        m.on_miss(1, 0, 100);
-        m.on_miss(2, 0, 80);
-        match m.on_miss(3, 10, 110) {
+        miss(&mut m, 1, 0, 100);
+        miss(&mut m, 2, 0, 80);
+        match miss(&mut m, 3, 10, 100) {
             MshrOutcome::Full { stall } => assert_eq!(stall, 70), // entry 2 retires at 80
             other => panic!("expected Full, got {other:?}"),
         }
         assert_eq!(m.full_stalls(), 1);
+        // The stalled miss took entry 2's register: capacity holds, line 1
+        // is still in flight and line 3 completes after its stall.
+        assert_eq!(m.in_flight(10), 2);
+        assert_eq!(m.pending_remaining(2, 10), None);
+        assert_eq!(m.pending_remaining(1, 10), Some(90));
+        assert_eq!(m.pending_remaining(3, 10), Some(170));
     }
 
     #[test]
     fn merge_remaining_saturates() {
         let mut m = Mshr::new(2);
-        m.on_miss(5, 0, 30);
-        // Merge exactly at completion boundary: remaining clamps at 0...
-        // (the retain above removes it at cycle >= 30, so this allocates).
-        assert_eq!(m.on_miss(5, 30, 60), MshrOutcome::Allocated);
+        miss(&mut m, 5, 0, 30);
+        // A miss exactly at the completion boundary does not merge with
+        // zero remaining: the entry retires at cycle >= 30, so this
+        // allocates.
+        assert_eq!(miss(&mut m, 5, 30, 30), MshrOutcome::Allocated);
     }
 
     #[test]
@@ -200,9 +249,9 @@ mod tests {
         let runs: Vec<Vec<u64>> = (0..2)
             .map(|_| {
                 let mut m = Mshr::new(2);
-                m.on_miss(7, 0, 100);
-                m.on_miss(3, 0, 100);
-                m.on_miss(9, 10, 110);
+                miss(&mut m, 7, 0, 100);
+                miss(&mut m, 3, 0, 100);
+                miss(&mut m, 9, 10, 100);
                 let mut pending: Vec<u64> = Vec::new();
                 for line in [3u64, 7, 9] {
                     if m.pending_remaining(line, 20).is_some() {

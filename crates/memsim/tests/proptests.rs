@@ -3,7 +3,7 @@
 use gmap_gpu::schedule::MemoryModel;
 use gmap_memsim::cache::{AccessRequest, Cache, CacheConfig, ReplacementPolicy};
 use gmap_memsim::hierarchy::{GpuHierarchy, HierarchyConfig};
-use gmap_memsim::mshr::Mshr;
+use gmap_memsim::mshr::{Mshr, MshrOutcome};
 use gmap_memsim::prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
 use gmap_memsim::stackdist::{
     evaluate_fifo_multi, evaluate_lru_multi, evaluate_lru_prefetch_multi,
@@ -12,6 +12,7 @@ use gmap_memsim::stackdist::{
 };
 use gmap_trace::record::{AccessKind, ByteAddr, CoreId, Pc};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn stream_prefetcher() -> impl Strategy<Value = StreamPrefetcherConfig> {
     (1u32..=4, 1u32..=32, 1u32..=8).prop_map(|(num_streams, window, degree)| {
@@ -36,6 +37,217 @@ fn any_policy() -> impl Strategy<Value = ReplacementPolicy> {
         Just(ReplacementPolicy::PseudoLru),
         Just(ReplacementPolicy::Random),
     ]
+}
+
+/// The MSHR file as it was before it moved to a min-heap, kept as the
+/// oracle of `mshr_heap_matches_btreemap_reference`: a `BTreeMap` from
+/// line to completion cycle, walked whole to retire, to find the earliest
+/// completion and to find the lowest line that has it. A miss allocates
+/// with a provisional completion that `set_completion` then overwrites.
+struct ReferenceMshr {
+    capacity: usize,
+    entries: BTreeMap<u64, u64>,
+    merges: u64,
+    full_stalls: u64,
+}
+
+impl ReferenceMshr {
+    fn new(capacity: usize) -> Self {
+        ReferenceMshr {
+            capacity,
+            entries: BTreeMap::new(),
+            merges: 0,
+            full_stalls: 0,
+        }
+    }
+
+    fn on_miss(&mut self, line: u64, cycle: u64, completion: u64) -> MshrOutcome {
+        self.entries.retain(|_, &mut done| done > cycle);
+        if let Some(&done) = self.entries.get(&line) {
+            self.merges += 1;
+            return MshrOutcome::Merged {
+                remaining: done.saturating_sub(cycle),
+            };
+        }
+        if self.entries.len() >= self.capacity {
+            self.full_stalls += 1;
+            let earliest = self
+                .entries
+                .values()
+                .copied()
+                .min()
+                .expect("file is non-empty");
+            let stall = earliest.saturating_sub(cycle);
+            let lowest = self
+                .entries
+                .iter()
+                .find(|(_, &done)| done == earliest)
+                .map(|(&line, _)| line)
+                .expect("some entry has the earliest completion");
+            self.entries.remove(&lowest);
+            self.entries.insert(line, completion + stall);
+            return MshrOutcome::Full { stall };
+        }
+        self.entries.insert(line, completion);
+        MshrOutcome::Allocated
+    }
+
+    fn pending_remaining(&mut self, line: u64, cycle: u64) -> Option<u64> {
+        match self.entries.get(&line) {
+            Some(&done) if done > cycle => {
+                self.merges += 1;
+                Some(done - cycle)
+            }
+            _ => None,
+        }
+    }
+
+    fn set_completion(&mut self, line: u64, completion: u64) {
+        if let Some(done) = self.entries.get_mut(&line) {
+            *done = completion;
+        }
+    }
+
+    fn in_flight(&self, cycle: u64) -> usize {
+        self.entries.values().filter(|&&done| done > cycle).count()
+    }
+}
+
+/// The hierarchy's protocol for one read miss whose fill, once a register
+/// is granted, takes `latency` cycles.
+fn mshr_miss(m: &mut Mshr, line: u64, cycle: u64, latency: u64) -> MshrOutcome {
+    let out = m.on_miss(line, cycle);
+    match out {
+        MshrOutcome::Merged { .. } => {}
+        MshrOutcome::Allocated => m.fill(line, cycle + latency),
+        MshrOutcome::Full { stall } => m.fill(line, cycle + stall + latency),
+    }
+    out
+}
+
+/// One step of a random MSHR workload: `(line, cycles since the last
+/// step, fill latency below the L1, hit-under-miss probe instead of a
+/// miss)`. Gaps are mostly zero or tiny against latencies in the hundreds
+/// so that files up to 16 registers stay full, and half the latencies are
+/// one constant so that completions tie.
+fn mshr_steps() -> impl Strategy<Value = Vec<(u64, u64, u64, bool)>> {
+    let gap = prop_oneof![3 => Just(0u64), 3 => 0u64..4, 1 => 0u64..1000];
+    let latency = prop_oneof![Just(120u64), 1u64..600];
+    let probe = prop_oneof![4 => Just(false), 1 => Just(true)];
+    proptest::collection::vec((0u64..64, gap, latency, probe), 1..300)
+}
+
+/// Drives the heap file and the reference through the hierarchy's
+/// protocol for one read (`GpuHierarchy::access`) and compares everything
+/// either can report.
+fn assert_mshr_matches_reference(cap: usize, steps: &[(u64, u64, u64, bool)]) {
+    const L1_HIT: u64 = 1;
+    let mut heap = Mshr::new(cap);
+    let mut reference = ReferenceMshr::new(cap);
+    let mut cycle = 0;
+    for (i, &(line, gap, latency, probe)) in steps.iter().enumerate() {
+        cycle += gap;
+        if probe {
+            assert_eq!(
+                heap.pending_remaining(line, cycle),
+                reference.pending_remaining(line, cycle),
+                "step {i}: hit-under-miss probe of line {line} at cycle {cycle}"
+            );
+        } else {
+            let got = heap.on_miss(line, cycle);
+            let want = reference.on_miss(line, cycle, cycle + L1_HIT);
+            assert_eq!(got, want, "step {i}: miss on line {line} at cycle {cycle}");
+            let stall = match got {
+                MshrOutcome::Merged { .. } => None,
+                MshrOutcome::Allocated => Some(0),
+                MshrOutcome::Full { stall } => Some(stall),
+            };
+            if let Some(stall) = stall {
+                let completion = cycle + L1_HIT + stall + latency;
+                heap.fill(line, completion);
+                reference.set_completion(line, completion);
+            }
+        }
+        assert_eq!(heap.merges(), reference.merges, "step {i}: merges");
+        assert_eq!(
+            heap.full_stalls(),
+            reference.full_stalls,
+            "step {i}: full stalls"
+        );
+        assert_eq!(
+            heap.in_flight(cycle),
+            reference.in_flight(cycle),
+            "step {i}: in flight at cycle {cycle}"
+        );
+        assert!(heap.in_flight(cycle) <= cap, "step {i}: over capacity");
+    }
+}
+
+/// The regime the Table 2 baseline lives in: every miss after the first
+/// `cap` finds the file full.
+#[test]
+fn mshr_heap_matches_reference_when_always_full() {
+    for cap in [1, 2, 7, 16] {
+        let steps: Vec<(u64, u64, u64, bool)> = (0..400u64)
+            .map(|i| (i * 37 % 64, i % 2, 420 + (i % 3) * 120, i % 11 == 0))
+            .collect();
+        assert_mshr_matches_reference(cap, &steps);
+        // Distinct lines, one per cycle: nothing merges or retires.
+        let mut m = Mshr::new(cap);
+        let full = (0u64..)
+            .zip(&steps)
+            .filter(|&(i, &(line, _, latency, _))| {
+                matches!(
+                    mshr_miss(&mut m, line + 64 * i, i, latency),
+                    MshrOutcome::Full { .. }
+                )
+            })
+            .count();
+        assert_eq!(full, steps.len() - cap, "cap {cap}: the file stays full");
+    }
+}
+
+/// Equal completions: the register of the lowest line is the one a
+/// stalled miss takes, whatever order the lines arrived in.
+#[test]
+fn mshr_heap_matches_reference_on_completion_ties() {
+    // Eight lines in a scrambled order, all completing at cycle 100, then
+    // eight misses that each find the file full.
+    let arrive = [5u64, 1, 7, 3, 0, 6, 2, 4];
+    let mut steps: Vec<(u64, u64, u64, bool)> = arrive.iter().map(|&l| (l, 0, 99, false)).collect();
+    steps.extend((8..16u64).map(|l| (l, 0, 99, false)));
+    assert_mshr_matches_reference(8, &steps);
+
+    let mut m = Mshr::new(8);
+    for &l in &arrive {
+        assert_eq!(mshr_miss(&mut m, l, 0, 100), MshrOutcome::Allocated);
+    }
+    for evicted in 0..8u64 {
+        assert_eq!(
+            mshr_miss(&mut m, 8 + evicted, 10, 400),
+            MshrOutcome::Full { stall: 90 }
+        );
+        for l in 0..8u64 {
+            assert_eq!(
+                m.pending_remaining(l, 10).is_some(),
+                l > evicted,
+                "after {} stalled misses line {l}",
+                evicted + 1
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The heap file answers every call as the `BTreeMap` file did:
+    /// outcomes, stalls, merge remainders, counters and occupancy, from
+    /// sparse traffic to a file that never has a free register.
+    #[test]
+    fn mshr_heap_matches_btreemap_reference(steps in mshr_steps(), cap in 1usize..=16) {
+        assert_mshr_matches_reference(cap, &steps);
+    }
 }
 
 proptest! {
@@ -102,7 +314,7 @@ proptest! {
         let mut cycle = 0;
         for &(line, gap) in &misses {
             cycle += gap;
-            m.on_miss(line, cycle, cycle + 100);
+            mshr_miss(&mut m, line, cycle, 100);
             prop_assert!(m.in_flight(cycle) <= cap);
         }
     }

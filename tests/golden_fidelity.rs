@@ -24,8 +24,8 @@
 //! and review the diff like any other code change.
 
 use gmap::bench::{engine, parallel_map, prepare, sweeps, BenchData, Metric};
-use gmap::core::{simulate_streams, SimOutcome, SimtConfig};
-use gmap::dram::{DramConfig, DramMetrics};
+use gmap::core::{dram_requests, simulate_streams, SimOutcome, SimtConfig};
+use gmap::dram::{DramConfig, DramMetrics, DramSystem};
 use gmap::gpu::workloads::{self, Scale};
 use gmap::memsim::hierarchy::TraceCapture;
 use serde::{Deserialize, Serialize};
@@ -60,6 +60,27 @@ fn golden_path(grid: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{grid}.json"))
+}
+
+/// Rewrites a golden file (`UPDATE_GOLDEN=1`).
+fn store_golden<T: Serialize>(grid: &str, value: &T) {
+    let path = golden_path(grid);
+    std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
+    let json = serde_json::to_string_pretty(value).expect("golden serializes");
+    std::fs::write(&path, json + "\n").expect("golden file is writable");
+}
+
+fn load_golden<T: Deserialize>(grid: &str) -> T {
+    let path = golden_path(grid);
+    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden {} ({e}); generate it with \
+             UPDATE_GOLDEN=1 cargo test --test golden_fidelity",
+            path.display()
+        )
+    });
+    serde_json::from_str(&raw)
+        .unwrap_or_else(|e| panic!("golden {} is corrupt: {e}", path.display()))
 }
 
 fn metric_name(metric: Metric) -> &'static str {
@@ -170,22 +191,11 @@ fn figure_series_match_goldens() {
     engine::capture_cache_clear();
     for (grid, configs, metric) in grids() {
         let got = compute_figure(&data, threads, grid, &configs, metric);
-        let path = golden_path(grid);
         if update {
-            std::fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-            let json = serde_json::to_string_pretty(&got).expect("golden serializes");
-            std::fs::write(&path, json + "\n").expect("golden file is writable");
+            store_golden(grid, &got);
             continue;
         }
-        let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden {} ({e}); generate it with \
-                 UPDATE_GOLDEN=1 cargo test --test golden_fidelity",
-                path.display()
-            )
-        });
-        let want: GoldenFigure = serde_json::from_str(&raw)
-            .unwrap_or_else(|e| panic!("golden {} is corrupt: {e}", path.display()));
+        let want: GoldenFigure = load_golden(grid);
         assert_matches_golden(grid, &got, &want);
     }
     let stats = engine::capture_cache_stats();
@@ -229,6 +239,7 @@ struct GoldenDram {
 }
 
 fn dram_stream(out: &SimOutcome, dram_cfgs: &[(String, DramConfig)]) -> DramStream {
+    let reqs = dram_requests(&out.mem_trace);
     DramStream {
         cycles: out.schedule.cycles,
         mem_trace_len: out.mem_trace.len(),
@@ -238,7 +249,7 @@ fn dram_stream(out: &SimOutcome, dram_cfgs: &[(String, DramConfig)]) -> DramStre
         mshr_full_stalls: out.stats.mshr_full_stalls,
         dram: dram_cfgs
             .iter()
-            .map(|(_, d)| out.dram_metrics(*d))
+            .map(|(_, d)| DramSystem::new(*d).run(&reqs))
             .collect(),
     }
 }
@@ -325,21 +336,11 @@ fn dram_replay_matches_golden() {
         benchmarks: rows.into_iter().collect(),
     };
 
-    let path = golden_path("fig7_dram");
     if update {
-        let json = serde_json::to_string_pretty(&got).expect("golden serializes");
-        std::fs::write(&path, json + "\n").expect("golden file is writable");
+        store_golden("fig7_dram", &got);
         return;
     }
-    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); generate it with \
-             UPDATE_GOLDEN=1 cargo test --test golden_fidelity",
-            path.display()
-        )
-    });
-    let want: GoldenDram = serde_json::from_str(&raw)
-        .unwrap_or_else(|e| panic!("golden {} is corrupt: {e}", path.display()));
+    let want: GoldenDram = load_golden("fig7_dram");
     assert_eq!(got.seed, want.seed, "fig7_dram: seed changed");
     assert_eq!(got.configs, want.configs, "fig7_dram: DRAM sweep changed");
     let got_names: Vec<&String> = got.benchmarks.keys().collect();
