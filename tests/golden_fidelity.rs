@@ -15,6 +15,11 @@
 //! [`sweeps::dram_sweep`] configurations — counters exactly, averages at
 //! the same 1e-12.
 //!
+//! And `ingest_models.json` freezes the ingest path: the model id, pass
+//! counters and per-PC verdicts `gmap-ingest` produces for seven traces
+//! (lane-0 flattened and full per-thread), identically from the binary
+//! and the text encoding.
+//!
 //! Regenerate after an *intentional* change with:
 //!
 //! ```text
@@ -24,10 +29,18 @@
 //! and review the diff like any other code change.
 
 use gmap::bench::{engine, parallel_map, prepare, sweeps, BenchData, Metric};
-use gmap::core::{dram_requests, simulate_streams, SimOutcome, SimtConfig};
+use gmap::core::model::original_streams;
+use gmap::core::{cachekey, dram_requests, simulate_streams};
+use gmap::core::{SimOutcome, SimtConfig};
 use gmap::dram::{DramConfig, DramMetrics, DramSystem};
+use gmap::gpu::exec::execute_kernel;
+use gmap::gpu::hierarchy::LaunchConfig;
+use gmap::gpu::schedule::{WarpStream, WarpStreamEvent};
 use gmap::gpu::workloads::{self, Scale};
+use gmap::ingest::{IngestConfig, Ingestor};
 use gmap::memsim::hierarchy::TraceCapture;
+use gmap::trace::io::{write_binary, write_text, TraceEntry};
+use gmap::trace::record::MemAccess;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -359,4 +372,163 @@ fn dram_replay_matches_golden() {
             &want_pair.proxy,
         );
     }
+}
+
+/// One static instruction of an ingested trace, as the online classifier
+/// saw it.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct IngestedPc {
+    pc: u64,
+    class: String,
+    conditional: bool,
+    instructions: u64,
+    transactions: u64,
+}
+
+/// Everything pinned about one ingested trace.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct IngestedModel {
+    /// `cachekey::key_of(&outcome.profile)` — the id `gmap serve` files
+    /// the model under.
+    model_id: String,
+    entries: u64,
+    skipped: u64,
+    forced_drains: u64,
+    peak_buffered_entries: u64,
+    instructions: u64,
+    transactions: u64,
+    warps: u64,
+    /// Hottest first, as the report lists them.
+    pcs: Vec<IngestedPc>,
+}
+
+/// The golden file of the ingest path.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct GoldenIngest {
+    scale: String,
+    /// Size of the pieces the trace bytes are pushed in.
+    piece_bytes: usize,
+    /// Keyed `<workload>/lane0` or `<workload>/threads`.
+    traces: BTreeMap<String, IngestedModel>,
+}
+
+const INGEST_PIECE_BYTES: usize = 64 * 1024;
+
+/// Flattens coalesced streams lane-0 style, as `gmap clone` writes them
+/// (`streams_to_entries` in `src/bin/gmap.rs`).
+fn lane0_entries(streams: &[WarpStream], launch: &LaunchConfig) -> Vec<TraceEntry> {
+    let mut out = Vec::new();
+    for s in streams {
+        let tid = launch
+            .thread_of(s.warp, 0, 32)
+            .expect("lane 0 of a traced warp is a live thread");
+        for e in &s.events {
+            if let WarpStreamEvent::Access(a) = e {
+                out.extend(a.lines.iter().map(|&addr| {
+                    let acc = MemAccess {
+                        pc: a.pc,
+                        addr,
+                        kind: a.kind,
+                    };
+                    (tid, acc)
+                }));
+            }
+        }
+    }
+    out
+}
+
+fn ingest_bytes(name: &str, launch: LaunchConfig, bytes: &[u8]) -> IngestedModel {
+    let mut ing = Ingestor::new(name, launch, IngestConfig::default());
+    for piece in bytes.chunks(INGEST_PIECE_BYTES) {
+        ing.push_bytes(piece).expect("generated traces parse");
+    }
+    let outcome = ing.finish().expect("generated traces profile");
+    IngestedModel {
+        model_id: cachekey::key_of(&outcome.profile),
+        entries: outcome.stats.entries,
+        skipped: outcome.stats.skipped,
+        forced_drains: outcome.stats.forced_drains,
+        peak_buffered_entries: outcome.stats.peak_buffered_entries,
+        instructions: outcome.report.instructions,
+        transactions: outcome.report.transactions,
+        warps: outcome.report.warps,
+        pcs: outcome
+            .report
+            .pcs
+            .iter()
+            .map(|p| IngestedPc {
+                pc: p.pc,
+                class: p.class.label().to_string(),
+                conditional: p.conditional,
+                instructions: p.instructions,
+                transactions: p.transactions,
+            })
+            .collect(),
+    }
+}
+
+/// Ingests `entries` from both encodings; the two must agree on
+/// everything pinned.
+fn ingest_both_formats(what: &str, launch: LaunchConfig, entries: &[TraceEntry]) -> IngestedModel {
+    let name = what.split('/').next().expect("workload name");
+    let mut binary = Vec::new();
+    write_binary(&mut binary, entries).expect("writing to memory cannot fail");
+    let mut text = Vec::new();
+    write_text(&mut text, entries).expect("writing to memory cannot fail");
+    let from_binary = ingest_bytes(name, launch, &binary);
+    let from_text = ingest_bytes(name, launch, &text);
+    assert_eq!(
+        from_binary, from_text,
+        "{what}: the two encodings of one trace ingest differently"
+    );
+    from_binary
+}
+
+/// The ingest path — chunk parser, warp reconstruction, online
+/// classifier, profiler — on the trace shape `gmap clone` writes (every
+/// coalesced line on lane 0 of its warp) and on full 32-lane per-thread
+/// traces (bfs and lu diverge and leave ragged tails), from both
+/// encodings, must match `ingest_models.json`. With `UPDATE_GOLDEN=1` the
+/// file is rewritten instead.
+#[test]
+fn ingested_models_match_golden() {
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let mut traces = BTreeMap::new();
+    for name in ["kmeans", "hotspot", "bfs", "lu"] {
+        let kernel = workloads::by_name(name, Scale::Tiny).expect("builtin workload");
+        let launch = LaunchConfig::new(
+            kernel.launch.num_blocks(),
+            kernel.launch.threads_per_block(),
+        );
+        if name != "lu" {
+            let what = format!("{name}/lane0");
+            let entries = lane0_entries(&original_streams(&kernel), &launch);
+            traces.insert(what.clone(), ingest_both_formats(&what, launch, &entries));
+        }
+        let what = format!("{name}/threads");
+        let entries = execute_kernel(&kernel).thread_entries();
+        traces.insert(what.clone(), ingest_both_formats(&what, launch, &entries));
+    }
+    let got = GoldenIngest {
+        scale: "tiny".to_string(),
+        piece_bytes: INGEST_PIECE_BYTES,
+        traces,
+    };
+    if update {
+        store_golden("ingest_models", &got);
+        return;
+    }
+    let want: GoldenIngest = load_golden("ingest_models");
+    let got_names: Vec<&String> = got.traces.keys().collect();
+    let want_names: Vec<&String> = want.traces.keys().collect();
+    assert_eq!(got_names, want_names, "ingest_models: trace set changed");
+    for (what, got_model) in &got.traces {
+        assert_eq!(
+            got_model, &want.traces[what],
+            "ingest_models/{what} drifted from golden \
+             (rerun with UPDATE_GOLDEN=1 if the change is intentional)"
+        );
+    }
+    assert_eq!(got.piece_bytes, want.piece_bytes);
 }
