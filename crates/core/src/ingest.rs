@@ -62,42 +62,96 @@ pub fn live_lanes(warp: u32, launch: &LaunchConfig, warp_size: u32) -> u32 {
     tpb.saturating_sub(base).min(warp_size)
 }
 
+/// Most lanes a warp may have here: the non-empty-lane mask is a `u64`.
+pub const MAX_WARP_LANES: u32 = 64;
+
 /// Pops the next warp-level dynamic instruction from a warp's per-lane
-/// access queues, or `None` once every lane is drained.
+/// access queues, or `None` once every lane is drained. Returns the
+/// instruction and the number of lanes that took part in it.
+///
+/// `nonempty` has bit `l` set iff `queues[l]` is non-empty: the caller
+/// sets a bit when it pushes, this step clears one when a pop empties
+/// its lane, and only set bits are walked — a warp with one active lane
+/// costs one lane, not `queues.len()`.
 ///
 /// The front PC of each non-empty lane votes; the PC with the most lanes
 /// forms the instruction, those lanes pop, and their addresses are
 /// coalesced into line transactions. **Tie-break:** when two front PCs tie
-/// on lane count, the *lowest* PC wins — `max_by_key((count,
-/// Reverse(pc)))` — so reconstruction never depends on hash-map iteration
-/// order (the determinism contract covers warp streams).
+/// on lane count, the *lowest* PC wins — the maximum of `(count,
+/// Reverse(pc))`, a total order over the tally — so reconstruction never
+/// depends on lane order or on any container's iteration order (the
+/// determinism contract covers warp streams). A single voter wins
+/// outright, and its one address coalesces to its own line.
+///
+/// The only allocation is the instruction's `lines`, which the stream
+/// representation owns.
 pub fn pop_warp_instruction(
     queues: &mut [VecDeque<MemAccess>],
+    nonempty: &mut u64,
     line_size: u64,
-) -> Option<CoalescedAccess> {
-    let mut votes: HashMap<Pc, u32> = HashMap::new();
-    for q in queues.iter() {
-        if let Some(a) = q.front() {
-            *votes.entry(a.pc).or_insert(0) += 1;
+) -> Option<(CoalescedAccess, u32)> {
+    const LANES: usize = MAX_WARP_LANES as usize;
+    let voters = *nonempty;
+    if voters == 0 {
+        return None;
+    }
+    if voters.is_power_of_two() {
+        let lane = voters.trailing_zeros() as usize;
+        let a = queues[lane].pop_front().expect("mask bit set: lane queued");
+        if queues[lane].is_empty() {
+            *nonempty = 0;
+        }
+        let access = CoalescedAccess {
+            pc: a.pc,
+            kind: a.kind,
+            lines: vec![a.addr.line_base(line_size)],
+        };
+        return Some((access, 1));
+    }
+    // Distinct front PCs never outnumber the voters, so the tally fits.
+    let mut tally = [(Pc(0), 0u32); LANES];
+    let mut distinct = 0;
+    let mut bits = voters;
+    while bits != 0 {
+        let lane = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let pc = queues[lane].front().expect("mask bit set: lane queued").pc;
+        match tally[..distinct].iter_mut().find(|(p, _)| *p == pc) {
+            Some((_, count)) => *count += 1,
+            None => {
+                tally[distinct] = (pc, 1);
+                distinct += 1;
+            }
         }
     }
-    let (&pc, _) = votes
+    let &(pc, _) = tally[..distinct]
         .iter()
-        .max_by_key(|(pc, &c)| (c, std::cmp::Reverse(pc.0)))?;
-    let mut addrs = Vec::new();
+        .max_by_key(|(pc, count)| (*count, std::cmp::Reverse(pc.0)))
+        .expect("at least two voters");
+    let mut addrs = [ByteAddr(0); LANES];
+    let mut popped = 0;
     let mut kind = None;
-    for q in queues.iter_mut() {
+    let mut bits = voters;
+    while bits != 0 {
+        let lane = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        let q = &mut queues[lane];
         if q.front().is_some_and(|a| a.pc == pc) {
             let a = q.pop_front().expect("front checked");
-            addrs.push(a.addr);
+            addrs[popped] = a.addr;
+            popped += 1;
             kind.get_or_insert(a.kind);
+            if q.is_empty() {
+                *nonempty &= !(1 << lane);
+            }
         }
     }
-    Some(CoalescedAccess {
+    let access = CoalescedAccess {
         pc,
-        kind: kind.expect("at least one lane participated"),
-        lines: coalesce_addrs(&addrs, line_size),
-    })
+        kind: kind.expect("the winning PC has at least one lane"),
+        lines: coalesce_addrs(&addrs[..popped], line_size),
+    };
+    Some((access, popped as u32))
 }
 
 /// Reconstructs coalesced warp streams from flat per-thread entries.
@@ -105,32 +159,43 @@ pub fn pop_warp_instruction(
 /// Entries must be in per-thread program order (the order a tracer
 /// naturally emits them); relative order *between* threads is irrelevant.
 /// Threads whose ids fall outside the launch geometry are ignored.
+///
+/// # Panics
+///
+/// Panics if `warp_size` is 0 or above [`MAX_WARP_LANES`].
 pub fn warp_streams_from_entries(
     entries: &[TraceEntry],
     launch: &LaunchConfig,
     warp_size: u32,
     line_size: u64,
 ) -> Vec<WarpStream> {
+    assert!(
+        (1..=MAX_WARP_LANES).contains(&warp_size),
+        "warp size {warp_size} outside 1..={MAX_WARP_LANES}"
+    );
     let wpb = launch.warps_per_block(warp_size);
-    // Per-warp, per-lane access queues.
-    let mut lanes: HashMap<u32, Vec<VecDeque<MemAccess>>> = HashMap::new();
+    // Per-warp, per-lane access queues with their non-empty-lane mask.
+    let mut lanes: HashMap<u32, (Vec<VecDeque<MemAccess>>, u64)> = HashMap::new();
     for (tid, acc) in entries {
         let Some((warp, lane)) = warp_lane_of(tid.0, launch, warp_size) else {
             continue;
         };
-        lanes
+        let (queues, nonempty) = lanes
             .entry(warp)
-            .or_insert_with(|| vec![VecDeque::new(); warp_size as usize])[lane]
-            .push_back(*acc);
+            .or_insert_with(|| (vec![VecDeque::new(); warp_size as usize], 0));
+        queues[lane].push_back(*acc);
+        *nonempty |= 1 << lane;
     }
     let mut warps: Vec<u32> = lanes.keys().copied().collect();
     warps.sort_unstable();
     warps
         .into_iter()
         .map(|w| {
-            let mut queues = lanes.remove(&w).expect("key from map");
+            let (mut queues, mut nonempty) = lanes.remove(&w).expect("key from map");
             let mut events = Vec::new();
-            while let Some(access) = pop_warp_instruction(&mut queues, line_size) {
+            while let Some((access, _)) =
+                pop_warp_instruction(&mut queues, &mut nonempty, line_size)
+            {
                 events.push(WarpStreamEvent::Access(access));
             }
             WarpStream {

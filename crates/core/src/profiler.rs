@@ -18,7 +18,7 @@ use gmap_gpu::schedule::{WarpStream, WarpStreamEvent};
 use gmap_trace::record::{AccessKind, ByteAddr, Pc};
 use gmap_trace::reuse::ReuseHistogram;
 use gmap_trace::{default_mode, Histogram};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Profiler parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,10 +85,19 @@ pub fn profile_streams(
     warp_size: u32,
     cfg: &ProfilerConfig,
 ) -> Result<GmapProfile, GmapError> {
-    // --- Pass 1: slot table and per-warp raw sequences. ------------------
+    // --- Pass 1: slot table, per-warp raw sequences, transaction shape. ---
+    // The only walk over the events: everything later reads `raws`.
     let mut slot_of: HashMap<Pc, usize> = HashMap::new();
+    // The previous instruction's `(pc, slot)`: a run of one PC — a loop
+    // body, or the per-line instructions of a lane-0 trace — is looked up
+    // in `slot_of` once.
+    let mut last_slot: Option<(Pc, usize)> = None;
     let mut pcs: Vec<Pc> = Vec::new();
     let mut kinds: Vec<AccessKind> = Vec::new();
+    // Per slot; a histogram does not depend on insertion order, so these
+    // are filled as the instructions go by.
+    let mut txn_count: Vec<Histogram<u32>> = Vec::new();
+    let mut txn_span: Vec<Histogram<u64>> = Vec::new();
     let mut total_warp_accesses = 0u64;
 
     struct WarpRaw {
@@ -96,11 +105,12 @@ pub fn profile_streams(
         pi: PiProfile,
         /// First-transaction address of every memory entry, in order.
         addrs: Vec<u64>,
-        /// Per-slot: indices into `addrs` of this slot's executions.
-        /// BTreeMap: pass 3 iterates this map, and the iteration order
-        /// feeds the stride histograms — hash order would make profiles
-        /// nondeterministic across runs (see the determinism lint).
-        by_slot: BTreeMap<usize, Vec<usize>>,
+        /// Indexed by slot: indices into `addrs` of the slot's executions
+        /// (empty for a slot this warp never executed). Pass 3 walks it
+        /// in slot order, and that order feeds the stride histograms — a
+        /// hash map here would make profiles nondeterministic across runs
+        /// (see the determinism lint).
+        by_slot: Vec<Vec<usize>>,
         /// Full line stream (all transactions) for reuse analysis.
         lines: Vec<u64>,
     }
@@ -111,26 +121,39 @@ pub fn profile_streams(
             warp: s.warp.0,
             pi: PiProfile::default(),
             addrs: Vec::new(),
-            by_slot: BTreeMap::new(),
+            by_slot: Vec::new(),
             lines: Vec::new(),
         };
         for ev in &s.events {
             match ev {
                 WarpStreamEvent::Access(a) => {
-                    if a.lines.is_empty() {
+                    let (Some(first), Some(last)) = (a.lines.first(), a.lines.last()) else {
                         continue;
-                    }
-                    let slot = *slot_of.entry(a.pc).or_insert_with(|| {
-                        pcs.push(a.pc);
-                        kinds.push(a.kind);
-                        pcs.len() - 1
-                    });
+                    };
+                    let slot = match last_slot {
+                        Some((pc, slot)) if pc == a.pc => slot,
+                        _ => *slot_of.entry(a.pc).or_insert_with(|| {
+                            pcs.push(a.pc);
+                            kinds.push(a.kind);
+                            txn_count.push(Histogram::new());
+                            txn_span.push(Histogram::new());
+                            pcs.len() - 1
+                        }),
+                    };
+                    last_slot = Some((a.pc, slot));
                     raw.pi.entries.push(PiEntry::Mem(slot));
                     let idx = raw.addrs.len();
-                    raw.addrs.push(a.lines[0].0);
-                    raw.by_slot.entry(slot).or_default().push(idx);
+                    raw.addrs.push(first.0);
+                    if raw.by_slot.len() <= slot {
+                        raw.by_slot.resize_with(slot + 1, Vec::new);
+                    }
+                    raw.by_slot[slot].push(idx);
                     for l in &a.lines {
                         raw.lines.push(l.0 / cfg.line_size);
+                    }
+                    txn_count[slot].add(a.lines.len() as u32);
+                    if a.lines.len() > 1 {
+                        txn_span[slot].add((last.0 - first.0) / cfg.line_size);
                     }
                     total_warp_accesses += 1;
                 }
@@ -214,8 +237,6 @@ pub fn profile_streams(
     let wpb = launch.warps_per_block(warp_size).max(1) as usize;
     let mut phase_votes: Vec<Vec<Histogram<i64>>> =
         vec![(0..wpb).map(|_| Histogram::new()).collect(); n];
-    let mut txn_count: Vec<Histogram<u32>> = vec![Histogram::new(); n];
-    let mut txn_span: Vec<Histogram<u64>> = vec![Histogram::new(); n];
     let mut last_first_addr: Vec<Option<u64>> = vec![None; n];
     let mut reuse: Vec<ReuseHistogram> = vec![ReuseHistogram::new(); reps.len()];
     let kmode = default_mode();
@@ -224,8 +245,11 @@ pub fn profile_streams(
     for (w, raw) in raws.iter().enumerate() {
         // Inter-warp strides: first execution per slot vs the previous
         // warp that executed the slot (warp-id order).
-        for (&slot, execs) in &raw.by_slot {
-            let first = raw.addrs[execs[0]];
+        for (slot, execs) in raw.by_slot.iter().enumerate() {
+            let Some(&first_exec) = execs.first() else {
+                continue;
+            };
+            let first = raw.addrs[first_exec];
             if !base_set[slot] {
                 base_addrs[slot] = ByteAddr(first);
                 base_set[slot] = true;
@@ -276,24 +300,6 @@ pub fn profile_streams(
         // Reuse distances per π cluster, at line granularity.
         reuse[warp_cluster[w]].merge(&ReuseHistogram::from_lines(raw.lines.iter().copied()));
         let _ = w;
-    }
-    // Transaction counts per slot (needs a second walk over events to keep
-    // slot association simple).
-    for s in streams {
-        for ev in &s.events {
-            if let WarpStreamEvent::Access(a) = ev {
-                if let Some(&slot) = slot_of.get(&a.pc) {
-                    if !a.lines.is_empty() {
-                        txn_count[slot].add(a.lines.len() as u32);
-                        if a.lines.len() > 1 {
-                            let span =
-                                (a.lines[a.lines.len() - 1].0 - a.lines[0].0) / cfg.line_size;
-                            txn_span[slot].add(span);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     let profile = GmapProfile {

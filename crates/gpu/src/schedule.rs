@@ -154,6 +154,12 @@ struct CoreRt {
     issues: u64,
     same_issues: u64,
     transitions: u64,
+    /// While `cycle < sleep_until` no warp of this core can be ready, so
+    /// the core is not asked: set by a selection that found nothing to
+    /// the smallest `ready_at` among the core's warps that are neither
+    /// done nor at a barrier (`u64::MAX` if there is none). See the three
+    /// reasons in [`run_schedule`]'s loop.
+    sleep_until: u64,
 }
 
 impl CoreRt {
@@ -167,7 +173,18 @@ impl CoreRt {
             issues: 0,
             same_issues: 0,
             transitions: 0,
+            sleep_until: 0,
         }
+    }
+
+    /// The cycle at which a warp that is waiting on memory becomes ready.
+    fn next_wake(&self) -> u64 {
+        self.warps
+            .iter()
+            .filter(|w| !w.done && !w.at_barrier)
+            .map(|w| w.ready_at)
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -222,11 +239,29 @@ pub fn run_schedule(
         }
     }
 
+    // A core whose selection finds nothing sleeps until its earliest
+    // wake-up instead of being asked again every cycle. Skipping it is
+    // exact, for three reasons:
+    // - a core's warps change state only inside that core's own step
+    //   below (the issue itself, `maybe_release_barrier(core, ..)`,
+    //   `place_block(core, ..)`), so the bound computed when the selection
+    //   failed holds until it is reached;
+    // - a failed selection consumes no randomness (`SelfProb` draws only
+    //   when the last-issued warp is ready, and then the round-robin
+    //   fallback finds at least that warp; `select_rr` never draws), so
+    //   leaving one out leaves the rng stream where it was;
+    // - on a cycle where nothing progressed every core has either just
+    //   failed or is asleep, so every `sleep_until` is current and after
+    //   `cycle`: their minimum is the next wake-up anywhere.
     let mut cycle = 0u64;
     while live_warps_total > 0 {
         let mut progressed = false;
         for (ci, core) in cores.iter_mut().enumerate() {
+            if cycle < core.sleep_until {
+                continue;
+            }
             let Some(widx) = select_warp(core, cycle, policy, &mut rng) else {
+                core.sleep_until = core.next_wake();
                 continue;
             };
             progressed = true;
@@ -284,14 +319,9 @@ pub fn run_schedule(
             cycle += 1;
         } else {
             // Nothing ready anywhere: jump to the next wake-up time.
-            let next = cores
-                .iter()
-                .flat_map(|c| c.warps.iter())
-                .filter(|w| !w.done && !w.at_barrier)
-                .map(|w| w.ready_at)
-                .min();
+            let next = cores.iter().map(|c| c.sleep_until).min();
             match next {
-                Some(t) if t > cycle => cycle = t,
+                Some(t) if t > cycle && t != u64::MAX => cycle = t,
                 // All live warps stuck at barriers would be a bug in the
                 // release logic; fail loudly rather than spin.
                 _ => panic!("scheduler deadlock at cycle {cycle}"),

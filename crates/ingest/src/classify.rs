@@ -35,8 +35,9 @@
 //! executed with fewer participating lanes than the warp has live lanes,
 //! or when some active warp never executed the PC at all.
 
+use gmap_trace::record::ByteAddr;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The monotone pattern hierarchy. Order matters: derived `Ord` is the
 /// relaxation order, and [`PatternClass::rank`] is the numeric position.
@@ -320,17 +321,20 @@ impl OnlineClassifier {
         warp: u32,
         pc: u64,
         is_write: bool,
-        lines: &[u64],
+        lines: &[ByteAddr],
         participants: u32,
         live: u32,
     ) {
         self.active_warps.insert(warp);
-        let tracked = self.pcs.contains_key(&pc) || self.pcs.len() < self.cfg.max_pcs;
-        if !tracked {
-            self.untracked_instructions += 1;
-            return;
-        }
-        let st = self.pcs.entry(pc).or_insert_with(PcState::new);
+        let tracked = self.pcs.len();
+        let st = match self.pcs.entry(pc) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) if tracked < self.cfg.max_pcs => e.insert(PcState::new()),
+            Entry::Vacant(_) => {
+                self.untracked_instructions += 1;
+                return;
+            }
+        };
         if is_write {
             st.writes += 1;
         } else {
@@ -342,22 +346,23 @@ impl OnlineClassifier {
             st.partial_lane_instructions += 1;
         }
         st.warps.insert(warp);
-        for &l in lines {
-            st.lo = st.lo.min(l);
-            st.hi = st.hi.max(l);
+        for l in lines {
+            st.lo = st.lo.min(l.0);
+            st.hi = st.hi.max(l.0);
         }
         // Pattern state rides the per-warp stream: the first coalesced
         // line of each instruction is the warp's representative address
         // (per-lane detail is already folded by coalescing).
-        if let Some(&first) = lines.first() {
-            let max_fsms = self.cfg.max_warp_fsms;
-            let span = self.cfg.indirect_max_span;
-            if st.fsms.contains_key(&warp) || st.fsms.len() < max_fsms {
-                st.fsms
-                    .entry(warp)
-                    .or_insert_with(|| PatternFsm::new(span))
-                    .observe(first);
-            }
+        if let Some(first) = lines.first() {
+            let fsms = st.fsms.len();
+            let fsm = match st.fsms.entry(warp) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) if fsms < self.cfg.max_warp_fsms => {
+                    e.insert(PatternFsm::new(self.cfg.indirect_max_span))
+                }
+                Entry::Vacant(_) => return,
+            };
+            fsm.observe(first.0);
         }
     }
 
@@ -492,8 +497,8 @@ mod tests {
     #[test]
     fn conditional_flagged_on_partial_participation() {
         let mut c = OnlineClassifier::new(ClassifierConfig::default());
-        c.observe(0, 0x10, false, &[0x1000], 32, 32);
-        c.observe(0, 0x20, false, &[0x2000], 8, 32);
+        c.observe(0, 0x10, false, &[ByteAddr(0x1000)], 32, 32);
+        c.observe(0, 0x20, false, &[ByteAddr(0x2000)], 8, 32);
         let out = c.finish();
         let by_pc = |pc| out.iter().find(|s| s.pc == pc).expect("tracked");
         assert!(!by_pc(0x10).conditional);
@@ -504,9 +509,16 @@ mod tests {
     fn conditional_flagged_on_missing_warps() {
         let mut c = OnlineClassifier::new(ClassifierConfig::default());
         for w in 0..4 {
-            c.observe(w, 0x10, false, &[0x1000 + u64::from(w) * 128], 32, 32);
+            c.observe(
+                w,
+                0x10,
+                false,
+                &[ByteAddr(0x1000 + u64::from(w) * 128)],
+                32,
+                32,
+            );
         }
-        c.observe(0, 0x20, false, &[0x9000], 32, 32);
+        c.observe(0, 0x20, false, &[ByteAddr(0x9000)], 32, 32);
         let out = c.finish();
         let by_pc = |pc: u64| out.iter().find(|s| s.pc == pc).expect("tracked");
         assert!(!by_pc(0x10).conditional, "all warps executed 0x10");
@@ -520,7 +532,7 @@ mod tests {
             ..ClassifierConfig::default()
         });
         for pc in 0..100u64 {
-            c.observe(0, pc, false, &[0x1000], 32, 32);
+            c.observe(0, pc, false, &[ByteAddr(0x1000)], 32, 32);
         }
         assert_eq!(c.tracked_pcs(), 4);
     }

@@ -7,15 +7,17 @@
 //! the resident *trace* buffer bounded:
 //!
 //! - the chunk parser holds at most one partial line/record;
-//! - per-thread entries go straight into per-warp, per-lane queues;
+//! - per-thread entries go straight into per-warp, per-lane queues, one
+//!   map lookup per entry; each warp keeps a mask of its non-empty lanes;
 //! - a warp-level instruction is popped (via the shared
-//!   [`pop_warp_instruction`] step) as soon as **every geometry-live lane
-//!   of the warp has a queued access** — safe because the front of a
-//!   non-empty queue can never change (arrivals only append), so the
-//!   majority vote is exactly the one the materialized path would take at
-//!   the same step. Lanes the trace never exercises stall this rule;
-//!   those queues drain at [`Ingestor::finish`] with the identical loop,
-//!   so the result is still exact.
+//!   [`pop_warp_instruction`] step, which walks the mask's set bits only)
+//!   as soon as **every geometry-live lane of the warp has a queued
+//!   access** — `nonempty & live_mask == live_mask` — safe because the
+//!   front of a non-empty queue can never change (arrivals only append),
+//!   so the majority vote is exactly the one the materialized path would
+//!   take at the same step. Lanes the trace never exercises stall this
+//!   rule; those queues drain at [`Ingestor::finish`] with the identical
+//!   loop, so the result is still exact.
 //!
 //! For lane-interleaved traces (the order lockstep tracers emit) the
 //! queues stay O(1) deep. Thread-major traces (all of thread 0, then
@@ -40,7 +42,7 @@
 use crate::classify::{ClassifierConfig, OnlineClassifier};
 use crate::reader::{ChunkParser, TraceFormat};
 use crate::report::{build_arrays, AdaptiveHeat, TraceReport};
-use gmap_core::ingest::{live_lanes, pop_warp_instruction, warp_lane_of};
+use gmap_core::ingest::{live_lanes, pop_warp_instruction, warp_lane_of, MAX_WARP_LANES};
 use gmap_core::profile::GmapProfile;
 use gmap_core::profiler::{profile_streams, ProfilerConfig};
 use gmap_core::GmapError;
@@ -65,7 +67,9 @@ pub enum OverflowPolicy {
 /// Configuration for an ingest pass.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Threads per warp (the profiler contract is 32).
+    /// Threads per warp. The profiler contract is 32 and neither the
+    /// service nor the CLI feeds this field from outside; [`Ingestor::new`]
+    /// panics unless it is in `1..=64` (a warp's lane mask is a `u64`).
     pub warp_size: u32,
     /// Profiler settings; `profiler.line_size` also drives coalescing.
     pub profiler: ProfilerConfig,
@@ -158,8 +162,10 @@ pub struct IngestStats {
     pub entries: u64,
     /// Entries outside the launch geometry.
     pub skipped: u64,
-    /// Peak resident trace buffer: queued lane entries plus parser carry
-    /// bytes (in entries-equivalents, see `peak_buffered_entries`).
+    /// Peak number of entries queued in the lane queues, taken after
+    /// every entry. The parser's carry (at most one partial line or
+    /// record) is not counted, so the value does not depend on where the
+    /// pushed pieces are cut.
     pub peak_buffered_entries: u64,
     /// Instructions popped by the overflow policy before their warp was
     /// fully fed.
@@ -179,9 +185,55 @@ pub struct IngestOutcome {
 
 #[derive(Debug)]
 struct WarpState {
+    /// One queue per geometry-live lane: every in-geometry lane index is
+    /// below `live`, so dead lanes of a partial warp are never allocated.
     lanes: Vec<VecDeque<MemAccess>>,
+    /// Bit `l` set iff `lanes[l]` is non-empty: set on push, cleared by
+    /// [`pop_warp_instruction`] when a pop empties the lane.
+    nonempty: u64,
+    /// The low `live` bits.
+    live_mask: u64,
     events: Vec<WarpStreamEvent>,
     live: u32,
+}
+
+/// Everything a popped instruction is reported to, apart from its warp —
+/// a struct of its own so that popping borrows it beside one
+/// `&mut WarpState` out of the warp map.
+#[derive(Debug)]
+struct Sinks {
+    line_size: u64,
+    classifier: OnlineClassifier,
+    heat: AdaptiveHeat,
+    /// Entries currently queued over all lanes of all warps.
+    buffered: u64,
+    instructions: u64,
+    transactions: u64,
+}
+
+impl Sinks {
+    /// Pops exactly one warp-level instruction of `warp` (which must have
+    /// a non-empty lane) and feeds the classifier and heat map.
+    fn pop_one(&mut self, warp: u32, st: &mut WarpState) {
+        let (access, participants) =
+            pop_warp_instruction(&mut st.lanes, &mut st.nonempty, self.line_size)
+                .expect("caller checked a lane is non-empty");
+        self.buffered -= u64::from(participants);
+        self.instructions += 1;
+        self.transactions += access.lines.len() as u64;
+        for l in &access.lines {
+            self.heat.observe(l.0, 1);
+        }
+        self.classifier.observe(
+            warp,
+            access.pc.0,
+            access.kind.is_write(),
+            &access.lines,
+            participants,
+            st.live,
+        );
+        st.events.push(WarpStreamEvent::Access(access));
+    }
 }
 
 /// Push-based streaming trace profiler. See the module docs.
@@ -191,29 +243,41 @@ pub struct Ingestor {
     launch: LaunchConfig,
     cfg: IngestConfig,
     parser: ChunkParser,
+    /// Parsed entries on their way from the parser to the lane queues;
+    /// swapped with the parser's output buffer, so neither reallocates.
+    parsed: Vec<TraceEntry>,
     warps: BTreeMap<u32, WarpState>,
-    classifier: OnlineClassifier,
-    heat: AdaptiveHeat,
-    buffered: u64,
-    instructions: u64,
-    transactions: u64,
+    sinks: Sinks,
     stats: IngestStats,
 }
 
 impl Ingestor {
     /// A fresh ingestor profiling under `launch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.warp_size` is outside `1..=64`.
     pub fn new(name: impl Into<String>, launch: LaunchConfig, cfg: IngestConfig) -> Self {
+        assert!(
+            (1..=MAX_WARP_LANES).contains(&cfg.warp_size),
+            "IngestConfig::warp_size {} outside 1..={MAX_WARP_LANES}",
+            cfg.warp_size
+        );
         Ingestor {
             name: name.into(),
             launch,
-            classifier: OnlineClassifier::new(cfg.classifier.clone()),
-            heat: AdaptiveHeat::new(cfg.heat_page_shift, cfg.heat_max_pages),
+            sinks: Sinks {
+                line_size: cfg.profiler.line_size,
+                classifier: OnlineClassifier::new(cfg.classifier.clone()),
+                heat: AdaptiveHeat::new(cfg.heat_page_shift, cfg.heat_max_pages),
+                buffered: 0,
+                instructions: 0,
+                transactions: 0,
+            },
             cfg,
             parser: ChunkParser::new(),
+            parsed: Vec::new(),
             warps: BTreeMap::new(),
-            buffered: 0,
-            instructions: 0,
-            transactions: 0,
             stats: IngestStats::default(),
         }
     }
@@ -231,7 +295,7 @@ impl Ingestor {
     /// Current resident trace buffer in entries (lane queues; the parser
     /// carry adds at most one line/record).
     pub fn buffered_entries(&self) -> u64 {
-        self.buffered
+        self.sinks.buffered
     }
 
     /// Peak of [`buffered_entries`](Self::buffered_entries) over the pass.
@@ -253,11 +317,16 @@ impl Ingestor {
     pub fn push_bytes(&mut self, chunk: &[u8]) -> Result<(), IngestError> {
         self.stats.bytes += chunk.len() as u64;
         self.parser.push(chunk)?;
-        let entries: Vec<TraceEntry> = self.parser.drain().collect();
-        for e in entries {
-            self.push_entry(e)?;
-        }
-        Ok(())
+        self.push_parsed()
+    }
+
+    /// Moves what the parser has decoded into the lane queues.
+    fn push_parsed(&mut self) -> Result<(), IngestError> {
+        let mut parsed = std::mem::take(&mut self.parsed);
+        self.parser.swap_entries(&mut parsed);
+        let pushed = parsed.iter().try_for_each(|&e| self.push_entry(e));
+        self.parsed = parsed;
+        pushed
     }
 
     /// Feeds one already-parsed entry (for callers that do their own
@@ -268,87 +337,48 @@ impl Ingestor {
     /// Lane-queue overflow under [`OverflowPolicy::Error`].
     pub fn push_entry(&mut self, (tid, acc): TraceEntry) -> Result<(), IngestError> {
         self.stats.entries += 1;
-        let Some((warp, lane)) = warp_lane_of(tid.0, &self.launch, self.cfg.warp_size) else {
+        let warp_size = self.cfg.warp_size;
+        let Some((warp, lane)) = warp_lane_of(tid.0, &self.launch, warp_size) else {
             self.stats.skipped += 1;
             return Ok(());
         };
-        let warp_size = self.cfg.warp_size;
-        let launch = self.launch;
-        let st = self.warps.entry(warp).or_insert_with(|| WarpState {
-            lanes: vec![VecDeque::new(); warp_size as usize],
-            events: Vec::new(),
-            live: live_lanes(warp, &launch, warp_size),
+        let launch = &self.launch;
+        let st = self.warps.entry(warp).or_insert_with(|| {
+            // At least 1: `tid` is a thread of this warp.
+            let live = live_lanes(warp, launch, warp_size);
+            WarpState {
+                lanes: vec![VecDeque::new(); live as usize],
+                nonempty: 0,
+                live_mask: u64::MAX >> (u64::BITS - live),
+                events: Vec::new(),
+                live,
+            }
         });
         st.lanes[lane].push_back(acc);
-        self.buffered += 1;
-        if st.lanes[lane].len() > self.cfg.max_lane_queue {
+        st.nonempty |= 1 << lane;
+        self.sinks.buffered += 1;
+        let bound = self.cfg.max_lane_queue;
+        if st.lanes[lane].len() > bound {
             match self.cfg.overflow {
                 OverflowPolicy::Error => {
-                    return Err(IngestError::LaneQueueOverflow {
-                        warp,
-                        lane,
-                        bound: self.cfg.max_lane_queue,
-                    });
+                    return Err(IngestError::LaneQueueOverflow { warp, lane, bound });
                 }
                 OverflowPolicy::ForceDrain => {
-                    let bound = self.cfg.max_lane_queue;
-                    while self.warps[&warp].lanes[lane].len() > bound {
-                        self.pop_one(warp);
+                    while st.lanes[lane].len() > bound {
+                        self.sinks.pop_one(warp, st);
                         self.stats.forced_drains += 1;
                     }
                 }
             }
         }
-        self.drain_ready(warp);
-        self.stats.peak_buffered_entries = self.stats.peak_buffered_entries.max(self.buffered);
+        // The exact-prefix rule from the module docs: pop while every
+        // live lane of the warp has a queued access.
+        while st.nonempty & st.live_mask == st.live_mask {
+            self.sinks.pop_one(warp, st);
+        }
+        self.stats.peak_buffered_entries =
+            self.stats.peak_buffered_entries.max(self.sinks.buffered);
         Ok(())
-    }
-
-    /// Pops while every live lane of `warp` has a queued access — the
-    /// exact-prefix rule from the module docs.
-    fn drain_ready(&mut self, warp: u32) {
-        loop {
-            let st = self.warps.get(&warp).expect("warp exists");
-            let ready = st.lanes[..st.live as usize].iter().all(|q| !q.is_empty());
-            if !ready {
-                return;
-            }
-            self.pop_one(warp);
-        }
-    }
-
-    /// Pops exactly one warp-level instruction and feeds the classifier
-    /// and heat map.
-    fn pop_one(&mut self, warp: u32) {
-        let st = self.warps.get_mut(&warp).expect("warp exists");
-        // Count the would-be participants before popping: the winning
-        // PC's lane count is not exposed by the shared step function.
-        let fronts: Vec<Option<gmap_trace::record::Pc>> =
-            st.lanes.iter().map(|q| q.front().map(|a| a.pc)).collect();
-        let Some(access) = pop_warp_instruction(&mut st.lanes, self.cfg.profiler.line_size) else {
-            return;
-        };
-        let participants = fronts
-            .iter()
-            .flatten()
-            .filter(|&&pc| pc == access.pc)
-            .count() as u32;
-        self.buffered -= u64::from(participants);
-        self.instructions += 1;
-        self.transactions += access.lines.len() as u64;
-        let lines: Vec<u64> = access.lines.iter().map(|l| l.0).collect();
-        for &l in &lines {
-            self.heat.observe(l, 1);
-        }
-        self.classifier.observe(
-            warp,
-            access.pc.0,
-            access.kind.is_write(),
-            &lines,
-            participants,
-            st.live,
-        );
-        st.events.push(WarpStreamEvent::Access(access));
     }
 
     /// Ends the stream: flushes the parser, drains every warp with the
@@ -361,17 +391,13 @@ impl Ingestor {
     /// geometry.
     pub fn finish(mut self) -> Result<IngestOutcome, IngestError> {
         self.parser.finish()?;
-        let entries: Vec<TraceEntry> = self.parser.drain().collect();
-        for e in entries {
-            self.push_entry(e)?;
-        }
+        self.push_parsed()?;
         // Drain the tails: from here the queues hold exactly what the
         // materialized path would still have, so the same loop finishes
-        // the job identically.
-        let warps: Vec<u32> = self.warps.keys().copied().collect();
-        for w in warps {
-            while self.warps[&w].lanes.iter().any(|q| !q.is_empty()) {
-                self.pop_one(w);
+        // the job identically. Key order is warp order.
+        for (&w, st) in self.warps.iter_mut() {
+            while st.nonempty != 0 {
+                self.sinks.pop_one(w, st);
             }
         }
         let wpb = self.launch.warps_per_block(self.cfg.warp_size);
@@ -390,9 +416,10 @@ impl Ingestor {
             self.cfg.warp_size,
             &self.cfg.profiler,
         )?;
-        let pcs = self.classifier.finish();
-        let untracked: u64 = self.instructions - pcs.iter().map(|p| p.instructions).sum::<u64>();
-        let arrays = build_arrays(&self.heat, &pcs);
+        let pcs = self.sinks.classifier.finish();
+        let untracked: u64 =
+            self.sinks.instructions - pcs.iter().map(|p| p.instructions).sum::<u64>();
+        let arrays = build_arrays(&self.sinks.heat, &pcs);
         let report = TraceReport {
             name: self.name.clone(),
             format: self
@@ -405,9 +432,9 @@ impl Ingestor {
             entries: self.stats.entries,
             skipped: self.stats.skipped,
             warps: streams.len() as u64,
-            instructions: self.instructions,
-            transactions: self.transactions,
-            page_bytes: self.heat.page_bytes(),
+            instructions: self.sinks.instructions,
+            transactions: self.sinks.transactions,
+            page_bytes: self.sinks.heat.page_bytes(),
             arrays,
             pcs,
             untracked_instructions: untracked,

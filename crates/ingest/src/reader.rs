@@ -5,7 +5,8 @@
 //! [`TraceEntry`] records as they become available. It sniffs the format
 //! from the first four bytes (`GMTR` → binary, anything else → text) and
 //! delegates the per-line / per-record decoding to `gmap_trace::io`
-//! ([`parse_text_line`], [`decode_record`]), so its output is
+//! ([`decode_text_line`] and, for every line it does not recognise,
+//! [`parse_text_line`]; [`decode_record`]), so its output is
 //! byte-identical to the materializing `read_text`/`read_binary` readers —
 //! including error indices: text errors carry the physical 1-based line
 //! number, binary errors the 1-based record number.
@@ -16,7 +17,8 @@
 //! `Read` source.
 
 use gmap_trace::io::{
-    decode_record, parse_text_line, ParseTraceError, TraceEntry, HEADER_BYTES, MAGIC, RECORD_BYTES,
+    decode_record, decode_text_line, parse_text_line, ParseTraceError, TraceEntry, HEADER_BYTES,
+    MAGIC, RECORD_BYTES,
 };
 use std::io::Read;
 
@@ -149,6 +151,15 @@ impl ChunkParser {
         self.out.drain(..)
     }
 
+    /// [`Self::drain`] without the copy: leaves the entries parsed so far
+    /// in `buf` (whatever it held is dropped) and keeps `buf`'s
+    /// allocation to parse into, so a caller that passes the same buffer
+    /// back after every push allocates nothing per chunk.
+    pub fn swap_entries(&mut self, buf: &mut Vec<TraceEntry>) {
+        buf.clear();
+        std::mem::swap(&mut self.out, buf);
+    }
+
     fn push_inner(&mut self, mut chunk: &[u8]) -> Result<(), ParseTraceError> {
         if let State::Sniff = self.state {
             self.carry.extend_from_slice(chunk);
@@ -234,6 +245,10 @@ impl ChunkParser {
     fn parse_line_bytes(&mut self, mut line: &[u8]) -> Result<(), ParseTraceError> {
         if line.last() == Some(&b'\r') {
             line = &line[..line.len() - 1];
+        }
+        if let Some(entry) = decode_text_line(line) {
+            self.out.push(entry);
+            return Ok(());
         }
         let text = std::str::from_utf8(line).map_err(|e| ParseTraceError::Malformed {
             index: self.line_no,
@@ -468,6 +483,34 @@ mod tests {
         let whole = read_binary(&buf[..]).expect("read");
         for step in [1, 2, 5, 20, 21, 22, 1 << 20] {
             assert_eq!(push_all(&buf, step).expect("parse"), whole, "step {step}");
+        }
+    }
+
+    /// A line completed from the carry goes through the same decoder as
+    /// a line that arrives whole: wherever a text trace is cut in two,
+    /// the entries — or the error — are those of a single push.
+    #[test]
+    fn text_cut_at_every_offset_matches_one_push() {
+        let good: &[u8] = b"# header\n0 0x10 R 0x80\n\t7\t1c85 W ff00  \r\n+3 0X1F R 0x0 tail\n\n\
+            12 0xabc W 0xdef\n4294967295 0x1 R 0x2\n  # note\n99 0x00000000000000001 W 0x3";
+        let bad_kind: &[u8] = b"0 0x10 R 0x80\n5 0x20 W 0x100\n6 0x20 w 0x100\n7 0x20 W 0x180\n";
+        let not_utf8: &[u8] = b"0 0x10 R 0x80\n5 0x20 W 0x100 \xff\n";
+        for text in [good, bad_kind, not_utf8] {
+            let whole = push_all(text, usize::MAX).map_err(|e| e.to_string());
+            assert_eq!(
+                whole.as_ref().map(Vec::len).ok(),
+                (text == good).then_some(6)
+            );
+            for cut in 0..=text.len() {
+                let mut p = ChunkParser::new();
+                let got = p
+                    .push(&text[..cut])
+                    .and_then(|()| p.push(&text[cut..]))
+                    .and_then(|()| p.finish())
+                    .map(|()| p.drain().collect::<Vec<_>>())
+                    .map_err(|e| e.to_string());
+                assert_eq!(got, whole, "cut at byte {cut}");
+            }
         }
     }
 

@@ -155,6 +155,43 @@ fn single_lane_warps_stay_exact_under_force_drain() {
 }
 
 #[test]
+fn partial_warp_drains_on_its_live_lanes() {
+    // 48 threads a block: the second warp of each block has 16 live
+    // lanes. The exact-prefix rule must fire on those 16 — a warp that
+    // waited for its dead lanes would overflow the 8-entry bound, and
+    // strict mode turns that into an error.
+    let launch = LaunchConfig::new(2u32, 48u32);
+    let entries = interleaved_trace(&launch, 50);
+    let expected = profile_thread_trace("partial", &entries, &launch, &ProfilerConfig::default())
+        .expect("materialized profile");
+    let cfg = IngestConfig {
+        overflow: OverflowPolicy::Error,
+        ..tiny_bounds()
+    };
+    let mut ing = Ingestor::new("partial", launch, cfg);
+    for e in &entries {
+        ing.push_entry(*e).expect("every warp drains in lockstep");
+    }
+    let outcome = ing.finish().expect("profile");
+    assert_eq!(canonical_json(&outcome.profile), canonical_json(&expected));
+    assert!(outcome.stats.peak_buffered_entries <= 96);
+    assert!(
+        outcome.report.pcs.iter().all(|pc| !pc.conditional),
+        "all live lanes took part in every instruction"
+    );
+}
+
+#[test]
+#[should_panic(expected = "warp_size 65 outside 1..=64")]
+fn warp_size_beyond_the_lane_mask_is_refused() {
+    let cfg = IngestConfig {
+        warp_size: 65,
+        ..IngestConfig::default()
+    };
+    let _ = Ingestor::new("wide", LaunchConfig::new(1u32, 130u32), cfg);
+}
+
+#[test]
 fn strict_policy_errors_on_skewed_interleaving() {
     // Thread-major order with multi-lane warps starves the other lanes:
     // strict mode must refuse rather than approximate.

@@ -11,8 +11,9 @@
 //!   21-byte records. Compact and fast for large traces.
 //!
 //! Besides the materializing `read_text`/`read_binary` readers, the
-//! building blocks of both formats ([`parse_text_line`], [`decode_record`],
-//! the [`MAGIC`]/[`HEADER_BYTES`]/[`RECORD_BYTES`] framing constants) are
+//! building blocks of both formats ([`decode_text_line`] with
+//! [`parse_text_line`] behind it, [`decode_record`], the
+//! [`MAGIC`]/[`HEADER_BYTES`]/[`RECORD_BYTES`] framing constants) are
 //! public so that streaming consumers (`gmap-ingest`) can parse chunk by
 //! chunk with byte-identical semantics.
 
@@ -153,22 +154,115 @@ pub fn parse_text_line(line: &str, index: usize) -> Result<Option<TraceEntry>, P
     )))
 }
 
+/// Decodes one line of the text format straight from its bytes, when
+/// the line has exactly the shape [`write_text`] emits and tracers
+/// produce: optional blanks (space or tab), 1–9 decimal digits, blanks,
+/// an optional `0x`/`0X` and 1–16 hex digits, blanks, `R` or `W`,
+/// blanks, a second hex field, optional blanks, end of line (no
+/// terminator).
+///
+/// Returns `None` for every other line — comments, blank lines, a sign,
+/// longer numbers, other whitespace, a fifth field, anything malformed —
+/// which the caller hands to [`parse_text_line`]: that parser alone
+/// decides what is an error and what it says. On the lines decoded here
+/// the two agree on the value (the digit bounds keep both numbers in
+/// range, so no overflow case is decided here).
+pub fn decode_text_line(line: &[u8]) -> Option<TraceEntry> {
+    let blanks = |mut i: usize| {
+        while matches!(line.get(i), Some(b' ' | b'\t')) {
+            i += 1;
+        }
+        i
+    };
+    // At least one blank must end a field that another follows.
+    let gap = |i: usize| Some(blanks(i)).filter(|&j| j > i);
+    let hex = |mut i: usize| {
+        if line.get(i) == Some(&b'0') && matches!(line.get(i + 1), Some(b'x' | b'X')) {
+            i += 2;
+        }
+        let start = i;
+        let mut v = 0u64;
+        while let Some(d) = line.get(i).and_then(|&b| char::from(b).to_digit(16)) {
+            if i - start == 16 {
+                return None;
+            }
+            v = v << 4 | u64::from(d);
+            i += 1;
+        }
+        (i > start).then_some((v, i))
+    };
+
+    let start = blanks(0);
+    let mut i = start;
+    let mut tid = 0u32;
+    while let Some(d) = line.get(i).filter(|b| b.is_ascii_digit()) {
+        if i - start == 9 {
+            return None;
+        }
+        tid = tid * 10 + u32::from(d - b'0');
+        i += 1;
+    }
+    if i == start {
+        return None;
+    }
+    let (pc, i) = hex(gap(i)?)?;
+    let i = gap(i)?;
+    let kind = match line.get(i)? {
+        b'R' => AccessKind::Read,
+        b'W' => AccessKind::Write,
+        _ => return None,
+    };
+    let (addr, i) = hex(gap(i + 1)?)?;
+    (blanks(i) == line.len()).then_some((
+        ThreadId(tid),
+        MemAccess {
+            pc: Pc(pc),
+            addr: ByteAddr(addr),
+            kind,
+        },
+    ))
+}
+
 /// Reads a trace in the text format.
 ///
 /// # Errors
 ///
 /// Returns [`ParseTraceError::Malformed`] on any line that does not have
 /// four fields of the expected shape — with the 1-based line number and
-/// the offending field — and propagates I/O errors.
-pub fn read_text<R: BufRead>(r: R) -> Result<Vec<TraceEntry>, ParseTraceError> {
+/// the offending field — and propagates I/O errors (a line that is not
+/// UTF-8 is one, of kind `InvalidData`).
+pub fn read_text<R: BufRead>(mut r: R) -> Result<Vec<TraceEntry>, ParseTraceError> {
     let mut out = Vec::new();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        if let Some(entry) = parse_text_line(&line, i + 1)? {
+    let mut buf = Vec::new();
+    let mut index = 0;
+    loop {
+        buf.clear();
+        if r.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(out);
+        }
+        index += 1;
+        // One terminator, as `BufRead::lines` strips it: `\n`, then `\r`.
+        let mut line = &buf[..];
+        if let [head @ .., b'\n'] = line {
+            line = head;
+            if let [head @ .., b'\r'] = line {
+                line = head;
+            }
+        }
+        if let Some(entry) = decode_text_line(line) {
+            out.push(entry);
+            continue;
+        }
+        let text = std::str::from_utf8(line).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        if let Some(entry) = parse_text_line(text, index)? {
             out.push(entry);
         }
     }
-    Ok(out)
 }
 
 fn parse_hex(s: &str, index: usize, what: &'static str) -> Result<u64, ParseTraceError> {

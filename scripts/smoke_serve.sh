@@ -124,31 +124,40 @@ grep -q '422' "$WORK/gate.err"
 expect '^gmap_analyze_rejects_total 1' "$GMAP" client metrics --addr "$ADDR"
 echo "smoke: admission gate rejected inadmissible spec with 422"
 
-# Streaming ingest: clone a model into a trace file, stream it chunked
-# to /v1/ingest, and check that the returned model id equals the content
-# key the local (bounded-memory) profiler prints for the same trace.
-TRACE="$WORK/clone.txt"
+# Streaming ingest: clone a model into a trace file in each format,
+# stream both chunked to /v1/ingest, and check that the two returned
+# model ids and the two content keys the local (bounded-memory) profiler
+# prints for the same traces are one value. Both files have the stem
+# `clone`, which names the model on either side.
 "$GMAP" profile --workload kmeans --scale tiny -o "$WORK/kmeans.json" >/dev/null
-"$GMAP" clone -p "$WORK/kmeans.json" --factor 2 -o "$TRACE" >/dev/null
-LOCAL="$("$GMAP" profile --trace "$TRACE" --grid 24 --block 128 -o "$WORK/reprofiled.json")"
-KEY="$(sed -n 's/^content key: //p' <<<"$LOCAL")"
-if [[ -z "$KEY" ]]; then
-    echo "smoke: local profile printed no content key" >&2
-    exit 1
-fi
-INGEST="$("$GMAP" client ingest --addr "$ADDR" --trace "$TRACE" \
-    --grid 24 --block 128 --chunk 4096)"
-INGEST_MODEL="$(printf '%s' "$INGEST" | sed -n 's/.*"model_id":"\([0-9a-f]*\)".*/\1/p')"
-if [[ "$INGEST_MODEL" != "$KEY" ]]; then
-    echo "smoke: streamed ingest diverged from local profiling" >&2
-    echo "  local content key : $KEY" >&2
-    echo "  served model id   : $INGEST_MODEL" >&2
-    exit 1
-fi
-grep -q '"pcs":' <<<"$INGEST" || { echo "smoke: ingest reply lacks a heat-map report" >&2; exit 1; }
-expect '^gmap_ingest_streams_total 1' "$GMAP" client metrics --addr "$ADDR"
+KEY=""
+for FORMAT in text binary; do
+    TRACE="$WORK/clone.$FORMAT"
+    "$GMAP" clone -p "$WORK/kmeans.json" --factor 2 --format "$FORMAT" -o "$TRACE" >/dev/null
+    LOCAL="$("$GMAP" profile --trace "$TRACE" --grid 24 --block 128 -o "$WORK/reprofiled.json")"
+    LOCAL_KEY="$(sed -n 's/^content key: //p' <<<"$LOCAL")"
+    if [[ -z "$LOCAL_KEY" ]]; then
+        echo "smoke: local profile of the $FORMAT trace printed no content key" >&2
+        exit 1
+    fi
+    INGEST="$("$GMAP" client ingest --addr "$ADDR" --trace "$TRACE" \
+        --grid 24 --block 128 --chunk 4096)"
+    INGEST_MODEL="$(printf '%s' "$INGEST" | sed -n 's/.*"model_id":"\([0-9a-f]*\)".*/\1/p')"
+    KEY="${KEY:-$LOCAL_KEY}"
+    if [[ "$LOCAL_KEY" != "$KEY" || "$INGEST_MODEL" != "$KEY" ]]; then
+        echo "smoke: streamed ingest of the $FORMAT trace diverged" >&2
+        echo "  content key of the text trace : $KEY" >&2
+        echo "  local content key             : $LOCAL_KEY" >&2
+        echo "  served model id               : $INGEST_MODEL" >&2
+        exit 1
+    fi
+    grep -q "\"format\":\"$FORMAT\"" <<<"$INGEST" \
+        || { echo "smoke: ingest reply does not report the $FORMAT format" >&2; exit 1; }
+    grep -q '"pcs":' <<<"$INGEST" || { echo "smoke: ingest reply lacks a heat-map report" >&2; exit 1; }
+done
+expect '^gmap_ingest_streams_total 2' "$GMAP" client metrics --addr "$ADDR"
 expect '^gmap_ingest_bytes_total [1-9]' "$GMAP" client metrics --addr "$ADDR"
-echo "smoke: streamed ingest matches local profiling ($KEY)"
+echo "smoke: streamed ingest matches local profiling, text and binary ($KEY)"
 
 # Raw-socket edge cases via bash's /dev/tcp.
 HOST="${ADDR%:*}"

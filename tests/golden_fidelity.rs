@@ -470,8 +470,7 @@ fn ingest_bytes(name: &str, launch: LaunchConfig, bytes: &[u8]) -> IngestedModel
 
 /// Ingests `entries` from both encodings; the two must agree on
 /// everything pinned.
-fn ingest_both_formats(what: &str, launch: LaunchConfig, entries: &[TraceEntry]) -> IngestedModel {
-    let name = what.split('/').next().expect("workload name");
+fn ingest_both_formats(name: &str, launch: LaunchConfig, entries: &[TraceEntry]) -> IngestedModel {
     let mut binary = Vec::new();
     write_binary(&mut binary, entries).expect("writing to memory cannot fail");
     let mut text = Vec::new();
@@ -480,7 +479,7 @@ fn ingest_both_formats(what: &str, launch: LaunchConfig, entries: &[TraceEntry])
     let from_text = ingest_bytes(name, launch, &text);
     assert_eq!(
         from_binary, from_text,
-        "{what}: the two encodings of one trace ingest differently"
+        "{name}: the two encodings of one trace ingest differently"
     );
     from_binary
 }
@@ -502,13 +501,13 @@ fn ingested_models_match_golden() {
             kernel.launch.threads_per_block(),
         );
         if name != "lu" {
-            let what = format!("{name}/lane0");
             let entries = lane0_entries(&original_streams(&kernel), &launch);
-            traces.insert(what.clone(), ingest_both_formats(&what, launch, &entries));
+            let model = ingest_both_formats(name, launch, &entries);
+            traces.insert(format!("{name}/lane0"), model);
         }
-        let what = format!("{name}/threads");
         let entries = execute_kernel(&kernel).thread_entries();
-        traces.insert(what.clone(), ingest_both_formats(&what, launch, &entries));
+        let model = ingest_both_formats(name, launch, &entries);
+        traces.insert(format!("{name}/threads"), model);
     }
     let got = GoldenIngest {
         scale: "tiny".to_string(),
