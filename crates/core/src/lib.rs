@@ -52,7 +52,6 @@ pub mod cachekey;
 pub mod error;
 pub mod fidelity;
 pub mod generate;
-pub mod ingest;
 pub mod miniaturize;
 pub mod model;
 pub mod profile;

@@ -1,38 +1,36 @@
 //! The push-based streaming ingestor.
 //!
 //! [`Ingestor`] accepts raw trace bytes chunk by chunk and produces, in a
-//! single pass, the same [`GmapProfile`] the materializing
-//! `read_* → profile_thread_trace` path produces — byte-identical — plus
-//! the online classifier verdicts and the heat-map report, while keeping
-//! the resident *trace* buffer bounded:
+//! single pass, the [`GmapProfile`] of the trace — byte-identical to
+//! reading every entry first and reconstructing warp by warp, which is the
+//! reference `tests/streaming.rs` keeps — plus the online classifier
+//! verdicts and the heat-map report, while keeping the resident *trace*
+//! buffer bounded:
 //!
 //! - the chunk parser holds at most one partial line/record;
 //! - per-thread entries go straight into per-warp, per-lane queues, one
 //!   map lookup per entry; each warp keeps a mask of its non-empty lanes;
-//! - a warp-level instruction is popped (via the shared
-//!   [`pop_warp_instruction`] step, which walks the mask's set bits only)
-//!   as soon as **every geometry-live lane of the warp has a queued
-//!   access** — `nonempty & live_mask == live_mask` — safe because the
-//!   front of a non-empty queue can never change (arrivals only append),
-//!   so the majority vote is exactly the one the materialized path would
-//!   take at the same step. Lanes the trace never exercises stall this
-//!   rule; those queues drain at [`Ingestor::finish`] with the identical
-//!   loop, so the result is still exact.
+//! - a warp-level instruction is popped ([`pop_warp_instruction`], which
+//!   walks the mask's set bits only) as soon as **every geometry-live lane
+//!   of the warp has a queued access** — `nonempty & live_mask ==
+//!   live_mask` — safe because the front of a non-empty queue can never
+//!   change (arrivals only append), so the majority vote is exactly the
+//!   one a whole-trace reconstruction would take at the same step. Lanes
+//!   the trace never exercises stall this rule; those queues drain at
+//!   [`Ingestor::finish`] with the identical loop, so the result is still
+//!   exact.
 //!
 //! For lane-interleaved traces (the order lockstep tracers emit) the
 //! queues stay O(1) deep. Thread-major traces (all of thread 0, then
 //! thread 1, ...) would buffer a whole warp's worth of accesses, so each
-//! lane queue is bounded by `max_lane_queue` with an [`OverflowPolicy`]:
-//!
-//! - [`OverflowPolicy::ForceDrain`] (default) pops a majority instruction
-//!   among the currently non-empty lanes. For single-lane-per-warp traces
-//!   (e.g. `gmap clone` output, which attributes each warp transaction to
-//!   lane 0) this is still exact — majority-of-one pops entries in order.
-//!   For genuinely divergent thread-major traces it degrades gracefully,
-//!   mirroring the module-level majority semantics; `forced_drains` in
-//!   [`IngestStats`] reports when it happened.
-//! - [`OverflowPolicy::Error`] is strict backpressure: fail the ingest
-//!   instead of approximating.
+//! lane queue is bounded by `max_lane_queue`: a queue at the bound
+//! force-drains — a majority instruction is popped among the currently
+//! non-empty lanes. For single-lane-per-warp traces (e.g. `gmap clone`
+//! output, which attributes each warp transaction to lane 0) this is
+//! still exact — majority-of-one pops entries in order. For genuinely
+//! divergent thread-major traces it degrades gracefully, mirroring the
+//! majority semantics of [`crate::ingest`]; `forced_drains` in
+//! [`IngestStats`] reports when it happened.
 //!
 //! What stays bounded is the *raw trace*: the reconstructed coalesced
 //! warp streams (the profiler's input, typically 32× smaller than the
@@ -40,9 +38,9 @@
 //! materialized, because `profile_streams` is multi-pass.
 
 use crate::classify::{ClassifierConfig, OnlineClassifier};
-use crate::reader::{ChunkParser, TraceFormat};
+use crate::ingest::{live_lanes, pop_warp_instruction, warp_lane_of, WARP_SIZE};
+use crate::reader::{ChunkParser, TraceFormat, DEFAULT_CHUNK_BYTES};
 use crate::report::{build_arrays, AdaptiveHeat, TraceReport};
-use gmap_core::ingest::{live_lanes, pop_warp_instruction, warp_lane_of, MAX_WARP_LANES};
 use gmap_core::profile::GmapProfile;
 use gmap_core::profiler::{profile_streams, ProfilerConfig};
 use gmap_core::GmapError;
@@ -54,29 +52,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-/// What to do when a lane queue hits `max_lane_queue`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Pop a majority instruction among the non-empty lanes (exact for
-    /// single-lane-per-warp traces; approximate otherwise).
-    ForceDrain,
-    /// Fail the ingest with [`IngestError::LaneQueueOverflow`].
-    Error,
-}
-
 /// Configuration for an ingest pass.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Threads per warp. The profiler contract is 32 and neither the
-    /// service nor the CLI feeds this field from outside; [`Ingestor::new`]
-    /// panics unless it is in `1..=64` (a warp's lane mask is a `u64`).
-    pub warp_size: u32,
     /// Profiler settings; `profiler.line_size` also drives coalescing.
     pub profiler: ProfilerConfig,
-    /// Bound on each per-warp lane queue, in entries.
+    /// Bound on each per-warp lane queue, in entries; a queue at the
+    /// bound force-drains (see the module docs).
     pub max_lane_queue: usize,
-    /// Behaviour at the bound.
-    pub overflow: OverflowPolicy,
     /// Classifier bounds.
     pub classifier: ClassifierConfig,
     /// Initial heat-histogram page size as a shift (12 → 4 KiB pages).
@@ -88,10 +71,8 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
-            warp_size: 32,
             profiler: ProfilerConfig::default(),
             max_lane_queue: 4096,
-            overflow: OverflowPolicy::ForceDrain,
             classifier: ClassifierConfig::default(),
             heat_page_shift: 12,
             heat_max_pages: 2048,
@@ -104,15 +85,6 @@ impl Default for IngestConfig {
 pub enum IngestError {
     /// The byte stream failed to parse.
     Parse(ParseTraceError),
-    /// A lane queue hit the bound under [`OverflowPolicy::Error`].
-    LaneQueueOverflow {
-        /// The warp whose lane overflowed.
-        warp: u32,
-        /// The overflowing lane.
-        lane: usize,
-        /// The configured bound.
-        bound: usize,
-    },
     /// Profiling failed (e.g. no entry fell inside the launch geometry).
     Profile(GmapError),
 }
@@ -121,11 +93,6 @@ impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IngestError::Parse(e) => write!(f, "trace parse failed: {e}"),
-            IngestError::LaneQueueOverflow { warp, lane, bound } => write!(
-                f,
-                "lane queue overflow: warp {warp} lane {lane} exceeded {bound} \
-                 buffered accesses (trace interleaving too skewed for strict mode)"
-            ),
             IngestError::Profile(e) => write!(f, "profiling failed: {e}"),
         }
     }
@@ -136,7 +103,6 @@ impl std::error::Error for IngestError {
         match self {
             IngestError::Parse(e) => Some(e),
             IngestError::Profile(e) => Some(e),
-            IngestError::LaneQueueOverflow { .. } => None,
         }
     }
 }
@@ -167,7 +133,7 @@ pub struct IngestStats {
     /// record) is not counted, so the value does not depend on where the
     /// pushed pieces are cut.
     pub peak_buffered_entries: u64,
-    /// Instructions popped by the overflow policy before their warp was
+    /// Instructions popped at the lane-queue bound before their warp was
     /// fully fed.
     pub forced_drains: u64,
 }
@@ -175,7 +141,8 @@ pub struct IngestStats {
 /// Everything one streaming pass produces.
 #[derive(Debug)]
 pub struct IngestOutcome {
-    /// The statistical profile — byte-identical to the materialized path.
+    /// The statistical profile — the same bytes wherever the pushed
+    /// pieces were cut.
     pub profile: GmapProfile,
     /// Classifier verdicts + heat map.
     pub report: TraceReport,
@@ -253,16 +220,7 @@ pub struct Ingestor {
 
 impl Ingestor {
     /// A fresh ingestor profiling under `launch`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.warp_size` is outside `1..=64`.
     pub fn new(name: impl Into<String>, launch: LaunchConfig, cfg: IngestConfig) -> Self {
-        assert!(
-            (1..=MAX_WARP_LANES).contains(&cfg.warp_size),
-            "IngestConfig::warp_size {} outside 1..={MAX_WARP_LANES}",
-            cfg.warp_size
-        );
         Ingestor {
             name: name.into(),
             launch,
@@ -312,40 +270,36 @@ impl Ingestor {
     ///
     /// # Errors
     ///
-    /// Parse failures and, under [`OverflowPolicy::Error`], lane-queue
-    /// overflow. The ingestor is unusable after an error.
+    /// Parse failures. The ingestor is unusable after an error.
     pub fn push_bytes(&mut self, chunk: &[u8]) -> Result<(), IngestError> {
         self.stats.bytes += chunk.len() as u64;
         self.parser.push(chunk)?;
-        self.push_parsed()
+        self.push_parsed();
+        Ok(())
     }
 
     /// Moves what the parser has decoded into the lane queues.
-    fn push_parsed(&mut self) -> Result<(), IngestError> {
+    fn push_parsed(&mut self) {
         let mut parsed = std::mem::take(&mut self.parsed);
         self.parser.swap_entries(&mut parsed);
-        let pushed = parsed.iter().try_for_each(|&e| self.push_entry(e));
+        for &e in &parsed {
+            self.push_entry(e);
+        }
         self.parsed = parsed;
-        pushed
     }
 
     /// Feeds one already-parsed entry (for callers that do their own
     /// decoding).
-    ///
-    /// # Errors
-    ///
-    /// Lane-queue overflow under [`OverflowPolicy::Error`].
-    pub fn push_entry(&mut self, (tid, acc): TraceEntry) -> Result<(), IngestError> {
+    pub fn push_entry(&mut self, (tid, acc): TraceEntry) {
         self.stats.entries += 1;
-        let warp_size = self.cfg.warp_size;
-        let Some((warp, lane)) = warp_lane_of(tid.0, &self.launch, warp_size) else {
+        let Some((warp, lane)) = warp_lane_of(tid.0, &self.launch) else {
             self.stats.skipped += 1;
-            return Ok(());
+            return;
         };
         let launch = &self.launch;
         let st = self.warps.entry(warp).or_insert_with(|| {
             // At least 1: `tid` is a thread of this warp.
-            let live = live_lanes(warp, launch, warp_size);
+            let live = live_lanes(warp, launch);
             WarpState {
                 lanes: vec![VecDeque::new(); live as usize],
                 nonempty: 0,
@@ -357,19 +311,9 @@ impl Ingestor {
         st.lanes[lane].push_back(acc);
         st.nonempty |= 1 << lane;
         self.sinks.buffered += 1;
-        let bound = self.cfg.max_lane_queue;
-        if st.lanes[lane].len() > bound {
-            match self.cfg.overflow {
-                OverflowPolicy::Error => {
-                    return Err(IngestError::LaneQueueOverflow { warp, lane, bound });
-                }
-                OverflowPolicy::ForceDrain => {
-                    while st.lanes[lane].len() > bound {
-                        self.sinks.pop_one(warp, st);
-                        self.stats.forced_drains += 1;
-                    }
-                }
-            }
+        while st.lanes[lane].len() > self.cfg.max_lane_queue {
+            self.sinks.pop_one(warp, st);
+            self.stats.forced_drains += 1;
         }
         // The exact-prefix rule from the module docs: pop while every
         // live lane of the warp has a queued access.
@@ -378,11 +322,10 @@ impl Ingestor {
         }
         self.stats.peak_buffered_entries =
             self.stats.peak_buffered_entries.max(self.sinks.buffered);
-        Ok(())
     }
 
-    /// Ends the stream: flushes the parser, drains every warp with the
-    /// materialized loop, profiles, and assembles the report.
+    /// Ends the stream: flushes the parser, drains every warp dry,
+    /// profiles, and assembles the report.
     ///
     /// # Errors
     ///
@@ -391,16 +334,16 @@ impl Ingestor {
     /// geometry.
     pub fn finish(mut self) -> Result<IngestOutcome, IngestError> {
         self.parser.finish()?;
-        self.push_parsed()?;
-        // Drain the tails: from here the queues hold exactly what the
-        // materialized path would still have, so the same loop finishes
-        // the job identically. Key order is warp order.
+        self.push_parsed();
+        // Drain the tails: from here the queues hold exactly what a
+        // whole-trace reconstruction would still have, so the same loop
+        // finishes the job identically. Key order is warp order.
         for (&w, st) in self.warps.iter_mut() {
             while st.nonempty != 0 {
                 self.sinks.pop_one(w, st);
             }
         }
-        let wpb = self.launch.warps_per_block(self.cfg.warp_size);
+        let wpb = self.launch.warps_per_block(WARP_SIZE);
         let mut streams = Vec::with_capacity(self.warps.len());
         for (w, st) in std::mem::take(&mut self.warps) {
             streams.push(WarpStream {
@@ -413,7 +356,7 @@ impl Ingestor {
             &self.name,
             &streams,
             &self.launch,
-            self.cfg.warp_size,
+            WARP_SIZE,
             &self.cfg.profiler,
         )?;
         let pcs = self.sinks.classifier.finish();
@@ -448,7 +391,7 @@ impl Ingestor {
 }
 
 /// Streams a whole `Read` source through an [`Ingestor`] in
-/// `chunk_size`-byte chunks.
+/// [`DEFAULT_CHUNK_BYTES`] pieces.
 ///
 /// # Errors
 ///
@@ -459,10 +402,9 @@ pub fn ingest_reader<R: std::io::Read>(
     mut reader: R,
     launch: &LaunchConfig,
     cfg: IngestConfig,
-    chunk_size: usize,
 ) -> Result<IngestOutcome, IngestError> {
     let mut ing = Ingestor::new(name, *launch, cfg);
-    let mut buf = vec![0u8; chunk_size.max(1)];
+    let mut buf = vec![0u8; DEFAULT_CHUNK_BYTES];
     loop {
         match reader.read(&mut buf) {
             Ok(0) => break,

@@ -12,15 +12,16 @@
 //! Layers:
 //!
 //! - [`reader`] — incremental parsing of both trace formats: the
-//!   push-based [`ChunkParser`] and the pull-based [`TraceReader`]
-//!   iterator, byte-identical in output and errors to the materializing
-//!   `gmap_trace::io` readers.
-//! - [`ingestor`] — the push-based [`Ingestor`]: bounded per-warp lane
-//!   queues feed the *shared* warp-reconstruction step
-//!   (`gmap_core::ingest::pop_warp_instruction`) incrementally, so the
+//!   push-based [`ChunkParser`], byte-identical in output and errors to
+//!   the materializing `gmap_trace::io` readers.
+//! - [`ingest`] — warp reconstruction: the launch-geometry mapping and
+//!   the per-warp majority step ([`ingest::pop_warp_instruction`]) that
+//!   turns per-lane access queues into coalesced warp instructions.
+//! - [`ingestor`] — the push-based [`Ingestor`], the one ingest path:
+//!   bounded per-warp lane queues feed that step incrementally, and the
 //!   resulting [`GmapProfile`](gmap_core::profile::GmapProfile) is
-//!   byte-identical to the materialize-then-profile path (differentially
-//!   tested).
+//!   byte-identical to reconstructing from the whole trace at once (the
+//!   reference `tests/streaming.rs` diffs against).
 //! - [`classify`] — the monotone per-PC FSM (UNKNOWN → CONSTANT → LINEAR
 //!   → QUADRIC → INDIRECT → RANDOM) with conditional-access tracking.
 //! - [`report`] — the adaptive heat histogram, array detection, and
@@ -51,13 +52,14 @@
 #![warn(missing_debug_implementations)]
 
 pub mod classify;
+pub mod ingest;
 pub mod ingestor;
 pub mod reader;
 pub mod report;
 
 pub use classify::{ClassifierConfig, OnlineClassifier, PatternClass, PatternFsm, PcSummary};
 pub use ingestor::{
-    ingest_reader, IngestConfig, IngestError, IngestOutcome, IngestStats, Ingestor, OverflowPolicy,
+    ingest_reader, IngestConfig, IngestError, IngestOutcome, IngestStats, Ingestor,
 };
-pub use reader::{ChunkParser, TraceFormat, TraceReader, DEFAULT_CHUNK_BYTES};
+pub use reader::{ChunkParser, TraceFormat, DEFAULT_CHUNK_BYTES};
 pub use report::{AdaptiveHeat, ArraySummary, TraceReport};

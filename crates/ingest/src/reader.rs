@@ -13,21 +13,26 @@
 //!
 //! Only a partial trailing line or record is ever buffered (bounded by
 //! [`MAX_LINE_BYTES`]); completed entries are handed to the caller.
-//! [`TraceReader`] wraps the parser into a pull-based iterator over any
-//! `Read` source.
+//!
+//! The line bound is this parser's own — the one place it is stricter
+//! than `read_text`, which reads a line of any length: a text line
+//! (comments included) longer than [`MAX_LINE_BYTES`] is `Malformed`
+//! with field `"line"` at its physical line number, whether it arrives
+//! whole inside one pushed piece or spread over many.
 
 use gmap_trace::io::{
     decode_record, decode_text_line, parse_text_line, ParseTraceError, TraceEntry, HEADER_BYTES,
     MAGIC, RECORD_BYTES,
 };
-use std::io::Read;
 
-/// Longest accepted text line (including comments). A well-formed entry
-/// line is under 100 bytes; the bound only exists to keep the carry
-/// buffer — and thus parser memory — constant in trace length.
+/// Longest accepted text line (including comments), counted up to its
+/// `\n`. A well-formed entry line is under 100 bytes; the bound only
+/// exists to keep the carry buffer — and thus parser memory — constant in
+/// trace length.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// Default chunk size for the pull-based [`TraceReader`].
+/// Piece size [`ingest_reader`](crate::ingest_reader) reads with, and
+/// the default upload chunk of `gmap client ingest`.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Which on-disk format the parser detected.
@@ -223,6 +228,7 @@ impl ChunkParser {
             let (line, rest) = chunk.split_at(nl);
             chunk = &rest[1..];
             self.line_no += 1;
+            self.check_line_len(self.line_no, line.len())?;
             if self.carry.is_empty() {
                 self.parse_line_bytes(line)?;
             } else {
@@ -231,14 +237,23 @@ impl ChunkParser {
                 self.parse_line_bytes(&full)?;
             }
         }
-        if self.carry.len() + chunk.len() > MAX_LINE_BYTES {
+        self.check_line_len(self.line_no + 1, chunk.len())?;
+        self.carry.extend_from_slice(chunk);
+        Ok(())
+    }
+
+    /// Refuses physical line `index` once the carry plus `more` further
+    /// bytes of it pass [`MAX_LINE_BYTES`]. Applied to completed lines and
+    /// to the growing partial line alike, so the verdict does not depend
+    /// on where the pushed pieces are cut.
+    fn check_line_len(&self, index: usize, more: usize) -> Result<(), ParseTraceError> {
+        if self.carry.len() + more > MAX_LINE_BYTES {
             return Err(ParseTraceError::Malformed {
-                index: self.line_no + 1,
+                index,
                 field: "line",
                 reason: format!("line exceeds {MAX_LINE_BYTES} bytes"),
             });
         }
-        self.carry.extend_from_slice(chunk);
         Ok(())
     }
 
@@ -349,87 +364,6 @@ fn poisoned() -> ParseTraceError {
     }
 }
 
-/// Pull-based streaming reader: iterates [`TraceEntry`] records from any
-/// `Read` source in fixed-size chunks, holding at most one chunk plus one
-/// partial line/record in memory.
-pub struct TraceReader<R: Read> {
-    inner: R,
-    parser: ChunkParser,
-    buf: Vec<u8>,
-    pending: std::collections::VecDeque<TraceEntry>,
-    done: bool,
-}
-
-impl<R: Read> std::fmt::Debug for TraceReader<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceReader")
-            .field("parser", &self.parser)
-            .field("pending", &self.pending.len())
-            .field("done", &self.done)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Wraps `inner` with the default chunk size.
-    pub fn new(inner: R) -> Self {
-        Self::with_chunk_size(inner, DEFAULT_CHUNK_BYTES)
-    }
-
-    /// Wraps `inner`, reading `chunk_size` bytes at a time.
-    pub fn with_chunk_size(inner: R, chunk_size: usize) -> Self {
-        TraceReader {
-            inner,
-            parser: ChunkParser::new(),
-            buf: vec![0u8; chunk_size.max(1)],
-            pending: std::collections::VecDeque::new(),
-            done: false,
-        }
-    }
-
-    /// The detected format, once at least 4 bytes have been read.
-    pub fn format(&self) -> Option<TraceFormat> {
-        self.parser.format()
-    }
-}
-
-impl<R: Read> Iterator for TraceReader<R> {
-    type Item = Result<TraceEntry, ParseTraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(e) = self.pending.pop_front() {
-                return Some(Ok(e));
-            }
-            if self.done {
-                return None;
-            }
-            match self.inner.read(&mut self.buf) {
-                Ok(0) => {
-                    self.done = true;
-                    if let Err(e) = self.parser.finish() {
-                        return Some(Err(e));
-                    }
-                    self.pending.extend(self.parser.drain());
-                }
-                Ok(n) => {
-                    let chunk = &self.buf[..n];
-                    if let Err(e) = self.parser.push(chunk) {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    self.pending.extend(self.parser.drain());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(ParseTraceError::Io(e)));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,14 +436,62 @@ mod tests {
                 (text == good).then_some(6)
             );
             for cut in 0..=text.len() {
-                let mut p = ChunkParser::new();
-                let got = p
-                    .push(&text[..cut])
-                    .and_then(|()| p.push(&text[cut..]))
-                    .and_then(|()| p.finish())
-                    .map(|()| p.drain().collect::<Vec<_>>())
-                    .map_err(|e| e.to_string());
-                assert_eq!(got, whole, "cut at byte {cut}");
+                assert_eq!(cut_in_two(text, cut), whole, "cut at byte {cut}");
+            }
+        }
+    }
+
+    fn cut_in_two(text: &[u8], cut: usize) -> Result<Vec<TraceEntry>, String> {
+        let mut p = ChunkParser::new();
+        p.push(&text[..cut])
+            .and_then(|()| p.push(&text[cut..]))
+            .and_then(|()| p.finish())
+            .map(|()| p.drain().collect())
+            .map_err(|e| e.to_string())
+    }
+
+    /// The line bound is a property of the line, not of the pieces it
+    /// arrives in: an over-long comment or entry line is refused with the
+    /// same error, at its own line number, in one push, cut in two
+    /// anywhere, or in small steps — and a line of exactly the bound
+    /// passes every way.
+    #[test]
+    fn over_long_line_gets_one_verdict_wherever_it_is_cut() {
+        let entry = b"0 0x10 R 0x80\n";
+        let comment = |len: usize| [&b"#"[..], &vec![b'x'; len - 1]].concat();
+        let long_comment = [&comment(70 * 1024)[..], b"\n", entry].concat();
+        // Leading zeros keep the address field well-formed at any length.
+        let long_entry = [&b"7 0x20 W 0x"[..], &vec![b'0'; 70 * 1024], b"80\n", entry].concat();
+        let second_line = [entry, &comment(MAX_LINE_BYTES + 1)[..], b"\n", entry].concat();
+        let at_the_bound = [&comment(MAX_LINE_BYTES)[..], b"\n", entry].concat();
+        // The bound counts everything before the `\n`, a `\r` included.
+        let crlf_over = [&comment(MAX_LINE_BYTES)[..], b"\r\n", entry].concat();
+        let too_long = |line: usize| {
+            Err(format!(
+                "malformed trace entry {line} (line): line exceeds 65536 bytes"
+            ))
+        };
+        for (text, want) in [
+            (&long_comment, too_long(1)),
+            (&long_entry, too_long(1)),
+            (&second_line, too_long(2)),
+            (&at_the_bound, Ok(1)),
+            (&crlf_over, too_long(1)),
+        ] {
+            let whole = push_all(text, usize::MAX).map_err(|e| e.to_string());
+            assert_eq!(whole.as_ref().map(Vec::len).map_err(String::clone), want);
+            let newline = text.iter().position(|&b| b == b'\n').expect("has lines");
+            let cuts = (0..=text.len())
+                .step_by(4099)
+                .chain(MAX_LINE_BYTES - 2..=MAX_LINE_BYTES + 3)
+                .chain(newline - 2..=newline + 2)
+                .chain(text.len() - 2..=text.len());
+            for cut in cuts {
+                assert_eq!(cut_in_two(text, cut), whole, "cut at byte {cut}");
+            }
+            for step in [1, 777, 1024, MAX_LINE_BYTES, MAX_LINE_BYTES + 1] {
+                let got = push_all(text, step).map_err(|e| e.to_string());
+                assert_eq!(got, whole, "pieces of {step} bytes");
             }
         }
     }
@@ -597,20 +579,5 @@ mod tests {
         }
         p.finish().expect("finish");
         assert!(peak < 128, "carry held a whole trace: {peak}");
-    }
-
-    #[test]
-    fn pull_reader_round_trips_both_formats() {
-        let entries = sample(257);
-        for write in [
-            (|b: &mut Vec<u8>, e: &[TraceEntry]| write_text(b, e).expect("write"))
-                as fn(&mut Vec<u8>, &[TraceEntry]),
-            |b, e| write_binary(b, e).expect("write"),
-        ] {
-            let mut buf = Vec::new();
-            write(&mut buf, &entries);
-            let got: Result<Vec<_>, _> = TraceReader::with_chunk_size(&buf[..], 11).collect();
-            assert_eq!(got.expect("read"), entries);
-        }
     }
 }

@@ -2,19 +2,70 @@
 //!
 //! The contract under test: pushing a trace through [`Ingestor`] chunk by
 //! chunk produces a `GmapProfile` **byte-identical** (canonical JSON) to
-//! the materializing `read_* → profile_thread_trace` path, while the
-//! resident trace buffer stays bounded — constant in trace length.
+//! the materialized reference below — every entry in memory, each warp
+//! reconstructed whole — while the resident trace buffer stays bounded,
+//! constant in trace length.
 
 use gmap_core::cachekey::canonical_json;
-use gmap_core::ingest::profile_thread_trace;
-use gmap_core::profiler::ProfilerConfig;
+use gmap_core::profile::GmapProfile;
+use gmap_core::profiler::{profile_streams, ProfilerConfig};
+use gmap_core::GmapError;
 use gmap_gpu::hierarchy::LaunchConfig;
+use gmap_gpu::schedule::{WarpStream, WarpStreamEvent};
+use gmap_ingest::ingest::{pop_warp_instruction, warp_lane_of, WARP_SIZE};
 use gmap_ingest::{
-    ClassifierConfig, IngestConfig, IngestError, Ingestor, OverflowPolicy, PatternClass, PatternFsm,
+    ChunkParser, ClassifierConfig, IngestConfig, IngestError, Ingestor, PatternClass, PatternFsm,
 };
 use gmap_trace::io::{read_binary, write_binary, write_text, TraceEntry};
-use gmap_trace::record::{ByteAddr, MemAccess, Pc, ThreadId};
+use gmap_trace::record::{ByteAddr, MemAccess, Pc, ThreadId, WarpId};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, VecDeque};
+
+/// The materialized reference: queue every in-geometry entry on its
+/// warp's lane first, then pop each warp dry, in warp order. No bound,
+/// no early pops — what [`Ingestor`] must equal whenever its own bound
+/// does not fire.
+fn warp_streams_from_entries(
+    entries: &[TraceEntry],
+    launch: &LaunchConfig,
+    line_size: u64,
+) -> Vec<WarpStream> {
+    let mut warps: BTreeMap<u32, (Vec<VecDeque<MemAccess>>, u64)> = BTreeMap::new();
+    for (tid, acc) in entries {
+        let Some((warp, lane)) = warp_lane_of(tid.0, launch) else {
+            continue;
+        };
+        let (queues, nonempty) = warps
+            .entry(warp)
+            .or_insert_with(|| (vec![VecDeque::new(); WARP_SIZE as usize], 0));
+        queues[lane].push_back(*acc);
+        *nonempty |= 1 << lane;
+    }
+    let wpb = launch.warps_per_block(WARP_SIZE);
+    warps
+        .into_iter()
+        .map(|(w, (mut queues, mut nonempty))| WarpStream {
+            warp: WarpId(w),
+            block: w / wpb,
+            events: std::iter::from_fn(|| {
+                pop_warp_instruction(&mut queues, &mut nonempty, line_size)
+            })
+            .map(|(access, _)| WarpStreamEvent::Access(access))
+            .collect(),
+        })
+        .collect()
+}
+
+/// The reference end to end: entries → warp streams → profile.
+fn profile_thread_trace(
+    name: &str,
+    entries: &[TraceEntry],
+    launch: &LaunchConfig,
+    cfg: &ProfilerConfig,
+) -> Result<GmapProfile, GmapError> {
+    let streams = warp_streams_from_entries(entries, launch, cfg.line_size);
+    profile_streams(name, &streams, launch, WARP_SIZE, cfg)
+}
 
 fn entry(tid: u32, pc: u64, addr: u64, write: bool) -> TraceEntry {
     let acc = if write {
@@ -142,7 +193,7 @@ fn single_lane_warps_stay_exact_under_force_drain() {
         .expect("materialized profile");
     let mut ing = Ingestor::new("clone", launch, tiny_bounds());
     for e in &entries {
-        ing.push_entry(*e).expect("in geometry");
+        ing.push_entry(*e);
     }
     let outcome = ing.finish().expect("profile");
     assert_eq!(canonical_json(&outcome.profile), canonical_json(&expected));
@@ -158,22 +209,22 @@ fn single_lane_warps_stay_exact_under_force_drain() {
 fn partial_warp_drains_on_its_live_lanes() {
     // 48 threads a block: the second warp of each block has 16 live
     // lanes. The exact-prefix rule must fire on those 16 — a warp that
-    // waited for its dead lanes would overflow the 8-entry bound, and
-    // strict mode turns that into an error.
+    // waited for its dead lanes would run into the 8-entry bound and
+    // force-drain.
     let launch = LaunchConfig::new(2u32, 48u32);
     let entries = interleaved_trace(&launch, 50);
     let expected = profile_thread_trace("partial", &entries, &launch, &ProfilerConfig::default())
         .expect("materialized profile");
-    let cfg = IngestConfig {
-        overflow: OverflowPolicy::Error,
-        ..tiny_bounds()
-    };
-    let mut ing = Ingestor::new("partial", launch, cfg);
+    let mut ing = Ingestor::new("partial", launch, tiny_bounds());
     for e in &entries {
-        ing.push_entry(*e).expect("every warp drains in lockstep");
+        ing.push_entry(*e);
     }
     let outcome = ing.finish().expect("profile");
     assert_eq!(canonical_json(&outcome.profile), canonical_json(&expected));
+    assert_eq!(
+        outcome.stats.forced_drains, 0,
+        "every warp drains in lockstep"
+    );
     assert!(outcome.stats.peak_buffered_entries <= 96);
     assert!(
         outcome.report.pcs.iter().all(|pc| !pc.conditional),
@@ -182,41 +233,29 @@ fn partial_warp_drains_on_its_live_lanes() {
 }
 
 #[test]
-#[should_panic(expected = "warp_size 65 outside 1..=64")]
-fn warp_size_beyond_the_lane_mask_is_refused() {
-    let cfg = IngestConfig {
-        warp_size: 65,
-        ..IngestConfig::default()
-    };
-    let _ = Ingestor::new("wide", LaunchConfig::new(1u32, 130u32), cfg);
-}
-
-#[test]
-fn strict_policy_errors_on_skewed_interleaving() {
+fn skewed_interleaving_force_drains_within_the_bound() {
     // Thread-major order with multi-lane warps starves the other lanes:
-    // strict mode must refuse rather than approximate.
+    // lane 0 reaches the bound long before lane 1 has anything queued, so
+    // the warp pops early instead of buffering a whole thread's accesses.
     let launch = LaunchConfig::new(1u32, 64u32);
-    let cfg = IngestConfig {
-        max_lane_queue: 8,
-        overflow: OverflowPolicy::Error,
-        ..IngestConfig::default()
-    };
-    let mut ing = Ingestor::new("skewed", launch, cfg);
-    let mut hit = None;
-    for k in 0..100u64 {
-        if let Err(e) = ing.push_entry(entry(0, 0x10, 0x1000 + k * 4, false)) {
-            hit = Some(e);
-            break;
+    let mut ing = Ingestor::new("skewed", launch, tiny_bounds());
+    for tid in 0..64u32 {
+        for k in 0..100u64 {
+            ing.push_entry(entry(
+                tid,
+                0x10,
+                0x1000 + u64::from(tid) * 4 + k * 0x100,
+                false,
+            ));
         }
     }
-    match hit {
-        Some(IngestError::LaneQueueOverflow {
-            warp: 0,
-            lane: 0,
-            bound: 8,
-        }) => {}
-        other => panic!("expected overflow error, got {other:?}"),
-    }
+    let outcome = ing.finish().expect("profile");
+    assert!(outcome.stats.forced_drains > 0, "the bound must have fired");
+    assert!(
+        outcome.stats.peak_buffered_entries <= 8 * 64,
+        "peak {} exceeds per-lane bound x lanes",
+        outcome.stats.peak_buffered_entries
+    );
 }
 
 #[test]
@@ -240,14 +279,14 @@ fn thread_major_trace_exact_when_bound_allows() {
         .expect("materialized profile");
     let cfg = IngestConfig {
         max_lane_queue: 64,
-        overflow: OverflowPolicy::Error,
         ..IngestConfig::default()
     };
     let mut ing = Ingestor::new("tm", launch, cfg);
     for e in &entries {
-        ing.push_entry(*e).expect("under bound");
+        ing.push_entry(*e);
     }
     let outcome = ing.finish().expect("profile");
+    assert_eq!(outcome.stats.forced_drains, 0, "under the bound");
     assert_eq!(canonical_json(&outcome.profile), canonical_json(&expected));
 }
 
@@ -257,7 +296,7 @@ fn report_covers_arrays_and_classes() {
     let entries = interleaved_trace(&launch, 100);
     let mut ing = Ingestor::new("report", launch, IngestConfig::default());
     for e in &entries {
-        ing.push_entry(*e).expect("in geometry");
+        ing.push_entry(*e);
     }
     let outcome = ing.finish().expect("profile");
     let report = &outcome.report;
@@ -315,9 +354,14 @@ fn binary_round_trip_through_streaming_matches_reader() {
     write_binary(&mut bytes, &entries).expect("write");
     let back = read_binary(&bytes[..]).expect("read");
     assert_eq!(back, entries);
-    let got: Result<Vec<_>, _> =
-        gmap_ingest::TraceReader::with_chunk_size(&bytes[..], 17).collect();
-    assert_eq!(got.expect("stream"), entries);
+    let mut parser = ChunkParser::new();
+    let mut got = Vec::new();
+    for chunk in bytes.chunks(17) {
+        parser.push(chunk).expect("stream");
+        got.extend(parser.drain());
+    }
+    parser.finish().expect("complete");
+    assert_eq!(got, entries);
 }
 
 proptest! {
@@ -349,15 +393,15 @@ proptest! {
             profile_thread_trace("prop", &entries, &launch, &ProfilerConfig::default());
         let cfg = IngestConfig {
             max_lane_queue: 256,
-            overflow: OverflowPolicy::Error,
             ..IngestConfig::default()
         };
         let mut ing = Ingestor::new("prop", launch, cfg);
         for e in &entries {
-            ing.push_entry(*e).expect("under bound");
+            ing.push_entry(*e);
         }
         match (ing.finish(), materialized) {
             (Ok(outcome), Ok(expected)) => {
+                prop_assert_eq!(outcome.stats.forced_drains, 0);
                 prop_assert_eq!(canonical_json(&outcome.profile), canonical_json(&expected));
             }
             (Err(IngestError::Profile(_)), Err(_)) => {} // both empty

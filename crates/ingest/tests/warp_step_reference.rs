@@ -1,14 +1,14 @@
 //! Differential test of the warp-reconstruction step.
 //!
-//! `gmap_core::ingest::pop_warp_instruction` walks a mask of non-empty
+//! `gmap_ingest::ingest::pop_warp_instruction` walks a mask of non-empty
 //! lanes and tallies front PCs on the stack. The step it replaced — a
 //! `HashMap` vote over every queue — is kept here, verbatim, as the
-//! oracle: the streaming-vs-materialized tests of `gmap-ingest` cannot
+//! oracle: the streaming-vs-materialized tests in `streaming.rs` cannot
 //! see a wrong vote, because both of their sides call the same step.
 
-use gmap_core::ingest::pop_warp_instruction;
 use gmap_gpu::coalesce::coalesce_addrs;
 use gmap_gpu::schedule::CoalescedAccess;
+use gmap_ingest::ingest::pop_warp_instruction;
 use gmap_trace::record::{ByteAddr, MemAccess, Pc};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};

@@ -83,7 +83,7 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats, ReplacementPolicy};
 use crate::prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
-use gmap_trace::batch::{KernelMode, LANES};
+use gmap_trace::batch::LANES;
 use std::error::Error;
 use std::fmt;
 
@@ -309,14 +309,14 @@ struct SetClass {
     lines: Vec<u64>,
     /// Live entries per set.
     occ: Vec<u32>,
-    /// Chunked scan layout (the batched default): rows are padded to a
-    /// whole number of [`LANES`] and located with an 8-lane match mask
-    /// per chunk. The per-chunk early exit preserves the scalar scan's
+    /// Chunked scan layout (rows wider than one vector): rows are padded
+    /// to a whole number of [`LANES`] and located with an 8-lane match
+    /// mask per chunk. The per-chunk early exit preserves the list scan's
     /// O(1) cost on the shallow hits GPU streams are dominated by,
     /// while misses compare a whole chunk per vector op instead of one
     /// element per iteration.
     chunked: bool,
-    /// Per-set row width: `a_max` in the scalar list layout,
+    /// Per-set row width: `a_max` in the list layout,
     /// `a_max.next_multiple_of(LANES)` in the chunked layout. Slots at
     /// positions `>= occ` are dead — all zero, since evictions
     /// overwrite in place and the padding tail is never written — and
@@ -341,15 +341,15 @@ impl SetClass {
         }
     }
 
-    /// Picks the row layout for `kmode` and allocates the empty recency
-    /// arrays. Chunked scanning only pays once a row spans more than one
+    /// Picks the row layout and allocates the empty recency arrays.
+    /// Chunked scanning only pays once a row spans more than one
     /// vector: an `a_max <= LANES` row is at most one compare either
     /// way, while padding it to a full chunk would inflate the recency
     /// arrays (8x for direct-mapped classes — enough to push fig6b's
     /// 64k-set classes out of the host cache).
-    fn allocate(&mut self, kmode: KernelMode) {
+    fn allocate(&mut self) {
         let sets = (self.mask + 1) as usize;
-        self.chunked = kmode.is_batched() && self.a_max > LANES;
+        self.chunked = self.a_max > LANES;
         self.stride = if self.chunked {
             self.a_max.next_multiple_of(LANES)
         } else {
@@ -371,7 +371,7 @@ impl SetClass {
             // unless it lands in the dead tail (`>= occ`, all zero),
             // in which case every later match is deeper in the tail
             // and the line is absent. The per-chunk exit keeps shallow
-            // hits as cheap as the scalar scan; the occupancy bound
+            // hits as cheap as the list scan; the occupancy bound
             // stops a miss from touching padding-only chunks.
             let row = &self.lines[base..base + self.stride];
             let mut off = 0usize;
@@ -487,26 +487,7 @@ pub fn evaluate_lru_multi(
     stream: &[LineAccess],
     mode: WriteMode,
 ) -> Result<MultiEvalResult, StackDistError> {
-    evaluate_lru_multi_with_mode(configs, stream, mode, gmap_trace::default_mode())
-}
-
-/// [`evaluate_lru_multi`] with an explicit [`KernelMode`]. The scalar
-/// path is the per-view reference loop; the batched path buckets
-/// way-positions into per-class histograms and runs the unrolled locate
-/// scan. Both produce identical counts (differential proptests in the
-/// tier-1 suite).
-///
-/// # Errors
-///
-/// Returns [`StackDistError`] if `configs` is empty, mixes line sizes, or
-/// contains a non-LRU policy.
-pub fn evaluate_lru_multi_with_mode(
-    configs: &[CacheConfig],
-    stream: &[LineAccess],
-    mode: WriteMode,
-    kmode: KernelMode,
-) -> Result<MultiEvalResult, StackDistError> {
-    evaluate(configs, stream, None, mode, PassPolicy::Lru, kmode)
+    evaluate(configs, stream, None, mode, PassPolicy::Lru)
 }
 
 /// Like [`evaluate_lru_multi`], but additionally replays the per-access
@@ -528,45 +509,12 @@ pub fn evaluate_lru_prefetch_multi(
     schedule: &PrefetchSchedule,
     mode: WriteMode,
 ) -> Result<MultiEvalResult, StackDistError> {
-    evaluate_lru_prefetch_multi_with_mode(
-        configs,
-        stream,
-        schedule,
-        mode,
-        gmap_trace::default_mode(),
-    )
-}
-
-/// [`evaluate_lru_prefetch_multi`] with an explicit [`KernelMode`].
-///
-/// # Panics
-///
-/// Panics if `schedule` does not cover exactly `stream.len()` accesses.
-///
-/// # Errors
-///
-/// Returns [`StackDistError`] if `configs` is empty, mixes line sizes, or
-/// contains a non-LRU policy.
-pub fn evaluate_lru_prefetch_multi_with_mode(
-    configs: &[CacheConfig],
-    stream: &[LineAccess],
-    schedule: &PrefetchSchedule,
-    mode: WriteMode,
-    kmode: KernelMode,
-) -> Result<MultiEvalResult, StackDistError> {
     assert_eq!(
         schedule.num_accesses(),
         stream.len(),
         "prefetch schedule must cover the demand stream"
     );
-    evaluate(
-        configs,
-        stream,
-        Some(schedule),
-        mode,
-        PassPolicy::Lru,
-        kmode,
-    )
+    evaluate(configs, stream, Some(schedule), mode, PassPolicy::Lru)
 }
 
 /// Evaluate every FIFO geometry in `configs` (which must share one line
@@ -584,22 +532,7 @@ pub fn evaluate_fifo_multi(
     stream: &[LineAccess],
     mode: WriteMode,
 ) -> Result<MultiEvalResult, StackDistError> {
-    evaluate_fifo_multi_with_mode(configs, stream, mode, gmap_trace::default_mode())
-}
-
-/// [`evaluate_fifo_multi`] with an explicit [`KernelMode`].
-///
-/// # Errors
-///
-/// Returns [`StackDistError`] if `configs` is empty, mixes line sizes, or
-/// contains a non-FIFO policy.
-pub fn evaluate_fifo_multi_with_mode(
-    configs: &[CacheConfig],
-    stream: &[LineAccess],
-    mode: WriteMode,
-    kmode: KernelMode,
-) -> Result<MultiEvalResult, StackDistError> {
-    evaluate(configs, stream, None, mode, PassPolicy::Fifo, kmode)
+    evaluate(configs, stream, None, mode, PassPolicy::Fifo)
 }
 
 /// Replays `stream` through one LRU geometry with a live
@@ -631,7 +564,7 @@ pub fn replay_lru_stream_prefetch(
 ) -> Result<GeomCounts, StackDistError> {
     validate_configs(std::slice::from_ref(config), PassPolicy::Lru)?;
     let mut class = SetClass::new(config.num_sets(), config.assoc as usize);
-    class.allocate(gmap_trace::default_mode());
+    class.allocate();
     let mut pf = StreamPrefetcher::new(pf_cfg);
     let mut cands = Vec::new();
     let mut hits = 0u64;
@@ -666,17 +599,15 @@ fn evaluate(
     schedule: Option<&PrefetchSchedule>,
     mode: WriteMode,
     policy: PassPolicy,
-    kmode: KernelMode,
 ) -> Result<MultiEvalResult, StackDistError> {
     validate_configs(configs, policy)?;
-    let (mut counts, dirty) = single_pass(configs, stream, schedule, mode, policy, kmode);
+    let (mut counts, dirty) = single_pass(configs, stream, schedule, mode, policy);
     // Re-score only the geometries whose set-count class diverged, one
     // at a time; the rest keep their (exact) single-pass counts. Alone in
     // its class a geometry has `a_min == a_max`: the divergence band is
     // empty, so the same pass is exact and cannot go dirty again.
     for &i in &dirty {
-        let (alone, still_dirty) =
-            single_pass(&configs[i..=i], stream, schedule, mode, policy, kmode);
+        let (alone, still_dirty) = single_pass(&configs[i..=i], stream, schedule, mode, policy);
         assert!(
             still_dirty.is_empty(),
             "a one-geometry class has no divergence band"
@@ -718,24 +649,18 @@ const ABSENT: usize = usize::MAX;
 /// of configs whose set-count class hit a divergent access (their counts
 /// are garbage and must be recomputed, each alone in its class).
 ///
-/// Counting strategy depends on `kmode`:
-///
-/// - **Scalar** (the reference): per access, one branchy compare per
-///   *geometry view* (`O(configs)` per access).
-/// - **Batched**: per access, one histogram bump per *set-count class* —
-///   `pos_hist[class][min(pos, a_max)] += 1`, where bucket `a_max` means
-///   "absent". A view of associativity `a` then hits exactly the accesses
-///   bucketed below `a`, so per-view hit counts fall out of an
-///   `O(configs × a_max)` prefix-sum epilogue, and reads/writes are
-///   counted once for the whole stream instead of once per view. The
-///   locate scan also switches to the unrolled match-mask kernel.
+/// Counting is one histogram bump per access per *set-count class* —
+/// `pos_hist[class][min(pos, a_max)] += 1`, where bucket `a_max` means
+/// "absent". A view of associativity `a` then hits exactly the accesses
+/// bucketed below `a`, so per-view hit counts fall out of an
+/// `O(configs × a_max)` prefix-sum epilogue, and reads/writes are
+/// counted once for the whole stream instead of once per view.
 fn single_pass(
     configs: &[CacheConfig],
     stream: &[LineAccess],
     schedule: Option<&PrefetchSchedule>,
     mode: WriteMode,
     policy: PassPolicy,
-    kmode: KernelMode,
 ) -> (Vec<GeomCounts>, Vec<usize>) {
     // Build the distinct set-count classes and per-geometry views.
     let mut classes: Vec<SetClass> = Vec::new();
@@ -757,26 +682,18 @@ fn single_pass(
         views.push(GeomView { class, assoc });
     }
     let uniform_writes = mode == WriteMode::Allocate;
-    let batched = kmode.is_batched();
     for class in classes.iter_mut() {
-        class.allocate(kmode);
+        class.allocate();
     }
-    let mut counts = vec![GeomCounts::default(); configs.len()];
     // Reused per-access scratch: the line's way-position per class.
     let mut positions = vec![ABSENT; classes.len()];
-    // Batched counting: per-class way-position histogram, bucket
-    // `min(pos, a_max)` (bucket a_max = absent). Flattened with one
-    // `a_max + 1`-wide row per class.
+    // Per-class way-position histogram, bucket `min(pos, a_max)` (bucket
+    // a_max = absent). Flattened with one `a_max + 1`-wide row per class.
     let hist_stride = classes.iter().map(|c| c.a_max).max().unwrap_or(0) + 1;
-    let mut pos_hist = if batched {
-        vec![0u64; classes.len() * hist_stride]
-    } else {
-        Vec::new()
-    };
+    let mut pos_hist = vec![0u64; classes.len() * hist_stride];
 
     for (i, acc) in stream.iter().enumerate() {
-        // Phase 1: locate the line in each class's widest cache (the
-        // layout — and with it the scan kernel — follows `kmode`).
+        // Phase 1: locate the line in each class's widest cache.
         for (pos, class) in positions.iter_mut().zip(classes.iter()) {
             *pos = if class.dirty {
                 ABSENT
@@ -785,29 +702,13 @@ fn single_pass(
             };
         }
 
-        // Phase 2: count. A way-position `p` hits every geometry of the
-        // class with associativity > p. (Dirty-class counts are garbage
-        // and get overwritten by the per-geometry re-score.)
-        if batched {
-            // One bump per class; the per-view expansion happens in the
-            // epilogue below.
-            for (ci, (&pos, class)) in positions.iter().zip(classes.iter()).enumerate() {
-                pos_hist[ci * hist_stride + pos.min(class.a_max)] += 1;
-            }
-        } else {
-            for (view, c) in views.iter().zip(counts.iter_mut()) {
-                c.accesses += 1;
-                if acc.is_write {
-                    c.writes += 1;
-                } else {
-                    c.reads += 1;
-                }
-                if positions[view.class] < view.assoc {
-                    c.hits += 1;
-                } else {
-                    c.misses += 1;
-                }
-            }
+        // Phase 2: count, one bump per class. A way-position `p` hits
+        // every geometry of the class with associativity > p; the
+        // per-view expansion happens in the epilogue below. (Dirty-class
+        // counts are garbage and get overwritten by the per-geometry
+        // re-score.)
+        for (ci, (&pos, class)) in positions.iter().zip(classes.iter()).enumerate() {
+            pos_hist[ci * hist_stride + pos.min(class.a_max)] += 1;
         }
 
         // Phase 3: update replacement state per class.
@@ -823,22 +724,24 @@ fn single_pass(
         }
     }
 
-    if batched {
-        // Epilogue: expand the class histograms into per-view counters.
-        // Reads/writes are stream-level facts, identical for every view.
-        let n = stream.len() as u64;
-        let writes = count_stream_writes(stream);
-        let reads = n - writes;
-        for (view, c) in views.iter().zip(counts.iter_mut()) {
+    // Epilogue: expand the class histograms into per-view counters.
+    // Reads/writes are stream-level facts, identical for every view.
+    let n = stream.len() as u64;
+    let writes = count_stream_writes(stream);
+    let counts = views
+        .iter()
+        .map(|view| {
             let row = &pos_hist[view.class * hist_stride..(view.class + 1) * hist_stride];
             let hits: u64 = row[..view.assoc.min(row.len())].iter().sum();
-            c.accesses = n;
-            c.hits = hits;
-            c.misses = n - hits;
-            c.reads = reads;
-            c.writes = writes;
-        }
-    }
+            GeomCounts {
+                accesses: n,
+                hits,
+                misses: n - hits,
+                reads: n - writes,
+                writes,
+            }
+        })
+        .collect();
 
     let dirty: Vec<usize> = views
         .iter()

@@ -647,8 +647,8 @@ fn ingest_endpoint<R: BufRead>(
             .ingest_bytes
             .fetch_add(n as u64, Ordering::Relaxed);
         if let Err(e) = ing.push_bytes(&buf[..n]) {
-            // Parse or overflow error: the rest of the body is abandoned,
-            // so the connection must close after the error response.
+            // Parse error: the rest of the body is abandoned, so the
+            // connection must close after the error response.
             return err(ApiError::bad_request(format!("trace rejected: {e}")));
         }
     }

@@ -1083,7 +1083,6 @@ fn ingest_trace(steps: u64) -> String {
 #[test]
 fn streaming_ingest_is_byte_identical_to_materialized_profiling() {
     use gmap_core::application::AppProfile;
-    use gmap_core::profiler::ProfilerConfig;
     use gmap_gpu::hierarchy::LaunchConfig;
     use gmap_serve::api::IngestResponse;
 
@@ -1101,20 +1100,14 @@ fn streaming_ingest_is_byte_identical_to_materialized_profiling() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     let parsed: IngestResponse = serde_json::from_str(&resp.body).expect("response parses");
 
-    // The served model must hash identically to the local
-    // materialize-then-profile path over the same bytes.
-    let entries = gmap_trace::io::read_text(trace.as_bytes()).expect("trace parses");
+    // The served model must hash identically to the library call over
+    // the same bytes, handed over whole.
     let launch = LaunchConfig::new(2u32, 64u32);
-    let profile = gmap_core::ingest::profile_thread_trace(
-        "wl",
-        &entries,
-        &launch,
-        &ProfilerConfig::default(),
-    )
-    .expect("non-empty trace");
+    let mut ing = gmap_ingest::Ingestor::new("wl", launch, gmap_ingest::IngestConfig::default());
+    ing.push_bytes(trace.as_bytes()).expect("trace parses");
     let local = AppProfile {
         name: "wl".into(),
-        kernels: vec![profile],
+        kernels: vec![ing.finish().expect("non-empty trace").profile],
     };
     let local_key = gmap_core::cachekey::key_of(&local);
     assert_eq!(parsed.model_id, local_key, "content-addressed by the model");
@@ -1191,6 +1184,25 @@ fn ingest_rejects_bad_queries_and_malformed_traces() {
         resp.body.contains("entry 2") && resp.body.contains("kind"),
         "carries position and field: {}",
         resp.body
+    );
+
+    // A line over the streaming parser's 64 KiB bound (here the last one,
+    // so nothing is left unread behind the error): the same 400 whether
+    // the body arrives under Content-Length or in 777-byte chunks.
+    let long = format!("0 0x1 R 0x100\n#{}", "x".repeat(64 * 1024));
+    let path = "/v1/ingest?grid=1&block=32";
+    let plain = client::request(&addr, "POST", path, Some(&long)).expect("responds");
+    let chunked = client::post_chunked(&addr, path, &mut long.as_bytes(), 777).expect("responds");
+    assert_eq!(plain.status, 400, "{}", plain.body);
+    assert!(
+        plain.body.contains("entry 2") && plain.body.contains("line exceeds 65536 bytes"),
+        "carries the physical line and the bound: {}",
+        plain.body
+    );
+    assert_eq!(
+        (chunked.status, &chunked.body),
+        (400, &plain.body),
+        "framing does not matter"
     );
 
     // An empty trace profiles to nothing: structured 400, not a panic.

@@ -1,6 +1,6 @@
 //! Batch-kernel selection for the vectorized hot paths.
 //!
-//! The sweep engine's inner passes — stack-distance recency scans,
+//! Four of the sweep engine's inner passes — line-address extraction,
 //! histogram binning, warp coalescing, DRAM address decomposition — each
 //! ship in two implementations: a straightforward *scalar* loop (the
 //! reference every differential test replays against) and a *batched*
@@ -12,6 +12,9 @@
 //! [`default_mode`] is what production code passes: always
 //! [`KernelMode::Batched`]. The scalar side runs only where a test asks
 //! for it by name, as the oracle the batched kernels are compared with.
+//! The stack-distance evaluators take no mode: they share [`LANES`] for
+//! their chunked recency scan and are checked against a per-config replay
+//! through `Cache` instead.
 
 /// Lane width of the unrolled batch kernels.
 ///

@@ -21,7 +21,8 @@
 //! - [`soa`] — structure-of-arrays storage for captured access streams
 //!   ([`AccessColumns`]) with a row-wise [`AccessRecord`] view shim.
 //! - [`batch`] — the [`KernelMode`] switch between the scalar reference
-//!   loops and the lane-unrolled batch kernels used by the hot passes.
+//!   loops and the lane-unrolled batch kernels of four hot passes (line
+//!   extraction, histogram binning, coalescing, DRAM decomposition).
 //!
 //! # Example
 //!

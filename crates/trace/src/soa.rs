@@ -15,11 +15,11 @@
 //! scattered back on [`AccessColumns::push`]. Call sites that iterated
 //! `&capture.accesses` keep working verbatim against the view iterator.
 //!
-//! Column kernels ([`AccessColumns::lines_into`],
-//! [`AccessColumns::count_writes`]) come in scalar and 8-lane batched
-//! flavors selected by [`KernelMode`]; the batched bodies are hand-unrolled
-//! over `chunks_exact` with a scalar tail and are bit-exact with the
-//! scalar reference (see the differential proptests in the tier-1 suite).
+//! The column kernel ([`AccessColumns::lines_into`]) comes in scalar and
+//! 8-lane batched flavors selected by [`KernelMode`]; the batched body is
+//! hand-unrolled over `chunks_exact` with a scalar tail and is bit-exact
+//! with the scalar reference (see the differential proptests in the
+//! tier-1 suite).
 
 use crate::batch::KernelMode;
 pub use crate::batch::LANES;
@@ -217,35 +217,6 @@ impl AccessColumns {
             out.push(a >> shift);
         }
     }
-
-    /// Number of stores in the stream. Dispatches on `mode`; both paths
-    /// produce identical counts.
-    pub fn count_writes(&self, mode: KernelMode) -> u64 {
-        match mode {
-            KernelMode::Scalar => self.count_writes_scalar(),
-            KernelMode::Batched => self.count_writes_batched(),
-        }
-    }
-
-    /// Scalar reference for [`AccessColumns::count_writes`].
-    pub fn count_writes_scalar(&self) -> u64 {
-        self.writes.iter().filter(|&&w| w).count() as u64
-    }
-
-    fn count_writes_batched(&self) -> u64 {
-        // Two independent 8-lane accumulators hide the add latency; bools
-        // are 0/1 bytes so the sum is exact.
-        let mut acc = [0u64; LANES];
-        let mut chunks = self.writes.chunks_exact(LANES * 2);
-        for c in &mut chunks {
-            for lane in 0..LANES {
-                acc[lane] += c[lane] as u64 + c[LANES + lane] as u64;
-            }
-        }
-        let mut total: u64 = acc.iter().sum();
-        total += chunks.remainder().iter().filter(|&&w| w).count() as u64;
-        total
-    }
 }
 
 /// Row-wise iteration over borrowed columns, yielding [`AccessRecord`]
@@ -348,19 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn write_count_kernels_agree_for_all_tail_lengths() {
-        for n in 0..(4 * LANES) {
-            let big = sample(4 * LANES);
-            let cols = AccessColumns::from_records(&big.iter().take(n).collect::<Vec<_>>());
-            assert_eq!(
-                cols.count_writes(KernelMode::Scalar),
-                cols.count_writes(KernelMode::Batched),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
     fn serde_round_trip() {
         let cols = sample(17);
         let json = serde_json::to_string(&cols).expect("serialize");
@@ -372,7 +330,6 @@ mod tests {
     fn empty_stream() {
         let cols = AccessColumns::new();
         assert!(cols.is_empty());
-        assert_eq!(cols.count_writes(KernelMode::Batched), 0);
         let mut out = Vec::new();
         cols.lines_into(3, KernelMode::Batched, &mut out);
         assert!(out.is_empty());

@@ -310,7 +310,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                 BufReader::new(file),
                 &launch,
                 gmap::ingest::IngestConfig::default(),
-                gmap::ingest::DEFAULT_CHUNK_BYTES,
             )
             .map_err(|e| format!("cannot profile {path}: {e}"))?;
             outcome.profile
@@ -469,7 +468,6 @@ fn analyze_trace(args: &[String], path: &str) -> Result<(), String> {
         BufReader::new(file),
         &launch,
         gmap::ingest::IngestConfig::default(),
-        gmap::ingest::DEFAULT_CHUNK_BYTES,
     )
     .map_err(|e| format!("cannot analyze {path}: {e}"))?;
     if has_flag(args, "--json") {

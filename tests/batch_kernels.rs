@@ -1,21 +1,21 @@
 //! Batch-vs-scalar differential tests for the vectorized hot kernels.
 //!
-//! Every dual-path kernel (SoA column kernels, histogram binning, warp
-//! coalescing, DRAM address decomposition, the stack-distance counting
-//! pass) keeps its scalar reference implementation live; these tests pin
-//! the batched path to it — exhaustively over every lane-tail length in
-//! `0..2×LANES`, and with proptest-randomized content on top. Any
-//! disagreement is a kernel bug by definition: the batched paths are
-//! required to be bit-exact, not approximately equal.
+//! Every dual-path kernel (SoA line extraction, histogram binning, warp
+//! coalescing, DRAM address decomposition) keeps its scalar reference
+//! implementation live; these tests pin the batched path to it —
+//! exhaustively over every lane-tail length in `0..2×LANES`, and with
+//! proptest-randomized content on top. The stack-distance evaluators have
+//! one path; their scalar reference is the per-config replay through
+//! `Cache`. Any disagreement is a kernel bug by definition: the batched
+//! paths are required to be bit-exact, not approximately equal.
 
 use gmap_bench::engine::CapturedAccess;
 use gmap_dram::mapping::{decompose, AddressMapping, DramGeometry, MappingPlan};
 use gmap_gpu::coalesce::{coalesce_addrs_into, coalesce_addrs_scalar};
 use gmap_memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap_memsim::stackdist::{
-    evaluate_fifo_multi_with_mode, evaluate_lru_multi_with_mode,
-    evaluate_lru_prefetch_multi_with_mode, replay_per_config_prefetch, LineAccess,
-    PrefetchSchedule, WriteMode,
+    evaluate_fifo_multi, evaluate_lru_multi, evaluate_lru_prefetch_multi,
+    replay_per_config_prefetch, LineAccess, PrefetchSchedule, WriteMode,
 };
 use gmap_trace::batch::{KernelMode, LANES};
 use gmap_trace::record::ByteAddr;
@@ -52,10 +52,6 @@ proptest! {
         cols.lines_into(shift, KernelMode::Scalar, &mut scalar);
         cols.lines_into(shift, KernelMode::Batched, &mut batched);
         prop_assert_eq!(scalar, batched);
-        prop_assert_eq!(
-            cols.count_writes(KernelMode::Scalar),
-            cols.count_writes(KernelMode::Batched)
-        );
     }
 }
 
@@ -75,11 +71,6 @@ fn soa_kernels_cover_every_tail_length() {
         cols.lines_into(7, KernelMode::Scalar, &mut scalar);
         cols.lines_into(7, KernelMode::Batched, &mut batched);
         assert_eq!(scalar, batched, "lines n={n}");
-        assert_eq!(
-            cols.count_writes(KernelMode::Scalar),
-            cols.count_writes(KernelMode::Batched),
-            "writes n={n}"
-        );
     }
 }
 
@@ -194,7 +185,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Stack-distance counting pass.
+// Stack-distance counting pass. One path: "scalar" in the names below is
+// the per-config replay through `Cache`.
 // ---------------------------------------------------------------------
 
 fn small_grid(policy: ReplacementPolicy) -> Vec<CacheConfig> {
@@ -218,13 +210,9 @@ proptest! {
             accs.iter().map(|&(l, w)| LineAccess::new(l, w)).collect();
         let mode = if allocate { WriteMode::Allocate } else { WriteMode::NoAllocate };
         let configs = small_grid(ReplacementPolicy::Lru);
-        let s = evaluate_lru_multi_with_mode(&configs, &stream, mode, KernelMode::Scalar)
-            .expect("valid grid");
-        let b = evaluate_lru_multi_with_mode(&configs, &stream, mode, KernelMode::Batched)
-            .expect("valid grid");
-        prop_assert_eq!(&s.counts, &b.counts);
+        let got = evaluate_lru_multi(&configs, &stream, mode).expect("valid grid");
         let reference = replay_per_config_prefetch(&configs, &stream, None, mode);
-        prop_assert_eq!(&b.counts, &reference);
+        prop_assert_eq!(&got.counts, &reference);
     }
 
     #[test]
@@ -236,13 +224,9 @@ proptest! {
             accs.iter().map(|&(l, w)| LineAccess::new(l, w)).collect();
         let mode = if allocate { WriteMode::Allocate } else { WriteMode::NoAllocate };
         let configs = small_grid(ReplacementPolicy::Fifo);
-        let s = evaluate_fifo_multi_with_mode(&configs, &stream, mode, KernelMode::Scalar)
-            .expect("valid grid");
-        let b = evaluate_fifo_multi_with_mode(&configs, &stream, mode, KernelMode::Batched)
-            .expect("valid grid");
-        prop_assert_eq!(&s.counts, &b.counts);
+        let got = evaluate_fifo_multi(&configs, &stream, mode).expect("valid grid");
         let reference = replay_per_config_prefetch(&configs, &stream, None, mode);
-        prop_assert_eq!(&b.counts, &reference);
+        prop_assert_eq!(&got.counts, &reference);
     }
 
     #[test]
@@ -266,20 +250,14 @@ proptest! {
         }
         let mode = if allocate { WriteMode::Allocate } else { WriteMode::NoAllocate };
         let configs = small_grid(ReplacementPolicy::Lru);
-        let s = evaluate_lru_prefetch_multi_with_mode(
-            &configs, &stream, &sched, mode, KernelMode::Scalar,
-        ).expect("valid grid");
-        let b = evaluate_lru_prefetch_multi_with_mode(
-            &configs, &stream, &sched, mode, KernelMode::Batched,
-        ).expect("valid grid");
-        prop_assert_eq!(&s.counts, &b.counts);
+        let got = evaluate_lru_prefetch_multi(&configs, &stream, &sched, mode)
+            .expect("valid grid");
         let reference = replay_per_config_prefetch(&configs, &stream, Some(&sched), mode);
-        prop_assert_eq!(&b.counts, &reference);
+        prop_assert_eq!(&got.counts, &reference);
     }
 
-    /// Line ids beyond 32 bits must flow through the padded-row match
-    /// scan untruncated — same contract, checked against both the
-    /// scalar list pass and the replay.
+    /// Line ids beyond 32 bits must flow through the match scan
+    /// untruncated — same contract, checked against the replay.
     #[test]
     fn stackdist_wide_lines_exercise_padded_rows(
         accs in proptest::collection::vec((0u64..24, any::<bool>()), 0..3 * LANES),
@@ -290,12 +268,8 @@ proptest! {
             accs.iter().map(|&(l, w)| LineAccess::new(BIG + l, w)).collect();
         let mode = if allocate { WriteMode::Allocate } else { WriteMode::NoAllocate };
         let configs = small_grid(ReplacementPolicy::Lru);
-        let s = evaluate_lru_multi_with_mode(&configs, &stream, mode, KernelMode::Scalar)
-            .expect("valid grid");
-        let b = evaluate_lru_multi_with_mode(&configs, &stream, mode, KernelMode::Batched)
-            .expect("valid grid");
-        prop_assert_eq!(&s.counts, &b.counts);
+        let got = evaluate_lru_multi(&configs, &stream, mode).expect("valid grid");
         let reference = replay_per_config_prefetch(&configs, &stream, None, mode);
-        prop_assert_eq!(&b.counts, &reference);
+        prop_assert_eq!(&got.counts, &reference);
     }
 }
