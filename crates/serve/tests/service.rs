@@ -833,6 +833,7 @@ fn memory_tier_never_exceeds_its_configured_capacity() {
 /// tests assert on.
 struct RawResponse {
     status: u16,
+    content_type: String,
     connection: String,
     retry_after: Option<u64>,
     body: String,
@@ -849,6 +850,7 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> RawResponse {
         .expect("parseable status");
     let mut content_length = 0usize;
     let mut connection = String::new();
+    let mut content_type = String::new();
     let mut retry_after = None;
     loop {
         let mut header = String::new();
@@ -861,6 +863,7 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> RawResponse {
             match k.to_ascii_lowercase().as_str() {
                 "content-length" => content_length = v.trim().parse().expect("length"),
                 "connection" => connection = v.trim().to_string(),
+                "content-type" => content_type = v.trim().to_string(),
                 "retry-after" => retry_after = v.trim().parse().ok(),
                 _ => {}
             }
@@ -870,6 +873,7 @@ fn read_one_response(reader: &mut BufReader<TcpStream>) -> RawResponse {
     reader.read_exact(&mut body).expect("body");
     RawResponse {
         status,
+        content_type,
         connection,
         retry_after,
         body: String::from_utf8(body).expect("utf8"),
@@ -1297,4 +1301,443 @@ fn routed_ingest_is_byte_identical_to_direct_and_lands_on_the_owner() {
         replica.shutdown();
     }
     direct.shutdown();
+}
+
+/// What one row of [`request_matrix`] expects of the response body.
+enum Body {
+    Exact(String),
+    Contains(&'static str),
+}
+
+/// One row of [`request_matrix`]: a raw request and everything the
+/// server must answer and count for it.
+struct MatrixRow {
+    /// The request, byte for byte.
+    raw: String,
+    /// `GET /healthz` requests served on the same connection first.
+    prelude: usize,
+    status: u16,
+    content_type: &'static str,
+    /// The `Connection` header of the reply; `close` is also checked
+    /// against the socket (EOF follows), `keep-alive` by serving one
+    /// more `GET /healthz` on the same connection.
+    connection: &'static str,
+    retry_after: bool,
+    body: Body,
+    /// The `/metrics` endpoint label the request is counted under, or
+    /// `None` when it is answered without being counted.
+    label: Option<&'static str>,
+}
+
+const JSON: &str = "application/json";
+const KEEP: &str = "keep-alive";
+const MATRIX_LABELS: [&str; 6] = ["profile", "clone", "evaluate", "analyze", "ingest", "other"];
+
+/// Which kind of server a matrix run addresses; the few rows whose
+/// answer is the router's own say so.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    Replica,
+    Router,
+}
+
+fn raw_request(method: &str, target: &str, headers: &str, body: Option<&str>) -> String {
+    let framing = body.map_or(String::new(), |b| {
+        format!("Content-Length: {}\r\n", b.len())
+    });
+    format!(
+        "{method} {target} HTTP/1.1\r\nHost: matrix\r\n{headers}{framing}\r\n{}",
+        body.unwrap_or("")
+    )
+}
+
+fn error_body(status: u16, message: &str) -> Body {
+    Body::Exact(gmap_serve::api::ApiError::new(status, message).body())
+}
+
+/// The rows, in the order they are driven: every endpoint under its own
+/// method, wrong methods, unknown routes, bad and oversized bodies, the
+/// close and keep-alive-cap decisions on both reply tails, transient
+/// statuses, and targets carrying a query string.
+fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
+    use gmap_core::application::AppProfile;
+    use gmap_serve::api::{DrainResponse, ReplicateRequest, ReplicateResponse};
+
+    let oracle = Oracle::new();
+    let cancel = AtomicBool::new(false);
+    let kmeans = oracle.profile("kmeans");
+    let id = kmeans.model_id.clone();
+    let analyze_req = AnalyzeRequest {
+        workload: Some("kmeans".into()),
+        scale: Some("tiny".into()),
+        spec: None,
+    };
+    let clone_req = CloneRequest {
+        model_id: id.clone(),
+        factor: None,
+        seed: None,
+    };
+    let evaluate_req = EvaluateRequest {
+        model_id: id.clone(),
+        kernel: None,
+        metric: None,
+        seed: None,
+        grid: lru_grid(),
+    };
+    let trace = ingest_trace(6);
+    let ingest_target = "/v1/ingest?grid=2&block=64&name=m";
+    let mut ing = gmap_ingest::Ingestor::new(
+        "m",
+        gmap_gpu::hierarchy::LaunchConfig::new(2u32, 64u32),
+        gmap_ingest::IngestConfig::default(),
+    );
+    ing.push_bytes(trace.as_bytes()).expect("trace parses");
+    let ingested = handlers::ingest_finalize(&oracle.store, ing, &cancel).expect("finalizes");
+    let hotspot = oracle.profile("hotspot").model_id;
+    let pushed: AppProfile = oracle
+        .store
+        .get(&hotspot)
+        .expect("just profiled")
+        .model
+        .clone();
+    let replicate_req = ReplicateRequest {
+        model_id: hotspot.clone(),
+        model: pushed,
+    };
+
+    let row = |raw: String, status: u16, body: Body, label: &'static str| MatrixRow {
+        raw,
+        prelude: 0,
+        status,
+        content_type: JSON,
+        connection: KEEP,
+        retry_after: false,
+        body,
+        label: Some(label),
+    };
+    let get = |target: &str| raw_request("GET", target, "", None);
+    let post = |target: &str, body: &str| raw_request("POST", target, "", Some(body));
+    let ok = Body::Exact("{\"status\":\"ok\"}".into());
+    let healthy = || Body::Exact("{\"status\":\"ok\"}".into());
+    let forwarding_504 = "deadline exceeded while forwarding";
+
+    vec![
+        // The nine endpoints, each under its own method.
+        row(get("/healthz"), 200, ok, "other"),
+        MatrixRow {
+            content_type: "text/plain; version=0.0.4",
+            ..row(
+                get("/metrics"),
+                200,
+                Body::Contains("# TYPE gmap_requests_total counter\n"),
+                "other",
+            )
+        },
+        row(
+            post("/v1/profile", &profile_req("kmeans", "tiny")),
+            200,
+            Body::Exact(canonical_json(&kmeans)),
+            "profile",
+        ),
+        row(
+            post("/v1/analyze", &canonical_json(&analyze_req)),
+            200,
+            Body::Exact(canonical_json(
+                &handlers::analyze(&analyze_req).expect("analyzes"),
+            )),
+            "analyze",
+        ),
+        row(
+            post("/v1/clone", &canonical_json(&clone_req)),
+            200,
+            Body::Exact(canonical_json(&oracle.clone_stats(&id))),
+            "clone",
+        ),
+        row(
+            post("/v1/evaluate", &canonical_json(&evaluate_req)),
+            200,
+            Body::Exact(canonical_json(&oracle.evaluate(&id, lru_grid()))),
+            "evaluate",
+        ),
+        row(
+            post(ingest_target, &trace),
+            200,
+            Body::Exact(canonical_json(&ingested)),
+            "ingest",
+        ),
+        row(
+            post("/v1/replicate", &canonical_json(&replicate_req)),
+            200,
+            Body::Exact(canonical_json(&ReplicateResponse {
+                model_id: hotspot,
+                stored: true,
+            })),
+            "other",
+        ),
+        // Wrong methods and unknown routes: 404 for GET and POST, 405
+        // otherwise, counted under the path's label.
+        row(
+            get("/v1/profile"),
+            404,
+            error_body(404, "no such route /v1/profile"),
+            "profile",
+        ),
+        row(
+            raw_request("DELETE", "/v1/profile", "", None),
+            405,
+            error_body(405, "method DELETE not supported"),
+            "profile",
+        ),
+        row(
+            raw_request("PUT", "/healthz", "", None),
+            405,
+            error_body(405, "method PUT not supported"),
+            "other",
+        ),
+        row(
+            get("/nope"),
+            404,
+            error_body(404, "no such route /nope"),
+            "other",
+        ),
+        // The body of an unknown route is read before the route is
+        // refused (the keep-alive follow-up proves the socket is in
+        // sync), and a body over the limit is refused before the route
+        // is looked at — and is not counted.
+        row(
+            post("/nope", "{\"ignored\":true}"),
+            404,
+            error_body(404, "no such route /nope"),
+            "other",
+        ),
+        MatrixRow {
+            connection: "close",
+            label: None,
+            ..row(
+                raw_request("POST", "/nope", "Content-Length: 99999999\r\n", None),
+                413,
+                error_body(413, "body of 99999999 bytes exceeds the 4194304-byte limit"),
+                "other",
+            )
+        },
+        row(
+            post("/v1/profile", "{not json"),
+            400,
+            Body::Contains("invalid request body"),
+            "profile",
+        ),
+        // Close decisions: asked for by the client, and forced by the
+        // per-connection cap on the materialized and the streamed tail.
+        MatrixRow {
+            connection: "close",
+            ..row(
+                raw_request("GET", "/healthz", "Connection: close\r\n", None),
+                200,
+                healthy(),
+                "other",
+            )
+        },
+        MatrixRow {
+            prelude: MATRIX_KEEPALIVE_MAX - 1,
+            connection: "close",
+            ..row(get("/healthz"), 200, healthy(), "other")
+        },
+        MatrixRow {
+            prelude: MATRIX_KEEPALIVE_MAX - 1,
+            connection: "close",
+            ..row(
+                post(ingest_target, &trace),
+                200,
+                Body::Exact(canonical_json(&ingested)),
+                "ingest",
+            )
+        },
+        // Transient statuses carry Retry-After; an ingest error abandons
+        // the body, so it also closes (the row sends none of the bytes it
+        // declares: the close is then a clean FIN, not a reset).
+        MatrixRow {
+            retry_after: true,
+            ..row(
+                raw_request(
+                    "POST",
+                    "/v1/profile",
+                    "X-Gmap-Deadline-Ms: 0\r\n",
+                    Some(&profile_req("kmeans", "tiny")),
+                ),
+                504,
+                match kind {
+                    Kind::Replica => Body::Contains("deadline ex"),
+                    Kind::Router => error_body(504, forwarding_504),
+                },
+                "profile",
+            )
+        },
+        MatrixRow {
+            retry_after: true,
+            connection: "close",
+            ..row(
+                raw_request(
+                    "POST",
+                    ingest_target,
+                    "X-Gmap-Deadline-Ms: 0\r\nContent-Length: 64\r\n",
+                    None,
+                ),
+                504,
+                match kind {
+                    Kind::Replica => error_body(504, "deadline exceeded while streaming trace"),
+                    Kind::Router => error_body(504, forwarding_504),
+                },
+                "ingest",
+            )
+        },
+        // Targets with a query string.
+        row(
+            get("/healthz?probe=1"),
+            404,
+            error_body(404, "no such route /healthz?probe=1"),
+            "other",
+        ),
+        row(
+            get("/metrics?x=1"),
+            404,
+            error_body(404, "no such route /metrics?x=1"),
+            "other",
+        ),
+        row(
+            post("/v1/profile?x=1", &profile_req("kmeans", "tiny")),
+            404,
+            error_body(404, "no such route /v1/profile?x=1"),
+            "other",
+        ),
+        row(
+            get("/v1/ingest?grid=1&block=32"),
+            404,
+            error_body(404, "no such route /v1/ingest?grid=1&block=32"),
+            "other",
+        ),
+        // Drain goes last: it flips what `/healthz` says.
+        row(
+            post("/v1/admin/drain", ""),
+            200,
+            Body::Exact(canonical_json(&DrainResponse {
+                status: "draining".into(),
+                keys: 0,
+                pushed: 0,
+                failed: 0,
+            })),
+            "other",
+        ),
+        row(
+            get("/healthz"),
+            200,
+            Body::Exact("{\"status\":\"draining\"}".into()),
+            "other",
+        ),
+    ]
+}
+
+const MATRIX_KEEPALIVE_MAX: usize = 3;
+
+/// `(requests, errors)` per endpoint label, read from the registry the
+/// way `/metrics` renders it (without serving a request to do so).
+fn endpoint_counts(server: &gmap_serve::ServerHandle) -> Vec<(f64, f64)> {
+    let text = server
+        .state()
+        .metrics
+        .render(gmap_serve::metrics::RuntimeStats::default());
+    MATRIX_LABELS
+        .iter()
+        .map(|label| {
+            let series = |family: &str| {
+                scrape(&text, &format!("{family}{{endpoint=\"{label}\"}}")).expect("rendered")
+            };
+            (
+                series("gmap_requests_total"),
+                series("gmap_request_errors_total"),
+            )
+        })
+        .collect()
+}
+
+/// Drives every row over a raw socket against `addr` and checks the
+/// reply and the per-label request/error deltas in `server`'s registry.
+fn drive_matrix(server: &gmap_serve::ServerHandle, kind: Kind) {
+    let addr = server.addr().to_string();
+    let healthz = raw_request("GET", "/healthz", "", None);
+    for row in matrix_rows(kind) {
+        let what = row.raw.lines().next().unwrap_or("").to_string();
+        let before = endpoint_counts(server);
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        for _ in 0..row.prelude {
+            stream.write_all(healthz.as_bytes()).expect("write prelude");
+            let r = read_one_response(&mut reader);
+            assert_eq!((r.status, r.connection.as_str()), (200, KEEP), "{what}");
+        }
+        stream.write_all(row.raw.as_bytes()).expect("write");
+        let r = read_one_response(&mut reader);
+        assert_eq!(r.status, row.status, "{what}: {}", r.body);
+        assert_eq!(r.content_type, row.content_type, "{what}");
+        assert_eq!(r.connection, row.connection, "{what}");
+        assert_eq!(
+            r.retry_after.is_some(),
+            row.retry_after,
+            "{what}: Retry-After"
+        );
+        match &row.body {
+            Body::Exact(want) => assert_eq!(&r.body, want, "{what}"),
+            Body::Contains(part) => assert!(r.body.contains(part), "{what}: {}", r.body),
+        }
+        let mut others = row.prelude;
+        if row.connection == KEEP {
+            // The connection is positioned at the next request.
+            stream
+                .write_all(healthz.as_bytes())
+                .expect("write follow-up");
+            let r = read_one_response(&mut reader);
+            assert_eq!(r.status, 200, "{what}: follow-up on the same socket");
+            others += 1;
+        } else {
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).expect("closed cleanly");
+            assert!(rest.is_empty(), "{what}: nothing follows a closing reply");
+        }
+        let after = endpoint_counts(server);
+        for (i, label) in MATRIX_LABELS.iter().enumerate() {
+            let counted = usize::from(row.label == Some(label));
+            let failed = usize::from(counted == 1 && row.status >= 400);
+            let extra = if *label == "other" { others } else { 0 };
+            assert_eq!(
+                (after[i].0 - before[i].0, after[i].1 - before[i].1),
+                ((counted + extra) as f64, failed as f64),
+                "{what}: requests/errors counted under {label}"
+            );
+        }
+    }
+}
+
+/// One row per (method, target): status, `Content-Type`, `Connection`,
+/// `Retry-After`, body and the `/metrics` endpoint a request is counted
+/// under, for a replica and for a router in front of one.
+#[test]
+fn request_matrix() {
+    let config = || ServeConfig {
+        keepalive_max: MATRIX_KEEPALIVE_MAX,
+        ..ServeConfig::default()
+    };
+    let (replica, _) = start(config());
+    drive_matrix(&replica, Kind::Replica);
+    replica.shutdown();
+
+    let (backend, backend_addr) = start(config());
+    let (router, _) = start(ServeConfig {
+        route: Some(vec![backend_addr]),
+        ..config()
+    });
+    drive_matrix(&router, Kind::Router);
+    router.shutdown();
+    backend.shutdown();
 }
