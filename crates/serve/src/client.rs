@@ -21,6 +21,7 @@
 //! same sleep schedule.
 
 use crate::health::{Peers, DEFAULT_PROBE_INTERVAL};
+use crate::metrics::Endpoint;
 use crate::shard::Ring;
 use gmap_core::cachekey;
 use gmap_trace::rng::mix64;
@@ -66,11 +67,12 @@ impl Response {
 /// worker failures. 4xx validation errors are deterministic and final.
 pub const RETRYABLE_STATUSES: [u16; 5] = [408, 429, 500, 503, 504];
 
-/// Whether `(method, path)` is safe to retry. Every pipeline endpoint is
-/// content-addressed (the request body fully determines the result), so
-/// replays are harmless.
+/// Whether `(method, path)` is safe to retry: any `GET`, and every row
+/// of the endpoint table — the pipeline endpoints are content-addressed
+/// (the request body fully determines the result), a replicated model is
+/// stored once, and a drain re-streams what is still held.
 pub fn is_idempotent(method: &str, path: &str) -> bool {
-    method == "GET" || (method == "POST" && path.starts_with("/v1/"))
+    method == "GET" || Endpoint::resolve(method, path).is_ok()
 }
 
 /// Backoff configuration for [`request_with_retry`] and [`PeerClient`].

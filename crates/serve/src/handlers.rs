@@ -21,7 +21,7 @@ use gmap_core::{fidelity, miniaturize, GmapProfile, SimtConfig};
 use gmap_gpu::app::Application;
 use gmap_gpu::kernel::KernelDesc;
 use gmap_gpu::schedule::{WarpStream, WarpStreamEvent};
-use gmap_gpu::workloads;
+use gmap_gpu::workloads::{self, Scale};
 use gmap_memsim::prefetch::{StreamPrefetcherConfig, StridePrefetcherConfig};
 use gmap_memsim::CacheConfig;
 use gmap_trace::AccessKind;
@@ -45,20 +45,14 @@ pub fn model_id_for(workload: &str, scale: &str) -> String {
     })
 }
 
-/// Resolves the kernel a request names: either a built-in workload at a
-/// scale, or an inline spec. Returns the kernel plus the model id its
-/// profile would be cached under.
-///
-/// # Errors
-///
-/// 400 when neither or both of `workload`/`spec` are given, the workload
-/// or scale name is unknown, or an inline spec fails structural
-/// validation.
-pub fn resolve_kernel(
+/// The kernel a request names — a built-in workload (returned with the
+/// scale it was built at) or an inline spec, cloned as it came: whether
+/// an inline spec must pass structural validation is the caller's choice.
+fn named_kernel(
     workload: Option<&str>,
     scale: Option<&str>,
     spec: Option<&KernelDesc>,
-) -> Result<(KernelDesc, String), ApiError> {
+) -> Result<(KernelDesc, Option<Scale>), ApiError> {
     match (workload, spec) {
         (Some(_), Some(_)) => Err(ApiError::bad_request(
             "give either \"workload\" or \"spec\", not both",
@@ -74,18 +68,39 @@ pub fn resolve_kernel(
                     workloads::NAMES.join(", ")
                 ))
             })?;
-            let model_id = model_id_for(name, api::scale_name(scale));
-            Ok((kernel, model_id))
+            Ok((kernel, Some(scale)))
         }
-        (None, Some(spec)) => {
-            spec.validate()
+        (None, Some(spec)) => Ok((spec.clone(), None)),
+    }
+}
+
+/// Resolves the kernel a request names: either a built-in workload at a
+/// scale, or an inline spec. Returns the kernel plus the model id its
+/// profile would be cached under.
+///
+/// # Errors
+///
+/// 400 when neither or both of `workload`/`spec` are given, the workload
+/// or scale name is unknown, or an inline spec fails structural
+/// validation.
+pub fn resolve_kernel(
+    workload: Option<&str>,
+    scale: Option<&str>,
+    spec: Option<&KernelDesc>,
+) -> Result<(KernelDesc, String), ApiError> {
+    let (kernel, built_at) = named_kernel(workload, scale, spec)?;
+    let model_id = match workload.zip(built_at) {
+        Some((name, scale)) => model_id_for(name, api::scale_name(scale)),
+        None => {
+            kernel
+                .validate()
                 .map_err(|e| ApiError::bad_request(format!("invalid kernel spec: {e}")))?;
             // Inline specs are content-addressed by their own canonical
             // JSON, so identical specs share a cache entry.
-            let model_id = cachekey::key_of(spec);
-            Ok((spec.clone(), model_id))
+            cachekey::key_of(&kernel)
         }
-    }
+    };
+    Ok((kernel, model_id))
 }
 
 /// Resolves and statically analyzes a profile request, returning the
@@ -162,28 +177,11 @@ pub fn admission_gate(req: &ProfileRequest) -> Result<(), ApiError> {
 /// 400 for unresolvable requests (unknown workload, both or neither
 /// source given).
 pub fn analyze(req: &AnalyzeRequest) -> Result<AnalyzeResponse, ApiError> {
-    let kernel = match (req.workload.as_deref(), req.spec.as_ref()) {
-        (Some(_), Some(_)) => {
-            return Err(ApiError::bad_request(
-                "give either \"workload\" or \"spec\", not both",
-            ))
-        }
-        (None, None) => {
-            return Err(ApiError::bad_request(
-                "missing \"workload\" (a built-in name) or \"spec\" (an inline kernel)",
-            ))
-        }
-        (Some(name), None) => {
-            let scale = api::parse_scale(req.scale.as_deref())?;
-            workloads::by_name(name, scale).ok_or_else(|| {
-                ApiError::bad_request(format!(
-                    "unknown workload {name:?} (known: {})",
-                    workloads::NAMES.join(", ")
-                ))
-            })?
-        }
-        (None, Some(spec)) => spec.clone(),
-    };
+    let (kernel, _) = named_kernel(
+        req.workload.as_deref(),
+        req.scale.as_deref(),
+        req.spec.as_ref(),
+    )?;
     let report = analyze_kernel(&kernel);
     Ok(AnalyzeResponse {
         name: kernel.name.clone(),

@@ -33,6 +33,7 @@
 //! dead peer, which is what makes hinted-handoff replay prompt.
 
 use crate::client::{self, ExchangeError, Payload, Response};
+use crate::metrics::Endpoint;
 use crate::shard::Ring;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -304,7 +305,8 @@ impl Peers {
 /// Probes one peer's `/healthz` once, within `timeout`. Returns whether
 /// the peer answered healthy.
 pub fn probe_once(peers: &Peers, peer: &str, timeout: Duration) -> bool {
-    match peers.exchange(peer, "GET", "/healthz", Payload::Json(""), Some(timeout)) {
+    let row = Endpoint::Healthz.row();
+    match peers.exchange(peer, row.method, row.path, Payload::Json(""), Some(timeout)) {
         Ok(resp) if resp.is_ok() => {
             peers
                 .health

@@ -535,6 +535,47 @@ impl ResponseOpts {
     }
 }
 
+/// One response on its way to the wire: what every endpoint returns and
+/// the server's one writer consumes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// Response body.
+    pub body: String,
+    /// `Content-Type` header value.
+    pub content_type: &'static str,
+    /// Request bytes were left unread behind this reply: the connection
+    /// must close after it, whatever the client asked for.
+    pub close: bool,
+}
+
+impl Reply {
+    /// A JSON reply that leaves the connection usable.
+    pub fn json(status: u16, body: String) -> Reply {
+        Reply {
+            status,
+            body,
+            content_type: "application/json",
+            close: false,
+        }
+    }
+
+    /// `error` as the last reply of its connection.
+    pub fn closing(error: ApiError) -> Reply {
+        Reply {
+            close: true,
+            ..error.into()
+        }
+    }
+}
+
+impl From<ApiError> for Reply {
+    fn from(e: ApiError) -> Reply {
+        Reply::json(e.status, e.body())
+    }
+}
+
 /// Writes one complete `Connection: close` response.
 ///
 /// # Errors

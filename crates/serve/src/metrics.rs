@@ -1,4 +1,7 @@
-//! Service metrics registry and the `/metrics` text rendering.
+//! Service metrics registry and the `/metrics` text rendering — and,
+//! because a request is counted under the endpoint that served it, the
+//! endpoint table itself ([`Endpoint`]): the one place a method, a path
+//! and what the layers do with them are written down.
 //!
 //! Counters are lock-free atomics; latency distributions reuse the
 //! log-bucketed [`LatencyHistogram`] from `gmap-trace`, guarded by a
@@ -7,6 +10,7 @@
 //! Prometheus text exposition conventions so the endpoint is scrapable,
 //! but no client library is involved.
 
+use crate::api::ApiError;
 use crate::health::PeerStatus;
 use gmap_trace::LatencyHistogram;
 use std::fmt::Write as _;
@@ -14,33 +18,102 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// The service endpoints that report per-endpoint metrics.
+/// The service's endpoints: the one table every layer reads — routing,
+/// the router's forward decision, shard keys, retry safety and the
+/// `/metrics` label all come from an endpoint's row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// `POST /v1/profile`.
+    /// Liveness probe (advertises `draining` when set).
+    Healthz,
+    /// This registry's text exposition.
+    Metrics,
+    /// Profile a workload or inline spec into a cached model.
     Profile,
-    /// `POST /v1/clone`.
-    Clone,
-    /// `POST /v1/evaluate`.
-    Evaluate,
-    /// `POST /v1/analyze` (answered on the connection thread).
+    /// Static analysis, answered on the connection thread.
     Analyze,
-    /// `POST /v1/ingest` (streaming trace ingestion).
+    /// Proxy-stream statistics of a cached model.
+    Clone,
+    /// A hierarchy grid against a cached model.
+    Evaluate,
+    /// Streaming trace ingestion.
     Ingest,
-    /// Everything else (`/healthz`, `/metrics`, unknown routes).
-    Other,
+    /// Internal: idempotent model push from a fleet peer.
+    Replicate,
+    /// Graceful decommission: stream models to successors.
+    Drain,
 }
 
+/// `/metrics` endpoint labels, in rendering order; the last is shared by
+/// the rows without one of their own and by requests no row matches.
+const LABELS: [&str; 6] = ["profile", "clone", "evaluate", "analyze", "ingest", OTHER];
+const OTHER: &str = "other";
+
+/// What the table states, once, about an endpoint.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    endpoint: Endpoint,
+    pub(crate) method: &'static str,
+    pub(crate) path: &'static str,
+    /// One of [`LABELS`].
+    label: &'static str,
+    /// A router forwards the request to the replica owning its shard key.
+    pub(crate) forwarded: bool,
+    /// The endpoint consumes its body itself, piece by piece, instead of
+    /// being handed it whole.
+    pub(crate) streams_body: bool,
+}
+
+/// The endpoint table, in [`Endpoint`] order.
+#[rustfmt::skip]
+pub(crate) const TABLE: [Row; 9] = {
+    use Endpoint::*;
+    const fn row(
+        endpoint: Endpoint, method: &'static str, path: &'static str, label: &'static str,
+        forwarded: bool, streams_body: bool,
+    ) -> Row {
+        Row { endpoint, method, path, label, forwarded, streams_body }
+    }
+    [
+        //  endpoint   method  path               label       forwarded  streams_body
+        row(Healthz,   "GET",  "/healthz",        OTHER,      false,     false),
+        row(Metrics,   "GET",  "/metrics",        OTHER,      false,     false),
+        row(Profile,   "POST", "/v1/profile",     "profile",  true,      false),
+        row(Analyze,   "POST", "/v1/analyze",     "analyze",  false,     false),
+        row(Clone,     "POST", "/v1/clone",       "clone",    true,      false),
+        row(Evaluate,  "POST", "/v1/evaluate",    "evaluate", true,      false),
+        row(Ingest,    "POST", "/v1/ingest",      "ingest",   true,      true),
+        row(Replicate, "POST", "/v1/replicate",   OTHER,      false,     false),
+        row(Drain,     "POST", "/v1/admin/drain", OTHER,      false,     false),
+    ]
+};
+
 impl Endpoint {
-    fn label(self) -> &'static str {
-        match self {
-            Endpoint::Profile => "profile",
-            Endpoint::Clone => "clone",
-            Endpoint::Evaluate => "evaluate",
-            Endpoint::Analyze => "analyze",
-            Endpoint::Ingest => "ingest",
-            Endpoint::Other => "other",
-        }
+    /// This endpoint's row of the table.
+    pub(crate) fn row(self) -> &'static Row {
+        &TABLE[self as usize]
+    }
+
+    /// The endpoint at `target`'s path (a query string is ignored),
+    /// whatever the method: the row a request for it is counted under.
+    pub fn at(target: &str) -> Option<Endpoint> {
+        let path = target.split('?').next().unwrap_or(target);
+        TABLE.iter().find(|r| r.path == path).map(|r| r.endpoint)
+    }
+
+    /// The endpoint serving `method` on `target`; allocates only to
+    /// refuse.
+    ///
+    /// # Errors
+    ///
+    /// 404 naming the whole target for a `GET` or `POST` no row serves,
+    /// 405 for any other method.
+    pub fn resolve(method: &str, target: &str) -> Result<Endpoint, ApiError> {
+        Endpoint::at(target)
+            .filter(|e| e.row().method == method)
+            .ok_or_else(|| match method {
+                "GET" | "POST" => ApiError::new(404, format!("no such route {target}")),
+                _ => ApiError::new(405, format!("method {method} not supported")),
+            })
     }
 }
 
@@ -116,12 +189,8 @@ impl RouteMetrics {
 /// The service-wide metrics registry.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    profile: EndpointStats,
-    clone_op: EndpointStats,
-    evaluate: EndpointStats,
-    analyze: EndpointStats,
-    ingest: EndpointStats,
-    other: EndpointStats,
+    /// One slot per entry of [`LABELS`].
+    endpoints: [EndpointStats; LABELS.len()],
     /// Model-cache hits (`/v1/profile` served without re-profiling).
     pub cache_hits: AtomicU64,
     /// Model-cache misses (profile computed and stored).
@@ -213,20 +282,12 @@ impl Metrics {
         }
     }
 
-    fn endpoint(&self, which: Endpoint) -> &EndpointStats {
-        match which {
-            Endpoint::Profile => &self.profile,
-            Endpoint::Clone => &self.clone_op,
-            Endpoint::Evaluate => &self.evaluate,
-            Endpoint::Analyze => &self.analyze,
-            Endpoint::Ingest => &self.ingest,
-            Endpoint::Other => &self.other,
-        }
-    }
-
-    /// Records one finished request.
-    pub fn record_request(&self, which: Endpoint, elapsed: Duration, status: u16) {
-        self.endpoint(which).record(elapsed, status);
+    /// Records one finished request under the label of `which`, the
+    /// endpoint at its path; `None` (no such path) counts as `other`.
+    pub fn record_request(&self, which: Option<Endpoint>, elapsed: Duration, status: u16) {
+        let label = which.map_or(OTHER, |e| e.row().label);
+        let slot = LABELS.iter().position(|l| *l == label);
+        self.endpoints[slot.expect("row labels are LABELS entries")].record(elapsed, status);
     }
 
     /// Renders the Prometheus-style text exposition. Gauges and
@@ -234,39 +295,27 @@ impl Metrics {
     /// fault totals) are sampled by the caller into [`RuntimeStats`].
     pub fn render(&self, rt: RuntimeStats) -> String {
         let mut out = String::with_capacity(2048);
-        let endpoints = [
-            Endpoint::Profile,
-            Endpoint::Clone,
-            Endpoint::Evaluate,
-            Endpoint::Analyze,
-            Endpoint::Ingest,
-            Endpoint::Other,
-        ];
+        let endpoints = || LABELS.iter().zip(&self.endpoints);
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         out.push_str("# TYPE gmap_requests_total counter\n");
-        for e in endpoints {
+        for (label, stats) in endpoints() {
             let _ = writeln!(
                 out,
-                "gmap_requests_total{{endpoint=\"{}\"}} {}",
-                e.label(),
-                self.endpoint(e).requests.load(Ordering::Relaxed)
+                "gmap_requests_total{{endpoint=\"{label}\"}} {}",
+                load(&stats.requests)
             );
         }
         out.push_str("# TYPE gmap_request_errors_total counter\n");
-        for e in endpoints {
+        for (label, stats) in endpoints() {
             let _ = writeln!(
                 out,
-                "gmap_request_errors_total{{endpoint=\"{}\"}} {}",
-                e.label(),
-                self.endpoint(e).errors.load(Ordering::Relaxed)
+                "gmap_request_errors_total{{endpoint=\"{label}\"}} {}",
+                load(&stats.errors)
             );
         }
         out.push_str("# TYPE gmap_request_latency_seconds summary\n");
-        for e in endpoints {
-            let hist = self
-                .endpoint(e)
-                .latency
-                .lock()
-                .expect("latency lock poisoned");
+        for (label, stats) in endpoints() {
+            let hist = stats.latency.lock().expect("latency lock poisoned");
             if hist.count() == 0 {
                 continue;
             }
@@ -277,64 +326,34 @@ impl Metrics {
             ] {
                 let _ = writeln!(
                     out,
-                    "gmap_request_latency_seconds{{endpoint=\"{}\",quantile=\"{}\"}} {:.9}",
-                    e.label(),
-                    q,
+                    "gmap_request_latency_seconds{{endpoint=\"{label}\",quantile=\"{q}\"}} {:.9}",
                     latency.as_secs_f64()
                 );
             }
             let _ = writeln!(
                 out,
-                "gmap_request_latency_seconds_count{{endpoint=\"{}\"}} {}",
-                e.label(),
+                "gmap_request_latency_seconds_count{{endpoint=\"{label}\"}} {}",
                 hist.count()
             );
         }
         for (name, value) in [
-            (
-                "gmap_cache_hits_total",
-                self.cache_hits.load(Ordering::Relaxed),
-            ),
-            (
-                "gmap_cache_misses_total",
-                self.cache_misses.load(Ordering::Relaxed),
-            ),
-            (
-                "gmap_queue_rejected_total",
-                self.rejected_full.load(Ordering::Relaxed),
-            ),
+            ("gmap_cache_hits_total", load(&self.cache_hits)),
+            ("gmap_cache_misses_total", load(&self.cache_misses)),
+            ("gmap_queue_rejected_total", load(&self.rejected_full)),
             (
                 "gmap_shutdown_rejected_total",
-                self.rejected_shutdown.load(Ordering::Relaxed),
+                load(&self.rejected_shutdown),
             ),
             (
                 "gmap_deadline_timeouts_total",
-                self.deadline_timeouts.load(Ordering::Relaxed),
+                load(&self.deadline_timeouts),
             ),
-            (
-                "gmap_analyze_rejects_total",
-                self.analyze_rejects.load(Ordering::Relaxed),
-            ),
-            (
-                "gmap_analyze_races_total",
-                self.analyze_races.load(Ordering::Relaxed),
-            ),
-            (
-                "gmap_jobs_shed_total",
-                self.jobs_shed.load(Ordering::Relaxed),
-            ),
-            (
-                "gmap_ingest_bytes_total",
-                self.ingest_bytes.load(Ordering::Relaxed),
-            ),
-            (
-                "gmap_ingest_streams_total",
-                self.ingest_streams.load(Ordering::Relaxed),
-            ),
-            (
-                "gmap_accept_errors_total",
-                self.accept_errors.load(Ordering::Relaxed),
-            ),
+            ("gmap_analyze_rejects_total", load(&self.analyze_rejects)),
+            ("gmap_analyze_races_total", load(&self.analyze_races)),
+            ("gmap_jobs_shed_total", load(&self.jobs_shed)),
+            ("gmap_ingest_bytes_total", load(&self.ingest_bytes)),
+            ("gmap_ingest_streams_total", load(&self.ingest_streams)),
+            ("gmap_accept_errors_total", load(&self.accept_errors)),
             ("gmap_cache_evictions_total", rt.cache_evictions),
             ("gmap_cache_quarantined_total", rt.cache_quarantined),
             ("gmap_worker_panics_total", rt.worker_panics),
@@ -418,10 +437,111 @@ mod tests {
     use super::*;
 
     #[test]
+    fn every_row_resolves_to_its_own_endpoint() {
+        for (i, row) in TABLE.iter().enumerate() {
+            assert_eq!(row.endpoint as usize, i, "table is in enum order");
+            assert_eq!(row.endpoint.row().path, row.path);
+            let with_query = format!("{}?probe=1", row.path);
+            for target in [row.path, with_query.as_str()] {
+                assert_eq!(Endpoint::resolve(row.method, target), Ok(row.endpoint));
+                assert_eq!(Endpoint::at(target), Some(row.endpoint));
+            }
+            // The path under the other method is a 404 that names the
+            // whole target; under any further method a 405.
+            let other = if row.method == "GET" { "POST" } else { "GET" };
+            let refused = Endpoint::resolve(other, &with_query).expect_err("wrong method");
+            assert_eq!(
+                refused,
+                ApiError::new(404, format!("no such route {with_query}"))
+            );
+            let refused = Endpoint::resolve("DELETE", row.path).expect_err("wrong method");
+            assert_eq!(refused, ApiError::new(405, "method DELETE not supported"));
+        }
+        assert_eq!(Endpoint::at("/nope"), None);
+        assert_eq!(Endpoint::at("/v1/profile/x"), None);
+        assert_eq!(
+            Endpoint::resolve("GET", "/nope").map_err(|e| e.status),
+            Err(404)
+        );
+        assert_eq!(
+            Endpoint::resolve("PUT", "/nope").map_err(|e| e.status),
+            Err(405)
+        );
+    }
+
+    #[test]
+    fn labels_render_in_a_fixed_order_and_every_row_has_one() {
+        let m = Metrics::new();
+        for row in &TABLE {
+            m.record_request(Some(row.endpoint), Duration::from_millis(1), 200);
+        }
+        m.record_request(None, Duration::from_millis(1), 404);
+        let text = m.render(RuntimeStats::default());
+        let rendered: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("gmap_requests_total{"))
+            .collect();
+        // Five rows count under a label of their own; the other four
+        // and the unmatched request share `other`.
+        let want = [
+            "gmap_requests_total{endpoint=\"profile\"} 1",
+            "gmap_requests_total{endpoint=\"clone\"} 1",
+            "gmap_requests_total{endpoint=\"evaluate\"} 1",
+            "gmap_requests_total{endpoint=\"analyze\"} 1",
+            "gmap_requests_total{endpoint=\"ingest\"} 1",
+            "gmap_requests_total{endpoint=\"other\"} 5",
+        ];
+        assert_eq!(rendered, want);
+        assert_eq!(
+            scrape(&text, "gmap_request_errors_total{endpoint=\"other\"}"),
+            Some(1.0)
+        );
+    }
+
+    /// Endpoint paths are written down once: no `"/v1/…"`, `"/healthz"`
+    /// or `"/metrics"` literal in the non-test code of this crate outside
+    /// this file, and exactly one per row in it.
+    #[test]
+    fn endpoint_paths_are_spelled_only_in_the_table() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut spelled = Vec::new();
+        for entry in std::fs::read_dir(&src).expect("src readable") {
+            let path = entry.expect("entry").path();
+            let text = std::fs::read_to_string(&path).expect("source readable");
+            let code = text.split("#[cfg(test)]").next().unwrap_or("");
+            for (n, line) in code.lines().enumerate() {
+                let line = line.trim_start();
+                let literals = ["\"/v1/", "\"/healthz", "\"/metrics"]
+                    .iter()
+                    .map(|lit| line.matches(lit).count())
+                    .sum::<usize>();
+                if !line.starts_with("//") && literals > 0 {
+                    let file = path
+                        .file_name()
+                        .expect("file")
+                        .to_string_lossy()
+                        .into_owned();
+                    spelled.extend(std::iter::repeat_n((file, n + 1), literals));
+                }
+            }
+        }
+        let elsewhere: Vec<_> = spelled.iter().filter(|(f, _)| f != "metrics.rs").collect();
+        assert!(
+            elsewhere.is_empty(),
+            "path literals outside the table: {elsewhere:?}"
+        );
+        assert_eq!(
+            spelled.len(),
+            TABLE.len(),
+            "one literal per row: {spelled:?}"
+        );
+    }
+
+    #[test]
     fn renders_counters_and_gauges() {
         let m = Metrics::new();
-        m.record_request(Endpoint::Profile, Duration::from_millis(3), 200);
-        m.record_request(Endpoint::Profile, Duration::from_millis(5), 400);
+        m.record_request(Some(Endpoint::Profile), Duration::from_millis(3), 200);
+        m.record_request(Some(Endpoint::Profile), Duration::from_millis(5), 400);
         m.cache_hits.fetch_add(2, Ordering::Relaxed);
         m.rejected_full.fetch_add(7, Ordering::Relaxed);
         m.analyze_rejects.fetch_add(5, Ordering::Relaxed);
@@ -430,7 +550,7 @@ mod tests {
         m.ingest_bytes.fetch_add(4096, Ordering::Relaxed);
         m.ingest_streams.fetch_add(2, Ordering::Relaxed);
         m.accept_errors.fetch_add(13, Ordering::Relaxed);
-        m.record_request(Endpoint::Ingest, Duration::from_millis(2), 200);
+        m.record_request(Some(Endpoint::Ingest), Duration::from_millis(2), 200);
         let text = m.render(RuntimeStats {
             queue_depth: 4,
             jobs_in_flight: 1,
@@ -516,7 +636,7 @@ mod tests {
         let m = Metrics::new();
         let empty = m.render(RuntimeStats::default());
         assert!(!empty.contains("quantile"));
-        m.record_request(Endpoint::Evaluate, Duration::from_micros(800), 200);
+        m.record_request(Some(Endpoint::Evaluate), Duration::from_micros(800), 200);
         let text = m.render(RuntimeStats::default());
         assert!(
             text.contains("gmap_request_latency_seconds{endpoint=\"evaluate\",quantile=\"0.5\"}")

@@ -36,6 +36,7 @@ use crate::cache::ModelStore;
 use crate::client::{self, Payload};
 use crate::faults::{FaultInjector, FaultKind};
 use crate::health::Peers;
+use crate::metrics::Endpoint;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -155,10 +156,10 @@ impl ReplicationState {
         // The stored JSON is already canonical, so the request body can
         // be framed without re-serializing the model.
         let body = format!("{{\"model_id\":\"{key}\",\"model\":{}}}", stored.json);
-        let payload = Payload::Json(&body);
+        let (row, payload) = (Endpoint::Replicate.row(), Payload::Json(&body));
         match self
             .peers
-            .exchange(peer, "POST", "/v1/replicate", payload, Some(PUSH_TIMEOUT))
+            .exchange(peer, row.method, row.path, payload, Some(PUSH_TIMEOUT))
         {
             Ok(resp) if resp.is_ok() => {
                 self.sent.fetch_add(1, Ordering::Relaxed);

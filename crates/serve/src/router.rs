@@ -44,14 +44,14 @@
 use crate::api::ApiError;
 use crate::client::{ExchangeError, Payload, Response};
 use crate::health::Peers;
-use crate::http::{self, RequestHead};
+use crate::http::{self, Reply, RequestHead};
 use crate::metrics::Metrics;
+use crate::server::Deadline;
 use crate::shard::{self, Ring};
 use gmap_core::cachekey;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The routing state of a router-mode server: the replica set, shared
 /// with the server's prober and metrics sampler — no model cache, so
@@ -73,45 +73,36 @@ impl Router {
     }
 
     /// Forwards one materialized JSON request to the owning replica and
-    /// relays its response. `budget` is the time remaining before this
-    /// request's deadline; it is propagated to the peer and bounds the
-    /// whole failover walk. Returns `(status, body)`.
-    pub fn forward(
-        &self,
-        metrics: &Metrics,
-        path: &str,
-        body: &str,
-        budget: Duration,
-    ) -> (u16, String) {
+    /// relays its response. What is left until the request is `due` is
+    /// propagated to the peer and bounds the whole failover walk.
+    pub fn forward(&self, metrics: &Metrics, path: &str, body: &str, due: Deadline) -> Reply {
         let key = shard::request_key(path, body)
             .unwrap_or_else(|| cachekey::content_key(if body.is_empty() { path } else { body }));
-        match self.walk_until_answered(metrics, &key, path, Payload::Json(body), budget) {
-            Ok(resp) => (resp.status, resp.body),
-            Err(reply) => {
-                let e = reply.expect("a materialized body has no source to fail");
-                (e.status, e.body())
-            }
+        match self.walk_until_answered(metrics, &key, path, Payload::Json(body), due) {
+            Ok(resp) => Reply::json(resp.status, resp.body),
+            Err(reply) => reply
+                .expect("a materialized body has no source to fail")
+                .into(),
         }
     }
 
     /// Forwards a streaming `/v1/ingest` request: decodes the inbound
     /// body with the normal [`http::BodyReader`] limits while the
-    /// exchange re-frames it chunked to the owning replica. Returns
-    /// `(status, body, body_fully_consumed)` like the local ingest
-    /// endpoint, or `None` when the *client* transport died mid-body and
-    /// nothing can be answered.
+    /// exchange re-frames it chunked to the owning replica. Answers like
+    /// the local ingest endpoint — a reply that abandons the body closes
+    /// the connection — or `None` when the *client* transport died
+    /// mid-body and nothing can be answered.
     pub fn forward_ingest<R: io::BufRead>(
         &self,
         metrics: &Metrics,
         head: &RequestHead,
         reader: &mut R,
-        budget: Duration,
-    ) -> Option<(u16, String, bool)> {
-        let err = |e: ApiError| Some((e.status, e.body(), false));
+        due: Deadline,
+    ) -> Option<Reply> {
         let key = cachekey::content_key(&head.path);
         let mut body = match http::BodyReader::open(reader, head, http::MAX_INGEST_BODY_BYTES) {
             Ok(b) => b,
-            Err(e) => return e.reply("trace body").and_then(err),
+            Err(e) => return e.reply("trace body").map(Reply::closing),
         };
         // Why the inbound body stopped is kept aside: the exchange only
         // learns that its source failed.
@@ -126,12 +117,14 @@ impl Router {
             piece: 64 * 1024,
             next: &mut next,
         };
-        match self.walk_until_answered(metrics, &key, &head.path, payload, budget) {
-            Ok(resp) => Some((resp.status, resp.body, true)),
+        match self.walk_until_answered(metrics, &key, &head.path, payload, due) {
+            Ok(resp) => Some(Reply::json(resp.status, resp.body)),
             // No reply from the walk means the client-side body failed
             // mid-stream: answer its error. Either way force a close (the
             // unread tail is unframed garbage).
-            Err(reply) => reply.or_else(|| inbound?.reply("trace body")).and_then(err),
+            Err(reply) => reply
+                .or_else(|| inbound?.reply("trace body"))
+                .map(Reply::closing),
         }
     }
 
@@ -147,12 +140,11 @@ impl Router {
         key: &str,
         path: &str,
         mut payload: Payload<'_>,
-        budget: Duration,
+        due: Deadline,
     ) -> Result<Response, Option<ApiError>> {
-        let give_up = Instant::now() + budget;
         let mut attempted = 0usize;
         for peer in self.peers.walk(key) {
-            let remaining = give_up.saturating_duration_since(Instant::now());
+            let remaining = due.remaining();
             if remaining.is_zero() {
                 break;
             }
@@ -184,13 +176,11 @@ impl Router {
         // Nobody answered: 504 when the budget ran out mid-walk, 503
         // otherwise — both transient, both carrying `Retry-After` (added
         // by the response writer).
-        Err(Some(
-            if give_up.saturating_duration_since(Instant::now()).is_zero() {
-                ApiError::new(504, "deadline exceeded while forwarding")
-            } else {
-                let reply = format!("no replica reachable ({attempted} tried), retry");
-                ApiError::new(503, reply)
-            },
-        ))
+        Err(Some(if due.remaining().is_zero() {
+            ApiError::new(504, "deadline exceeded while forwarding")
+        } else {
+            let reply = format!("no replica reachable ({attempted} tried), retry");
+            ApiError::new(503, reply)
+        }))
     }
 }

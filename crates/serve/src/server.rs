@@ -1,28 +1,31 @@
-//! The HTTP server: accept loop, keep-alive request routing, deadline
+//! The HTTP server: accept loop, the one request spine, deadline
 //! enforcement, load shedding, and drain-first graceful shutdown.
 //!
 //! Threading model: one accept thread blocks in `accept()`; each
 //! accepted connection gets a connection thread that serves up to
-//! [`ServeConfig::keepalive_max`] requests over one socket, and — for the
-//! pipeline endpoints — submits a job to the bounded [`JobQueue`] and
-//! waits on a channel with a deadline. A fixed worker pool executes the
-//! jobs. `/healthz` and `/metrics` are answered directly on the
-//! connection thread so the service stays observable even when every
-//! worker is busy.
+//! [`ServeConfig::keepalive_max`] requests over one socket; a fixed
+//! worker pool executes what those threads submit to the bounded
+//! [`JobQueue`].
 //!
-//! Resilience properties (see DESIGN.md "Resilience"):
-//! - idle peers are closed silently after `idle_timeout`; a peer that
-//!   stalls *mid-request* gets a 408 and a close;
-//! - malformed or oversized input downgrades the connection to
-//!   `Connection: close` after the error response;
-//! - jobs whose deadline expired while still queued are shed (504, the
-//!   handler never runs);
-//! - 429/503 responses carry `Retry-After`;
-//! - a panicking handler is contained by the worker pool and mapped to a
-//!   structured 500 for the requester;
-//! - when a [`crate::faults`] spec is configured, the injector is armed
-//!   here and threaded through the cache, the request reader, the worker
-//!   path, and the response writer.
+//! Every request goes down one spine (`handle_connection`), which holds
+//! no second copy of any step: read the head → mint its [`Deadline`] →
+//! resolve its [`Endpoint`] in the one table → obtain one [`Reply`] → the
+//! one tail (count under the row's label, fold `reply.close` into
+//! keep-alive, `write_reply`). The reply comes from `route` once the
+//! body is read — a router forwards the rows marked so; `/healthz`,
+//! `/metrics`, analyze and drain answer on the connection thread, so the
+//! service stays observable when every worker is busy; the rest wait on
+//! `run_job` — or from `ingest_endpoint` for the row that streams its
+//! own body. A request id or a per-stage span is one edit at that site.
+//!
+//! Resilience properties (DESIGN.md "Resilience"): idle peers are closed
+//! silently; a mid-request stall (408) and malformed or oversized input
+//! (400/413) are answered and closed; jobs whose deadline passed in the
+//! queue are shed (504, the handler never runs); transient statuses
+//! carry `Retry-After`; a panicking handler is a structured 500; a
+//! configured [`crate::faults`] spec is armed here and threaded through
+//! the cache, the request reader, the worker path and the response
+//! writer.
 //!
 //! Shutdown ordering guarantees that no *accepted* request is dropped:
 //! wake the accept thread with one loopback connection → serve what the
@@ -36,7 +39,7 @@ use crate::client;
 use crate::faults::{FaultInjector, FaultSpec, TruncatedReader};
 use crate::handlers;
 use crate::health::{self, Peers, ProbeHandle, DEFAULT_PROBE_INTERVAL};
-use crate::http::{self, ReadError, Request, RequestHead, ResponseOpts};
+use crate::http::{self, ReadError, Reply, Request, RequestHead, ResponseOpts};
 use crate::jobs::{JobQueue, SubmitError};
 use crate::metrics::{Endpoint, Metrics, RuntimeStats};
 use crate::replicate::{self, ReplicationState, ReplicationWorker};
@@ -47,7 +50,7 @@ use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -446,7 +449,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &AtomicBo
         match listener.accept() {
             Ok((stream, _)) => dispatch(stream, state, connection_thread()),
             Err(_) => {
-                state.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
+                count(&state.metrics.accept_errors, 1);
                 thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
         }
@@ -482,15 +485,29 @@ fn dispatch(stream: TcpStream, state: &Arc<ServerState>, thread: thread::Builder
     *state.connections.live() += 1;
     let guard = ConnGuard(Arc::clone(state));
     if let Err(cause) = thread.spawn(move || handle_connection(&conn, &guard.0)) {
-        state.metrics.accept_errors.fetch_add(1, Ordering::Relaxed);
+        count(&state.metrics.accept_errors, 1);
         let e = ApiError::new(503, format!("cannot serve this connection now: {cause}"));
-        write_reply(&stream, state, 503, "application/json", &e.body(), true);
+        write_reply(&stream, state, &e.into(), true);
+    }
+}
+
+/// When the server gives up on a request: an absolute instant, minted
+/// once when the head has been read and carried by value to every layer
+/// that waits on the request's behalf.
+#[derive(Debug, Clone, Copy)]
+pub struct Deadline(Instant);
+
+impl Deadline {
+    /// What is left of the budget: zero once the request is given up on.
+    pub fn remaining(self) -> Duration {
+        self.0.saturating_duration_since(Instant::now())
     }
 }
 
 /// Serves one connection: up to `keepalive_max` requests over the same
-/// socket. Connection threads do the cheap work (parse, route, wait) and
-/// leave pipeline execution to the worker pool.
+/// socket, each down the spine the module doc walks. Connection threads
+/// do the cheap work (parse, route, wait) and leave pipeline execution
+/// to the worker pool.
 ///
 /// Timeout policy: between requests the socket runs under `idle_timeout`
 /// and an expiry closes the connection silently (the peer simply went
@@ -508,10 +525,8 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         if stream.set_read_timeout(Some(state.idle_timeout)).is_err() {
             return;
         }
-        match reader.fill_buf() {
-            Ok([]) => return, // peer closed cleanly
-            Ok(_) => {}
-            Err(_) => return, // idle timeout or transport error
+        if !matches!(reader.fill_buf(), Ok([_, ..])) {
+            return; // peer closed cleanly, idled out, or the transport failed
         }
         let _ = stream.set_read_timeout(Some(state.read_timeout));
         let head = match http::read_request_head(&mut reader) {
@@ -520,47 +535,50 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         };
         served += 1;
         let started = Instant::now();
-        let deadline = request_deadline(state, &head);
-
-        // Streaming ingest: the body is consumed piece by piece *inside*
-        // the endpoint (it may be far larger than any materialized-body
-        // limit), so it bypasses the read-whole-body path below. In
-        // router mode the stream is re-framed to the owning replica
-        // instead of being profiled here.
-        if head.method == "POST" && head.route_path() == "/v1/ingest" {
-            let forwarded = match &state.router {
-                Some(router) => router.forward_ingest(&state.metrics, &head, &mut reader, deadline),
-                None => ingest_endpoint(&head, &mut reader, state, started, deadline),
-            };
-            let Some((status, body, consumed)) = forwarded else {
-                return; // transport failed mid-body; nothing to answer
-            };
-            state
-                .metrics
-                .record_request(Endpoint::Ingest, started.elapsed(), status);
-            // Keep-alive is only sound when the body was fully consumed —
-            // otherwise unread trace bytes would be parsed as the next
-            // request head.
-            let close = !consumed || head.wants_close() || served >= state.keepalive_max;
-            if !write_reply(stream, state, status, "application/json", &body, close) || close {
-                return;
+        let due = Deadline(started + request_deadline(state, &head));
+        let (counted, endpoint) = parent_query_quirk(&head);
+        let wants_close = head.wants_close();
+        let reply = match endpoint {
+            // The row consumes its own body, piece by piece (it may be
+            // far larger than any materialized-body limit).
+            Ok(endpoint) if endpoint.row().streams_body => {
+                ingest_endpoint(&head, &mut reader, state, due)
             }
-            continue;
-        }
-
-        let request = match http::read_body(&mut reader, &head) {
-            Ok(body) => Request { head, body },
-            Err(e) => return reject_unreadable(stream, state, e),
+            // Everyone else — a route about to be refused included — is
+            // handed the whole body.
+            endpoint => match http::read_body(&mut reader, &head) {
+                Ok(body) => Some(endpoint.map_or_else(Reply::from, |endpoint| {
+                    route(endpoint, &Request { head, body }, state, due)
+                })),
+                Err(e) => return reject_unreadable(stream, state, e),
+            },
         };
-        let endpoint = classify(&request);
-        let (status, body, content_type) = route(&request, state, started, deadline);
+        let Some(reply) = reply else {
+            return; // transport failed mid-body; nothing to answer
+        };
         state
             .metrics
-            .record_request(endpoint, started.elapsed(), status);
-        let close = request.head.wants_close() || served >= state.keepalive_max;
-        if !write_reply(stream, state, status, content_type, &body, close) || close {
+            .record_request(counted, started.elapsed(), reply.status);
+        let close = reply.close || wants_close || served >= state.keepalive_max;
+        if !write_reply(stream, state, &reply, close) || close {
             return;
         }
+    }
+}
+
+/// The parent's routing of a target that carries a query string, kept
+/// for exactly one commit so the restructure moves no reply: only
+/// `POST /v1/ingest` is looked up by its path alone, every other target
+/// has to equal a row's path outright (and is counted as `other` when it
+/// does not).
+fn parent_query_quirk(head: &RequestHead) -> (Option<Endpoint>, Result<Endpoint, ApiError>) {
+    match Endpoint::resolve(&head.method, &head.path) {
+        Ok(e) if e != Endpoint::Ingest && head.path != head.route_path() => (
+            None,
+            Err(ApiError::new(404, format!("no such route {}", head.path))),
+        ),
+        Err(e) if head.path != head.route_path() => (None, Err(e)),
+        endpoint => (Endpoint::at(&head.path), endpoint),
     }
 }
 
@@ -568,13 +586,13 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
 /// peer went away or idled out, with a 408/400/413 and a close otherwise.
 fn reject_unreadable(stream: &TcpStream, state: &Arc<ServerState>, err: ReadError) {
     if let Some(e) = err.reply("request") {
-        write_reply(stream, state, e.status, "application/json", &e.body(), true);
+        write_reply(stream, state, &e.into(), true);
     }
 }
 
-/// The effective deadline of one request: the server's configured
-/// budget, tightened by a router-propagated [`client::DEADLINE_HEADER`]
-/// — a replica must never keep working on a request whose router has
+/// The budget of one request: the server's configured due,
+/// tightened by a router-propagated [`client::DEADLINE_HEADER`] — a
+/// replica must never keep working on a request whose router has
 /// already answered 504 upstream. The header can only shrink the
 /// budget, never extend it.
 fn request_deadline(state: &ServerState, head: &RequestHead) -> Duration {
@@ -584,40 +602,31 @@ fn request_deadline(state: &ServerState, head: &RequestHead) -> Duration {
         .map_or(state.deadline, |propagated| propagated.min(state.deadline))
 }
 
-fn classify(request: &Request) -> Endpoint {
-    match request.head.path.as_str() {
-        "/v1/profile" => Endpoint::Profile,
-        "/v1/clone" => Endpoint::Clone,
-        "/v1/evaluate" => Endpoint::Evaluate,
-        "/v1/analyze" => Endpoint::Analyze,
-        _ => Endpoint::Other,
-    }
-}
-
 /// `POST /v1/ingest`: stream the request body — the raw trace, text or
 /// binary, usually chunked — into an [`gmap_ingest::Ingestor`] on the
 /// connection thread, then finalize (drain, profile, report) on a worker
-/// through the normal queue/deadline machinery.
+/// through the normal queue/deadline machinery. In router mode the
+/// stream is re-framed to the owning replica instead.
 ///
-/// Returns `(status, body, body_fully_consumed)`, or `None` when the
-/// transport died mid-body and no response can be delivered. The third
-/// element gates keep-alive: an error that abandons the body forces a
-/// close.
+/// `None` when the transport died mid-body and no response can be
+/// delivered. A reply that abandons the body closes the connection:
+/// unread trace bytes would be parsed as the next request head.
 fn ingest_endpoint<R: BufRead>(
     head: &RequestHead,
     reader: &mut R,
     state: &Arc<ServerState>,
-    started: Instant,
-    deadline: Duration,
-) -> Option<(u16, String, bool)> {
-    let err = |e: ApiError| Some((e.status, e.body(), false));
+    due: Deadline,
+) -> Option<Reply> {
+    if let Some(router) = &state.router {
+        return router.forward_ingest(&state.metrics, head, reader, due);
+    }
     let query = match api::parse_ingest_query(&head.path) {
         Ok(q) => q,
-        Err(e) => return err(e),
+        Err(e) => return Some(Reply::closing(e)),
     };
     let mut body = match http::BodyReader::open(reader, head, http::MAX_INGEST_BODY_BYTES) {
         Ok(b) => b,
-        Err(e) => return e.reply("trace body").and_then(err),
+        Err(e) => return e.reply("trace body").map(Reply::closing),
     };
     let launch = LaunchConfig::new(query.grid, query.block);
     let mut ing =
@@ -627,36 +636,27 @@ fn ingest_endpoint<R: BufRead>(
         // The deadline covers the whole request, including a slow
         // uploader: a stream that cannot finish in time is cut off here
         // rather than occupying the connection thread indefinitely.
-        if started.elapsed() >= deadline {
-            state
-                .metrics
-                .deadline_timeouts
-                .fetch_add(1, Ordering::Relaxed);
-            return err(ApiError::new(
-                504,
-                "deadline exceeded while streaming trace",
-            ));
+        if due.remaining().is_zero() {
+            count(&state.metrics.deadline_timeouts, 1);
+            let e = ApiError::new(504, "deadline exceeded while streaming trace");
+            return Some(Reply::closing(e));
         }
         let n = match body.next_piece(&mut buf) {
             Ok(0) => break,
             Ok(n) => n,
-            Err(e) => return e.reply("trace body").and_then(err),
+            Err(e) => return e.reply("trace body").map(Reply::closing),
         };
-        state
-            .metrics
-            .ingest_bytes
-            .fetch_add(n as u64, Ordering::Relaxed);
+        count(&state.metrics.ingest_bytes, n as u64);
         if let Err(e) = ing.push_bytes(&buf[..n]) {
-            // Parse error: the rest of the body is abandoned, so the
-            // connection must close after the error response.
-            return err(ApiError::bad_request(format!("trace rejected: {e}")));
+            // Parse error: the rest of the body is abandoned.
+            let e = ApiError::bad_request(format!("trace rejected: {e}"));
+            return Some(Reply::closing(e));
         }
     }
-    state.metrics.ingest_streams.fetch_add(1, Ordering::Relaxed);
+    count(&state.metrics.ingest_streams, 1);
     // Whatever the upload consumed of the budget is gone; the finalize
     // job runs under the remainder.
-    let remaining = deadline.saturating_sub(started.elapsed());
-    let (status, response) = run_job(state, remaining, ing, |state, ing, cancel| {
+    Some(run_job(state, due, Ok(ing), |state, ing, cancel| {
         let resp = handlers::ingest_finalize(&state.store, ing, cancel)?;
         if let Some(repl) = state.replication() {
             // Ingested models are stored unconditionally (the id hashes
@@ -664,31 +664,25 @@ fn ingest_endpoint<R: BufRead>(
             repl.enqueue(&resp.model_id);
         }
         Ok(resp)
-    });
-    Some((status, response, true))
+    }))
 }
 
-/// Renders and writes one response. Returns `false` when the connection
-/// must not serve further requests (write failure or an injected reset).
+/// Renders and writes one reply, the only writer of the accept and
+/// connection threads. Returns `false` when the connection must not
+/// serve further requests (write failure or an injected reset).
 /// Transient 408/429/500/503/504 responses carry a `Retry-After` hint
-/// for well-behaved clients (every `/v1/*` endpoint is idempotent, and
-/// a request the server timed out reading is safe to resend).
-fn write_reply(
-    mut stream: &TcpStream,
-    state: &Arc<ServerState>,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    close: bool,
-) -> bool {
+/// for well-behaved clients (every endpoint is idempotent, and a
+/// request the server timed out reading is safe to resend).
+fn write_reply(mut stream: &TcpStream, state: &ServerState, reply: &Reply, close: bool) -> bool {
     let opts = ResponseOpts {
         close,
         retry_after: client::RETRYABLE_STATUSES
-            .contains(&status)
+            .contains(&reply.status)
             .then_some(RETRY_AFTER_SECS),
     };
-    let mut buf = Vec::with_capacity(body.len() + 128);
-    if http::write_response_opts(&mut buf, status, content_type, body, opts).is_err() {
+    let mut buf = Vec::with_capacity(reply.body.len() + 128);
+    let (status, body) = (reply.status, reply.body.as_str());
+    if http::write_response_opts(&mut buf, status, reply.content_type, body, opts).is_err() {
         return false;
     }
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
@@ -705,93 +699,56 @@ fn write_reply(
     stream.write_all(&buf).is_ok() && stream.flush().is_ok()
 }
 
-/// Dispatches a parsed request to its endpoint and renders the response
-/// body. Returns `(status, body, content_type)`. `deadline` is this
-/// request's effective budget (possibly router-tightened), measured
-/// from `started`.
-fn route(
-    request: &Request,
-    state: &Arc<ServerState>,
-    started: Instant,
-    deadline: Duration,
-) -> (u16, String, &'static str) {
-    // Router mode: the pipeline endpoints are forwarded to the owning
-    // replica right here on the connection thread, with the remaining
-    // budget propagated. `/healthz`, `/metrics`, and `/v1/analyze`
-    // (stateless) are still answered locally.
-    if let Some(router) = &state.router {
-        if request.head.method == "POST"
-            && matches!(
-                request.head.path.as_str(),
-                "/v1/profile" | "/v1/clone" | "/v1/evaluate"
-            )
-        {
-            let body = match request.body_utf8() {
-                Ok(b) => b,
-                Err(msg) => {
-                    let e = ApiError::bad_request(msg);
-                    return (e.status, e.body(), "application/json");
-                }
-            };
-            let budget = deadline.saturating_sub(started.elapsed());
-            let (status, reply) = router.forward(&state.metrics, &request.head.path, body, budget);
-            return (status, reply, "application/json");
-        }
+/// Answers a request whose body has been read: forwards what a router
+/// forwards (to the owning replica, right here on the connection thread,
+/// with what is left before the deadline propagated) and dispatches the
+/// rest to its endpoint.
+fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: Deadline) -> Reply {
+    if let Some(router) = state.router.as_ref().filter(|_| endpoint.row().forwarded) {
+        return match request.body_utf8() {
+            Ok(body) => router.forward(&state.metrics, &request.head.path, body, due),
+            Err(msg) => ApiError::bad_request(msg).into(),
+        };
     }
-    match (request.head.method.as_str(), request.head.path.as_str()) {
-        ("GET", "/healthz") => {
+    match endpoint {
+        Endpoint::Healthz => {
             // A draining replica is still *alive* (200) but advertises
             // the state so peers and routers deprioritize it.
-            let body = if state.is_draining() {
-                "{\"status\":\"draining\"}"
+            let status = if state.is_draining() {
+                "draining"
             } else {
-                "{\"status\":\"ok\"}"
+                "ok"
             };
-            (200, body.to_string(), "application/json")
+            Reply::json(200, format!("{{\"status\":\"{status}\"}}"))
         }
-        ("GET", "/metrics") => {
-            let text = state.metrics.render(state.runtime_stats());
-            (200, text, "text/plain; version=0.0.4")
-        }
-        ("POST", "/v1/profile") => profile_endpoint(request, state, started, deadline),
-        ("POST", "/v1/analyze") => {
-            // Pure static analysis: answered right here on the connection
-            // thread — no queue slot, no worker, no deadline machinery.
-            match parse_body::<api::AnalyzeRequest>(request).and_then(|req| handlers::analyze(&req))
-            {
-                Ok(resp) => {
-                    let races = handlers::race_finding_count(&resp.report);
-                    if races > 0 {
-                        state
-                            .metrics
-                            .analyze_races
-                            .fetch_add(races, Ordering::Relaxed);
-                    }
-                    (200, canonical_json(&resp), "application/json")
-                }
-                Err(e) => (e.status, e.body(), "application/json"),
-            }
-        }
-        ("POST", "/v1/clone") => {
-            json_endpoint(request, state, started, deadline, |state, req, cancel| {
-                handlers::clone_model(&state.store, &req, cancel)
-            })
-        }
-        ("POST", "/v1/evaluate") => {
-            json_endpoint(request, state, started, deadline, |state, req, cancel| {
-                handlers::evaluate(&state.store, &req, cancel)
-            })
-        }
-        ("POST", "/v1/replicate") => {
-            // Internal fleet endpoint: idempotent model push from a
-            // peer. Runs through the worker pool like any store-touching
-            // job, so injected faults apply. The receiver pushes nothing
-            // onward: the originator aims at the whole replica set itself.
-            json_endpoint(request, state, started, deadline, |state, req, cancel| {
-                handlers::replicate_store(&state.store, &req, cancel)
-            })
-        }
-        ("POST", "/v1/admin/drain") => {
+        Endpoint::Metrics => Reply {
+            content_type: "text/plain; version=0.0.4",
+            ..Reply::json(200, state.metrics.render(state.runtime_stats()))
+        },
+        Endpoint::Profile => profile_endpoint(request, state, due),
+        // Pure static analysis: answered right here on the connection
+        // thread — no queue slot, no worker, no deadline machinery.
+        Endpoint::Analyze => parse_body::<api::AnalyzeRequest>(request)
+            .and_then(|req| handlers::analyze(&req))
+            .map_or_else(Reply::from, |resp| {
+                let races = handlers::race_finding_count(&resp.report);
+                count(&state.metrics.analyze_races, races);
+                Reply::json(200, canonical_json(&resp))
+            }),
+        Endpoint::Clone => run_job(state, due, parse_body(request), |state, req, cancel| {
+            handlers::clone_model(&state.store, &req, cancel)
+        }),
+        Endpoint::Evaluate => run_job(state, due, parse_body(request), |state, req, cancel| {
+            handlers::evaluate(&state.store, &req, cancel)
+        }),
+        // Internal fleet endpoint: idempotent model push from a peer.
+        // Runs through the worker pool like any store-touching job, so
+        // injected faults apply. The receiver pushes nothing onward: the
+        // originator aims at the whole replica set itself.
+        Endpoint::Replicate => run_job(state, due, parse_body(request), |state, req, cancel| {
+            handlers::replicate_store(&state.store, &req, cancel)
+        }),
+        Endpoint::Drain => {
             // Graceful decommission, answered on the connection thread:
             // flip to draining first (health probes now advertise it),
             // then synchronously stream every owned model to reachable
@@ -808,17 +765,15 @@ fn route(
                 pushed,
                 failed,
             };
-            (200, canonical_json(&resp), "application/json")
+            Reply::json(200, canonical_json(&resp))
         }
-        ("GET", _) | ("POST", _) => {
-            let e = ApiError::new(404, format!("no such route {}", request.head.path));
-            (404, e.body(), "application/json")
-        }
-        (method, _) => {
-            let e = ApiError::new(405, format!("method {method} not supported"));
-            (405, e.body(), "application/json")
-        }
+        Endpoint::Ingest => unreachable!("the row streams its own body: served before `route`"),
     }
+}
+
+/// Adds `n` to one of the registry's counters.
+fn count(counter: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
 }
 
 /// Parses a JSON request body into its wire type.
@@ -831,95 +786,56 @@ fn parse_body<Req: Deserialize>(request: &Request) -> Result<Req, ApiError> {
 /// `POST /v1/profile`: the static-analysis admission gate runs here on
 /// the connection thread, *before* the job queue — an inadmissible spec
 /// is answered 422 without ever occupying a queue slot or a worker.
-fn profile_endpoint(
-    request: &Request,
-    state: &Arc<ServerState>,
-    started: Instant,
-    deadline: Duration,
-) -> (u16, String, &'static str) {
-    let parsed: api::ProfileRequest = match parse_body(request) {
-        Ok(r) => r,
-        Err(e) => return (e.status, e.body(), "application/json"),
-    };
-    match handlers::admission_report(&parsed) {
-        Ok(report) => {
-            let races = handlers::race_finding_count(&report);
-            if races > 0 {
-                state
-                    .metrics
-                    .analyze_races
-                    .fetch_add(races, Ordering::Relaxed);
-            }
-            if let Err(e) = handlers::gate_report(&report) {
-                state
-                    .metrics
-                    .analyze_rejects
-                    .fetch_add(1, Ordering::Relaxed);
-                return (e.status, e.body(), "application/json");
-            }
-        }
-        Err(e) => return (e.status, e.body(), "application/json"),
-    }
-    let budget = deadline.saturating_sub(started.elapsed());
-    let (status, body) = run_job(state, budget, parsed, |state, req, cancel| {
+fn profile_endpoint(request: &Request, state: &Arc<ServerState>, due: Deadline) -> Reply {
+    let admitted = parse_body::<api::ProfileRequest>(request).and_then(|parsed| {
+        let report = handlers::admission_report(&parsed)?;
+        count(
+            &state.metrics.analyze_races,
+            handlers::race_finding_count(&report),
+        );
+        handlers::gate_report(&report).inspect_err(|_| {
+            count(&state.metrics.analyze_rejects, 1);
+        })?;
+        Ok(parsed)
+    });
+    run_job(state, due, admitted, |state, req, cancel| {
         let resp = handlers::profile(&state.store, &state.metrics, &req, cancel)?;
         if let Some(repl) = state.replication().filter(|_| !resp.cached) {
             // Fresh store: fan it out to the key's replica set.
             repl.enqueue(&resp.model_id);
         }
         Ok(resp)
-    });
-    (status, body, "application/json")
+    })
 }
 
-/// Parses the body, runs `handler` on the worker pool with backpressure
-/// and a deadline, and renders the outcome.
-fn json_endpoint<Req, Resp, F>(
-    request: &Request,
-    state: &Arc<ServerState>,
-    started: Instant,
-    deadline: Duration,
-    handler: F,
-) -> (u16, String, &'static str)
-where
-    Req: Deserialize + Send + 'static,
-    Resp: Serialize,
-    F: FnOnce(&ServerState, Req, &AtomicBool) -> Result<Resp, ApiError> + Send + 'static,
-{
-    let parsed: Req = match parse_body(request) {
-        Ok(r) => r,
-        Err(e) => return (e.status, e.body(), "application/json"),
-    };
-    let budget = deadline.saturating_sub(started.elapsed());
-    let (status, body) = run_job(state, budget, parsed, handler);
-    (status, body, "application/json")
-}
-
-/// Submits one handler invocation to the queue and waits for its result
-/// under `deadline` — the request's remaining budget, already clamped to
-/// any router-propagated `X-Gmap-Deadline-Ms`.
+/// Answers a request that did not parse (or was not admitted) with its
+/// error; otherwise submits one `handler` invocation to the queue — full
+/// is a 429 — and waits for its result until the request is `due`.
 fn run_job<Req, Resp, F>(
     state: &Arc<ServerState>,
-    deadline: Duration,
-    parsed: Req,
+    due: Deadline,
+    parsed: Result<Req, ApiError>,
     handler: F,
-) -> (u16, String)
+) -> Reply
 where
     Req: Send + 'static,
     Resp: Serialize,
     F: FnOnce(&ServerState, Req, &AtomicBool) -> Result<Resp, ApiError> + Send + 'static,
 {
+    let parsed = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return e.into(),
+    };
     let (tx, rx) = mpsc::channel();
     let cancel = Arc::new(AtomicBool::new(false));
     let job_cancel = Arc::clone(&cancel);
     let job_state = Arc::clone(state);
-    let enqueued = Instant::now();
     let submitted = state.queue.submit(Box::new(move || {
         // Load shedding: if the deadline expired while this job sat in
         // the queue, the requester has already been answered 504 — do
         // not burn a worker executing a result nobody will read.
-        if enqueued.elapsed() >= deadline {
-            job_state.metrics.jobs_shed.fetch_add(1, Ordering::Relaxed);
+        if due.remaining().is_zero() {
+            count(&job_state.metrics.jobs_shed, 1);
             let _ = tx.send(Err(ApiError::new(504, "deadline expired in queue")));
             return;
         }
@@ -937,41 +853,31 @@ where
         // The requester may have timed out and gone away; that's fine.
         let _ = tx.send(result);
     }));
-    match submitted {
+    let outcome = match submitted {
         Err(SubmitError::Full) => {
-            state.metrics.rejected_full.fetch_add(1, Ordering::Relaxed);
-            let e = ApiError::new(429, "job queue is full, retry later");
-            (e.status, e.body())
+            count(&state.metrics.rejected_full, 1);
+            Err(ApiError::new(429, "job queue is full, retry later"))
         }
         Err(SubmitError::ShuttingDown) => {
-            state
-                .metrics
-                .rejected_shutdown
-                .fetch_add(1, Ordering::Relaxed);
-            let e = ApiError::new(503, "service is shutting down");
-            (e.status, e.body())
+            count(&state.metrics.rejected_shutdown, 1);
+            Err(ApiError::new(503, "service is shutting down"))
         }
-        Ok(()) => match rx.recv_timeout(deadline) {
-            Ok(Ok(body)) => (200, body),
-            Ok(Err(e)) => (e.status, e.body()),
+        Ok(()) => match rx.recv_timeout(due.remaining()) {
+            Ok(result) => result,
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 cancel.store(true, Ordering::Relaxed);
-                state
-                    .metrics
-                    .deadline_timeouts
-                    .fetch_add(1, Ordering::Relaxed);
-                let e = ApiError::new(504, "deadline exceeded");
-                (e.status, e.body())
+                count(&state.metrics.deadline_timeouts, 1);
+                Err(ApiError::new(504, "deadline exceeded"))
             }
+            // The job dropped `tx` without sending: the handler
+            // panicked and the worker pool contained it. Structured
+            // 500 instead of a hung or reset connection.
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // The job dropped `tx` without sending: the handler
-                // panicked and the worker pool contained it. Structured
-                // 500 instead of a hung or reset connection.
-                let e = ApiError::new(500, "internal error: handler panicked");
-                (e.status, e.body())
+                Err(ApiError::new(500, "internal error: handler panicked"))
             }
         },
-    }
+    };
+    outcome.map_or_else(Reply::from, |body| Reply::json(200, body))
 }
 
 #[cfg(test)]

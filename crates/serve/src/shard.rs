@@ -27,6 +27,7 @@
 
 use crate::api::{CloneRequest, EvaluateRequest, ProfileRequest};
 use crate::handlers;
+use crate::metrics::Endpoint;
 use gmap_core::cachekey;
 use gmap_trace::rng::mix64;
 
@@ -153,10 +154,10 @@ fn ring_point(label: &str) -> u64 {
 /// The shard key of a request — the model id it will read or create —
 /// when that id is derivable without executing anything:
 ///
-/// * `/v1/profile`: resolved exactly as the replica would (named
-///   workload + scale, or the inline spec's own content key);
-/// * `/v1/clone`, `/v1/evaluate`: the `model_id` field verbatim;
-/// * `/v1/ingest`: the resulting model id is the hash of a model that
+/// * profile: resolved exactly as the replica would (named workload +
+///   scale, or the inline spec's own content key);
+/// * clone, evaluate: the `model_id` field verbatim;
+/// * ingest: the resulting model id is the hash of a model that
 ///   does not exist yet, so the stream routes by the identity of its
 ///   query string (same trace name + launch geometry ⇒ same replica);
 /// * anything else (including unparseable bodies): `None` — the caller
@@ -164,9 +165,8 @@ fn ring_point(label: &str) -> u64 {
 ///   deterministic and lets the owning replica produce the exact 4xx
 ///   the request deserves.
 pub fn request_key(path: &str, body: &str) -> Option<String> {
-    let route = path.split('?').next().unwrap_or(path);
-    match route {
-        "/v1/profile" => {
+    match Endpoint::at(path)? {
+        Endpoint::Profile => {
             let req: ProfileRequest = serde_json::from_str(body).ok()?;
             handlers::resolve_kernel(
                 req.workload.as_deref(),
@@ -176,13 +176,13 @@ pub fn request_key(path: &str, body: &str) -> Option<String> {
             .ok()
             .map(|(_, model_id)| model_id)
         }
-        "/v1/clone" => serde_json::from_str::<CloneRequest>(body)
+        Endpoint::Clone => serde_json::from_str::<CloneRequest>(body)
             .ok()
             .map(|r| r.model_id),
-        "/v1/evaluate" => serde_json::from_str::<EvaluateRequest>(body)
+        Endpoint::Evaluate => serde_json::from_str::<EvaluateRequest>(body)
             .ok()
             .map(|r| r.model_id),
-        "/v1/ingest" => Some(cachekey::content_key(path)),
+        Endpoint::Ingest => Some(cachekey::content_key(path)),
         _ => None,
     }
 }
@@ -284,6 +284,18 @@ mod tests {
         // Unroutable inputs are None, not a panic.
         assert_eq!(request_key("/v1/profile", "not json"), None);
         assert_eq!(request_key("/healthz", ""), None);
+    }
+
+    #[test]
+    fn request_key_exists_exactly_for_the_rows_a_router_forwards() {
+        let bodies = [
+            r#"{"workload":"kmeans","scale":"tiny"}"#,
+            r#"{"model_id":"00112233445566778899aabbccddeeff","grid":[]}"#,
+        ];
+        for row in &crate::metrics::TABLE {
+            let keyed = bodies.iter().any(|b| request_key(row.path, b).is_some());
+            assert_eq!(keyed, row.forwarded, "{}", row.path);
+        }
     }
 
     fn load_per_peer(ring: &Ring, seed: u64, keys: u64) -> BTreeMap<String, u64> {
