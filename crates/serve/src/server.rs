@@ -536,7 +536,8 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         served += 1;
         let started = Instant::now();
         let due = Deadline(started + request_deadline(state, &head));
-        let (counted, endpoint) = parent_query_quirk(&head);
+        let endpoint = Endpoint::resolve(&head.method, &head.path);
+        let counted = Endpoint::at(&head.path);
         let wants_close = head.wants_close();
         let reply = match endpoint {
             // The row consumes its own body, piece by piece (it may be
@@ -563,22 +564,6 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
         if !write_reply(stream, state, &reply, close) || close {
             return;
         }
-    }
-}
-
-/// The parent's routing of a target that carries a query string, kept
-/// for exactly one commit so the restructure moves no reply: only
-/// `POST /v1/ingest` is looked up by its path alone, every other target
-/// has to equal a row's path outright (and is counted as `other` when it
-/// does not).
-fn parent_query_quirk(head: &RequestHead) -> (Option<Endpoint>, Result<Endpoint, ApiError>) {
-    match Endpoint::resolve(&head.method, &head.path) {
-        Ok(e) if e != Endpoint::Ingest && head.path != head.route_path() => (
-            None,
-            Err(ApiError::new(404, format!("no such route {}", head.path))),
-        ),
-        Err(e) if head.path != head.route_path() => (None, Err(e)),
-        endpoint => (Endpoint::at(&head.path), endpoint),
     }
 }
 

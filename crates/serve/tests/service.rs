@@ -1590,30 +1590,32 @@ fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
                 "ingest",
             )
         },
-        // Targets with a query string.
-        row(
-            get("/healthz?probe=1"),
-            404,
-            error_body(404, "no such route /healthz?probe=1"),
-            "other",
-        ),
-        row(
-            get("/metrics?x=1"),
-            404,
-            error_body(404, "no such route /metrics?x=1"),
-            "other",
-        ),
+        // Targets with a query string route on their path; a refusal
+        // still names the whole target.
+        row(get("/healthz?probe=1"), 200, healthy(), "other"),
+        MatrixRow {
+            content_type: "text/plain; version=0.0.4",
+            ..row(
+                get("/metrics?x=1"),
+                200,
+                Body::Contains("# TYPE gmap_requests_total counter\n"),
+                "other",
+            )
+        },
         row(
             post("/v1/profile?x=1", &profile_req("kmeans", "tiny")),
-            404,
-            error_body(404, "no such route /v1/profile?x=1"),
-            "other",
+            200,
+            Body::Exact(canonical_json(&ProfileResponse {
+                cached: true,
+                ..kmeans.clone()
+            })),
+            "profile",
         ),
         row(
             get("/v1/ingest?grid=1&block=32"),
             404,
             error_body(404, "no such route /v1/ingest?grid=1&block=32"),
-            "other",
+            "ingest",
         ),
         // Drain goes last: it flips what `/healthz` says.
         row(
