@@ -23,7 +23,8 @@
 
 use gmap_gpu::coalesce::coalesce_addrs;
 use gmap_gpu::hierarchy::LaunchConfig;
-use gmap_gpu::schedule::CoalescedAccess;
+use gmap_gpu::schedule::{CoalescedAccess, WarpStream, WarpStreamEvent};
+use gmap_trace::io::TraceEntry;
 use gmap_trace::record::{ByteAddr, MemAccess, Pc};
 use std::collections::VecDeque;
 
@@ -47,6 +48,31 @@ pub fn warp_lane_of(tid: u32, launch: &LaunchConfig) -> Option<(u32, usize)> {
     let in_block = (tid % tpb as u64) as u32;
     let warp = block * launch.warps_per_block(WARP_SIZE) + in_block / WARP_SIZE;
     Some((warp, (in_block % WARP_SIZE) as usize))
+}
+
+/// The inverse direction, for writing a trace this crate reads back:
+/// flattens coalesced warp streams into thread-trace entries, each
+/// transaction attributed to its warp's lane-0 thread. `gmap clone`
+/// writes its traces this way; ingesting one under the same launch
+/// yields the streams' own model.
+pub fn lane0_entries(streams: &[WarpStream], launch: &LaunchConfig) -> Vec<TraceEntry> {
+    let mut out = Vec::new();
+    for s in streams {
+        let tid = launch
+            .thread_of(s.warp, 0, WARP_SIZE)
+            .expect("lane 0 is never a padding lane");
+        for e in &s.events {
+            if let WarpStreamEvent::Access(a) = e {
+                let (pc, kind) = (a.pc, a.kind);
+                out.extend(
+                    a.lines
+                        .iter()
+                        .map(|&addr| (tid, MemAccess { pc, addr, kind })),
+                );
+            }
+        }
+    }
+    out
 }
 
 /// Number of lanes of `warp` that map to real threads of the launch (the

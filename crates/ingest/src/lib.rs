@@ -58,6 +58,7 @@ pub mod reader;
 pub mod report;
 
 pub use classify::{ClassifierConfig, OnlineClassifier, PatternClass, PatternFsm, PcSummary};
+pub use ingest::lane0_entries;
 pub use ingestor::{
     ingest_reader, IngestConfig, IngestError, IngestOutcome, IngestStats, Ingestor,
 };

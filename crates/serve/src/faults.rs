@@ -10,8 +10,8 @@
 //! wall-clock time — there is no entropy source anywhere in the module,
 //! which keeps the chaos suite replayable from a pinned seed.
 //!
-//! Injection is configured with a spec string (env `GMAP_FAULTS` or
-//! `gmap serve --faults`):
+//! Injection is configured with a spec string (`gmap serve --faults`,
+//! [`crate::ServeConfig::faults`]):
 //!
 //! ```text
 //! <seed>:<kind>=<rate>[,<kind>=<rate>...][,slow_ms=<millis>]
@@ -29,7 +29,7 @@
 //! | `reset`       | the connection resets mid-response (partial write + FIN)|
 //! | `replicate_err` | a queued replication push is dropped before sending   |
 //!
-//! Example: `GMAP_FAULTS=42:panic=0.1,disk_err=0.3,slow=0.5,slow_ms=40`.
+//! Example: `--faults 42:panic=0.1,disk_err=0.3,slow=0.5,slow_ms=40`.
 
 use gmap_trace::rng::mix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -18,14 +18,13 @@
 //! `run_job` — or from `ingest_endpoint` for the row that streams its
 //! own body. A request id or a per-stage span is one edit at that site.
 //!
-//! Resilience properties (DESIGN.md "Resilience"): idle peers are closed
-//! silently; a mid-request stall (408) and malformed or oversized input
-//! (400/413) are answered and closed; jobs whose deadline passed in the
-//! queue are shed (504, the handler never runs); transient statuses
-//! carry `Retry-After`; a panicking handler is a structured 500; a
-//! configured [`crate::faults`] spec is armed here and threaded through
-//! the cache, the request reader, the worker path and the response
-//! writer.
+//! Resilience (DESIGN.md "Resilience"): idle peers are closed silently;
+//! a mid-request stall (408) and malformed or oversized input (400/413)
+//! are answered and closed; jobs whose deadline passed in the queue are
+//! shed (504, the handler never runs); transient statuses carry
+//! `Retry-After`; a panicking handler is a structured 500; a configured
+//! [`crate::faults`] spec is armed here and threaded through the cache,
+//! the request reader, the worker path and the response writer.
 //!
 //! Shutdown ordering guarantees that no *accepted* request is dropped:
 //! wake the accept thread with one loopback connection → serve what the
@@ -659,12 +658,9 @@ fn ingest_endpoint<R: BufRead>(
 /// for well-behaved clients (every endpoint is idempotent, and a
 /// request the server timed out reading is safe to resend).
 fn write_reply(mut stream: &TcpStream, state: &ServerState, reply: &Reply, close: bool) -> bool {
-    let opts = ResponseOpts {
-        close,
-        retry_after: client::RETRYABLE_STATUSES
-            .contains(&reply.status)
-            .then_some(RETRY_AFTER_SECS),
-    };
+    let transient = client::RETRYABLE_STATUSES.contains(&reply.status);
+    let retry_after = transient.then_some(RETRY_AFTER_SECS);
+    let opts = ResponseOpts { close, retry_after };
     let mut buf = Vec::with_capacity(reply.body.len() + 128);
     let (status, body) = (reply.status, reply.body.as_str());
     if http::write_response_opts(&mut buf, status, reply.content_type, body, opts).is_err() {
@@ -740,10 +736,8 @@ fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: D
             // successors. Idempotent — a second call re-streams
             // whatever is still held.
             state.draining.store(true, Ordering::SeqCst);
-            let (keys, pushed, failed) = state
-                .replication
-                .as_ref()
-                .map_or((0, 0, 0), |repl| repl.drain_to_successors());
+            let drained = state.replication().map(|r| r.drain_to_successors());
+            let (keys, pushed, failed) = drained.unwrap_or((0, 0, 0));
             let resp = api::DrainResponse {
                 status: "draining".to_string(),
                 keys,

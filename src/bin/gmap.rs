@@ -4,13 +4,15 @@
 //! gmap profile  --workload kmeans [--scale small] [--rebase 0x7f000000] -o profile.json
 //! gmap info     -p profile.json
 //! gmap clone    -p profile.json [--seed 7] [--factor 4] -o trace.bin
-//! gmap simulate (--workload NAME | -p profile.json | --trace trace.bin)
+//! gmap simulate (--workload NAME | -p profile.json)
 //!               [--l1 16384:4:128] [--l2 1048576:8:128] [--policy lrr|gto]
 //!               [--seed 7] [--dram]
+//! gmap fidelity (-p profile.json | --workload NAME)
 //! gmap analyze  --trace trace.txt --grid 24 --block 128 [--json]
 //! gmap list
 //! gmap serve    [--listen 127.0.0.1:0] [--workers 4] [--queue 64]
-//! gmap client   <profile|clone|evaluate|ingest|health|metrics> --addr HOST:PORT ...
+//! gmap client   <health|metrics|profile|analyze|ingest|clone|evaluate|drain>
+//!               --addr HOST:PORT ...
 //! ```
 //!
 //! The binary wraps the library pipeline so a memory-system architect can
@@ -21,11 +23,10 @@ use gmap::core::{
     ProfilerConfig, SimtConfig,
 };
 use gmap::dram::DramConfig;
-use gmap::gpu::schedule::{Policy, WarpStream, WarpStreamEvent};
+use gmap::gpu::schedule::Policy;
 use gmap::gpu::workloads::{self, Scale};
 use gmap::memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap::memsim::hierarchy::TraceCapture;
-use gmap::trace::record::{ThreadId, WarpId};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
@@ -149,7 +150,6 @@ SERVE OPTIONS:
   --idle-timeout-ms N           keep-alive idle budget, then close (default 30000)
   --faults SEED:SPEC            deterministic fault injection, e.g.
                                 7:disk_err=0.2,panic=0.1,slow_ms=50
-                                (also read from GMAP_FAULTS; flag wins)
   --route P1,P2,...             router mode: forward /v1/profile, /v1/clone,
                                 /v1/evaluate, and /v1/ingest to the replica
                                 owning each request's content key on a
@@ -227,11 +227,14 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn parse_scale(args: &[String]) -> Scale {
+fn parse_scale(args: &[String]) -> Result<Scale, String> {
     match flag(args, &["--scale"]) {
-        Some("tiny") => Scale::Tiny,
-        Some("default") => Scale::Default,
-        _ => Scale::Small,
+        Some("tiny") => Ok(Scale::Tiny),
+        Some("default") => Ok(Scale::Default),
+        None | Some("small") => Ok(Scale::Small),
+        Some(other) => Err(format!(
+            "bad --scale {other:?} (expected tiny, small or default)"
+        )),
     }
 }
 
@@ -295,7 +298,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let out = flag(args, &["-o", "--output"]).ok_or("missing -o FILE")?;
     let mut profile = match (flag(args, &["--workload"]), flag(args, &["--trace"])) {
         (Some(name), None) => {
-            let kernel = workloads::by_name(name, parse_scale(args))
+            let kernel = workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?} (see `gmap list`)"))?;
             profile_kernel(&kernel, &ProfilerConfig::default())
         }
@@ -343,7 +346,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     // service computes for the same profile request, so routed responses
     // can be checked against a locally computed key.
     if let Some(w) = flag(args, &["--workload"]) {
-        let scale = gmap::serve::api::scale_name(parse_scale(args));
+        let scale = gmap::serve::api::scale_name(parse_scale(args)?);
         println!(
             "model id: {}",
             gmap::serve::handlers::model_id_for(w, scale)
@@ -405,7 +408,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         has_flag(args, "--all"),
     ) {
         (Some(name), None, None, false) => {
-            vec![workloads::by_name(name, parse_scale(args))
+            vec![workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?} (see `gmap list`)"))?]
         }
         (None, Some(path), None, false) => vec![load_spec(path)?],
@@ -417,7 +420,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
                 )
             })?]
         }
-        (None, None, None, true) => workloads::all(parse_scale(args)),
+        (None, None, None, true) => workloads::all(parse_scale(args)?),
         _ => return Err("pass exactly one of --workload, --spec, --fixture, or --all".into()),
     };
     if let Some(out) = flag(args, &["--dump-spec"]) {
@@ -524,36 +527,6 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Flattens warp streams to thread-trace entries for the trace writers
-/// (each transaction attributed to the warp's lane-0 thread).
-fn streams_to_entries(
-    streams: &[WarpStream],
-    profile: &GmapProfile,
-) -> Vec<(ThreadId, gmap::trace::record::MemAccess)> {
-    let mut out = Vec::new();
-    for s in streams {
-        let tid = profile
-            .launch
-            .thread_of(WarpId(s.warp.0), 0, profile.warp_size)
-            .unwrap_or(ThreadId(s.warp.0 * profile.warp_size));
-        for e in &s.events {
-            if let WarpStreamEvent::Access(a) = e {
-                for l in &a.lines {
-                    out.push((
-                        tid,
-                        gmap::trace::record::MemAccess {
-                            pc: a.pc,
-                            addr: *l,
-                            kind: a.kind,
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
 fn cmd_clone(args: &[String]) -> Result<(), String> {
     check_flags(
         args,
@@ -577,7 +550,7 @@ fn cmd_clone(args: &[String]) -> Result<(), String> {
         profile = miniaturize(&profile, factor).map_err(|e| e.to_string())?;
     }
     let streams = generate_streams(&profile, seed);
-    let entries = streams_to_entries(&streams, &profile);
+    let entries = gmap::ingest::lane0_entries(&streams, &profile.launch);
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut w = BufWriter::new(file);
     match flag(args, &["--format"]) {
@@ -605,7 +578,7 @@ fn cmd_fidelity(args: &[String]) -> Result<(), String> {
     ) {
         (Some(path), None) => load_profile(path)?,
         (None, Some(name)) => {
-            let kernel = workloads::by_name(name, parse_scale(args))
+            let kernel = workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?}"))?;
             profile_kernel(&kernel, &ProfilerConfig::default())
         }
@@ -666,7 +639,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         flag(args, &["-p", "--profile"]),
     ) {
         (Some(name), None) => {
-            let kernel = workloads::by_name(name, parse_scale(args))
+            let kernel = workloads::by_name(name, parse_scale(args)?)
                 .ok_or_else(|| format!("unknown workload {name:?}"))?;
             let streams = gmap::core::model::original_streams(&kernel);
             (streams, kernel.launch, format!("original {name}"))
@@ -804,13 +777,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("bad --idle-timeout-ms {n:?}: {e}"))?;
         config.idle_timeout = std::time::Duration::from_millis(ms);
     }
-    // --faults wins over the GMAP_FAULTS environment variable.
-    let fault_spec = flag(args, &["--faults"])
-        .map(str::to_owned)
-        .or_else(|| std::env::var("GMAP_FAULTS").ok().filter(|s| !s.is_empty()));
-    if let Some(spec) = fault_spec {
+    if let Some(spec) = flag(args, &["--faults"]) {
         config.faults = Some(
-            gmap::serve::faults::FaultSpec::parse(&spec)
+            gmap::serve::faults::FaultSpec::parse(spec)
                 .map_err(|e| format!("bad fault spec {spec:?}: {e}"))?,
         );
         eprintln!("gmap-serve: fault injection enabled ({spec})");
@@ -1171,6 +1140,18 @@ mod tests {
         assert_eq!(flag(&args, &["-o", "--output"]), Some("out.json"));
         assert_eq!(flag(&args, &["--missing"]), None);
         assert!(!has_flag(&args, "--dram"));
+    }
+
+    #[test]
+    fn scale_parsing_rejects_what_it_does_not_know() {
+        assert_eq!(parse_scale(&s(&[])), Ok(Scale::Small));
+        assert_eq!(parse_scale(&s(&["--scale", "tiny"])), Ok(Scale::Tiny));
+        assert_eq!(parse_scale(&s(&["--scale", "small"])), Ok(Scale::Small));
+        assert_eq!(parse_scale(&s(&["--scale", "default"])), Ok(Scale::Default));
+        let typo = parse_scale(&s(&["--scale", "tny"])).expect_err("a typo is not `small`");
+        assert!(typo.contains("\"tny\"") && typo.contains("tiny, small or default"));
+        let run = run(&s(&["fidelity", "--workload", "kmeans", "--scale", "tny"]));
+        assert_eq!(run, Err(typo));
     }
 
     #[test]

@@ -189,10 +189,19 @@ proptest! {
 // the per-config replay through `Cache`.
 // ---------------------------------------------------------------------
 
+/// One set-count class per entry. The one-set class reaches past `LANES`
+/// ways (with narrower members beside them), so its rows take the
+/// chunked layout and still evict under two dozen lines; the other two
+/// stay on the list layout.
 fn small_grid(policy: ReplacementPolicy) -> Vec<CacheConfig> {
+    const WIDE: u32 = 2 * LANES as u32;
     let mut configs = Vec::new();
-    for sets in [1u64, 2, 4] {
-        for assoc in [1u32, 2, 3, 4] {
+    for (sets, assocs) in [
+        (1u64, &[1u32, 2, 3, 4, WIDE - 4, WIDE][..]),
+        (2, &[1, 2, 3, 4]),
+        (4, &[1, 2, 3, 4]),
+    ] {
+        for &assoc in assocs {
             let size = sets * assoc as u64 * 64;
             configs.push(CacheConfig::new(size, assoc, 64, policy).expect("valid geometry"));
         }

@@ -35,12 +35,10 @@ use gmap::core::{SimOutcome, SimtConfig};
 use gmap::dram::{DramConfig, DramMetrics, DramSystem};
 use gmap::gpu::exec::execute_kernel;
 use gmap::gpu::hierarchy::LaunchConfig;
-use gmap::gpu::schedule::{WarpStream, WarpStreamEvent};
 use gmap::gpu::workloads::{self, Scale};
-use gmap::ingest::{IngestConfig, Ingestor};
+use gmap::ingest::{lane0_entries, IngestConfig, Ingestor};
 use gmap::memsim::hierarchy::TraceCapture;
 use gmap::trace::io::{write_binary, write_text, TraceEntry};
-use gmap::trace::record::MemAccess;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -413,30 +411,6 @@ struct GoldenIngest {
 }
 
 const INGEST_PIECE_BYTES: usize = 64 * 1024;
-
-/// Flattens coalesced streams lane-0 style, as `gmap clone` writes them
-/// (`streams_to_entries` in `src/bin/gmap.rs`).
-fn lane0_entries(streams: &[WarpStream], launch: &LaunchConfig) -> Vec<TraceEntry> {
-    let mut out = Vec::new();
-    for s in streams {
-        let tid = launch
-            .thread_of(s.warp, 0, 32)
-            .expect("lane 0 of a traced warp is a live thread");
-        for e in &s.events {
-            if let WarpStreamEvent::Access(a) = e {
-                out.extend(a.lines.iter().map(|&addr| {
-                    let acc = MemAccess {
-                        pc: a.pc,
-                        addr,
-                        kind: a.kind,
-                    };
-                    (tid, acc)
-                }));
-            }
-        }
-    }
-    out
-}
 
 fn ingest_bytes(name: &str, launch: LaunchConfig, bytes: &[u8]) -> IngestedModel {
     let mut ing = Ingestor::new(name, launch, IngestConfig::default());
