@@ -537,8 +537,7 @@ impl ResponseOpts {
 
 /// One response on its way to the wire: what every endpoint returns and
 /// the server's one writer consumes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Reply {
+pub(crate) struct Reply {
     /// HTTP status code.
     pub status: u16,
     /// Response body.
@@ -552,7 +551,7 @@ pub struct Reply {
 
 impl Reply {
     /// A JSON reply that leaves the connection usable.
-    pub fn json(status: u16, body: String) -> Reply {
+    pub(crate) fn json(status: u16, body: String) -> Reply {
         Reply {
             status,
             body,
@@ -562,7 +561,7 @@ impl Reply {
     }
 
     /// `error` as the last reply of its connection.
-    pub fn closing(error: ApiError) -> Reply {
+    pub(crate) fn closing(error: ApiError) -> Reply {
         Reply {
             close: true,
             ..error.into()
@@ -571,8 +570,8 @@ impl Reply {
 }
 
 impl From<ApiError> for Reply {
-    fn from(e: ApiError) -> Reply {
-        Reply::json(e.status, e.body())
+    fn from(error: ApiError) -> Reply {
+        Reply::json(error.status, error.body())
     }
 }
 

@@ -2,18 +2,10 @@
 //! G-MAP pipeline.
 //!
 //! This crate wraps the profile → clone → evaluate pipeline in a small,
-//! dependency-free HTTP/1.1 JSON service built directly on [`std::net`]:
-//!
-//! | Route              | Purpose                                               |
-//! |--------------------|-------------------------------------------------------|
-//! | `POST /v1/profile` | Profile a named workload into an application model     |
-//! | `POST /v1/clone`   | Generate (optionally miniaturized) proxy-stream stats  |
-//! | `POST /v1/evaluate`| Run a hierarchy-config grid via the sweep engine       |
-//! | `POST /v1/ingest`  | Stream a raw trace (chunked) into a profiled model     |
-//! | `POST /v1/replicate` | Internal: idempotent model push from a fleet peer    |
-//! | `POST /v1/admin/drain` | Graceful decommission: stream models to successors |
-//! | `GET /healthz`     | Liveness probe (advertises `draining` when set)        |
-//! | `GET /metrics`     | Prometheus-style counters, gauges, latency quantiles   |
+//! dependency-free HTTP/1.1 JSON service built directly on [`std::net`].
+//! Its endpoints — profile, analyze, clone, evaluate, streaming ingest,
+//! the fleet's replicate and drain, `/healthz` and `/metrics` — are the
+//! rows of one table, [`metrics::Endpoint`].
 //!
 //! Architecture (one module each):
 //!
@@ -27,10 +19,11 @@
 //! * [`cache`] — content-addressed model store, keyed by the hash of
 //!   the canonical workload spec: bounded LRU memory tier + optional
 //!   checksummed disk tier with corruption quarantine.
-//! * [`metrics`] — atomics + [`gmap_trace::LatencyHistogram`] registry.
+//! * [`metrics`] — the endpoint table, and the atomics +
+//!   [`gmap_trace::LatencyHistogram`] registry labelled by it.
 //! * [`handlers`] — endpoint logic with cooperative cancellation.
-//! * [`server`] — accept loop, worker pool, deadlines, load shedding,
-//!   graceful shutdown.
+//! * [`server`] — accept loop, the one request spine, worker pool,
+//!   deadlines, load shedding, graceful shutdown.
 //! * [`client`] — the one outbound exchange (connect within the
 //!   deadline budget, one request framer, read to EOF) behind `gmap
 //!   client`, the tests and every peer-facing module, plus the one

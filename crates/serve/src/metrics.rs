@@ -23,23 +23,24 @@ use std::time::Duration;
 /// `/metrics` label all come from an endpoint's row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// Liveness probe (advertises `draining` when set).
+    /// `GET /healthz`: liveness probe (advertises `draining` when set).
     Healthz,
-    /// This registry's text exposition.
+    /// `GET /metrics`: this registry's text exposition.
     Metrics,
-    /// Profile a workload or inline spec into a cached model.
+    /// `POST /v1/profile`: profile a workload or inline spec into a
+    /// cached, content-addressed model.
     Profile,
-    /// Static analysis, answered on the connection thread.
+    /// `POST /v1/analyze`: static analysis, on the connection thread.
     Analyze,
-    /// Proxy-stream statistics of a cached model.
+    /// `POST /v1/clone`: proxy-stream statistics of a cached model.
     Clone,
-    /// A hierarchy grid against a cached model.
+    /// `POST /v1/evaluate`: a hierarchy grid against a cached model.
     Evaluate,
-    /// Streaming trace ingestion.
+    /// `POST /v1/ingest`: stream a raw trace into a profiled model.
     Ingest,
-    /// Internal: idempotent model push from a fleet peer.
+    /// `POST /v1/replicate`: internal, idempotent model push from a peer.
     Replicate,
-    /// Graceful decommission: stream models to successors.
+    /// `POST /v1/admin/drain`: stream held models to ring successors.
     Drain,
 }
 
@@ -49,7 +50,6 @@ const LABELS: [&str; 6] = ["profile", "clone", "evaluate", "analyze", "ingest", 
 const OTHER: &str = "other";
 
 /// What the table states, once, about an endpoint.
-#[derive(Debug, Clone, Copy)]
 pub(crate) struct Row {
     endpoint: Endpoint,
     pub(crate) method: &'static str,
@@ -95,7 +95,7 @@ impl Endpoint {
 
     /// The endpoint at `target`'s path (a query string is ignored),
     /// whatever the method: the row a request for it is counted under.
-    pub fn at(target: &str) -> Option<Endpoint> {
+    pub(crate) fn at(target: &str) -> Option<Endpoint> {
         let path = target.split('?').next().unwrap_or(target);
         TABLE.iter().find(|r| r.path == path).map(|r| r.endpoint)
     }
@@ -107,7 +107,7 @@ impl Endpoint {
     ///
     /// 404 naming the whole target for a `GET` or `POST` no row serves,
     /// 405 for any other method.
-    pub fn resolve(method: &str, target: &str) -> Result<Endpoint, ApiError> {
+    pub(crate) fn resolve(method: &str, target: &str) -> Result<Endpoint, ApiError> {
         Endpoint::at(target)
             .filter(|e| e.row().method == method)
             .ok_or_else(|| match method {

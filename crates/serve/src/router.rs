@@ -75,7 +75,13 @@ impl Router {
     /// Forwards one materialized JSON request to the owning replica and
     /// relays its response. What is left until the request is `due` is
     /// propagated to the peer and bounds the whole failover walk.
-    pub fn forward(&self, metrics: &Metrics, path: &str, body: &str, due: Deadline) -> Reply {
+    pub(crate) fn forward(
+        &self,
+        metrics: &Metrics,
+        path: &str,
+        body: &str,
+        due: Deadline,
+    ) -> Reply {
         let key = shard::request_key(path, body)
             .unwrap_or_else(|| cachekey::content_key(if body.is_empty() { path } else { body }));
         match self.walk_until_answered(metrics, &key, path, Payload::Json(body), due) {
@@ -92,7 +98,7 @@ impl Router {
     /// the local ingest endpoint — a reply that abandons the body closes
     /// the connection — or `None` when the *client* transport died
     /// mid-body and nothing can be answered.
-    pub fn forward_ingest<R: io::BufRead>(
+    pub(crate) fn forward_ingest<R: io::BufRead>(
         &self,
         metrics: &Metrics,
         head: &RequestHead,

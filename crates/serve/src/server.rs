@@ -8,15 +8,15 @@
 //! [`JobQueue`].
 //!
 //! Every request goes down one spine (`handle_connection`), which holds
-//! no second copy of any step: read the head → mint its [`Deadline`] →
-//! resolve its [`Endpoint`] in the one table → obtain one [`Reply`] → the
+//! no second copy of any step: read the head → mint its `Deadline` →
+//! resolve its [`Endpoint`] in the one table → obtain one `Reply` → the
 //! one tail (count under the row's label, fold `reply.close` into
 //! keep-alive, `write_reply`). The reply comes from `route` once the
 //! body is read — a router forwards the rows marked so; `/healthz`,
 //! `/metrics`, analyze and drain answer on the connection thread, so the
 //! service stays observable when every worker is busy; the rest wait on
 //! `run_job` — or from `ingest_endpoint` for the row that streams its
-//! own body. A request id or a per-stage span is one edit at that site.
+//! own body.
 //!
 //! Resilience (DESIGN.md "Resilience"): idle peers are closed silently;
 //! a mid-request stall (408) and malformed or oversized input (400/413)
@@ -46,7 +46,7 @@ use crate::router::Router;
 use gmap_core::cachekey::canonical_json;
 use gmap_gpu::hierarchy::LaunchConfig;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,6 +67,11 @@ const DRAIN_LIMIT: usize = 4096;
 
 /// How long `shutdown` waits for its wake connection to the listener.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// After a reply that left request bytes unread, the connection lingers
+/// until the peer is this quiet, or has sent this much, before it closes.
+const LINGER: Duration = Duration::from_millis(50);
+const LINGER_BYTES: u64 = 64 * 1024;
 
 /// Default replication factor in fleet mode: the owner plus one ring
 /// successor.
@@ -491,14 +496,13 @@ fn dispatch(stream: TcpStream, state: &Arc<ServerState>, thread: thread::Builder
 }
 
 /// When the server gives up on a request: an absolute instant, minted
-/// once when the head has been read and carried by value to every layer
-/// that waits on the request's behalf.
+/// once per request and carried by value to every layer that waits.
 #[derive(Debug, Clone, Copy)]
-pub struct Deadline(Instant);
+pub(crate) struct Deadline(Instant);
 
 impl Deadline {
     /// What is left of the budget: zero once the request is given up on.
-    pub fn remaining(self) -> Duration {
+    pub(crate) fn remaining(self) -> Duration {
         self.0.saturating_duration_since(Instant::now())
     }
 }
@@ -570,15 +574,14 @@ fn handle_connection(stream: &TcpStream, state: &Arc<ServerState>) {
 /// peer went away or idled out, with a 408/400/413 and a close otherwise.
 fn reject_unreadable(stream: &TcpStream, state: &Arc<ServerState>, err: ReadError) {
     if let Some(e) = err.reply("request") {
-        write_reply(stream, state, &e.into(), true);
+        write_reply(stream, state, &Reply::closing(e), true);
     }
 }
 
-/// The budget of one request: the server's configured due,
-/// tightened by a router-propagated [`client::DEADLINE_HEADER`] — a
-/// replica must never keep working on a request whose router has
-/// already answered 504 upstream. The header can only shrink the
-/// budget, never extend it.
+/// The budget of one request: the configured deadline, tightened by a
+/// router-propagated [`client::DEADLINE_HEADER`] — a replica must never
+/// keep working on a request whose router has already answered 504
+/// upstream. The header can only shrink the budget, never extend it.
 fn request_deadline(state: &ServerState, head: &RequestHead) -> Duration {
     head.header(client::DEADLINE_HEADER)
         .and_then(|v| v.trim().parse::<u64>().ok())
@@ -589,12 +592,10 @@ fn request_deadline(state: &ServerState, head: &RequestHead) -> Duration {
 /// `POST /v1/ingest`: stream the request body — the raw trace, text or
 /// binary, usually chunked — into an [`gmap_ingest::Ingestor`] on the
 /// connection thread, then finalize (drain, profile, report) on a worker
-/// through the normal queue/deadline machinery. In router mode the
-/// stream is re-framed to the owning replica instead.
-///
-/// `None` when the transport died mid-body and no response can be
-/// delivered. A reply that abandons the body closes the connection:
-/// unread trace bytes would be parsed as the next request head.
+/// through the normal queue/deadline machinery; a router re-frames the
+/// stream to the owning replica instead. `None` when the transport died
+/// mid-body and nothing can be answered. A reply that abandons the body
+/// closes: unread trace bytes would be parsed as the next request head.
 fn ingest_endpoint<R: BufRead>(
     head: &RequestHead,
     reader: &mut R,
@@ -651,12 +652,11 @@ fn ingest_endpoint<R: BufRead>(
     }))
 }
 
-/// Renders and writes one reply, the only writer of the accept and
-/// connection threads. Returns `false` when the connection must not
-/// serve further requests (write failure or an injected reset).
-/// Transient 408/429/500/503/504 responses carry a `Retry-After` hint
-/// for well-behaved clients (every endpoint is idempotent, and a
-/// request the server timed out reading is safe to resend).
+/// Renders and writes one reply: the only writer. Returns `false` when
+/// the connection must not serve further requests (write failure or an
+/// injected reset). Transient 408/429/500/503/504 replies carry a
+/// `Retry-After` hint (every endpoint is idempotent, and a request the
+/// server timed out reading is safe to resend).
 fn write_reply(mut stream: &TcpStream, state: &ServerState, reply: &Reply, close: bool) -> bool {
     let transient = client::RETRYABLE_STATUSES.contains(&reply.status);
     let retry_after = transient.then_some(RETRY_AFTER_SECS);
@@ -677,13 +677,21 @@ fn write_reply(mut stream: &TcpStream, state: &ServerState, reply: &Reply, close
             return false;
         }
     }
-    stream.write_all(&buf).is_ok() && stream.flush().is_ok()
+    let written = stream.write_all(&buf).is_ok() && stream.flush().is_ok();
+    if reply.close {
+        // Closing on unread request bytes makes the kernel reset the
+        // connection, and a reset can overtake the reply: end our side,
+        // then take what the peer still sends, briefly.
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(LINGER));
+        let _ = std::io::copy(&mut stream.take(LINGER_BYTES), &mut std::io::sink());
+    }
+    written
 }
 
-/// Answers a request whose body has been read: forwards what a router
-/// forwards (to the owning replica, right here on the connection thread,
-/// with what is left before the deadline propagated) and dispatches the
-/// rest to its endpoint.
+/// Answers a request whose body has been read: a router forwards the
+/// rows marked so (from this connection thread, propagating what is left
+/// before the deadline); everything else goes to its endpoint.
 fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: Deadline) -> Reply {
     if let Some(router) = state.router.as_ref().filter(|_| endpoint.row().forwarded) {
         return match request.body_utf8() {
@@ -750,7 +758,7 @@ fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: D
     }
 }
 
-/// Adds `n` to one of the registry's counters.
+/// Adds `n` to a registry counter (a statistic, hence `Relaxed`).
 fn count(counter: &AtomicU64, n: u64) {
     counter.fetch_add(n, Ordering::Relaxed);
 }
@@ -768,13 +776,9 @@ fn parse_body<Req: Deserialize>(request: &Request) -> Result<Req, ApiError> {
 fn profile_endpoint(request: &Request, state: &Arc<ServerState>, due: Deadline) -> Reply {
     let admitted = parse_body::<api::ProfileRequest>(request).and_then(|parsed| {
         let report = handlers::admission_report(&parsed)?;
-        count(
-            &state.metrics.analyze_races,
-            handlers::race_finding_count(&report),
-        );
-        handlers::gate_report(&report).inspect_err(|_| {
-            count(&state.metrics.analyze_rejects, 1);
-        })?;
+        let races = handlers::race_finding_count(&report);
+        count(&state.metrics.analyze_races, races);
+        handlers::gate_report(&report).inspect_err(|_| count(&state.metrics.analyze_rejects, 1))?;
         Ok(parsed)
     });
     run_job(state, due, admitted, |state, req, cancel| {
