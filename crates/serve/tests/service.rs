@@ -1303,6 +1303,110 @@ fn routed_ingest_is_byte_identical_to_direct_and_lands_on_the_owner() {
     direct.shutdown();
 }
 
+/// The summary a reply carries belongs to the stored model, not to the
+/// path the model took: for the 18 builtins, a clean inline spec and an
+/// ingested trace, the `stats` of the reply that computed the model, of
+/// a repeat, of a fresh server over the same `cache_dir` (disk
+/// promotion) and of a server handed the model through `/v1/replicate`
+/// are the same bytes, and the content key is the key of the JSON the
+/// store holds.
+#[test]
+fn profile_replies_are_a_function_of_the_stored_model() {
+    use gmap_core::cachekey::{content_key, key_of};
+    use gmap_serve::api::{IngestResponse, ReplicateRequest};
+
+    let cache_dir =
+        std::env::temp_dir().join(format!("gmap-serve-stored-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let on_disk = || ServeConfig {
+        cache_dir: Some(cache_dir.clone()),
+        ..ServeConfig::default()
+    };
+
+    let mut bodies: Vec<String> = gmap_gpu::workloads::NAMES
+        .iter()
+        .map(|w| profile_req(w, "tiny"))
+        .collect();
+    assert_eq!(bodies.len(), 18);
+    bodies.push(canonical_json(&ProfileRequest {
+        workload: None,
+        scale: None,
+        spec: Some(gmap_analyze::fixtures::clean_streaming()),
+    }));
+    let trace = ingest_trace(12);
+
+    // One reply's `(model id, stats bytes)`; `cached` says which path a
+    // profile reply must have taken (an ingest reply does not say).
+    let profile = |addr: &str, body: &str, cached: bool| {
+        let resp = client::post_json(addr, "/v1/profile", body).expect("reachable");
+        assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+        let parsed: ProfileResponse = serde_json::from_str(&resp.body).expect("parses");
+        assert_eq!(parsed.cached, cached, "{body}");
+        (parsed.model_id, canonical_json(&parsed.stats))
+    };
+    let ingest = |addr: &str| {
+        let target = "/v1/ingest?grid=2&block=64&name=stored";
+        let resp = client::request(addr, "POST", target, Some(&trace)).expect("reachable");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let parsed: IngestResponse = serde_json::from_str(&resp.body).expect("parses");
+        (parsed.model_id, canonical_json(&parsed.stats))
+    };
+    // The stored entry behind a reply: its key is the key of the JSON
+    // the store holds, which is the model's own canonical rendering.
+    let stored_model = |server: &gmap_serve::ServerHandle, id: &str, stats: &str| {
+        let stored = server.state().store.get(id).expect("stored");
+        let key = content_key(&stored.json);
+        assert_eq!(key, key_of(&stored.model), "{id}");
+        assert!(
+            stats.contains(&format!("\"content_key\":\"{key}\"")),
+            "{id}"
+        );
+        stored.model.clone()
+    };
+
+    // The server that computes every model: the miss, then the hit.
+    let (first, addr) = start(on_disk());
+    let mut want = Vec::new();
+    for body in &bodies {
+        let (id, stats) = profile(&addr, body, false);
+        assert_eq!(profile(&addr, body, true), (id.clone(), stats.clone()));
+        want.push((id, stats));
+    }
+    let ingested = ingest(&addr);
+    assert_eq!(ingest(&addr), ingested, "a repeated upload");
+    want.push(ingested);
+    let models: Vec<_> = want
+        .iter()
+        .map(|(id, stats)| stored_model(&first, id, stats))
+        .collect();
+    first.shutdown();
+
+    // A fresh server over the same directory serves every model from the
+    // disk tier; a third is handed each model by `/v1/replicate`.
+    let (reopened, reopened_addr) = start(on_disk());
+    let (replica, replica_addr) = start(ServeConfig::default());
+    for ((id, stats), model) in want.iter().zip(&models) {
+        let push = canonical_json(&ReplicateRequest {
+            model_id: id.clone(),
+            model: model.clone(),
+        });
+        let resp = client::post_json(&replica_addr, "/v1/replicate", &push).expect("reachable");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        for server in [&reopened, &replica] {
+            assert_eq!(&stored_model(server, id, stats), model, "{id}");
+        }
+    }
+    for addr in [&reopened_addr, &replica_addr] {
+        for (body, expected) in bodies.iter().zip(&want) {
+            assert_eq!(&profile(addr, body, true), expected, "{body}");
+        }
+        assert_eq!(Some(&ingest(addr)), want.last());
+    }
+    reopened.shutdown();
+    replica.shutdown();
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
 /// What one row of [`request_matrix`] expects of the response body.
 enum Body {
     Exact(String),
@@ -1404,6 +1508,13 @@ fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
         model_id: hotspot.clone(),
         model: pushed,
     };
+    let oob_req = ProfileRequest {
+        workload: None,
+        scale: None,
+        spec: Some(gmap_analyze::fixtures::oob_affine()),
+    };
+    let oob_report = gmap_analyze::analyze_kernel(&gmap_analyze::fixtures::oob_affine());
+    let oob_errors: Vec<String> = oob_report.errors().map(|f| f.message.clone()).collect();
 
     let row = |raw: String, status: u16, body: Body, label: &'static str| MatrixRow {
         raw,
@@ -1523,6 +1634,32 @@ fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
             post("/v1/profile", "{not json"),
             400,
             Body::Contains("invalid request body"),
+            "profile",
+        ),
+        // A profile request that names nothing known, and one whose spec
+        // the static analyzer refuses: the exact 400 and 422.
+        row(
+            post("/v1/profile", &profile_req("nope", "tiny")),
+            400,
+            error_body(
+                400,
+                &format!(
+                    "unknown workload \"nope\" (known: {})",
+                    gmap_gpu::workloads::NAMES.join(", ")
+                ),
+            ),
+            "profile",
+        ),
+        row(
+            post("/v1/profile", &canonical_json(&oob_req)),
+            422,
+            error_body(
+                422,
+                &format!(
+                    "spec rejected by static analysis: {}",
+                    oob_errors.join("; ")
+                ),
+            ),
             "profile",
         ),
         // Close decisions: asked for by the client, and forced by the
