@@ -119,14 +119,7 @@ G-MAP experiment options:
             };
             let bad = || format!("invalid value `{value}` for {flag}");
             match flag.as_str() {
-                "--scale" => {
-                    opts.scale = match value {
-                        "tiny" => Scale::Tiny,
-                        "small" => Scale::Small,
-                        "default" => Scale::Default,
-                        _ => return Err(bad()),
-                    }
-                }
+                "--scale" => opts.scale = Scale::from_name(value).ok_or_else(bad)?,
                 "--seed" => opts.seed = value.parse().map_err(|_| bad())?,
                 "--threads" => opts.threads = value.parse().map_err(|_| bad())?,
                 "--csv" => opts.csv = Some(value.to_string()),

@@ -30,6 +30,14 @@ pub struct AppProfile {
 }
 
 impl AppProfile {
+    /// The profile of a single-kernel application, named after its kernel.
+    pub fn single(kernel: GmapProfile) -> Self {
+        AppProfile {
+            name: kernel.name.clone(),
+            kernels: vec![kernel],
+        }
+    }
+
     /// Serializes to pretty JSON.
     ///
     /// # Errors

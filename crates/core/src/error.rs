@@ -21,23 +21,6 @@ pub enum GmapError {
         /// The offending factor.
         factor: f64,
     },
-    /// The static analyzer found correctness errors in a kernel spec:
-    /// the admission gate refuses to profile it.
-    Inadmissible {
-        /// Name of the offending kernel.
-        kernel: String,
-        /// Rendered error findings, one per line.
-        findings: Vec<String>,
-    },
-    /// The analyzer self-check failed: the executor emitted an address
-    /// outside the static per-PC interval (an analyzer bug, not a spec
-    /// bug — surfaced loudly rather than papered over).
-    SelfCheck {
-        /// Name of the offending kernel.
-        kernel: String,
-        /// Description of the first violations.
-        detail: String,
-    },
 }
 
 impl fmt::Display for GmapError {
@@ -49,19 +32,6 @@ impl fmt::Display for GmapError {
             GmapError::EmptyProfile => f.write_str("input contains no memory accesses"),
             GmapError::BadScaleFactor { factor } => {
                 write!(f, "miniaturization factor {factor} must be positive")
-            }
-            GmapError::Inadmissible { kernel, findings } => {
-                write!(
-                    f,
-                    "kernel '{kernel}' rejected by static analysis: {}",
-                    findings.join("; ")
-                )
-            }
-            GmapError::SelfCheck { kernel, detail } => {
-                write!(
-                    f,
-                    "static/dynamic self-check failed for kernel '{kernel}': {detail}"
-                )
             }
         }
     }

@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod admission;
 pub mod application;
 pub mod cachekey;
 pub mod error;
@@ -58,7 +57,6 @@ pub mod profile;
 pub mod profiler;
 pub mod validate;
 
-pub use admission::{admit_kernel, profile_application_admitted, profile_kernel_admitted};
 pub use application::{
     profile_application, run_application_original, run_application_proxy, AppProfile, AppSimOutcome,
 };

@@ -39,6 +39,23 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The scale's text form: what flags, request bodies and canonical
+    /// workload specs spell.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Default => "default",
+        }
+    }
+
+    /// The scale a text form names (the inverse of [`Scale::name`]).
+    pub fn from_name(name: &str) -> Option<Self> {
+        [Scale::Tiny, Scale::Small, Scale::Default]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
+
     /// Grid-size multiplier.
     pub fn grid(self, base: u32) -> u32 {
         base * match self {

@@ -18,10 +18,9 @@ use serde::{Deserialize, Serialize};
 /// `POST /v1/profile` body: profile a named workload — or an inline
 /// kernel spec — into an application model.
 ///
-/// Exactly one of `workload` and `spec` must be present. Inline specs
-/// pass through the static-analysis admission gate *before* entering the
-/// job queue: correctness errors are answered 422 on the connection
-/// thread.
+/// Exactly one of `workload` and `spec` must be present. A request the
+/// cache cannot answer passes the static-analysis admission gate before
+/// it is profiled: correctness errors are answered 422.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileRequest {
     /// Workload name from [`gmap_gpu::workloads::NAMES`].
@@ -76,6 +75,23 @@ pub struct ProfileStats {
     pub fidelity: Vec<FidelityClass>,
     /// Content hash of the model itself (not of the workload spec).
     pub content_key: String,
+}
+
+/// The summary of `model`, whose canonical JSON the caller already holds
+/// as `json`: the content key is a hash of that string, not of a second
+/// rendering.
+pub fn profile_stats(model: &AppProfile, json: &str) -> ProfileStats {
+    ProfileStats {
+        name: model.name.clone(),
+        kernels: model.kernels.len(),
+        slots: model.kernels.iter().map(|k| k.num_slots()).collect(),
+        fidelity: model
+            .kernels
+            .iter()
+            .map(|k| gmap_core::fidelity::analyze(k).class)
+            .collect(),
+        content_key: gmap_core::cachekey::content_key(json),
+    }
 }
 
 /// `POST /v1/profile` response.
@@ -373,24 +389,19 @@ impl ApiError {
 ///
 /// Returns a 400 [`ApiError`] for unknown scale names.
 pub fn parse_scale(scale: Option<&str>) -> Result<Scale, ApiError> {
-    match scale {
-        None | Some("default") => Ok(Scale::Default),
-        Some("tiny") => Ok(Scale::Tiny),
-        Some("small") => Ok(Scale::Small),
-        Some(other) => Err(ApiError::bad_request(format!(
-            "unknown scale {other:?} (expected tiny, small, or default)"
-        ))),
-    }
+    scale.map_or(Ok(Scale::Default), |name| {
+        Scale::from_name(name).ok_or_else(|| {
+            ApiError::bad_request(format!(
+                "unknown scale {name:?} (expected tiny, small, or default)"
+            ))
+        })
+    })
 }
 
 /// Canonical string for a scale, used to canonicalize workload specs
 /// before hashing.
 pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Default => "default",
-    }
+    scale.name()
 }
 
 /// Parses an optional replacement-policy string (`None` means LRU).

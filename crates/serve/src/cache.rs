@@ -28,6 +28,7 @@
 //! are atomic (temp file + rename) and leftover `*.json.tmp` files from
 //! a crashed writer are deleted when the store opens.
 
+use crate::api::{profile_stats, ProfileStats};
 use crate::faults::{FaultInjector, FaultKind};
 use gmap_core::application::AppProfile;
 use gmap_core::cachekey::content_key;
@@ -40,13 +41,30 @@ use std::sync::{Arc, Mutex};
 /// Default bound on the in-memory tier when none is configured.
 pub const DEFAULT_MEM_CAPACITY: usize = 256;
 
-/// An immutable cached model plus its canonical JSON rendering.
+/// An immutable cached model plus its canonical JSON rendering and the
+/// summary every reply about it carries.
 #[derive(Debug)]
 pub struct StoredModel {
     /// The profiled application model.
     pub model: AppProfile,
     /// Canonical compact JSON of `model` (what the disk tier holds).
     pub json: String,
+    /// Summary of `model`, derived once from `json`.
+    pub stats: ProfileStats,
+}
+
+impl StoredModel {
+    /// Renders `model` once; the summary's content key hashes that string.
+    pub fn new(model: AppProfile) -> Self {
+        let json = model.to_json();
+        Self::with_json(model, json)
+    }
+
+    /// The one constructor: `json` is `model`'s canonical JSON.
+    fn with_json(model: AppProfile, json: String) -> Self {
+        let stats = profile_stats(&model, &json);
+        StoredModel { model, json, stats }
+    }
 }
 
 struct MemEntry {
@@ -248,7 +266,7 @@ impl ModelStore {
             }
         });
         match parsed {
-            Some((model, json)) => Some(StoredModel { model, json }),
+            Some((model, json)) => Some(StoredModel::with_json(model, json)),
             None => {
                 self.quarantine(path);
                 None
@@ -309,19 +327,22 @@ impl ModelStore {
         Some(self.insert_mem(key, entry))
     }
 
-    /// Inserts a model under `key`, writing through to disk when
+    /// [`ModelStore::insert_stored`] of a model, rendered once.
+    pub fn insert(&self, key: &str, model: AppProfile) -> Arc<StoredModel> {
+        self.insert_stored(key, StoredModel::new(model))
+    }
+
+    /// Inserts an entry under `key`, writing through to disk when
     /// configured. Returns the stored entry (an existing entry wins, so
     /// concurrent racing inserts converge on one `Arc`).
-    pub fn insert(&self, key: &str, model: AppProfile) -> Arc<StoredModel> {
-        let json = model.to_json();
-        let entry = Arc::new(StoredModel { model, json });
-        let stored = self.insert_mem(key, entry);
+    pub fn insert_stored(&self, key: &str, entry: StoredModel) -> Arc<StoredModel> {
+        let stored = self.insert_mem(key, Arc::new(entry));
         if let Some(path) = self.disk_path(key) {
             if !path.exists() && !self.disk_fault() {
                 // Atomic publish: write a temp file, then rename. An
                 // injected short write publishes a torn payload on
                 // purpose — the checksum catches it at read time.
-                let payload = format!("{}\n{}", content_key(&stored.json), stored.json);
+                let payload = format!("{}\n{}", stored.stats.content_key, stored.json);
                 let bytes = if self.short_write() {
                     &payload.as_bytes()[..payload.len() / 2]
                 } else {

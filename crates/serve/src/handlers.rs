@@ -9,7 +9,7 @@
 use crate::api::{
     self, AnalyzeRequest, AnalyzeResponse, ApiError, CloneRequest, CloneResponse, EvaluateRequest,
     EvaluateResponse, GridPoint, IngestResponse, KernelCloneStats, ProfileRequest, ProfileResponse,
-    ProfileStats, ReplicateRequest, ReplicateResponse,
+    ReplicateRequest, ReplicateResponse,
 };
 use crate::cache::{ModelStore, StoredModel};
 use crate::metrics::Metrics;
@@ -17,7 +17,7 @@ use gmap_analyze::analyze_kernel;
 use gmap_core::cachekey;
 use gmap_core::generate::generate_streams;
 use gmap_core::profiler::ProfilerConfig;
-use gmap_core::{fidelity, miniaturize, GmapProfile, SimtConfig};
+use gmap_core::{miniaturize, AppProfile, SimtConfig};
 use gmap_gpu::app::Application;
 use gmap_gpu::kernel::KernelDesc;
 use gmap_gpu::schedule::{WarpStream, WarpStreamEvent};
@@ -45,78 +45,101 @@ pub fn model_id_for(workload: &str, scale: &str) -> String {
     })
 }
 
-/// The kernel a request names — a built-in workload (returned with the
-/// scale it was built at) or an inline spec, cloned as it came: whether
-/// an inline spec must pass structural validation is the caller's choice.
-fn named_kernel(
-    workload: Option<&str>,
-    scale: Option<&str>,
-    spec: Option<&KernelDesc>,
-) -> Result<(KernelDesc, Option<Scale>), ApiError> {
-    match (workload, spec) {
-        (Some(_), Some(_)) => Err(ApiError::bad_request(
-            "give either \"workload\" or \"spec\", not both",
-        )),
-        (None, None) => Err(ApiError::bad_request(
-            "missing \"workload\" (a built-in name) or \"spec\" (an inline kernel)",
-        )),
-        (Some(name), None) => {
-            let scale = api::parse_scale(scale)?;
-            let kernel = workloads::by_name(name, scale).ok_or_else(|| {
-                ApiError::bad_request(format!(
-                    "unknown workload {name:?} (known: {})",
-                    workloads::NAMES.join(", ")
-                ))
-            })?;
-            Ok((kernel, Some(scale)))
+/// What a request names, before anything is built: a built-in workload
+/// at a scale, or an inline spec.
+#[derive(Clone, Copy)]
+enum Named<'a> {
+    Builtin(&'a str, Scale),
+    Inline(&'a KernelDesc),
+}
+
+impl<'a> Named<'a> {
+    /// # Errors
+    ///
+    /// 400 when neither or both of `workload`/`spec` are given, or the
+    /// scale or workload name is unknown.
+    fn of(
+        workload: Option<&'a str>,
+        scale: Option<&str>,
+        spec: Option<&'a KernelDesc>,
+    ) -> Result<Self, ApiError> {
+        match (workload, spec) {
+            (Some(_), Some(_)) => Err(ApiError::bad_request(
+                "give either \"workload\" or \"spec\", not both",
+            )),
+            (None, None) => Err(ApiError::bad_request(
+                "missing \"workload\" (a built-in name) or \"spec\" (an inline kernel)",
+            )),
+            (Some(name), None) => {
+                let scale = api::parse_scale(scale)?;
+                if !workloads::NAMES.contains(&name) {
+                    return Err(ApiError::bad_request(format!(
+                        "unknown workload {name:?} (known: {})",
+                        workloads::NAMES.join(", ")
+                    )));
+                }
+                Ok(Named::Builtin(name, scale))
+            }
+            (None, Some(spec)) => Ok(Named::Inline(spec)),
         }
-        (None, Some(spec)) => Ok((spec.clone(), None)),
+    }
+
+    /// What a profile request names.
+    ///
+    /// # Errors
+    ///
+    /// 400 as [`Named::of`], or for a structurally invalid inline spec.
+    fn to_profile(req: &'a ProfileRequest) -> Result<Self, ApiError> {
+        let named = Named::of(
+            req.workload.as_deref(),
+            req.scale.as_deref(),
+            req.spec.as_ref(),
+        )?;
+        if let Named::Inline(spec) = named {
+            spec.validate()
+                .map_err(|e| ApiError::bad_request(format!("invalid kernel spec: {e}")))?;
+        }
+        Ok(named)
+    }
+
+    /// The id the profile is cached under. A builtin's needs its names,
+    /// not its kernel; an inline spec is content-addressed by its own
+    /// canonical JSON, so identical specs share a cache entry.
+    fn model_id(self) -> String {
+        match self {
+            Named::Builtin(name, scale) => model_id_for(name, api::scale_name(scale)),
+            Named::Inline(spec) => cachekey::key_of(spec),
+        }
+    }
+
+    /// Builds the kernel (an inline spec is cloned as it came).
+    fn kernel(self) -> KernelDesc {
+        match self {
+            Named::Builtin(name, scale) => {
+                workloads::by_name(name, scale).expect("name checked against NAMES")
+            }
+            Named::Inline(spec) => spec.clone(),
+        }
     }
 }
 
-/// Resolves the kernel a request names: either a built-in workload at a
-/// scale, or an inline spec. Returns the kernel plus the model id its
-/// profile would be cached under.
+/// The model id a profile request reads or creates, derived without
+/// building anything — what a router shards on.
 ///
 /// # Errors
 ///
-/// 400 when neither or both of `workload`/`spec` are given, the workload
-/// or scale name is unknown, or an inline spec fails structural
-/// validation.
-pub fn resolve_kernel(
-    workload: Option<&str>,
-    scale: Option<&str>,
-    spec: Option<&KernelDesc>,
-) -> Result<(KernelDesc, String), ApiError> {
-    let (kernel, built_at) = named_kernel(workload, scale, spec)?;
-    let model_id = match workload.zip(built_at) {
-        Some((name, scale)) => model_id_for(name, api::scale_name(scale)),
-        None => {
-            kernel
-                .validate()
-                .map_err(|e| ApiError::bad_request(format!("invalid kernel spec: {e}")))?;
-            // Inline specs are content-addressed by their own canonical
-            // JSON, so identical specs share a cache entry.
-            cachekey::key_of(&kernel)
-        }
-    };
-    Ok((kernel, model_id))
+/// 400, as [`profile`] would answer.
+pub fn request_model_id(req: &ProfileRequest) -> Result<String, ApiError> {
+    Ok(Named::to_profile(req)?.model_id())
 }
 
-/// Resolves and statically analyzes a profile request, returning the
-/// full report so callers can record race metrics before gating.
+/// The static report [`profile`] gates a miss on.
 ///
 /// # Errors
 ///
-/// 400 from kernel resolution only — admissibility is the caller's call
-/// (see [`admission_gate`]).
+/// 400 from kernel resolution only; [`profile`] turns findings into 422.
 pub fn admission_report(req: &ProfileRequest) -> Result<gmap_analyze::StaticReport, ApiError> {
-    let (kernel, _) = resolve_kernel(
-        req.workload.as_deref(),
-        req.scale.as_deref(),
-        req.spec.as_ref(),
-    )?;
-    Ok(analyze_kernel(&kernel))
+    Ok(analyze_kernel(&Named::to_profile(req)?.kernel()))
 }
 
 /// Race findings (proven or potential, any severity) in a report, for
@@ -137,35 +160,6 @@ pub fn race_finding_count(report: &gmap_analyze::StaticReport) -> u64 {
         .count() as u64
 }
 
-/// Converts an analysis report into the admission verdict: 422 when the
-/// analyzer found correctness errors (including proven data races in
-/// barrier-phased kernels).
-///
-/// # Errors
-///
-/// 422 with the error findings.
-pub fn gate_report(report: &gmap_analyze::StaticReport) -> Result<(), ApiError> {
-    if report.has_errors() {
-        let findings: Vec<String> = report.errors().map(|f| f.message.clone()).collect();
-        return Err(ApiError::new(
-            422,
-            format!("spec rejected by static analysis: {}", findings.join("; ")),
-        ));
-    }
-    Ok(())
-}
-
-/// The static-analysis admission gate: 422 when the analyzer finds
-/// correctness errors. Runs on the connection thread, *before* the job
-/// queue — an inadmissible spec never occupies a worker.
-///
-/// # Errors
-///
-/// 400 from kernel resolution, 422 with the error findings otherwise.
-pub fn admission_gate(req: &ProfileRequest) -> Result<(), ApiError> {
-    gate_report(&admission_report(req)?)
-}
-
 /// `POST /v1/analyze`: run the static analyzer and return the full
 /// report. Pure computation over the spec — no execution, no queue.
 /// Unlike profiling, a structurally invalid inline spec is *analyzed*
@@ -177,11 +171,12 @@ pub fn admission_gate(req: &ProfileRequest) -> Result<(), ApiError> {
 /// 400 for unresolvable requests (unknown workload, both or neither
 /// source given).
 pub fn analyze(req: &AnalyzeRequest) -> Result<AnalyzeResponse, ApiError> {
-    let (kernel, _) = named_kernel(
+    let kernel = Named::of(
         req.workload.as_deref(),
         req.scale.as_deref(),
         req.spec.as_ref(),
-    )?;
+    )?
+    .kernel();
     let report = analyze_kernel(&kernel);
     Ok(AnalyzeResponse {
         name: kernel.name.clone(),
@@ -200,66 +195,65 @@ fn check_cancel(cancel: &AtomicBool) -> Result<(), ApiError> {
     }
 }
 
-/// Builds the deterministic statistics block for a profiled model.
-pub fn profile_stats(model: &gmap_core::application::AppProfile) -> ProfileStats {
-    ProfileStats {
-        name: model.name.clone(),
-        kernels: model.kernels.len(),
-        slots: model.kernels.iter().map(GmapProfile::num_slots).collect(),
-        fidelity: model
-            .kernels
-            .iter()
-            .map(|k| fidelity::analyze(k).class)
-            .collect(),
-        content_key: cachekey::key_of(model),
-    }
-}
-
-/// `POST /v1/profile`: profile a workload or inline spec (or serve it
-/// from the cache).
+/// `POST /v1/profile`, the whole decision in one pass: the request's
+/// identity, then the cache — a hit clones the stored summary and builds,
+/// analyzes, serializes and hashes nothing. Only a miss builds the
+/// kernel (once), analyzes it, counts its race findings, passes the
+/// static-analysis gate, profiles and stores.
 ///
 /// # Errors
 ///
-/// 400 for unknown workloads or scales or invalid specs, 504 on
-/// cancellation.
+/// 400 for unknown workloads or scales or invalid specs, 422 when the
+/// analyzer finds correctness errors, 504 on cancellation.
 pub fn profile(
     store: &ModelStore,
     metrics: &Metrics,
     req: &ProfileRequest,
     cancel: &AtomicBool,
 ) -> Result<ProfileResponse, ApiError> {
-    let (kernel, model_id) = resolve_kernel(
-        req.workload.as_deref(),
-        req.scale.as_deref(),
-        req.spec.as_ref(),
-    )?;
+    let named = Named::to_profile(req)?;
+    let model_id = named.model_id();
     if let Some(hit) = store.get(&model_id) {
         metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
         return Ok(ProfileResponse {
             model_id,
             cached: true,
-            stats: profile_stats(&hit.model),
+            stats: hit.stats.clone(),
         });
     }
     check_cancel(cancel)?;
+    let kernel = named.kernel();
+    let report = analyze_kernel(&kernel);
+    let races = race_finding_count(&report);
+    metrics.analyze_races.fetch_add(races, Ordering::Relaxed);
+    if report.has_errors() {
+        // The gate: correctness errors (proven races in barrier-phased
+        // kernels included) are refused before anything executes.
+        metrics.analyze_rejects.fetch_add(1, Ordering::Relaxed);
+        let findings: Vec<&str> = report.errors().map(|f| f.message.as_str()).collect();
+        let message = format!("spec rejected by static analysis: {}", findings.join("; "));
+        return Err(ApiError::new(422, message));
+    }
+    // A miss is a profile that was computed.
     metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    let app_name = req.workload.clone().unwrap_or_else(|| kernel.name.clone());
-    let app = Application::new(&app_name, vec![kernel]);
+    // (A builtin's kernel carries the workload's name.)
+    let app = Application::single(kernel);
     let model = gmap_core::profile_application(&app, &ProfilerConfig::default());
     check_cancel(cancel)?;
     let stored = store.insert(&model_id, model);
     Ok(ProfileResponse {
         model_id,
         cached: false,
-        stats: profile_stats(&stored.model),
+        stats: stored.stats.clone(),
     })
 }
 
 /// `POST /v1/ingest` finalization: the connection thread has already
 /// streamed the whole trace body into `ing`; this runs on a worker and
 /// does the heavy lifting — warp-tail drain, profile construction, and
-/// report assembly — then stores the model content-addressed by its own
-/// hash (two traces producing identical models share a cache entry).
+/// report assembly — then stores the model content-addressed by the hash
+/// of its one rendering (two traces producing identical models share a
+/// cache entry).
 ///
 /// # Errors
 ///
@@ -275,15 +269,12 @@ pub fn ingest_finalize(
         .finish()
         .map_err(|e| ApiError::bad_request(format!("trace rejected: {e}")))?;
     check_cancel(cancel)?;
-    let model = gmap_core::application::AppProfile {
-        name: outcome.profile.name.clone(),
-        kernels: vec![outcome.profile],
-    };
-    let model_id = cachekey::key_of(&model);
-    let stored = store.insert(&model_id, model);
+    let entry = StoredModel::new(AppProfile::single(outcome.profile));
+    let model_id = entry.stats.content_key.clone();
+    let stored = store.insert_stored(&model_id, entry);
     Ok(IngestResponse {
         model_id,
-        stats: profile_stats(&stored.model),
+        stats: stored.stats.clone(),
         report: outcome.report,
         ingest: outcome.stats,
     })
@@ -315,16 +306,13 @@ pub fn replicate_store(
         )));
     }
     check_cancel(cancel)?;
-    if store.get(&req.model_id).is_some() {
-        return Ok(ReplicateResponse {
-            model_id: req.model_id.clone(),
-            stored: false,
-        });
+    let stored = store.get(&req.model_id).is_none();
+    if stored {
+        store.insert(&req.model_id, req.model.clone());
     }
-    store.insert(&req.model_id, req.model.clone());
     Ok(ReplicateResponse {
         model_id: req.model_id.clone(),
-        stored: true,
+        stored,
     })
 }
 
@@ -753,84 +741,116 @@ mod tests {
     #[test]
     fn resolve_kernel_requires_exactly_one_source() {
         let spec = gmap_analyze::fixtures::clean_streaming();
+        let both = Named::of(Some("kmeans"), None, Some(&spec));
+        assert_eq!(both.err().expect("both").status, 400);
+        let neither = Named::of(None, None, None);
+        assert_eq!(neither.err().expect("neither").status, 400);
+        let named = Named::of(None, None, Some(&spec)).expect("inline spec");
+        assert_eq!(named.kernel().name, spec.name);
         assert_eq!(
-            resolve_kernel(Some("kmeans"), None, Some(&spec))
-                .expect_err("both")
-                .status,
-            400
+            named.model_id(),
+            cachekey::key_of(&spec),
+            "content-addressed"
         );
-        assert_eq!(
-            resolve_kernel(None, None, None)
-                .expect_err("neither")
-                .status,
-            400
-        );
-        let (kernel, id) = resolve_kernel(None, None, Some(&spec)).expect("inline spec");
-        assert_eq!(kernel.name, spec.name);
-        assert_eq!(id, cachekey::key_of(&spec), "content-addressed");
+    }
+
+    /// A profile request for an inline spec.
+    fn inline(spec: KernelDesc) -> ProfileRequest {
+        ProfileRequest {
+            workload: None,
+            scale: None,
+            spec: Some(spec),
+        }
     }
 
     #[test]
     fn admission_gate_rejects_error_specs_with_422() {
-        let bad = ProfileRequest {
-            workload: None,
-            scale: None,
-            spec: Some(gmap_analyze::fixtures::oob_affine()),
-        };
-        let err = admission_gate(&bad).expect_err("oob spec rejected");
+        let (store, metrics) = state();
+        let bad = inline(gmap_analyze::fixtures::oob_affine());
+        let err = profile(&store, &metrics, &bad, &fresh_cancel()).expect_err("oob spec rejected");
         assert_eq!(err.status, 422);
         assert!(
             err.message.contains("static analysis"),
             "names the gate: {}",
             err.message
         );
+        assert_eq!(metrics.analyze_rejects.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0);
+        assert!(store.is_empty(), "nothing was profiled");
 
         // Warnings (uncoalesced) do not block admission; neither do the
         // built-in workloads.
         for req in [
-            ProfileRequest {
-                workload: None,
-                scale: None,
-                spec: Some(gmap_analyze::fixtures::uncoalesced()),
-            },
+            inline(gmap_analyze::fixtures::uncoalesced()),
             ProfileRequest {
                 workload: Some("kmeans".into()),
                 scale: Some("tiny".into()),
                 spec: None,
             },
         ] {
-            admission_gate(&req).expect("admissible");
+            profile(&store, &metrics, &req, &fresh_cancel()).expect("admissible");
         }
+        assert_eq!(metrics.analyze_rejects.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 2);
     }
 
     #[test]
     fn admission_gate_rejects_racy_barrier_phased_specs_with_422() {
-        let racy = ProfileRequest {
-            workload: None,
-            scale: None,
-            spec: Some(gmap_analyze::fixtures::race_ww()),
-        };
+        let (store, metrics) = state();
+        let racy = inline(gmap_analyze::fixtures::race_ww());
         let report = admission_report(&racy).expect("resolves and analyzes");
         assert!(race_finding_count(&report) >= 1, "{:?}", report.findings);
-        let err = admission_gate(&racy).expect_err("racy spec rejected");
+        let err =
+            profile(&store, &metrics, &racy, &fresh_cancel()).expect_err("racy spec rejected");
         assert_eq!(err.status, 422);
         assert!(
             err.message.contains("race"),
             "names the race: {}",
             err.message
         );
+        let counted = metrics.analyze_races.load(Ordering::Relaxed);
+        assert_eq!(counted, race_finding_count(&report));
 
         // A certified phased kernel sails through, and its report counts
         // zero race findings.
-        let clean = ProfileRequest {
-            workload: None,
-            scale: None,
-            spec: Some(gmap_analyze::fixtures::phased_stencil()),
-        };
+        let clean = inline(gmap_analyze::fixtures::phased_stencil());
         let report = admission_report(&clean).expect("resolves and analyzes");
         assert!(report.race_certified);
         assert_eq!(race_finding_count(&report), 0);
-        admission_gate(&clean).expect("admissible");
+        profile(&store, &metrics, &clean, &fresh_cancel()).expect("admissible");
+        assert_eq!(metrics.analyze_races.load(Ordering::Relaxed), counted);
+    }
+
+    /// A stored model's summary is computed where the model is stored,
+    /// and the gate is the handler's: the connection thread knows neither.
+    #[test]
+    fn the_summary_has_one_call_site_and_the_server_does_not_gate() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut calls = Vec::new();
+        for entry in std::fs::read_dir(&src).expect("src readable") {
+            let path = entry.expect("entry").path();
+            let file = path
+                .file_name()
+                .expect("file")
+                .to_string_lossy()
+                .into_owned();
+            let text = std::fs::read_to_string(&path).expect("source readable");
+            let code = text.split("#[cfg(test)]").next().unwrap_or("");
+            for (n, line) in code.lines().enumerate() {
+                let line = line.trim_start();
+                if !line.starts_with("//") && !line.contains("fn profile_stats(") {
+                    let count = line.matches("profile_stats(").count();
+                    calls.extend(std::iter::repeat_n((file.clone(), n + 1), count));
+                }
+            }
+            if file == "server.rs" {
+                for name in ["admission_report", "gate_report", "analyze_kernel"] {
+                    assert!(!code.contains(name), "server.rs names {name}");
+                }
+            }
+        }
+        assert_eq!(calls.len(), 1, "profile_stats( call sites: {calls:?}");
+        assert_eq!(calls[0].0, "cache.rs", "the constructor: {calls:?}");
     }
 
     #[test]

@@ -202,10 +202,10 @@ pub struct Metrics {
     /// Requests that hit their deadline and were answered 504.
     pub deadline_timeouts: AtomicU64,
     /// Specs rejected with 422 by the static-analysis admission gate
-    /// (before ever entering the job queue).
+    /// (before anything is profiled).
     pub analyze_rejects: AtomicU64,
     /// Race findings (proven or potential, any severity) surfaced by the
-    /// barrier-phase detector at the analyze and profile gates.
+    /// barrier-phase detector, per analyze request and per profile miss.
     pub analyze_races: AtomicU64,
     /// Jobs whose deadline expired while still queued: answered 504
     /// without the handler ever executing.

@@ -644,8 +644,7 @@ fn ingest_endpoint<R: BufRead>(
     Some(run_job(state, due, Ok(ing), |state, ing, cancel| {
         let resp = handlers::ingest_finalize(&state.store, ing, cancel)?;
         if let Some(repl) = state.replication() {
-            // Ingested models are stored unconditionally (the id hashes
-            // the model itself), so always fan out.
+            // Stored unconditionally (the id hashes the model): always fan out.
             repl.enqueue(&resp.model_id);
         }
         Ok(resp)
@@ -714,7 +713,14 @@ fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: D
             content_type: "text/plain; version=0.0.4",
             ..Reply::json(200, state.metrics.render(state.runtime_stats()))
         },
-        Endpoint::Profile => profile_endpoint(request, state, due),
+        Endpoint::Profile => run_job(state, due, parse_body(request), |state, req, cancel| {
+            let resp = handlers::profile(&state.store, &state.metrics, &req, cancel)?;
+            if let Some(repl) = state.replication().filter(|_| !resp.cached) {
+                // Fresh store: fan it out to the key's replica set.
+                repl.enqueue(&resp.model_id);
+            }
+            Ok(resp)
+        }),
         // Pure static analysis: answered right here on the connection
         // thread — no queue slot, no worker, no deadline machinery.
         Endpoint::Analyze => parse_body::<api::AnalyzeRequest>(request)
@@ -770,30 +776,9 @@ fn parse_body<Req: Deserialize>(request: &Request) -> Result<Req, ApiError> {
         .map_err(|e| ApiError::bad_request(format!("invalid request body: {e}")))
 }
 
-/// `POST /v1/profile`: the static-analysis admission gate runs here on
-/// the connection thread, *before* the job queue — an inadmissible spec
-/// is answered 422 without ever occupying a queue slot or a worker.
-fn profile_endpoint(request: &Request, state: &Arc<ServerState>, due: Deadline) -> Reply {
-    let admitted = parse_body::<api::ProfileRequest>(request).and_then(|parsed| {
-        let report = handlers::admission_report(&parsed)?;
-        let races = handlers::race_finding_count(&report);
-        count(&state.metrics.analyze_races, races);
-        handlers::gate_report(&report).inspect_err(|_| count(&state.metrics.analyze_rejects, 1))?;
-        Ok(parsed)
-    });
-    run_job(state, due, admitted, |state, req, cancel| {
-        let resp = handlers::profile(&state.store, &state.metrics, &req, cancel)?;
-        if let Some(repl) = state.replication().filter(|_| !resp.cached) {
-            // Fresh store: fan it out to the key's replica set.
-            repl.enqueue(&resp.model_id);
-        }
-        Ok(resp)
-    })
-}
-
-/// Answers a request that did not parse (or was not admitted) with its
-/// error; otherwise submits one `handler` invocation to the queue — full
-/// is a 429 — and waits for its result until the request is `due`.
+/// Answers a request that did not parse with its error; otherwise
+/// submits one `handler` invocation to the queue — full is a 429 — and
+/// waits for its result until the request is `due`.
 fn run_job<Req, Resp, F>(
     state: &Arc<ServerState>,
     due: Deadline,

@@ -168,13 +168,7 @@ pub fn request_key(path: &str, body: &str) -> Option<String> {
     match Endpoint::at(path)? {
         Endpoint::Profile => {
             let req: ProfileRequest = serde_json::from_str(body).ok()?;
-            handlers::resolve_kernel(
-                req.workload.as_deref(),
-                req.scale.as_deref(),
-                req.spec.as_ref(),
-            )
-            .ok()
-            .map(|(_, model_id)| model_id)
+            handlers::request_model_id(&req).ok()
         }
         Endpoint::Clone => serde_json::from_str::<CloneRequest>(body)
             .ok()

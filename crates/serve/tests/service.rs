@@ -468,8 +468,8 @@ fn connections_racing_shutdown_get_a_full_reply_or_none() {
 fn inadmissible_specs_are_rejected_422_before_the_queue() {
     let (handle, addr) = start(ServeConfig::default());
 
-    // An out-of-bounds inline spec: answered 422 on the connection
-    // thread, before the job queue.
+    // An out-of-bounds inline spec: answered 422 by the gate, before the
+    // profiler.
     let bad = canonical_json(&ProfileRequest {
         workload: None,
         scale: None,
@@ -554,6 +554,41 @@ fn racy_specs_are_rejected_422_and_counted_in_metrics() {
     assert_eq!(scrape(&m.body, "gmap_analyze_rejects_total"), Some(1.0));
     // race-ww carries one proven race finding; race-interblock one more.
     assert_eq!(scrape(&m.body, "gmap_analyze_races_total"), Some(2.0));
+
+    handle.shutdown();
+}
+
+#[test]
+fn a_cached_profile_is_not_analyzed_again() {
+    let (handle, addr) = start(ServeConfig::default());
+
+    // hotspot is admitted with warning-level race findings (its hashed
+    // indices defeat disjointness reasoning): the profile that computes
+    // the model counts them, the one the cache answers runs no analyzer.
+    let report = handlers::analyze(&AnalyzeRequest {
+        workload: Some("hotspot".into()),
+        scale: Some("tiny".into()),
+        spec: None,
+    })
+    .expect("analyzes")
+    .report;
+    let races = handlers::race_finding_count(&report);
+    assert!(races > 0 && !report.has_errors(), "{:?}", report.findings);
+
+    for cached in [false, true] {
+        let resp = client::post_json(&addr, "/v1/profile", &profile_req("hotspot", "tiny"))
+            .expect("reachable");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let parsed: ProfileResponse = serde_json::from_str(&resp.body).expect("parses");
+        assert_eq!(parsed.cached, cached);
+    }
+    let m = client::get(&addr, "/metrics").expect("metrics reachable");
+    assert_eq!(
+        scrape(&m.body, "gmap_analyze_races_total"),
+        Some(races as f64)
+    );
+    assert_eq!(scrape(&m.body, "gmap_cache_misses_total"), Some(1.0));
+    assert_eq!(scrape(&m.body, "gmap_cache_hits_total"), Some(1.0));
 
     handle.shutdown();
 }
@@ -1109,10 +1144,7 @@ fn streaming_ingest_is_byte_identical_to_materialized_profiling() {
     let launch = LaunchConfig::new(2u32, 64u32);
     let mut ing = gmap_ingest::Ingestor::new("wl", launch, gmap_ingest::IngestConfig::default());
     ing.push_bytes(trace.as_bytes()).expect("trace parses");
-    let local = AppProfile {
-        name: "wl".into(),
-        kernels: vec![ing.finish().expect("non-empty trace").profile],
-    };
+    let local = AppProfile::single(ing.finish().expect("non-empty trace").profile);
     let local_key = gmap_core::cachekey::key_of(&local);
     assert_eq!(parsed.model_id, local_key, "content-addressed by the model");
     assert_eq!(parsed.stats.content_key, local_key);

@@ -106,12 +106,23 @@ expect '"cached":true' "$GMAP" client profile --addr "$ADDR" --workload kmeans -
 expect '^gmap_cache_hits_total 1' "$GMAP" client metrics --addr "$ADDR"
 echo "smoke: cache hit observed in metrics"
 
+# The CLI has one default scale: without --scale, `gmap profile` and
+# `gmap client profile` name the same model id.
+LOCAL_ID="$("$GMAP" profile --workload kmeans -o "$WORK/default.json" | sed -n 's/^model id: //p')"
+SERVED_ID="$("$GMAP" client profile --addr "$ADDR" --workload kmeans \
+    | sed -n 's/.*"model_id":"\([0-9a-f]*\)".*/\1/p')"
+if [[ -z "$LOCAL_ID" || "$LOCAL_ID" != "$SERVED_ID" ]]; then
+    echo "smoke: default-scale model ids differ: local '$LOCAL_ID', served '$SERVED_ID'" >&2
+    exit 1
+fi
+echo "smoke: profile and client profile agree on the default scale ($LOCAL_ID)"
+
 # Static analysis over the wire: a named workload is admissible...
 expect '"admissible":true' "$GMAP" client analyze --addr "$ADDR" --workload kmeans --scale tiny
 echo "smoke: analyze ok"
 
 # ...while an out-of-bounds spec is explained by /v1/analyze and then
-# rejected 422 by the admission gate before it ever reaches the queue.
+# rejected 422 by the admission gate before anything is profiled.
 BAD_SPEC="$WORK/oob.json"
 "$GMAP" analyze --fixture oob-affine --dump-spec "$BAD_SPEC" >/dev/null 2>&1 || true
 [[ -s "$BAD_SPEC" ]] || { echo "smoke: --dump-spec wrote nothing" >&2; exit 1; }

@@ -178,10 +178,12 @@ idempotent requests only; ingest is --addr-only):
   metrics                       GET /metrics
   profile  (--workload NAME [--scale tiny|small|default] | --spec FILE)
   analyze  (--workload NAME [--scale tiny|small|default] | --spec FILE)
+           (--scale defaults to small, as for `gmap profile`)
   ingest   --trace FILE --grid B --block T [--name N] [--chunk BYTES]
            stream a raw trace to POST /v1/ingest (chunked transfer
            encoding; the service profiles it as it arrives and answers
-           with the model id, stats, and heat-map report)
+           with the model id, stats, and heat-map report; N defaults to
+           the file stem and may hold letters, digits, '.', '_' and '-')
   clone    --model ID [--factor F] [--seed N]
   evaluate --model ID --grid KB:ASSOC[:LINE[:POLICY]][,...]
            [--level l1|l2] [--kernel N] [--metric l1_miss_pct|l2_miss_pct]
@@ -227,15 +229,12 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
+/// `--scale`, the CLI's documented default when the flag is absent.
 fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match flag(args, &["--scale"]) {
-        Some("tiny") => Ok(Scale::Tiny),
-        Some("default") => Ok(Scale::Default),
-        None | Some("small") => Ok(Scale::Small),
-        Some(other) => Err(format!(
-            "bad --scale {other:?} (expected tiny, small or default)"
-        )),
-    }
+    flag(args, &["--scale"]).map_or(Ok(Scale::Small), |name| {
+        Scale::from_name(name)
+            .ok_or_else(|| format!("bad --scale {name:?} (expected tiny, small or default)"))
+    })
 }
 
 fn parse_seed(args: &[String]) -> Result<u64, String> {
@@ -337,20 +336,14 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     );
     // The content key matches the model id `POST /v1/ingest` returns for
     // the same trace, so local and served profiling can be diffed.
-    let key = gmap::core::cachekey::key_of(&gmap::core::AppProfile {
-        name,
-        kernels: vec![profile],
-    });
+    let key = gmap::core::cachekey::key_of(&gmap::core::AppProfile::single(profile));
     println!("content key: {key}");
     // For bundled workloads, also print the spec-addressed model id the
     // service computes for the same profile request, so routed responses
     // can be checked against a locally computed key.
     if let Some(w) = flag(args, &["--workload"]) {
-        let scale = gmap::serve::api::scale_name(parse_scale(args)?);
-        println!(
-            "model id: {}",
-            gmap::serve::handlers::model_id_for(w, scale)
-        );
+        let id = gmap::serve::handlers::model_id_for(w, parse_scale(args)?.name());
+        println!("model id: {id}");
     }
     Ok(())
 }
@@ -909,6 +902,51 @@ fn parse_grid(
         .collect()
 }
 
+/// What `gmap client profile` and `analyze` name (analyze sends the same
+/// three fields). A workload carries the CLI's scale explicitly, default
+/// included: a request without one means `default` to the service, and
+/// `gmap profile` would name another model id for the same flags.
+fn client_source(rest: &[String]) -> Result<gmap::serve::api::ProfileRequest, String> {
+    check_flags(
+        rest,
+        &[
+            "--addr",
+            "--peers",
+            "--workload",
+            "--scale",
+            "--spec",
+            "--retries",
+        ],
+        &[],
+    )?;
+    let spec = flag(rest, &["--spec"]).map(load_spec).transpose()?;
+    let workload = flag(rest, &["--workload"]).map(str::to_owned);
+    if spec.is_none() && workload.is_none() {
+        return Err("missing --workload NAME or --spec FILE".into());
+    }
+    let scale = match workload {
+        Some(_) => Some(parse_scale(rest)?.name().to_owned()),
+        None => None, // only a workload has a scale
+    };
+    Ok(gmap::serve::api::ProfileRequest {
+        workload,
+        scale,
+        spec,
+    })
+}
+
+/// An upload's model name goes into the request line unescaped.
+fn ingest_name(name: &str) -> Result<&str, String> {
+    let plain = |c: char| c.is_ascii_alphanumeric() || "._-".contains(c);
+    if name.is_empty() || !name.chars().all(plain) {
+        return Err(format!(
+            "model name {name:?} cannot go in a request line (letters, digits, '.', '_' and \
+             '-' only); pass --name NAME"
+        ));
+    }
+    Ok(name)
+}
+
 /// `gmap client ingest`: stream a trace file to `POST /v1/ingest` with
 /// chunked transfer encoding, so the service profiles it as it arrives.
 /// Separate from the JSON actions because the body is a file, not a
@@ -923,7 +961,7 @@ fn client_ingest(rest: &[String]) -> Result<(), String> {
     )?;
     let path = flag(rest, &["--trace"]).ok_or("missing --trace FILE")?;
     let (launch, stem) = trace_geometry(rest, path)?;
-    let name = flag(rest, &["--name"]).unwrap_or(&stem);
+    let name = ingest_name(flag(rest, &["--name"]).unwrap_or(&stem))?;
     let chunk: usize = flag(rest, &["--chunk"])
         .map(|n| n.parse().map_err(|e| format!("bad --chunk {n:?}: {e}")))
         .transpose()?
@@ -977,51 +1015,13 @@ fn cmd_client(args: &[String]) -> Result<(), String> {
             check_flags(rest, &["--addr", "--retries"], &[])?;
             ("/v1/admin/drain", Some(String::new()))
         }
-        "profile" => {
-            check_flags(
-                rest,
-                &[
-                    "--addr",
-                    "--peers",
-                    "--workload",
-                    "--scale",
-                    "--spec",
-                    "--retries",
-                ],
-                &[],
-            )?;
-            let spec = flag(rest, &["--spec"]).map(load_spec).transpose()?;
-            if spec.is_none() && flag(rest, &["--workload"]).is_none() {
-                return Err("missing --workload NAME or --spec FILE".into());
-            }
-            let body = canonical_json(&api::ProfileRequest {
-                workload: flag(rest, &["--workload"]).map(str::to_owned),
-                scale: flag(rest, &["--scale"]).map(str::to_owned),
-                spec,
-            });
-            ("/v1/profile", Some(body))
-        }
+        "profile" => ("/v1/profile", Some(canonical_json(&client_source(rest)?))),
         "analyze" => {
-            check_flags(
-                rest,
-                &[
-                    "--addr",
-                    "--peers",
-                    "--workload",
-                    "--scale",
-                    "--spec",
-                    "--retries",
-                ],
-                &[],
-            )?;
-            let spec = flag(rest, &["--spec"]).map(load_spec).transpose()?;
-            if spec.is_none() && flag(rest, &["--workload"]).is_none() {
-                return Err("missing --workload NAME or --spec FILE".into());
-            }
+            let named = client_source(rest)?;
             let body = canonical_json(&api::AnalyzeRequest {
-                workload: flag(rest, &["--workload"]).map(str::to_owned),
-                scale: flag(rest, &["--scale"]).map(str::to_owned),
-                spec,
+                workload: named.workload,
+                scale: named.scale,
+                spec: named.spec,
             });
             ("/v1/analyze", Some(body))
         }
@@ -1152,6 +1152,49 @@ mod tests {
         assert!(typo.contains("\"tny\"") && typo.contains("tiny, small or default"));
         let run = run(&s(&["fidelity", "--workload", "kmeans", "--scale", "tny"]));
         assert_eq!(run, Err(typo));
+    }
+
+    #[test]
+    fn profile_and_client_name_the_same_model_id() {
+        use gmap::serve::handlers::{model_id_for, request_model_id};
+        for scale in [&[][..], &["--scale", "tiny"], &["--scale", "default"]] {
+            let args = s(&[&["--addr", "x", "--workload", "kmeans"], scale].concat());
+            // What `gmap profile` prints and what the service computes
+            // for the body `gmap client profile|analyze` sends.
+            let printed = model_id_for("kmeans", parse_scale(&args).expect("scale").name());
+            let sent = client_source(&args).expect("request");
+            assert_eq!(request_model_id(&sent), Ok(printed), "{scale:?}");
+        }
+        let sent = client_source(&s(&["--workload", "kmeans"])).expect("request");
+        assert_eq!(sent.scale.as_deref(), Some("small"), "the default, said");
+        assert!(client_source(&s(&["--workload", "kmeans", "--scale", "tny"])).is_err());
+    }
+
+    #[test]
+    fn ingest_refuses_a_name_it_cannot_put_in_a_request_line() {
+        let ingest = |trace: &str, name: Option<&str>| {
+            let mut args = s(&[
+                "ingest", "--addr", "x", "--trace", trace, "--grid", "1", "--block", "64",
+            ]);
+            args.extend(name.iter().flat_map(|n| s(&["--name", n])));
+            cmd_client(&args).expect_err("no such file, at the latest")
+        };
+        // A space, a query separator, and CR LF (header injection) — from
+        // the file stem or from --name — are refused before any I/O.
+        for (trace, name) in [
+            ("/nonexistent/my trace.txt", None),
+            ("/nonexistent/a&b.txt", None),
+            ("/nonexistent/t.txt", Some("x\r\nX-Injected: 1")),
+        ] {
+            let err = ingest(trace, name);
+            assert!(
+                err.contains("--name") && err.contains("request line"),
+                "{err}"
+            );
+        }
+        // A plain --name rescues a file whose stem is not.
+        let err = ingest("/nonexistent/my trace.txt", Some("my_trace-1.v2"));
+        assert!(err.starts_with("cannot open"), "{err}");
     }
 
     #[test]
