@@ -89,7 +89,7 @@ impl<'a> Named<'a> {
     /// # Errors
     ///
     /// 400 as [`Named::of`], or for a structurally invalid inline spec.
-    fn to_profile(req: &'a ProfileRequest) -> Result<Self, ApiError> {
+    fn of_profile(req: &'a ProfileRequest) -> Result<Self, ApiError> {
         let named = Named::of(
             req.workload.as_deref(),
             req.scale.as_deref(),
@@ -107,7 +107,7 @@ impl<'a> Named<'a> {
     /// canonical JSON, so identical specs share a cache entry.
     fn model_id(self) -> String {
         match self {
-            Named::Builtin(name, scale) => model_id_for(name, api::scale_name(scale)),
+            Named::Builtin(name, scale) => model_id_for(name, scale.name()),
             Named::Inline(spec) => cachekey::key_of(spec),
         }
     }
@@ -130,7 +130,7 @@ impl<'a> Named<'a> {
 ///
 /// 400, as [`profile`] would answer.
 pub fn request_model_id(req: &ProfileRequest) -> Result<String, ApiError> {
-    Ok(Named::to_profile(req)?.model_id())
+    Ok(Named::of_profile(req)?.model_id())
 }
 
 /// The static report [`profile`] gates a miss on.
@@ -139,7 +139,7 @@ pub fn request_model_id(req: &ProfileRequest) -> Result<String, ApiError> {
 ///
 /// 400 from kernel resolution only; [`profile`] turns findings into 422.
 pub fn admission_report(req: &ProfileRequest) -> Result<gmap_analyze::StaticReport, ApiError> {
-    Ok(analyze_kernel(&Named::to_profile(req)?.kernel()))
+    Ok(analyze_kernel(&Named::of_profile(req)?.kernel()))
 }
 
 /// Race findings (proven or potential, any severity) in a report, for
@@ -211,7 +211,7 @@ pub fn profile(
     req: &ProfileRequest,
     cancel: &AtomicBool,
 ) -> Result<ProfileResponse, ApiError> {
-    let named = Named::to_profile(req)?;
+    let named = Named::of_profile(req)?;
     let model_id = named.model_id();
     if let Some(hit) = store.get(&model_id) {
         metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
