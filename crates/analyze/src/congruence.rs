@@ -31,7 +31,7 @@ pub struct Congruence {
     residue: i128,
 }
 
-fn gcd(a: i128, b: i128) -> i128 {
+pub(crate) fn gcd(a: i128, b: i128) -> i128 {
     let (mut a, mut b) = (a.abs(), b.abs());
     while b != 0 {
         (a, b) = (b, a % b);

@@ -63,7 +63,7 @@ pub fn barrier_divergent() -> KernelDesc {
 /// Two arrays whose byte ranges alias, with a write into one of them —
 /// a layout [`KernelBuilder`] can never produce, so it is hand-built.
 pub fn overlapping_write() -> KernelDesc {
-    let k = KernelDesc {
+    KernelDesc {
         name: "overlapping-write".into(),
         launch: LaunchConfig::new(2u32, 64u32),
         arrays: vec![
@@ -85,9 +85,7 @@ pub fn overlapping_write() -> KernelDesc {
             read(0x40, 0, IndexExpr::tid_linear(0, 1)),
             write(0x48, 1, IndexExpr::tid_linear(0, 1)),
         ],
-    };
-    k.validate().expect("fixture is structurally valid");
-    k
+    }
 }
 
 /// Every thread of a block writes the block's slot of `acc` in the same

@@ -14,9 +14,9 @@
 //!   reachability, and error findings for out-of-bounds affine indices,
 //!   overlapping written arrays, size overflows and barriers that
 //!   deadlock under divergence.
-//! - [`verify_against_trace`] is the self-check used by `gmap-core`'s
-//!   admission gate: every address the executor emits must lie inside
-//!   the static interval for its PC.
+//! - [`verify_against_trace`] is the self-check the analyzer's
+//!   property tests run: every address the executor emits must lie
+//!   inside the static interval for its PC.
 //! - [`detlint`] is the workspace determinism lint: it scans the
 //!   simulation crates for iteration over hash-ordered containers
 //!   (`HashMap`/`HashSet`), the classic way bit-reproducibility rots.
@@ -37,7 +37,7 @@ pub mod interval;
 pub mod races;
 pub mod report;
 
-pub use analyzer::{analyze_kernel, analyze_kernel_with, verify_against_trace, SelfCheckViolation};
+pub use analyzer::{analyze_kernel, verify_against_trace, SelfCheckViolation};
 pub use congruence::{AbsVal, Congruence};
 pub use interval::{ByteRange, Interval};
 pub use races::{PairVerdict, RacePairReport};

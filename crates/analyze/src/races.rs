@@ -1,5 +1,10 @@
 //! Barrier-phase happens-before data-race detection.
 //!
+//! The detector does not walk the kernel: its sites — one per
+//! access, with the predicate path, loop stack and barrier phase above
+//! it — are recorded by the analyzer's one walk
+//! ([`crate::analyze_kernel`]), which has already validated the spec.
+//!
 //! The detector splits a kernel body into *barrier phases* — maximal
 //! regions delimited by `__syncthreads()` — and reports, per (array,
 //! PC-pair), whether two accesses from different threads can touch the
@@ -55,10 +60,11 @@
 //! that certified kernels exhibit zero dynamic races and that every
 //! dynamic race maps to a static proven/potential pair.
 
-use crate::congruence::AbsVal;
+use crate::congruence::{gcd, AbsVal};
 use crate::interval::Interval;
-use crate::report::{Finding, FindingKind, Severity};
-use gmap_gpu::kernel::{EvalCtx, IndexExpr, KernelDesc, Pred, Stmt, Trip};
+use crate::report::{rw, Finding, FindingKind, Severity};
+use gmap_gpu::exec::WARP_SIZE;
+use gmap_gpu::kernel::{AccessDesc, EvalCtx, IndexExpr, KernelDesc, Pred, Stmt, Trip};
 use gmap_gpu::race::RaceScope;
 use gmap_trace::record::AccessKind;
 use serde::{Deserialize, Serialize};
@@ -132,8 +138,7 @@ pub struct RacePairReport {
 }
 
 /// The complete result of race analysis for one kernel.
-#[derive(Debug, Clone)]
-pub struct RaceAnalysis {
+pub(crate) struct RaceAnalysis {
     /// Per-(array, PC-pair) verdicts, in site order.
     pub pairs: Vec<RacePairReport>,
     /// Findings for proven and potential races.
@@ -142,56 +147,60 @@ pub struct RaceAnalysis {
     pub certified: bool,
 }
 
-/// Runs the barrier-phase race detector on a structurally valid kernel.
-/// Invalid kernels produce an empty, uncertified analysis (the caller
-/// reports the validation error separately).
-pub fn analyze_races(kernel: &KernelDesc, warp_size: u32) -> RaceAnalysis {
+/// Runs the barrier-phase race detector over the sites the analyzer's
+/// walk recorded for a structurally valid `kernel`; `has_barrier` is
+/// whether the walk counted any barrier as a phase boundary.
+pub(crate) fn analyze_races(
+    kernel: &KernelDesc,
+    sites: &[Site],
+    has_barrier: bool,
+) -> RaceAnalysis {
     let mut out = RaceAnalysis {
         pairs: Vec::new(),
         findings: Vec::new(),
-        certified: false,
+        certified: true,
     };
-    if kernel.validate().is_err() {
-        return out;
-    }
-    let ws = warp_size.clamp(1, 64);
     let launch = &kernel.launch;
     let g = Geom {
         tpb: launch.threads_per_block().max(1) as i128,
-        ws: ws as i128,
-        wpb: launch.warps_per_block(ws).max(1) as i128,
+        ws: WARP_SIZE as i128,
+        wpb: launch.warps_per_block(WARP_SIZE).max(1) as i128,
         nb: launch.num_blocks().max(1) as i128,
     };
-    let mut col = Collector {
-        sites: Vec::new(),
-        preds: Vec::new(),
-        loops: Vec::new(),
-        phase_coefs: Vec::new(),
-        phase_base: 0,
-        has_barrier: false,
-    };
-    col.walk(&kernel.body);
-    let sites = col.sites;
-    let has_barrier = col.has_barrier;
     let views: Vec<Option<AffView>> = sites
         .iter()
-        .map(|s| AffView::of(s, g, kernel.arrays[s.array].elems as i128))
+        .map(|s| AffView::of(s, g, kernel.arrays[s.acc.array].elems as i128))
         .collect();
 
     let mut by_array: Vec<Vec<usize>> = vec![Vec::new(); kernel.arrays.len()];
     for (i, s) in sites.iter().enumerate() {
-        by_array[s.array].push(i);
+        by_array[s.acc.array].push(i);
     }
 
-    let mut certified = true;
     for idxs in &by_array {
         for (pi, &i) in idxs.iter().enumerate() {
             for &j in &idxs[pi..] {
                 let (sa, sb) = (&sites[i], &sites[j]);
-                if sa.kind != AccessKind::Write && sb.kind != AccessKind::Write {
+                let (write_a, write_b) = (
+                    sa.acc.kind == AccessKind::Write,
+                    sb.acc.kind == AccessKind::Write,
+                );
+                if !write_a && !write_b {
                     continue;
                 }
-                let array = &kernel.arrays[sa.array];
+                let write_write = write_a && write_b;
+                let array = &kernel.arrays[sa.acc.array];
+                let (pc_a, pc_b) = (sa.acc.pc.0, sb.acc.pc.0);
+                let (kind_a, kind_b) = (rw(sa.acc.kind), rw(sb.acc.kind));
+                let between = format!(
+                    "race on '{}' between pc {pc_a:#x} ({kind_a}) and pc {pc_b:#x} ({kind_b})",
+                    array.name
+                );
+                let flavor = if write_write {
+                    "write-write"
+                } else {
+                    "read-write"
+                };
                 let mut verdicts = [PairVerdict::Vacuous; 2];
                 let mut witness: Option<String> = None;
                 for (slot, scope) in [RaceScope::CrossWarpSameBlock, RaceScope::InterBlock]
@@ -207,35 +216,22 @@ pub fn analyze_races(kernel: &KernelDesc, warp_size: u32) -> RaceAnalysis {
                         scope,
                         elems: array.elems as i128,
                     });
-                    let write_write = sa.kind == AccessKind::Write && sb.kind == AccessKind::Write;
-                    let flavor = if write_write {
-                        "write-write"
-                    } else {
-                        "read-write"
-                    };
                     verdicts[slot] = match res {
                         ScopeResult::Vacuous => PairVerdict::Vacuous,
                         ScopeResult::Disjoint => PairVerdict::Disjoint,
                         ScopeResult::Ordered => PairVerdict::Ordered,
                         ScopeResult::Potential(reason) => {
-                            certified = false;
+                            out.certified = false;
                             out.findings.push(Finding {
                                 severity: Severity::Warning,
                                 kind: FindingKind::RacePotential,
-                                pc: Some(sa.pc),
-                                message: format!(
-                                    "potential {flavor} race on '{}' between pc {:#x} ({}) and pc {:#x} ({}), {scope}: {reason}",
-                                    array.name,
-                                    sa.pc,
-                                    sa.kind_str(),
-                                    sb.pc,
-                                    sb.kind_str(),
-                                ),
+                                pc: Some(pc_a),
+                                message: format!("potential {flavor} {between}, {scope}: {reason}"),
                             });
                             PairVerdict::Potential
                         }
                         ScopeResult::Proven(w) => {
-                            certified = false;
+                            out.certified = false;
                             let text = w.describe(&array.name);
                             let note = if has_barrier {
                                 ""
@@ -253,15 +249,8 @@ pub fn analyze_races(kernel: &KernelDesc, warp_size: u32) -> RaceAnalysis {
                                 } else {
                                     FindingKind::RaceReadWrite
                                 },
-                                pc: Some(sa.pc),
-                                message: format!(
-                                    "{flavor} race on '{}' between pc {:#x} ({}) and pc {:#x} ({}), {scope}: {text}{note}",
-                                    array.name,
-                                    sa.pc,
-                                    sa.kind_str(),
-                                    sb.pc,
-                                    sb.kind_str(),
-                                ),
+                                pc: Some(pc_a),
+                                message: format!("{flavor} {between}, {scope}: {text}{note}"),
                             });
                             if witness.is_none() {
                                 witness = Some(text);
@@ -271,12 +260,12 @@ pub fn analyze_races(kernel: &KernelDesc, warp_size: u32) -> RaceAnalysis {
                     };
                 }
                 out.pairs.push(RacePairReport {
-                    array: sa.array,
+                    array: sa.acc.array,
                     array_name: array.name.clone(),
-                    pc_a: sa.pc,
-                    kind_a: sa.kind_str().to_string(),
-                    pc_b: sb.pc,
-                    kind_b: sb.kind_str().to_string(),
+                    pc_a,
+                    kind_a: kind_a.to_string(),
+                    pc_b,
+                    kind_b: kind_b.to_string(),
                     same_block: verdicts[0],
                     inter_block: verdicts[1],
                     witness,
@@ -284,147 +273,62 @@ pub fn analyze_races(kernel: &KernelDesc, warp_size: u32) -> RaceAnalysis {
             }
         }
     }
-    out.certified = certified;
     out
 }
 
 // ---------------------------------------------------------------------
-// Site collection: one record per access, with its predicate path, loop
-// stack, and barrier-phase expression.
+// Sites: one record per access, with its predicate path, loop stack, and
+// barrier-phase expression, as the analyzer's walk met it.
 // ---------------------------------------------------------------------
 
+/// One enclosing loop of the walk.
 #[derive(Clone)]
-struct SiteLoop {
-    trip: Trip,
+pub(crate) struct Loop<'k> {
+    pub trip: &'k Trip,
     /// Largest per-thread trip count (iterations run in `[0, max_trip)`).
-    max_trip: u64,
-    ragged: bool,
+    pub max_trip: u64,
+    /// Per-thread trip counts can differ (hashed trips).
+    pub ragged: bool,
+    /// Counted barriers per iteration (0 for an uncounted loop).
+    pub phase_coef: i128,
 }
 
-struct Site {
-    pc: u64,
-    array: usize,
-    kind: AccessKind,
-    index: IndexExpr,
-    preds: Vec<(Pred, bool)>,
-    loops: Vec<SiteLoop>,
-    /// Barriers passed before this site, outside any enclosing loop.
-    phase_base: i128,
-    /// Barriers per iteration of each enclosing loop (0 for uncounted).
-    phase_coefs: Vec<i128>,
-}
-
-impl Site {
-    fn kind_str(&self) -> &'static str {
-        match self.kind {
-            AccessKind::Read => "R",
-            AccessKind::Write => "W",
+/// `(max_trip, ragged)` of a loop's trip count.
+pub(crate) fn trip_bounds(trip: &Trip) -> (u64, bool) {
+    match *trip {
+        Trip::Const(n) => (n as u64, false),
+        Trip::Hashed { base, spread, .. } => {
+            (base as u64 + spread.saturating_sub(1) as u64, spread > 1)
         }
     }
 }
 
-/// Trip count when it is the same for every thread.
-fn const_trip(trip: &Trip) -> Option<u64> {
-    match *trip {
-        Trip::Const(n) => Some(n as u64),
-        Trip::Hashed { base, spread, .. } if spread <= 1 => Some(base as u64),
-        Trip::Hashed { .. } => None,
-    }
+/// One access site.
+pub(crate) struct Site<'k> {
+    pub acc: &'k AccessDesc,
+    /// The enclosing `If`s, each with the side taken.
+    pub preds: Vec<(&'k Pred, bool)>,
+    pub loops: Vec<Loop<'k>>,
+    /// Barriers passed before this site, outside any enclosing loop.
+    pub phase_base: i128,
 }
 
 /// Counted barriers in one iteration of `stmts`: unconditional syncs,
 /// including those of nested constant-trip loops. Conditional barriers
 /// and barriers under ragged loops never count (they are deadlocks the
 /// divergence analysis reports, not phase boundaries).
-fn barriers_per_iter(stmts: &[Stmt]) -> i128 {
+pub(crate) fn barriers_per_iter(stmts: &[Stmt]) -> i128 {
     stmts
         .iter()
         .map(|s| match s {
             Stmt::Sync => 1,
-            Stmt::Loop { trip, body } => match const_trip(trip) {
-                Some(n) => n as i128 * barriers_per_iter(body),
-                None => 0,
+            Stmt::Loop { trip, body } => match trip_bounds(trip) {
+                (n, false) => n as i128 * barriers_per_iter(body),
+                (_, true) => 0,
             },
             _ => 0,
         })
         .sum()
-}
-
-struct Collector {
-    sites: Vec<Site>,
-    preds: Vec<(Pred, bool)>,
-    loops: Vec<SiteLoop>,
-    phase_coefs: Vec<i128>,
-    phase_base: i128,
-    has_barrier: bool,
-}
-
-impl Collector {
-    fn walk(&mut self, stmts: &[Stmt]) {
-        for stmt in stmts {
-            match stmt {
-                Stmt::Access(acc) => self.sites.push(Site {
-                    pc: acc.pc.0,
-                    array: acc.array,
-                    kind: acc.kind,
-                    index: acc.index.clone(),
-                    preds: self.preds.clone(),
-                    loops: self.loops.clone(),
-                    phase_base: self.phase_base,
-                    phase_coefs: self.phase_coefs.clone(),
-                }),
-                Stmt::Sync => {
-                    if self.preds.is_empty() && self.loops.iter().all(|l| !l.ragged) {
-                        self.phase_base += 1;
-                        self.has_barrier = true;
-                    }
-                }
-                Stmt::Loop { trip, body } => {
-                    let (max_trip, ragged) = match *trip {
-                        Trip::Const(n) => (n as u64, false),
-                        Trip::Hashed { base, spread, .. } => {
-                            (base as u64 + spread.saturating_sub(1) as u64, spread > 1)
-                        }
-                    };
-                    let countable =
-                        self.preds.is_empty() && !ragged && self.loops.iter().all(|l| !l.ragged);
-                    let bpi = if countable {
-                        barriers_per_iter(body)
-                    } else {
-                        0
-                    };
-                    if bpi > 0 {
-                        self.has_barrier = true;
-                    }
-                    self.loops.push(SiteLoop {
-                        trip: trip.clone(),
-                        max_trip,
-                        ragged,
-                    });
-                    self.phase_coefs.push(bpi);
-                    let saved = self.phase_base;
-                    self.walk(body);
-                    self.loops.pop();
-                    self.phase_coefs.pop();
-                    // A completed constant-trip loop advances the phase
-                    // by its total barrier count.
-                    self.phase_base = saved + bpi * const_trip(trip).unwrap_or(0) as i128;
-                }
-                Stmt::If {
-                    pred,
-                    then_body,
-                    else_body,
-                } => {
-                    self.preds.push((pred.clone(), true));
-                    self.walk(then_body);
-                    self.preds.pop();
-                    self.preds.push((pred.clone(), false));
-                    self.walk(else_body);
-                    self.preds.pop();
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -481,7 +385,7 @@ impl AffView {
             warp_coef,
             block_coef,
             iter_coefs,
-        } = &site.index
+        } = &site.acc.index
         else {
             return None;
         };
@@ -502,8 +406,8 @@ impl AffView {
             in_bounds: false,
         };
         let total = g.nb * g.tpb;
-        for (pred, pol) in &site.preds {
-            v.apply_pred(pred, *pol, g, total);
+        for &(pred, pol) in &site.preds {
+            v.apply_pred(pred, pol, g, total);
         }
         if v.l_lo > v.l_hi {
             v.reachable = false;
@@ -628,9 +532,9 @@ enum ScopeResult {
 
 struct PairInput<'a> {
     g: Geom,
-    sa: &'a Site,
+    sa: &'a Site<'a>,
     va: Option<&'a AffView>,
-    sb: &'a Site,
+    sb: &'a Site<'a>,
     vb: Option<&'a AffView>,
     scope: RaceScope,
     elems: i128,
@@ -643,13 +547,11 @@ struct PairInput<'a> {
 /// the phase expression holds for *all* threads.
 fn phase_ordered(sa: &Site, sb: &Site) -> bool {
     let mut ph = AbsVal::point(sa.phase_base - sb.phase_base);
-    for (d, lp) in sa.loops.iter().enumerate() {
-        ph = ph
-            .add(AbsVal::range(0, lp.max_trip.saturating_sub(1) as i128).scale(sa.phase_coefs[d]));
+    for lp in &sa.loops {
+        ph = ph.add(AbsVal::range(0, lp.max_trip.saturating_sub(1) as i128).scale(lp.phase_coef));
     }
-    for (d, lp) in sb.loops.iter().enumerate() {
-        ph = ph
-            .add(AbsVal::range(0, lp.max_trip.saturating_sub(1) as i128).scale(-sb.phase_coefs[d]));
+    for lp in &sb.loops {
+        ph = ph.add(AbsVal::range(0, lp.max_trip.saturating_sub(1) as i128).scale(-lp.phase_coef));
     }
     ph.excludes_zero()
 }
@@ -770,14 +672,6 @@ impl Witness {
     }
 }
 
-fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
 fn solve_pair(p: &PairInput<'_>, va: &AffView, vb: &AffView) -> ScopeResult {
     let g = p.g;
     let same_block = p.scope == RaceScope::CrossWarpSameBlock;
@@ -849,7 +743,7 @@ fn solve_pair(p: &PairInput<'_>, va: &AffView, vb: &AffView) -> ScopeResult {
             0,
             lp.max_trip.saturating_sub(1) as i128,
             false,
-            p.sa.phase_coefs[d],
+            lp.phase_coef,
             0,
         ));
     }
@@ -860,7 +754,7 @@ fn solve_pair(p: &PairInput<'_>, va: &AffView, vb: &AffView) -> ScopeResult {
             0,
             lp.max_trip.saturating_sub(1) as i128,
             false,
-            -p.sb.phase_coefs[d],
+            -lp.phase_coef,
             0,
         ));
     }
@@ -999,9 +893,9 @@ fn solve_pair(p: &PairInput<'_>, va: &AffView, vb: &AffView) -> ScopeResult {
 
 struct Solver<'a> {
     g: Geom,
-    sa: &'a Site,
+    sa: &'a Site<'a>,
     va: &'a AffView,
-    sb: &'a Site,
+    sb: &'a Site<'a>,
     vb: &'a AffView,
     scope: RaceScope,
     elems: i128,
@@ -1082,7 +976,7 @@ impl Solver<'_> {
                 return Ok(());
             }
         }
-        self.validate()
+        self.confirm_witness()
     }
 
     /// Reconstructs minimal concrete coordinates from the assignment and
@@ -1091,7 +985,7 @@ impl Solver<'_> {
     /// simultaneously, and thread-existence (`w·ws + l < tpb`) is
     /// anti-monotone in upward shifts — so a rejection here holds for
     /// *every* representative of the assignment and counts as algebraic.
-    fn validate(&mut self) -> Result<(), Stop> {
+    fn confirm_witness(&mut self) -> Result<(), Stop> {
         let g = self.g;
         let (mut b_a, mut b_b) = (0i128, 0i128);
         let mut w_a = self.va.w_pin.unwrap_or(0);
@@ -1169,8 +1063,8 @@ impl Solver<'_> {
                 block: b as u32,
                 iters: its,
             };
-            for (pred, pol) in &site.preds {
-                if pred.eval(&ctx) != *pol {
+            for &(pred, pol) in &site.preds {
+                if pred.eval(&ctx) != pol {
                     self.inexact_fail = true;
                     return Ok(());
                 }
@@ -1191,20 +1085,15 @@ impl Solver<'_> {
         let elem = elem_of(self.va, b_a, w_a, l_a, &it_a);
         debug_assert_eq!(elem, elem_of(self.vb, b_b, w_b, l_b, &it_b));
         debug_assert!(elem >= 0 && elem < self.elems);
-        let phase = if self.check_phase {
-            Some(
-                self.sa.phase_base
-                    + self
-                        .sa
-                        .phase_coefs
-                        .iter()
-                        .zip(&it_a)
-                        .map(|(&c, &x)| c * x)
-                        .sum::<i128>(),
-            )
-        } else {
-            None
-        };
+        let phase = self.check_phase.then(|| {
+            let sa = self.sa;
+            sa.phase_base
+                + sa.loops
+                    .iter()
+                    .zip(&it_a)
+                    .map(|(lp, &x)| lp.phase_coef * x)
+                    .sum::<i128>()
+        });
         Err(Stop::Found(Box::new(Witness {
             b_a,
             w_a,
@@ -1273,6 +1162,42 @@ mod tests {
         a.findings.iter().map(|f| f.kind).collect()
     }
 
+    /// The detector's result as `analyze_kernel` reports it, findings
+    /// filtered to the race kinds.
+    fn race_analysis(k: &KernelDesc) -> RaceAnalysis {
+        let report = crate::analyze_kernel(k);
+        let is_race = |f: &Finding| {
+            matches!(
+                f.kind,
+                FindingKind::RaceWriteWrite
+                    | FindingKind::RaceReadWrite
+                    | FindingKind::RacePotential
+            )
+        };
+        RaceAnalysis {
+            pairs: report.races,
+            findings: report.findings.into_iter().filter(is_race).collect(),
+            certified: report.race_certified,
+        }
+    }
+
+    #[test]
+    fn the_body_is_walked_and_validated_once() {
+        let mut non_test = String::new();
+        for entry in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/src")).unwrap() {
+            let text = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+            for line in text.lines().take_while(|l| *l != "#[cfg(test)]") {
+                non_test.push_str(line);
+                non_test.push('\n');
+            }
+        }
+        let count = |needle: &str| non_test.matches(needle).count();
+        assert_eq!(count("fn walk("), 1, "one traversal of a kernel body");
+        assert_eq!(count(".validate()"), 1, "one structural validation");
+        assert_eq!(count("fn gcd("), 1);
+        assert_eq!(count("struct Collector"), 0);
+    }
+
     #[test]
     fn ordered_value_enumerates_magnitude_ascending() {
         let seq: Vec<i128> = (0..7)
@@ -1297,7 +1222,7 @@ mod tests {
             .write(Pc(0x10), 0, IndexExpr::tid_linear(0, 1))
             .build()
             .expect("valid");
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert!(a.certified, "pairs: {:?}", a.pairs);
         assert!(a.findings.is_empty());
         assert_eq!(a.pairs.len(), 1);
@@ -1315,7 +1240,7 @@ mod tests {
             .write(Pc(0x20), 0, IndexExpr::tid_linear(1, 2))
             .build()
             .expect("valid");
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert!(a.certified, "pairs: {:?}", a.pairs);
         let cross = a
             .pairs
@@ -1333,7 +1258,7 @@ mod tests {
             .write(Pc(0x10), 0, IndexExpr::tid_linear(0, 0))
             .build()
             .expect("valid");
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert!(!a.certified);
         assert_eq!(a.pairs[0].same_block, PairVerdict::Proven);
         assert_eq!(a.pairs[0].inter_block, PairVerdict::Vacuous);
@@ -1364,7 +1289,7 @@ mod tests {
             .read(Pc(0x20), 0, idx)
             .build()
             .expect("valid");
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert!(!a.certified);
         assert_eq!(a.pairs.len(), 2);
         let ww = &a.pairs[0];
@@ -1411,7 +1336,7 @@ mod tests {
             ))
             .build()
             .expect("valid");
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert_eq!(a.pairs[0].same_block, PairVerdict::Ordered);
         assert_eq!(a.pairs[0].inter_block, PairVerdict::Vacuous);
         assert!(a.certified, "pairs: {:?}", a.pairs);
@@ -1438,7 +1363,7 @@ mod tests {
             })
             .build()
             .expect("valid");
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert!(a.certified, "pairs: {:?}", a.pairs);
         assert!(
             a.pairs
@@ -1455,7 +1380,7 @@ mod tests {
             .write(Pc(0x10), 0, IndexExpr::Hashed { seed: 7 })
             .build()
             .expect("valid");
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert!(!a.certified);
         assert_eq!(a.pairs[0].same_block, PairVerdict::Potential);
         assert_eq!(a.pairs[0].inter_block, PairVerdict::Potential);
@@ -1470,7 +1395,7 @@ mod tests {
         // The one builtin that uses barriers: reads of the input tiles
         // are read-only, the output write is tid-linear.
         let k = workloads::matrixmul(Scale::Tiny);
-        let a = analyze_races(&k, 32);
+        let a = race_analysis(&k);
         assert!(a.certified, "pairs: {:?}", a.pairs);
         assert!(a.findings.is_empty(), "findings: {:?}", a.findings);
     }

@@ -2,17 +2,27 @@
 
 use crate::interval::ByteRange;
 use crate::races::PairVerdict;
+use gmap_trace::record::AccessKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The wire spelling of an access kind in sites and race pairs.
+pub(crate) fn rw(kind: AccessKind) -> &'static str {
+    match kind {
+        AccessKind::Read => "R",
+        AccessKind::Write => "W",
+    }
+}
+
 /// How bad a finding is.
 ///
-/// The admission gate (gmap-core, gmap-serve) rejects kernels with
-/// [`Severity::Error`] findings only: warnings describe *performance*
-/// hazards (e.g. fully uncoalesced accesses) that shipped workloads such
-/// as kmeans exhibit by design, while errors describe *correctness*
-/// hazards (out-of-bounds indices that the SIMT executor would silently
-/// wrap, aliasing writes, barriers that would deadlock real hardware).
+/// The admission gate (`gmap-serve`'s `handlers::profile`) rejects
+/// kernels with [`Severity::Error`] findings only: warnings describe
+/// *performance* hazards (e.g. fully uncoalesced accesses) that shipped
+/// workloads such as kmeans exhibit by design, while errors describe
+/// *correctness* hazards (out-of-bounds indices that the SIMT executor
+/// would silently wrap, aliasing writes, barriers that would deadlock
+/// real hardware).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Severity {
     /// Performance hazard; the kernel is admissible.
@@ -26,9 +36,9 @@ pub enum Severity {
 /// Serialized (and displayed) as stable kebab-case strings — e.g.
 /// `"race-write-write"` — which CI gates and API clients match on;
 /// renaming a variant's wire string is a breaking change. The serde
-/// impls are hand-written (the vendored derive ignores rename
-/// attributes) so the JSON string always equals the [`fmt::Display`]
-/// string.
+/// impls are hand-written (the vendored derive implements no
+/// `#[serde(...)]` attributes) so the JSON string always equals the
+/// [`fmt::Display`] string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingKind {
     /// The spec failed structural validation ([`gmap_gpu::kernel::KernelDesc::validate`]).
@@ -199,15 +209,11 @@ pub struct StaticReport {
     /// Diagnostics, errors first.
     pub findings: Vec<Finding>,
     /// Per-(array, PC-pair) race verdicts from the barrier-phase
-    /// detector, in site order. Defaults to empty when deserializing
-    /// reports produced before race analysis existed.
-    #[serde(default)]
+    /// detector, in site order.
     pub races: Vec<crate::races::RacePairReport>,
     /// Whether the barrier-phase detector certified the kernel free of
     /// data races: every conflicting pair is provably disjoint or
-    /// barrier-ordered in every scope. Defaults to `false` (unknown) for
-    /// pre-race-analysis reports.
-    #[serde(default)]
+    /// barrier-ordered in every scope.
     pub race_certified: bool,
 }
 
@@ -416,6 +422,26 @@ mod tests {
         assert!(text.contains("ERROR"));
         assert!(text.contains("0x10"));
         assert!(text.contains("out-of-bounds"));
+    }
+
+    #[test]
+    fn a_report_without_race_fields_is_refused() {
+        // The vendored derive implements no `#[serde(default)]`: a report
+        // written before race analysis existed does not parse.
+        let r = StaticReport {
+            name: "k".into(),
+            warp_size: 32,
+            sites: vec![],
+            findings: vec![],
+            races: vec![],
+            race_certified: true,
+        };
+        let json = serde_json::to_string(&r).unwrap();
+        assert_eq!(serde_json::from_str::<StaticReport>(&json).unwrap(), r);
+        let old = json.replace(r#","races":[],"race_certified":true"#, "");
+        assert_ne!(old, json);
+        let err = serde_json::from_str::<StaticReport>(&old).unwrap_err();
+        assert!(err.to_string().contains("expected sequence"), "{err}");
     }
 
     #[test]

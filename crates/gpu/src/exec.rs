@@ -179,28 +179,26 @@ impl AppTrace {
     }
 }
 
-/// Executes a kernel with the default 32-thread warps.
-pub fn execute_kernel(kernel: &KernelDesc) -> AppTrace {
-    execute_kernel_with(kernel, 32)
-}
+/// Threads per warp: the executor's, the static analyzer's and the
+/// trace ingester's (Fermi, the paper's §4 target).
+pub const WARP_SIZE: u32 = 32;
 
-/// Executes a kernel with an explicit warp size.
+/// Executes a kernel with [`WARP_SIZE`]-thread warps.
 ///
 /// # Panics
 ///
-/// Panics if `warp_size` is 0 or greater than 64, or if the kernel fails
-/// validation (call [`KernelDesc::validate`] first for a `Result`).
-pub fn execute_kernel_with(kernel: &KernelDesc, warp_size: u32) -> AppTrace {
-    assert!((1..=64).contains(&warp_size), "warp size must be in 1..=64");
+/// Panics if the kernel fails validation (call [`KernelDesc::validate`]
+/// first for a `Result`).
+pub fn execute_kernel(kernel: &KernelDesc) -> AppTrace {
     kernel.validate().expect("kernel must be valid");
     let launch = kernel.launch;
-    let total_warps = launch.total_warps(warp_size);
+    let total_warps = launch.total_warps(WARP_SIZE);
     let mut warps = Vec::with_capacity(total_warps as usize);
     for w in 0..total_warps {
         let warp = WarpId(w);
-        let block = launch.block_of_warp(warp, warp_size);
-        let lanes: Vec<Option<ThreadId>> = (0..warp_size)
-            .map(|lane| launch.thread_of(warp, lane, warp_size))
+        let block = launch.block_of_warp(warp, WARP_SIZE);
+        let lanes: Vec<Option<ThreadId>> = (0..WARP_SIZE)
+            .map(|lane| launch.thread_of(warp, lane, WARP_SIZE))
             .collect();
         let initial_mask: u64 = lanes
             .iter()
@@ -226,7 +224,7 @@ pub fn execute_kernel_with(kernel: &KernelDesc, warp_size: u32) -> AppTrace {
     AppTrace {
         name: kernel.name.clone(),
         launch,
-        warp_size,
+        warp_size: WARP_SIZE,
         warps,
     }
 }

@@ -29,8 +29,8 @@ use gmap_trace::record::{ByteAddr, MemAccess, Pc};
 use std::collections::VecDeque;
 
 /// Threads per warp — the profiler contract, and what every trace this
-/// crate ingests was recorded under.
-pub const WARP_SIZE: u32 = 32;
+/// crate ingests was recorded under: the executor's own constant.
+pub use gmap_gpu::exec::WARP_SIZE;
 
 /// Maps a global thread id to its `(warp, lane)` under the launch
 /// geometry, or `None` when the tid falls outside it.

@@ -9,6 +9,27 @@
 //! This is not a general serde replacement — it covers exactly the shapes
 //! present in this repository (structs with named fields, tuple structs,
 //! enums with unit/tuple/struct variants, std collections, primitives).
+//!
+//! The derive implements no `#[serde(...)]` attribute, and one does not
+//! compile rather than being silently ignored; a type that needs renamed
+//! or defaulted fields writes its impls by hand:
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! struct Report {
+//!     #[serde(default)]
+//!     races: Vec<u32>,
+//! }
+//! ```
+//!
+//! The same type without the attribute derives fine:
+//!
+//! ```
+//! #[derive(serde::Deserialize)]
+//! struct Report {
+//!     races: Vec<u32>,
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 

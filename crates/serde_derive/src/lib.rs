@@ -4,7 +4,9 @@
 //! the build has no registry access). The parser handles exactly the item
 //! shapes used in this workspace: structs with named fields, tuple structs,
 //! unit structs, and enums with unit / tuple / struct variants, plus a single
-//! generic parameter list (e.g. `Histogram<T: Ord>`).
+//! generic parameter list (e.g. `Histogram<T: Ord>`). It implements no
+//! `#[serde(...)]` attribute, so it declares none: the compiler rejects one
+//! ("cannot find attribute `serde`") instead of the derive ignoring it.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -518,7 +520,7 @@ fn gen_deserialize(item: &Item) -> String {
 }
 
 /// Derive `serde::Serialize` (vendored subset).
-#[proc_macro_derive(Serialize, attributes(serde))]
+#[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_serialize(&item)
@@ -527,7 +529,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 }
 
 /// Derive `serde::Deserialize` (vendored subset).
-#[proc_macro_derive(Deserialize, attributes(serde))]
+#[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     gen_deserialize(&item)

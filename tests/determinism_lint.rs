@@ -1,4 +1,4 @@
-//! Workspace determinism lint, run as a tier-1 test and a CI gate.
+//! Workspace determinism lint, run as a tier-1 test (CI's `cargo test -q`).
 //!
 //! The simulation crates must produce bit-identical results across runs
 //! and platforms, so iterating a `HashMap`/`HashSet` in them is a bug
