@@ -241,6 +241,7 @@ pub fn profile_streams(
     let mut reuse: Vec<ReuseHistogram> = vec![ReuseHistogram::new(); reps.len()];
     let kmode = default_mode();
     let mut stride_scratch: Vec<i64> = Vec::new();
+    let mut last_touch: HashMap<u64, usize> = HashMap::new();
 
     for (w, raw) in raws.iter().enumerate() {
         // Inter-warp strides: first execution per slot vs the previous
@@ -280,7 +281,7 @@ pub fn profile_streams(
             // of the same address (0 = fresh address for this slot). Also
             // accumulate the per-ordinal distance votes for the modal
             // reuse schedule.
-            let mut last_touch: HashMap<u64, usize> = HashMap::new();
+            last_touch.clear();
             for (e, &idx) in execs.iter().enumerate() {
                 let addr = raw.addrs[idx];
                 let dist = match last_touch.insert(addr, e) {

@@ -6,9 +6,14 @@
 //! masks, and loops run until the longest-running active lane exits. The
 //! result is, per warp, the ordered sequence of dynamic memory instructions
 //! with per-lane addresses — the raw material G-MAP profiles (§4.1).
+//!
+//! The warp is the unit of address evaluation: an affine index is
+//! evaluated once per warp instruction and stepped lane to lane; only
+//! hashed indices (and affine values that could overflow `i64`) are
+//! evaluated lane by lane.
 
 use crate::hierarchy::LaunchConfig;
-use crate::kernel::{EvalCtx, KernelDesc, Stmt};
+use crate::kernel::{AccessDesc, EvalCtx, IndexExpr, KernelDesc, Stmt};
 use gmap_trace::io::TraceEntry;
 use gmap_trace::record::{AccessKind, ByteAddr, Pc, ThreadId, WarpId};
 use serde::{Deserialize, Serialize};
@@ -197,20 +202,19 @@ pub fn execute_kernel(kernel: &KernelDesc) -> AppTrace {
     for w in 0..total_warps {
         let warp = WarpId(w);
         let block = launch.block_of_warp(warp, WARP_SIZE);
-        let lanes: Vec<Option<ThreadId>> = (0..WARP_SIZE)
-            .map(|lane| launch.thread_of(warp, lane, WARP_SIZE))
-            .collect();
-        let initial_mask: u64 = lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.is_some())
-            .map(|(i, _)| 1u64 << i)
-            .sum();
+        let mut lanes = [None; WARP_SIZE as usize];
+        let mut initial_mask = 0u64;
+        for (lane, slot) in lanes.iter_mut().enumerate() {
+            *slot = launch.thread_of(warp, lane as u32, WARP_SIZE);
+            if slot.is_some() {
+                initial_mask |= 1 << lane;
+            }
+        }
         let mut exec = WarpExec {
             kernel,
             warp: w,
             block,
-            lanes: &lanes,
+            lanes,
             iters: Vec::new(),
             events: Vec::new(),
         };
@@ -229,12 +233,21 @@ pub fn execute_kernel(kernel: &KernelDesc) -> AppTrace {
     }
 }
 
+/// The lanes set in `mask`, ascending.
+fn lanes_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = (mask != 0).then(|| mask.trailing_zeros() as usize);
+        mask &= mask.wrapping_sub(1);
+        lane
+    })
+}
+
 /// Per-warp execution state.
 struct WarpExec<'a> {
     kernel: &'a KernelDesc,
     warp: u32,
     block: u32,
-    lanes: &'a [Option<ThreadId>],
+    lanes: [Option<ThreadId>; WARP_SIZE as usize],
     iters: Vec<u64>,
     events: Vec<WarpEvent>,
 }
@@ -250,52 +263,105 @@ impl WarpExec<'_> {
         })
     }
 
+    /// The element index of `mask`'s first lane and the element step from
+    /// one lane to the next, both reduced into `[0, elems)`, for an affine
+    /// `index`: the warp is the unit of address evaluation.
+    ///
+    /// A live lane's tid is the warp's first tid plus its lane, so across
+    /// the mask the affine value moves by `tid_coef + lane_coef` per lane.
+    /// `None` — a hashed index, an `elems` beyond `i64`, or a value of some
+    /// active lane that overflows `i64` — sends the instruction down the
+    /// per-lane path.
+    fn affine_lanes(&self, index: &IndexExpr, mask: u64, elems: i64) -> Option<(u64, u64)> {
+        let IndexExpr::Affine {
+            base,
+            tid_coef,
+            lane_coef,
+            warp_coef,
+            block_coef,
+            iter_coefs,
+        } = index
+        else {
+            return None;
+        };
+        if elems <= 0 {
+            return None;
+        }
+        let first = mask.trailing_zeros() as usize;
+        let span = (63 - mask.leading_zeros() as usize - first) as i64;
+        let tid = i64::from(self.lanes[first]?.0);
+        // Tids are `u32`: a warp whose tids wrap goes lane by lane.
+        if i64::from(self.lanes[first + span as usize]?.0) - tid != span {
+            return None;
+        }
+        let mut v = base
+            .checked_add(tid_coef.checked_mul(tid)?)?
+            .checked_add(lane_coef.checked_mul(first as i64)?)?
+            .checked_add(warp_coef.checked_mul(i64::from(self.warp))?)?
+            .checked_add(block_coef.checked_mul(i64::from(self.block))?)?;
+        for &(depth, coef) in iter_coefs {
+            let it = self.iters.get(depth as usize).copied().unwrap_or(0);
+            v = v.checked_add(coef.checked_mul(it as i64)?)?;
+        }
+        let step = tid_coef.checked_add(*lane_coef)?;
+        // The values are linear in the lane: if the last lane's fits, so
+        // does every lane's between.
+        step.checked_mul(span)?.checked_add(v)?;
+        Some((v.rem_euclid(elems) as u64, step.rem_euclid(elems) as u64))
+    }
+
+    fn access(&mut self, acc: &AccessDesc, mask: u64) {
+        let array = &self.kernel.arrays[acc.array];
+        let elems = array.elems.max(1) as i64;
+        let addr_of = |elem: u64| ByteAddr(array.base.0 + elem * array.elem_size as u64);
+        let mut lane_addrs = Vec::with_capacity(mask.count_ones() as usize);
+        if let Some((mut elem, step)) = self.affine_lanes(&acc.index, mask, elems) {
+            let elems = elems as u64;
+            // From the first active lane to the last, one compare-and-
+            // adjust per lane; lanes the mask skips step too.
+            for lane in mask.trailing_zeros()..u64::BITS - mask.leading_zeros() {
+                if mask >> lane & 1 == 1 {
+                    lane_addrs.push((lane as u8, addr_of(elem)));
+                }
+                elem += step;
+                if elem >= elems {
+                    elem -= elems;
+                }
+            }
+        } else {
+            for lane in lanes_of(mask) {
+                let ctx = self.ctx(lane).expect("masked lanes are live");
+                let elem = acc.index.eval(&ctx).rem_euclid(elems) as u64;
+                lane_addrs.push((lane as u8, addr_of(elem)));
+            }
+        }
+        self.events.push(WarpEvent::Access {
+            pc: acc.pc,
+            kind: acc.kind,
+            lane_addrs,
+        });
+    }
+
     fn run(&mut self, stmts: &[Stmt], mask: u64) {
         if mask == 0 {
             return;
         }
         for stmt in stmts {
             match stmt {
-                Stmt::Access(acc) => {
-                    let array = &self.kernel.arrays[acc.array];
-                    let elems = array.elems.max(1) as i64;
-                    let mut lane_addrs = Vec::new();
-                    for lane in 0..self.lanes.len() {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
-                        let ctx = self.ctx(lane).expect("masked lanes are live");
-                        let elem = acc.index.eval(&ctx).rem_euclid(elems) as u64;
-                        let addr = ByteAddr(array.base.0 + elem * array.elem_size as u64);
-                        lane_addrs.push((lane as u8, addr));
-                    }
-                    self.events.push(WarpEvent::Access {
-                        pc: acc.pc,
-                        kind: acc.kind,
-                        lane_addrs,
-                    });
-                }
+                Stmt::Access(acc) => self.access(acc, mask),
                 Stmt::Loop { trip, body } => {
                     // Per-lane trip counts; the warp iterates until the
                     // longest-running active lane finishes.
-                    let trips: Vec<u32> = (0..self.lanes.len())
-                        .map(|lane| match self.lanes[lane] {
-                            Some(tid) if mask & (1 << lane) != 0 => trip.count_for(tid.0 as u64),
-                            _ => 0,
-                        })
-                        .collect();
+                    let mut trips = [0u32; WARP_SIZE as usize];
+                    for lane in lanes_of(mask) {
+                        let tid = self.lanes[lane].expect("masked lanes are live");
+                        trips[lane] = trip.count_for(tid.0 as u64);
+                    }
                     let max_trip = trips.iter().copied().max().unwrap_or(0);
                     for i in 0..max_trip {
-                        let submask: u64 = trips
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &t)| t > i)
-                            .map(|(lane, _)| 1u64 << lane)
-                            .fold(0, |m, b| m | b)
-                            & mask;
-                        if submask == 0 {
-                            break;
-                        }
+                        let submask = lanes_of(mask)
+                            .filter(|&lane| trips[lane] > i)
+                            .fold(0u64, |m, lane| m | 1 << lane);
                         self.iters.push(i as u64);
                         self.run(body, submask);
                         self.iters.pop();
@@ -307,10 +373,7 @@ impl WarpExec<'_> {
                     else_body,
                 } => {
                     let mut then_mask = 0u64;
-                    for lane in 0..self.lanes.len() {
-                        if mask & (1 << lane) == 0 {
-                            continue;
-                        }
+                    for lane in lanes_of(mask) {
                         let ctx = self.ctx(lane).expect("masked lanes are live");
                         if pred.eval(&ctx) {
                             then_mask |= 1 << lane;

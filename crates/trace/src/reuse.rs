@@ -5,10 +5,14 @@
 //! G-MAP's temporal-locality model (§4.3, Fig. 5 of the paper). Distances
 //! are computed at cacheline granularity.
 //!
-//! The classic stack simulation is `O(N·M)`; [`ReuseComputer`] instead keeps
-//! a Fenwick (binary-indexed) tree over access timestamps, marking the most
-//! recent access time of every element, which yields each distance in
-//! `O(log N)`.
+//! The classic stack simulation is `O(N·M)`; [`ReuseComputer`] instead marks
+//! the most recent access time of every element in a bitset over access
+//! timestamps, with a Fenwick (binary-indexed) tree over the bitset's
+//! 64-bit words, which yields each distance in `O(log N)`. It is the one
+//! reuse-distance kernel: streaming callers push line by line, and
+//! [`ReuseHistogram::from_lines`] sizes the marks once and counts
+//! distances densely, so the histogram sees one insert per distinct
+//! distance.
 
 use crate::histogram::Histogram;
 use crate::rng::Rng;
@@ -16,54 +20,87 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Fenwick tree over access timestamps supporting point update and prefix
-/// sum. Grows geometrically as the trace lengthens; growth rebuilds the
-/// tree from a flat mirror of the marks, because a Fenwick node added after
-/// the fact would otherwise miss propagations from earlier updates.
+/// The "latest access" marks over 0-based timestamps: bit `t` is set iff
+/// access `t` is the latest access of its line. A Fenwick tree over the
+/// words' popcounts answers "marks up to `t`" with one walk over
+/// `N / 64` nodes plus a popcount, and a mark that moves within one word
+/// leaves the tree alone. Sized up front when the stream length is known,
+/// else grown geometrically as the trace lengthens.
 #[derive(Debug, Clone, Default)]
-struct Fenwick {
+struct Marks {
+    bits: Vec<u64>,
+    /// 1-based: node `k + 1` covers word `k`.
     tree: Vec<u64>,
-    flat: Vec<u8>,
 }
 
-impl Fenwick {
-    fn ensure(&mut self, n: usize) {
-        if self.flat.len() < n + 1 {
-            let new_len = (n + 1).next_power_of_two();
-            self.flat.resize(new_len, 0);
-            // Rebuild: O(len) per doubling, amortized O(1) per access.
-            self.tree = vec![0; new_len];
-            for i in 1..new_len {
-                self.tree[i] += self.flat[i] as u64;
-                let parent = i + (i & i.wrapping_neg());
-                if parent < new_len {
-                    let child = self.tree[i];
-                    self.tree[parent] += child;
-                }
+/// Lowest set bit of `i`.
+fn lowbit(i: usize) -> usize {
+    i & i.wrapping_neg()
+}
+
+impl Marks {
+    /// Marks spanning timestamps `0..n`.
+    fn with_len(n: usize) -> Self {
+        let mut marks = Marks::default();
+        marks.resize(n.div_ceil(64));
+        marks
+    }
+
+    /// Makes room for timestamp `t`.
+    fn ensure(&mut self, t: usize) {
+        if t / 64 >= self.bits.len() {
+            self.resize((t / 64 + 1).next_power_of_two());
+        }
+    }
+
+    /// Extends the bitset to `words` words and rebuilds the tree from
+    /// their popcounts: O(words) per doubling, amortized O(1) per access.
+    fn resize(&mut self, words: usize) {
+        self.bits.resize(words, 0);
+        self.tree.clear();
+        self.tree.push(0);
+        self.tree
+            .extend(self.bits.iter().map(|w| u64::from(w.count_ones())));
+        for k in 1..=words {
+            if k + lowbit(k) <= words {
+                self.tree[k + lowbit(k)] += self.tree[k];
             }
         }
     }
 
-    /// Adds `delta` (±1) at 1-based index `i`.
-    fn add(&mut self, i: usize, delta: i64) {
-        self.ensure(i);
-        self.flat[i] = (self.flat[i] as i64 + delta) as u8;
-        let mut i = i;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta as u64);
-            i += i & i.wrapping_neg();
+    /// Adds `delta` (±1) to the count of word `word`.
+    fn add(&mut self, word: usize, delta: i64) {
+        let mut k = word + 1;
+        while k < self.tree.len() {
+            self.tree[k] = self.tree[k].wrapping_add(delta as u64);
+            k += lowbit(k);
         }
     }
 
-    /// Sum of values at 1-based indices `1..=i`.
-    fn prefix(&self, i: usize) -> u64 {
-        let mut i = i.min(self.tree.len().saturating_sub(1));
-        let mut s = 0u64;
-        while i > 0 {
-            s = s.wrapping_add(self.tree[i]);
-            i -= i & i.wrapping_neg();
+    /// Number of marks at timestamps `0..=t`.
+    fn through(&self, t: usize) -> u64 {
+        let mut s = u64::from((self.bits[t / 64] << (63 - t % 64)).count_ones());
+        let mut k = t / 64;
+        while k > 0 {
+            s = s.wrapping_add(self.tree[k]);
+            k -= lowbit(k);
         }
         s
+    }
+
+    /// Sets the mark at `t`, clearing the one at `prev` if any.
+    fn advance(&mut self, prev: Option<usize>, t: usize) {
+        self.bits[t / 64] |= 1 << (t % 64);
+        match prev {
+            Some(p) => {
+                self.bits[p / 64] &= !(1 << (p % 64));
+                if p / 64 != t / 64 {
+                    self.add(p / 64, -1);
+                    self.add(t / 64, 1);
+                }
+            }
+            None => self.add(t / 64, 1),
+        }
     }
 }
 
@@ -91,7 +128,7 @@ impl Fenwick {
 #[derive(Debug, Clone, Default)]
 pub struct ReuseComputer {
     last_access: HashMap<u64, usize>,
-    marks: Fenwick,
+    marks: Marks,
     time: usize,
 }
 
@@ -101,22 +138,27 @@ impl ReuseComputer {
         Self::default()
     }
 
+    /// A computer whose marks already span `accesses` pushes.
+    fn with_accesses(accesses: usize) -> Self {
+        ReuseComputer {
+            marks: Marks::with_len(accesses),
+            ..Self::default()
+        }
+    }
+
     /// Records an access to `line` and returns its reuse distance, or
     /// `None` if this is the first access to the line.
     pub fn push(&mut self, line: u64) -> Option<u64> {
+        let t = self.time; // 0-based timestamp
         self.time += 1;
-        let t = self.time; // 1-based timestamp
-        let dist = match self.last_access.insert(line, t) {
-            None => None,
-            Some(prev) => {
-                // Distinct lines touched strictly between prev and t =
-                // number of "last access" marks in (prev, t).
-                let d = self.marks.prefix(t - 1) - self.marks.prefix(prev);
-                self.marks.add(prev, -1);
-                Some(d)
-            }
-        };
-        self.marks.add(t, 1);
+        self.marks.ensure(t);
+        let prev = self.last_access.insert(line, t);
+        // Distinct lines touched strictly between prev and t = number of
+        // marks in (prev, t). Every distinct line holds exactly one mark,
+        // all before t, so that is the distinct count less the marks in
+        // [0, prev].
+        let dist = prev.map(|p| self.last_access.len() as u64 - self.marks.through(p));
+        self.marks.advance(prev, t);
         dist
     }
 
@@ -179,12 +221,29 @@ impl ReuseHistogram {
     /// assert_eq!(rh.reuses(), 6);
     /// ```
     pub fn from_lines<I: IntoIterator<Item = u64>>(lines: I) -> Self {
-        let mut rc = ReuseComputer::new();
-        let mut rh = ReuseHistogram::new();
+        let lines = lines.into_iter();
+        let mut rc = ReuseComputer::with_accesses(lines.size_hint().0);
+        // Distances are below the stream's distinct-line count: count them
+        // densely, then fold one `add_n` per distinct distance.
+        let mut counts: Vec<u64> = Vec::new();
+        let mut cold = 0;
         for line in lines {
-            rh.record(rc.push(line));
+            match rc.push(line) {
+                Some(d) => {
+                    let d = d as usize;
+                    if d >= counts.len() {
+                        counts.resize(d + 1, 0);
+                    }
+                    counts[d] += 1;
+                }
+                None => cold += 1,
+            }
         }
-        rh
+        let mut hist = Histogram::new();
+        for (d, &n) in counts.iter().enumerate() {
+            hist.add_n(d as u64, n);
+        }
+        ReuseHistogram { hist, cold }
     }
 
     /// Records one observation (`None` = cold access).

@@ -8,6 +8,150 @@ use gmap_trace::rng::Rng;
 use gmap_trace::stats;
 use proptest::prelude::*;
 
+/// The reuse-distance kernel `ReuseComputer` replaced, kept as its oracle:
+/// a SipHash map of last-access times and a Fenwick tree over 1-based
+/// timestamps, regrown by doubling from a flat mirror of the marks.
+mod reference {
+    use std::collections::HashMap;
+
+    #[derive(Default)]
+    struct Fenwick {
+        tree: Vec<u64>,
+        flat: Vec<u8>,
+    }
+
+    impl Fenwick {
+        fn ensure(&mut self, n: usize) {
+            if self.flat.len() < n + 1 {
+                let new_len = (n + 1).next_power_of_two();
+                self.flat.resize(new_len, 0);
+                self.tree = vec![0; new_len];
+                for i in 1..new_len {
+                    self.tree[i] += self.flat[i] as u64;
+                    let parent = i + (i & i.wrapping_neg());
+                    if parent < new_len {
+                        let child = self.tree[i];
+                        self.tree[parent] += child;
+                    }
+                }
+            }
+        }
+
+        fn add(&mut self, i: usize, delta: i64) {
+            self.ensure(i);
+            self.flat[i] = (self.flat[i] as i64 + delta) as u8;
+            let mut i = i;
+            while i < self.tree.len() {
+                self.tree[i] = self.tree[i].wrapping_add(delta as u64);
+                i += i & i.wrapping_neg();
+            }
+        }
+
+        fn prefix(&self, i: usize) -> u64 {
+            let mut i = i.min(self.tree.len().saturating_sub(1));
+            let mut s = 0u64;
+            while i > 0 {
+                s = s.wrapping_add(self.tree[i]);
+                i -= i & i.wrapping_neg();
+            }
+            s
+        }
+    }
+
+    #[derive(Default)]
+    pub struct ReuseComputer {
+        last_access: HashMap<u64, usize>,
+        marks: Fenwick,
+        time: usize,
+    }
+
+    impl ReuseComputer {
+        pub fn push(&mut self, line: u64) -> Option<u64> {
+            self.time += 1;
+            let t = self.time;
+            let dist = match self.last_access.insert(line, t) {
+                None => None,
+                Some(prev) => {
+                    let d = self.marks.prefix(t - 1) - self.marks.prefix(prev);
+                    self.marks.add(prev, -1);
+                    Some(d)
+                }
+            };
+            self.marks.add(t, 1);
+            dist
+        }
+    }
+}
+
+/// A stream of `len` lines over an alphabet of `alphabet` lines, each id
+/// offset by `offset` (wrapping, so ids can sit just below `u64::MAX`).
+/// Runs — one line repeated, or a sweep of stride 1 or 2 — start at
+/// uniform draws, so distances span both short and long reuse.
+fn reuse_stream(rng: &mut Rng, alphabet: u64, len: usize, offset: u64) -> Vec<u64> {
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let start = rng.gen_range(alphabet);
+        let run = 1 + rng.gen_range(40) as usize;
+        let stride = rng.gen_range(3);
+        for k in 0..run.min(len - out.len()) {
+            let line = (start + stride * k as u64) % alphabet;
+            out.push(line.wrapping_add(offset));
+        }
+    }
+    out
+}
+
+/// Streaming `push` and `from_lines` against the replaced kernel.
+fn assert_matches_reference(lines: &[u64]) {
+    let mut oracle = reference::ReuseComputer::default();
+    let mut want_hist = ReuseHistogram::new();
+    let mut rc = ReuseComputer::new();
+    for (i, &line) in lines.iter().enumerate() {
+        let want = oracle.push(line);
+        assert_eq!(
+            rc.push(line),
+            want,
+            "access {i} of {} (line {line})",
+            lines.len()
+        );
+        want_hist.record(want);
+    }
+    assert_eq!(rc.accesses(), lines.len());
+    assert_eq!(ReuseHistogram::from_lines(lines.iter().copied()), want_hist);
+    // An iterator with no length hint takes the growing path.
+    let unsized_iter = lines.iter().copied().filter(|_| true);
+    assert_eq!(ReuseHistogram::from_lines(unsized_iter), want_hist);
+}
+
+#[test]
+fn reuse_kernel_matches_the_replaced_kernel() {
+    let mut rng = Rng::seed_from(27);
+    // Lengths on both sides of powers of two: the timestamp bitset's
+    // 64-bit words and the replaced tree's doublings.
+    let lengths = [0, 1, 2, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097, 20_000];
+    for alphabet in [1u64, 64, 10_000] {
+        for offset in [0, u64::MAX - 63, u64::MAX - 9_999, 1 << 63] {
+            for &len in &lengths {
+                assert_matches_reference(&reuse_stream(&mut rng, alphabet, len, offset));
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Random lengths and alphabets, ids anywhere in `u64`.
+    #[test]
+    fn reuse_kernel_matches_reference_on_random_streams(
+        alphabet in 1u64..12_000,
+        len in 0usize..6_000,
+        offset in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let lines = reuse_stream(&mut Rng::seed_from(seed), alphabet, len, offset);
+        assert_matches_reference(&lines);
+    }
+}
+
 /// Brute-force reuse-distance oracle.
 fn naive_reuse(lines: &[u64]) -> Vec<Option<u64>> {
     let mut out = Vec::with_capacity(lines.len());
