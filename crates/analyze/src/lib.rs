@@ -17,9 +17,6 @@
 //! - [`verify_against_trace`] is the self-check the analyzer's
 //!   property tests run: every address the executor emits must lie
 //!   inside the static interval for its PC.
-//! - [`detlint`] is the workspace determinism lint: it scans the
-//!   simulation crates for iteration over hash-ordered containers
-//!   (`HashMap`/`HashSet`), the classic way bit-reproducibility rots.
 //!
 //! Severity is two-level by design: **errors** are correctness hazards
 //! and make a spec inadmissible (`gmap-serve` answers 422); **warnings**
@@ -31,7 +28,6 @@
 
 pub mod analyzer;
 pub mod congruence;
-pub mod detlint;
 pub mod fixtures;
 pub mod interval;
 pub mod races;

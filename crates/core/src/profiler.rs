@@ -109,7 +109,7 @@ pub fn profile_streams(
         /// (empty for a slot this warp never executed). Pass 3 walks it
         /// in slot order, and that order feeds the stride histograms — a
         /// hash map here would make profiles nondeterministic across runs
-        /// (see the determinism lint).
+        /// (and fail clippy's `iter_over_hash_type`).
         by_slot: Vec<Vec<usize>>,
         /// Full line stream (all transactions) for reuse analysis.
         lines: Vec<u64>,

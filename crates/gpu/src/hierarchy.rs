@@ -75,15 +75,14 @@ impl LaunchConfig {
 
 /// Machine parameters of the modeled GPU.
 ///
-/// Defaults follow Table 2 of the paper: 15 SMs, 32-thread warps, at most
-/// 1024 resident threads per SM (Fermi additionally caps resident blocks;
-/// we default to 8, Fermi's limit).
+/// Defaults follow Table 2 of the paper: 15 SMs, at most 1024 resident
+/// threads per SM (Fermi additionally caps resident blocks; we default to
+/// 8, Fermi's limit). The warp size is not a knob: every layer uses
+/// [`WARP_SIZE`](crate::exec::WARP_SIZE), Table 2's 32.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
     pub num_cores: u16,
-    /// Threads per warp.
-    pub warp_size: u32,
     /// Maximum resident threads per SM.
     pub max_threads_per_core: u32,
     /// Maximum resident threadblocks per SM.
@@ -91,12 +90,10 @@ pub struct GpuConfig {
 }
 
 impl GpuConfig {
-    /// The Table 2 baseline: 15 SMs, warp size 32, 1024 threads/SM,
-    /// 8 blocks/SM.
+    /// The Table 2 baseline: 15 SMs, 1024 threads/SM, 8 blocks/SM.
     pub fn fermi_baseline() -> Self {
         GpuConfig {
             num_cores: 15,
-            warp_size: 32,
             max_threads_per_core: 1024,
             max_blocks_per_core: 8,
         }

@@ -442,7 +442,6 @@ mod tests {
     fn single_core() -> GpuConfig {
         GpuConfig {
             num_cores: 1,
-            warp_size: 32,
             max_threads_per_core: 1024,
             max_blocks_per_core: 8,
         }
@@ -604,7 +603,6 @@ mod tests {
         let streams = streaming_kernel(4, 512, 3);
         let gpu = GpuConfig {
             num_cores: 1,
-            warp_size: 32,
             max_threads_per_core: 1024,
             max_blocks_per_core: 8,
         };

@@ -379,7 +379,6 @@ proptest! {
             for num_cores in [1, 2, 15] {
                 let gpu = GpuConfig {
                     num_cores,
-                    warp_size: 32,
                     max_threads_per_core: 1024,
                     max_blocks_per_core,
                 };

@@ -40,7 +40,7 @@
 use crate::classify::{ClassifierConfig, OnlineClassifier};
 use crate::ingest::{live_lanes, pop_warp_instruction, warp_lane_of, WARP_SIZE};
 use crate::reader::{ChunkParser, TraceFormat, DEFAULT_CHUNK_BYTES};
-use crate::report::{build_arrays, AdaptiveHeat, TraceReport};
+use crate::report::{build_arrays, AdaptiveHeat, TraceReport, HEAT_MAX_PAGES, HEAT_PAGE_SHIFT};
 use gmap_core::profile::GmapProfile;
 use gmap_core::profiler::{profile_streams, ProfilerConfig};
 use gmap_core::GmapError;
@@ -62,10 +62,6 @@ pub struct IngestConfig {
     pub max_lane_queue: usize,
     /// Classifier bounds.
     pub classifier: ClassifierConfig,
-    /// Initial heat-histogram page size as a shift (12 → 4 KiB pages).
-    pub heat_page_shift: u32,
-    /// Heat-histogram page budget before coarsening.
-    pub heat_max_pages: usize,
 }
 
 impl Default for IngestConfig {
@@ -74,8 +70,6 @@ impl Default for IngestConfig {
             profiler: ProfilerConfig::default(),
             max_lane_queue: 4096,
             classifier: ClassifierConfig::default(),
-            heat_page_shift: 12,
-            heat_max_pages: 2048,
         }
     }
 }
@@ -227,7 +221,7 @@ impl Ingestor {
             sinks: Sinks {
                 line_size: cfg.profiler.line_size,
                 classifier: OnlineClassifier::new(cfg.classifier.clone()),
-                heat: AdaptiveHeat::new(cfg.heat_page_shift, cfg.heat_max_pages),
+                heat: AdaptiveHeat::new(HEAT_PAGE_SHIFT, HEAT_MAX_PAGES),
                 buffered: 0,
                 instructions: 0,
                 transactions: 0,

@@ -14,11 +14,16 @@
 //! Only a partial trailing line or record is ever buffered (bounded by
 //! [`MAX_LINE_BYTES`]); completed entries are handed to the caller.
 //!
-//! The line bound is this parser's own — the one place it is stricter
-//! than `read_text`, which reads a line of any length: a text line
-//! (comments included) longer than [`MAX_LINE_BYTES`] is `Malformed`
-//! with field `"line"` at its physical line number, whether it arrives
-//! whole inside one pushed piece or spread over many.
+//! Text errors differ from `read_text`'s in two places, both `Malformed`
+//! with field `"line"` at the physical line number:
+//!
+//! - The line bound is this parser's own: a text line (comments
+//!   included) longer than [`MAX_LINE_BYTES`] is refused, whether it
+//!   arrives whole inside one pushed piece or spread over many;
+//!   `read_text` reads a line of any length.
+//! - A line that is not UTF-8 (and is not a canonical entry line, which
+//!   is ASCII) is refused here with its line number; `read_text` returns
+//!   [`ParseTraceError::Io`] of kind `InvalidData`, with none.
 
 use gmap_trace::io::{
     decode_record, decode_text_line, parse_text_line, ParseTraceError, TraceEntry, HEADER_BYTES,
@@ -494,6 +499,30 @@ mod tests {
                 assert_eq!(got, whole, "pieces of {step} bytes");
             }
         }
+    }
+
+    /// The one error besides the line bound where the two text readers
+    /// differ: a non-UTF-8 line.
+    #[test]
+    fn non_utf8_line_errors_differ_from_read_text() {
+        let text: &[u8] = b"0 0x10 R 0x80\n5 0x20 W 0x100 \xff\n";
+        let err = push_all(text, usize::MAX).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ParseTraceError::Malformed {
+                    index: 2,
+                    field: "line",
+                    ..
+                }
+            ),
+            "got {err}"
+        );
+        let err = read_text(text).unwrap_err();
+        assert!(
+            matches!(&err, ParseTraceError::Io(e) if e.kind() == std::io::ErrorKind::InvalidData),
+            "got {err}"
+        );
     }
 
     #[test]

@@ -30,6 +30,13 @@ pub const HEAT_CELLS: usize = 32;
 /// Glyph ramp for the text heat bar, coldest to hottest.
 const RAMP: &[u8] = b" .:-=+*#%@";
 
+/// Initial page size of an ingest pass's heat histogram, as a shift
+/// (12 → 4 KiB pages).
+pub(crate) const HEAT_PAGE_SHIFT: u32 = 12;
+
+/// Page budget of an ingest pass's heat histogram before it coarsens.
+pub(crate) const HEAT_MAX_PAGES: usize = 2048;
+
 /// Page-granular access histogram that coarsens itself to stay within a
 /// page budget.
 #[derive(Debug, Clone)]

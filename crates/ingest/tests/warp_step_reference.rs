@@ -21,6 +21,10 @@ fn reference_pop(queues: &mut [VecDeque<MemAccess>], line_size: u64) -> Option<C
             *votes.entry(a.pc).or_insert(0) += 1;
         }
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "max by (count, Reverse(pc)) is a total order, so the winner does not depend on iteration order"
+    )]
     let (&pc, _) = votes
         .iter()
         .max_by_key(|(pc, &c)| (c, std::cmp::Reverse(pc.0)))?;

@@ -212,10 +212,11 @@ impl ModelStore {
             return Arc::clone(&existing.stored);
         }
         if tier.map.len() >= self.capacity {
-            // LRU victim: min by (tick, key). The key tie-break makes the
-            // choice a total order, so the scan is independent of HashMap
-            // iteration order (allowlisted for the determinism lint).
             let mut victim: Option<(u64, String)> = None;
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "min by (tick, key) is a total order, so the victim does not depend on iteration order"
+            )]
             for (k, e) in &tier.map {
                 let better = match &victim {
                     None => true,
@@ -275,11 +276,13 @@ impl ModelStore {
     }
 
     /// Every key this store holds, across both tiers: memory-resident
-    /// entries plus `<key>.json` disk entries, deduplicated and sorted
-    /// (so enumeration order is deterministic regardless of `HashMap`
-    /// iteration order). Used by drain streaming and hint replay, which
-    /// must not miss entries that were evicted from memory but survive
-    /// on disk.
+    /// entries plus `<key>.json` disk entries, deduplicated and sorted.
+    /// Used by drain streaming and hint replay, which must not miss
+    /// entries that were evicted from memory but survive on disk.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the keys are sorted before they are returned"
+    )]
     pub fn keys(&self) -> Vec<String> {
         let mut keys: Vec<String> = self
             .mem

@@ -20,10 +20,9 @@
 //! (the remapping proptest bounds the moved fraction by `2/N + ε`).
 //!
 //! Determinism: the ring is a sorted `Vec` scanned in point order —
-//! construction and lookup never iterate a hash map, so the ring is
-//! covered by the workspace determinism lint without an allowlist
-//! entry, and the same peer set always yields the same assignment
-//! regardless of the order the peers were listed in.
+//! construction and lookup never iterate a hash map, so the same peer
+//! set always yields the same assignment regardless of the order the
+//! peers were listed in.
 
 use crate::api::{CloneRequest, EvaluateRequest, ProfileRequest};
 use crate::handlers;

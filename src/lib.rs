@@ -15,7 +15,7 @@
 //! | [`dram`] | `gmap-dram` | GDDR DRAM model with FR-FCFS controllers |
 //! | [`trace`] | `gmap-trace` | records, histograms, reuse distance, statistics |
 //! | [`mod@bench`] | `gmap-bench` | single-pass multi-config sweep engine |
-//! | [`analyze`] | `gmap-analyze` | static verifier for the kernel DSL, determinism lint |
+//! | [`analyze`] | `gmap-analyze` | static verifier for the kernel DSL |
 //! | [`ingest`] | `gmap-ingest` | streaming trace ingestion, online pattern classification |
 //! | [`serve`] | `gmap-serve` | concurrent model-cloning HTTP service |
 //!

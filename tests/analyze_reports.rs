@@ -55,6 +55,28 @@ fn specs() -> Vec<(String, KernelDesc)> {
     out
 }
 
+/// At every scale no builtin has an error-severity finding, and at least
+/// one is certified race-free: the reduction-style builtins genuinely
+/// race (warning-level), but the certificate must not vanish wholesale.
+fn assert_builtins_admissible(reports: &[(String, StaticReport)]) {
+    for scale in [Scale::Tiny, Scale::Small, Scale::Default] {
+        let prefix = format!("builtin/{}/", scale.name());
+        let builtins: Vec<&(String, StaticReport)> = reports
+            .iter()
+            .filter(|(what, _)| what.starts_with(&prefix))
+            .collect();
+        assert_eq!(builtins.len(), workloads::NAMES.len());
+        for (what, report) in &builtins {
+            let errors: Vec<_> = report.errors().collect();
+            assert!(errors.is_empty(), "{what}: error findings {errors:?}");
+        }
+        assert!(
+            builtins.iter().any(|(_, report)| report.race_certified),
+            "no builtin at {prefix} is certified race-free"
+        );
+    }
+}
+
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/analyze_reports.json")
 }
@@ -66,6 +88,7 @@ fn static_reports_match_golden() {
         .map(|(what, k)| (what, analyze_kernel(&k)))
         .collect();
     assert_eq!(reports.len(), 3 * workloads::NAMES.len() + 11);
+    assert_builtins_admissible(&reports);
     let got: BTreeMap<String, ReportKeys> = reports
         .iter()
         .map(|(what, r)| (what.clone(), ReportKeys::of(r)))
