@@ -43,12 +43,12 @@
 //!      trains on demand *misses*, which are geometry-dependent, so no
 //!      shared schedule exists; each config replays the once-derived L2
 //!      stream through the folded bank geometry with a live prefetcher
-//!      on the same recency-list kernel
+//!      on the same row kernels
 //!      ([`gmap_memsim::stackdist::replay_lru_stream_prefetch`]) —
 //!      still eliding the scheduler, the L1s and the MSHRs, which
 //!      dominate the direct path's cost.
 //!
-//!    Every evaluation runs on that one kernel; the engine builds a
+//!    Every evaluation runs on those row kernels; the engine builds a
 //!    general-purpose [`Cache`] only for the sweep's *fixed* L1 when it
 //!    derives the L2 stream.
 //!
@@ -343,9 +343,10 @@ pub struct EvalSeries {
     /// Metric value in percent per configuration, aligned with the config
     /// slice the plan was built from.
     pub values: Vec<f64>,
-    /// Whether any group hit the stack-distance evaluator's internal
-    /// per-geometry re-score (divergent no-allocate store). Counts stay
-    /// exact either way; this only marks the slower path.
+    /// Whether a divergent access (a no-allocate store, a FIFO insert or
+    /// a prefetch fill that hits only part of a set-count class) forked
+    /// a class in any group's stack-distance pass. Counts stay exact
+    /// either way; this only marks the slower path.
     pub fell_back: bool,
     /// Stride-prefetch evaluator passes (one per group and core) that
     /// were not run because an earlier pass on the same core had the same

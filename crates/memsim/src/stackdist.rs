@@ -8,34 +8,62 @@
 //! any `A ≥ a`. So per distinct set count `S` the evaluator keeps one
 //! per-set recency list capped at `A_max` (the largest associativity
 //! sharing that set count); an access that hits at way-position `p` hits
-//! every geometry of the class with associativity `> p`. One pass over
-//! the access stream therefore yields exact hit/miss counts for an
-//! arbitrary grid of LRU geometries sharing a line size — turning an
-//! O(configs)-pass sweep into an O(line sizes)-pass sweep, at
-//! O(set-count classes × A_max) work per access.
+//! every geometry of the class with associativity `> p`. One pass of
+//! each class over the access stream therefore yields exact hit/miss
+//! counts for an arbitrary grid of LRU geometries sharing a line size —
+//! turning an O(configs)-pass sweep into an O(set-count classes)-pass
+//! sweep, at O(A_max) work per access and class.
 //!
-//! Two write models are supported:
+//! # Class-major passes and forks
+//!
+//! The evaluator runs one set-count class over the whole stream, then
+//! the next, each with its own way-position histogram. An access whose
+//! effect on the class's state depends on the geometry — it hits the
+//! members wider than some way-position `p` and misses the rest, with
+//! `a_min ≤ p < a_max` — is *divergent*, and the class **forks** there:
+//!
+//! - the members with more than `p` ways (all hit) keep the rows and
+//!   raise `a_min`;
+//! - the members with at most `p` ways (all miss) take a copy of the
+//!   rows cut to their own `a_max`.
+//!
+//! By the invariant above — the top `a` entries of a row are the
+//! contents of the `a`-way cache — each part holds exactly its members'
+//! state. Both copy the histogram prefix and resume at the divergent
+//! access, which is now uniform for each of them. A class of `k`
+//! geometries forks at most `k − 1` times, so no access is scored more
+//! than `k` times per class, and a one-geometry part (`a_min == a_max`)
+//! has an empty divergence band: the returned counts are **always**
+//! exact, and divergence only costs speed. [`replay_per_config`] through
+//! [`crate::cache::Cache`] is the independent reference the tests
+//! compare against.
+//!
+//! # Row layouts
+//!
+//! A class of up to 16 ways keeps each set in a fixed-width row of `W`
+//! slots, `W` the smallest power of two `≥ a_max`, and its loop is
+//! monomorphized over `W`. A lookup is a full-row match mask ANDed with
+//! the set's occupancy mask (line 0 is a valid line, so no slot value
+//! can mean "empty"); an update writes the line in front and shifts
+//! slots `0..e` down one, as a blend of the old row — `e` is the hit's
+//! way-position, or the last live slot on an insert. Wider classes pad
+//! their rows to whole [`LANES`] chunks and scan chunk by chunk with an
+//! early exit. Plain passes, scheduled prefetch passes and
+//! [`replay_lru_stream_prefetch`] all run on these rows.
+//!
+//! # Write models
 //!
 //! - [`WriteMode::Allocate`] (write-back, write-allocate — the L2 in this
 //!   hierarchy): writes allocate and touch recency exactly like reads, so
-//!   the inclusion property holds unconditionally and the single pass is
-//!   always exact.
+//!   the inclusion property holds unconditionally and no class forks.
 //! - [`WriteMode::NoAllocate`] (write-through, no-allocate — the L1):
 //!   a write's recency side-effect depends on whether it *hit*, which is
-//!   geometry-dependent. Each write is classified per class during the
-//!   pass:
+//!   geometry-dependent. Each write is classified per class:
 //!   * absent from the class list → miss in every geometry of the class,
-//!     no recency change (exact);
+//!     no recency change;
 //!   * present at a position every associativity of the class covers →
-//!     uniform hit, move to MRU (exact);
-//!   * anything else is *divergent for that class*: inclusion breaks, so
-//!     the class's geometries are transparently re-scored one at a time
-//!     by the same pass. Alone in its class a geometry has `a_min ==
-//!     a_max`, the divergence band is empty, and the recency list *is*
-//!     that cache — the returned counts are **always** exact; divergence
-//!     only costs speed, never correctness, and only for the affected
-//!     class. [`replay_per_config`] through [`crate::cache::Cache`] is
-//!     the independent reference the tests compare against.
+//!     uniform hit, move to MRU;
+//!   * anything else is divergent and forks the class.
 //!
 //! # Prefetch-fill composition
 //!
@@ -47,22 +75,25 @@
 //! no-op when it is resident, exactly the probe-then-fill protocol of
 //! `GpuHierarchy::l1_prefetch`. Per class it is classified like a
 //! no-allocate store: absent everywhere → uniform fill, resident
-//! everywhere → uniform skip, anything else → divergent, re-scored per
-//! geometry.
+//! everywhere → uniform skip, anything else → divergent.
 //! A demand load that lands in the divergence band *while carrying
 //! candidates* also diverges, because the hierarchy fills candidates
 //! between the lookup and the demand fill: the relative insertion order
 //! of the line and its candidates differs between hit- and
-//! miss-geometries of the class.
+//! miss-geometries of the class. A candidate can diverge after the
+//! access has already changed rows (the demand touch, earlier
+//! candidates), so an access that carries candidates saves the at most
+//! `1 + |candidates|` rows it may change before it runs, and a fork
+//! restores them first: both parts resume from the state before the
+//! access.
 //!
 //! # Live stream prefetcher
 //!
 //! A prefetcher that trains on demand *misses* (the L2 stream
 //! prefetcher, fig6d) sees a geometry-dependent input, so its candidates
 //! cannot be precomputed as a schedule. [`replay_lru_stream_prefetch`]
-//! runs it live against one geometry on the same recency-list rows:
-//! locate, hit → rotate to front, miss → insert, then conditional
-//! candidate fills.
+//! runs it live against one geometry on the same rows: locate, hit →
+//! move to front, miss → insert, then conditional candidate fills.
 //!
 //! # FIFO insertion order
 //!
@@ -73,19 +104,20 @@
 //! misses *every* geometry of a set-count class (uniform insert) or hits
 //! every one of them (uniform no-op), all geometries of the class insert
 //! the same line sequence and an `a`-way FIFO set holds exactly the `a`
-//! newest insertions — the top-`a` prefix of one insertion-ordered class
-//! list. [`evaluate_fifo_multi`] runs that pass and, the moment an
-//! allocating access hits only part of a class (the insertion sequences
-//! would fork), marks the class divergent and re-scores its geometries
-//! one at a time — same fallback contract as the LRU path. No-allocate
-//! stores never modify FIFO state (hits do not touch, misses do not
-//! insert), so under the write-through L1 model they never diverge.
+//! newest insertions — the top-`a` prefix of one insertion-ordered list
+//! per set-count class. [`evaluate_fifo_multi`] runs that pass and, at
+//! an allocating access that hits only part of a class (the insertion
+//! sequences would fork), forks the class exactly like the LRU path.
+//! No-allocate stores never modify FIFO state (hits do not touch, misses
+//! do not insert), so under the write-through L1 model they never
+//! diverge.
 
 use crate::cache::{Cache, CacheConfig, CacheStats, ReplacementPolicy};
 use crate::prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
 use gmap_trace::batch::LANES;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// One demand access in a post-coalescing **line-index** stream (byte
 /// address divided by the group's shared line size).
@@ -111,8 +143,8 @@ pub enum WriteMode {
     /// loads. Single-pass evaluation is unconditionally exact.
     Allocate,
     /// Write-through, no-allocate: stores never allocate; a store that
-    /// hits touches recency. Divergent stores trigger an internal exact
-    /// fallback (see module docs).
+    /// hits touches recency. A store that hits only part of a set-count
+    /// class forks the class (see module docs); counts stay exact.
     NoAllocate,
 }
 
@@ -229,9 +261,9 @@ impl GeomCounts {
 pub struct MultiEvalResult {
     /// Per-geometry counters, aligned with the input `configs` slice.
     pub counts: Vec<GeomCounts>,
-    /// `true` if a divergent access forced the per-geometry re-score of
-    /// at least one set-count class; unaffected classes keep their
-    /// single-pass counts.
+    /// `true` if a divergent access forked at least one set-count class
+    /// (see module docs). Counts are exact either way; a fork only
+    /// re-scores the forked class's accesses from that access on.
     pub fell_back: bool,
 }
 
@@ -285,95 +317,124 @@ impl fmt::Display for StackDistError {
 
 impl Error for StackDistError {}
 
-/// One distinct set-count class shared by one or more geometries: the
-/// per-set ordered contents of the widest cache of the class. Under LRU
-/// the order is recency (MRU first); under FIFO it is insertion age
-/// (newest first). Either way, while the class stays uniform the top `a`
-/// entries of each set are exactly the contents of the class's `a`-way
+/// Sentinel way-position for "line absent from this class".
+const ABSENT: usize = usize::MAX;
+
+/// Widest class kept on fixed-width rows; wider ones take the chunked
+/// scan.
+const MAX_FIXED: usize = 16;
+
+/// The row-kernel parameter `W` of the chunked layout. The fixed-width
+/// kernels take `W` = their row width (1, 2, 4, 8 or 16).
+const CHUNKED: usize = 0;
+
+/// Calls `f::<W>(args)` with `W` the row kernel of `width`
+/// ([`SetClass::width`]): one monomorphized class loop per fixed row
+/// width, plus the chunked scan.
+macro_rules! with_width {
+    ($width:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $width {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            16 => $f::<16>($($arg),*),
+            _ => $f::<CHUNKED>($($arg),*),
+        }
+    };
+}
+
+/// One set-count class — or, after a fork, the part of one that holds a
+/// contiguous range of its associativities: the per-set ordered contents
+/// of its widest cache. Under LRU the order is recency (MRU first);
+/// under FIFO it is insertion age (newest first). Either way the top `a`
+/// entries of each set are exactly the contents of the part's `a`-way
 /// geometry.
+///
+/// The methods taking `W` run the row kernel [`SetClass::width`] names;
+/// `with_width!` picks it once per class loop. They are
+/// `#[inline(always)]` so that each class loop compiles to one function
+/// per `W`: a call per access costs more than the row work itself.
 struct SetClass {
     /// `num_sets - 1`, the set-index mask.
     mask: u64,
-    /// Largest associativity among geometries with this set count.
-    a_max: usize,
-    /// Smallest associativity among geometries with this set count — an
-    /// access whose state effect depends on hitting at or beyond this
-    /// way-position diverges.
+    /// Smallest associativity of the part — an access whose state effect
+    /// depends on hitting at or beyond this way-position diverges.
     a_min: usize,
-    /// Divergence hit this class; its geometries will be re-scored.
-    dirty: bool,
-    /// `num_sets × stride` recency-ordered line slots (way-position 0 =
-    /// MRU). Both layouts keep the same ordering and the same
-    /// `rotate_right` updates; they differ only in row width and scan
-    /// kernel.
+    /// Largest associativity of the part: the row capacity.
+    a_max: usize,
+    /// Per-set row width: the smallest power of two `>= a_max` up to
+    /// [`MAX_FIXED`] ways, `a_max.next_multiple_of(LANES)` above: fewer
+    /// than `a_max` padding slots per fixed-width row, fewer than
+    /// [`LANES`] per chunked one, and none for a direct-mapped class
+    /// (fig6b's widest folded class is 8,192 sets of one way).
+    stride: usize,
+    /// `num_sets × stride` ordered line slots (way-position 0 = MRU or
+    /// newest). Slots at positions `>= occ` hold stale lines; every
+    /// lookup rejects them by occupancy.
     lines: Vec<u64>,
     /// Live entries per set.
     occ: Vec<u32>,
-    /// Chunked scan layout (rows wider than one vector): rows are padded
-    /// to a whole number of [`LANES`] and located with an 8-lane match
-    /// mask per chunk. The per-chunk early exit preserves the list scan's
-    /// O(1) cost on the shallow hits GPU streams are dominated by,
-    /// while misses compare a whole chunk per vector op instead of one
-    /// element per iteration.
-    chunked: bool,
-    /// Per-set row width: `a_max` in the list layout,
-    /// `a_max.next_multiple_of(LANES)` in the chunked layout. Slots at
-    /// positions `>= occ` are dead — all zero, since evictions
-    /// overwrite in place and the padding tail is never written — and
-    /// both scan kernels reject them by occupancy.
-    stride: usize,
 }
 
 impl SetClass {
-    /// An unallocated class of `sets` sets holding one `assoc`-way
-    /// geometry; [`single_pass`] widens `a_max` / `a_min` as further
-    /// geometries join, then calls [`SetClass::allocate`].
-    fn new(sets: u64, assoc: usize) -> Self {
+    /// An empty class of `sets` sets holding the geometries of `a_min`
+    /// through `a_max` ways.
+    fn new(sets: u64, a_min: usize, a_max: usize) -> Self {
+        let stride = if a_max <= MAX_FIXED {
+            a_max.next_power_of_two()
+        } else {
+            a_max.next_multiple_of(LANES)
+        };
         SetClass {
             mask: sets - 1,
-            a_max: assoc,
-            a_min: assoc,
-            dirty: false,
-            lines: Vec::new(),
-            occ: Vec::new(),
-            chunked: false,
-            stride: 0,
+            a_min,
+            a_max,
+            stride,
+            lines: vec![0; sets as usize * stride],
+            occ: vec![0; sets as usize],
         }
     }
 
-    /// Picks the row layout and allocates the empty recency arrays.
-    /// Chunked scanning only pays once a row spans more than one
-    /// vector: an `a_max <= LANES` row is at most one compare either
-    /// way, while padding it to a full chunk would inflate the recency
-    /// arrays (8x for direct-mapped classes — enough to push fig6b's
-    /// 64k-set classes out of the host cache).
-    fn allocate(&mut self) {
-        let sets = (self.mask + 1) as usize;
-        self.chunked = self.a_max > LANES;
-        self.stride = if self.chunked {
-            self.a_max.next_multiple_of(LANES)
+    /// The row kernel: the row width for fixed-width rows, [`CHUNKED`]
+    /// above [`MAX_FIXED`] ways.
+    fn width(&self) -> usize {
+        if self.a_max <= MAX_FIXED {
+            self.stride
         } else {
-            self.a_max
-        };
-        self.lines = vec![0; sets * self.stride];
-        self.occ = vec![0; sets];
+            CHUNKED
+        }
+    }
+
+    /// The miss side of a fork: the members of `a_min` through `a_max`
+    /// ways (`a_max` below this part's), on a copy of the rows cut to
+    /// `a_max` entries — by the inclusion invariant, exactly their
+    /// contents.
+    fn truncated(&self, a_min: usize, a_max: usize) -> SetClass {
+        let mut part = SetClass::new(self.mask + 1, a_min, a_max);
+        for (set, occ) in part.occ.iter_mut().enumerate() {
+            let n = (self.occ[set] as usize).min(a_max);
+            *occ = n as u32;
+            part.lines[set * part.stride..][..n]
+                .copy_from_slice(&self.lines[set * self.stride..][..n]);
+        }
+        part
     }
 
     /// Way-position of `line` within its set, or [`ABSENT`].
-    fn locate(&self, line: u64) -> usize {
+    #[inline(always)]
+    fn locate<const W: usize>(&self, line: u64) -> usize {
         let set = (line & self.mask) as usize;
-        let base = set * self.stride;
         let occ = self.occ[set] as usize;
-        if self.chunked {
-            // 8-lane match scan in recency order: each chunk ORs eight
+        if W == CHUNKED {
+            // 8-lane match scan in order: each chunk ORs eight
             // branch-free equality tests into a match mask. Entries are
             // ordered and unique, so the first match is the answer —
-            // unless it lands in the dead tail (`>= occ`, all zero),
-            // in which case every later match is deeper in the tail
-            // and the line is absent. The per-chunk exit keeps shallow
-            // hits as cheap as the list scan; the occupancy bound
-            // stops a miss from touching padding-only chunks.
-            let row = &self.lines[base..base + self.stride];
+            // unless it lands at or past `occ`, in which case no live
+            // slot matched and the line is absent. The per-chunk exit
+            // keeps shallow hits cheap; the occupancy bound stops a miss
+            // from touching chunks without live slots.
+            let row = &self.lines[set * self.stride..][..self.stride];
             let mut off = 0usize;
             for c in row.chunks_exact(LANES) {
                 if off >= occ {
@@ -391,48 +452,71 @@ impl SetClass {
             }
             ABSENT
         } else {
-            self.lines[base..base + occ]
-                .iter()
-                .position(|&l| l == line)
-                .unwrap_or(ABSENT)
+            // Full-row match mask, live slots only. Entries are
+            // unique, so at most one bit survives.
+            let row = &self.lines.as_chunks::<W>().0[set];
+            let mut m = 0u32;
+            for (slot, &l) in row.iter().enumerate() {
+                m |= u32::from(l == line) << slot;
+            }
+            match m & ((1u32 << occ) - 1) {
+                0 => ABSENT,
+                m => m.trailing_zeros() as usize,
+            }
         }
     }
 
-    /// Moves the entry at way-position `pos` of `line`'s set to the front.
-    fn rotate_to_front(&mut self, line: u64, pos: usize) {
-        let base = (line & self.mask) as usize * self.stride;
-        self.lines[base..=base + pos].rotate_right(1);
+    /// Writes `line` at way-position 0 of `set` and shifts slots `0..e`
+    /// down one.
+    #[inline(always)]
+    fn shift_in<const W: usize>(&mut self, set: usize, line: u64, e: usize) {
+        if W == CHUNKED {
+            let row = &mut self.lines[set * self.stride..][..=e];
+            row.rotate_right(1);
+            row[0] = line;
+        } else {
+            let row = &mut self.lines.as_chunks_mut::<W>().0[set];
+            let old = *row;
+            let mut new = [line; W];
+            for slot in 1..W {
+                // `old[slot - 1]` where `slot <= e`, else `old[slot]`.
+                // Arithmetic, not a select: a select compiles to branches
+                // or masked stores, this to one whole-row store.
+                let take = u64::from(slot <= e).wrapping_neg();
+                new[slot] = old[slot].wrapping_add(old[slot - 1].wrapping_sub(old[slot]) & take);
+            }
+            *row = new;
+        }
     }
 
-    /// Inserts `line` at the front of its set, evicting the set's last
-    /// entry if the widest cache is full.
-    fn insert_front(&mut self, line: u64) {
+    /// Moves `line` to way-position 0 of its set: from `pos` on a hit,
+    /// or — `pos` = [`ABSENT`] — as an insert that evicts the last entry
+    /// of a full row. Both are one shift, so hits and misses take the
+    /// same branch-free path.
+    #[inline(always)]
+    fn move_to_front<const W: usize>(&mut self, line: u64, pos: usize) {
         let set = (line & self.mask) as usize;
-        let base = set * self.stride;
         let n = self.occ[set] as usize;
-        if n < self.a_max {
-            self.occ[set] += 1;
-        }
-        let end = (n + 1).min(self.a_max);
-        self.lines[base..base + end].rotate_right(1);
-        self.lines[base] = line;
+        let absent = pos == ABSENT;
+        self.occ[set] += u32::from(absent & (n < self.a_max));
+        let e = if absent { n.min(self.a_max - 1) } else { pos };
+        self.shift_in::<W>(set, line, e);
     }
 
     /// Applies the conditional prefetch fills of one access: absent
     /// everywhere → insert at front, resident everywhere → skip, resident
-    /// in only part of the class → divergent (marks the class dirty and
-    /// stops).
-    fn apply_prefetches(&mut self, cands: &[u64]) {
+    /// in only part of the class → divergent at the candidate's
+    /// way-position.
+    #[inline(always)]
+    fn apply_prefetches<const W: usize>(&mut self, cands: &[u64]) -> Result<(), usize> {
         for &cand in cands {
-            match self.locate(cand) {
-                q if q == ABSENT => self.insert_front(cand),
+            match self.locate::<W>(cand) {
+                ABSENT => self.move_to_front::<W>(cand, ABSENT),
                 q if q < self.a_min => {}
-                _ => {
-                    self.dirty = true;
-                    return;
-                }
+                q => return Err(q),
             }
         }
+        Ok(())
     }
 
     /// The demand fill of a line that missed the whole class *before* the
@@ -441,27 +525,80 @@ impl SetClass {
     /// lines (no recency touch) — so re-locate instead of inserting
     /// unconditionally: absent everywhere → insert, resident everywhere →
     /// skip, resident in only part of the class → divergent.
-    fn demand_fill_after_prefetches(&mut self, line: u64, cands: &[u64]) {
+    #[inline(always)]
+    fn demand_fill_after_prefetches<const W: usize>(
+        &mut self,
+        line: u64,
+        cands: &[u64],
+    ) -> Result<(), usize> {
         if !cands.is_empty() {
-            match self.locate(line) {
-                q if q == ABSENT => {}
-                q if q < self.a_min => return,
-                _ => {
-                    self.dirty = true;
-                    return;
-                }
+            match self.locate::<W>(line) {
+                ABSENT => {}
+                q if q < self.a_min => return Ok(()),
+                q => return Err(q),
             }
         }
-        self.insert_front(line);
+        self.move_to_front::<W>(line, ABSENT);
+        Ok(())
     }
 }
 
-/// Per-geometry view onto the set classes.
-struct GeomView {
-    /// Index into the set-class table.
-    class: usize,
-    /// Associativity.
-    assoc: usize,
+/// The rows one access may change — its demand line's set and each
+/// candidate's set — saved before it runs, so that a divergence found
+/// after a change can be undone.
+#[derive(Default)]
+struct Journal {
+    /// `(set, occ)` per saved row, in save order; the row copies follow
+    /// in `lines`.
+    saved: Vec<(usize, u32)>,
+    lines: Vec<u64>,
+}
+
+impl Journal {
+    /// Saves the rows `line` and `cands` map to, dropping the last save.
+    fn save(&mut self, class: &SetClass, line: u64, cands: &[u64]) {
+        self.saved.clear();
+        self.lines.clear();
+        for l in std::iter::once(line).chain(cands.iter().copied()) {
+            let set = (l & class.mask) as usize;
+            self.saved.push((set, class.occ[set]));
+            self.lines
+                .extend_from_slice(&class.lines[set * class.stride..][..class.stride]);
+        }
+    }
+
+    /// Restores the saved rows. Every copy predates the access, so a set
+    /// saved twice is restored twice to the same row.
+    fn undo(&self, class: &mut SetClass) {
+        let rows = self.lines.chunks_exact(class.stride);
+        for (&(set, occ), row) in self.saved.iter().zip(rows) {
+            class.lines[set * class.stride..][..class.stride].copy_from_slice(row);
+            class.occ[set] = occ;
+        }
+    }
+}
+
+/// Per-access prefetch-fill candidates as the pass reads them: a
+/// [`PrefetchSchedule`], or none at all for plain passes, which then
+/// compile without the candidate and undo paths.
+trait Candidates {
+    /// Candidate lines of access `i`.
+    fn for_access(&self, i: usize) -> &[u64];
+}
+
+impl Candidates for PrefetchSchedule {
+    fn for_access(&self, i: usize) -> &[u64] {
+        PrefetchSchedule::for_access(self, i)
+    }
+}
+
+/// The candidates of a pass without a prefetcher.
+struct NoCandidates;
+
+impl Candidates for NoCandidates {
+    fn for_access(&self, _: usize) -> &[u64] {
+        &[]
+    }
 }
 
 /// Which single-pass variant a class list models.
@@ -493,7 +630,7 @@ pub fn evaluate_lru_multi(
 /// Like [`evaluate_lru_multi`], but additionally replays the per-access
 /// prefetch-fill candidates of `schedule` in hierarchy order (demand
 /// lookup → candidate fills → demand fill). Exact for every geometry —
-/// divergent classes are re-scored per geometry internally.
+/// divergent classes fork internally.
 ///
 /// # Panics
 ///
@@ -518,10 +655,10 @@ pub fn evaluate_lru_prefetch_multi(
 }
 
 /// Evaluate every FIFO geometry in `configs` (which must share one line
-/// size) over `stream` in a single insertion-order pass, re-scoring
-/// geometry by geometry any set-count class where the insertion
-/// sequences would fork (see module docs — FIFO is not a stack
-/// algorithm). Counts are always exact.
+/// size) over `stream` in a single insertion-order pass per set-count
+/// class, forking a class where the insertion sequences of its
+/// geometries part (see module docs — FIFO is not a stack algorithm).
+/// Counts are always exact.
 ///
 /// # Errors
 ///
@@ -537,18 +674,18 @@ pub fn evaluate_fifo_multi(
 
 /// Replays `stream` through one LRU geometry with a live
 /// [`StreamPrefetcher`] attached and returns the exact demand counters —
-/// `GpuHierarchy::l2_demand` on the recency-list kernel. Every access
-/// allocates (the L2 is write-back write-allocate, so stores fill and
-/// train like loads); the prefetcher observes each demand *miss* after
-/// its fill, and each candidate is filled at MRU unless resident. That
-/// is `Cache::request` with allocation followed by probe-then-
+/// `GpuHierarchy::l2_demand` on the evaluator's row kernels. Every
+/// access allocates (the L2 is write-back write-allocate, so stores fill
+/// and train like loads); the prefetcher observes each demand *miss*
+/// after its fill, and each candidate is filled at MRU unless resident.
+/// That is `Cache::request` with allocation followed by probe-then-
 /// `prefetch_fill`, in the same order.
 ///
 /// The prefetcher trains on misses, which depend on the geometry, so
 /// unlike [`evaluate_lru_prefetch_multi`] there is no shared candidate
 /// schedule and no multi-geometry pass: one call is one configuration.
 /// With one geometry the class has `a_min == a_max`, so nothing can
-/// diverge and the replay never leaves the kernel.
+/// diverge.
 ///
 /// # Panics
 ///
@@ -563,25 +700,12 @@ pub fn replay_lru_stream_prefetch(
     pf_cfg: StreamPrefetcherConfig,
 ) -> Result<GeomCounts, StackDistError> {
     validate_configs(std::slice::from_ref(config), PassPolicy::Lru)?;
-    let mut class = SetClass::new(config.num_sets(), config.assoc as usize);
-    class.allocate();
-    let mut pf = StreamPrefetcher::new(pf_cfg);
-    let mut cands = Vec::new();
-    let mut hits = 0u64;
-    for acc in stream {
-        match class.locate(acc.line) {
-            ABSENT => {
-                class.insert_front(acc.line);
-                pf.observe_into(acc.line, &mut cands);
-                class.apply_prefetches(&cands);
-            }
-            pos => {
-                hits += 1;
-                class.rotate_to_front(acc.line, pos);
-            }
-        }
-    }
-    debug_assert!(!class.dirty, "a one-geometry class has no divergence band");
+    let assoc = config.assoc as usize;
+    let mut class = SetClass::new(config.num_sets(), assoc, assoc);
+    let hits = with_width!(
+        class.width(),
+        stream_prefetch_rows(&mut class, stream, pf_cfg)
+    );
     let accesses = stream.len() as u64;
     let writes = count_stream_writes(stream);
     Ok(GeomCounts {
@@ -593,6 +717,35 @@ pub fn replay_lru_stream_prefetch(
     })
 }
 
+/// The loop of [`replay_lru_stream_prefetch`] on row kernel `W`; returns
+/// the hit count.
+fn stream_prefetch_rows<const W: usize>(
+    class: &mut SetClass,
+    stream: &[LineAccess],
+    pf_cfg: StreamPrefetcherConfig,
+) -> u64 {
+    let mut pf = StreamPrefetcher::new(pf_cfg);
+    let mut cands = Vec::new();
+    let mut hits = 0u64;
+    for acc in stream {
+        match class.locate::<W>(acc.line) {
+            ABSENT => {
+                class.move_to_front::<W>(acc.line, ABSENT);
+                pf.observe_into(acc.line, &mut cands);
+                class
+                    .apply_prefetches::<W>(&cands)
+                    .expect("a one-geometry class has no divergence band");
+            }
+            pos => {
+                hits += 1;
+                class.move_to_front::<W>(acc.line, pos);
+            }
+        }
+    }
+    hits
+}
+
+/// Validates the group and runs the class-major pass.
 fn evaluate(
     configs: &[CacheConfig],
     stream: &[LineAccess],
@@ -601,23 +754,7 @@ fn evaluate(
     policy: PassPolicy,
 ) -> Result<MultiEvalResult, StackDistError> {
     validate_configs(configs, policy)?;
-    let (mut counts, dirty) = single_pass(configs, stream, schedule, mode, policy);
-    // Re-score only the geometries whose set-count class diverged, one
-    // at a time; the rest keep their (exact) single-pass counts. Alone in
-    // its class a geometry has `a_min == a_max`: the divergence band is
-    // empty, so the same pass is exact and cannot go dirty again.
-    for &i in &dirty {
-        let (alone, still_dirty) = single_pass(&configs[i..=i], stream, schedule, mode, policy);
-        assert!(
-            still_dirty.is_empty(),
-            "a one-geometry class has no divergence band"
-        );
-        counts[i] = alone[0];
-    }
-    Ok(MultiEvalResult {
-        counts,
-        fell_back: !dirty.is_empty(),
-    })
+    Ok(single_pass(configs, stream, schedule, mode, policy))
 }
 
 fn validate_configs(configs: &[CacheConfig], policy: PassPolicy) -> Result<(), StackDistError> {
@@ -642,114 +779,150 @@ fn validate_configs(configs: &[CacheConfig], policy: PassPolicy) -> Result<(), S
     Ok(())
 }
 
-/// Sentinel way-position for "line absent from this class".
-const ABSENT: usize = usize::MAX;
+/// A class part waiting to run or running: its rows, the range of the
+/// class's sorted associativities it holds, the access it resumes at,
+/// and its way-position histogram — bucket `min(pos, a_max)`, where
+/// bucket `a_max` means "absent".
+struct Part {
+    class: SetClass,
+    members: Range<usize>,
+    from: usize,
+    hist: Vec<u64>,
+}
 
-/// The shared single pass. Returns per-geometry counts plus the indices
-/// of configs whose set-count class hit a divergent access (their counts
-/// are garbage and must be recomputed, each alone in its class).
+/// The class-major pass: per-geometry counts, and whether any class
+/// forked.
 ///
-/// Counting is one histogram bump per access per *set-count class* —
-/// `pos_hist[class][min(pos, a_max)] += 1`, where bucket `a_max` means
-/// "absent". A view of associativity `a` then hits exactly the accesses
-/// bucketed below `a`, so per-view hit counts fall out of an
-/// `O(configs × a_max)` prefix-sum epilogue, and reads/writes are
-/// counted once for the whole stream instead of once per view.
+/// Each class runs over the whole stream with one histogram bump per
+/// access; a fork at access `i` leaves two parts that both resume at
+/// `i` from a copy of the histogram prefix. A geometry of associativity
+/// `a` then hits exactly the accesses its final part bucketed below
+/// `a`, and reads/writes are counted once for the whole stream.
 fn single_pass(
     configs: &[CacheConfig],
     stream: &[LineAccess],
     schedule: Option<&PrefetchSchedule>,
     mode: WriteMode,
     policy: PassPolicy,
-) -> (Vec<GeomCounts>, Vec<usize>) {
-    // Build the distinct set-count classes and per-geometry views.
-    let mut classes: Vec<SetClass> = Vec::new();
-    let mut views: Vec<GeomView> = Vec::with_capacity(configs.len());
+) -> MultiEvalResult {
+    // Distinct set counts, each with its sorted distinct associativities.
+    let mut classes: Vec<(u64, Vec<usize>)> = Vec::new();
     for cfg in configs {
         let sets = cfg.num_sets();
-        let assoc = cfg.assoc as usize;
-        let class = match classes.iter().position(|c| c.mask == sets - 1) {
-            Some(i) => {
-                classes[i].a_max = classes[i].a_max.max(assoc);
-                classes[i].a_min = classes[i].a_min.min(assoc);
-                i
-            }
-            None => {
-                classes.push(SetClass::new(sets, assoc));
-                classes.len() - 1
-            }
-        };
-        views.push(GeomView { class, assoc });
+        match classes.iter_mut().find(|(s, _)| *s == sets) {
+            Some((_, assocs)) => assocs.push(cfg.assoc as usize),
+            None => classes.push((sets, vec![cfg.assoc as usize])),
+        }
     }
-    let uniform_writes = mode == WriteMode::Allocate;
-    for class in classes.iter_mut() {
-        class.allocate();
-    }
-    // Reused per-access scratch: the line's way-position per class.
-    let mut positions = vec![ABSENT; classes.len()];
-    // Per-class way-position histogram, bucket `min(pos, a_max)` (bucket
-    // a_max = absent). Flattened with one `a_max + 1`-wide row per class.
-    let hist_stride = classes.iter().map(|c| c.a_max).max().unwrap_or(0) + 1;
-    let mut pos_hist = vec![0u64; classes.len() * hist_stride];
-
-    for (i, acc) in stream.iter().enumerate() {
-        // Phase 1: locate the line in each class's widest cache.
-        for (pos, class) in positions.iter_mut().zip(classes.iter()) {
-            *pos = if class.dirty {
-                ABSENT
-            } else {
-                class.locate(acc.line)
+    let mut hits = vec![0u64; configs.len()];
+    let mut fell_back = false;
+    for (sets, assocs) in &mut classes {
+        assocs.sort_unstable();
+        assocs.dedup();
+        let a_max = assocs[assocs.len() - 1];
+        let mut parts = vec![Part {
+            class: SetClass::new(*sets, assocs[0], a_max),
+            members: 0..assocs.len(),
+            from: 0,
+            hist: vec![0; a_max + 1],
+        }];
+        while let Some(mut part) = parts.pop() {
+            let (class, hist, from) = (&mut part.class, &mut part.hist, part.from);
+            let fork = match schedule {
+                Some(s) => with_width!(
+                    class.width(),
+                    run_rows(class, hist, from, stream, s, mode, policy)
+                ),
+                None => with_width!(
+                    class.width(),
+                    run_rows(class, hist, from, stream, &NoCandidates, mode, policy)
+                ),
             };
-        }
-
-        // Phase 2: count, one bump per class. A way-position `p` hits
-        // every geometry of the class with associativity > p; the
-        // per-view expansion happens in the epilogue below. (Dirty-class
-        // counts are garbage and get overwritten by the per-geometry
-        // re-score.)
-        for (ci, (&pos, class)) in positions.iter().zip(classes.iter()).enumerate() {
-            pos_hist[ci * hist_stride + pos.min(class.a_max)] += 1;
-        }
-
-        // Phase 3: update replacement state per class.
-        let cands = schedule.map_or(&[][..], |s| s.for_access(i));
-        for (&pos, class) in positions.iter().zip(classes.iter_mut()) {
-            if class.dirty {
+            let Some((i, p)) = fork else {
+                // Finished: expand the histogram into its members' hits.
+                let (lo, hi) = (assocs[part.members.start], part.class.a_max);
+                for (h, cfg) in hits.iter_mut().zip(configs) {
+                    let a = cfg.assoc as usize;
+                    if cfg.num_sets() == *sets && (lo..=hi).contains(&a) {
+                        *h = part.hist[..a].iter().sum();
+                    }
+                }
                 continue;
-            }
-            match policy {
-                PassPolicy::Lru => update_lru(class, acc, pos, cands, uniform_writes),
-                PassPolicy::Fifo => update_fifo(class, acc, pos, cands, uniform_writes),
-            }
+            };
+            fell_back = true;
+            let cut =
+                part.members.start + assocs[part.members.clone()].partition_point(|&a| a <= p);
+            let (miss_min, miss_max) = (assocs[part.members.start], assocs[cut - 1]);
+            let mut hist = part.hist[..=miss_max].to_vec();
+            hist[miss_max] = part.hist[miss_max..].iter().sum();
+            parts.push(Part {
+                class: part.class.truncated(miss_min, miss_max),
+                members: part.members.start..cut,
+                from: i,
+                hist,
+            });
+            part.class.a_min = assocs[cut];
+            part.members.start = cut;
+            part.from = i;
+            parts.push(part);
         }
     }
 
-    // Epilogue: expand the class histograms into per-view counters.
-    // Reads/writes are stream-level facts, identical for every view.
+    // Reads/writes are stream-level facts, identical for every geometry.
     let n = stream.len() as u64;
     let writes = count_stream_writes(stream);
-    let counts = views
-        .iter()
-        .map(|view| {
-            let row = &pos_hist[view.class * hist_stride..(view.class + 1) * hist_stride];
-            let hits: u64 = row[..view.assoc.min(row.len())].iter().sum();
-            GeomCounts {
-                accesses: n,
-                hits,
-                misses: n - hits,
-                reads: n - writes,
-                writes,
-            }
+    let counts = hits
+        .into_iter()
+        .map(|hits| GeomCounts {
+            accesses: n,
+            hits,
+            misses: n - hits,
+            reads: n - writes,
+            writes,
         })
         .collect();
+    MultiEvalResult { counts, fell_back }
+}
 
-    let dirty: Vec<usize> = views
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| classes[v.class].dirty)
-        .map(|(i, _)| i)
-        .collect();
-    (counts, dirty)
+/// Runs one class part on row kernel `W` from access `from` to the end
+/// of the stream. Returns `Some((i, p))` if access `i` diverges at
+/// way-position `p`, with the rows restored to their state before `i`
+/// and the histogram covering accesses before `i`.
+fn run_rows<const W: usize>(
+    class: &mut SetClass,
+    hist: &mut [u64],
+    from: usize,
+    stream: &[LineAccess],
+    schedule: &impl Candidates,
+    mode: WriteMode,
+    policy: PassPolicy,
+) -> Option<(usize, usize)> {
+    let alloc_w = mode == WriteMode::Allocate;
+    let mut journal = Journal::default();
+    for (i, acc) in stream.iter().enumerate().skip(from) {
+        let cands = schedule.for_access(i);
+        // Without candidates every divergence is found before the first
+        // change, and a one-member part never diverges: only the rest
+        // can have a change to undo.
+        let journaled = !cands.is_empty() && class.a_min < class.a_max;
+        if journaled {
+            journal.save(class, acc.line, cands);
+        }
+        let pos = class.locate::<W>(acc.line);
+        let step = match policy {
+            PassPolicy::Lru => update_lru::<W>(class, acc, pos, cands, alloc_w),
+            PassPolicy::Fifo => update_fifo::<W>(class, acc, pos, cands, alloc_w),
+        };
+        if let Err(p) = step {
+            if journaled {
+                journal.undo(class);
+            }
+            return Some((i, p));
+        }
+        // A way-position `p` hits every member with more than `p` ways.
+        hist[pos.min(class.a_max)] += 1;
+    }
+    None
 }
 
 /// Store count of a demand stream, 8 lanes at a time (branch-free lane
@@ -765,83 +938,89 @@ fn count_stream_writes(stream: &[LineAccess]) -> u64 {
     acc.iter().sum::<u64>() + chunks.remainder().iter().filter(|a| a.is_write).count() as u64
 }
 
-/// LRU state update for one access against one class.
-fn update_lru(class: &mut SetClass, acc: &LineAccess, pos: usize, cands: &[u64], alloc_w: bool) {
-    if acc.is_write {
+/// LRU state update for one access against one class part; `Err(p)` is
+/// a divergence at way-position `p`.
+#[inline(always)]
+fn update_lru<const W: usize>(
+    class: &mut SetClass,
+    acc: &LineAccess,
+    pos: usize,
+    cands: &[u64],
+    alloc_w: bool,
+) -> Result<(), usize> {
+    if cands.is_empty() && (alloc_w || !acc.is_write) {
+        // A load, or a store that allocates, without candidates: hit or
+        // miss, in the divergence band or not, every geometry ends with
+        // the line at MRU, so the class list moves it to the front.
+        class.move_to_front::<W>(acc.line, pos);
+        Ok(())
+    } else if acc.is_write {
         // Demand-store effect first (prefetchers in this hierarchy only
         // trigger on loads, but keep the write-then-candidates order in
         // lockstep with `replay_per_config_prefetch` for generality).
-        if pos != ABSENT {
-            if alloc_w || pos < class.a_min {
-                // Uniform recency touch: every geometry of the class that
-                // holds the line moves it to MRU, and (for allocating
-                // stores) the rest re-allocate it at MRU — either way the
-                // class list rotates to front.
-                class.rotate_to_front(acc.line, pos);
-            } else {
-                // No-allocate store hitting some ways of the class but
-                // not all: LRU inclusion breaks for this class.
-                class.dirty = true;
-                return;
-            }
-        } else if alloc_w {
-            class.insert_front(acc.line);
+        if pos != ABSENT && !alloc_w && pos >= class.a_min {
+            // No-allocate store hitting some ways of the class but not
+            // all: LRU inclusion breaks for this class.
+            return Err(pos);
         }
-        // A no-allocate store that misses the whole class touches
-        // nothing — exact.
-        class.apply_prefetches(cands);
+        if pos != ABSENT || alloc_w {
+            // Uniform recency touch: every geometry of the class that
+            // holds the line moves it to MRU, and (for allocating
+            // stores) the rest allocate it at MRU. A no-allocate store
+            // that misses the whole class touches nothing.
+            class.move_to_front::<W>(acc.line, pos);
+        }
+        class.apply_prefetches::<W>(cands)
     } else if pos == ABSENT {
         // Cold/evicted load, miss in every geometry: the hierarchy fills
         // prefetch candidates between the lookup and the demand fill.
-        class.apply_prefetches(cands);
-        if !class.dirty {
-            class.demand_fill_after_prefetches(acc.line, cands);
-        }
+        class.apply_prefetches::<W>(cands)?;
+        class.demand_fill_after_prefetches::<W>(acc.line, cands)
     } else if pos < class.a_min {
         // Hit everywhere: touch, then candidate fills land above.
-        class.rotate_to_front(acc.line, pos);
-        class.apply_prefetches(cands);
-    } else if cands.is_empty() {
-        // Load in the divergence band with no candidates stays uniform:
-        // hit-geometries touch to MRU, miss-geometries refill at MRU —
-        // the class list rotates to front either way.
-        class.rotate_to_front(acc.line, pos);
+        class.move_to_front::<W>(acc.line, pos);
+        class.apply_prefetches::<W>(cands)
     } else {
         // Load in the divergence band *with* candidates: hit-geometries
         // order the line below its candidates, miss-geometries above.
-        class.dirty = true;
+        Err(pos)
     }
 }
 
-/// FIFO state update for one access against one class.
-fn update_fifo(class: &mut SetClass, acc: &LineAccess, pos: usize, cands: &[u64], alloc_w: bool) {
+/// FIFO state update for one access against one class part; `Err(p)` is
+/// a divergence at way-position `p`.
+#[inline(always)]
+fn update_fifo<const W: usize>(
+    class: &mut SetClass,
+    acc: &LineAccess,
+    pos: usize,
+    cands: &[u64],
+    alloc_w: bool,
+) -> Result<(), usize> {
     if acc.is_write && !alloc_w {
         // No-allocate store: FIFO hits do not touch and misses do not
         // insert — no geometry changes state, whatever `pos` is.
-        class.apply_prefetches(cands);
+        class.apply_prefetches::<W>(cands)
     } else if acc.is_write {
         // Allocating store, same uniformity condition as a load.
         if pos == ABSENT {
-            class.insert_front(acc.line);
+            class.move_to_front::<W>(acc.line, ABSENT);
         } else if pos >= class.a_min {
-            class.dirty = true;
-            return;
+            return Err(pos);
         }
-        class.apply_prefetches(cands);
+        class.apply_prefetches::<W>(cands)
     } else if pos == ABSENT {
         // Miss everywhere: every geometry inserts, in hierarchy order
         // (candidate fills before the demand fill).
-        class.apply_prefetches(cands);
-        if !class.dirty {
-            class.demand_fill_after_prefetches(acc.line, cands);
-        }
+        class.apply_prefetches::<W>(cands)?;
+        class.demand_fill_after_prefetches::<W>(acc.line, cands)
     } else if pos < class.a_min {
         // Hit everywhere: FIFO hits leave the queue untouched.
-        class.apply_prefetches(cands);
+        class.apply_prefetches::<W>(cands)
     } else {
         // Hit in the wide geometries, miss-and-insert in the narrow
         // ones: the insertion sequences fork — Bélády territory.
-        class.dirty = true;
+        Err(pos)
     }
 }
 
@@ -1145,6 +1324,76 @@ mod tests {
     }
 
     #[test]
+    fn stores_fork_a_three_geometry_class_twice() {
+        // One set, 1/2/4 ways. Loads 0, 1, 2 leave [2, 1, 0]. A store to
+        // 1 (depth 1) hits the 2- and 4-way caches and misses the 1-way
+        // one: the class forks into {1} and {2, 4}. The store moves 1 to
+        // MRU in {2, 4}, leaving [1, 2, 0]; a store to 0 (depth 2) then
+        // hits only the 4-way cache and forks {2, 4} into {2} and {4}.
+        let configs = [lru(64, 1, 64), lru(128, 2, 64), lru(256, 4, 64)];
+        let stream: Vec<LineAccess> = [(0, false), (1, false), (2, false), (1, true)]
+            .into_iter()
+            .chain([(0, true), (2, false), (0, false), (1, false), (3, false)])
+            .chain([(2, false), (0, false), (1, true), (1, false)])
+            .map(|(l, w)| LineAccess::new(l, w))
+            .collect();
+        let result = evaluate_lru_multi(&configs, &stream, WriteMode::NoAllocate).unwrap();
+        assert!(result.fell_back, "both stores fork");
+        let reference = replay_per_config(&configs, &stream, WriteMode::NoAllocate);
+        assert_eq!(result.counts, reference);
+        // The three geometries see three different hit counts.
+        assert!(reference[0].hits < reference[1].hits && reference[1].hits < reference[2].hits);
+    }
+
+    #[test]
+    fn fifo_belady_string_forks_over_three_geometries() {
+        // The anomaly string over 2-, 3- and 4-way single-set FIFO
+        // caches: each fork splits off one geometry.
+        let configs = [
+            fifo(2 * 64, 2, 64),
+            fifo(3 * 64, 3, 64),
+            fifo(4 * 64, 4, 64),
+        ];
+        let refs = [1u64, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5];
+        let stream: Vec<LineAccess> = refs.iter().map(|&l| LineAccess::new(l, false)).collect();
+        let result = evaluate_fifo_multi(&configs, &stream, WriteMode::Allocate).unwrap();
+        assert!(result.fell_back);
+        let reference = replay_per_config(&configs, &stream, WriteMode::Allocate);
+        assert_eq!(result.counts, reference);
+        assert!(
+            reference[2].misses > reference[1].misses,
+            "Bélády's anomaly"
+        );
+    }
+
+    #[test]
+    fn a_candidate_diverging_after_an_insert_is_undone_before_the_fork() {
+        // One set, 1 and 2 ways. Loads 0, 1 leave [1, 0]. Access 2 loads
+        // 1 (a uniform hit) with candidates [5, 1]: candidate 5 is absent
+        // everywhere and is inserted, leaving [5, 1]; candidate 1 is then
+        // resident in the 2-way cache only, so the access diverges after
+        // it has changed the rows. The fork must resume both parts from
+        // [1, 0]: the 1-way cache ends the access holding [1] and the
+        // 2-way cache [5, 1], which the follow-up loads of 5 and 0 tell
+        // apart from any other order.
+        let configs = [lru(64, 1, 64), lru(128, 2, 64)];
+        let stream: Vec<LineAccess> = [0u64, 1, 1, 5, 0, 1]
+            .iter()
+            .map(|&l| LineAccess::new(l, false))
+            .collect();
+        let mut sched = PrefetchSchedule::new();
+        for i in 0..stream.len() {
+            sched.push(if i == 2 { &[5, 1] } else { &[] });
+        }
+        let result =
+            evaluate_lru_prefetch_multi(&configs, &stream, &sched, WriteMode::NoAllocate).unwrap();
+        assert!(result.fell_back);
+        let reference =
+            replay_per_config_prefetch(&configs, &stream, Some(&sched), WriteMode::NoAllocate);
+        assert_eq!(result.counts, reference);
+    }
+
+    #[test]
     fn fifo_matches_replay_across_grid() {
         for write_every in [0, 4] {
             for mode in [WriteMode::Allocate, WriteMode::NoAllocate] {
@@ -1169,9 +1418,9 @@ mod tests {
     #[test]
     fn fifo_belady_anomaly_forces_fallback_but_stays_exact() {
         // The classic FIFO anomaly string over 3- and 4-way single-set
-        // caches: the insertion sequences fork, so the class must fall
-        // back — and the counts must still match per-config replay
-        // (which exhibits the anomaly).
+        // caches: the insertion sequences part, so the class must fork —
+        // and the counts must still match per-config replay (which
+        // exhibits the anomaly).
         let configs = [fifo(3 * 64, 3, 64), fifo(4 * 64, 4, 64)];
         let refs = [1u64, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5];
         let stream: Vec<LineAccess> = refs.iter().map(|&l| LineAccess::new(l, false)).collect();
@@ -1187,8 +1436,8 @@ mod tests {
 
     #[test]
     fn fifo_no_allocate_stores_never_dirty_a_class() {
-        // Same construction that forces the LRU divergent-store fallback;
-        // under FIFO a no-allocate store changes nothing anywhere.
+        // Same construction that forks the LRU class on a divergent
+        // store; under FIFO a no-allocate store changes nothing anywhere.
         let configs = [fifo(64, 1, 64), fifo(128, 2, 64)];
         let stream = vec![
             LineAccess::new(0, false),
@@ -1206,7 +1455,7 @@ mod tests {
     #[test]
     fn fifo_uniform_single_geometry_never_falls_back() {
         // One geometry per set count: a_min == a_max, so the divergence
-        // band is empty and the pass stays single-pass by construction.
+        // band is empty and no class can fork.
         let configs = [fifo(1024, 4, 64), fifo(2048, 4, 64)];
         let stream = synth_stream(3000, 300, 6);
         let result = evaluate_fifo_multi(&configs, &stream, WriteMode::NoAllocate).unwrap();

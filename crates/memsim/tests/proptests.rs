@@ -350,7 +350,8 @@ proptest! {
     /// The single-pass stack-distance evaluator's counts exactly equal
     /// direct per-config `Cache` simulation for random line streams, over
     /// a geometry grid spanning direct-mapped (assoc = 1) through fully
-    /// associative (one set), under both write models.
+    /// associative (one set), under both write models. The 8-set class
+    /// has three members, so no-allocate stores fork it more than once.
     #[test]
     fn stackdist_matches_direct_cache_simulation(
         stream in proptest::collection::vec((0u64..512, any::<bool>()), 1..400),
@@ -361,6 +362,7 @@ proptest! {
             (64 * 64, 64),      // 1 set, fully associative
             (8 * 64, 1),        // tiny direct-mapped
             (8 * 64, 8),        // tiny fully associative
+            (16 * 64, 2),       // 8 sets, beside 1 and 4 ways
             (32 * 64, 4),
             (256 * 64, 16),
         ];
@@ -384,8 +386,8 @@ proptest! {
 
     /// The FIFO insertion-order evaluator's counts exactly equal direct
     /// per-config simulation with `ReplacementPolicy::Fifo` — including
-    /// streams that trip Bélády's anomaly and force the internal replay
-    /// fallback.
+    /// streams that trip Bélády's anomaly and fork a class, the 8-set
+    /// one (1, 2 and 4 ways) up to twice.
     #[test]
     fn fifo_stackdist_matches_direct_cache_simulation(
         stream in proptest::collection::vec((0u64..512, any::<bool>()), 1..400),
@@ -396,6 +398,7 @@ proptest! {
             (64 * 64, 64),
             (8 * 64, 1),
             (8 * 64, 8),
+            (16 * 64, 2),
             (32 * 64, 4),
             (256 * 64, 16),
         ];
@@ -416,6 +419,9 @@ proptest! {
     /// The prefetch-composed LRU evaluator exactly matches per-config
     /// replay under randomized demand streams and randomized candidate
     /// schedules (hierarchy fill order: lookup, candidates, demand fill).
+    /// The 8- and 16-set classes hold two geometries each, so candidates
+    /// fork them — also after an earlier fill of the same access has
+    /// changed the rows.
     #[test]
     fn prefetch_stackdist_matches_direct_cache_simulation(
         stream in proptest::collection::vec(
@@ -428,7 +434,9 @@ proptest! {
             (64u64 * 64, 1u32),
             (64 * 64, 64),
             (8 * 64, 4),
+            (16 * 64, 2), // 8 sets, beside 4 ways
             (32 * 64, 4),
+            (64 * 64, 4), // 16 sets, beside 8 ways
             (128 * 64, 8),
         ];
         let configs: Vec<CacheConfig> = grid

@@ -189,15 +189,15 @@ proptest! {
 // the per-config replay through `Cache`.
 // ---------------------------------------------------------------------
 
-/// One set-count class per entry. The one-set class reaches past `LANES`
-/// ways (with narrower members beside them), so its rows take the
-/// chunked layout and still evict under two dozen lines; the other two
-/// stay on the list layout.
+/// One set-count class per entry. The one-set class reaches past the
+/// 16 ways fixed-width rows cover (24 and 32, with narrower members
+/// beside them), so its rows take the chunked scan, 3 and 4 chunks of
+/// `LANES`; the 24-way member evicts once a stream touches more than two
+/// dozen lines. The other two classes run on fixed-width rows.
 fn small_grid(policy: ReplacementPolicy) -> Vec<CacheConfig> {
-    const WIDE: u32 = 2 * LANES as u32;
     let mut configs = Vec::new();
     for (sets, assocs) in [
-        (1u64, &[1u32, 2, 3, 4, WIDE - 4, WIDE][..]),
+        (1u64, &[1u32, 2, 3, 4, 24, 32][..]),
         (2, &[1, 2, 3, 4]),
         (4, &[1, 2, 3, 4]),
     ] {
@@ -212,7 +212,7 @@ fn small_grid(policy: ReplacementPolicy) -> Vec<CacheConfig> {
 proptest! {
     #[test]
     fn stackdist_lru_batched_matches_scalar_and_replay(
-        accs in proptest::collection::vec((0u64..24, any::<bool>()), 0..3 * LANES),
+        accs in proptest::collection::vec((0u64..32, any::<bool>()), 0..6 * LANES),
         allocate in any::<bool>(),
     ) {
         let stream: Vec<LineAccess> =
@@ -226,7 +226,7 @@ proptest! {
 
     #[test]
     fn stackdist_fifo_batched_matches_scalar_and_replay(
-        accs in proptest::collection::vec((0u64..24, any::<bool>()), 0..3 * LANES),
+        accs in proptest::collection::vec((0u64..32, any::<bool>()), 0..6 * LANES),
         allocate in any::<bool>(),
     ) {
         let stream: Vec<LineAccess> =
@@ -269,7 +269,7 @@ proptest! {
     /// untruncated — same contract, checked against the replay.
     #[test]
     fn stackdist_wide_lines_exercise_padded_rows(
-        accs in proptest::collection::vec((0u64..24, any::<bool>()), 0..3 * LANES),
+        accs in proptest::collection::vec((0u64..32, any::<bool>()), 0..6 * LANES),
         allocate in any::<bool>(),
     ) {
         const BIG: u64 = 1 << 40;
