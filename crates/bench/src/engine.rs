@@ -832,10 +832,10 @@ mod tests {
     /// Independent per-config trace replay of the captured stream through
     /// per-core L1 caches, mirroring `GpuHierarchy`'s L1 demand path
     /// structurally (separate `request` + `demand_fill`, hierarchy write
-    /// flags, per-core stride prefetchers with probe-then-fill candidate
-    /// installation in issue order) rather than going through the
-    /// stack-distance code.
-    fn direct_l1_prefetch_series(capture: &CapturedStream, configs: &[SimtConfig]) -> Vec<f64> {
+    /// flags, and — for a config with `l1_prefetch` — per-core stride
+    /// prefetchers with probe-then-fill candidate installation in issue
+    /// order) rather than going through the stack-distance code.
+    fn direct_l1_series(capture: &CapturedStream, configs: &[SimtConfig]) -> Vec<f64> {
         configs
             .iter()
             .map(|cfg| {
@@ -889,64 +889,6 @@ mod tests {
                         }
                         if !hit {
                             l1s[core].demand_fill(line);
-                        }
-                    }
-                }
-                let (acc, miss) = l1s.iter().fold((0u64, 0u64), |(a, m), c| {
-                    (a + c.stats().accesses, m + c.stats().misses)
-                });
-                if acc == 0 {
-                    0.0
-                } else {
-                    miss as f64 / acc as f64 * 100.0
-                }
-            })
-            .collect()
-    }
-
-    /// Independent per-config trace replay of the captured stream through
-    /// per-core L1 caches, mirroring `GpuHierarchy`'s L1 demand path
-    /// structurally (separate `request` + `demand_fill`, hierarchy write
-    /// flags) rather than going through the stack-distance code.
-    fn direct_l1_series(capture: &CapturedStream, configs: &[SimtConfig]) -> Vec<f64> {
-        configs
-            .iter()
-            .map(|cfg| {
-                let shift = cfg.hierarchy.l1.line_size.trailing_zeros();
-                let mut l1s: Vec<Cache> = (0..capture.cores)
-                    .map(|_| Cache::new(cfg.hierarchy.l1))
-                    .collect();
-                for a in &capture.accesses {
-                    let line = a.addr >> shift;
-                    let c = &mut l1s[a.core as usize];
-                    if a.is_write {
-                        match cfg.hierarchy.l1_write_policy {
-                            L1WritePolicy::WriteThroughNoAllocate => {
-                                let _ = c.request(AccessRequest {
-                                    line,
-                                    is_write: true,
-                                    allocate_on_miss: false,
-                                    mark_dirty: false,
-                                });
-                            }
-                            L1WritePolicy::WriteBackAllocate => {
-                                let _ = c.request(AccessRequest {
-                                    line,
-                                    is_write: true,
-                                    allocate_on_miss: true,
-                                    mark_dirty: true,
-                                });
-                            }
-                        }
-                    } else {
-                        let r = c.request(AccessRequest {
-                            line,
-                            is_write: false,
-                            allocate_on_miss: false,
-                            mark_dirty: false,
-                        });
-                        if !r.hit {
-                            c.demand_fill(line);
                         }
                     }
                 }
@@ -1193,7 +1135,7 @@ mod tests {
             let data = prepare(name, Scale::Tiny, 42);
             let cap = capture_stream(&data.orig_streams, &data.kernel.launch, &plan.capture_cfg);
             let engine = eval_captured(&plan, &cap, &configs);
-            let direct = direct_l1_prefetch_series(&cap, &configs);
+            let direct = direct_l1_series(&cap, &configs);
             for (i, (e, d)) in engine.values.iter().zip(&direct).enumerate() {
                 assert!(
                     (e - d).abs() < 1e-9,

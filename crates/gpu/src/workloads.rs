@@ -75,6 +75,15 @@ impl Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = &'static str;
+
+    /// [`Scale::from_name`], for flag parsers.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Scale::from_name(name).ok_or("expected tiny, small or default")
+    }
+}
+
 /// Affine index helper with every coefficient explicit (in elements).
 fn idx(
     base: i64,

@@ -59,9 +59,10 @@ fi
 echo "smoke: server up at $ADDR"
 
 # Buffer a client command's stdout before grepping. Piping straight into
-# `grep -q` races under pipefail: grep exits at the first match, the
-# client's remaining stdout write takes EPIPE and panics, and the
-# pipeline's 101 fails the script (~40%% of runs on a slow host).
+# `grep -q` still races under pipefail: grep exits at the first match,
+# the client's remaining stdout write finds the pipe closed, and gmap
+# ends quietly but with a nonzero status, which pipefail reports as the
+# pipeline's and fails the script.
 expect() { # expect <pattern> <cmd...>
     local pat="$1"; shift
     local out
