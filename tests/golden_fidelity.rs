@@ -15,6 +15,11 @@
 //! [`sweeps::dram_sweep`] configurations — counters exactly, averages at
 //! the same 1e-12.
 //!
+//! `direct_plru_random.json` freezes direct simulation where no
+//! single-pass evaluator reaches: every `HierarchyStats` counter and the
+//! schedule cycles of each benchmark, original and clone, with a 16 or
+//! 64 KB L1 under PLRU or random replacement.
+//!
 //! And `ingest_models.json` freezes the ingest path: the model id, pass
 //! counters and per-PC verdicts `gmap-ingest` produces for seven traces
 //! (lane-0 flattened and full per-thread), identically from the binary
@@ -37,7 +42,8 @@ use gmap::gpu::exec::execute_kernel;
 use gmap::gpu::hierarchy::LaunchConfig;
 use gmap::gpu::workloads::{self, Scale};
 use gmap::ingest::{lane0_entries, IngestConfig, Ingestor};
-use gmap::memsim::hierarchy::TraceCapture;
+use gmap::memsim::cache::{CacheConfig, ReplacementPolicy};
+use gmap::memsim::hierarchy::{HierarchyStats, TraceCapture};
 use gmap::trace::io::{write_binary, write_text, TraceEntry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -369,6 +375,126 @@ fn dram_replay_matches_golden() {
             &got_pair.proxy,
             &want_pair.proxy,
         );
+    }
+}
+
+/// One stream's direct simulation at one L1 configuration of the
+/// PLRU/random grid: every hierarchy counter and the schedule's length.
+#[derive(Debug, Serialize, Deserialize)]
+struct DirectRun {
+    cycles: u64,
+    stats: HierarchyStats,
+}
+
+#[derive(Debug, Serialize, Deserialize)]
+struct DirectPair {
+    /// Aligned with [`GoldenDirect::configs`].
+    original: Vec<DirectRun>,
+    proxy: Vec<DirectRun>,
+}
+
+/// The golden file of direct simulation under the replacement policies
+/// the single-pass planner refuses.
+#[derive(Debug, Serialize, Deserialize)]
+struct GoldenDirect {
+    scale: String,
+    seed: u64,
+    /// `<L1 KB>KB/<policy>`, in grid order.
+    configs: Vec<String>,
+    benchmarks: BTreeMap<String, DirectPair>,
+}
+
+/// The Table 2 baseline with a 16 or 64 KB, 4-way, 128 B L1 under PLRU
+/// or random replacement.
+fn direct_grid() -> Vec<(String, SimtConfig)> {
+    let mut grid = Vec::new();
+    for policy in [ReplacementPolicy::PseudoLru, ReplacementPolicy::Random] {
+        for kb in [16u64, 64] {
+            let mut cfg = SimtConfig {
+                seed: SEED,
+                ..SimtConfig::default()
+            };
+            cfg.hierarchy.l1 =
+                CacheConfig::new(kb * 1024, 4, 128, policy).expect("grid geometry is valid");
+            grid.push((format!("{kb}KB/{policy}"), cfg));
+        }
+    }
+    grid
+}
+
+fn direct_runs(
+    streams: &[gmap::gpu::schedule::WarpStream],
+    launch: &LaunchConfig,
+    grid: &[(String, SimtConfig)],
+) -> Vec<DirectRun> {
+    grid.iter()
+        .map(|(_, cfg)| {
+            let out = simulate_streams(streams, launch, cfg).expect("grid config is valid");
+            DirectRun {
+                cycles: out.schedule.cycles,
+                stats: out.stats,
+            }
+        })
+        .collect()
+}
+
+/// Direct simulation under PLRU and random L1 replacement — the path no
+/// single-pass evaluator covers — for all 18 benchmarks, original and
+/// clone, must match `direct_plru_random.json`: every `HierarchyStats`
+/// counter and the schedule cycles exactly. With `UPDATE_GOLDEN=1` the
+/// file is rewritten instead.
+#[test]
+fn direct_plru_random_matches_golden() {
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let threads = std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(4);
+    let grid = direct_grid();
+    let names: Vec<&str> = workloads::NAMES.to_vec();
+    let rows = parallel_map(&names, threads, |name| {
+        let data = prepare(name, Scale::Tiny, SEED);
+        (
+            name.to_string(),
+            DirectPair {
+                original: direct_runs(&data.orig_streams, &data.kernel.launch, &grid),
+                proxy: direct_runs(&data.proxy_streams, &data.profile.launch, &grid),
+            },
+        )
+    });
+    let got = GoldenDirect {
+        scale: "tiny".to_string(),
+        seed: SEED,
+        configs: grid.iter().map(|(label, _)| label.clone()).collect(),
+        benchmarks: rows.into_iter().collect(),
+    };
+    if update {
+        store_golden("direct_plru_random", &got);
+        return;
+    }
+    let want: GoldenDirect = load_golden("direct_plru_random");
+    assert_eq!(got.seed, want.seed, "direct_plru_random: seed changed");
+    assert_eq!(
+        got.configs, want.configs,
+        "direct_plru_random: grid changed"
+    );
+    let got_names: Vec<&String> = got.benchmarks.keys().collect();
+    let want_names: Vec<&String> = want.benchmarks.keys().collect();
+    assert_eq!(
+        got_names, want_names,
+        "direct_plru_random: benchmark set changed"
+    );
+    for (name, got_pair) in &got.benchmarks {
+        let want_pair = &want.benchmarks[name];
+        for (stream, g, w) in [
+            ("original", &got_pair.original, &want_pair.original),
+            ("proxy", &got_pair.proxy, &want_pair.proxy),
+        ] {
+            for (ci, (g, w)) in g.iter().zip(w).enumerate() {
+                let what = format!("direct_plru_random/{name}/{stream}/{}", got.configs[ci]);
+                assert_eq!(g.cycles, w.cycles, "{what}: schedule cycles drifted");
+                assert_eq!(g.stats, w.stats, "{what}: hierarchy counters drifted");
+            }
+        }
     }
 }
 
