@@ -50,7 +50,7 @@ pub struct DramGeometry {
 
 impl DramGeometry {
     /// The Table 2 baseline: 8 channels, 1 rank, 8 banks, 32 columns
-    /// (4 KiB rows), 32-bit... bus width 8 B.
+    /// (4 KiB rows) and an 8-byte (64-bit) data bus per channel.
     pub fn table2_baseline() -> Self {
         DramGeometry {
             channels: 8,

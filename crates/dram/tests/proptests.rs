@@ -277,8 +277,8 @@ fn queue_held_at_capacity_matches_reference() {
     let reqs = same_cycle_reads((0..6000u64).map(|i| (i * 7 % 5) * ROW_BYTES + (i % 32) * 128));
     let fr = assert_matches_reference(one_bank(MemSched::FrFcfs), &reqs);
     assert_eq!(fr.requests, 6000);
-    // Every request arrived at cycle 0, so the time-averaged queue is
-    // long — but no longer than the buffer plus the request in service.
+    // Every request arrived at cycle 0, so the weighted queue length
+    // (see `DramMetrics::avg_queue_len`) is long.
     assert!(fr.avg_queue_len > 64.0);
     assert_matches_reference(one_bank(MemSched::Fcfs), &reqs);
 }
@@ -333,6 +333,8 @@ fn any_device() -> impl Strategy<Value = DramConfig> {
 /// few banks so that hits and conflicts both occur, and gaps from
 /// "everything at once" (hundreds queued per channel, the window full on
 /// every pick) to sparse enough that channels go idle between requests.
+/// The widest footprint reaches bit 62 of the address, so rows use every
+/// bit the controller packs beside the bank.
 fn differential_requests() -> impl Strategy<Value = Vec<DramRequest>> {
     let shape = prop_oneof![
         Just((1u64 << 9, 1u64)),
@@ -341,6 +343,7 @@ fn differential_requests() -> impl Strategy<Value = Vec<DramRequest>> {
         Just((1 << 16, 3)),
         Just((1 << 12, 40)),
         Just((1 << 16, 600)),
+        Just((1 << 56, 3)),
     ];
     (
         shape,
@@ -369,7 +372,7 @@ fn differential_requests() -> impl Strategy<Value = Vec<DramRequest>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The window-and-mask controller serves every stream exactly as the
+    /// The hit-ring controller serves every stream exactly as the
     /// `VecDeque` controller did.
     #[test]
     fn controller_matches_vecdeque_reference(

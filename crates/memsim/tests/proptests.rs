@@ -1,7 +1,9 @@
 //! Property-based tests of cache-model invariants.
 
 use gmap_gpu::schedule::MemoryModel;
-use gmap_memsim::cache::{AccessRequest, Cache, CacheConfig, ReplacementPolicy};
+use gmap_memsim::cache::{
+    AccessRequest, Cache, CacheConfig, CacheStats, ReplacementPolicy, RequestOutcome,
+};
 use gmap_memsim::hierarchy::{GpuHierarchy, HierarchyConfig};
 use gmap_memsim::mshr::{Mshr, MshrOutcome};
 use gmap_memsim::prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
@@ -11,6 +13,7 @@ use gmap_memsim::stackdist::{
     LineAccess, PrefetchSchedule, WriteMode,
 };
 use gmap_trace::record::{AccessKind, ByteAddr, CoreId, Pc};
+use gmap_trace::rng::Rng;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -110,6 +113,324 @@ impl ReferenceMshr {
 
     fn in_flight(&self, cycle: u64) -> usize {
         self.entries.values().filter(|&&done| done > cycle).count()
+    }
+}
+
+/// The cache as it was before each set became a tag row with an invalid
+/// sentinel and parallel stamp and flag rows, kept as the oracle of
+/// `cache_matches_reference`: one 24-byte `Way` record per way, a valid
+/// bit beside the tag, `find` then `fill`'s separate walks for an invalid
+/// way and for the victim, and PLRU way arithmetic by division.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    prefetched: bool,
+    /// LRU/FIFO timestamp.
+    stamp: u64,
+}
+
+struct ReferenceCache {
+    cfg: CacheConfig,
+    /// `num_sets - 1`, fixed at construction: `num_sets()` is a 64-bit
+    /// division and every lookup needs the set index.
+    set_mask: u64,
+    ways: Vec<Way>,
+    /// Per-set PLRU tree bits (assoc-1 bits packed in a u64).
+    plru: Vec<u64>,
+    counter: u64,
+    rng: Rng,
+    stats: CacheStats,
+}
+
+impl ReferenceCache {
+    /// Creates an empty cache.
+    fn new(cfg: CacheConfig) -> Self {
+        let sets = cfg.num_sets();
+        ReferenceCache {
+            cfg,
+            set_mask: sets - 1,
+            ways: vec![Way::default(); sets as usize * cfg.assoc as usize],
+            plru: vec![0; sets as usize],
+            counter: 0,
+            rng: Rng::seed_from(0xCAC4E ^ cfg.size_bytes ^ (cfg.assoc as u64) << 40),
+            stats: CacheStats::default(),
+        }
+    }
+
+    /// Accumulated counters.
+    fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    #[inline]
+    fn set_of(&self, line: u64) -> usize {
+        (line & self.set_mask) as usize
+    }
+
+    #[inline]
+    fn ways_of(&mut self, set: usize) -> std::ops::Range<usize> {
+        let a = self.cfg.assoc as usize;
+        set * a..(set + 1) * a
+    }
+
+    /// Fully general demand access; the policy knobs compose the standard
+    /// write policies (write-back = `mark_dirty`, write-through = `!mark_dirty`,
+    /// write-allocate = `allocate_on_miss`).
+    fn request(&mut self, req: AccessRequest) -> RequestOutcome {
+        self.stats.accesses += 1;
+        if req.is_write {
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        if let Some(w) = self.find(req.line) {
+            self.stats.hits += 1;
+            if self.ways[w].prefetched {
+                self.ways[w].prefetched = false;
+                self.stats.prefetch_useful += 1;
+            }
+            if req.mark_dirty {
+                self.ways[w].dirty = true;
+            }
+            self.touch(w, req.line);
+            return RequestOutcome {
+                hit: true,
+                writeback: None,
+            };
+        }
+        self.stats.misses += 1;
+        let writeback = if req.allocate_on_miss {
+            self.fill(req.line, req.mark_dirty, false)
+        } else {
+            None
+        };
+        RequestOutcome {
+            hit: false,
+            writeback,
+        }
+    }
+
+    /// `true` if the line is resident (no state change, no stats).
+    fn probe(&self, line: u64) -> bool {
+        let set = self.set_of(line);
+        let a = self.cfg.assoc as usize;
+        self.ways[set * a..(set + 1) * a]
+            .iter()
+            .any(|w| w.valid && w.tag == line)
+    }
+
+    /// Fills a line from a prefetcher. Counts as a prefetch fill, not a
+    /// demand access. Returns an evicted dirty line, if any. No-op (and
+    /// `None`) if the line is already resident.
+    fn prefetch_fill(&mut self, line: u64) -> Option<u64> {
+        if self.probe(line) {
+            return None;
+        }
+        self.stats.prefetch_fills += 1;
+        self.fill(line, false, true)
+    }
+
+    /// Fills a line after a demand miss handled externally (e.g. a miss
+    /// that consulted the MSHR file first). Does not touch the demand
+    /// counters — the miss was already counted by the lookup. Returns an
+    /// evicted dirty line, if any; no-op if the line is already resident.
+    fn demand_fill(&mut self, line: u64) -> Option<u64> {
+        if self.probe(line) {
+            return None;
+        }
+        self.fill(line, false, false)
+    }
+
+    /// Invalidates a line if resident; returns `true` if it was dirty.
+    fn invalidate(&mut self, line: u64) -> bool {
+        if let Some(w) = self.find(line) {
+            let dirty = self.ways[w].dirty;
+            self.ways[w] = Way::default();
+            dirty
+        } else {
+            false
+        }
+    }
+
+    fn find(&self, line: u64) -> Option<usize> {
+        let set = self.set_of(line);
+        let a = self.cfg.assoc as usize;
+        (set * a..(set + 1) * a).find(|&i| self.ways[i].valid && self.ways[i].tag == line)
+    }
+
+    /// Updates recency state on a hit.
+    fn touch(&mut self, way_idx: usize, _line: u64) {
+        match self.cfg.policy {
+            ReplacementPolicy::Lru => {
+                self.counter += 1;
+                self.ways[way_idx].stamp = self.counter;
+            }
+            ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
+            ReplacementPolicy::PseudoLru => {
+                let a = self.cfg.assoc as usize;
+                let set = way_idx / a;
+                let way = way_idx % a;
+                self.plru_touch(set, way);
+            }
+        }
+    }
+
+    /// Allocates `line`, returning a dirty victim line if one was evicted.
+    fn fill(&mut self, line: u64, dirty: bool, prefetched: bool) -> Option<u64> {
+        let set = self.set_of(line);
+        let range = self.ways_of(set);
+        // Prefer an invalid way.
+        let victim = range
+            .clone()
+            .find(|&i| !self.ways[i].valid)
+            .unwrap_or_else(|| self.pick_victim(set));
+        let evicted = &self.ways[victim];
+        let mut writeback = None;
+        if evicted.valid {
+            self.stats.evictions += 1;
+            if evicted.dirty {
+                self.stats.writebacks += 1;
+                writeback = Some(evicted.tag);
+            }
+        }
+        self.counter += 1;
+        self.ways[victim] = Way {
+            tag: line,
+            valid: true,
+            dirty,
+            prefetched,
+            stamp: self.counter,
+        };
+        if self.cfg.policy == ReplacementPolicy::PseudoLru {
+            let a = self.cfg.assoc as usize;
+            self.plru_touch(set, victim % a);
+        }
+        writeback
+    }
+
+    fn pick_victim(&mut self, set: usize) -> usize {
+        let a = self.cfg.assoc as usize;
+        let base = set * a;
+        match self.cfg.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => (base..base + a)
+                .min_by_key(|&i| self.ways[i].stamp)
+                .expect("associativity is non-zero"),
+            ReplacementPolicy::Random => base + self.rng.gen_range(a as u64) as usize,
+            ReplacementPolicy::PseudoLru => base + self.plru_victim(set),
+        }
+    }
+
+    /// Walks the PLRU tree toward the pseudo-least-recent way.
+    fn plru_victim(&self, set: usize) -> usize {
+        let a = self.cfg.assoc as usize;
+        if a == 1 {
+            return 0;
+        }
+        let bits = self.plru[set];
+        let mut node = 0usize; // root of implicit binary tree
+        let levels = a.trailing_zeros() as usize; // assoc must be a power of two for PLRU
+        let mut way = 0usize;
+        for _ in 0..levels {
+            let bit = (bits >> node) & 1;
+            way = (way << 1) | bit as usize;
+            node = 2 * node + 1 + bit as usize;
+        }
+        way
+    }
+
+    /// Flips the PLRU tree bits away from the touched way.
+    fn plru_touch(&mut self, set: usize, way: usize) {
+        let a = self.cfg.assoc as usize;
+        if a == 1 {
+            return;
+        }
+        let levels = a.trailing_zeros() as usize;
+        let mut node = 0usize;
+        for level in (0..levels).rev() {
+            let bit = (way >> level) & 1;
+            // Point away from the visited child.
+            if bit == 1 {
+                self.plru[set] &= !(1 << node);
+            } else {
+                self.plru[set] |= 1 << node;
+            }
+            node = 2 * node + 1 + bit;
+        }
+    }
+}
+
+/// One call on a cache, for the differential test against
+/// [`ReferenceCache`].
+#[derive(Debug, Clone, Copy)]
+enum CacheOp {
+    Request(AccessRequest),
+    DemandFill(u64),
+    PrefetchFill(u64),
+    Probe(u64),
+    Invalidate(u64),
+}
+
+/// Cache calls over `wide_line()`s: mostly demand requests with every
+/// combination of the write-policy knobs, the hierarchy's fills, and
+/// probes and invalidations that open holes in full sets.
+fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+    let op = prop_oneof![
+        6 => (wide_line(), any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
+            |(line, is_write, allocate_on_miss, mark_dirty)| CacheOp::Request(AccessRequest {
+                line,
+                is_write,
+                allocate_on_miss,
+                mark_dirty,
+            })
+        ),
+        2 => wide_line().prop_map(CacheOp::DemandFill),
+        2 => wide_line().prop_map(CacheOp::PrefetchFill),
+        1 => wide_line().prop_map(CacheOp::Probe),
+        1 => wide_line().prop_map(CacheOp::Invalidate),
+    ];
+    proptest::collection::vec(op, 1..400)
+}
+
+/// Applies `ops` to the cache and to the reference, comparing every answer
+/// and the counters after every step.
+fn assert_cache_matches_reference(cfg: CacheConfig, ops: &[CacheOp]) {
+    let mut cache = Cache::new(cfg);
+    let mut reference = ReferenceCache::new(cfg);
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            CacheOp::Request(req) => {
+                assert_eq!(
+                    cache.request(req),
+                    reference.request(req),
+                    "step {i}: {op:?}"
+                )
+            }
+            CacheOp::DemandFill(line) => assert_eq!(
+                cache.demand_fill(line),
+                reference.demand_fill(line),
+                "step {i}: {op:?}"
+            ),
+            CacheOp::PrefetchFill(line) => assert_eq!(
+                cache.prefetch_fill(line),
+                reference.prefetch_fill(line),
+                "step {i}: {op:?}"
+            ),
+            CacheOp::Probe(line) => {
+                assert_eq!(cache.probe(line), reference.probe(line), "step {i}: {op:?}")
+            }
+            CacheOp::Invalidate(line) => assert_eq!(
+                cache.invalidate(line),
+                reference.invalidate(line),
+                "step {i}: {op:?}"
+            ),
+        }
+        assert_eq!(
+            cache.stats(),
+            reference.stats(),
+            "step {i}: counters after {op:?}"
+        );
     }
 }
 
@@ -247,6 +568,26 @@ proptest! {
     #[test]
     fn mshr_heap_matches_btreemap_reference(steps in mshr_steps(), cap in 1usize..=16) {
         assert_mshr_matches_reference(cap, &steps);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The tag-row cache answers every call as the `Way`-record cache did —
+    /// hit, writeback, residency, dirtiness and all nine counters — under
+    /// every policy, with lines that alias in every set index, over one to
+    /// 32 sets of one to 16 ways (PLRU's tree included at associativities
+    /// that are not powers of two).
+    #[test]
+    fn cache_matches_reference(
+        ops in cache_ops(),
+        policy in any_policy(),
+        sets in prop_oneof![Just(1u64), Just(4), Just(32)],
+        assoc in prop_oneof![Just(1u32), Just(2), Just(3), Just(4), Just(8), Just(16)],
+    ) {
+        let cfg = CacheConfig::new(sets * u64::from(assoc) * 64, assoc, 64, policy).expect("valid");
+        assert_cache_matches_reference(cfg, &ops);
     }
 }
 

@@ -93,7 +93,9 @@ impl Rng {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(n as u128);
             let low = m as u64;
-            if low >= n.wrapping_neg() % n {
+            // The rejection threshold `2^64 mod n` is below `n`, so the
+            // 64-bit division is needed only when `low` is too.
+            if low >= n || low >= n.wrapping_neg() % n {
                 return (m >> 64) as u64;
             }
         }
