@@ -954,6 +954,15 @@ mod tests {
     }
 
     #[test]
+    fn one_byte_lines_are_400s() {
+        let mut tiny_line = point(16, 4);
+        tiny_line.line = Some(1);
+        let err = grid_config(&tiny_line, 1).expect_err("rejected");
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("at least 2 bytes"), "{}", err.message);
+    }
+
+    #[test]
     fn unsupported_or_misplaced_prefetchers_are_400s() {
         // Out-of-envelope stride table (not a power of two).
         let mut bad_table = point(16, 4);
