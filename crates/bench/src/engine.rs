@@ -277,9 +277,6 @@ pub fn plan_single_pass(configs: &[SimtConfig], metric: Metric) -> Option<SweepP
                 return None;
             }
             let banks = reference.hierarchy.l2_banks as u64;
-            if !banks.is_power_of_two() {
-                return None;
-            }
             for c in configs {
                 if !sweepable_policy(c.hierarchy.l2.policy) {
                     return None;
@@ -289,6 +286,7 @@ pub fn plan_single_pass(configs: &[SimtConfig], metric: Metric) -> Option<SweepP
                         return None;
                     }
                 }
+                // Also refuses a bank count that is not a power of two.
                 let Ok(bank) = c.hierarchy.l2_bank_config() else {
                     return None;
                 };
@@ -1046,6 +1044,12 @@ mod tests {
             c.hierarchy.l1_prefetch = Some(StridePrefetcherConfig::default());
         }
         assert!(plan_single_pass(&l1pf_l2sweep, Metric::L2MissPct).is_none());
+        // A bank count that is not a power of two does not fold.
+        let mut six_banks = sweeps::l2_sweep();
+        for c in &mut six_banks {
+            c.hierarchy.l2_banks = 6;
+        }
+        assert!(plan_single_pass(&six_banks, Metric::L2MissPct).is_none());
         // Empty grid.
         assert!(plan_single_pass(&[], Metric::L1MissPct).is_none());
     }
