@@ -23,7 +23,11 @@
 //! And `ingest_models.json` freezes the ingest path: the model id, pass
 //! counters and per-PC verdicts `gmap-ingest` produces for seven traces
 //! (lane-0 flattened and full per-thread), identically from the binary
-//! and the text encoding.
+//! and the text encoding. `ingest_evaluate.json` follows the three
+//! lane-0 models `ingest_stream` uploads further: the report's heat map
+//! and every per-PC field, and for three clone seeds the 15 values
+//! `evaluate_profile` returns on the figure 6e LRU grid with the
+//! schedule of the capture run behind them.
 //!
 //! Regenerate after an *intentional* change with:
 //!
@@ -34,14 +38,16 @@
 //! and review the diff like any other code change.
 
 use gmap::bench::{engine, parallel_map, prepare, sweeps, BenchData, Metric};
+use gmap::core::generate::generate_streams;
 use gmap::core::model::original_streams;
 use gmap::core::{cachekey, dram_requests, simulate_streams};
 use gmap::core::{SimOutcome, SimtConfig};
 use gmap::dram::{DramConfig, DramMetrics, DramSystem};
 use gmap::gpu::exec::execute_kernel;
 use gmap::gpu::hierarchy::LaunchConfig;
+use gmap::gpu::schedule::ScheduleOutcome;
 use gmap::gpu::workloads::{self, Scale};
-use gmap::ingest::{lane0_entries, IngestConfig, Ingestor};
+use gmap::ingest::{lane0_entries, ArraySummary, IngestConfig, Ingestor, PcSummary};
 use gmap::memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap::memsim::hierarchy::{HierarchyStats, TraceCapture};
 use gmap::trace::io::{write_binary, write_text, TraceEntry};
@@ -630,4 +636,140 @@ fn ingested_models_match_golden() {
         );
     }
     assert_eq!(got.piece_bytes, want.piece_bytes);
+}
+
+/// One clone of an ingested model, evaluated as `/v1/evaluate` does.
+#[derive(Debug, Serialize, Deserialize)]
+struct CloneEvaluation {
+    seed: u64,
+    /// What `evaluate_profile` returns on [`sweeps::policy_l1_sweep`],
+    /// L1 miss %.
+    values: Vec<f64>,
+    /// The schedule of the run the grid was captured from.
+    schedule: ScheduleOutcome,
+}
+
+/// Everything pinned downstream of one ingested lane-0 trace.
+#[derive(Debug, Serialize, Deserialize)]
+struct IngestedEvaluation {
+    page_bytes: u64,
+    arrays: Vec<ArraySummary>,
+    pcs: Vec<PcSummary>,
+    clones: Vec<CloneEvaluation>,
+}
+
+/// The golden file of what follows an ingested model.
+#[derive(Debug, Serialize, Deserialize)]
+struct GoldenIngestEvaluate {
+    scale: String,
+    piece_bytes: usize,
+    /// Keyed by workload.
+    traces: BTreeMap<String, IngestedEvaluation>,
+}
+
+/// `ingest_stream`'s uploads — the kmeans, hotspot and bfs lane-0 traces
+/// at Tiny, binary, pushed in 64 KiB pieces — must report the heat map
+/// and per-PC summaries in `ingest_evaluate.json`, and their models'
+/// clones (seeds 42, 43, 44) must evaluate and schedule as it records.
+/// With `UPDATE_GOLDEN=1` the file is rewritten instead.
+#[test]
+fn ingested_models_evaluate_as_golden() {
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let configs = sweeps::policy_l1_sweep();
+    let plan = engine::plan_single_pass(&configs, Metric::L1MissPct)
+        .expect("the figure 6e LRU grid plans single-pass");
+    let mut traces = BTreeMap::new();
+    for name in ["kmeans", "hotspot", "bfs"] {
+        let kernel = workloads::by_name(name, Scale::Tiny).expect("builtin workload");
+        let launch = kernel.launch;
+        let mut binary = Vec::new();
+        write_binary(
+            &mut binary,
+            &lane0_entries(&original_streams(&kernel), &launch),
+        )
+        .expect("writing to memory cannot fail");
+        let mut ing = Ingestor::new(name, launch, IngestConfig::default());
+        for piece in binary.chunks(INGEST_PIECE_BYTES) {
+            ing.push_bytes(piece).expect("generated traces parse");
+        }
+        let outcome = ing.finish().expect("generated traces profile");
+        let profile = &outcome.profile;
+        // `evaluate_profile`'s steps, bypassing its process-wide capture
+        // cache: `figure_series_match_goldens` counts that cache's misses
+        // and may run beside this test.
+        let clones = (SEED..SEED + 3)
+            .map(|seed| {
+                let clone = generate_streams(profile, seed);
+                let capture = engine::capture_stream(&clone, &profile.launch, &plan.capture_cfg);
+                CloneEvaluation {
+                    seed,
+                    values: engine::eval_captured(&plan, &capture, &configs).values,
+                    schedule: capture.schedule,
+                }
+            })
+            .collect();
+        traces.insert(
+            name.to_string(),
+            IngestedEvaluation {
+                page_bytes: outcome.report.page_bytes,
+                arrays: outcome.report.arrays,
+                pcs: outcome.report.pcs,
+                clones,
+            },
+        );
+    }
+    let got = GoldenIngestEvaluate {
+        scale: "tiny".to_string(),
+        piece_bytes: INGEST_PIECE_BYTES,
+        traces,
+    };
+    if update {
+        store_golden("ingest_evaluate", &got);
+        return;
+    }
+    let want: GoldenIngestEvaluate = load_golden("ingest_evaluate");
+    assert_eq!(got.piece_bytes, want.piece_bytes);
+    let got_names: Vec<&String> = got.traces.keys().collect();
+    let want_names: Vec<&String> = want.traces.keys().collect();
+    assert_eq!(got_names, want_names, "ingest_evaluate: trace set changed");
+    for (name, g) in &got.traces {
+        let w = &want.traces[name];
+        let what = format!("ingest_evaluate/{name}");
+        assert_eq!(g.page_bytes, w.page_bytes, "{what}: heat page size drifted");
+        assert_eq!(g.arrays, w.arrays, "{what}: heat map drifted");
+        assert_eq!(g.pcs, w.pcs, "{what}: per-PC summaries drifted");
+        assert_eq!(
+            g.clones.len(),
+            w.clones.len(),
+            "{what}: clone seeds changed"
+        );
+        for (gc, wc) in g.clones.iter().zip(&w.clones) {
+            let what = format!("{what}/seed {}", gc.seed);
+            assert_eq!(gc.seed, wc.seed, "{what}: seed changed");
+            assert_eq!(gc.values.len(), wc.values.len(), "{what}: grid changed");
+            for (i, (a, b)) in gc.values.iter().zip(&wc.values).enumerate() {
+                assert!(
+                    (a - b).abs() <= TOLERANCE,
+                    "{what}[{i}]: {a} drifted from golden {b} \
+                     (rerun with UPDATE_GOLDEN=1 if the change is intentional)"
+                );
+            }
+            let (gs, ws) = (&gc.schedule, &wc.schedule);
+            assert_eq!(
+                (gs.cycles, gs.issued_accesses, gs.issued_transactions),
+                (ws.cycles, ws.issued_accesses, ws.issued_transactions),
+                "{what}: capture schedule drifted"
+            );
+            assert_eq!(
+                gs.per_core_issues, ws.per_core_issues,
+                "{what}: per-core issues drifted"
+            );
+            assert!(
+                (gs.sched_p_self - ws.sched_p_self).abs() <= TOLERANCE,
+                "{what}: SchedP_self {} drifted from golden {}",
+                gs.sched_p_self,
+                ws.sched_p_self
+            );
+        }
+    }
 }
