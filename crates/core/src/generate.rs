@@ -17,7 +17,7 @@
 //!   [`gmap_gpu::schedule`] and is driven by [`crate::model`]).
 
 use crate::profile::{GmapProfile, PiEntry};
-use gmap_gpu::schedule::{CoalescedAccess, WarpStream, WarpStreamEvent};
+use gmap_gpu::schedule::{CoalescedAccess, Lines, WarpStream, WarpStreamEvent};
 use gmap_trace::record::{ByteAddr, WarpId};
 use gmap_trace::rng::Rng;
 use gmap_trace::HistSampler;
@@ -52,6 +52,14 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
     // line 9 updates it so the next warp chains from this one).
     let mut b_global: Vec<u64> = profile.base_addrs.iter().map(|b| b.0).collect();
 
+    // Algorithm 1's per-warp state, reused from warp to warp: b'(k), the
+    // warp's address trace, and per slot its address history for the
+    // PC-localized reuse extension (empty until the slot's first
+    // execution).
+    let mut b_local: Vec<u64> = vec![0; n_slots];
+    let mut t_addrs: Vec<u64> = Vec::new();
+    let mut slot_hist: Vec<Vec<u64>> = vec![Vec::new(); n_slots];
+
     let mut streams = Vec::with_capacity(total_warps as usize);
     for w in 0..total_warps {
         // Algorithm 2 line 5: sample π_i from Π with respect to Q.
@@ -59,11 +67,8 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
         let pi = &profile.profiles[pi_idx];
 
         // Algorithm 1 for this warp.
-        let mut b_local: Vec<u64> = vec![0; n_slots];
-        let mut first_done = vec![false; n_slots];
-        let mut t_addrs: Vec<u64> = Vec::with_capacity(pi.num_accesses());
-        // Per-slot address history for the PC-localized reuse extension.
-        let mut slot_hist: Vec<Vec<u64>> = vec![Vec::new(); n_slots];
+        t_addrs.clear();
+        slot_hist.iter_mut().for_each(Vec::clear);
         let mut events = Vec::with_capacity(pi.entries.len());
         for entry in &pi.entries {
             let k = match entry {
@@ -73,7 +78,7 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
                 }
                 PiEntry::Mem(k) => *k,
             };
-            let addr = if !first_done[k] {
+            let addr = if slot_hist[k].is_empty() {
                 // First execution: chain from the shared base through P_E,
                 // preferring the structural block-phase stride where one
                 // exists (block-boundary discontinuities repeat with the
@@ -88,7 +93,6 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
                 let a = align(b_global[k].saturating_add_signed(offset), line);
                 b_global[k] = a;
                 b_local[k] = a;
-                first_done[k] = true;
                 a
             } else {
                 // PC-localized reuse extension: revisit the address this
@@ -118,7 +122,7 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
                         let cand = t_addrs[j - back];
                         let prev = t_addrs[j - 1];
                         let diff = cand as i64 - prev as i64;
-                        profile.intra_stride[k].contains(diff).then_some(cand)
+                        intra[k].contains(diff).then_some(cand)
                     })
                 });
                 let a = match reused {
@@ -153,14 +157,14 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
             // (span = n−1), scattered when it was an irregular gather.
             let n_txn = txn[k].sample(&mut rng).unwrap_or(1).max(1) as u64;
             let lines = if n_txn == 1 {
-                vec![ByteAddr(addr)]
+                Lines::one(ByteAddr(addr))
             } else {
                 let spread = span[k].sample(&mut rng).unwrap_or(n_txn - 1).max(n_txn - 1);
                 let step = spread / (n_txn - 1);
                 let jitter = step / 2;
                 let mut lines = Vec::with_capacity(n_txn as usize);
                 let mut pos = 0u64;
-                for i in 0..n_txn {
+                for _ in 0..n_txn {
                     let j = if jitter > 0 {
                         rng.gen_range(jitter + 1)
                     } else {
@@ -168,10 +172,9 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
                     };
                     lines.push(ByteAddr(addr + (pos + j) * line));
                     pos += step.max(1);
-                    let _ = i;
                 }
                 lines.dedup();
-                lines
+                lines.into()
             };
             events.push(WarpStreamEvent::Access(CoalescedAccess {
                 pc: profile.pcs[k],

@@ -18,7 +18,7 @@ use gmap_gpu::schedule::{WarpStream, WarpStreamEvent};
 use gmap_trace::record::{AccessKind, ByteAddr, Pc};
 use gmap_trace::reuse::ReuseHistogram;
 use gmap_trace::{default_mode, Histogram};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Profiler parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,8 +85,16 @@ pub fn profile_streams(
     warp_size: u32,
     cfg: &ProfilerConfig,
 ) -> Result<GmapProfile, GmapError> {
-    // --- Pass 1: slot table, per-warp raw sequences, transaction shape. ---
-    // The only walk over the events: everything later reads `raws`.
+    // --- Pass 1: the one walk over the events. -----------------------------
+    // Everything a warp contributes on its own is accumulated as its
+    // events go by: the slot table and transaction shape, each slot's
+    // intra-warp strides and PC-localized reuse with their per-ordinal
+    // votes, and the warp's line-reuse histogram. Each of these is a
+    // histogram or a vote count, so the order the streams come in does
+    // not matter. A warp keeps only what the later passes need: its π,
+    // one `u32` per entry, the first address of each slot it executed,
+    // and its reuse histogram; its per-slot executions and its line
+    // stream go through buffers reused from warp to warp.
     let mut slot_of: HashMap<Pc, usize> = HashMap::new();
     // The previous instruction's `(pc, slot)`: a run of one PC — a loop
     // body, or the per-line instructions of a lane-0 trace — is looked up
@@ -94,36 +102,44 @@ pub fn profile_streams(
     let mut last_slot: Option<(Pc, usize)> = None;
     let mut pcs: Vec<Pc> = Vec::new();
     let mut kinds: Vec<AccessKind> = Vec::new();
-    // Per slot; a histogram does not depend on insertion order, so these
-    // are filled as the instructions go by.
     let mut txn_count: Vec<Histogram<u32>> = Vec::new();
     let mut txn_span: Vec<Histogram<u64>> = Vec::new();
+    // Transaction counts below `DENSE_TXN` are tallied here and enter
+    // `txn_count` once per distinct count after the walk.
+    let mut txn_dense: Vec<[u64; DENSE_TXN]> = Vec::new();
+    let mut intra_stride: Vec<Histogram<i64>> = Vec::new();
+    let mut pc_reuse: Vec<Histogram<u32>> = Vec::new();
+    // Per-slot, per-ordinal distance votes (ordinal e stored at e-1).
+    let mut schedule_votes: Vec<Vec<Votes<u32>>> = Vec::new();
+    // Per-slot, per-ordinal intra-stride votes.
+    let mut stride_votes: Vec<Vec<Votes<i64>>> = Vec::new();
     let mut total_warp_accesses = 0u64;
 
     struct WarpRaw {
         warp: u32,
-        pi: PiProfile,
-        /// First-transaction address of every memory entry, in order.
-        addrs: Vec<u64>,
-        /// Indexed by slot: indices into `addrs` of the slot's executions
-        /// (empty for a slot this warp never executed). Pass 3 walks it
-        /// in slot order, and that order feeds the stride histograms — a
-        /// hash map here would make profiles nondeterministic across runs
-        /// (and fail clippy's `iter_over_hash_type`).
-        by_slot: Vec<Vec<usize>>,
-        /// Full line stream (all transactions) for reuse analysis.
-        lines: Vec<u64>,
+        /// The π sequence: a memory entry's slot, or [`SYNC_CODE`].
+        pi: Vec<u32>,
+        /// `(slot, first-transaction address of its first execution)`,
+        /// ascending by slot.
+        firsts: Vec<(usize, u64)>,
+        /// Reuse distances of the warp's line stream.
+        reuse: ReuseHistogram,
     }
 
+    // Per slot, the first-transaction address of each of the warp's
+    // executions of it, in order. Walked in slot order — a hash map here
+    // would make profiles nondeterministic across runs (and fail
+    // clippy's `iter_over_hash_type`).
+    let mut by_slot: Vec<Vec<u64>> = Vec::new();
+    // The warp's line stream.
+    let mut lines: Vec<u64> = Vec::new();
+    let kmode = default_mode();
+    let mut stride_scratch: Vec<i64> = Vec::new();
+    let mut touch = LastTouch::default();
     let mut raws: Vec<WarpRaw> = Vec::with_capacity(streams.len());
     for s in streams {
-        let mut raw = WarpRaw {
-            warp: s.warp.0,
-            pi: PiProfile::default(),
-            addrs: Vec::new(),
-            by_slot: Vec::new(),
-            lines: Vec::new(),
-        };
+        let mut pi = Vec::with_capacity(s.events.len());
+        lines.clear();
         for ev in &s.events {
             match ev {
                 WarpStreamEvent::Access(a) => {
@@ -137,46 +153,82 @@ pub fn profile_streams(
                             kinds.push(a.kind);
                             txn_count.push(Histogram::new());
                             txn_span.push(Histogram::new());
+                            txn_dense.push([0; DENSE_TXN]);
+                            intra_stride.push(Histogram::new());
+                            pc_reuse.push(Histogram::new());
+                            schedule_votes.push(Vec::new());
+                            stride_votes.push(Vec::new());
+                            by_slot.push(Vec::new());
                             pcs.len() - 1
                         }),
                     };
                     last_slot = Some((a.pc, slot));
-                    raw.pi.entries.push(PiEntry::Mem(slot));
-                    let idx = raw.addrs.len();
-                    raw.addrs.push(first.0);
-                    if raw.by_slot.len() <= slot {
-                        raw.by_slot.resize_with(slot + 1, Vec::new);
+                    pi.push(u32::try_from(slot).expect("fewer than 2^32 - 1 static instructions"));
+                    by_slot[slot].push(first.0);
+                    lines.extend(a.lines.iter().map(|l| l.0 / cfg.line_size));
+                    match txn_dense[slot].get_mut(a.lines.len()) {
+                        Some(count) => *count += 1,
+                        None => txn_count[slot].add(a.lines.len() as u32),
                     }
-                    raw.by_slot[slot].push(idx);
-                    for l in &a.lines {
-                        raw.lines.push(l.0 / cfg.line_size);
-                    }
-                    txn_count[slot].add(a.lines.len() as u32);
                     if a.lines.len() > 1 {
                         txn_span[slot].add((last.0 - first.0) / cfg.line_size);
                     }
                     total_warp_accesses += 1;
                 }
-                WarpStreamEvent::Sync => raw.pi.entries.push(PiEntry::Sync),
+                WarpStreamEvent::Sync => pi.push(SYNC_CODE),
             }
         }
-        raws.push(raw);
+        let mut firsts = Vec::new();
+        for (slot, execs) in by_slot.iter_mut().enumerate() {
+            let Some(&first) = execs.first() else {
+                continue;
+            };
+            firsts.push((slot, first));
+            // Intra-warp strides: successive executions of the slot.
+            // Strides are materialized once so the slot-level histogram
+            // absorbs them through the batched sort+RLE kernel; the
+            // per-ordinal votes take one each.
+            stride_scratch.clear();
+            stride_scratch.extend(execs.windows(2).map(|p| p[1] as i64 - p[0] as i64));
+            intra_stride[slot].add_slice(&stride_scratch, kmode);
+            add_votes(&mut stride_votes[slot], &stride_scratch);
+            // PC-localized reuse, and the same distances as the
+            // per-ordinal votes for the modal reuse schedule.
+            let dists = touch.distances(execs, cfg.line_size);
+            pc_reuse[slot].add_slice(dists, kmode);
+            add_votes(&mut schedule_votes[slot], dists);
+            execs.clear();
+        }
+        raws.push(WarpRaw {
+            warp: s.warp.0,
+            pi,
+            firsts,
+            // Reuse distances at line granularity.
+            reuse: ReuseHistogram::from_lines(lines.iter().copied()),
+        });
     }
     if pcs.is_empty() {
         return Err(GmapError::EmptyProfile);
+    }
+    for (hist, dense) in txn_count.iter_mut().zip(&txn_dense) {
+        for (len, &n) in dense.iter().enumerate() {
+            hist.add_n(len as u32, n);
+        }
     }
     // Profile statistics are keyed by warp id order.
     raws.sort_by_key(|r| r.warp);
 
     // --- Pass 2: π clustering (§4.4). ------------------------------------
-    // Deduplicate identical sequences first; cluster the unique ones
-    // greedily by positional similarity against cluster representatives.
-    let mut unique: Vec<(PiProfile, u64)> = Vec::new();
-    let mut seq_index: HashMap<PiProfile, usize> = HashMap::new();
+    // Deduplicate identical sequences first — keyed by the borrowed
+    // sequences, so a warp's π is neither copied nor hashed — then cluster
+    // the unique ones greedily by positional similarity against cluster
+    // representatives.
+    let mut unique: Vec<(&[u32], u64)> = Vec::new();
+    let mut seq_index: BTreeMap<&[u32], usize> = BTreeMap::new();
     let mut warp_unique: Vec<usize> = Vec::with_capacity(raws.len());
     for raw in &raws {
-        let i = *seq_index.entry(raw.pi.clone()).or_insert_with(|| {
-            unique.push((raw.pi.clone(), 0));
+        let i = *seq_index.entry(&raw.pi).or_insert_with(|| {
+            unique.push((&raw.pi, 0));
             unique.len() - 1
         });
         unique[i].1 += 1;
@@ -188,21 +240,21 @@ pub fn profile_streams(
         idx
     };
     let mut cluster_of_unique: Vec<usize> = vec![usize::MAX; unique.len()];
-    let mut reps: Vec<PiProfile> = Vec::new();
+    let mut reps: Vec<&[u32]> = Vec::new();
     let mut weights: Histogram<usize> = Histogram::new();
     for &u in &order {
-        let (seq, count) = &unique[u];
+        let (seq, count) = unique[u];
         let found = reps
             .iter()
-            .position(|rep| rep.similarity(seq) >= cfg.cluster_threshold)
+            .position(|rep| similarity(rep, seq) >= cfg.cluster_threshold)
             .or_else(|| {
                 if reps.len() >= cfg.max_profiles {
                     // Overflow: join the nearest cluster.
                     reps.iter()
                         .enumerate()
                         .max_by(|(_, a), (_, b)| {
-                            a.similarity(seq)
-                                .partial_cmp(&b.similarity(seq))
+                            similarity(a, seq)
+                                .partial_cmp(&similarity(b, seq))
                                 .expect("similarities are finite")
                         })
                         .map(|(i, _)| i)
@@ -213,94 +265,52 @@ pub fn profile_streams(
         let c = match found {
             Some(c) => c,
             None => {
-                reps.push(seq.clone());
+                reps.push(seq);
                 reps.len() - 1
             }
         };
         cluster_of_unique[u] = c;
-        weights.add_n(c, *count);
+        weights.add_n(c, count);
     }
     let warp_cluster: Vec<usize> = warp_unique.iter().map(|&u| cluster_of_unique[u]).collect();
+    let profiles: Vec<PiProfile> = reps
+        .iter()
+        .map(|rep| PiProfile {
+            entries: rep
+                .iter()
+                .map(|&code| match code {
+                    SYNC_CODE => PiEntry::Sync,
+                    slot => PiEntry::Mem(slot as usize),
+                })
+                .collect(),
+        })
+        .collect();
 
-    // --- Pass 3: locality distributions. ----------------------------------
+    // --- Pass 3: what chains warp to warp, in warp-id order. -------------
     let n = pcs.len();
     let mut base_addrs = vec![ByteAddr(0); n];
-    let mut base_set = vec![false; n];
     let mut inter_stride: Vec<Histogram<i64>> = vec![Histogram::new(); n];
-    let mut intra_stride: Vec<Histogram<i64>> = vec![Histogram::new(); n];
-    let mut pc_reuse: Vec<Histogram<u32>> = vec![Histogram::new(); n];
-    // Per-slot, per-ordinal distance votes (ordinal e stored at e-1).
-    let mut schedule_votes: Vec<Vec<Histogram<u32>>> = vec![Vec::new(); n];
-    // Per-slot, per-ordinal intra-stride votes.
-    let mut stride_votes: Vec<Vec<Histogram<i64>>> = vec![Vec::new(); n];
     // Per-slot, per-block-phase inter-warp stride votes.
     let wpb = launch.warps_per_block(warp_size).max(1) as usize;
-    let mut phase_votes: Vec<Vec<Histogram<i64>>> =
-        vec![(0..wpb).map(|_| Histogram::new()).collect(); n];
+    let mut phase_votes: Vec<Vec<Votes<i64>>> = vec![vec![Votes::default(); wpb]; n];
     let mut last_first_addr: Vec<Option<u64>> = vec![None; n];
-    let mut reuse: Vec<ReuseHistogram> = vec![ReuseHistogram::new(); reps.len()];
-    let kmode = default_mode();
-    let mut stride_scratch: Vec<i64> = Vec::new();
-    let mut last_touch: HashMap<u64, usize> = HashMap::new();
-
-    for (w, raw) in raws.iter().enumerate() {
+    let mut reuse: Vec<ReuseHistogram> = vec![ReuseHistogram::new(); profiles.len()];
+    for (raw, &cluster) in raws.iter().zip(&warp_cluster) {
         // Inter-warp strides: first execution per slot vs the previous
-        // warp that executed the slot (warp-id order).
-        for (slot, execs) in raw.by_slot.iter().enumerate() {
-            let Some(&first_exec) = execs.first() else {
-                continue;
-            };
-            let first = raw.addrs[first_exec];
-            if !base_set[slot] {
-                base_addrs[slot] = ByteAddr(first);
-                base_set[slot] = true;
-            } else if let Some(prev) = last_first_addr[slot] {
-                let stride = first as i64 - prev as i64;
-                inter_stride[slot].add(stride);
-                phase_votes[slot][raw.warp as usize % wpb].add(stride);
-            }
-            last_first_addr[slot] = Some(first);
-            // Intra-warp strides: successive executions of the slot.
-            // Strides are materialized once so the slot-level histogram
-            // absorbs them through the batched sort+RLE kernel; the
-            // per-ordinal votes still want one add per ordinal.
-            stride_scratch.clear();
-            for pair in execs.windows(2) {
-                stride_scratch.push(raw.addrs[pair[1]] as i64 - raw.addrs[pair[0]] as i64);
-            }
-            intra_stride[slot].add_slice(&stride_scratch, kmode);
-            let votes = &mut stride_votes[slot];
-            if votes.len() < stride_scratch.len() {
-                votes.resize_with(stride_scratch.len(), Histogram::new);
-            }
-            for (e, &stride) in stride_scratch.iter().enumerate() {
-                votes[e].add(stride);
-            }
-            // PC-localized reuse: for every execution after the first,
-            // distance in same-slot executions back to the previous touch
-            // of the same address (0 = fresh address for this slot). Also
-            // accumulate the per-ordinal distance votes for the modal
-            // reuse schedule.
-            last_touch.clear();
-            for (e, &idx) in execs.iter().enumerate() {
-                let addr = raw.addrs[idx];
-                let dist = match last_touch.insert(addr, e) {
-                    Some(prev) => (e - prev) as u32,
-                    None => 0,
-                };
-                if e > 0 {
-                    pc_reuse[slot].add(dist);
-                    let votes = &mut schedule_votes[slot];
-                    if votes.len() < e {
-                        votes.resize_with(e, Histogram::new);
-                    }
-                    votes[e - 1].add(dist);
+        // warp that executed the slot.
+        for &(slot, first) in &raw.firsts {
+            match last_first_addr[slot] {
+                None => base_addrs[slot] = ByteAddr(first),
+                Some(prev) => {
+                    let stride = first as i64 - prev as i64;
+                    inter_stride[slot].add(stride);
+                    phase_votes[slot][raw.warp as usize % wpb].add(stride);
                 }
             }
+            last_first_addr[slot] = Some(first);
         }
-        // Reuse distances per π cluster, at line granularity.
-        reuse[warp_cluster[w]].merge(&ReuseHistogram::from_lines(raw.lines.iter().copied()));
-        let _ = w;
+        // Reuse distances per π cluster.
+        reuse[cluster].merge(&raw.reuse);
     }
 
     let profile = GmapProfile {
@@ -310,7 +320,7 @@ pub fn profile_streams(
         line_size: cfg.line_size,
         pcs,
         kinds,
-        profiles: reps,
+        profiles,
         profile_weights: weights,
         base_addrs,
         inter_stride,
@@ -329,18 +339,135 @@ pub fn profile_streams(
     Ok(profile)
 }
 
-/// Reduces per-position vote histograms to modal values, keeping a value
-/// only where a majority of voters agree — i.e. where the behaviour is
-/// *structural* (every warp does it) rather than incidental.
-fn modal_schedule<T: Ord + Copy>(votes: Vec<Vec<Histogram<T>>>) -> Vec<Vec<Option<T>>> {
+/// A barrier in `profile_streams`' π codes; every other code is a slot.
+const SYNC_CODE: u32 = u32::MAX;
+
+/// [`PiProfile::similarity`] on π codes.
+fn similarity(a: &[u32], b: &[u32]) -> f64 {
+    let longer = a.len().max(b.len());
+    if longer == 0 {
+        return 1.0;
+    }
+    let matching = a.iter().zip(b).filter(|(x, y)| x == y).count();
+    matching as f64 / longer as f64
+}
+
+/// PC-localized reuse distances of one slot's executions in one warp.
+#[derive(Debug, Default)]
+struct LastTouch {
+    /// Last touch per address, as an execution index + 1 (0: untouched),
+    /// indexed by the address's line offset from the lowest address.
+    dense: Vec<usize>,
+    /// The same for address sets too spread out for `dense`. Keyed by
+    /// trace-chosen addresses, so it keeps the keyed SipHash.
+    sparse: HashMap<u64, usize>,
+    out: Vec<u32>,
+}
+
+impl LastTouch {
+    /// For every execution after the first, the distance in executions
+    /// back to the previous one at the same address (0 = the first touch
+    /// of that address). A set of line-aligned addresses spanning fewer
+    /// than four lines per execution is tracked in a dense row; any other
+    /// in a hash map.
+    fn distances(&mut self, addrs: &[u64], line_size: u64) -> &[u32] {
+        self.out.clear();
+        let Some(&lo) = addrs.iter().min() else {
+            return &self.out;
+        };
+        let hi = addrs.iter().copied().max().unwrap_or(lo);
+        let shift = line_size.trailing_zeros();
+        let dense = line_size.is_power_of_two()
+            && addrs.iter().all(|&a| (a - lo) & (line_size - 1) == 0)
+            && (hi - lo) >> shift < 4 * addrs.len() as u64;
+        if dense {
+            let span = (hi - lo) >> shift;
+            self.dense.clear();
+            self.dense.resize(span as usize + 1, 0);
+            for (e, &a) in addrs.iter().enumerate() {
+                let last = std::mem::replace(&mut self.dense[((a - lo) >> shift) as usize], e + 1);
+                if e > 0 {
+                    self.out
+                        .push(if last == 0 { 0 } else { (e + 1 - last) as u32 });
+                }
+            }
+        } else {
+            self.sparse.clear();
+            for (e, &a) in addrs.iter().enumerate() {
+                let dist = match self.sparse.insert(a, e) {
+                    Some(prev) => (e - prev) as u32,
+                    None => 0,
+                };
+                if e > 0 {
+                    self.out.push(dist);
+                }
+            }
+        }
+        &self.out
+    }
+}
+
+/// Transaction counts `profile_streams` tallies in a dense row per slot
+/// before they enter the slot's histogram.
+const DENSE_TXN: usize = 64;
+
+/// The votes cast at one position of a schedule. Warps mostly agree, so
+/// a position holds one value and its count until a second value turns
+/// up; only then does it become a histogram.
+#[derive(Debug, Clone)]
+enum Votes<T: Ord> {
+    One(T, u64),
+    Many(Histogram<T>),
+}
+
+impl<T: Ord> Default for Votes<T> {
+    fn default() -> Self {
+        Votes::Many(Histogram::default())
+    }
+}
+
+impl<T: Ord + Copy> Votes<T> {
+    fn add(&mut self, value: T) {
+        match self {
+            Votes::One(v, n) if *v == value => *n += 1,
+            Votes::One(v, n) => {
+                let mut h = Histogram::new();
+                h.add_n(*v, *n);
+                h.add(value);
+                *self = Votes::Many(h);
+            }
+            Votes::Many(h) if h.is_empty() => *self = Votes::One(value, 1),
+            Votes::Many(h) => h.add(value),
+        }
+    }
+
+    /// The value a majority of voters agree on: the dominant value at a
+    /// frequency of at least one half, the smaller value on a tie.
+    fn modal(&self) -> Option<T> {
+        match self {
+            Votes::One(v, _) => Some(*v),
+            Votes::Many(h) => h.dominant().and_then(|(v, f)| (f >= 0.5).then_some(v)),
+        }
+    }
+}
+
+/// Casts `values[e]` at position `e`, growing the schedule as needed.
+fn add_votes<T: Ord + Copy>(votes: &mut Vec<Votes<T>>, values: &[T]) {
+    if votes.len() < values.len() {
+        votes.resize_with(values.len(), Votes::default);
+    }
+    for (vote, &v) in votes.iter_mut().zip(values) {
+        vote.add(v);
+    }
+}
+
+/// Reduces per-position votes to modal values, keeping a value only where
+/// a majority of voters agree — i.e. where the behaviour is *structural*
+/// (every warp does it) rather than incidental.
+fn modal_schedule<T: Ord + Copy>(votes: Vec<Vec<Votes<T>>>) -> Vec<Vec<Option<T>>> {
     votes
-        .into_iter()
-        .map(|per_pos| {
-            per_pos
-                .into_iter()
-                .map(|h| h.dominant().and_then(|(v, f)| (f >= 0.5).then_some(v)))
-                .collect()
-        })
+        .iter()
+        .map(|per_pos| per_pos.iter().map(Votes::modal).collect())
         .collect()
 }
 

@@ -9,7 +9,7 @@
 //! transactions anyway.
 
 use crate::exec::{AppTrace, WarpEvent};
-use crate::schedule::{CoalescedAccess, WarpStream, WarpStreamEvent};
+use crate::schedule::{CoalescedAccess, Lines, WarpStream, WarpStreamEvent};
 use gmap_trace::batch::{KernelMode, LANES};
 use gmap_trace::record::ByteAddr;
 
@@ -150,6 +150,7 @@ fn emit_sorted_dedup(addrs: &[ByteAddr], mask: u64, out: &mut Vec<ByteAddr>) -> 
 pub fn coalesce_app(app: &AppTrace, line_size: u64) -> Vec<WarpStream> {
     let mode = gmap_trace::default_mode();
     let mut addr_scratch: Vec<ByteAddr> = Vec::new();
+    let mut line_scratch: Vec<ByteAddr> = Vec::new();
     let mut streams = Vec::with_capacity(app.warps.len());
     for wt in &app.warps {
         let mut events = Vec::with_capacity(wt.events.len());
@@ -162,12 +163,11 @@ pub fn coalesce_app(app: &AppTrace, line_size: u64) -> Vec<WarpStream> {
                 } => {
                     addr_scratch.clear();
                     addr_scratch.extend(lane_addrs.iter().map(|&(_, a)| a));
-                    let mut lines = Vec::new();
-                    coalesce_addrs_into(&addr_scratch, line_size, mode, &mut lines);
+                    coalesce_addrs_into(&addr_scratch, line_size, mode, &mut line_scratch);
                     events.push(WarpStreamEvent::Access(CoalescedAccess {
                         pc: *pc,
                         kind: *kind,
-                        lines,
+                        lines: Lines::from_slice(&line_scratch),
                     }));
                 }
                 WarpEvent::Sync => events.push(WarpStreamEvent::Sync),

@@ -38,6 +38,7 @@
 use gmap_trace::record::ByteAddr;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeSet;
 
 /// The monotone pattern hierarchy. Order matters: derived `Ord` is the
 /// relaxation order, and [`PatternClass::rank`] is the numeric position.
@@ -264,6 +265,7 @@ pub struct PcSummary {
 
 #[derive(Debug)]
 struct PcState {
+    pc: u64,
     reads: u64,
     writes: u64,
     instructions: u64,
@@ -271,13 +273,20 @@ struct PcState {
     partial_lane_instructions: u64,
     lo: u64,
     hi: u64,
-    warps: std::collections::BTreeSet<u32>,
-    fsms: BTreeMap<u32, PatternFsm>,
+    /// Every warp that executed the PC, with its slot in `fsms` — `None`
+    /// while the warp has no FSM (no line seen yet, or the
+    /// `max_warp_fsms` bound was reached first).
+    warps: BTreeMap<u32, Option<usize>>,
+    fsms: Vec<PatternFsm>,
+    /// The last warp observed here and its `warps` value: a run of one
+    /// warp's instructions pays the map lookup once.
+    last: Option<(u32, Option<usize>)>,
 }
 
 impl PcState {
-    fn new() -> Self {
+    fn new(pc: u64) -> Self {
         PcState {
+            pc,
             reads: 0,
             writes: 0,
             instructions: 0,
@@ -285,21 +294,34 @@ impl PcState {
             partial_lane_instructions: 0,
             lo: u64::MAX,
             hi: 0,
-            warps: std::collections::BTreeSet::new(),
-            fsms: BTreeMap::new(),
+            warps: BTreeMap::new(),
+            fsms: Vec::new(),
+            last: None,
         }
     }
 }
 
 /// The streaming classifier: one bounded `PcState` per tracked PC.
+///
+/// Every ordered map it keeps sits behind a cache of the last key it
+/// looked up (PC, warp, and per PC the warp), so the runs a warp-major
+/// drain produces — one warp's instructions back to back, often at one
+/// PC — touch no map after their first instruction.
 #[derive(Debug)]
 pub struct OnlineClassifier {
     cfg: ClassifierConfig,
-    pcs: BTreeMap<u64, PcState>,
+    /// Tracked PCs in first-seen order; `pc_slots` maps a PC to its slot.
+    pcs: Vec<PcState>,
+    pc_slots: BTreeMap<u64, usize>,
+    /// The last PC observed and its slot (`None`: beyond `max_pcs`, which
+    /// stays so — the tracked set only grows).
+    last_pc: Option<(u64, Option<usize>)>,
     /// Instructions at PCs beyond the `max_pcs` bound (counted, not
     /// classified).
     untracked_instructions: u64,
-    active_warps: std::collections::BTreeSet<u32>,
+    active_warps: BTreeSet<u32>,
+    /// The last warp inserted into `active_warps`.
+    last_warp: Option<u32>,
 }
 
 impl OnlineClassifier {
@@ -307,10 +329,34 @@ impl OnlineClassifier {
     pub fn new(cfg: ClassifierConfig) -> Self {
         OnlineClassifier {
             cfg,
-            pcs: BTreeMap::new(),
+            pcs: Vec::new(),
+            pc_slots: BTreeMap::new(),
+            last_pc: None,
             untracked_instructions: 0,
-            active_warps: std::collections::BTreeSet::new(),
+            active_warps: BTreeSet::new(),
+            last_warp: None,
         }
+    }
+
+    /// The slot of `pc`, tracking it if the bound allows.
+    fn pc_slot(&mut self, pc: u64) -> Option<usize> {
+        if let Some((last, slot)) = self.last_pc {
+            if last == pc {
+                return slot;
+            }
+        }
+        let tracked = self.pcs.len();
+        let slot = match self.pc_slots.entry(pc) {
+            Entry::Occupied(e) => Some(*e.get()),
+            Entry::Vacant(e) if tracked < self.cfg.max_pcs => {
+                e.insert(tracked);
+                self.pcs.push(PcState::new(pc));
+                Some(tracked)
+            }
+            Entry::Vacant(_) => None,
+        };
+        self.last_pc = Some((pc, slot));
+        slot
     }
 
     /// Feeds one warp-level instruction: `lines` are its coalesced line
@@ -325,16 +371,15 @@ impl OnlineClassifier {
         participants: u32,
         live: u32,
     ) {
-        self.active_warps.insert(warp);
-        let tracked = self.pcs.len();
-        let st = match self.pcs.entry(pc) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) if tracked < self.cfg.max_pcs => e.insert(PcState::new()),
-            Entry::Vacant(_) => {
-                self.untracked_instructions += 1;
-                return;
-            }
+        if self.last_warp != Some(warp) {
+            self.active_warps.insert(warp);
+            self.last_warp = Some(warp);
+        }
+        let Some(slot) = self.pc_slot(pc) else {
+            self.untracked_instructions += 1;
+            return;
         };
+        let st = &mut self.pcs[slot];
         if is_write {
             st.writes += 1;
         } else {
@@ -345,25 +390,28 @@ impl OnlineClassifier {
         if participants < live {
             st.partial_lane_instructions += 1;
         }
-        st.warps.insert(warp);
         for l in lines {
             st.lo = st.lo.min(l.0);
             st.hi = st.hi.max(l.0);
         }
+        let mut fsm = match st.last {
+            Some((w, fsm)) if w == warp => fsm,
+            _ => *st.warps.entry(warp).or_insert(None),
+        };
         // Pattern state rides the per-warp stream: the first coalesced
         // line of each instruction is the warp's representative address
         // (per-lane detail is already folded by coalescing).
         if let Some(first) = lines.first() {
-            let fsms = st.fsms.len();
-            let fsm = match st.fsms.entry(warp) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) if fsms < self.cfg.max_warp_fsms => {
-                    e.insert(PatternFsm::new(self.cfg.indirect_max_span))
-                }
-                Entry::Vacant(_) => return,
-            };
-            fsm.observe(first.0);
+            if fsm.is_none() && st.fsms.len() < self.cfg.max_warp_fsms {
+                fsm = Some(st.fsms.len());
+                st.fsms.push(PatternFsm::new(self.cfg.indirect_max_span));
+                st.warps.insert(warp, fsm);
+            }
+            if let Some(f) = fsm {
+                st.fsms[f].observe(first.0);
+            }
         }
+        st.last = Some((warp, fsm));
     }
 
     /// Number of PCs currently tracked.
@@ -383,15 +431,19 @@ impl OnlineClassifier {
         let mut out: Vec<PcSummary> = self
             .pcs
             .into_iter()
-            .map(|(pc, st)| {
+            .map(|st| {
                 // The PC's verdict is the weakest across its warps: one
-                // irregular warp makes the instruction irregular.
-                let worst = st.fsms.values().max_by_key(|f| f.class().rank()).cloned();
-                let class = worst.as_ref().map_or(PatternClass::Unknown, |f| f.class());
+                // irregular warp makes the instruction irregular. Ties go
+                // to the highest warp id.
+                let worst = st
+                    .warps
+                    .values()
+                    .filter_map(|f| f.map(|f| &st.fsms[f]))
+                    .max_by_key(|f| f.class().rank());
+                let class = worst.map_or(PatternClass::Unknown, |f| f.class());
                 let affine = matches!(class, PatternClass::Linear | PatternClass::Quadric);
-                let stride = worst.as_ref().and_then(|f| affine.then(|| f.stride()));
+                let stride = worst.and_then(|f| affine.then(|| f.stride()));
                 let (inner_len, outer_stride) = worst
-                    .as_ref()
                     .filter(|_| class == PatternClass::Quadric)
                     .map_or((None, None), |f| {
                         let (ni, sj) = f.quadric();
@@ -403,7 +455,7 @@ impl OnlineClassifier {
                     _ => "R",
                 };
                 PcSummary {
-                    pc,
+                    pc: st.pc,
                     kind: kind.to_string(),
                     class,
                     stride,

@@ -43,7 +43,12 @@ pub(crate) const HEAT_MAX_PAGES: usize = 2048;
 pub struct AdaptiveHeat {
     page_shift: u32,
     max_pages: usize,
-    pages: BTreeMap<u64, u64>,
+    /// Page → its slot in `counts`.
+    pages: BTreeMap<u64, usize>,
+    counts: Vec<u64>,
+    /// The last page observed and its slot: successive lines mostly share
+    /// a page, and those pay no map lookup.
+    last: Option<(u64, usize)>,
 }
 
 impl AdaptiveHeat {
@@ -54,12 +59,27 @@ impl AdaptiveHeat {
             page_shift,
             max_pages: max_pages.max(2),
             pages: BTreeMap::new(),
+            counts: Vec::new(),
+            last: None,
         }
     }
 
     /// Records `count` accesses to the page containing `addr`.
     pub fn observe(&mut self, addr: u64, count: u64) {
-        *self.pages.entry(addr >> self.page_shift).or_insert(0) += count;
+        let page = addr >> self.page_shift;
+        if let Some((last, slot)) = self.last {
+            if last == page {
+                self.counts[slot] += count;
+                return;
+            }
+        }
+        let fresh = self.counts.len();
+        let slot = *self.pages.entry(page).or_insert(fresh);
+        if slot == fresh {
+            self.counts.push(0);
+        }
+        self.counts[slot] += count;
+        self.last = Some((page, slot));
         while self.pages.len() > self.max_pages {
             self.coarsen();
         }
@@ -68,9 +88,16 @@ impl AdaptiveHeat {
     fn coarsen(&mut self) {
         self.page_shift += 1;
         let old = std::mem::take(&mut self.pages);
-        for (page, count) in old {
-            *self.pages.entry(page >> 1).or_insert(0) += count;
+        let counts = std::mem::take(&mut self.counts);
+        for (page, slot) in old {
+            let fresh = self.counts.len();
+            let merged = *self.pages.entry(page >> 1).or_insert(fresh);
+            if merged == fresh {
+                self.counts.push(0);
+            }
+            self.counts[merged] += counts[slot];
         }
+        self.last = None;
     }
 
     /// Current page size in bytes.
@@ -90,7 +117,7 @@ impl AdaptiveHeat {
 
     /// Total recorded accesses.
     pub fn total(&self) -> u64 {
-        self.pages.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Sums counts over the byte range `[lo, hi)`.
@@ -100,7 +127,10 @@ impl AdaptiveHeat {
         }
         let first = lo >> self.page_shift;
         let last = (hi - 1) >> self.page_shift;
-        self.pages.range(first..=last).map(|(_, &c)| c).sum()
+        self.pages
+            .range(first..=last)
+            .map(|(_, &slot)| self.counts[slot])
+            .sum()
     }
 
     /// Splits touched pages into maximal runs separated by more than
@@ -129,13 +159,13 @@ impl AdaptiveHeat {
             return out;
         }
         let width = end - base;
-        for (&page, &count) in self.pages.range(base >> self.page_shift..) {
+        for (&page, &slot) in self.pages.range(base >> self.page_shift..) {
             let addr = page << self.page_shift;
             if addr >= end {
                 break;
             }
             let cell = ((addr - base) as u128 * cells as u128 / width as u128) as usize;
-            out[cell.min(cells - 1)] += count;
+            out[cell.min(cells - 1)] += self.counts[slot];
         }
         out
     }

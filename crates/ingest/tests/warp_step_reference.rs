@@ -40,7 +40,7 @@ fn reference_pop(queues: &mut [VecDeque<MemAccess>], line_size: u64) -> Option<C
     Some(CoalescedAccess {
         pc,
         kind: kind.expect("at least one lane participated"),
-        lines: coalesce_addrs(&addrs, line_size),
+        lines: coalesce_addrs(&addrs, line_size).into(),
     })
 }
 

@@ -384,6 +384,16 @@ impl<T: Copy> HistSampler<T> {
     pub fn distinct(&self) -> usize {
         self.values.len()
     }
+
+    /// `true` if `value` is in the support of the source histogram — the
+    /// answer of [`Histogram::contains`], by binary search over the
+    /// sorted values.
+    pub fn contains(&self, value: T) -> bool
+    where
+        T: Ord,
+    {
+        self.values.binary_search(&value).is_ok()
+    }
 }
 
 #[cfg(test)]

@@ -23,12 +23,12 @@ fn handmade_streams() -> (Vec<WarpStream>, LaunchConfig) {
                         WarpStreamEvent::Access(CoalescedAccess {
                             pc: Pc(0xA0),
                             kind: AccessKind::Read,
-                            lines: vec![ByteAddr(base + j * 2048)],
+                            lines: vec![ByteAddr(base + j * 2048)].into(),
                         }),
                         WarpStreamEvent::Access(CoalescedAccess {
                             pc: Pc(0xB0),
                             kind: AccessKind::Write,
-                            lines: vec![ByteAddr(0x80_0000 + w as u64 * 128 + j * 4096)],
+                            lines: vec![ByteAddr(0x80_0000 + w as u64 * 128 + j * 4096)].into(),
                         }),
                     ]
                 })
@@ -112,7 +112,7 @@ fn text_trace_round_trip_through_profiling() {
                 events: vec![WarpStreamEvent::Access(CoalescedAccess {
                     pc: Pc(0x42),
                     kind: AccessKind::Read,
-                    lines,
+                    lines: lines.into(),
                 })],
             }
         })
