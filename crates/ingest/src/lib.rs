@@ -4,7 +4,8 @@
 //! statistical models — but real traces from binary instrumentation run
 //! to many gigabytes and cannot be materialized as a `Vec<TraceEntry>`.
 //! This crate profiles such traces in **one streaming pass** with a
-//! resident trace buffer that is constant in trace length, and emits —
+//! resident trace buffer bounded by the launch geometry (see
+//! [`ingestor`]), and emits —
 //! from the same pass — an online per-PC pattern classification (the
 //! gem-forge `MemoryAccessPattern` hierarchy) and a CUTHERMO-style
 //! per-array heat-map report.
