@@ -33,6 +33,18 @@ fn wide_line() -> impl Strategy<Value = u64> {
     (0u64..512, any::<bool>()).prop_map(|(l, high)| l + (u64::from(high) << 40))
 }
 
+/// A stream line for the single-pass evaluators: line 0 often — a valid
+/// line, and the value every untouched row slot holds, so a lookup that
+/// trusted a slot without its occupancy would hit on it — low lines, and
+/// their twins 2^40 up, which share every set index with them.
+fn eval_line() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        1 => Just(0u64),
+        6 => 0u64..512,
+        2 => (0u64..512).prop_map(|l| l + (1 << 40)),
+    ]
+}
+
 fn any_policy() -> impl Strategy<Value = ReplacementPolicy> {
     prop_oneof![
         Just(ReplacementPolicy::Lru),
@@ -692,10 +704,13 @@ proptest! {
     /// direct per-config `Cache` simulation for random line streams, over
     /// a geometry grid spanning direct-mapped (assoc = 1) through fully
     /// associative (one set), under both write models. The 8-set class
-    /// has three members, so no-allocate stores fork it more than once.
+    /// (1, 2, 4 and 16 ways) and the 16-set class (2, 8 and 16 ways) run
+    /// on 16-slot rows and fork, under no-allocate stores, into parts on
+    /// 8-, 4-, 2- and 1-slot rows, so every fixed row width meets a class
+    /// that can fork.
     #[test]
     fn stackdist_matches_direct_cache_simulation(
-        stream in proptest::collection::vec((0u64..512, any::<bool>()), 1..400),
+        stream in proptest::collection::vec((eval_line(), any::<bool>()), 1..400),
         allocate in any::<bool>(),
     ) {
         let grid = [
@@ -703,8 +718,11 @@ proptest! {
             (64 * 64, 64),      // 1 set, fully associative
             (8 * 64, 1),        // tiny direct-mapped
             (8 * 64, 8),        // tiny fully associative
-            (16 * 64, 2),       // 8 sets, beside 1 and 4 ways
+            (16 * 64, 2),       // 8 sets, beside 1, 4 and 16 ways
             (32 * 64, 4),
+            (128 * 64, 16),
+            (32 * 64, 2), // 16 sets, beside 8 and 16 ways
+            (128 * 64, 8),
             (256 * 64, 16),
         ];
         let configs: Vec<CacheConfig> = grid
@@ -728,10 +746,11 @@ proptest! {
     /// The FIFO insertion-order evaluator's counts exactly equal direct
     /// per-config simulation with `ReplacementPolicy::Fifo` — including
     /// streams that trip Bélády's anomaly and fork a class, the 8-set
-    /// one (1, 2 and 4 ways) up to twice.
+    /// one (1, 2, 4 and 16 ways) up to three times and the 16-set one
+    /// (2, 8 and 16 ways) up to twice.
     #[test]
     fn fifo_stackdist_matches_direct_cache_simulation(
-        stream in proptest::collection::vec((0u64..512, any::<bool>()), 1..400),
+        stream in proptest::collection::vec((eval_line(), any::<bool>()), 1..400),
         allocate in any::<bool>(),
     ) {
         let grid = [
@@ -741,6 +760,9 @@ proptest! {
             (8 * 64, 8),
             (16 * 64, 2),
             (32 * 64, 4),
+            (128 * 64, 16),
+            (32 * 64, 2),
+            (128 * 64, 8),
             (256 * 64, 16),
         ];
         let configs: Vec<CacheConfig> = grid
@@ -760,13 +782,14 @@ proptest! {
     /// The prefetch-composed LRU evaluator exactly matches per-config
     /// replay under randomized demand streams and randomized candidate
     /// schedules (hierarchy fill order: lookup, candidates, demand fill).
-    /// The 8- and 16-set classes hold two geometries each, so candidates
-    /// fork them — also after an earlier fill of the same access has
-    /// changed the rows.
+    /// The 8-set class (2, 4 and 16 ways, 16-slot rows) and the 16-set
+    /// class (2, 4 and 8 ways, 8-slot rows) hold three geometries each,
+    /// so candidates fork them down to 4- and 2-slot parts — also after
+    /// an earlier fill of the same access has changed the rows.
     #[test]
     fn prefetch_stackdist_matches_direct_cache_simulation(
         stream in proptest::collection::vec(
-            ((0u64..384, any::<bool>()), proptest::collection::vec(0u64..384, 0..3)),
+            ((eval_line(), any::<bool>()), proptest::collection::vec(eval_line(), 0..3)),
             1..300,
         ),
         allocate in any::<bool>(),
@@ -775,9 +798,11 @@ proptest! {
             (64u64 * 64, 1u32),
             (64 * 64, 64),
             (8 * 64, 4),
-            (16 * 64, 2), // 8 sets, beside 4 ways
+            (16 * 64, 2), // 8 sets, beside 4 and 16 ways
             (32 * 64, 4),
-            (64 * 64, 4), // 16 sets, beside 8 ways
+            (128 * 64, 16),
+            (32 * 64, 2), // 16 sets, beside 4 and 8 ways
+            (64 * 64, 4),
             (128 * 64, 8),
         ];
         let configs: Vec<CacheConfig> = grid
