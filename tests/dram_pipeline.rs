@@ -1,7 +1,10 @@
 //! Integration of the full stack down to DRAM (the Fig. 7 path): the
 //! clone's memory-request stream must produce DRAM metrics close to the
-//! original's across configurations.
+//! original's across configurations. One more test pins the hand-off
+//! itself: the recorded requests' JSON and their replay.
 
+use gmap::bench::sweeps;
+use gmap::core::cachekey::{canonical_json, content_key};
 use gmap::core::{profile_kernel, run_original, run_proxy, ProfilerConfig, SimtConfig};
 use gmap::dram::{AddressMapping, DramConfig};
 use gmap::gpu::workloads::{self, Scale};
@@ -84,5 +87,39 @@ fn memory_traffic_volume_matches() {
         "memory request volume ratio {ratio:.2} ({} vs {})",
         proxy.mem_trace.len(),
         orig.mem_trace.len()
+    );
+}
+
+/// The hand-off below the L2, pinned byte for byte: the canonical JSON of
+/// an outcome whose hierarchy recorded its memory requests (its content
+/// key, its length and its first request written out), and the metrics
+/// of replaying that trace at the Table 2 baseline and at one Figure 7
+/// configuration.
+#[test]
+fn recorded_trace_serializes_and_replays_as_pinned() {
+    let kernel = workloads::hotspot(Scale::Tiny);
+    let out = run_original(&kernel, &traced_cfg()).expect("valid");
+    assert_eq!(
+        canonical_json(&out.mem_trace[0]),
+        r#"{"cycle":0,"addr":10368,"kind":"Read"}"#
+    );
+    let writes = out.mem_trace.iter().filter(|r| r.kind.is_write()).count();
+    assert_eq!((out.mem_trace.len(), writes), (50_077, 6_621));
+    let json = canonical_json(&out);
+    assert_eq!(
+        (json.len(), content_key(&json).as_str()),
+        (2_185_483, "72fd032ad9396cfb343e5336b11e0326")
+    );
+    assert_eq!(
+        canonical_json(&out.dram_metrics(DramConfig::table2_baseline())),
+        r#"{"requests":50077,"reads":43456,"writes":6621,"row_hits":41341,"rbl":0.8255486550711904,"avg_queue_len":5377.184656600496,"avg_read_latency":36064.59612021355,"avg_write_latency":42184.87720888083,"finish_cycle":94127}"#
+    );
+    let (_, point) = sweeps::dram_sweep()
+        .into_iter()
+        .find(|(label, _)| label == "4ch/8B/ChRaBaRoCo")
+        .expect("a Figure 7 configuration");
+    assert_eq!(
+        canonical_json(&out.dram_metrics(point)),
+        r#"{"requests":50077,"reads":43456,"writes":6621,"row_hits":10450,"rbl":0.20867863490225053,"avg_queue_len":8178.2618965328875,"avg_read_latency":919315.9383744478,"avg_write_latency":1072640.2028394502,"finish_cycle":1903832}"#
     );
 }
