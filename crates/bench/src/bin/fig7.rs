@@ -31,12 +31,12 @@ fn main() {
     // Per benchmark, per config: (orig metrics, proxy metrics).
     let results = parallel_map(&names, opts.threads.min(4), |name| {
         let data = prepare(name, opts.scale, opts.seed);
-        // The recorded memory requests of one stream, converted once;
-        // every configuration replays them.
+        // The recorded memory requests of one stream; every configuration
+        // replays them.
         let trace = |streams, launch| {
-            let out = gmap_core::simulate_streams(streams, launch, &sim_cfg)
-                .expect("baseline config is valid");
-            gmap_core::dram_requests(&out.mem_trace)
+            gmap_core::simulate_streams(streams, launch, &sim_cfg)
+                .expect("baseline config is valid")
+                .mem_trace
         };
         let orig_reqs = trace(&data.orig_streams, &data.kernel.launch);
         let proxy_reqs = trace(&data.proxy_streams, &data.profile.launch);

@@ -5,7 +5,7 @@
 //! configurations per benchmark; the cross products below realize them.
 
 use gmap_core::SimtConfig;
-use gmap_dram::{AddressMapping, DramConfig, DramGeometry, DramTiming};
+use gmap_dram::{AddressMapping, DramConfig, DramTiming};
 use gmap_memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap_memsim::prefetch::{StreamPrefetcherConfig, StridePrefetcherConfig};
 
@@ -125,7 +125,8 @@ pub fn replacement_policy_sweep() -> Vec<SimtConfig> {
 }
 
 /// Figure 7: 11 GDDR5 configurations — bus width, channel parallelism and
-/// addressing scheme (RoBaRaCoCh / ChRaBaRoCo), as in the paper.
+/// addressing scheme (RoBaRaCoCh / ChRaBaRoCo), as in the paper — each
+/// [`DramConfig::gddr5_baseline`] with those three changed.
 pub fn dram_sweep() -> Vec<(String, DramConfig)> {
     let mut out = Vec::with_capacity(11);
     for &channels in &[2u32, 4, 8] {
@@ -134,19 +135,11 @@ pub fn dram_sweep() -> Vec<(String, DramConfig)> {
                 if out.len() == 11 {
                     break;
                 }
-                let cfg = DramConfig {
-                    geometry: DramGeometry {
-                        channels,
-                        ranks: 1,
-                        banks: 16,
-                        bank_groups: 4,
-                        columns: 32,
-                        bus_width_bytes: bus,
-                    },
-                    mapping,
-                    timing: DramTiming::gddr5(bus),
-                    scheduler: gmap_dram::MemSched::FrFcfs,
-                };
+                let mut cfg = DramConfig::gddr5_baseline();
+                cfg.geometry.channels = channels;
+                cfg.geometry.bus_width_bytes = bus;
+                cfg.timing = DramTiming::gddr5(bus);
+                cfg.mapping = mapping;
                 out.push((format!("{channels}ch/{bus}B/{mapping}"), cfg));
             }
         }

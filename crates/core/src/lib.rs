@@ -63,7 +63,7 @@ pub use application::{
 pub use error::GmapError;
 pub use fidelity::{FidelityClass, FidelityReport};
 pub use miniaturize::miniaturize;
-pub use model::{dram_requests, run_original, run_proxy, simulate_streams, SimOutcome, SimtConfig};
+pub use model::{run_original, run_proxy, simulate_streams, SimOutcome, SimtConfig};
 pub use profile::{GmapProfile, PiEntry, PiProfile};
 pub use profiler::{profile_kernel, profile_kernel_with_streams, profile_streams, ProfilerConfig};
 pub use validate::{compare_series, summarize, BenchmarkComparison, SweepSummary};

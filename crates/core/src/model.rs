@@ -17,7 +17,7 @@ use crate::error::GmapError;
 use crate::generate::generate_streams;
 use crate::profile::GmapProfile;
 use crate::COALESCE_BYTES;
-use gmap_dram::{DramConfig, DramMetrics, DramRequest, DramSystem};
+use gmap_dram::{DramConfig, DramMetrics, DramSystem};
 use gmap_gpu::coalesce::coalesce_app;
 use gmap_gpu::exec::execute_kernel;
 use gmap_gpu::hierarchy::{GpuConfig, LaunchConfig};
@@ -85,25 +85,11 @@ impl SimOutcome {
         self.stats.l2_miss_rate() * 100.0
     }
 
-    /// Replays the recorded memory trace through a DRAM configuration
-    /// (Figure 7). A sweep over many configurations converts the trace
-    /// once with [`dram_requests`] and replays that.
+    /// Replays the recorded memory trace, as recorded, through a DRAM
+    /// configuration (Figure 7).
     pub fn dram_metrics(&self, cfg: DramConfig) -> DramMetrics {
-        DramSystem::new(cfg).run(&dram_requests(&self.mem_trace))
+        DramSystem::new(cfg).run(&self.mem_trace)
     }
-}
-
-/// The memory requests a hierarchy recorded, as the DRAM model takes
-/// them: same arrival cycle, address and kind, same order.
-pub fn dram_requests(trace: &[MemRequest]) -> Vec<DramRequest> {
-    trace
-        .iter()
-        .map(|m| DramRequest {
-            cycle: m.cycle,
-            addr: m.addr,
-            kind: m.kind,
-        })
-        .collect()
 }
 
 /// Executes and coalesces a kernel into per-warp transaction streams at

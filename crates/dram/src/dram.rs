@@ -1,8 +1,8 @@
 //! Per-channel memory controllers with row-buffer state and FR-FCFS
-//! scheduling.
+//! scheduling, the Table 2 controller and the only policy modeled.
 //!
-//! [`DramSystem::run`] consumes a timestamped request stream (as recorded
-//! by the cache hierarchy) and produces the three metrics of the paper's
+//! [`DramSystem::run`] replays the [`MemRequest`]s the cache hierarchy
+//! recorded, as recorded, and produces the three metrics of the paper's
 //! Figure 7: row-buffer locality, controller queue length (see
 //! [`DramMetrics::avg_queue_len`] for what is summed) and average
 //! read/write latency.
@@ -40,7 +40,7 @@
 
 use crate::mapping::{AddressMapping, DramGeometry, MappingPlan};
 use crate::timing::DramTiming;
-use gmap_trace::record::{AccessKind, ByteAddr};
+use gmap_trace::record::MemRequest;
 use serde::{Deserialize, Serialize};
 
 /// Controller buffer capacity per channel. Arrivals beyond it wait at the
@@ -53,28 +53,6 @@ const QUEUE_CAPACITY: usize = 4096;
 /// the row-hit mask per position, so at most 64.
 const SCAN_WINDOW: usize = 64;
 
-/// A memory request presented to the DRAM system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DramRequest {
-    /// Arrival cycle at the controller.
-    pub cycle: u64,
-    /// Byte address (line-aligned).
-    pub addr: ByteAddr,
-    /// Read or write.
-    pub kind: AccessKind,
-}
-
-/// Request scheduling discipline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum MemSched {
-    /// First-ready, first-come-first-served: row-buffer hits first, then
-    /// oldest (Table 2 baseline).
-    #[default]
-    FrFcfs,
-    /// Strict arrival order.
-    Fcfs,
-}
-
 /// Full DRAM system configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DramConfig {
@@ -84,24 +62,22 @@ pub struct DramConfig {
     pub mapping: AddressMapping,
     /// Device timings.
     pub timing: DramTiming,
-    /// Scheduling discipline.
-    pub scheduler: MemSched,
 }
 
 impl DramConfig {
     /// The Table 2 baseline: GDDR3 timings, 8 channels × 1 rank × 8 banks,
-    /// FR-FCFS, RoBaRaCoCh mapping.
+    /// RoBaRaCoCh mapping.
     pub fn table2_baseline() -> Self {
         DramConfig {
             geometry: DramGeometry::table2_baseline(),
             mapping: AddressMapping::RoBaRaCoCh,
             timing: DramTiming::gddr3_table2(),
-            scheduler: MemSched::FrFcfs,
         }
     }
 
-    /// A GDDR5 starting point for the Figure 7 sweep (8 channels, 32-bit
-    /// bus per channel, 4 bank groups).
+    /// The GDDR5 device of the Figure 7 sweep: 8 channels, a 32-bit bus
+    /// per channel, 16 banks in 4 bank groups. The sweep varies the
+    /// channels, the bus width (and the burst with it) and the mapping.
     pub fn gddr5_baseline() -> Self {
         DramConfig {
             geometry: DramGeometry {
@@ -114,24 +90,6 @@ impl DramConfig {
             },
             mapping: AddressMapping::RoBaRaCoCh,
             timing: DramTiming::gddr5(4),
-            scheduler: MemSched::FrFcfs,
-        }
-    }
-
-    /// An HBM2-class stack: many narrow channels, short bursts.
-    pub fn hbm2_baseline() -> Self {
-        DramConfig {
-            geometry: DramGeometry {
-                channels: 16,
-                ranks: 1,
-                banks: 16,
-                bank_groups: 4,
-                columns: 32,
-                bus_width_bytes: 16,
-            },
-            mapping: AddressMapping::RoBaRaCoCh,
-            timing: DramTiming::hbm2(),
-            scheduler: MemSched::FrFcfs,
         }
     }
 }
@@ -331,7 +289,7 @@ impl DramSystem {
     /// Simulates a request stream to completion and returns the metrics.
     /// Requests must be in non-decreasing arrival order (the hierarchy
     /// records them that way); debug builds assert it.
-    pub fn run(&self, requests: &[DramRequest]) -> DramMetrics {
+    pub fn run(&self, requests: &[MemRequest]) -> DramMetrics {
         debug_assert!(
             requests.windows(2).all(|w| w[0].cycle <= w[1].cycle),
             "DRAM requests must be in non-decreasing arrival order"
@@ -400,7 +358,6 @@ impl DramSystem {
             return out;
         };
         let t = self.cfg.timing;
-        let fr_fcfs = self.cfg.scheduler == MemSched::FrFcfs;
         let bank_mask = (1u64 << bank_bits) - 1;
         // The flat bank is `rank * banks + bank` and `bank_groups` divides
         // `banks`, so its low bits are the bank group.
@@ -443,7 +400,7 @@ impl DramSystem {
             while win_len < SCAN_WINDOW && win_end < next {
                 let page = words[win_end] & !WRITE;
                 let open = banks[(page & bank_mask) as usize].open_page;
-                hits.push_if(win_end, fr_fcfs && open == page);
+                hits.push_if(win_end, open == page);
                 win_end += 1;
                 win_len += 1;
             }
@@ -501,7 +458,7 @@ impl DramSystem {
             col_free_other = col_at + t.t_ccd;
             bank.open_page = page;
             bank.ready_at = data_at + t.t_ccd + if is_write { t.t_wr } else { 0 };
-            if !hit && fr_fcfs {
+            if !hit {
                 // FR-FCFS serves a miss only when no entry is a hit, and
                 // that miss was the oldest entry.
                 hits.page_opened(words, &served, oldest, win_end, page);
@@ -549,12 +506,13 @@ struct ChannelOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmap_trace::record::{AccessKind, ByteAddr};
 
-    fn reads(addrs: &[u64], gap: u64) -> Vec<DramRequest> {
+    fn reads(addrs: &[u64], gap: u64) -> Vec<MemRequest> {
         addrs
             .iter()
             .enumerate()
-            .map(|(i, &a)| DramRequest {
+            .map(|(i, &a)| MemRequest {
                 cycle: i as u64 * gap,
                 addr: ByteAddr(a),
                 kind: AccessKind::Read,
@@ -575,7 +533,6 @@ mod tests {
             },
             mapping: AddressMapping::ChRaBaRoCo,
             timing: DramTiming::gddr3_table2(),
-            scheduler: MemSched::FrFcfs,
         }
     }
 
@@ -597,53 +554,33 @@ mod tests {
 
     #[test]
     fn row_conflict_stream_has_zero_rbl() {
-        // Alternate between two rows of the same bank.
+        // Alternate between two rows of the same bank, each request
+        // served before the next arrives: nothing to reorder.
         let row_bytes = 32 * 128u64;
         let addrs: Vec<u64> = (0..32).map(|i| (i % 2) * row_bytes).collect();
-        let mut cfg = one_bank();
-        cfg.scheduler = MemSched::Fcfs; // prevent FR-FCFS from batching rows
-        let m = DramSystem::new(cfg).run(&reads(&addrs, 100));
+        let m = DramSystem::new(one_bank()).run(&reads(&addrs, 100));
         assert_eq!(m.row_hits, 0);
         assert!(m.avg_read_latency > DramTiming::gddr3_table2().row_hit_latency() as f64);
     }
 
     #[test]
     fn frfcfs_reorders_for_row_hits() {
-        // Burst arrival of interleaved rows: FR-FCFS batches by row and
-        // gets more hits than FCFS.
+        // Burst arrival of interleaved rows: FR-FCFS serves each row's
+        // sixteen requests together, one activation per row.
         let row_bytes = 32 * 128u64;
         let addrs: Vec<u64> = (0..32)
             .map(|i| (i % 2) * row_bytes + (i / 2) * 128)
             .collect();
-        let all_at_once: Vec<DramRequest> = addrs
-            .iter()
-            .map(|&a| DramRequest {
-                cycle: 0,
-                addr: ByteAddr(a),
-                kind: AccessKind::Read,
-            })
-            .collect();
-        let mut fr = one_bank();
-        fr.scheduler = MemSched::FrFcfs;
-        let mut fc = one_bank();
-        fc.scheduler = MemSched::Fcfs;
-        let m_fr = DramSystem::new(fr).run(&all_at_once);
-        let m_fc = DramSystem::new(fc).run(&all_at_once);
-        assert!(
-            m_fr.row_hits > m_fc.row_hits,
-            "FR-FCFS hits {} <= FCFS hits {}",
-            m_fr.row_hits,
-            m_fc.row_hits
-        );
-        assert!(m_fr.rbl > 0.8);
+        let m = DramSystem::new(one_bank()).run(&reads(&addrs, 0));
+        assert_eq!(m.row_hits, 30);
     }
 
     #[test]
     fn burst_arrivals_grow_the_queue() {
         let addrs: Vec<u64> = (0..64).map(|i| i * 128).collect();
-        let burst: Vec<DramRequest> = addrs
+        let burst: Vec<MemRequest> = addrs
             .iter()
-            .map(|&a| DramRequest {
+            .map(|&a| MemRequest {
                 cycle: 0,
                 addr: ByteAddr(a),
                 kind: AccessKind::Read,
@@ -664,9 +601,9 @@ mod tests {
     #[test]
     fn more_channels_spread_load() {
         let addrs: Vec<u64> = (0..256).map(|i| i * 128).collect();
-        let burst: Vec<DramRequest> = addrs
+        let burst: Vec<MemRequest> = addrs
             .iter()
-            .map(|&a| DramRequest {
+            .map(|&a| MemRequest {
                 cycle: 0,
                 addr: ByteAddr(a),
                 kind: AccessKind::Read,
@@ -685,17 +622,17 @@ mod tests {
     #[test]
     fn writes_are_tracked_separately() {
         let reqs = vec![
-            DramRequest {
+            MemRequest {
                 cycle: 0,
                 addr: ByteAddr(0),
                 kind: AccessKind::Read,
             },
-            DramRequest {
+            MemRequest {
                 cycle: 10,
                 addr: ByteAddr(128),
                 kind: AccessKind::Write,
             },
-            DramRequest {
+            MemRequest {
                 cycle: 20,
                 addr: ByteAddr(256),
                 kind: AccessKind::Write,
@@ -737,46 +674,37 @@ mod tests {
             cfg.geometry.channels = 1;
             cfg.geometry.banks = 4;
             cfg.geometry.bank_groups = bank_groups;
+            cfg.mapping = AddressMapping::ChRaBaRoCo;
             cfg.timing.t_ccd = 2;
             cfg.timing.t_ccd_l = 8;
             // Keep the data bus out of the way so the CCD gap is the
-            // binding constraint, and preserve the bank alternation (FR-FCFS
-            // would batch each bank's row hits together).
+            // binding constraint.
             cfg.timing.burst = 1;
-            cfg.scheduler = MemSched::Fcfs;
             cfg
         };
-        // Interleave two banks: with ChRaBaRoCo, banks sit above the row
-        // bits; easier to alternate columns within one row per bank.
+        // Interleave two banks, columns of one row each: with ChRaBaRoCo
+        // the banks sit above the row bits. The first request to each
+        // bank opens its row; the rest arrive once both are open, so
+        // every one is a row hit and FR-FCFS serves them oldest first,
+        // alternating banks.
         let row_bytes = 32 * 128u64;
         let bank_stride = row_bytes << 20; // one bank apart under ChRaBaRoCo
-        let reqs: Vec<DramRequest> = (0..64u64)
-            .map(|i| DramRequest {
-                cycle: 0,
+        let reqs: Vec<MemRequest> = (0..64u64)
+            .map(|i| MemRequest {
+                cycle: if i < 2 { 0 } else { 100 },
                 addr: ByteAddr((i % 2) * bank_stride + (i / 2) * 128),
                 kind: AccessKind::Read,
             })
             .collect();
-        let mut grouped = mk(1); // banks 0 and 1 share the single group
-        grouped.mapping = AddressMapping::ChRaBaRoCo;
-        let mut split = mk(2); // banks 0 and 1 land in different groups
-        split.mapping = AddressMapping::ChRaBaRoCo;
-        let slow = DramSystem::new(grouped).run(&reqs);
-        let fast = DramSystem::new(split).run(&reqs);
+        let slow = DramSystem::new(mk(1)).run(&reqs); // banks 0 and 1 share the group
+        let fast = DramSystem::new(mk(2)).run(&reqs); // banks 0 and 1 in different groups
+        assert_eq!((slow.row_hits, fast.row_hits), (62, 62));
         assert!(
             slow.finish_cycle > fast.finish_cycle,
             "same-group gating should cost cycles: {} vs {}",
             slow.finish_cycle,
             fast.finish_cycle
         );
-    }
-
-    #[test]
-    fn hbm_baseline_runs() {
-        let addrs: Vec<u64> = (0..128).map(|i| i * 128).collect();
-        let m = DramSystem::new(DramConfig::hbm2_baseline()).run(&reads(&addrs, 4));
-        assert_eq!(m.requests, 128);
-        assert!(m.avg_read_latency > 0.0);
     }
 
     #[test]

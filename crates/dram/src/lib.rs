@@ -6,15 +6,18 @@
 //! length, and average read/write latency. This crate is the from-scratch
 //! substitute:
 //!
-//! - [`timing`] — GDDR-style timing parameter sets (tRCD/tCAS/tRP/tRAS...),
-//!   with the Table 2 baseline (`11-11-11-28` at 924 MHz) and GDDR5
-//!   presets.
+//! - [`timing`] — GDDR-style timing parameter sets (tRCD/tCAS/tRP/tRAS...):
+//!   the Table 2 baseline (`11-11-11-28` at 924 MHz) and the GDDR5 set of
+//!   the Figure 7 sweep.
 //! - [`mapping`] — the two address-decomposition schemes the paper sweeps:
 //!   `RoBaRaCoCh` and `ChRaBaRoCo`.
 //! - [`dram`] — per-channel controllers with open-page row-buffer state
-//!   machines and FR-FCFS (or FCFS) request scheduling, consuming the
-//!   timestamped request stream recorded by `gmap-memsim` and producing
-//!   [`dram::DramMetrics`].
+//!   machines and FR-FCFS scheduling (the Table 2 controller, the only
+//!   policy), replaying the requests `gmap-memsim` records as recorded
+//!   and producing [`dram::DramMetrics`].
+//!
+//! Both sides speak one record, [`MemRequest`](gmap_trace::record::MemRequest);
+//! [`DramRequest`] is that record under the controller's name.
 //!
 //! # Example
 //!
@@ -38,6 +41,7 @@ pub mod dram;
 pub mod mapping;
 pub mod timing;
 
-pub use dram::{DramConfig, DramMetrics, DramRequest, DramSystem, MemSched};
+pub use dram::{DramConfig, DramMetrics, DramSystem};
+pub use gmap_trace::record::MemRequest as DramRequest;
 pub use mapping::{AddressMapping, DramGeometry, DramLoc};
 pub use timing::DramTiming;

@@ -39,8 +39,8 @@ pub struct DramGeometry {
     pub ranks: u32,
     /// Banks per rank.
     pub banks: u32,
-    /// Bank groups per rank (1 = no bank-group timing; GDDR5X/HBM-class
-    /// devices pair this with [`crate::DramTiming::t_ccd_l`]).
+    /// Bank groups per rank (1 = no bank-group timing; GDDR5 pairs its
+    /// 4 groups with [`crate::DramTiming::t_ccd_l`]).
     pub bank_groups: u32,
     /// Columns per row, where one column is one 128-byte request.
     pub columns: u32,

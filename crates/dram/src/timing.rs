@@ -4,15 +4,14 @@
 //! shape the experiments' metrics are modeled: row activate/precharge
 //! latencies (which separate row hits from row misses and drive RBL
 //! sensitivity), column access latency, burst occupancy of the data bus
-//! (which creates queuing), and write recovery.
+//! (which creates queuing), and write recovery. Two sets: the Table 2
+//! baseline and the GDDR5 set of the Figure 7 sweep.
 
 use serde::{Deserialize, Serialize};
 
 /// A DRAM device timing set, in controller cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DramTiming {
-    /// Clock, for reporting only (latencies stay in cycles).
-    pub freq_mhz: u32,
     /// Row-to-column delay (activate → column command).
     pub t_rcd: u64,
     /// Column access strobe latency (column command → data).
@@ -25,8 +24,8 @@ pub struct DramTiming {
     /// group, or devices without bank groups).
     pub t_ccd: u64,
     /// Column-to-column gap for back-to-back accesses to the *same* bank
-    /// group (GDDR5X/HBM-class devices; equal to `t_ccd` when the device
-    /// has no bank groups).
+    /// group (GDDR5; equal to `t_ccd` when the device has no bank
+    /// groups).
     pub t_ccd_l: u64,
     /// Write recovery (end of write burst → precharge).
     pub t_wr: u64,
@@ -39,7 +38,6 @@ impl DramTiming {
     /// `tRCD-tCAS-tRP-tRAS = 11-11-11-28`.
     pub fn gddr3_table2() -> Self {
         DramTiming {
-            freq_mhz: 924,
             t_rcd: 11,
             t_cas: 11,
             t_rp: 11,
@@ -62,7 +60,6 @@ impl DramTiming {
         // 128-byte request; double data rate moves 2 x width per cycle.
         let burst = (128 / (2 * bus_width_bytes as u64)).max(1);
         DramTiming {
-            freq_mhz: 1250,
             t_rcd: 12,
             t_cas: 12,
             t_rp: 12,
@@ -71,45 +68,6 @@ impl DramTiming {
             t_ccd_l: 3,
             t_wr: 14,
             burst,
-        }
-    }
-
-    /// GDDR5X-class timings: quad-data-rate moves the burst in half the
-    /// cycles, but the same-bank-group column gap widens.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bus_width_bytes` is zero.
-    pub fn gddr5x(bus_width_bytes: u32) -> Self {
-        assert!(bus_width_bytes > 0, "bus width must be positive");
-        let burst = (128 / (4 * bus_width_bytes as u64)).max(1);
-        DramTiming {
-            freq_mhz: 1375,
-            t_rcd: 14,
-            t_cas: 14,
-            t_rp: 14,
-            t_ras: 34,
-            t_ccd: 2,
-            t_ccd_l: 4,
-            t_wr: 16,
-            burst,
-        }
-    }
-
-    /// HBM2-class timings: modest clock, very wide bus (the whole 128-byte
-    /// request moves in a couple of beats), pseudo-channel style short
-    /// bursts.
-    pub fn hbm2() -> Self {
-        DramTiming {
-            freq_mhz: 1000,
-            t_rcd: 14,
-            t_cas: 14,
-            t_rp: 14,
-            t_ras: 33,
-            t_ccd: 2,
-            t_ccd_l: 3,
-            t_wr: 15,
-            burst: 2,
         }
     }
 
@@ -143,7 +101,6 @@ mod tests {
     fn table2_values() {
         let t = DramTiming::gddr3_table2();
         assert_eq!((t.t_rcd, t.t_cas, t.t_rp, t.t_ras), (11, 11, 11, 28));
-        assert_eq!(t.freq_mhz, 924);
     }
 
     #[test]
@@ -160,17 +117,6 @@ mod tests {
         assert_eq!(DramTiming::gddr5(64).burst, 1);
         // Never zero, even for absurdly wide buses.
         assert_eq!(DramTiming::gddr5(256).burst, 1);
-    }
-
-    #[test]
-    fn faster_generations_have_shorter_bursts() {
-        let g5 = DramTiming::gddr5(8);
-        let g5x = DramTiming::gddr5x(8);
-        assert!(g5x.burst < g5.burst, "QDR halves the burst");
-        assert!(g5x.t_ccd_l >= g5x.t_ccd, "same-group gap is never shorter");
-        let hbm = DramTiming::hbm2();
-        assert!(hbm.burst <= 2);
-        assert!(hbm.t_ccd_l >= hbm.t_ccd);
     }
 
     #[test]

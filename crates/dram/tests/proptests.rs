@@ -3,10 +3,10 @@
 
 use gmap_dram::{
     AddressMapping, DramConfig, DramGeometry, DramMetrics, DramRequest, DramSystem, DramTiming,
-    MemSched,
 };
 use gmap_trace::record::{AccessKind, ByteAddr};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// The controller as it was before its queue became a window, a tail and
 /// a row-hit mask: one `VecDeque` of requests carrying their arrival
@@ -16,7 +16,7 @@ use proptest::prelude::*;
 /// model after the pick is the same code as in `gmap_dram::dram`.
 mod reference {
     use gmap_dram::mapping::MappingPlan;
-    use gmap_dram::{DramConfig, DramLoc, DramMetrics, DramRequest, MemSched};
+    use gmap_dram::{DramConfig, DramLoc, DramMetrics, DramRequest};
     use std::collections::VecDeque;
 
     #[derive(Debug, Clone, Copy, Default)]
@@ -131,28 +131,23 @@ mod reference {
                 continue;
             }
             const SCAN_WINDOW: usize = 64;
-            let pick = match cfg.scheduler {
-                MemSched::Fcfs => 0,
-                MemSched::FrFcfs => {
-                    let window = queue.len().min(SCAN_WINDOW);
+            let window = queue.len().min(SCAN_WINDOW);
+            let pick = queue
+                .iter()
+                .take(window)
+                .enumerate()
+                .filter(|(_, p)| banks[p.flat_bank].open_row == Some(p.row))
+                .min_by_key(|(_, p)| p.seq)
+                .map(|(i, _)| i)
+                .unwrap_or_else(|| {
                     queue
                         .iter()
                         .take(window)
                         .enumerate()
-                        .filter(|(_, p)| banks[p.flat_bank].open_row == Some(p.row))
                         .min_by_key(|(_, p)| p.seq)
                         .map(|(i, _)| i)
-                        .unwrap_or_else(|| {
-                            queue
-                                .iter()
-                                .take(window)
-                                .enumerate()
-                                .min_by_key(|(_, p)| p.seq)
-                                .map(|(i, _)| i)
-                                .expect("queue is non-empty")
-                        })
-                }
-            };
+                        .expect("queue is non-empty")
+                });
             let p = queue.remove(pick).expect("index in range");
             let bank = &mut banks[p.flat_bank];
             let mut start = now.max(bank.ready_at);
@@ -219,7 +214,7 @@ fn assert_matches_reference(cfg: DramConfig, reqs: &[DramRequest]) -> DramMetric
 
 /// One channel, one bank, 4 KiB rows, row bits directly above the column
 /// bits: `row * ROW_BYTES + column * 128` addresses the bank's rows.
-fn one_bank(scheduler: MemSched) -> DramConfig {
+fn one_bank() -> DramConfig {
     DramConfig {
         geometry: DramGeometry {
             channels: 1,
@@ -231,7 +226,6 @@ fn one_bank(scheduler: MemSched) -> DramConfig {
         },
         mapping: AddressMapping::ChRaBaRoCo,
         timing: DramTiming::gddr3_table2(),
-        scheduler,
     }
 }
 
@@ -257,15 +251,12 @@ fn full_window_alternating_rows_matches_reference() {
     let rotating = |rows: u64| {
         same_cycle_reads((0..200u64).map(move |i| (i % rows) * ROW_BYTES + (i / rows % 32) * 128))
     };
-    let two = rotating(2);
-    let fr = assert_matches_reference(one_bank(MemSched::FrFcfs), &two);
-    let fc = assert_matches_reference(one_bank(MemSched::Fcfs), &two);
-    assert_eq!(fc.row_hits, 0, "FCFS serves the alternation as it arrives");
     // FR-FCFS stays on a row while the refill keeps bringing its
     // requests into the window: three activations in all.
+    let fr = assert_matches_reference(one_bank(), &rotating(2));
     assert_eq!(fr.row_hits, 197);
     // Eight rows, eight window entries each: sixteen activations.
-    let fr = assert_matches_reference(one_bank(MemSched::FrFcfs), &rotating(8));
+    let fr = assert_matches_reference(one_bank(), &rotating(8));
     assert_eq!(fr.row_hits, 184);
 }
 
@@ -275,12 +266,13 @@ fn full_window_alternating_rows_matches_reference() {
 #[test]
 fn queue_held_at_capacity_matches_reference() {
     let reqs = same_cycle_reads((0..6000u64).map(|i| (i * 7 % 5) * ROW_BYTES + (i % 32) * 128));
-    let fr = assert_matches_reference(one_bank(MemSched::FrFcfs), &reqs);
-    assert_eq!(fr.requests, 6000);
+    let fr = assert_matches_reference(one_bank(), &reqs);
+    // FR-FCFS drains the open row's requests from the window before it
+    // activates another: 197 activations for 6000 requests.
+    assert_eq!((fr.requests, fr.row_hits), (6000, 5803));
     // Every request arrived at cycle 0, so the weighted queue length
     // (see `DramMetrics::avg_queue_len`) is long.
     assert!(fr.avg_queue_len > 64.0);
-    assert_matches_reference(one_bank(MemSched::Fcfs), &reqs);
 }
 
 fn requests(
@@ -313,18 +305,12 @@ fn any_mapping() -> impl Strategy<Value = AddressMapping> {
     ]
 }
 
-fn any_sched() -> impl Strategy<Value = MemSched> {
-    prop_oneof![Just(MemSched::FrFcfs), Just(MemSched::Fcfs)]
-}
-
-/// The three device classes the experiments use: Table 2 (no bank
-/// groups), GDDR5 (4 bank groups, long same-group column gap) and HBM2
-/// (16 narrow channels).
+/// The two device classes the experiments use: Table 2 (no bank
+/// groups) and GDDR5 (4 bank groups, long same-group column gap).
 fn any_device() -> impl Strategy<Value = DramConfig> {
     prop_oneof![
         Just(DramConfig::table2_baseline()),
         Just(DramConfig::gddr5_baseline()),
-        Just(DramConfig::hbm2_baseline()),
     ]
 }
 
@@ -379,9 +365,8 @@ proptest! {
         reqs in differential_requests(),
         device in any_device(),
         mapping in any_mapping(),
-        sched in any_sched(),
     ) {
-        let cfg = DramConfig { mapping, scheduler: sched, ..device };
+        let cfg = DramConfig { mapping, ..device };
         assert_matches_reference(cfg, &reqs);
     }
 }
@@ -393,13 +378,11 @@ proptest! {
     fn conservation_and_bounds(
         reqs in requests(1 << 14, 1..300),
         mapping in any_mapping(),
-        sched in any_sched(),
     ) {
         let cfg = DramConfig {
             geometry: DramGeometry::table2_baseline(),
             mapping,
             timing: DramTiming::gddr3_table2(),
-            scheduler: sched,
         };
         let m = DramSystem::new(cfg).run(&reqs);
         prop_assert_eq!(m.requests as usize, reqs.len());
@@ -419,22 +402,35 @@ proptest! {
         prop_assert!(m.finish_cycle >= last_arrival);
     }
 
-    /// FR-FCFS never yields *fewer* row hits than FCFS on the same stream
-    /// (it only ever reorders toward open rows).
+    /// Requests spaced further apart than one takes to serve each meet an
+    /// empty queue, so FR-FCFS serves them as they arrive: a request is a
+    /// row hit iff the previous request to its bank opened the same row.
     #[test]
-    fn frfcfs_dominates_fcfs_on_hits(reqs in requests(1 << 10, 1..200)) {
-        let mut fr = DramConfig::table2_baseline();
-        fr.scheduler = MemSched::FrFcfs;
-        let mut fc = DramConfig::table2_baseline();
-        fc.scheduler = MemSched::Fcfs;
-        let m_fr = DramSystem::new(fr).run(&reqs);
-        let m_fc = DramSystem::new(fc).run(&reqs);
-        prop_assert!(
-            m_fr.row_hits + 2 >= m_fc.row_hits,
-            "FR-FCFS hits {} much lower than FCFS {}",
-            m_fr.row_hits,
-            m_fc.row_hits
-        );
+    fn spaced_streams_are_served_in_arrival_order(
+        raw in proptest::collection::vec((0u64..1 << 10, 100u64..200, any::<bool>()), 1..200),
+        mapping in any_mapping(),
+    ) {
+        let cfg = DramConfig { mapping, ..DramConfig::table2_baseline() };
+        let mut cycle = 0;
+        let reqs: Vec<DramRequest> = raw
+            .into_iter()
+            .map(|(line, gap, w)| {
+                cycle += gap;
+                DramRequest {
+                    cycle,
+                    addr: ByteAddr(line * 128),
+                    kind: if w { AccessKind::Write } else { AccessKind::Read },
+                }
+            })
+            .collect();
+        let mut open = BTreeMap::new();
+        let mut hits = 0;
+        for r in &reqs {
+            let loc = gmap_dram::mapping::decompose(r.addr.0, &cfg.geometry, mapping);
+            let bank = (loc.channel, loc.flat_bank(&cfg.geometry));
+            hits += u64::from(open.insert(bank, loc.row) == Some(loc.row));
+        }
+        prop_assert_eq!(DramSystem::new(cfg).run(&reqs).row_hits, hits);
     }
 
     /// Determinism: identical inputs, identical metrics.

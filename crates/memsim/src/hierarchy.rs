@@ -11,8 +11,8 @@
 //!   stores), allocate on read miss, 64 MSHRs per core.
 //! - L2: write-back, write-allocate, banked by line index.
 //! - Memory: a flat latency; the timestamped request stream can be
-//!   recorded and replayed through the `gmap-dram` simulator for the
-//!   DRAM experiments (Fig. 7).
+//!   recorded, as [`MemRequest`]s, and replayed as recorded through the
+//!   `gmap-dram` simulator for the DRAM experiments (Fig. 7).
 
 use crate::cache::{AccessRequest, Cache, CacheConfig, CacheStats, ConfigError, ReplacementPolicy};
 use crate::mshr::{Mshr, MshrOutcome};
@@ -20,19 +20,9 @@ use crate::prefetch::{
     StreamPrefetcher, StreamPrefetcherConfig, StridePrefetcher, StridePrefetcherConfig,
 };
 use gmap_gpu::schedule::MemoryModel;
+pub use gmap_trace::record::MemRequest;
 use gmap_trace::record::{AccessKind, ByteAddr, CoreId, Pc};
 use serde::{Deserialize, Serialize};
-
-/// A request that left the L2 toward memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemRequest {
-    /// Cycle the request left the L2.
-    pub cycle: u64,
-    /// L2-line-aligned byte address.
-    pub addr: ByteAddr,
-    /// Read (fill) or write (write-back / write-through traffic).
-    pub kind: AccessKind,
-}
 
 /// Whether the hierarchy materializes the timestamped memory-request
 /// stream that leaves the L2.

@@ -190,6 +190,18 @@ impl fmt::Display for AccessKind {
     }
 }
 
+/// A request that left the L2 toward memory: what the cache hierarchy
+/// records and the DRAM controllers replay, one record for both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct MemRequest {
+    /// Cycle the request left the L2, its arrival at the controller.
+    pub cycle: u64,
+    /// L2-line-aligned byte address.
+    pub addr: ByteAddr,
+    /// Read (fill) or write (write-back / write-through traffic).
+    pub kind: AccessKind,
+}
+
 /// One dynamic memory access by one scalar thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MemAccess {

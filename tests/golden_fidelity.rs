@@ -40,7 +40,7 @@
 use gmap::bench::{engine, parallel_map, prepare, sweeps, BenchData, Metric};
 use gmap::core::generate::generate_streams;
 use gmap::core::model::original_streams;
-use gmap::core::{cachekey, dram_requests, simulate_streams};
+use gmap::core::{cachekey, simulate_streams};
 use gmap::core::{SimOutcome, SimtConfig};
 use gmap::dram::{DramConfig, DramMetrics, DramSystem};
 use gmap::gpu::exec::execute_kernel;
@@ -262,7 +262,6 @@ struct GoldenDram {
 }
 
 fn dram_stream(out: &SimOutcome, dram_cfgs: &[(String, DramConfig)]) -> DramStream {
-    let reqs = dram_requests(&out.mem_trace);
     DramStream {
         cycles: out.schedule.cycles,
         mem_trace_len: out.mem_trace.len(),
@@ -272,7 +271,7 @@ fn dram_stream(out: &SimOutcome, dram_cfgs: &[(String, DramConfig)]) -> DramStre
         mshr_full_stalls: out.stats.mshr_full_stalls,
         dram: dram_cfgs
             .iter()
-            .map(|(_, d)| DramSystem::new(*d).run(&reqs))
+            .map(|(_, d)| DramSystem::new(*d).run(&out.mem_trace))
             .collect(),
     }
 }
