@@ -72,14 +72,17 @@ impl CacheConfig {
         if line_size < 2 {
             return Err(ConfigError::LineTooSmall);
         }
-        let way_bytes = assoc as u64 * line_size;
-        if !size_bytes.is_multiple_of(way_bytes) {
+        // A way too large for a u64 is larger than any capacity.
+        let Some(way_bytes) = u64::from(assoc)
+            .checked_mul(line_size)
+            .filter(|&w| size_bytes.is_multiple_of(w))
+        else {
             return Err(ConfigError::NotSetDivisible {
                 size_bytes,
                 assoc,
                 line_size,
             });
-        }
+        };
         let sets = size_bytes / way_bytes;
         if !sets.is_power_of_two() {
             return Err(ConfigError::SetsNotPowerOfTwo { sets });
@@ -592,6 +595,15 @@ mod tests {
             Err(ConfigError::LineTooSmall)
         );
         assert!(CacheConfig::new(1024, 4, 2, ReplacementPolicy::Lru).is_ok());
+    }
+
+    #[test]
+    fn a_way_wider_than_u64_is_not_a_divisor() {
+        // 3 × 2^63 wraps to 2^63, which would divide the capacity.
+        assert!(matches!(
+            CacheConfig::new(1 << 63, 3, 1 << 63, ReplacementPolicy::Lru),
+            Err(ConfigError::NotSetDivisible { .. })
+        ));
     }
 
     #[test]

@@ -400,7 +400,13 @@ pub fn clone_model(
 pub fn grid_config(point: &GridPoint, seed: u64) -> Result<SimtConfig, ApiError> {
     let policy = api::parse_policy(point.policy.as_deref())?;
     let line = point.line.unwrap_or(128);
-    let cache = CacheConfig::new(point.size_kb * 1024, point.assoc, line, policy)
+    let size_bytes = point.size_kb.checked_mul(1024).ok_or_else(|| {
+        ApiError::bad_request(format!(
+            "invalid cache config: size_kb {} overflows a byte count",
+            point.size_kb
+        ))
+    })?;
+    let cache = CacheConfig::new(size_bytes, point.assoc, line, policy)
         .map_err(|e| ApiError::bad_request(format!("invalid cache config: {e}")))?;
     let mut cfg = SimtConfig {
         seed,
@@ -960,6 +966,21 @@ mod tests {
         let err = grid_config(&tiny_line, 1).expect_err("rejected");
         assert_eq!(err.status, 400);
         assert!(err.message.contains("at least 2 bytes"), "{}", err.message);
+    }
+
+    #[test]
+    fn cache_sizes_that_overflow_are_400s() {
+        // 2^54 + 1 KiB is 1 KiB once multiplied out in a u64.
+        let err = grid_config(&point((1 << 54) + 1, 4), 1).expect_err("rejected");
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("overflows"), "{}", err.message);
+        // 2^63 bytes in 3 ways of 2^63-byte lines: the way's byte count
+        // wraps to 2^63, which would leave one set.
+        let mut huge_line = point(1 << 53, 3);
+        huge_line.line = Some(1 << 63);
+        let err = grid_config(&huge_line, 1).expect_err("rejected");
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("not divisible"), "{}", err.message);
     }
 
     #[test]
