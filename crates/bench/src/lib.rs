@@ -888,6 +888,75 @@ mod tests {
         );
     }
 
+    /// What a process that runs figures back to back gets is what each
+    /// figure gets alone, from a cold cache. The four share captures, and
+    /// 6e's LRU half and `policy_l1_sweep` are 6a's 128 B half.
+    #[test]
+    fn figures_in_one_process_equal_figures_on_a_cold_cache() {
+        let _cache = engine::capture_cache_test_guard();
+        let opts = ExperimentOpts {
+            scale: Scale::Tiny,
+            seed: 42,
+            threads: 2,
+            csv: None,
+        };
+        let figures = [
+            (sweeps::l1_sweep(), Metric::L1MissPct),
+            (sweeps::replacement_policy_sweep(), Metric::L1MissPct),
+            (sweeps::policy_l1_sweep(), Metric::L1MissPct),
+            (sweeps::l2_sweep(), Metric::L2MissPct),
+        ];
+        let run = |(configs, metric): &(Vec<SimtConfig>, Metric)| {
+            run_figure("figure", configs, *metric, opts.clone())
+        };
+        let cold: Vec<SweepSummary> = figures
+            .iter()
+            .map(|figure| {
+                engine::capture_cache_clear();
+                run(figure)
+            })
+            .collect();
+        engine::capture_cache_clear();
+        let warm: Vec<SweepSummary> = figures.iter().map(run).collect();
+        assert_eq!(warm, cold);
+        engine::capture_cache_clear();
+    }
+
+    #[test]
+    fn evaluate_profile_repeated_equals_the_first_answer() {
+        let _cache = engine::capture_cache_test_guard();
+        engine::capture_cache_clear();
+        let data = prepare("kmeans", Scale::Tiny, 7);
+        let grids = [
+            (sweeps::l1_sweep(), Metric::L1MissPct),
+            (sweeps::policy_l1_sweep(), Metric::L1MissPct),
+            (sweeps::replacement_policy_sweep(), Metric::L1MissPct),
+            (sweeps::l1_prefetch_sweep()[..8].to_vec(), Metric::L1MissPct),
+            (sweeps::l2_sweep(), Metric::L2MissPct),
+        ];
+        let eval = |(grid, metric): &(Vec<SimtConfig>, Metric)| {
+            evaluate_profile(&data.profile, grid, *metric, 7, None).expect("not cancelled")
+        };
+        let first: Vec<ProfileEvaluation> = grids.iter().map(eval).collect();
+        for ((grid, metric), got) in grids.iter().zip(&first) {
+            let plan = engine::plan_single_pass(grid, *metric).expect("stock grids plan");
+            let fresh = engine::capture_stream(
+                &data.proxy_streams,
+                &data.profile.launch,
+                &plan.capture_cfg,
+            );
+            assert_eq!(
+                got.values,
+                engine::eval_captured(&plan, &fresh, grid).values
+            );
+        }
+        for _ in 0..2 {
+            let again: Vec<ProfileEvaluation> = grids.iter().map(eval).collect();
+            assert_eq!(again, first);
+        }
+        engine::capture_cache_clear();
+    }
+
     #[test]
     fn evaluate_grid_unplanned_is_exactly_one_simulation_per_config() {
         let data = prepare("scalarprod", Scale::Tiny, 7);
