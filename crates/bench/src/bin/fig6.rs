@@ -28,6 +28,8 @@
 //! the same reference configuration (Table 2 baseline, LRR): the
 //! benchmarks are prepared once and each stream is captured once for the
 //! whole run. Only 6e's GTO section captures under a policy of its own.
+//! 6e's LRR grid and its replacement grid's LRU half are 6a's 128 B
+//! group, which each capture's memo answers after 6a.
 
 use gmap_bench::{
     engine, parallel_map, prepare_all, print_header, run_figure_on, sweep_grid, sweeps, BenchData,
@@ -35,6 +37,7 @@ use gmap_bench::{
 };
 use gmap_core::{compare_series, summarize, SimtConfig, SweepSummary};
 use gmap_gpu::schedule::Policy;
+use std::sync::Arc;
 
 const GRID_HELP: &str = "  --grid a|b|c|d|e|all         which Figure 6 grid to run (default: all);
                                --csv PATH gets the grid letter before its
@@ -89,7 +92,7 @@ fn lettered(path: &str, letter: char) -> String {
 
 /// Runs one grid over the prepared benchmarks and returns its summaries
 /// (one for a–d; LRR, GTO and replacement for e).
-fn run_grid(letter: char, data: &[BenchData], opts: &ExperimentOpts) -> Vec<SweepSummary> {
+fn run_grid(letter: char, data: &[Arc<BenchData>], opts: &ExperimentOpts) -> Vec<SweepSummary> {
     match GRIDS.iter().find(|g| g.0 == letter) {
         Some(&(_, title, configs, metric)) => {
             let opts = ExperimentOpts {
@@ -102,7 +105,7 @@ fn run_grid(letter: char, data: &[BenchData], opts: &ExperimentOpts) -> Vec<Swee
     }
 }
 
-fn fig6e(data: &[BenchData], opts: &ExperimentOpts) -> Vec<SweepSummary> {
+fn fig6e(data: &[Arc<BenchData>], opts: &ExperimentOpts) -> Vec<SweepSummary> {
     let configs = sweeps::policy_l1_sweep();
     let plan = engine::plan_single_pass(&configs, Metric::L1MissPct)
         .expect("the policy sweep is pure-LRU and single-pass");
@@ -154,8 +157,9 @@ fn fig6e(data: &[BenchData], opts: &ExperimentOpts) -> Vec<SweepSummary> {
     println!("{replacement}");
     let cache = engine::capture_cache_stats();
     println!(
-        "capture cache: {} hits / {} misses in this process",
-        cache.hits, cache.misses
+        "capture cache: {} hits / {} misses, bundles {} reused / {} prepared, \
+         {} groups from memo in this process",
+        cache.hits, cache.misses, cache.bundle_hits, cache.bundle_misses, cache.memo_groups
     );
     vec![lrr, gto, replacement]
 }
@@ -205,9 +209,9 @@ mod tests {
             threads: 2,
             csv: None,
         };
-        let data: Vec<BenchData> = ["scalarprod", "bfs", "aes"]
+        let data: Vec<Arc<BenchData>> = ["scalarprod", "bfs", "aes"]
             .iter()
-            .map(|name| prepare(name, opts.scale, opts.seed))
+            .map(|name| Arc::new(prepare(name, opts.scale, opts.seed)))
             .collect();
         let letters = selected("all").expect("valid");
 
@@ -226,10 +230,13 @@ mod tests {
 
         // 6a captures each stream once; 6b, 6c, 6d, 6e's LRR section and
         // its replacement section find those captures; 6e's GTO section
-        // neither looks nor inserts.
+        // neither looks nor inserts. On each capture, 6e's LRR grid and
+        // its replacement grid's LRU half are 6a's 128 B group, answered
+        // from the capture's memo.
         let stats = engine::capture_cache_stats();
         let streams = 2 * data.len() as u64;
         assert_eq!((stats.misses, stats.hits), (streams, 5 * streams));
         assert_eq!(stats.entries as u64, streams);
+        assert_eq!(stats.memo_groups, 2 * streams);
     }
 }

@@ -62,7 +62,10 @@
 //! [`capture_stream_cached`] keys captures by
 //! `gmap_core::cachekey` over (stream source, reference config) in a
 //! bounded process-wide cache, so `fig6 --grid all` captures each
-//! benchmark's stream pair once for all five grids.
+//! benchmark's stream pair once for all five grids. The same cache keeps
+//! the prepared benchmarks ([`crate::prepare_all`]), and each capture keeps
+//! the counts of the groups evaluated on it, so a group two grids share
+//! runs once per capture ([`eval_captured`]).
 //!
 //! Capturing at one reference configuration means the warp interleaving
 //! is that of the reference run: the scheduler's feedback loop (latency →
@@ -72,10 +75,11 @@
 //! what the engine's tests assert to 1e-9 against an independent
 //! hierarchy-mirroring replay.
 
-use crate::Metric;
+use crate::{BenchData, Metric};
 use gmap_core::{cachekey, SimtConfig};
 use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::schedule::{run_schedule, MemoryModel, ScheduleOutcome, WarpStream};
+use gmap_gpu::workloads::{self, Scale};
 use gmap_memsim::cache::{AccessRequest, Cache, CacheConfig, ReplacementPolicy};
 use gmap_memsim::hierarchy::{GpuHierarchy, HierarchyConfig, L1WritePolicy, TraceCapture};
 use gmap_memsim::prefetch::{StreamPrefetcherConfig, StridePrefetcher, StridePrefetcherConfig};
@@ -86,7 +90,7 @@ use gmap_memsim::stackdist::{
 use gmap_trace::record::{AccessKind, ByteAddr, CoreId, Pc};
 use gmap_trace::soa::AccessColumns;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One captured L1-level demand transaction, viewed row-wise.
 ///
@@ -100,7 +104,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub use gmap_trace::soa::AccessRecord as CapturedAccess;
 
 /// The L1 demand stream of one scheduled run, in global issue order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CapturedStream {
     /// Every coalesced transaction the scheduler issued, in order,
     /// stored column-wise ([`AccessColumns`]). Iterating `&accesses`
@@ -112,6 +116,10 @@ pub struct CapturedStream {
     /// Scheduling statistics of the capture run (`SchedP_self` feeds the
     /// fig6e policy replay).
     pub schedule: ScheduleOutcome,
+    /// The counts of planned groups already evaluated on this stream
+    /// (see [`eval_captured`]), so it must not change after its first
+    /// evaluation.
+    memo: Mutex<Fifo<GroupKey, Vec<GeomCounts>>>,
 }
 
 /// A [`MemoryModel`] that records every transaction while delegating to
@@ -163,6 +171,7 @@ pub fn capture_stream(
         accesses: rec.log,
         cores,
         schedule,
+        memo: Mutex::new(Fifo::new(MEMO_CAP)),
     }
 }
 
@@ -343,26 +352,126 @@ pub struct EvalSeries {
     pub values: Vec<f64>,
     /// Whether a divergent access (a no-allocate store, a FIFO insert or
     /// a prefetch fill that hits only part of a set-count class) forked
-    /// a class in any group's stack-distance pass. Counts stay exact
-    /// either way; this only marks the slower path.
+    /// a class in any stack-distance pass this call ran. Counts stay
+    /// exact either way; this only marks the slower path.
     pub fell_back: bool,
     /// Stride-prefetch evaluator passes (one per group and core) that
     /// were not run because an earlier pass on the same core had the same
     /// training trajectory, emission shape and geometries, and answered
     /// for them. Zero outside L1 prefetch grids.
     pub reused_passes: usize,
+    /// Groups answered from the capture's memo: an equal group was
+    /// evaluated on the same capture before, so no pass ran for it and it
+    /// adds nothing to `fell_back` or `reused_passes`.
+    pub memo_groups: usize,
 }
 
+/// What a planned group's counts depend on besides the capture they are
+/// taken on: equal keys on one capture are equal counts.
+#[derive(Debug, Clone, PartialEq)]
+struct GroupKey {
+    level: SweptLevel,
+    /// The reference configuration: the L1 write mode and, under an L2
+    /// sweep, the fixed L1 and the bank count the L2 stream comes from.
+    capture_cfg: SimtConfig,
+    l1_prefetch: Option<StridePrefetcherConfig>,
+    l2_prefetch: Option<StreamPrefetcherConfig>,
+    /// The swept level's cache per configuration, in group order; each
+    /// carries the group's line size and replacement policy.
+    geoms: Vec<CacheConfig>,
+}
+
+/// Most groups one capture's memo keeps, oldest forgotten first.
+/// `fig6 --grid all` evaluates 53 distinct groups on each shared capture.
+const MEMO_CAP: usize = 64;
+
+/// A group of more configurations is evaluated every time and not kept,
+/// so whatever grids arrive a memo holds at most `MEMO_CAP` ×
+/// `MEMO_GROUP_MAX` counts. Stock groups have 3 to 15.
+const MEMO_GROUP_MAX: usize = 256;
+
 /// Evaluates every planned configuration against one captured stream.
+///
+/// The capture keeps the counts of every group evaluated on it (up to
+/// `MEMO_CAP` groups of up to `MEMO_GROUP_MAX` configurations, oldest
+/// forgotten first) and answers an equal group from them: same level,
+/// reference configuration, prefetcher and geometry list. So grids that
+/// share a group — fig6a's 128 B half, fig6e's LRU half and
+/// `policy_l1_sweep` — run its pass once per capture, and a repeated
+/// grid runs none.
 pub fn eval_captured(
     plan: &SweepPlan,
     capture: &CapturedStream,
     configs: &[SimtConfig],
 ) -> EvalSeries {
-    match plan.level {
-        SweptLevel::L1 => eval_l1(plan, capture, configs),
-        SweptLevel::L2 => eval_l2(plan, capture, configs),
+    let keys: Vec<GroupKey> = plan
+        .groups
+        .iter()
+        .map(|g| GroupKey {
+            level: plan.level,
+            capture_cfg: plan.capture_cfg,
+            l1_prefetch: g.l1_prefetch,
+            l2_prefetch: g.l2_prefetch,
+            geoms: g
+                .config_indices
+                .iter()
+                .map(|&i| match plan.level {
+                    SweptLevel::L1 => configs[i].hierarchy.l1,
+                    SweptLevel::L2 => configs[i].hierarchy.l2,
+                })
+                .collect(),
+        })
+        .collect();
+    let mut counts: Vec<Option<Vec<GeomCounts>>> = {
+        let mut memo = capture.memo.lock().expect("memo lock");
+        keys.iter().map(|k| memo.get(k)).collect()
+    };
+    let todo: Vec<usize> = (0..keys.len()).filter(|&g| counts[g].is_none()).collect();
+    let memo_groups = keys.len() - todo.len();
+    let groups: Vec<&SweepGroup> = todo.iter().map(|&g| &plan.groups[g]).collect();
+    let fresh = if groups.is_empty() {
+        Counted::default()
+    } else {
+        match plan.level {
+            SweptLevel::L1 => count_l1(plan, capture, configs, &groups),
+            SweptLevel::L2 => count_l2(plan, capture, configs, &groups),
+        }
+    };
+    let mut memo = capture.memo.lock().expect("memo lock");
+    for (&g, group_counts) in todo.iter().zip(fresh.counts) {
+        if group_counts.len() <= MEMO_GROUP_MAX {
+            memo.insert(keys[g].clone(), group_counts.clone());
+        }
+        counts[g] = Some(group_counts);
     }
+    drop(memo);
+    if memo_groups > 0 {
+        process_cache().memo_groups += memo_groups as u64;
+    }
+    let mut values = vec![0.0; configs.len()];
+    for (group, group_counts) in plan.groups.iter().zip(counts) {
+        let group_counts = group_counts.expect("every group is counted");
+        for (&i, c) in group.config_indices.iter().zip(&group_counts) {
+            values[i] = c.miss_rate() * 100.0;
+        }
+    }
+    EvalSeries {
+        values,
+        fell_back: fresh.fell_back,
+        reused_passes: fresh.reused_passes,
+        memo_groups,
+    }
+}
+
+/// The counts of some of a plan's groups on one capture.
+#[derive(Debug, Default)]
+struct Counted {
+    /// Per group, its configurations' counts in group order.
+    counts: Vec<Vec<GeomCounts>>,
+    /// As [`EvalSeries::fell_back`].
+    fell_back: bool,
+    /// As [`EvalSeries::reused_passes`].
+    reused_passes: usize,
 }
 
 /// Replays one core's demand stream through a fresh stride-prefetcher
@@ -444,12 +553,18 @@ fn split_per_core(capture: &CapturedStream, shift: u32) -> Vec<Vec<LineAccess>> 
     per_core
 }
 
-fn eval_l1(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -> EvalSeries {
+/// The counts of `groups`, some of an L1 plan's, aligned with them.
+fn count_l1(
+    plan: &SweepPlan,
+    capture: &CapturedStream,
+    configs: &[SimtConfig],
+    groups: &[&SweepGroup],
+) -> Counted {
     let mode = match plan.capture_cfg.hierarchy.l1_write_policy {
         L1WritePolicy::WriteThroughNoAllocate => WriteMode::NoAllocate,
         L1WritePolicy::WriteBackAllocate => WriteMode::Allocate,
     };
-    let mut values = vec![0.0; configs.len()];
+    let mut counts = vec![Vec::new(); groups.len()];
     let mut fell_back = false;
     // Hoisted across groups: prefetcher sweeps put many groups on one
     // line size (fig6c has 24), and the per-core split only depends on
@@ -465,7 +580,11 @@ fn eval_l1(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
     };
 
     // Plain groups: one multi-geometry stack-distance pass per core.
-    for group in plan.groups.iter().filter(|g| g.l1_prefetch.is_none()) {
+    let plain = groups
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| g.l1_prefetch.is_none());
+    for (slot, group) in plain {
         let shift = group.line_size.trailing_zeros();
         let geoms = group_geoms(group);
         let per_core = splits
@@ -483,32 +602,30 @@ fn eval_l1(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
                 t.merge(c);
             }
         }
-        for (k, &i) in group.config_indices.iter().enumerate() {
-            values[i] = totals[k].miss_rate() * 100.0;
-        }
+        counts[slot] = totals;
     }
 
     // Prefetch groups: the stride prefetcher is per core, like the L1 it
     // feeds, so a pass is a pure function of (core stream, training
     // trajectory, emission shape, geometries). Walk the groups per line
     // size and per core and run each distinct pass once.
-    let prefetch_groups: Vec<(&SweepGroup, StridePrefetcherConfig)> = plan
-        .groups
+    let prefetch_groups: Vec<(usize, &SweepGroup, StridePrefetcherConfig)> = groups
         .iter()
-        .filter_map(|g| Some((g, g.l1_prefetch?)))
+        .enumerate()
+        .filter_map(|(slot, g)| Some((slot, *g, g.l1_prefetch?)))
         .collect();
     let mut shifts: Vec<u32> = prefetch_groups
         .iter()
-        .map(|(g, _)| g.line_size.trailing_zeros())
+        .map(|(_, g, _)| g.line_size.trailing_zeros())
         .collect();
     shifts.sort_unstable();
     shifts.dedup();
     let mut reused_passes = 0;
     for shift in shifts {
-        let groups: Vec<(&SweepGroup, StridePrefetcherConfig, Vec<CacheConfig>)> = prefetch_groups
+        let groups: Vec<(usize, StridePrefetcherConfig, Vec<CacheConfig>)> = prefetch_groups
             .iter()
-            .filter(|(g, _)| g.line_size.trailing_zeros() == shift)
-            .map(|&(g, pf)| (g, pf, group_geoms(g)))
+            .filter(|(_, g, _)| g.line_size.trailing_zeros() == shift)
+            .map(|&(slot, g, pf)| (slot, pf, group_geoms(g)))
             .collect();
         let per_core = splits
             .entry(shift)
@@ -580,14 +697,12 @@ fn eval_l1(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
                 t.merge(c);
             }
         }
-        for ((group, _, _), totals) in groups.iter().zip(&totals) {
-            for (k, &i) in group.config_indices.iter().enumerate() {
-                values[i] = totals[k].miss_rate() * 100.0;
-            }
+        for (&(slot, _, _), totals) in groups.iter().zip(totals) {
+            counts[slot] = totals;
         }
     }
-    EvalSeries {
-        values,
+    Counted {
+        counts,
         fell_back,
         reused_passes,
     }
@@ -650,17 +765,23 @@ fn derive_l2_stream(capture: &CapturedStream, hier: &HierarchyConfig) -> Vec<(u6
     out
 }
 
-fn eval_l2(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -> EvalSeries {
+/// The counts of `groups`, some of an L2 plan's, aligned with them.
+fn count_l2(
+    plan: &SweepPlan,
+    capture: &CapturedStream,
+    configs: &[SimtConfig],
+    groups: &[&SweepGroup],
+) -> Counted {
     // The L1 is fixed across an L2 sweep (and has no prefetcher — the
     // plan checked), so the stream feeding the L2 is derived once and
     // shared by every group, with or without an L2 prefetcher.
     let l2_stream = derive_l2_stream(capture, &plan.capture_cfg.hierarchy);
-    let mut values = vec![0.0; configs.len()];
+    let mut counts = Vec::with_capacity(groups.len());
     let mut fell_back = false;
     // Hoisted across groups: prefetcher sweeps put many groups on one
     // line size (fig6d has 12 per line size).
     let mut shifted: HashMap<u32, Vec<LineAccess>> = HashMap::new();
-    for group in &plan.groups {
+    for group in groups {
         let shift = group.line_size.trailing_zeros();
         let stream = shifted.entry(shift).or_insert_with(|| {
             l2_stream
@@ -675,15 +796,15 @@ fn eval_l2(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
             // scheduler/L1/MSHR work per config). Exact by the same
             // bank-folding bijection as the demand-only path — a folded
             // lookup answers exactly what the candidate's home bank would.
-            for &i in &group.config_indices {
+            let per_config = group.config_indices.iter().map(|&i| {
                 let bank_cfg = configs[i]
                     .hierarchy
                     .l2_bank_config()
                     .expect("plan verified the bank split");
-                let counts = replay_lru_stream_prefetch(&bank_cfg, stream, pf_cfg)
-                    .expect("plan guarantees LRU under a prefetcher");
-                values[i] = counts.miss_rate() * 100.0;
-            }
+                replay_lru_stream_prefetch(&bank_cfg, stream, pf_cfg)
+                    .expect("plan guarantees LRU under a prefetcher")
+            });
+            counts.push(per_config.collect());
             continue;
         }
         // Low-bit banking with bank bits inside the set-index bits makes
@@ -706,26 +827,69 @@ fn eval_l2(plan: &SweepPlan, capture: &CapturedStream, configs: &[SimtConfig]) -
         }
         .expect("plan guarantees a uniform line-size/policy group");
         fell_back |= r.fell_back;
-        for (k, &i) in group.config_indices.iter().enumerate() {
-            values[i] = r.counts[k].miss_rate() * 100.0;
-        }
+        counts.push(r.counts);
     }
-    EvalSeries {
-        values,
+    Counted {
+        counts,
         fell_back,
         reused_passes: 0,
     }
 }
 
-/// Bounded process-wide capture cache: figure binaries (and service
-/// requests) whose sweeps mask to the same reference configuration share
-/// one capture per stream source instead of re-running the scheduler.
-struct CaptureCacheInner {
-    map: HashMap<String, Arc<CapturedStream>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<String>,
+/// A small map that keeps at most `cap` entries, forgets the oldest
+/// first, and counts its hits and misses.
+#[derive(Debug)]
+struct Fifo<K, V> {
+    /// Entries in insertion order.
+    entries: VecDeque<(K, V)>,
+    cap: usize,
     hits: u64,
     misses: u64,
+}
+
+impl<K: PartialEq, V: Clone> Fifo<K, V> {
+    fn new(cap: usize) -> Self {
+        Fifo {
+            entries: VecDeque::new(),
+            cap,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The value under `key`, counted as a hit.
+    fn get(&mut self, key: &K) -> Option<V> {
+        let found = self.entries.iter().find(|(k, _)| k == key);
+        let value = found.map(|(_, v)| v.clone());
+        self.hits += u64::from(value.is_some());
+        value
+    }
+
+    /// Counts a miss and keeps `value` under `key`, unless a racing
+    /// caller kept one first; returns the value kept.
+    fn insert(&mut self, key: K, value: V) -> V {
+        self.misses += 1;
+        if let Some((_, kept)) = self.entries.iter().find(|(k, _)| *k == key) {
+            return kept.clone();
+        }
+        if self.entries.len() >= self.cap {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((key, value.clone()));
+        value
+    }
+}
+
+/// What figure binaries and service requests in one process share
+/// instead of deriving it again: prepared benchmarks, and captures of
+/// their streams (each capture keeps its own memo of evaluated groups).
+struct ProcessCache {
+    /// Captures by stream source and reference configuration.
+    captures: Fifo<String, Arc<CapturedStream>>,
+    /// Prepared benchmarks by (name, scale, seed).
+    bundles: Fifo<String, Arc<BenchData>>,
+    /// Groups answered from a capture's memo.
+    memo_groups: u64,
 }
 
 /// Maximum number of cached captures; every stock sweep produces two per
@@ -733,58 +897,100 @@ struct CaptureCacheInner {
 /// figure run.
 const CAPTURE_CACHE_CAP: usize = 48;
 
-fn capture_cache() -> &'static Mutex<CaptureCacheInner> {
-    static CACHE: OnceLock<Mutex<CaptureCacheInner>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(CaptureCacheInner {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-        })
-    })
+/// Maximum number of cached bundles: one figure's benchmarks.
+const BUNDLE_CACHE_CAP: usize = workloads::NAMES.len();
+
+impl ProcessCache {
+    fn new() -> Self {
+        ProcessCache {
+            captures: Fifo::new(CAPTURE_CACHE_CAP),
+            bundles: Fifo::new(BUNDLE_CACHE_CAP),
+            memo_groups: 0,
+        }
+    }
 }
 
-/// Counters of the process-wide capture cache (see
-/// [`capture_stream_cached`]).
+fn process_cache() -> MutexGuard<'static, ProcessCache> {
+    static CACHE: OnceLock<Mutex<ProcessCache>> = OnceLock::new();
+    CACHE
+        .get_or_init(|| Mutex::new(ProcessCache::new()))
+        .lock()
+        .expect("capture cache lock")
+}
+
+/// Counters of the process-wide cache (see [`capture_stream_cached`] and
+/// [`crate::prepare_all`]) since it was last cleared.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CaptureCacheStats {
-    /// Lookups served from the cache.
+    /// Capture lookups served from the cache.
     pub hits: u64,
-    /// Lookups that ran a fresh capture.
+    /// Capture lookups that ran a fresh capture.
     pub misses: u64,
     /// Captures currently cached.
     pub entries: usize,
+    /// Bundle lookups served from the cache.
+    pub bundle_hits: u64,
+    /// Bundle lookups that prepared the benchmark.
+    pub bundle_misses: u64,
+    /// Planned groups answered from a capture's memo (see
+    /// [`EvalSeries::memo_groups`]).
+    pub memo_groups: u64,
 }
 
 /// Current capture-cache counters.
 pub fn capture_cache_stats() -> CaptureCacheStats {
-    let c = capture_cache().lock().expect("capture cache lock");
+    let c = process_cache();
     CaptureCacheStats {
-        hits: c.hits,
-        misses: c.misses,
-        entries: c.map.len(),
+        hits: c.captures.hits,
+        misses: c.captures.misses,
+        entries: c.captures.entries.len(),
+        bundle_hits: c.bundles.hits,
+        bundle_misses: c.bundles.misses,
+        memo_groups: c.memo_groups,
     }
 }
 
-/// Drops every cached capture and resets the counters, so a caller that
-/// counts or times captures starts from a cold cache.
+/// Drops every cached capture (with its memo) and every cached bundle,
+/// and resets the counters, so a caller that counts or times preparation
+/// and captures starts from a cold cache.
 pub fn capture_cache_clear() {
-    let mut c = capture_cache().lock().expect("capture cache lock");
-    c.map.clear();
-    c.order.clear();
-    c.hits = 0;
-    c.misses = 0;
+    *process_cache() = ProcessCache::new();
+}
+
+/// The value under `key` in one table of the process cache, made by
+/// `make` on a miss, and whether it was found. `make` runs outside the
+/// lock: two threads racing on one key may both make it (the result is
+/// deterministic and identical, and the first kept answers both), but
+/// nobody blocks behind a multi-second capture.
+fn cached<V>(
+    table: fn(&mut ProcessCache) -> &mut Fifo<String, Arc<V>>,
+    key: String,
+    make: impl FnOnce() -> V,
+) -> (Arc<V>, bool) {
+    if let Some(hit) = table(&mut process_cache()).get(&key) {
+        return (hit, true);
+    }
+    let fresh = Arc::new(make());
+    (table(&mut process_cache()).insert(key, fresh), false)
+}
+
+/// [`crate::prepare`] with process-wide memoization under `(name, scale,
+/// seed)`, which pin a bundle's content exactly; `true` when the bundle
+/// was found rather than prepared. Up to one figure's benchmarks are kept.
+pub(crate) fn bundle_cached(name: &str, scale: Scale, seed: u64) -> (Arc<BenchData>, bool) {
+    let key = crate::bundle_source(name, scale, seed);
+    cached(
+        |c| &mut c.bundles,
+        key,
+        || crate::prepare(name, scale, seed),
+    )
 }
 
 /// [`capture_stream`] with cross-figure memoization. `source` must
 /// uniquely identify the *stream content* (e.g. benchmark name + scale +
 /// seed + original/proxy, or a profile content key); the reference
 /// configuration is folded into the cache key via its canonical JSON, so
-/// any sweep masking to the same reference reuses the capture. Capture
-/// runs happen outside the lock — two threads racing on the same key may
-/// both compute (the result is deterministic and identical), but nobody
-/// blocks behind a multi-second capture.
+/// any sweep masking to the same reference reuses the capture.
 pub fn capture_stream_cached(
     source: &str,
     streams: &[WarpStream],
@@ -804,28 +1010,7 @@ pub fn capture_cached_with(
 ) -> Arc<CapturedStream> {
     let normalized = cfg.with_trace_capture(TraceCapture::Off);
     let key = format!("{source}|{}", cachekey::key_of(&normalized));
-    {
-        let mut c = capture_cache().lock().expect("capture cache lock");
-        if let Some(hit) = c.map.get(&key).cloned() {
-            c.hits += 1;
-            return hit;
-        }
-    }
-    let fresh = Arc::new(capture());
-    let mut c = capture_cache().lock().expect("capture cache lock");
-    c.misses += 1;
-    if let Some(existing) = c.map.get(&key).cloned() {
-        // A racing thread computed the same (deterministic) capture.
-        return existing;
-    }
-    c.map.insert(key.clone(), Arc::clone(&fresh));
-    c.order.push_back(key);
-    while c.map.len() > CAPTURE_CACHE_CAP {
-        if let Some(old) = c.order.pop_front() {
-            c.map.remove(&old);
-        }
-    }
-    fresh
+    cached(|c| &mut c.captures, key, capture).0
 }
 
 /// Held by every unit test that goes through the process-wide capture
@@ -1254,6 +1439,97 @@ mod tests {
         assert_eq!(capture_cache_stats().misses, 2);
         capture_cache_clear();
         assert_eq!(capture_cache_stats(), CaptureCacheStats::default());
+    }
+
+    /// More distinct grids than the memo keeps, walked forwards and then
+    /// backwards over one capture: every value is what a capture without
+    /// a memo gives, and the memo never grows past its cap.
+    #[test]
+    fn memo_stays_exact_and_bounded_past_its_cap() {
+        let data = prepare("pathfinder", Scale::Tiny, 42);
+        let l1 = |size_kb: u64, assoc: u32, line: u64, policy: ReplacementPolicy| {
+            let mut cfg = SimtConfig::default();
+            cfg.hierarchy.l1 =
+                CacheConfig::new(size_kb * 1024, assoc, line, policy).expect("valid geometry");
+            cfg
+        };
+        let mut grids: Vec<Vec<SimtConfig>> = Vec::new();
+        for size_kb in [8u64, 16, 32, 64, 128] {
+            for assoc in [1u32, 2, 4, 8, 16] {
+                for line in [32u64, 128] {
+                    // Two groups per grid: LRU groups that differ only
+                    // after their first geometry, and a FIFO one.
+                    grids.push(vec![
+                        l1(128, 16, line, ReplacementPolicy::Lru),
+                        l1(size_kb, assoc, line, ReplacementPolicy::Lru),
+                        l1(size_kb, assoc, line, ReplacementPolicy::Fifo),
+                    ]);
+                }
+            }
+        }
+        assert!(2 * grids.len() > MEMO_CAP);
+        let plans: Vec<SweepPlan> = grids
+            .iter()
+            .map(|g| plan_single_pass(g, Metric::L1MissPct).expect("plans"))
+            .collect();
+        let reference = &plans[0].capture_cfg;
+        let capture = || capture_stream(&data.orig_streams, &data.kernel.launch, reference);
+        let (shared, memoless) = (capture(), capture());
+        let want: Vec<Vec<f64>> = grids
+            .iter()
+            .zip(&plans)
+            .map(|(grid, plan)| {
+                *memoless.memo.lock().expect("memo lock") = Fifo::new(MEMO_CAP);
+                eval_captured(plan, &memoless, grid).values
+            })
+            .collect();
+        // The geometries tell apart, so a wrong answer would show.
+        let swept: Vec<u64> = want.iter().map(|v| v[1].to_bits()).collect();
+        assert!(swept.iter().any(|&v| v != swept[0]));
+        let mut answered = 0;
+        let forwards = 0..grids.len();
+        for i in forwards.clone().chain(forwards.rev()) {
+            let got = eval_captured(&plans[i], &shared, &grids[i]);
+            assert_eq!(got.values, want[i], "grid {i}");
+            answered += got.memo_groups;
+            assert!(shared.memo.lock().expect("memo lock").entries.len() <= MEMO_CAP);
+        }
+        // Walking back, the last `MEMO_CAP` groups kept are answered.
+        assert_eq!(answered, MEMO_CAP);
+        // A group wider than `MEMO_GROUP_MAX` is evaluated every time.
+        let wide = vec![grids[0][1]; MEMO_GROUP_MAX + 1];
+        let plan = plan_single_pass(&wide, Metric::L1MissPct).expect("plans");
+        for _ in 0..2 {
+            assert_eq!(eval_captured(&plan, &shared, &wide).memo_groups, 0);
+        }
+    }
+
+    /// The same geometries under another L1 write policy are another
+    /// group: the reference configuration is part of the memo's key.
+    #[test]
+    fn memo_tells_reference_configurations_apart() {
+        let data = prepare("pathfinder", Scale::Tiny, 42);
+        let through = sweeps::l1_sweep();
+        let mut back = through.clone();
+        for c in &mut back {
+            c.hierarchy.l1_write_policy = L1WritePolicy::WriteBackAllocate;
+        }
+        let plan = |grid: &[SimtConfig]| plan_single_pass(grid, Metric::L1MissPct).expect("plans");
+        let (through_plan, back_plan) = (plan(&through), plan(&back));
+        let capture = || {
+            capture_stream(
+                &data.orig_streams,
+                &data.kernel.launch,
+                &through_plan.capture_cfg,
+            )
+        };
+        let shared = capture();
+        eval_captured(&through_plan, &shared, &through);
+        let got = eval_captured(&back_plan, &shared, &back);
+        assert_eq!(got.memo_groups, 0);
+        let want = eval_captured(&back_plan, &capture(), &back).values;
+        assert_eq!(got.values, want);
+        assert_ne!(want, eval_captured(&through_plan, &shared, &through).values);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use gmap_gpu::kernel::KernelDesc;
 use gmap_gpu::schedule::WarpStream;
 use gmap_gpu::workloads::{self, Scale};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub mod engine;
@@ -258,10 +259,8 @@ impl BenchData {
     /// streams additionally on the seed.
     pub fn capture_source(&self, proxy: bool) -> String {
         format!(
-            "bench:{}:{:?}:{}:{}",
-            self.kernel.name,
-            self.scale,
-            self.seed,
+            "{}:{}",
+            bundle_source(&self.kernel.name, self.scale, self.seed),
             if proxy { "proxy" } else { "orig" }
         )
     }
@@ -297,6 +296,12 @@ impl BenchData {
     }
 }
 
+/// Stable identity of a prepared bundle: its key in the process-wide
+/// cache, and the stem of [`BenchData::capture_source`].
+fn bundle_source(name: &str, scale: Scale, seed: u64) -> String {
+    format!("bench:{name}:{scale:?}:{seed}")
+}
+
 /// Prepares one benchmark: execute, profile, clone. The kernel is
 /// executed and coalesced once (at [`gmap_core::COALESCE_BYTES`], the
 /// default profiler's line size); the same streams are profiled and kept
@@ -315,21 +320,24 @@ pub fn prepare(name: &str, scale: Scale, seed: u64) -> BenchData {
     }
 }
 
-/// Prepares all 18 benchmarks, one [`prepare`] per worker thread at a
-/// time (preparation's unit is the benchmark: the clone needs the
-/// profile, the profile the executed streams), and prints how long that
-/// took.
-pub fn prepare_all(opts: &ExperimentOpts) -> Vec<BenchData> {
+/// All 18 benchmarks, prepared: each bundle the process-wide cache
+/// holds is taken from it, the others are [`prepare`]d, one per worker
+/// thread at a time (preparation's unit is the benchmark: the clone needs
+/// the profile, the profile the executed streams), and kept there until
+/// [`engine::capture_cache_clear`]. Prints how long that took and how
+/// many bundles were reused.
+pub fn prepare_all(opts: &ExperimentOpts) -> Vec<Arc<BenchData>> {
     let t0 = Instant::now();
-    let data = parallel_map(&workloads::NAMES, opts.threads, |name| {
-        prepare(name, opts.scale, opts.seed)
+    let found = parallel_map(&workloads::NAMES, opts.threads, |name| {
+        engine::bundle_cached(name, opts.scale, opts.seed)
     });
+    let reused = found.iter().filter(|(_, hit)| *hit).count();
     println!(
-        "phase timings: prepare {:.2}s ({} benchmarks)",
+        "phase timings: prepare {:.2}s ({} benchmarks, {reused} reused)",
         t0.elapsed().as_secs_f64(),
-        data.len()
+        found.len()
     );
-    data
+    found.into_iter().map(|(data, _)| data).collect()
 }
 
 /// Metric extracted from a simulation for figure comparison.
@@ -419,7 +427,9 @@ pub struct ProfileEvaluation {
 /// [`engine::plan_single_pass`] proves the sweep eligible. The capture is
 /// keyed by profile content + seed, so repeated evaluations of the same
 /// model (the common service pattern — one clone, many grids) capture
-/// once per process — and generate the clone only for that capture.
+/// once per process — and generate the clone only for that capture —
+/// and a group evaluated on that capture before is answered from its
+/// memo ([`engine::eval_captured`]).
 ///
 /// `cancel` is checked before the stream is generated and then as
 /// [`evaluate_grid`] does; `None` means the grid was not completed.
@@ -475,7 +485,7 @@ struct SweepJob {
 /// that bound the sweep start at t = 0 on different workers. The sort is
 /// stable — equal streams keep (benchmark, chunk, original-then-clone)
 /// order.
-fn sweep_jobs(data: &[BenchData], num_configs: usize, chunk: usize) -> Vec<SweepJob> {
+fn sweep_jobs(data: &[Arc<BenchData>], num_configs: usize, chunk: usize) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     for bench in 0..data.len() {
         for lo in (0..num_configs).step_by(chunk) {
@@ -507,7 +517,7 @@ fn sweep_jobs(data: &[BenchData], num_configs: usize, chunk: usize) -> Vec<Sweep
 /// Results are placed by (benchmark, chunk, stream) index, so the summary
 /// is bit-identical for any thread count and any job order.
 pub fn sweep_grid(
-    data: &[BenchData],
+    data: &[Arc<BenchData>],
     configs: &[SimtConfig],
     metric: Metric,
     plan: Option<&SweepPlan>,
@@ -520,7 +530,7 @@ pub fn sweep_grid(
 /// that job's seconds for the timing footer; `None` when there was
 /// nothing to run.
 fn sweep_grid_timed(
-    data: &[BenchData],
+    data: &[Arc<BenchData>],
     configs: &[SimtConfig],
     metric: Metric,
     plan: Option<&SweepPlan>,
@@ -563,8 +573,8 @@ fn sweep_grid_timed(
     (summary, longest)
 }
 
-/// Runs a whole figure: prepares all 18 benchmarks, then
-/// [`run_figure_on`] them.
+/// Runs a whole figure: [`prepare_all`], then [`run_figure_on`] the
+/// bundles.
 pub fn run_figure(
     title: &str,
     configs: &[SimtConfig],
@@ -579,7 +589,7 @@ pub fn run_figure(
 /// grid), the per-benchmark table, the CSV if `opts.csv` asks for one,
 /// and a timing footer that says which path evaluated the grid.
 pub fn run_figure_on(
-    data: &[BenchData],
+    data: &[Arc<BenchData>],
     title: &str,
     configs: &[SimtConfig],
     metric: Metric,
@@ -917,8 +927,26 @@ mod tests {
             })
             .collect();
         engine::capture_cache_clear();
-        let warm: Vec<SweepSummary> = figures.iter().map(run).collect();
+        let (warm, stats): (Vec<SweepSummary>, Vec<engine::CaptureCacheStats>) = figures
+            .iter()
+            .map(|figure| (run(figure), engine::capture_cache_stats()))
+            .unzip();
         assert_eq!(warm, cold);
+        // Each benchmark is prepared once and each stream captured once,
+        // however many figures run. 6e's LRU half and the policy grid are
+        // answered from 6a's memo on every one of the 36 captures.
+        let counts = |s: &engine::CaptureCacheStats| {
+            (
+                s.bundle_misses,
+                s.bundle_hits,
+                s.misses,
+                s.hits,
+                s.memo_groups,
+            )
+        };
+        assert_eq!(counts(&stats[0]), (18, 0, 36, 0, 0));
+        assert_eq!(counts(&stats[2]), (18, 36, 36, 72, 72));
+        assert_eq!(counts(&stats[3]), (18, 54, 36, 108, 72));
         engine::capture_cache_clear();
     }
 
@@ -950,10 +978,14 @@ mod tests {
                 engine::eval_captured(&plan, &fresh, grid).values
             );
         }
+        // Of the 15 groups, the policy grid and the replacement grid's LRU
+        // half repeat fig6a's 128 B group; a repeat is answered whole.
+        assert_eq!(engine::capture_cache_stats().memo_groups, 2);
         for _ in 0..2 {
             let again: Vec<ProfileEvaluation> = grids.iter().map(eval).collect();
             assert_eq!(again, first);
         }
+        assert_eq!(engine::capture_cache_stats().memo_groups, 2 + 2 * 15);
         engine::capture_cache_clear();
     }
 
@@ -990,8 +1022,8 @@ mod tests {
     #[test]
     fn sweep_grid_stitches_direct_chunks_in_config_order() {
         let data = vec![
-            prepare("scalarprod", Scale::Tiny, 7),
-            prepare("aes", Scale::Tiny, 7),
+            Arc::new(prepare("scalarprod", Scale::Tiny, 7)),
+            Arc::new(prepare("aes", Scale::Tiny, 7)),
         ];
         // Five configs, no plan: chunks of 2, 2 and 1 per benchmark.
         let grid: Vec<SimtConfig> = sweeps::l1_sweep()[..5].to_vec();
@@ -1010,9 +1042,9 @@ mod tests {
     #[test]
     fn sweep_grid_is_bit_identical_at_any_thread_count() {
         let _cache = engine::capture_cache_test_guard();
-        let data: Vec<BenchData> = ["kmeans", "scalarprod", "aes"]
+        let data: Vec<Arc<BenchData>> = ["kmeans", "scalarprod", "aes"]
             .iter()
-            .map(|name| prepare(name, Scale::Tiny, 7))
+            .map(|name| Arc::new(prepare(name, Scale::Tiny, 7)))
             .collect();
         let planned: Vec<SimtConfig> = sweeps::l1_prefetch_sweep()[..4].to_vec();
         let mut plru = vec![SimtConfig::default(); 3];
@@ -1053,9 +1085,9 @@ mod tests {
     #[test]
     fn sweep_jobs_cover_every_stream_chunk_longest_first() {
         let data = vec![
-            prepare("scalarprod", Scale::Tiny, 7),
-            prepare("kmeans", Scale::Tiny, 7),
-            prepare("aes", Scale::Tiny, 7),
+            Arc::new(prepare("scalarprod", Scale::Tiny, 7)),
+            Arc::new(prepare("kmeans", Scale::Tiny, 7)),
+            Arc::new(prepare("aes", Scale::Tiny, 7)),
         ];
         let weight = |job: &SweepJob| data[job.bench].num_accesses(job.proxy);
         // Planned shape: one chunk. kmeans' two streams are the longest of

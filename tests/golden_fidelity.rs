@@ -227,6 +227,11 @@ fn figure_series_match_goldens() {
         2 * names.len() as u64,
         "every grid shares one capture pair per benchmark"
     );
+    assert_eq!(
+        stats.memo_groups,
+        2 * names.len() as u64,
+        "fig6e's LRU half is fig6a's 128 B group, evaluated once per stream"
+    );
     engine::capture_cache_clear();
 }
 
