@@ -385,6 +385,11 @@ pub fn clone_model(
     })
 }
 
+/// Most lines one grid point's cache may hold: every evaluator allocates
+/// the whole cache up front (8 to 17 bytes a line, per core for an L1),
+/// and this is 16× the largest stock point, 4 MiB of 64 B lines.
+pub const MAX_GRID_LINES: u64 = 1 << 20;
+
 /// Translates one grid point into a full simulation configuration over
 /// the Fermi baseline.
 ///
@@ -395,8 +400,9 @@ pub fn clone_model(
 ///
 /// # Errors
 ///
-/// 400 for invalid cache geometry, unknown policy/level names,
-/// prefetchers on the wrong level, or unsupported prefetcher parameters.
+/// 400 for invalid cache geometry, a cache of more than
+/// [`MAX_GRID_LINES`] lines, unknown policy/level names, prefetchers on
+/// the wrong level, or unsupported prefetcher parameters.
 pub fn grid_config(point: &GridPoint, seed: u64) -> Result<SimtConfig, ApiError> {
     let policy = api::parse_policy(point.policy.as_deref())?;
     let line = point.line.unwrap_or(128);
@@ -408,6 +414,13 @@ pub fn grid_config(point: &GridPoint, seed: u64) -> Result<SimtConfig, ApiError>
     })?;
     let cache = CacheConfig::new(size_bytes, point.assoc, line, policy)
         .map_err(|e| ApiError::bad_request(format!("invalid cache config: {e}")))?;
+    let lines = cache.size_bytes / cache.line_size;
+    if lines > MAX_GRID_LINES {
+        return Err(ApiError::bad_request(format!(
+            "invalid cache config: {lines} lines of {line} B exceed the limit of \
+             {MAX_GRID_LINES} lines per cache"
+        )));
+    }
     let mut cfg = SimtConfig {
         seed,
         ..SimtConfig::default()
@@ -981,6 +994,37 @@ mod tests {
         let err = grid_config(&huge_line, 1).expect_err("rejected");
         assert_eq!(err.status, 400);
         assert!(err.message.contains("not divisible"), "{}", err.message);
+    }
+
+    #[test]
+    fn caches_of_more_than_max_grid_lines_are_400s() {
+        // 128 MiB of 128 B lines is exactly the limit, at either level.
+        let mut at_limit = point(128 * 1024, 16);
+        for level in ["l1", "l2"] {
+            at_limit.level = Some(level.into());
+            let cfg = grid_config(&at_limit, 1).expect("at the limit");
+            let cache = if level == "l1" {
+                cfg.hierarchy.l1
+            } else {
+                cfg.hierarchy.l2
+            };
+            assert_eq!(cache.size_bytes / cache.line_size, MAX_GRID_LINES);
+        }
+        // One line past it: one set of 2^20 + 1 ways of 1 KiB. Then the
+        // next power-of-two size.
+        let mut one_past = point(MAX_GRID_LINES + 1, 1 << 20 | 1);
+        one_past.line = Some(1024);
+        let mut doubled = point(256 * 1024, 16);
+        doubled.level = Some("l2".into());
+        for (past, why) in [
+            (one_past, "1048577 lines of 1024 B"),
+            (doubled, "2097152 lines of 128 B"),
+        ] {
+            let err = grid_config(&past, 1).expect_err("rejected");
+            assert_eq!(err.status, 400);
+            let want = format!("{why} exceed the limit of 1048576 lines per cache");
+            assert!(err.message.contains(&want), "{}", err.message);
+        }
     }
 
     #[test]

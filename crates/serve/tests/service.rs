@@ -650,6 +650,52 @@ fn prefetcher_grids_evaluate_single_pass_and_match_direct_calls() {
     handle.shutdown();
 }
 
+/// A grid point's cache is allocated whole, so its size is bounded: a
+/// cache of exactly `MAX_GRID_LINES` lines is evaluated, one past it is a
+/// 400 that names the limit.
+#[test]
+fn grid_points_past_the_line_limit_are_400s() {
+    let (handle, addr) = start(ServeConfig::default());
+    let resp = client::post_json(&addr, "/v1/profile", &profile_req("scalarprod", "tiny"))
+        .expect("server reachable");
+    assert_eq!(resp.status, 200, "profile failed: {}", resp.body);
+    let profiled: ProfileResponse = serde_json::from_str(&resp.body).expect("parses");
+    let evaluate = |size_kb: u64, assoc: u32, line: u64| {
+        let body = canonical_json(&EvaluateRequest {
+            model_id: profiled.model_id.clone(),
+            kernel: None,
+            metric: None,
+            seed: None,
+            grid: vec![GridPoint {
+                level: None,
+                size_kb,
+                assoc,
+                line: Some(line),
+                policy: None,
+                stride_prefetch: None,
+                stream_prefetch: None,
+            }],
+        });
+        client::post_json(&addr, "/v1/evaluate", &body).expect("evaluate request")
+    };
+    assert_eq!(handlers::MAX_GRID_LINES, 1 << 20);
+    // 128 MiB of 128 B lines in 16 ways: exactly the limit.
+    let resp = evaluate(128 * 1024, 16, 128);
+    assert_eq!(resp.status, 200, "at the limit: {}", resp.body);
+    let served: EvaluateResponse = serde_json::from_str(&resp.body).expect("parses");
+    assert!(served.single_pass && served.values.len() == 1);
+    // One set of 2^20 + 1 ways of 1 KiB: one line past it.
+    let resp = evaluate((1 << 20) + 1, (1 << 20) + 1, 1024);
+    assert_eq!(resp.status, 400, "past the limit: {}", resp.body);
+    assert!(
+        resp.body
+            .contains("1048577 lines of 1024 B exceed the limit of 1048576 lines per cache"),
+        "{}",
+        resp.body
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn malformed_and_unknown_requests_get_structured_errors() {
     let (handle, addr) = start(ServeConfig::default());
