@@ -1446,6 +1446,8 @@ mod tests {
     /// a memo gives, and the memo never grows past its cap.
     #[test]
     fn memo_stays_exact_and_bounded_past_its_cap() {
+        // Memo answers count process-wide.
+        let _cache = capture_cache_test_guard();
         let data = prepare("pathfinder", Scale::Tiny, 42);
         let l1 = |size_kb: u64, assoc: u32, line: u64, policy: ReplacementPolicy| {
             let mut cfg = SimtConfig::default();
@@ -1508,6 +1510,8 @@ mod tests {
     /// group: the reference configuration is part of the memo's key.
     #[test]
     fn memo_tells_reference_configurations_apart() {
+        // Memo answers count process-wide.
+        let _cache = capture_cache_test_guard();
         let data = prepare("pathfinder", Scale::Tiny, 42);
         let through = sweeps::l1_sweep();
         let mut back = through.clone();
