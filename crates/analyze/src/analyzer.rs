@@ -2,11 +2,9 @@
 //!
 //! The analyzer walks the kernel body once, at the executor's
 //! [`WARP_SIZE`], carrying the enclosing *loop stack* (per-depth trip
-//! bounds and barrier-phase coefficients), the *predicate path*, the
-//! *divergence context* (can threads of one warp / one block disagree
-//! about reaching this statement?) and the barrier phase. The same walk
-//! records each access as a race-detector site ([`crate::races`]). For
-//! every access site it derives, without executing anything:
+//! bounds) and the *divergence context* (can threads of one warp / one
+//! block disagree about reaching this statement?). For every access site
+//! it derives, without executing anything:
 //!
 //! - a **sound byte-address interval**: if the affine element interval
 //!   stays inside `[0, elems)` the interval is exact; otherwise the
@@ -28,10 +26,9 @@
 //! executor emits must lie inside the analyzer's per-PC interval.
 
 use crate::interval::{ByteRange, Interval};
-use crate::races::{barriers_per_iter, trip_bounds, Loop, Site};
 use crate::report::{rw, Finding, FindingKind, PatternKind, Severity, SiteReport, StaticReport};
 use gmap_gpu::exec::{AppTrace, WarpEvent, WARP_SIZE};
-use gmap_gpu::kernel::{AccessDesc, EvalCtx, IndexExpr, KernelDesc, Pred, Stmt};
+use gmap_gpu::kernel::{AccessDesc, EvalCtx, IndexExpr, KernelDesc, Pred, Stmt, Trip};
 use gmap_trace::record::AccessKind;
 use std::collections::BTreeMap;
 
@@ -49,8 +46,6 @@ pub fn analyze_kernel(kernel: &KernelDesc) -> StaticReport {
         warp_size: WARP_SIZE,
         sites: Vec::new(),
         findings: Vec::new(),
-        races: Vec::new(),
-        race_certified: false,
     };
     if let Err(e) = kernel.validate() {
         use gmap_gpu::kernel::ValidateKernelError;
@@ -69,12 +64,8 @@ pub fn analyze_kernel(kernel: &KernelDesc) -> StaticReport {
     let mut walker = Walker {
         kernel,
         sites: Vec::new(),
-        race_sites: Vec::new(),
         findings: Vec::new(),
         loops: Vec::new(),
-        preds: Vec::new(),
-        phase_base: 0,
-        has_barrier: false,
         warp_div: false,
         block_div: false,
         last_pc: None,
@@ -83,13 +74,7 @@ pub fn analyze_kernel(kernel: &KernelDesc) -> StaticReport {
     walker.walk(&kernel.body);
     report.findings = walker.findings;
     check_overlaps(kernel, &walker.written, &mut report.findings);
-    // Barrier-phase race detection over the walk's sites: per-(array,
-    // PC-pair) verdicts plus findings for proven/potential races.
-    let race = crate::races::analyze_races(kernel, &walker.race_sites, walker.has_barrier);
     report.sites = walker.sites;
-    report.findings.extend(race.findings);
-    report.races = race.pairs;
-    report.race_certified = race.certified;
     // Errors first, then warnings, preserving discovery order within
     // each class.
     report
@@ -145,22 +130,37 @@ fn check_overlaps(kernel: &KernelDesc, written: &[bool], findings: &mut Vec<Find
 struct Walker<'k> {
     kernel: &'k KernelDesc,
     sites: Vec<SiteReport>,
-    /// The same accesses as the race detector reads them.
-    race_sites: Vec<Site<'k>>,
     findings: Vec<Finding>,
-    loops: Vec<Loop<'k>>,
-    /// The enclosing `If`s, each with the side taken.
-    preds: Vec<(&'k Pred, bool)>,
-    /// Counted barriers passed outside every enclosing loop.
-    phase_base: i128,
-    /// Some barrier counts as a phase boundary.
-    has_barrier: bool,
+    loops: Vec<Loop>,
     /// Lanes of one warp can disagree about reaching this point.
     warp_div: bool,
     /// Threads of one block can disagree about reaching this point.
     block_div: bool,
     last_pc: Option<u64>,
     written: Vec<bool>,
+}
+
+/// One enclosing loop of the walk.
+struct Loop {
+    /// Largest per-thread trip count (iterations run in `[0, max_trip)`).
+    max_trip: u64,
+    /// Per-thread trip counts can differ (hashed trips).
+    ragged: bool,
+}
+
+impl Loop {
+    fn of(trip: &Trip) -> Self {
+        match *trip {
+            Trip::Const(n) => Loop {
+                max_trip: n as u64,
+                ragged: false,
+            },
+            Trip::Hashed { base, spread, .. } => Loop {
+                max_trip: base as u64 + spread.saturating_sub(1) as u64,
+                ragged: spread > 1,
+            },
+        }
+    }
 }
 
 /// How a predicate partitions the threads of a launch.
@@ -220,36 +220,19 @@ fn classify_pred(pred: &Pred, kernel: &KernelDesc) -> PredClass {
     }
 }
 
-impl<'k> Walker<'k> {
+impl Walker<'_> {
     fn in_ragged_loop(&self) -> bool {
         self.loops.iter().any(|l| l.ragged)
     }
 
-    fn walk(&mut self, stmts: &'k [Stmt]) {
+    fn walk(&mut self, stmts: &[Stmt]) {
         for stmt in stmts {
             match stmt {
                 Stmt::Access(acc) => self.visit_access(acc),
                 Stmt::Loop { trip, body } => {
-                    let (max_trip, ragged) = trip_bounds(trip);
-                    let countable = self.preds.is_empty() && !ragged && !self.in_ragged_loop();
-                    let phase_coef = if countable {
-                        barriers_per_iter(body)
-                    } else {
-                        0
-                    };
-                    self.has_barrier |= phase_coef > 0;
-                    self.loops.push(Loop {
-                        trip,
-                        max_trip,
-                        ragged,
-                        phase_coef,
-                    });
-                    let saved = self.phase_base;
+                    self.loops.push(Loop::of(trip));
                     self.walk(body);
                     self.loops.pop();
-                    // A completed loop advances the phase by its total
-                    // barrier count (none when uncounted).
-                    self.phase_base = saved + phase_coef * max_trip as i128;
                 }
                 Stmt::If {
                     pred,
@@ -260,11 +243,8 @@ impl<'k> Walker<'k> {
                     let saved = (self.warp_div, self.block_div);
                     self.warp_div |= class.warp_div;
                     self.block_div |= class.block_div;
-                    for (body, taken) in [(then_body, true), (else_body, false)] {
-                        self.preds.push((pred, taken));
-                        self.walk(body);
-                        self.preds.pop();
-                    }
+                    self.walk(then_body);
+                    self.walk(else_body);
                     (self.warp_div, self.block_div) = saved;
                 }
                 Stmt::Sync => self.visit_sync(),
@@ -273,13 +253,6 @@ impl<'k> Walker<'k> {
     }
 
     fn visit_sync(&mut self) {
-        // Two rules, two questions. A barrier splits a phase only under
-        // an empty predicate path outside ragged loops; whether it can
-        // deadlock is judged by `classify_pred` and raggedness below.
-        if self.preds.is_empty() && !self.in_ragged_loop() {
-            self.phase_base += 1;
-            self.has_barrier = true;
-        }
         // `__syncthreads()` waits for every thread of the block. Two
         // static signatures make that wait unsatisfiable: the barrier
         // sits under a branch that splits a block, or inside a loop
@@ -306,7 +279,7 @@ impl<'k> Walker<'k> {
         }
     }
 
-    fn visit_access(&mut self, acc: &'k AccessDesc) {
+    fn visit_access(&mut self, acc: &AccessDesc) {
         self.last_pc = Some(acc.pc.0);
         let array = &self.kernel.arrays[acc.array];
         if acc.kind == AccessKind::Write {
@@ -436,12 +409,6 @@ impl<'k> Walker<'k> {
             inter_warp_stride_bytes: warp_stride,
             iter_strides_bytes: iter_strides,
             divergent: self.warp_div || self.in_ragged_loop(),
-        });
-        self.race_sites.push(Site {
-            acc,
-            preds: self.preds.clone(),
-            loops: self.loops.clone(),
-            phase_base: self.phase_base,
         });
     }
 

@@ -40,27 +40,9 @@ impl Interval {
         }
     }
 
-    /// Smallest interval containing both operands (the lattice join).
-    pub fn join(self, other: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(other.lo),
-            hi: self.hi.max(other.hi),
-        }
-    }
-
-    /// Whether `v` lies inside the interval.
-    pub fn contains(self, v: i128) -> bool {
-        self.lo <= v && v <= self.hi
-    }
-
     /// Whether the interval lies entirely inside `[0, n)`.
     pub fn within(self, n: i128) -> bool {
         self.lo >= 0 && self.hi < n
-    }
-
-    /// Number of integers covered.
-    pub fn width(self) -> i128 {
-        self.hi - self.lo + 1
     }
 }
 
@@ -119,12 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn add_and_join() {
+    fn add_sums_the_bounds() {
         let a = Interval::new(-1, 4);
         let b = Interval::new(10, 20);
         assert_eq!(a + b, Interval::new(9, 24));
-        assert_eq!(a.join(b), Interval::new(-1, 20));
-        assert_eq!(a.width(), 6);
     }
 
     #[test]

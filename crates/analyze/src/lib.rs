@@ -27,14 +27,10 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
-pub mod congruence;
 pub mod fixtures;
 pub mod interval;
-pub mod races;
 pub mod report;
 
 pub use analyzer::{analyze_kernel, verify_against_trace, SelfCheckViolation};
-pub use congruence::{AbsVal, Congruence};
 pub use interval::{ByteRange, Interval};
-pub use races::{PairVerdict, RacePairReport};
 pub use report::{Finding, FindingKind, PatternKind, Severity, SiteReport, StaticReport};

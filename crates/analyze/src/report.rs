@@ -1,12 +1,11 @@
 //! Structured output of the static analyzer: per-site facts and findings.
 
 use crate::interval::ByteRange;
-use crate::races::PairVerdict;
 use gmap_trace::record::AccessKind;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The wire spelling of an access kind in sites and race pairs.
+/// The wire spelling of an access kind in sites.
 pub(crate) fn rw(kind: AccessKind) -> &'static str {
     match kind {
         AccessKind::Read => "R",
@@ -34,7 +33,7 @@ pub enum Severity {
 /// The class of a finding.
 ///
 /// Serialized (and displayed) as stable kebab-case strings — e.g.
-/// `"race-write-write"` — which CI gates and API clients match on;
+/// `"barrier-divergence"` — which CI gates and API clients match on;
 /// renaming a variant's wire string is a breaking change. The serde
 /// impls are hand-written (the vendored derive implements no
 /// `#[serde(...)]` attributes) so the JSON string always equals the
@@ -56,17 +55,6 @@ pub enum FindingKind {
     /// A full warp touches one 128-byte segment per lane (degree =
     /// warp size): fully uncoalesced.
     Uncoalesced,
-    /// Two writes to the same array element from threads the execution
-    /// model leaves unordered (no barrier between them, or different
-    /// blocks), with a concrete witness pair of threads.
-    RaceWriteWrite,
-    /// A read and a write of the same array element from unordered
-    /// threads, with a concrete witness pair of threads.
-    RaceReadWrite,
-    /// A conflicting pair the detector could neither prove disjoint /
-    /// barrier-ordered nor witness concretely (irregular indices,
-    /// unresolved predicates, or search budget exhausted).
-    RacePotential,
 }
 
 impl FindingKind {
@@ -79,23 +67,17 @@ impl FindingKind {
             FindingKind::OverlappingWrite => "overlapping-write",
             FindingKind::BarrierDivergence => "barrier-divergence",
             FindingKind::Uncoalesced => "uncoalesced",
-            FindingKind::RaceWriteWrite => "race-write-write",
-            FindingKind::RaceReadWrite => "race-read-write",
-            FindingKind::RacePotential => "race-potential",
         }
     }
 
     /// Every kind, in declaration order — the full wire vocabulary.
-    pub const ALL: [FindingKind; 9] = [
+    pub const ALL: [FindingKind; 6] = [
         FindingKind::SpecError,
         FindingKind::ArraySizeOverflow,
         FindingKind::OutOfBounds,
         FindingKind::OverlappingWrite,
         FindingKind::BarrierDivergence,
         FindingKind::Uncoalesced,
-        FindingKind::RaceWriteWrite,
-        FindingKind::RaceReadWrite,
-        FindingKind::RacePotential,
     ];
 }
 
@@ -208,13 +190,6 @@ pub struct StaticReport {
     pub sites: Vec<SiteReport>,
     /// Diagnostics, errors first.
     pub findings: Vec<Finding>,
-    /// Per-(array, PC-pair) race verdicts from the barrier-phase
-    /// detector, in site order.
-    pub races: Vec<crate::races::RacePairReport>,
-    /// Whether the barrier-phase detector certified the kernel free of
-    /// data races: every conflicting pair is provably disjoint or
-    /// barrier-ordered in every scope.
-    pub race_certified: bool,
 }
 
 impl StaticReport {
@@ -277,97 +252,24 @@ impl StaticReport {
                 ));
             }
         }
-        if !self.races.is_empty() {
-            out.push('\n');
-            out.push_str(&self.render_races());
-        }
         if self.findings.is_empty() {
             out.push_str("\nno findings: the spec is clean\n");
-        } else {
-            render_findings_tail(self, &mut out);
-        }
-        out
-    }
-
-    /// Only the race-verdict section: the summary line, the per-pair
-    /// table with one verdict per scope, and any witness schedules.
-    /// Embedded in [`Self::render`]; shown alone by
-    /// `gmap analyze --races`.
-    pub fn render_races(&self) -> String {
-        let mut out = String::new();
-        if self.races.is_empty() {
-            out.push_str(&format!(
-                "race analysis of '{}': no conflicting pairs — {}\n",
-                self.name,
-                if self.race_certified {
-                    "certified race-free"
-                } else {
-                    "not certified (spec invalid or analysis skipped)"
-                }
-            ));
             return out;
         }
-        out.push_str(&format!(
-            "race analysis of '{}': {} conflicting pair{} — {}\n",
-            self.name,
-            self.races.len(),
-            if self.races.len() == 1 { "" } else { "s" },
-            if self.race_certified {
-                "certified race-free".to_string()
-            } else {
-                let proven = self
-                    .races
-                    .iter()
-                    .filter(|p| {
-                        p.same_block == PairVerdict::Proven || p.inter_block == PairVerdict::Proven
-                    })
-                    .count();
-                let potential = self
-                    .races
-                    .iter()
-                    .filter(|p| {
-                        p.same_block == PairVerdict::Potential
-                            || p.inter_block == PairVerdict::Potential
-                    })
-                    .count();
-                format!("{proven} proven, {potential} potential")
-            }
-        ));
-        out.push_str(&format!(
-            "{:<12} {:<18} {:<18} {:<12} {:<12}\n",
-            "array", "site A", "site B", "same-block", "inter-block"
-        ));
-        for p in &self.races {
+        out.push('\n');
+        for f in &self.findings {
             out.push_str(&format!(
-                "{:<12} {:<18} {:<18} {:<12} {:<12}\n",
-                p.array_name,
-                format!("{:#x} ({})", p.pc_a, p.kind_a),
-                format!("{:#x} ({})", p.pc_b, p.kind_b),
-                p.same_block.to_string(),
-                p.inter_block.to_string(),
+                "{:<7} {:<20} {:<10} {}\n",
+                match f.severity {
+                    Severity::Error => "ERROR",
+                    Severity::Warning => "warning",
+                },
+                f.kind.to_string(),
+                f.pc.map_or("-".to_string(), |pc| format!("{pc:#x}")),
+                f.message
             ));
-            if let Some(w) = &p.witness {
-                out.push_str(&format!("    witness: {w}\n"));
-            }
         }
         out
-    }
-}
-
-/// The findings table at the end of [`StaticReport::render`].
-fn render_findings_tail(report: &StaticReport, out: &mut String) {
-    out.push('\n');
-    for f in &report.findings {
-        out.push_str(&format!(
-            "{:<7} {:<20} {:<10} {}\n",
-            match f.severity {
-                Severity::Error => "ERROR",
-                Severity::Warning => "warning",
-            },
-            f.kind.to_string(),
-            f.pc.map_or("-".to_string(), |pc| format!("{pc:#x}")),
-            f.message
-        ));
     }
 }
 
@@ -391,8 +293,6 @@ mod tests {
             warp_size: 32,
             sites: vec![],
             findings: vec![finding(Severity::Warning), finding(Severity::Error)],
-            races: vec![],
-            race_certified: false,
         };
         assert!(r.has_errors());
         assert_eq!(r.errors().count(), 1);
@@ -402,8 +302,6 @@ mod tests {
             warp_size: 32,
             sites: vec![],
             findings: vec![finding(Severity::Warning)],
-            races: vec![],
-            race_certified: true,
         };
         assert!(!clean.has_errors());
     }
@@ -415,8 +313,6 @@ mod tests {
             warp_size: 32,
             sites: vec![],
             findings: vec![finding(Severity::Error)],
-            races: vec![],
-            race_certified: false,
         };
         let text = r.render();
         assert!(text.contains("ERROR"));
@@ -425,23 +321,25 @@ mod tests {
     }
 
     #[test]
-    fn a_report_without_race_fields_is_refused() {
-        // The vendored derive implements no `#[serde(default)]`: a report
-        // written before race analysis existed does not parse.
+    fn a_report_with_the_retired_race_fields_still_parses() {
+        // Fields are looked up by name and unknown keys are ignored, so
+        // `--json` output saved while reports carried `races` and
+        // `race_certified` reads back as the same report.
         let r = StaticReport {
             name: "k".into(),
             warp_size: 32,
             sites: vec![],
-            findings: vec![],
-            races: vec![],
-            race_certified: true,
+            findings: vec![finding(Severity::Warning)],
         };
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<StaticReport>(&json).unwrap(), r);
-        let old = json.replace(r#","races":[],"race_certified":true"#, "");
+        let old = json.replacen(
+            '{',
+            r#"{"races":[{"array_name":"acc","pc_a":24,"pc_b":24,"same_block":"Proven"}],"race_certified":false,"#,
+            1,
+        );
         assert_ne!(old, json);
-        let err = serde_json::from_str::<StaticReport>(&old).unwrap_err();
-        assert!(err.to_string().contains("expected sequence"), "{err}");
+        assert_eq!(serde_json::from_str::<StaticReport>(&old).unwrap(), r);
     }
 
     #[test]

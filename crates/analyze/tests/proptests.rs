@@ -3,15 +3,16 @@
 //! Soundness is the whole point of the abstract domain, so it is tested
 //! as a property over *arbitrary* kernels, not hand-picked ones: every
 //! address the executor emits must lie inside the analyzer's static
-//! per-PC interval, and the static coalescing degree must equal what
-//! `coalesce.rs` measures on a uniform warp.
+//! per-PC interval, the static coalescing degree must equal what
+//! `coalesce.rs` measures on a uniform warp, and a barrier the analyzer
+//! passes must be reached equally often by every thread of a block.
 
-use gmap_analyze::{analyze_kernel, verify_against_trace, PairVerdict, StaticReport};
+use gmap_analyze::{analyze_kernel, verify_against_trace, FindingKind};
 use gmap_gpu::coalesce::coalesce_addrs;
-use gmap_gpu::exec::{execute_kernel, WarpEvent};
-use gmap_gpu::kernel::{dsl, IndexExpr, KernelBuilder, KernelDesc, Pred, Stmt, Trip};
-use gmap_gpu::race::{dynamic_races, RaceScope};
+use gmap_gpu::exec::{execute_kernel, WarpEvent, WARP_SIZE};
+use gmap_gpu::kernel::{dsl, EvalCtx, IndexExpr, KernelBuilder, Pred, Stmt, Trip};
 use gmap_trace::record::Pc;
+use gmap_trace::rng::Rng;
 use proptest::prelude::*;
 
 proptest! {
@@ -136,139 +137,134 @@ proptest! {
     }
 }
 
-/// Checks the two differential race invariants on one kernel:
-///
-/// 1. a certified kernel exhibits **zero** dynamic races (soundness of
-///    the certificate), and
-/// 2. every dynamic race maps to a static pair whose verdict in that
-///    scope is proven or potential (the detector never calls a really
-///    racing pair safe).
-fn assert_race_differential(kernel: &KernelDesc, report: &StaticReport) {
-    let trace = execute_kernel(kernel);
-    let dynamic = dynamic_races(kernel, &trace, 4096);
-    if report.race_certified {
-        assert!(
-            dynamic.is_empty(),
-            "{}: certified but dynamically racy: {:?}",
-            kernel.name,
-            dynamic
-        );
-    }
-    for r in &dynamic {
-        let hit = report.races.iter().any(|p| {
-            let pcs_match = (p.pc_a.min(p.pc_b), p.pc_a.max(p.pc_b))
-                == (r.pc_lo.min(r.pc_hi), r.pc_lo.max(r.pc_hi));
-            let verdict = match r.scope {
-                RaceScope::CrossWarpSameBlock => p.same_block,
-                RaceScope::InterBlock => p.inter_block,
-            };
-            pcs_match && matches!(verdict, PairVerdict::Proven | PairVerdict::Potential)
-        });
-        assert!(
-            hit,
-            "{}: dynamic race {:?} has no static proven/potential pair in {:?}",
-            kernel.name, r, report.races
-        );
+/// Barriers one thread reaches, walking the body as that thread alone
+/// would: its own branch outcomes and its own trip counts. Neither
+/// depends on a loop iteration, so a loop multiplies its body's count.
+fn barriers_reached(stmts: &[Stmt], ctx: &EvalCtx<'_>) -> u64 {
+    stmts
+        .iter()
+        .map(|stmt| match stmt {
+            Stmt::Access(_) => 0,
+            Stmt::Sync => 1,
+            Stmt::Loop { trip, body } => {
+                u64::from(trip.count_for(ctx.tid)) * barriers_reached(body, ctx)
+            }
+            Stmt::If {
+                pred,
+                then_body,
+                else_body,
+            } => barriers_reached(if pred.eval(ctx) { then_body } else { else_body }, ctx),
+        })
+        .sum()
+}
+
+/// A random predicate of any kind, with its bound drawn so that both
+/// uniform and divergent cuts of a `tpb`-thread block come up.
+fn arb_pred(rng: &mut Rng, tpb: u32, total: u64) -> Pred {
+    let small = |rng: &mut Rng, n: u64| rng.gen_range(n) as u32;
+    match rng.gen_range(5) {
+        0 => Pred::TidLt(if rng.gen_bool(0.5) {
+            tpb * small(rng, 4)
+        } else {
+            small(rng, total + 2)
+        }),
+        1 => Pred::TidMod {
+            m: 1 + small(rng, 3),
+            r: small(rng, 3),
+        },
+        2 => Pred::LaneLt(small(rng, 40)),
+        3 => Pred::BlockMod {
+            m: 1 + small(rng, 3),
+            r: small(rng, 2),
+        },
+        _ => Pred::Hashed {
+            seed: rng.next_u64(),
+            percent: [0, 30, 100][rng.gen_range(3) as usize],
+        },
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// A random body of reads and barriers, loops and branches nested up to
+/// `depth` deep: barriers land at top level, in constant- and hashed-trip
+/// loops and under every predicate kind.
+fn arb_body(rng: &mut Rng, depth: u32, tpb: u32, total: u64) -> Vec<Stmt> {
+    let len = 1 + rng.gen_range(3);
+    (0..len)
+        .map(|_| match rng.gen_range(if depth == 0 { 2 } else { 4 }) {
+            0 => Stmt::Sync,
+            1 => dsl::read(0x10, 0, IndexExpr::tid_linear(0, 1)),
+            2 => Stmt::Loop {
+                trip: if rng.gen_bool(0.5) {
+                    Trip::Const(rng.gen_range(4) as u32)
+                } else {
+                    Trip::Hashed {
+                        seed: rng.next_u64(),
+                        base: rng.gen_range(3) as u32,
+                        spread: rng.gen_range(4) as u32,
+                    }
+                },
+                body: arb_body(rng, depth - 1, tpb, total),
+            },
+            _ => Stmt::If {
+                pred: arb_pred(rng, tpb, total),
+                then_body: arb_body(rng, depth - 1, tpb, total),
+                else_body: if rng.gen_bool(0.5) {
+                    arb_body(rng, depth - 1, tpb, total)
+                } else {
+                    vec![]
+                },
+            },
+        })
+        .collect()
+}
 
-    /// Differential soundness of the race detector over arbitrary phased
-    /// kernels: two writes and a read of one array with random affine
-    /// coefficients, optional barriers between them and an optional
-    /// enclosing loop. Whatever the verdicts, a certificate implies a
-    /// dynamically race-free execution, and every observed race is a
-    /// statically proven/potential pair.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Barrier soundness over arbitrary kernels: a report without a
+    /// `barrier-divergence` finding means every thread of a block reaches
+    /// the same number of barriers, so none waits forever. Counted per
+    /// thread: per-warp `WarpEvent::Sync` counts cannot tell, since under
+    /// `LaneLt` every warp syncs alike while its lanes disagree.
     #[test]
-    fn race_certificates_agree_with_the_dynamic_checker(
+    fn barriers_without_a_divergence_finding_are_reached_alike(
         blocks in 1u32..4,
-        tpb in 1u32..130,
-        elems in 1u64..4096,
-        base_a in 0i64..8,
-        tid_a in -3i64..4,
-        lane_a in -2i64..3,
-        warp_a in -4i64..5,
-        block_a in -8i64..9,
-        base_b in 0i64..8,
-        tid_b in -3i64..4,
-        block_b in -8i64..9,
-        iter_coef in -4i64..5,
-        trip in 1u32..4,
-        sync_ab in any::<bool>(),
-        sync_bc in any::<bool>(),
-        wrap_in_loop in any::<bool>(),
+        tpb in 1u32..160,
+        seed in any::<u64>(),
     ) {
-        let idx_a = IndexExpr::Affine {
-            base: base_a,
-            tid_coef: tid_a,
-            lane_coef: lane_a,
-            warp_coef: warp_a,
-            block_coef: block_a,
-            iter_coefs: if wrap_in_loop { vec![(0, iter_coef)] } else { vec![] },
-        };
-        let idx_b = IndexExpr::Affine {
-            base: base_b,
-            tid_coef: tid_b,
-            lane_coef: 0,
-            warp_coef: 0,
-            block_coef: block_b,
-            iter_coefs: vec![],
-        };
-        let mut body = vec![dsl::write(0x10, 0, idx_a.clone())];
-        if sync_ab {
-            body.push(Stmt::Sync);
-        }
-        body.push(dsl::write(0x20, 0, idx_b));
-        if sync_bc {
-            body.push(Stmt::Sync);
-        }
-        body.push(dsl::read(0x30, 0, idx_a));
-        if wrap_in_loop {
-            body = vec![dsl::loop_n(trip, body)];
-        }
-        let mut builder = KernelBuilder::new("race-prop", blocks, tpb).array("a", elems);
-        for stmt in body {
+        let total = u64::from(blocks * tpb);
+        let mut rng = Rng::seed_from(seed);
+        let mut builder = KernelBuilder::new("barriers", blocks, tpb).array("a", total);
+        for stmt in arb_body(&mut rng, 3, tpb, total) {
             builder = builder.stmt(stmt);
         }
         let k = builder.build().expect("structurally valid");
         let report = analyze_kernel(&k);
-        assert_race_differential(&k, &report);
-    }
-}
-
-/// Every built-in workload at every scale runs through the differential
-/// race check: the detector's verdicts must agree with the executor on
-/// all 18 models, and certified builtins must execute without a single
-/// dynamic race.
-#[test]
-fn builtin_workloads_pass_the_race_differential() {
-    use gmap_gpu::workloads::{self, Scale};
-
-    let mut certified = Vec::new();
-    for scale in [Scale::Tiny, Scale::Small] {
-        for kernel in workloads::all(scale) {
-            let report = analyze_kernel(&kernel);
-            // Race findings never escalate a builtin to an error: the
-            // racy models (reduction-style accumulations) declare no
-            // barrier phases, so their proven races stay warnings.
-            assert!(
-                !report.has_errors(),
-                "{} @ {scale:?}: {:?}",
-                kernel.name,
-                report.findings
-            );
-            assert_race_differential(&kernel, &report);
-            if scale == Scale::Tiny && report.race_certified {
-                certified.push(kernel.name.clone());
+        let flagged = report
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::BarrierDivergence);
+        if !flagged {
+            let wpb = tpb.div_ceil(WARP_SIZE);
+            for block in 0..blocks {
+                let counts: Vec<u64> = (0..tpb)
+                    .map(|t| {
+                        let ctx = EvalCtx {
+                            tid: u64::from(block * tpb + t),
+                            lane: t % WARP_SIZE,
+                            warp: block * wpb + t / WARP_SIZE,
+                            block,
+                            iters: &[],
+                        };
+                        barriers_reached(&k.body, &ctx)
+                    })
+                    .collect();
+                prop_assert!(
+                    counts.iter().all(|&c| c == counts[0]),
+                    "block {block} reaches barriers unevenly {counts:?} with no finding: {:?}",
+                    k.body
+                );
             }
         }
     }
-    // The truly race-free builtins must actually earn their certificate;
-    // matrixmul is the only one that needs barrier reasoning for it.
-    assert!(
-        certified.iter().any(|n| n == "matrixmul"),
-        "matrixmul lost its certificate: {certified:?}"
-    );
 }

@@ -180,104 +180,3 @@ fn reports_serialize_round_trip() {
     let back: gmap_analyze::StaticReport = serde_json::from_str(&json).expect("parse");
     assert_eq!(back, report);
 }
-
-/// Dynamic races observed when executing `kernel`, with a generous cap.
-fn observed_races(kernel: &gmap_gpu::KernelDesc) -> Vec<gmap_gpu::DynamicRace> {
-    let trace = gmap_gpu::exec::execute_kernel(kernel);
-    gmap_gpu::dynamic_races(kernel, &trace, 1024)
-}
-
-#[test]
-fn positive_race_fixtures_are_certified_and_dynamically_clean() {
-    for kernel in [
-        fixtures::phased_stencil(),
-        fixtures::phased_reduction(),
-        fixtures::clean_streaming(),
-    ] {
-        let report = analyze_kernel(&kernel);
-        assert!(
-            report.race_certified,
-            "{}: expected certification, pairs {:?}",
-            kernel.name, report.races
-        );
-        assert!(
-            !report.has_errors(),
-            "{}: unexpected errors {:?}",
-            kernel.name,
-            report.findings
-        );
-        let dynamic = observed_races(&kernel);
-        assert!(
-            dynamic.is_empty(),
-            "{}: certified kernel shows dynamic races {dynamic:?}",
-            kernel.name
-        );
-    }
-}
-
-#[test]
-fn racy_fixtures_are_caught_statically_and_dynamically() {
-    use gmap_analyze::PairVerdict;
-
-    // (fixture, expected array name, proven same-block?, proven inter-block?)
-    let cases = [
-        ("race-ww", "acc", true, false),
-        ("race-rw", "tile", true, true),
-        ("race-interblock", "out", false, true),
-        ("race-ww-interblock", "out", false, true),
-    ];
-    for (name, array, same_block, inter_block) in cases {
-        let kernel = fixtures::by_name(name).expect("known fixture");
-        let report = analyze_kernel(&kernel);
-        assert!(!report.race_certified, "{name}: must not be certified");
-        assert!(
-            report.errors().any(|f| matches!(
-                f.kind,
-                FindingKind::RaceWriteWrite | FindingKind::RaceReadWrite
-            )),
-            "{name}: expected an error-severity race finding, got {:?}",
-            report.findings
-        );
-        let pair = report
-            .races
-            .iter()
-            .find(|p| {
-                p.array_name == array
-                    && (p.same_block == PairVerdict::Proven || p.inter_block == PairVerdict::Proven)
-            })
-            .unwrap_or_else(|| panic!("{name}: no proven pair on '{array}': {:?}", report.races));
-        assert_eq!(
-            pair.same_block == PairVerdict::Proven,
-            same_block,
-            "{name}: same-block verdict {:?}",
-            pair.same_block
-        );
-        assert_eq!(
-            pair.inter_block == PairVerdict::Proven,
-            inter_block,
-            "{name}: inter-block verdict {:?}",
-            pair.inter_block
-        );
-        assert!(
-            pair.witness.is_some(),
-            "{name}: proven pair needs a witness"
-        );
-
-        // The dynamic oracle agrees, and every dynamic race maps back to
-        // a statically proven pair on the same (array, PC-pair, scope).
-        let dynamic = observed_races(&kernel);
-        assert!(!dynamic.is_empty(), "{name}: dynamic checker saw nothing");
-        for r in &dynamic {
-            let hit = report.races.iter().any(|p| {
-                (p.pc_a, p.pc_b) == (r.pc_lo, r.pc_hi)
-                    && match r.scope {
-                        gmap_gpu::RaceScope::CrossWarpSameBlock => {
-                            p.same_block == PairVerdict::Proven
-                        }
-                        gmap_gpu::RaceScope::InterBlock => p.inter_block == PairVerdict::Proven,
-                    }
-            });
-            assert!(hit, "{name}: dynamic race {r:?} not statically proven");
-        }
-    }
-}

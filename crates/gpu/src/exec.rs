@@ -55,32 +55,6 @@ pub struct WarpTrace {
     pub events: Vec<WarpEvent>,
 }
 
-/// One scalar (thread-level) access annotated with its barrier-phase
-/// coordinates, as produced by [`AppTrace::phased_accesses`].
-///
-/// `phase` counts the [`WarpEvent::Sync`] events the owning warp had
-/// already emitted when the access executed. Two accesses from warps of
-/// the same block are barrier-ordered iff their phases differ; accesses
-/// from different blocks are never barrier-ordered (no inter-block
-/// synchronization exists in the model), so their phases are irrelevant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PhasedAccess {
-    /// Block the issuing warp belongs to.
-    pub block: u32,
-    /// Global warp id of the issuing warp.
-    pub warp: u32,
-    /// Number of barriers the warp passed before this access.
-    pub phase: u32,
-    /// Static instruction.
-    pub pc: Pc,
-    /// Read or write.
-    pub kind: AccessKind,
-    /// Lane within the warp.
-    pub lane: u8,
-    /// Byte address touched.
-    pub addr: ByteAddr,
-}
-
 /// The complete execution trace of a kernel launch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppTrace {
@@ -111,44 +85,6 @@ impl AppTrace {
             .flat_map(|w| w.events.iter())
             .filter(|e| matches!(e, WarpEvent::Access { .. }))
             .count() as u64
-    }
-
-    /// Optional per-phase access recorder: flattens the trace into scalar
-    /// accesses stamped with the barrier phase of their issuing warp.
-    ///
-    /// This is the dynamic counterpart of the static barrier-phase race
-    /// analysis: every `Sync` a warp emits — conditional or not —
-    /// increments its phase counter, which is exactly the
-    /// happens-before index the dynamic checker in [`crate::race`]
-    /// compares. Ordered by warp, then event, then lane.
-    pub fn phased_accesses(&self) -> Vec<PhasedAccess> {
-        let mut out = Vec::new();
-        for wt in &self.warps {
-            let mut phase = 0u32;
-            for ev in &wt.events {
-                match ev {
-                    WarpEvent::Sync => phase += 1,
-                    WarpEvent::Access {
-                        pc,
-                        kind,
-                        lane_addrs,
-                    } => {
-                        for &(lane, addr) in lane_addrs {
-                            out.push(PhasedAccess {
-                                block: wt.block,
-                                warp: wt.warp.0,
-                                phase,
-                                pc: *pc,
-                                kind: *kind,
-                                lane,
-                                addr,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Flattens into `(thread, access)` entries for trace I/O, ordered by

@@ -14,9 +14,6 @@
 //! - [`exec`] — lockstep SIMT execution of a kernel, producing per-warp
 //!   dynamic memory instruction streams (the paper's *dynamic memory
 //!   execution paths*).
-//! - [`race`] — a dynamic data-race checker over executed traces: the
-//!   ground-truth oracle for the static barrier-phase race analysis in
-//!   `gmap-analyze`.
 //! - [`coalesce`] — the memory-coalescing model of CUDA guide §G.4.2:
 //!   per-warp requests merge into minimal cacheline transactions.
 //! - [`schedule`] — per-core warp queues and the warp scheduling policies
@@ -46,16 +43,14 @@ pub mod dim;
 pub mod exec;
 pub mod hierarchy;
 pub mod kernel;
-pub mod race;
 pub mod schedule;
 pub mod workloads;
 
 pub use app::Application;
 pub use dim::Dim3;
-pub use exec::{AppTrace, PhasedAccess, WarpEvent, WarpTrace};
+pub use exec::{AppTrace, WarpEvent, WarpTrace};
 pub use hierarchy::{GpuConfig, LaunchConfig};
 pub use kernel::{AccessDesc, ArrayDesc, IndexExpr, KernelBuilder, KernelDesc, Pred, Stmt, Trip};
-pub use race::{dynamic_races, DynamicRace, RaceScope};
 pub use schedule::{
     CoalescedAccess, FixedLatency, MemoryModel, Policy, ScheduleOutcome, WarpStream,
     WarpStreamEvent,

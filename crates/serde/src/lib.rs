@@ -18,7 +18,7 @@
 //! #[derive(serde::Deserialize)]
 //! struct Report {
 //!     #[serde(default)]
-//!     races: Vec<u32>,
+//!     sites: Vec<u32>,
 //! }
 //! ```
 //!
@@ -27,7 +27,7 @@
 //! ```
 //! #[derive(serde::Deserialize)]
 //! struct Report {
-//!     races: Vec<u32>,
+//!     sites: Vec<u32>,
 //! }
 //! ```
 

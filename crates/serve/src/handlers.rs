@@ -142,24 +142,6 @@ pub fn admission_report(req: &ProfileRequest) -> Result<gmap_analyze::StaticRepo
     Ok(analyze_kernel(&Named::of_profile(req)?.kernel()))
 }
 
-/// Race findings (proven or potential, any severity) in a report, for
-/// the `gmap_analyze_races_total` counter.
-pub fn race_finding_count(report: &gmap_analyze::StaticReport) -> u64 {
-    use gmap_analyze::FindingKind;
-    report
-        .findings
-        .iter()
-        .filter(|f| {
-            matches!(
-                f.kind,
-                FindingKind::RaceWriteWrite
-                    | FindingKind::RaceReadWrite
-                    | FindingKind::RacePotential
-            )
-        })
-        .count() as u64
-}
-
 /// `POST /v1/analyze`: run the static analyzer and return the full
 /// report. Pure computation over the spec — no execution, no queue.
 /// Unlike profiling, a structurally invalid inline spec is *analyzed*
@@ -198,8 +180,8 @@ fn check_cancel(cancel: &AtomicBool) -> Result<(), ApiError> {
 /// `POST /v1/profile`, the whole decision in one pass: the request's
 /// identity, then the cache — a hit clones the stored summary and builds,
 /// analyzes, serializes and hashes nothing. Only a miss builds the
-/// kernel (once), analyzes it, counts its race findings, passes the
-/// static-analysis gate, profiles and stores.
+/// kernel (once), analyzes it, passes the static-analysis gate,
+/// profiles and stores.
 ///
 /// # Errors
 ///
@@ -224,11 +206,9 @@ pub fn profile(
     check_cancel(cancel)?;
     let kernel = named.kernel();
     let report = analyze_kernel(&kernel);
-    let races = race_finding_count(&report);
-    metrics.analyze_races.fetch_add(races, Ordering::Relaxed);
     if report.has_errors() {
-        // The gate: correctness errors (proven races in barrier-phased
-        // kernels included) are refused before anything executes.
+        // The gate: correctness errors are refused before anything
+        // executes.
         metrics.analyze_rejects.fetch_add(1, Ordering::Relaxed);
         let findings: Vec<&str> = report.errors().map(|f| f.message.as_str()).collect();
         let message = format!("spec rejected by static analysis: {}", findings.join("; "));
@@ -814,30 +794,47 @@ mod tests {
     }
 
     #[test]
-    fn admission_gate_rejects_racy_barrier_phased_specs_with_422() {
+    fn admission_gate_admits_barrier_phased_specs_that_race() {
+        // Every thread of a block writes the block's `acc` slot in one
+        // barrier phase. No DSL statement loads a value, so the race
+        // changes no stream: the spec is admitted and profiled.
+        use gmap_gpu::kernel::{IndexExpr, KernelBuilder, Stmt};
+        use gmap_trace::record::Pc;
         let (store, metrics) = state();
-        let racy = inline(gmap_analyze::fixtures::race_ww());
-        let report = admission_report(&racy).expect("resolves and analyzes");
-        assert!(race_finding_count(&report) >= 1, "{:?}", report.findings);
-        let err =
-            profile(&store, &metrics, &racy, &fresh_cancel()).expect_err("racy spec rejected");
-        assert_eq!(err.status, 422);
-        assert!(
-            err.message.contains("race"),
-            "names the race: {}",
-            err.message
+        let racy = inline(
+            KernelBuilder::new("race-ww", 2u32, 64u32)
+                .array("data", 128)
+                .array("acc", 2)
+                .write(Pc(0x10), 0, IndexExpr::tid_linear(0, 1))
+                .stmt(Stmt::Sync)
+                .write(
+                    Pc(0x18),
+                    1,
+                    IndexExpr::Affine {
+                        base: 0,
+                        tid_coef: 0,
+                        lane_coef: 0,
+                        warp_coef: 0,
+                        block_coef: 1,
+                        iter_coefs: vec![],
+                    },
+                )
+                .build()
+                .expect("valid spec"),
         );
-        let counted = metrics.analyze_races.load(Ordering::Relaxed);
-        assert_eq!(counted, race_finding_count(&report));
+        let report = admission_report(&racy).expect("resolves and analyzes");
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        let resp = profile(&store, &metrics, &racy, &fresh_cancel()).expect("admissible");
+        assert!(!resp.cached);
+        assert_eq!(metrics.analyze_rejects.load(Ordering::Relaxed), 0);
+        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 1);
 
-        // A certified phased kernel sails through, and its report counts
-        // zero race findings.
-        let clean = inline(gmap_analyze::fixtures::phased_stencil());
-        let report = admission_report(&clean).expect("resolves and analyzes");
-        assert!(report.race_certified);
-        assert_eq!(race_finding_count(&report), 0);
-        profile(&store, &metrics, &clean, &fresh_cancel()).expect("admissible");
-        assert_eq!(metrics.analyze_races.load(Ordering::Relaxed), counted);
+        // A barrier that block-divergent threads never reach still
+        // deadlocks real hardware and stays a 422.
+        let divergent = inline(gmap_analyze::fixtures::barrier_divergent());
+        let err = profile(&store, &metrics, &divergent, &fresh_cancel()).expect_err("gated");
+        assert_eq!(err.status, 422);
+        assert!(err.message.contains("deadlock"), "{}", err.message);
     }
 
     /// A stored model's summary is computed where the model is stored,

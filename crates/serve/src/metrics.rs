@@ -204,9 +204,6 @@ pub struct Metrics {
     /// Specs rejected with 422 by the static-analysis admission gate
     /// (before anything is profiled).
     pub analyze_rejects: AtomicU64,
-    /// Race findings (proven or potential, any severity) surfaced by the
-    /// barrier-phase detector, per analyze request and per profile miss.
-    pub analyze_races: AtomicU64,
     /// Jobs whose deadline expired while still queued: answered 504
     /// without the handler ever executing.
     pub jobs_shed: AtomicU64,
@@ -349,7 +346,6 @@ impl Metrics {
                 load(&self.deadline_timeouts),
             ),
             ("gmap_analyze_rejects_total", load(&self.analyze_rejects)),
-            ("gmap_analyze_races_total", load(&self.analyze_races)),
             ("gmap_jobs_shed_total", load(&self.jobs_shed)),
             ("gmap_ingest_bytes_total", load(&self.ingest_bytes)),
             ("gmap_ingest_streams_total", load(&self.ingest_streams)),
@@ -545,7 +541,6 @@ mod tests {
         m.cache_hits.fetch_add(2, Ordering::Relaxed);
         m.rejected_full.fetch_add(7, Ordering::Relaxed);
         m.analyze_rejects.fetch_add(5, Ordering::Relaxed);
-        m.analyze_races.fetch_add(4, Ordering::Relaxed);
         m.jobs_shed.fetch_add(3, Ordering::Relaxed);
         m.ingest_bytes.fetch_add(4096, Ordering::Relaxed);
         m.ingest_streams.fetch_add(2, Ordering::Relaxed);
@@ -572,7 +567,6 @@ mod tests {
         assert_eq!(scrape(&text, "gmap_cache_hits_total"), Some(2.0));
         assert_eq!(scrape(&text, "gmap_queue_rejected_total"), Some(7.0));
         assert_eq!(scrape(&text, "gmap_analyze_rejects_total"), Some(5.0));
-        assert_eq!(scrape(&text, "gmap_analyze_races_total"), Some(4.0));
         assert_eq!(scrape(&text, "gmap_jobs_shed_total"), Some(3.0));
         assert!(text.contains("gmap_requests_total{endpoint=\"ingest\"} 1"));
         assert_eq!(scrape(&text, "gmap_ingest_bytes_total"), Some(4096.0));

@@ -725,11 +725,7 @@ fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: D
         // thread — no queue slot, no worker, no deadline machinery.
         Endpoint::Analyze => parse_body::<api::AnalyzeRequest>(request)
             .and_then(|req| handlers::analyze(&req))
-            .map_or_else(Reply::from, |resp| {
-                let races = handlers::race_finding_count(&resp.report);
-                count(&state.metrics.analyze_races, races);
-                Reply::json(200, canonical_json(&resp))
-            }),
+            .map_or_else(Reply::from, |resp| Reply::json(200, canonical_json(&resp))),
         Endpoint::Clone => run_job(state, due, parse_body(request), |state, req, cancel| {
             handlers::clone_model(&state.store, &req, cancel)
         }),

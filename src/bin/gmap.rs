@@ -117,16 +117,12 @@ or --trace):
   --spec FILE                   analyze a kernel spec from a JSON file
   --fixture NAME                analyze a named fixture: defects (oob-affine,
                                 uncoalesced, barrier-divergent,
-                                overlapping-write, race-ww, race-rw,
-                                race-interblock, race-ww-interblock) or
-                                certified-clean ones (phased-stencil,
-                                phased-reduction, clean-streaming)
+                                overlapping-write) or a clean one
+                                (clean-streaming)
   --all                         analyze every bundled workload; exit nonzero
                                 if any has error findings
   --scale tiny|small|default    workload size (default: small)
   --dump-spec FILE              also write the resolved spec as JSON
-  --races                       print only the race-verdict pair table
-                                (per-scope verdicts plus witness schedules)
   --trace FILE                  stream an external trace (text or binary) and
                                 print its per-array/per-PC heat-map report
                                 instead of static analysis; needs --grid
@@ -135,7 +131,7 @@ or --trace):
                                 report for spec sources, an array under
                                 --all, or the heat-map for --trace)
   Exits nonzero when the analyzer reports error-severity findings,
-  in every output mode (--races and --json included).
+  in every output mode (--json included).
 
 CLONE OPTIONS:
   --seed N                      generation seed (default: 42)
@@ -364,7 +360,7 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
     let f = read(
         args,
         "--workload --spec --fixture --scale --dump-spec --trace --grid --block",
-        "--all --json --races",
+        "--all --json",
     )?;
     let sources = ["--workload", "--spec", "--fixture", "--all", "--trace"];
     let kernels = match source(&f, &sources)? {
@@ -372,7 +368,7 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
         ("--spec", path) => vec![load_spec(path)?],
         ("--fixture", name) => vec![gmap::analyze::fixtures::by_name(name).ok_or_else(|| {
             format!(
-                "unknown fixture {name:?} (known: {}, phased-stencil, phased-reduction, clean-streaming)",
+                "unknown fixture {name:?} (known: {}, clean-streaming)",
                 gmap::analyze::fixtures::NAMES.join(", ")
             )
         })?],
@@ -403,11 +399,7 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
         writeln!(out, "{body}")?;
     } else {
         for report in &reports {
-            if f.has("--races") {
-                write!(out, "{}", report.render_races())?;
-            } else {
-                write!(out, "{}", report.render())?;
-            }
+            write!(out, "{}", report.render())?;
         }
     }
     if total_errors > 0 {
@@ -420,12 +412,8 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
 /// `gmap analyze --trace FILE --grid B --block T [--json]`: stream an
 /// external trace and print its per-array/per-PC heat-map report.
 fn analyze_trace(f: &Flags, path: &str, out: &mut dyn Write) -> Outcome {
-    for spec_only in ["--races", "--dump-spec"] {
-        if f.has(spec_only) {
-            return Err(
-                format!("{spec_only} only applies to kernel specs, not --trace heat-maps").into(),
-            );
-        }
+    if f.has("--dump-spec") {
+        return Err("--dump-spec only applies to kernel specs, not --trace heat-maps".into());
     }
     let report = ingest_trace(f, path)?.report;
     if f.has("--json") {
@@ -1333,11 +1321,20 @@ mod tests {
         ]))
         .is_err());
         assert!(run(&s(&["analyze", "--trace", &tfile, "--grid", "24"])).is_err());
-        // --races is a static-analysis view; heat-maps reject it.
-        assert!(run(&s(&[
-            "analyze", "--trace", &tfile, "--grid", "24", "--block", "128", "--races"
+        // --dump-spec writes a kernel spec; heat-maps reject it.
+        let err = run(&s(&[
+            "analyze",
+            "--trace",
+            &tfile,
+            "--grid",
+            "24",
+            "--block",
+            "128",
+            "--dump-spec",
+            "s.json",
         ]))
-        .is_err());
+        .expect_err("spec-only flag");
+        assert!(err.contains("--dump-spec"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1424,20 +1421,17 @@ mod tests {
     }
 
     #[test]
-    fn analyze_race_views_gate_like_the_default_view() {
-        // Racy fixtures fail in every output mode — the view never
-        // weakens the exit-status contract.
-        let err = run(&s(&["analyze", "--fixture", "race-ww", "--races"])).expect_err("gated");
+    fn analyze_json_view_gates_like_the_default_view() {
+        // Defects fail under --json too: the view never weakens the
+        // exit-status contract.
+        let err =
+            run(&s(&["analyze", "--fixture", "barrier-divergent", "--json"])).expect_err("gated");
         assert!(err.contains("error finding"), "{err}");
-        let err = run(&s(&["analyze", "--fixture", "race-rw", "--json"])).expect_err("gated");
-        assert!(err.contains("error finding"), "{err}");
-
-        // Certified positives pass in both modes, and the whole bundled
-        // set stays clean under --races and --json as well.
-        run(&s(&["analyze", "--fixture", "phased-stencil", "--races"])).expect("certified");
-        run(&s(&["analyze", "--fixture", "phased-reduction", "--json"])).expect("certified");
-        run(&s(&["analyze", "--all", "--scale", "tiny", "--races"])).expect("all, races view");
+        run(&s(&["analyze", "--fixture", "clean-streaming", "--json"])).expect("clean");
         run(&s(&["analyze", "--all", "--scale", "tiny", "--json"])).expect("all, JSON view");
+        // The retired race table is an unknown flag.
+        let err = run(&s(&["analyze", "--all", "--races"])).expect_err("unknown flag");
+        assert!(err.contains("--races"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Pins every static report the analyzer produces for the shipped specs:
-//! the 18 builtins at `tiny`, `small` and `default`, and the 11 analyzer
+//! the 18 builtins at `tiny`, `small` and `default`, and the 5 analyzer
 //! fixtures. Per report, `tests/golden/analyze_reports.json` holds the
-//! 128-bit content key of three renderings — the canonical JSON (every
-//! site, finding, race verdict and witness), `render()` (what `gmap
-//! analyze` prints) and `render_races()` (what `--races` prints) — so a
-//! restructure of the analyzer that moves any byte of any of them fails
+//! 128-bit content key of two renderings — the canonical JSON (every
+//! site and finding) and `render()` (what `gmap analyze` prints) — so a
+//! restructure of the analyzer that moves any byte of either fails
 //! here. On a mismatch the report's JSON is printed.
 //!
 //! Regenerate after an *intentional* change with:
@@ -21,12 +20,11 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// The content keys of one report's three renderings.
+/// The content keys of one report's two renderings.
 #[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 struct ReportKeys {
     json: String,
     render: String,
-    races: String,
 }
 
 impl ReportKeys {
@@ -34,7 +32,6 @@ impl ReportKeys {
         ReportKeys {
             json: content_key(&canonical_json(report)),
             render: content_key(&report.render()),
-            races: content_key(&report.render_races()),
         }
     }
 }
@@ -47,17 +44,14 @@ fn specs() -> Vec<(String, KernelDesc)> {
             out.push((format!("builtin/{}/{name}", scale.name()), k));
         }
     }
-    let positives = ["phased-stencil", "phased-reduction", "clean-streaming"];
-    for name in fixtures::NAMES.iter().chain(&positives) {
+    for name in fixtures::NAMES.iter().chain(&["clean-streaming"]) {
         let k = fixtures::by_name(name).expect("known fixture");
         out.push((format!("fixture/{name}"), k));
     }
     out
 }
 
-/// At every scale no builtin has an error-severity finding, and at least
-/// one is certified race-free: the reduction-style builtins genuinely
-/// race (warning-level), but the certificate must not vanish wholesale.
+/// At every scale no builtin has an error-severity finding.
 fn assert_builtins_admissible(reports: &[(String, StaticReport)]) {
     for scale in [Scale::Tiny, Scale::Small, Scale::Default] {
         let prefix = format!("builtin/{}/", scale.name());
@@ -70,10 +64,6 @@ fn assert_builtins_admissible(reports: &[(String, StaticReport)]) {
             let errors: Vec<_> = report.errors().collect();
             assert!(errors.is_empty(), "{what}: error findings {errors:?}");
         }
-        assert!(
-            builtins.iter().any(|(_, report)| report.race_certified),
-            "no builtin at {prefix} is certified race-free"
-        );
     }
 }
 
@@ -87,7 +77,7 @@ fn static_reports_match_golden() {
         .into_iter()
         .map(|(what, k)| (what, analyze_kernel(&k)))
         .collect();
-    assert_eq!(reports.len(), 3 * workloads::NAMES.len() + 11);
+    assert_eq!(reports.len(), 3 * workloads::NAMES.len() + 5);
     assert_builtins_admissible(&reports);
     let got: BTreeMap<String, ReportKeys> = reports
         .iter()

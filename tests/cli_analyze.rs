@@ -25,9 +25,6 @@ fn finding_kind_vocabulary_is_pinned() {
         "overlapping-write",
         "barrier-divergence",
         "uncoalesced",
-        "race-write-write",
-        "race-read-write",
-        "race-potential",
     ];
     let got: Vec<&str> = FindingKind::ALL.iter().map(|k| k.as_str()).collect();
     assert_eq!(got, want, "wire vocabulary changed");
@@ -35,10 +32,10 @@ fn finding_kind_vocabulary_is_pinned() {
 
 #[test]
 fn exit_codes_gate_on_error_findings_in_every_output_mode() {
-    // A proven race exits 1 whether the report is the full render, the
-    // races-only table, or JSON: no output mode weakens the gate.
-    for mode in [&[][..], &["--races"][..], &["--json"][..]] {
-        let mut args = vec!["analyze", "--fixture", "race-rw"];
+    // A barrier divergent threads never reach exits 1 whether the report
+    // is the full render or JSON: no output mode weakens the gate.
+    for mode in [&[][..], &["--json"][..]] {
+        let mut args = vec!["analyze", "--fixture", "barrier-divergent"];
         args.extend_from_slice(mode);
         let out = gmap_bin(&args);
         assert_eq!(out.status.code(), Some(1), "mode {mode:?} must gate");
@@ -46,31 +43,28 @@ fn exit_codes_gate_on_error_findings_in_every_output_mode() {
         assert!(stderr.contains("error finding"), "{stderr}");
     }
 
-    // A certified kernel exits 0 and shows its verdict table.
-    let out = gmap_bin(&["analyze", "--fixture", "phased-stencil", "--races"]);
+    // A clean kernel exits 0 and says so.
+    let out = gmap_bin(&["analyze", "--fixture", "clean-streaming"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("certified race-free"), "{stdout}");
-    assert!(stdout.contains("same-block"), "{stdout}");
+    assert!(stdout.contains("no findings"), "{stdout}");
 }
 
 #[test]
 fn json_mode_round_trips_the_static_report_schema() {
-    let out = gmap_bin(&["analyze", "--fixture", "race-ww", "--json"]);
-    assert_eq!(out.status.code(), Some(1), "racy fixture exits 1");
+    let out = gmap_bin(&["analyze", "--fixture", "barrier-divergent", "--json"]);
+    assert_eq!(out.status.code(), Some(1), "defective fixture exits 1");
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     let report: StaticReport = serde_json::from_str(&stdout).expect("schema round-trips");
-    assert_eq!(report.name, "race-ww");
-    assert!(!report.race_certified);
-    assert!(!report.races.is_empty(), "verdict table present in JSON");
+    assert_eq!(report.name, "barrier-divergent");
     assert!(
         report
             .errors()
-            .any(|f| matches!(f.kind, FindingKind::RaceWriteWrite)),
+            .any(|f| matches!(f.kind, FindingKind::BarrierDivergence)),
         "{:?}",
         report.findings
     );
     // Kinds serialize as the kebab-case wire strings, not Rust names.
-    assert!(stdout.contains("\"race-write-write\""), "{stdout}");
-    assert!(!stdout.contains("RaceWriteWrite"), "{stdout}");
+    assert!(stdout.contains("\"barrier-divergence\""), "{stdout}");
+    assert!(!stdout.contains("BarrierDivergence"), "{stdout}");
 }

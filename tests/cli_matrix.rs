@@ -89,16 +89,12 @@ const ROWS: &[Row] = &[
     writes("analyze/fixture-dump", &["analyze", "--fixture", "oob-affine", "--scale", "tiny", "--dump-spec", "spec.json"], "spec.json"),
     ok("analyze/workload", &["analyze", "--workload", "kmeans", "--scale", "tiny"]),
     ok("analyze/workload-json", &["analyze", "--workload", "kmeans", "--scale", "tiny", "--json"]),
-    ok("analyze/workload-races", &["analyze", "--workload", "kmeans", "--scale", "tiny", "--races"]),
     ok("analyze/spec", &["analyze", "--spec", "spec.json", "--scale", "tiny"]),
     ok("analyze/spec-json", &["analyze", "--spec", "spec.json", "--scale", "tiny", "--json"]),
-    ok("analyze/spec-races", &["analyze", "--spec", "spec.json", "--scale", "tiny", "--races"]),
-    ok("analyze/fixture", &["analyze", "--fixture", "race-ww", "--scale", "tiny"]),
-    ok("analyze/fixture-json", &["analyze", "--fixture", "phased-stencil", "--scale", "tiny", "--json"]),
-    ok("analyze/fixture-races", &["analyze", "--fixture", "race-rw", "--scale", "tiny", "--races"]),
+    ok("analyze/fixture", &["analyze", "--fixture", "barrier-divergent", "--scale", "tiny"]),
+    ok("analyze/fixture-json", &["analyze", "--fixture", "clean-streaming", "--scale", "tiny", "--json"]),
     ok("analyze/all", &["analyze", "--all", "--scale", "tiny"]),
     ok("analyze/all-json", &["analyze", "--all", "--scale", "tiny", "--json"]),
-    ok("analyze/all-races", &["analyze", "--all", "--scale", "tiny", "--races"]),
     ok("analyze/trace", &["analyze", "--trace", "t.txt", "--grid", "24", "--block", "128", "--scale", "tiny"]),
     ok("analyze/trace-json", &["analyze", "--trace", "t.bin", "--grid", "24", "--block", "128", "--scale", "tiny", "--json"]),
     ok("client/health", &["client", "health", "--addr", "{addr}"]),
@@ -126,7 +122,7 @@ const ROWS: &[Row] = &[
     usage("error/both-sources-analyze", &["analyze", "--workload", "kmeans", "--all"], "--workload"),
     usage("error/both-sources-analyze-trace", &["analyze", "--trace", "t.txt", "--grid", "24", "--block", "128", "--all"], "--trace"),
     usage("error/no-source-analyze", &["analyze"], "--workload"),
-    usage("error/races-on-trace", &["analyze", "--trace", "t.txt", "--grid", "24", "--block", "128", "--races"], "--races"),
+    usage("error/races-unknown", &["analyze", "--all", "--scale", "tiny", "--races"], "--races"),
     usage("error/trace-without-block", &["analyze", "--trace", "t.txt", "--grid", "24"], "--block"),
     usage("error/bad-number-seed", &["clone", "-p", "p.json", "-o", "y.txt", "--seed", "x"], "--seed"),
     usage("error/bad-number-factor", &["clone", "-p", "p.json", "-o", "y.txt", "--factor", "half"], "--factor"),
