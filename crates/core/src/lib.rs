@@ -49,7 +49,6 @@
 pub mod application;
 pub mod cachekey;
 pub mod error;
-pub mod fidelity;
 pub mod generate;
 pub mod miniaturize;
 pub mod model;
@@ -61,7 +60,6 @@ pub use application::{
     profile_application, run_application_original, run_application_proxy, AppProfile, AppSimOutcome,
 };
 pub use error::GmapError;
-pub use fidelity::{FidelityClass, FidelityReport};
 pub use miniaturize::miniaturize;
 pub use model::{run_original, run_proxy, simulate_streams, SimOutcome, SimtConfig};
 pub use profile::{GmapProfile, PiEntry, PiProfile};

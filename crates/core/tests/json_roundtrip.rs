@@ -8,7 +8,6 @@
 
 use gmap_core::application::AppProfile;
 use gmap_core::cachekey;
-use gmap_core::fidelity::{self, FidelityClass, FidelityReport};
 use gmap_core::profiler::{profile_kernel, ProfilerConfig};
 use gmap_core::GmapProfile;
 use gmap_gpu::app::Application;
@@ -48,34 +47,6 @@ fn app_profile_to_json_from_json_identity() {
     let back = AppProfile::from_json(&model.to_json()).expect("parse back");
     assert_eq!(model, back);
     back.validate().expect("valid after round trip");
-}
-
-#[test]
-fn fidelity_report_round_trips_compact_and_pretty() {
-    for name in ["kmeans", "hotspot"] {
-        let r = fidelity::analyze(&workload_profile(name));
-        let compact = serde_json::to_string(&r).expect("serialize");
-        let pretty = serde_json::to_string_pretty(&r).expect("serialize pretty");
-        assert_eq!(
-            serde_json::from_str::<FidelityReport>(&compact).expect("parse compact"),
-            r
-        );
-        assert_eq!(
-            serde_json::from_str::<FidelityReport>(&pretty).expect("parse pretty"),
-            r
-        );
-    }
-    for class in [
-        FidelityClass::High,
-        FidelityClass::Medium,
-        FidelityClass::Low,
-    ] {
-        let json = serde_json::to_string(&class).expect("serialize class");
-        assert_eq!(
-            serde_json::from_str::<FidelityClass>(&json).expect("parse class"),
-            class
-        );
-    }
 }
 
 #[test]
@@ -141,15 +112,5 @@ proptest! {
         prop_assert_eq!(json.clone(), back.to_json());
         prop_assert_eq!(cachekey::key_of(&model), cachekey::key_of(&back));
         prop_assert_eq!(cachekey::content_key(&json), cachekey::key_of(&model));
-    }
-
-    /// Fidelity reports survive JSON for arbitrary profiled kernels.
-    #[test]
-    fn fidelity_json_identity(app in arb_app()) {
-        let profile = profile_kernel(&app.kernels[0], &ProfilerConfig::default());
-        let report = fidelity::analyze(&profile);
-        let json = serde_json::to_string(&report).expect("serialize");
-        let back: FidelityReport = serde_json::from_str(&json).expect("parse");
-        prop_assert_eq!(report, back);
     }
 }

@@ -9,7 +9,6 @@
 
 use gmap_analyze::StaticReport;
 use gmap_core::application::AppProfile;
-use gmap_core::fidelity::FidelityClass;
 use gmap_gpu::kernel::KernelDesc;
 use gmap_gpu::workloads::Scale;
 use gmap_memsim::ReplacementPolicy;
@@ -71,8 +70,6 @@ pub struct ProfileStats {
     pub kernels: usize,
     /// Static memory-instruction slots per kernel.
     pub slots: Vec<usize>,
-    /// Fidelity class per kernel (§5 self-check).
-    pub fidelity: Vec<FidelityClass>,
     /// Content hash of the model itself (not of the workload spec).
     pub content_key: String,
 }
@@ -85,11 +82,6 @@ pub fn profile_stats(model: &AppProfile, json: &str) -> ProfileStats {
         name: model.name.clone(),
         kernels: model.kernels.len(),
         slots: model.kernels.iter().map(|k| k.num_slots()).collect(),
-        fidelity: model
-            .kernels
-            .iter()
-            .map(|k| gmap_core::fidelity::analyze(k).class)
-            .collect(),
         content_key: gmap_core::cachekey::content_key(json),
     }
 }
@@ -525,6 +517,18 @@ mod tests {
                 "query {bad:?} must be a 400"
             );
         }
+    }
+
+    #[test]
+    fn a_reply_with_the_retired_fidelity_member_still_parses() {
+        let new = r#"{"model_id":"3bd6897190c15dd3fb6f5b7611457093","cached":false,"stats":{"name":"wl","kernels":1,"slots":[1],"content_key":"3bd6897190c15dd3fb6f5b7611457093"}}"#;
+        let old = new.replace(r#""slots":[1],"#, r#""slots":[1],"fidelity":["High"],"#);
+        let parsed: ProfileResponse = serde_json::from_str(&old).expect("an old reply parses");
+        assert_eq!(
+            parsed,
+            serde_json::from_str::<ProfileResponse>(new).expect("new reply")
+        );
+        assert_eq!(gmap_core::cachekey::canonical_json(&parsed), new);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! gmap simulate (--workload NAME | -p profile.json)
 //!               [--l1 16384:4:128] [--l2 1048576:8:128] [--policy lrr|gto]
 //!               [--seed 7] [--dram]
-//! gmap fidelity (-p profile.json | --workload NAME)
 //! gmap analyze  --trace trace.txt --grid 24 --block 128 [--json]
 //! gmap list
 //! gmap serve    [--listen 127.0.0.1:0] [--workers 4] [--queue 64]
@@ -70,7 +69,6 @@ fn run(args: &[String], out: &mut dyn Write) -> Outcome {
         Some("info") => cmd_info(rest, out),
         Some("clone") => cmd_clone(rest, out),
         Some("simulate") => cmd_simulate(rest, out),
-        Some("fidelity") => cmd_fidelity(rest, out),
         Some("serve") => cmd_serve(rest, out),
         Some("client") => cmd_client(rest, out),
         Some("list") => {
@@ -98,7 +96,6 @@ USAGE:
   gmap info -p FILE                             summarize a profile
   gmap clone -p FILE [OPTS] -o FILE             regenerate a clone trace
   gmap simulate SOURCE [OPTS]                   run the memory hierarchy
-  gmap fidelity (-p FILE | --workload NAME)     predict clone trustworthiness
   gmap serve [OPTS]                             run the model-cloning HTTP service
                                                 (or a router with --route)
   gmap client ACTION --addr HOST:PORT [OPTS]    talk to a running service
@@ -505,30 +502,6 @@ fn cmd_clone(args: &[String], out: &mut dyn Write) -> Outcome {
         "clone of '{}': {} transactions -> {trace}",
         profile.name,
         entries.len()
-    )?;
-    Ok(())
-}
-
-fn cmd_fidelity(args: &[String], out: &mut dyn Write) -> Outcome {
-    let f = read(args, "--profile --workload --scale", "")?;
-    let profile = match source(&f, &["--profile", "--workload"])? {
-        ("--profile", path) => load_profile(path)?,
-        (_, name) => profile_kernel(&workload(&f, name)?, &ProfilerConfig::default()),
-    };
-    let report = gmap::core::fidelity::analyze(&profile);
-    writeln!(out, "{report}")?;
-    writeln!(
-        out,
-        "\ninterpretation: {} fidelity — {}",
-        report.class,
-        match report.class {
-            gmap::core::FidelityClass::High =>
-                "dominant patterns; expect clone errors of a few percent or less",
-            gmap::core::FidelityClass::Medium =>
-                "mixed regularity; expect single-digit to low-teens errors",
-            gmap::core::FidelityClass::Low =>
-                "no dominant patterns (the hotspot regime); treat clone results as aggregate, not fine-grained",
-        }
     )?;
     Ok(())
 }
@@ -979,7 +952,7 @@ mod tests {
         assert_eq!(parse_scale(&s(&["--scale", "default"])), Ok(Scale::Default));
         let typo = parse_scale(&s(&["--scale", "tny"])).expect_err("a typo is not `small`");
         assert!(typo.contains("`tny`") && typo.contains("tiny, small or default"));
-        let run = run(&s(&["fidelity", "--workload", "kmeans", "--scale", "tny"]));
+        let run = run(&s(&["simulate", "--workload", "kmeans", "--scale", "tny"]));
         assert_eq!(run, Err(typo));
     }
 
@@ -1161,8 +1134,7 @@ mod tests {
     fn usage_lists_every_subcommand() {
         let text = usage();
         for sub in [
-            "profile", "analyze", "info", "clone", "simulate", "fidelity", "list", "serve",
-            "client",
+            "profile", "analyze", "info", "clone", "simulate", "list", "serve", "client",
         ] {
             assert!(text.contains(sub), "usage must mention {sub}");
         }
@@ -1288,15 +1260,6 @@ mod tests {
             "--dram",
         ]))
         .expect("simulate original");
-        run(&s(&["fidelity", "-p", &pfile])).expect("fidelity from profile");
-        run(&s(&[
-            "fidelity",
-            "--workload",
-            "hotspot",
-            "--scale",
-            "tiny",
-        ]))
-        .expect("fidelity from workload");
         // External-trace ingestion: clone the profile to a trace, then
         // re-profile that trace.
         let p2 = dir.join("p2.json").to_string_lossy().into_owned();

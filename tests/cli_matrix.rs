@@ -84,8 +84,6 @@ const ROWS: &[Row] = &[
     ok("simulate/original", &["simulate", "--workload", "kmeans", "--scale", "tiny", "--l1", "32768:8:128", "--l2", "524288:8:128", "--policy", "gto", "--dram"]),
     ok("simulate/clone", &["simulate", "-p", "p.json", "--l1", "8192:2:128", "--policy", "self:0.5", "--seed", "7"]),
     ok("simulate/clone-defaults", &["simulate", "--profile", "p.json"]),
-    ok("fidelity/profile", &["fidelity", "-p", "p.json"]),
-    ok("fidelity/workload", &["fidelity", "--workload", "hotspot", "--scale", "tiny"]),
     writes("analyze/fixture-dump", &["analyze", "--fixture", "oob-affine", "--scale", "tiny", "--dump-spec", "spec.json"], "spec.json"),
     ok("analyze/workload", &["analyze", "--workload", "kmeans", "--scale", "tiny"]),
     ok("analyze/workload-json", &["analyze", "--workload", "kmeans", "--scale", "tiny", "--json"]),
@@ -118,11 +116,11 @@ const ROWS: &[Row] = &[
     usage("error/missing-profile", &["info"], "-p"),
     usage("error/both-sources-simulate", &["simulate", "--workload", "kmeans", "-p", "p.json"], "--workload"),
     usage("error/both-sources-profile", &["profile", "--workload", "kmeans", "--trace", "t.txt", "-o", "x.json"], "--workload"),
-    usage("error/both-sources-fidelity", &["fidelity", "-p", "p.json", "--workload", "kmeans"], "--workload"),
     usage("error/both-sources-analyze", &["analyze", "--workload", "kmeans", "--all"], "--workload"),
     usage("error/both-sources-analyze-trace", &["analyze", "--trace", "t.txt", "--grid", "24", "--block", "128", "--all"], "--trace"),
     usage("error/no-source-analyze", &["analyze"], "--workload"),
     usage("error/races-unknown", &["analyze", "--all", "--scale", "tiny", "--races"], "--races"),
+    usage("error/fidelity-unknown", &["fidelity", "--workload", "hotspot", "--scale", "tiny"], "fidelity"),
     usage("error/trace-without-block", &["analyze", "--trace", "t.txt", "--grid", "24"], "--block"),
     usage("error/bad-number-seed", &["clone", "-p", "p.json", "-o", "y.txt", "--seed", "x"], "--seed"),
     usage("error/bad-number-factor", &["clone", "-p", "p.json", "-o", "y.txt", "--factor", "half"], "--factor"),
@@ -132,7 +130,7 @@ const ROWS: &[Row] = &[
     usage("error/bad-number-chunk", &["client", "ingest", "--addr", "{addr}", "--trace", "wl.txt", "--grid", "1", "--block", "64", "--chunk", "big"], "--chunk"),
     usage("error/bad-number-retries", &["client", "health", "--addr", "{addr}", "--retries", "often"], "--retries"),
     usage("error/bad-number-kernel", &["client", "evaluate", "--addr", "{addr}", "--model", "{model}", "--grid", "16:4", "--kernel", "first"], "--kernel"),
-    usage("error/bad-scale", &["fidelity", "--workload", "kmeans", "--scale", "tny"], "--scale"),
+    usage("error/bad-scale", &["simulate", "--workload", "kmeans", "--scale", "tny"], "--scale"),
     usage("error/bad-rebase", &["profile", "--workload", "kmeans", "--scale", "tiny", "--rebase", "zz", "-o", "x.json"], "--rebase"),
     usage("error/repeated-flag", &["profile", "--workload", "kmeans", "--scale", "tiny", "--scale", "small", "-o", "p4.json"], "--scale"),
     usage("error/repeated-alias", &["clone", "-p", "p.json", "-o", "a.txt", "--output", "b.txt"], "--output"),
