@@ -180,7 +180,11 @@ pub struct SiteReport {
 }
 
 /// The full result of statically analyzing one kernel.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Parsing drops findings of the retired race kinds, so a report saved
+/// while the analyzer still emitted them reads back as what it reports
+/// today; any other unknown kind is still an error.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct StaticReport {
     /// Kernel name.
     pub name: String,
@@ -190,6 +194,35 @@ pub struct StaticReport {
     pub sites: Vec<SiteReport>,
     /// Diagnostics, errors first.
     pub findings: Vec<Finding>,
+}
+
+/// Wire strings of the finding kinds of the deleted race analysis. The
+/// kernel DSL loads no values, so a race never changed a stream; a
+/// finding of one of these kinds is dropped when a report is parsed.
+const RETIRED_FINDING_KINDS: [&str; 3] = ["race-write-write", "race-read-write", "race-potential"];
+
+impl Deserialize for StaticReport {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let field = |name| v.get(name).unwrap_or(&serde::Value::Null);
+        let retired = |f: &&serde::Value| match f.get("kind") {
+            Some(serde::Value::Str(k)) => RETIRED_FINDING_KINDS.contains(&k.as_str()),
+            _ => false,
+        };
+        let findings = match field("findings") {
+            serde::Value::Seq(items) => items
+                .iter()
+                .filter(|f| !retired(f))
+                .map(Finding::from_value)
+                .collect::<Result<_, _>>()?,
+            other => Vec::from_value(other)?,
+        };
+        Ok(StaticReport {
+            name: Deserialize::from_value(field("name"))?,
+            warp_size: Deserialize::from_value(field("warp_size"))?,
+            sites: Deserialize::from_value(field("sites"))?,
+            findings,
+        })
+    }
 }
 
 impl StaticReport {
@@ -324,7 +357,8 @@ mod tests {
     fn a_report_with_the_retired_race_fields_still_parses() {
         // Fields are looked up by name and unknown keys are ignored, so
         // `--json` output saved while reports carried `races` and
-        // `race_certified` reads back as the same report.
+        // `race_certified` reads back as the same report; so do its
+        // findings of the retired race kinds, which are dropped.
         let r = StaticReport {
             name: "k".into(),
             warp_size: 32,
@@ -333,13 +367,23 @@ mod tests {
         };
         let json = serde_json::to_string(&r).unwrap();
         assert_eq!(serde_json::from_str::<StaticReport>(&json).unwrap(), r);
-        let old = json.replacen(
-            '{',
-            r#"{"races":[{"array_name":"acc","pc_a":24,"pc_b":24,"same_block":"Proven"}],"race_certified":false,"#,
-            1,
-        );
-        assert_ne!(old, json);
+        let old = json
+            .replacen(
+                '{',
+                r#"{"races":[{"array_name":"acc","pc_a":24,"pc_b":24,"same_block":"Proven"}],"race_certified":false,"#,
+                1,
+            )
+            .replacen(
+                "}]",
+                r#"},{"severity":"Warning","kind":"race-potential","pc":256,"message":"potential read-write race on 'temp' between pc 0x100 (R) and pc 0x128 (W), cross-warp same-block: irregular (hashed) index defeats disjointness reasoning"}]"#,
+                1,
+            );
+        assert!(old.contains("race-potential"), "{old}");
         assert_eq!(serde_json::from_str::<StaticReport>(&old).unwrap(), r);
+        // Any other unknown kind is still refused.
+        let made_up = json.replace("out-of-bounds", "race-imagined");
+        assert_ne!(made_up, json);
+        assert!(serde_json::from_str::<StaticReport>(&made_up).is_err());
     }
 
     #[test]
