@@ -253,32 +253,6 @@ impl Ingestor {
         }
     }
 
-    /// Bytes accepted so far.
-    pub fn bytes(&self) -> u64 {
-        self.stats.bytes
-    }
-
-    /// Entries parsed so far.
-    pub fn entries(&self) -> u64 {
-        self.stats.entries
-    }
-
-    /// Current resident trace buffer in entries (lane queues; the parser
-    /// carry adds at most one line/record).
-    pub fn buffered_entries(&self) -> u64 {
-        self.sinks.buffered
-    }
-
-    /// Peak of [`buffered_entries`](Self::buffered_entries) over the pass.
-    pub fn peak_buffered_entries(&self) -> u64 {
-        self.stats.peak_buffered_entries
-    }
-
-    /// The detected trace format, once sniffed.
-    pub fn format(&self) -> Option<TraceFormat> {
-        self.parser.format()
-    }
-
     /// Feeds one chunk of raw trace bytes (any size, any alignment).
     ///
     /// # Errors
