@@ -20,14 +20,10 @@
 //! seeded (via [`gmap_trace::rng::mix64`]) so a given policy replays the
 //! same sleep schedule.
 
-use crate::health::{Peers, DEFAULT_PROBE_INTERVAL};
 use crate::metrics::Endpoint;
-use crate::shard::Ring;
-use gmap_core::cachekey;
 use gmap_trace::rng::mix64;
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Request header carrying the remaining deadline budget in
@@ -74,7 +70,7 @@ pub fn is_idempotent(method: &str, path: &str) -> bool {
     method == "GET" || Endpoint::resolve(method, path).is_ok()
 }
 
-/// Backoff configuration for [`request_with_retry`] and [`PeerClient`].
+/// Backoff configuration for [`request_with_retry`].
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = single attempt).
@@ -277,54 +273,12 @@ pub fn request(addr: &str, method: &str, path: &str, body: Option<&str>) -> io::
     Ok(exchange(addr, method, path, payload, None)?)
 }
 
-/// The one retry loop. Transient *statuses* (408/429/500/503/504) stay
-/// on the same peer — the replica is alive and its `Retry-After` (honored
-/// up to the policy cap) is the better signal; a failed transport
-/// advances to the next peer of `walk`, wrapping around. Both back off on
-/// the policy's seeded schedule, and a non-idempotent request gets
-/// exactly one attempt.
-fn retry_over(
-    walk: &[&str],
-    policy: &RetryPolicy,
-    idempotent: bool,
-    mut attempt_on: impl FnMut(&str) -> io::Result<Response>,
-) -> io::Result<Response> {
-    let attempts = if idempotent {
-        policy.max_retries + 1
-    } else {
-        1
-    };
-    let mut sleep = policy.base;
-    let mut peer_idx = 0usize;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(sleep);
-        }
-        let hint = match attempt_on(walk[peer_idx % walk.len()]) {
-            Ok(resp) if !RETRYABLE_STATUSES.contains(&resp.status) => return Ok(resp),
-            Ok(resp) if attempt + 1 == attempts => return Ok(resp),
-            Ok(resp) => resp.retry_after,
-            Err(e) => {
-                // Transport failure: this peer is unreachable or died
-                // mid-response — fail over to the successor.
-                last_err = Some(e);
-                peer_idx += 1;
-                None
-            }
-        };
-        sleep = policy.next_sleep(sleep, attempt);
-        if let Some(secs) = hint {
-            // Honor the server's hint, but never beyond the local cap —
-            // the caller's patience bounds the server's request.
-            sleep = sleep.max(Duration::from_secs(secs)).min(policy.cap);
-        }
-    }
-    Err(last_err.unwrap_or_else(|| io::Error::other("retries exhausted")))
-}
-
 /// Performs a request, retrying transient failures when the request is
-/// idempotent: the one-peer case of [`PeerClient`]'s loop.
+/// idempotent. Transient *statuses* (408/429/500/503/504) and transport
+/// failures both back off on the policy's seeded schedule; a server's
+/// `Retry-After` is honored up to the policy cap. A non-idempotent
+/// request gets exactly one attempt. A sharded fleet is reached through
+/// a router (`gmap serve --route`), which walks the ring itself.
 ///
 /// # Errors
 ///
@@ -336,81 +290,34 @@ pub fn request_with_retry(
     body: Option<&str>,
     policy: &RetryPolicy,
 ) -> io::Result<Response> {
-    retry_over(&[addr], policy, is_idempotent(method, path), |peer| {
-        request(peer, method, path, body)
-    })
-}
-
-/// Peer-aware sharded client: computes each request's shard key (the
-/// model id it reads or creates), sends it to the owning replica on the
-/// consistent-hash [`Ring`], and **fails over to the ring successors on
-/// transport failures** — connection refused, reset mid-response, or a
-/// read timeout. Every replica serves every request correctly (the
-/// model cache is an accelerator over a content-addressed pipeline), so
-/// failover preserves byte-identical results and only costs cache
-/// locality on the substitute replica.
-///
-/// The walk and every exchange go through the client's own [`Peers`]:
-/// ejected (or draining) peers are moved to the *end* of the walk, so
-/// repeated requests stop paying a dead replica's connect timeout —
-/// without ever making a key unservable (the ejected peers remain the
-/// last resort).
-#[derive(Debug, Clone)]
-pub struct PeerClient {
-    peers: Arc<Peers>,
-    policy: RetryPolicy,
-}
-
-impl PeerClient {
-    /// Builds a client over `peers` (replica `host:port` addresses)
-    /// with its own private health registry.
-    pub fn new(peers: &[String], policy: RetryPolicy) -> PeerClient {
-        PeerClient {
-            peers: Arc::new(Peers::new(peers, DEFAULT_PROBE_INTERVAL)),
-            policy,
+    let attempts = if is_idempotent(method, path) {
+        policy.max_retries + 1
+    } else {
+        1
+    };
+    let mut sleep = policy.base;
+    let mut last_err = None;
+    for attempt in 0..attempts {
+        if attempt > 0 {
+            std::thread::sleep(sleep);
+        }
+        let hint = match request(addr, method, path, body) {
+            Ok(resp) if !RETRYABLE_STATUSES.contains(&resp.status) => return Ok(resp),
+            Ok(resp) if attempt + 1 == attempts => return Ok(resp),
+            Ok(resp) => resp.retry_after,
+            Err(e) => {
+                last_err = Some(e);
+                None
+            }
+        };
+        sleep = policy.next_sleep(sleep, attempt);
+        if let Some(secs) = hint {
+            // Honor the server's hint, but never beyond the local cap —
+            // the caller's patience bounds the server's request.
+            sleep = sleep.max(Duration::from_secs(secs)).min(policy.cap);
         }
     }
-
-    /// The underlying consistent-hash ring.
-    pub fn ring(&self) -> &Ring {
-        self.peers.ring()
-    }
-
-    /// Performs a request against the owning replica, deriving the
-    /// shard key from the request itself (falling back to a hash of the
-    /// body for unroutable requests, so the choice stays deterministic).
-    ///
-    /// # Errors
-    ///
-    /// The last transport error once every peer and retry is exhausted,
-    /// or immediately when the ring is empty.
-    pub fn request(&self, method: &str, path: &str, body: Option<&str>) -> io::Result<Response> {
-        let key = crate::shard::request_key(path, body.unwrap_or(""))
-            .unwrap_or_else(|| cachekey::content_key(body.unwrap_or(path)));
-        self.request_keyed(&key, method, path, body)
-    }
-
-    /// Performs a request routed by an explicit shard key.
-    ///
-    /// # Errors
-    ///
-    /// See [`PeerClient::request`].
-    pub fn request_keyed(
-        &self,
-        key: &str,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> io::Result<Response> {
-        let walk = self.peers.walk(key);
-        if walk.is_empty() {
-            return Err(io::Error::other("peer ring is empty"));
-        }
-        retry_over(&walk, &self.policy, is_idempotent(method, path), |peer| {
-            let payload = Payload::Json(body.unwrap_or(""));
-            Ok(self.peers.exchange(peer, method, path, payload, None)?)
-        })
-    }
+    Err(last_err.unwrap_or_else(|| io::Error::other("retries exhausted")))
 }
 
 /// Convenience `GET`.

@@ -3,9 +3,8 @@
 //! [`Peers`], the ring plus that registry, which is the one place the
 //! crate walks a key's successors and talks to a peer.
 //!
-//! Every component that talks to peers — the router,
-//! [`crate::client::PeerClient`], the replication worker and the
-//! prober — does it through one [`Peers`], so every outcome lands in one
+//! Every component that talks to peers — the router, the replication
+//! worker and the prober — does it through one [`Peers`], so every outcome lands in one
 //! [`PeerHealth`] registry. The breaker runs the classic three states
 //! per peer:
 //!
@@ -48,8 +47,7 @@ pub const FAILURE_THRESHOLD: u32 = 3;
 pub const COOLDOWN_INTERVALS: u32 = 2;
 
 /// Default cadence of the active health prober (also the replication
-/// worker's hint-replay tick, and the cadence a client-side registry
-/// assumes for its breaker cooldown).
+/// worker's hint-replay tick).
 pub const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Breaker state of one peer.

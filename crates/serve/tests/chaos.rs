@@ -16,13 +16,14 @@
 //! The fault seed is pinned via `GMAP_CHAOS_SEED` (CI does this) so a
 //! failing run can be replayed; without it a fixed default applies.
 
-use gmap_core::cachekey::{canonical_json, content_key};
+use gmap_core::cachekey::canonical_json;
 use gmap_serve::api::{EvaluateRequest, GridPoint, ProfileRequest, ProfileResponse};
 use gmap_serve::cache::ModelStore;
-use gmap_serve::client::{self, PeerClient, RetryPolicy};
+use gmap_serve::client::{self, RetryPolicy};
 use gmap_serve::faults::{FaultInjector, FaultKind, FaultSpec};
 use gmap_serve::handlers;
 use gmap_serve::metrics::{scrape, Metrics};
+use gmap_serve::shard::Ring;
 use gmap_serve::{ServeConfig, ServerHandle};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -83,9 +84,13 @@ struct Expected {
 }
 
 fn expectations() -> Vec<(String, Expected)> {
+    expectations_for(&CHAOS_WORKLOADS)
+}
+
+fn expectations_for(workloads: &[&str]) -> Vec<(String, Expected)> {
     let store = ModelStore::new(None).expect("memory store");
     let metrics = Metrics::new();
-    CHAOS_WORKLOADS
+    workloads
         .iter()
         .map(|w| {
             let req = ProfileRequest {
@@ -633,12 +638,11 @@ fn sharded_fleet_survives_replica_kill_and_restart_mid_sweep() {
     fleet.shutdown();
 }
 
-/// The peer-aware client walks past a replica that refuses connections:
-/// requests keyed to the dead peer land on its ring successor with
-/// byte-identical results.
+/// The router walks past a replica that refuses connections: the
+/// builtins whose model the ring places on the dead peer are profiled
+/// and evaluated on its successors, byte-identical to direct calls.
 #[test]
-fn sharded_peer_client_fails_over_past_dead_replica() {
-    let expected = expectations();
+fn sharded_router_fails_over_past_dead_replica() {
     let live: Vec<ServerHandle> = (0..2)
         .map(|_| {
             gmap_serve::start(ServeConfig {
@@ -649,38 +653,41 @@ fn sharded_peer_client_fails_over_past_dead_replica() {
         })
         .collect();
     // An ephemeral port that was bound and immediately released: connects
-    // to it are refused — a permanently dead fleet member.
-    let dead_addr = {
-        let throwaway = std::net::TcpListener::bind("127.0.0.1:0").expect("bind throwaway");
-        throwaway.local_addr().expect("throwaway addr").to_string()
-    };
-    let mut peers: Vec<String> = live.iter().map(|h| h.addr().to_string()).collect();
-    peers.push(dead_addr.clone());
-    let peer_client = PeerClient::new(&peers, retry_policy());
+    // to it are refused — a permanently dead fleet member. A fresh one is
+    // drawn until the ring gives it at least one builtin's model.
+    let (peers, orphaned) = (0..16)
+        .find_map(|_| {
+            let throwaway = std::net::TcpListener::bind("127.0.0.1:0").expect("bind throwaway");
+            let dead = throwaway.local_addr().expect("throwaway addr").to_string();
+            let mut peers: Vec<String> = live.iter().map(|h| h.addr().to_string()).collect();
+            peers.push(dead.clone());
+            let ring = Ring::new(&peers);
+            let orphaned: Vec<&str> = gmap_gpu::workloads::NAMES
+                .iter()
+                .copied()
+                .filter(|w| ring.owner(&handlers::model_id_for(w, "tiny")) == Some(dead.as_str()))
+                .collect();
+            (!orphaned.is_empty()).then_some((peers, orphaned))
+        })
+        .expect("some builtin's model lands on the dead peer");
+    let router = gmap_serve::start(ServeConfig {
+        workers: 1,
+        deadline: Duration::from_secs(30),
+        route: Some(peers),
+        ..ServeConfig::default()
+    })
+    .expect("bind router");
+    let addr = router.addr().to_string();
 
-    // A shard key provably owned by the dead peer, found by scanning
-    // synthetic keys — the walk from it must end on a live successor.
-    let key = (0..4096u32)
-        .map(|i| content_key(&format!("sharded-dead-owner-{i}")))
-        .find(|k| peer_client.ring().owner(k) == Some(dead_addr.as_str()))
-        .expect("some synthetic key lands on the dead peer");
-
-    for (w, want) in &expected {
-        let ctx = format!("peer-client dead-owner workload {w}");
-        let r = peer_client
-            .request_keyed(&key, "POST", "/v1/profile", Some(&profile_req(w)))
+    for (w, want) in &expectations_for(&orphaned) {
+        let ctx = format!("router dead-owner workload {w}");
+        let r = client::post_json(&addr, "/v1/profile", &profile_req(w))
             .expect("profile fails over to a live replica");
         assert_eq!(r.status, 200, "{ctx}: {}", r.body);
         verify_profile(&r.body, want, &ctx);
         // Same key ⇒ same successor order ⇒ the replica that profiled
         // also evaluates, so the model is present.
-        let r = peer_client
-            .request_keyed(
-                &key,
-                "POST",
-                "/v1/evaluate",
-                Some(&eval_req(&want.model_id)),
-            )
+        let r = client::post_json(&addr, "/v1/evaluate", &eval_req(&want.model_id))
             .expect("evaluate fails over to a live replica");
         assert_eq!(r.status, 200, "{ctx}: evaluate: {}", r.body);
         assert_eq!(
@@ -688,12 +695,11 @@ fn sharded_peer_client_fails_over_past_dead_replica() {
             "{ctx}: failover evaluate must be byte-identical to a direct call"
         );
     }
-
-    // Derived-key routing works end to end too, whichever peer owns it.
-    let r = peer_client
-        .request("POST", "/v1/profile", Some(&profile_req("kmeans")))
-        .expect("derived-key profile reachable");
-    assert_eq!(r.status, 200, "derived-key profile: {}", r.body);
+    assert!(
+        route_metric(&addr, "gmap_route_failovers_total") >= 1.0,
+        "the dead owner must have forced a failover"
+    );
+    router.shutdown();
     for handle in live {
         handle.shutdown();
     }

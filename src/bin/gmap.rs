@@ -99,7 +99,7 @@ USAGE:
   gmap serve [OPTS]                             run the model-cloning HTTP service
                                                 (or a router with --route)
   gmap client ACTION --addr HOST:PORT [OPTS]    talk to a running service
-                                                (or --peers P1,P2 for a fleet)
+                                                (or to a --route router)
 
 PROFILE OPTIONS:
   --scale tiny|small|default    workload size (default: small)
@@ -179,10 +179,10 @@ SERVE OPTIONS:
                                 hint replay (default 500)
   The server runs until stdin reaches EOF, then drains and exits.
 
-CLIENT ACTIONS (all need --addr HOST:PORT, or --peers P1,P2,... to shard
-requests across a replica fleet by content key with failover; add
---retries N to retry transient failures with exponential backoff —
-idempotent requests only; ingest is --addr-only):
+CLIENT ACTIONS (all need --addr HOST:PORT — a replica, or a --route router
+that shards requests across a fleet with failover; add --retries N to
+retry transient failures with exponential backoff — idempotent requests
+only, ingest excepted):
   health                        GET /healthz
   metrics                       GET /metrics
   profile  (--workload NAME [--scale tiny|small|default] | --spec FILE)
@@ -199,8 +199,8 @@ idempotent requests only; ingest is --addr-only):
            [--seed N]
            [--stride-prefetch TABLE:DEGREE[:DISTANCE[:CONFIDENCE]]]  (l1 grids)
            [--stream-prefetch WINDOW:DEGREE[:STREAMS]]               (l2 grids)
-  drain    POST /v1/admin/drain (--addr only): flip the replica to
-           draining and stream its models to ring successors
+  drain    POST /v1/admin/drain: flip the --addr replica to draining
+           and stream its models to ring successors
 "
     .to_owned()
 }
@@ -652,8 +652,8 @@ fn client_addr<'a>(f: &Flags<'a>) -> Result<&'a str, String> {
         .ok_or_else(|| "missing --addr HOST:PORT".into())
 }
 
-/// Parses a comma-separated replica list (`--route` / `--fleet` /
-/// `--peers`). A duplicate entry is a usage error: it would double the
+/// Parses a comma-separated replica list (`--route` / `--fleet`). A
+/// duplicate entry is a usage error: it would double the
 /// duplicated replica's vnode share on the ring and silently skew
 /// placement.
 fn parse_peer_list(spec: &str, flag_name: &str) -> Result<Vec<String>, String> {
@@ -826,15 +826,11 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Outcome {
          or drain",
     )?;
     let values = match action {
-        "health" | "metrics" => "--addr --peers --retries",
-        // Decommission targets one specific replica, so only --addr
-        // makes sense (sharding the request would drain an arbitrary
-        // fleet member).
-        "drain" => "--addr --retries",
-        "profile" | "analyze" => "--addr --peers --retries --workload --scale --spec",
-        "clone" => "--addr --peers --retries --model --factor --seed",
+        "health" | "metrics" | "drain" => "--addr --retries",
+        "profile" | "analyze" => "--addr --retries --workload --scale --spec",
+        "clone" => "--addr --retries --model --factor --seed",
         "evaluate" => {
-            "--addr --peers --retries --model --grid --level --kernel --metric --seed \
+            "--addr --retries --model --grid --level --kernel --metric --seed \
              --stride-prefetch --stream-prefetch"
         }
         "ingest" => "--addr --trace --grid --block --name --chunk",
@@ -894,17 +890,8 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Outcome {
         ..client::RetryPolicy::default()
     };
     let method = if body.is_some() { "POST" } else { "GET" };
-    // --peers routes through the consistent-hash ring with failover to
-    // ring successors; --addr talks to one server (or a router) directly.
-    let response = match f.get("--peers") {
-        Some(peers) => {
-            let peers = parse_peer_list(peers, "--peers")?;
-            client::PeerClient::new(&peers, policy).request(method, path, body.as_deref())
-        }
-        None => {
-            client::request_with_retry(client_addr(&f)?, method, path, body.as_deref(), &policy)
-        }
-    };
+    let response =
+        client::request_with_retry(client_addr(&f)?, method, path, body.as_deref(), &policy);
     reply(response, out)
 }
 
@@ -1054,15 +1041,15 @@ mod tests {
     #[test]
     fn peer_list_parsing() {
         assert_eq!(
-            parse_peer_list("a:1, b:2 ,c:3", "--peers").expect("valid"),
+            parse_peer_list("a:1, b:2 ,c:3", "--fleet").expect("valid"),
             vec!["a:1".to_string(), "b:2".to_string(), "c:3".to_string()]
         );
         assert!(parse_peer_list("", "--route").is_err());
-        assert!(parse_peer_list(",,", "--peers").is_err());
+        assert!(parse_peer_list(",,", "--fleet").is_err());
         // An empty --route list must fail before any socket is bound.
         assert!(run(&s(&["serve", "--route", ","])).is_err());
         // Duplicates would double a replica's vnode share: usage error.
-        let err = parse_peer_list("a:1,b:2,a:1", "--peers").expect_err("duplicate rejected");
+        let err = parse_peer_list("a:1,b:2,a:1", "--fleet").expect_err("duplicate rejected");
         assert!(err.contains("more than once"), "unexpected error: {err}");
         assert!(parse_peer_list("a:1, a:1", "--route").is_err());
     }
@@ -1095,36 +1082,38 @@ mod tests {
 
     #[test]
     fn client_drain_is_addr_only() {
-        // Drain targets one replica; sharding it via --peers is a usage
-        // error, and the flag set is validated before any connection.
-        assert!(run(&s(&["client", "drain", "--peers", "a:1,b:2"])).is_err());
+        // Drain targets one replica; a fleet list is a usage error, and
+        // the flag set is validated before any connection.
+        assert!(run(&s(&["client", "drain", "--fleet", "a:1,b:2"])).is_err());
         assert!(run(&s(&["client", "drain"])).is_err());
     }
 
     #[test]
-    fn client_peers_route_to_a_replica_fleet() {
+    fn client_addr_reaches_a_fleet_through_a_router() {
         let replicas: Vec<_> = (0..2)
             .map(|_| gmap::serve::start(gmap::serve::ServeConfig::default()).expect("bind replica"))
             .collect();
-        let peers = replicas
-            .iter()
-            .map(|h| h.addr().to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        assert!(run(&s(&["client", "health", "--peers", peers.as_str()])).is_ok());
+        let router = gmap::serve::start(gmap::serve::ServeConfig {
+            route: Some(replicas.iter().map(|h| h.addr().to_string()).collect()),
+            ..gmap::serve::ServeConfig::default()
+        })
+        .expect("bind router");
+        let addr = router.addr().to_string();
+        assert!(run(&s(&["client", "health", "--addr", addr.as_str()])).is_ok());
         assert!(run(&s(&[
             "client",
             "profile",
-            "--peers",
-            peers.as_str(),
+            "--addr",
+            addr.as_str(),
             "--workload",
             "kmeans",
             "--scale",
             "tiny",
         ]))
         .is_ok());
-        // Neither --peers nor --addr: a clear error, not a panic.
+        // No --addr: a clear error, not a panic.
         assert!(run(&s(&["client", "health"])).is_err());
+        router.shutdown();
         for handle in replicas {
             handle.shutdown();
         }

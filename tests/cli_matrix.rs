@@ -140,7 +140,7 @@ const ROWS: &[Row] = &[
     usage("error/dump-spec-trace", &["analyze", "--trace", "t.txt", "--grid", "24", "--block", "128", "--dump-spec", "t.json"], "--dump-spec"),
     usage("error/unknown-workload", &["simulate", "--workload", "nope"], "nope"),
     usage("error/client-without-addr", &["client", "health"], "--addr"),
-    usage("error/client-drain-peers", &["client", "drain", "--peers", "a:1,b:2"], "--peers"),
+    usage("error/client-peers-unknown", &["client", "health", "--peers", "a:1"], "--peers"),
     usage("error/serve-route-to-self", &["serve", "--listen", "127.0.0.1:9101", "--route", "127.0.0.1:9100,127.0.0.1:9101"], "--route"),
     usage("error/serve-route-empty", &["serve", "--route", ","], "--route"),
     usage("error/serve-route-duplicate", &["serve", "--route", "a:1, a:1"], "--route"),
