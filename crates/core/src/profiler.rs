@@ -20,6 +20,10 @@ use gmap_trace::reuse::ReuseHistogram;
 use gmap_trace::{default_mode, Histogram};
 use std::collections::{BTreeMap, HashMap};
 
+/// Cap on the number of dominant π profiles a model keeps; a warp whose
+/// π matches none of them once the cap is reached joins the nearest.
+pub const MAX_PROFILES: usize = 32;
+
 /// Profiler parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfilerConfig {
@@ -27,9 +31,6 @@ pub struct ProfilerConfig {
     pub line_size: u64,
     /// π-profile clustering threshold `Th` (§4.4; the paper uses 0.9).
     pub cluster_threshold: f64,
-    /// Cap on the number of dominant profiles kept; overflow joins the
-    /// nearest cluster.
-    pub max_profiles: usize,
 }
 
 impl Default for ProfilerConfig {
@@ -37,7 +38,6 @@ impl Default for ProfilerConfig {
         ProfilerConfig {
             line_size: COALESCE_BYTES,
             cluster_threshold: 0.9,
-            max_profiles: 32,
         }
     }
 }
@@ -248,7 +248,7 @@ pub fn profile_streams(
             .iter()
             .position(|rep| similarity(rep, seq) >= cfg.cluster_threshold)
             .or_else(|| {
-                if reps.len() >= cfg.max_profiles {
+                if reps.len() >= MAX_PROFILES {
                     // Overflow: join the nearest cluster.
                     reps.iter()
                         .enumerate()

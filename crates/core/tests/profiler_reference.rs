@@ -7,7 +7,7 @@
 
 use gmap_core::cachekey::key_of;
 use gmap_core::profile::{GmapProfile, PiEntry, PiProfile};
-use gmap_core::profiler::{profile_streams, ProfilerConfig};
+use gmap_core::profiler::{profile_streams, ProfilerConfig, MAX_PROFILES};
 use gmap_core::GmapError;
 use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::schedule::{CoalescedAccess, WarpStream, WarpStreamEvent};
@@ -136,7 +136,7 @@ fn reference_profile_streams(
             .iter()
             .position(|rep| rep.similarity(seq) >= cfg.cluster_threshold)
             .or_else(|| {
-                if reps.len() >= cfg.max_profiles {
+                if reps.len() >= MAX_PROFILES {
                     // Overflow: join the nearest cluster.
                     reps.iter()
                         .enumerate()

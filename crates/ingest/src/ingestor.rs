@@ -53,7 +53,7 @@ use crate::reader::{ChunkParser, TraceFormat, DEFAULT_CHUNK_BYTES};
 use crate::report::{build_arrays, AdaptiveHeat, TraceReport, HEAT_MAX_PAGES, HEAT_PAGE_SHIFT};
 use gmap_core::profile::GmapProfile;
 use gmap_core::profiler::{profile_streams, ProfilerConfig};
-use gmap_core::GmapError;
+use gmap_core::{GmapError, COALESCE_BYTES};
 use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::schedule::{WarpStream, WarpStreamEvent};
 use gmap_trace::io::{ParseTraceError, TraceEntry};
@@ -62,24 +62,20 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-/// Configuration for an ingest pass.
+/// Configuration for an ingest pass. The trace coalesces at
+/// [`COALESCE_BYTES`] and profiles and classifies under the default
+/// [`ProfilerConfig`] and [`ClassifierConfig`].
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Profiler settings; `profiler.line_size` also drives coalescing.
-    pub profiler: ProfilerConfig,
     /// Bound on each per-warp lane queue, in entries; a queue at the
     /// bound force-drains (see the module docs).
     pub max_lane_queue: usize,
-    /// Classifier bounds.
-    pub classifier: ClassifierConfig,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
-            profiler: ProfilerConfig::default(),
             max_lane_queue: 4096,
-            classifier: ClassifierConfig::default(),
         }
     }
 }
@@ -174,7 +170,6 @@ struct WarpState {
 /// `&mut WarpState` out of the warp map.
 #[derive(Debug)]
 struct Sinks {
-    line_size: u64,
     classifier: OnlineClassifier,
     heat: AdaptiveHeat,
     /// Entries currently queued over all lanes of all warps.
@@ -188,7 +183,7 @@ impl Sinks {
     /// a non-empty lane) and feeds the classifier and heat map.
     fn pop_one(&mut self, warp: u32, st: &mut WarpState) {
         let (access, participants) =
-            pop_warp_instruction(&mut st.lanes, &mut st.nonempty, self.line_size)
+            pop_warp_instruction(&mut st.lanes, &mut st.nonempty, COALESCE_BYTES)
                 .expect("caller checked a lane is non-empty");
         self.buffered -= u64::from(participants);
         self.instructions += 1;
@@ -236,8 +231,7 @@ impl Ingestor {
             name: name.into(),
             launch,
             sinks: Sinks {
-                line_size: cfg.profiler.line_size,
-                classifier: OnlineClassifier::new(cfg.classifier.clone()),
+                classifier: OnlineClassifier::new(ClassifierConfig::default()),
                 heat: AdaptiveHeat::new(HEAT_PAGE_SHIFT, HEAT_MAX_PAGES),
                 buffered: 0,
                 instructions: 0,
@@ -361,7 +355,7 @@ impl Ingestor {
             &streams,
             &self.launch,
             WARP_SIZE,
-            &self.cfg.profiler,
+            &ProfilerConfig::default(),
         )?;
         let pcs = self.sinks.classifier.finish();
         let untracked: u64 =

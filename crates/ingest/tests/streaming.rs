@@ -92,10 +92,7 @@ fn interleaved_trace(launch: &LaunchConfig, steps: u64) -> Vec<TraceEntry> {
 }
 
 fn tiny_bounds() -> IngestConfig {
-    IngestConfig {
-        max_lane_queue: 8,
-        ..IngestConfig::default()
-    }
+    IngestConfig { max_lane_queue: 8 }
 }
 
 #[test]
@@ -277,10 +274,7 @@ fn thread_major_trace_exact_when_bound_allows() {
     }
     let expected = profile_thread_trace("tm", &entries, &launch, &ProfilerConfig::default())
         .expect("materialized profile");
-    let cfg = IngestConfig {
-        max_lane_queue: 64,
-        ..IngestConfig::default()
-    };
+    let cfg = IngestConfig { max_lane_queue: 64 };
     let mut ing = Ingestor::new("tm", launch, cfg);
     for e in &entries {
         ing.push_entry(*e);
@@ -393,7 +387,6 @@ proptest! {
             profile_thread_trace("prop", &entries, &launch, &ProfilerConfig::default());
         let cfg = IngestConfig {
             max_lane_queue: 256,
-            ..IngestConfig::default()
         };
         let mut ing = Ingestor::new("prop", launch, cfg);
         for e in &entries {
