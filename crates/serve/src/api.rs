@@ -178,8 +178,8 @@ pub struct IngestResponse {
 pub struct CloneRequest {
     /// Model id returned by `/v1/profile`.
     pub model_id: String,
-    /// Miniaturization factor in `(0, 1]`-ish (default `1.0`; values
-    /// above 1 upscale).
+    /// Miniaturization factor (default `1.0`): a value above 1 shrinks
+    /// the clone, one below 1 grows its grid.
     pub factor: Option<f64>,
     /// Clone-generator seed (default [`DEFAULT_SEED`]).
     pub seed: Option<u64>,

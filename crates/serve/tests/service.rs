@@ -724,6 +724,46 @@ fn grid_points_past_the_line_limit_are_400s() {
 }
 
 #[test]
+fn clones_past_the_access_limit_are_400s() {
+    use gmap_serve::api::IngestResponse;
+
+    let (handle, addr) = start(ServeConfig::default());
+    // One access under 2^27 one-warp blocks: a clone of 2^27 warps.
+    let resp = client::post_chunked(
+        &addr,
+        "/v1/ingest?grid=134217728&block=32&name=huge",
+        &mut &b"0 0x40 R 0x1000\n"[..],
+        64,
+    )
+    .expect("ingest");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let model_id = serde_json::from_str::<IngestResponse>(&resp.body)
+        .expect("parses")
+        .model_id;
+    assert_eq!(handlers::MAX_CLONE_ACCESSES, 1 << 22);
+    let limit = "the clone would have 134217728 accesses, over the limit of 4194304 accesses";
+    let clone = canonical_json(&CloneRequest {
+        model_id: model_id.clone(),
+        factor: None,
+        seed: None,
+    });
+    let resp = client::post_json(&addr, "/v1/clone", &clone).expect("clone request");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains(limit), "{}", resp.body);
+    let evaluate = canonical_json(&EvaluateRequest {
+        model_id,
+        kernel: None,
+        metric: None,
+        seed: None,
+        grid: lru_grid(),
+    });
+    let resp = client::post_json(&addr, "/v1/evaluate", &evaluate).expect("evaluate request");
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains(limit), "{}", resp.body);
+    handle.shutdown();
+}
+
+#[test]
 fn malformed_and_unknown_requests_get_structured_errors() {
     let (handle, addr) = start(ServeConfig::default());
 
