@@ -114,13 +114,6 @@ pub struct AppSimOutcome {
     pub total: SimOutcome,
 }
 
-impl AppSimOutcome {
-    /// Total cycles across the kernel sequence.
-    pub fn total_cycles(&self) -> u64 {
-        self.per_kernel.iter().map(|k| k.cycles).sum()
-    }
-}
-
 /// Simulates a sequence of per-kernel streams on one shared hierarchy.
 fn simulate_sequence(
     sequence: &[(Vec<WarpStream>, LaunchConfig)],
@@ -232,7 +225,7 @@ mod tests {
         let app = apps::kmeans_iterative(Scale::Tiny);
         let out = run_application_original(&app, &cfg()).expect("valid config");
         assert_eq!(out.per_kernel.len(), 3);
-        assert!(out.total_cycles() > 0);
+        assert!(out.per_kernel.iter().map(|k| k.cycles).sum::<u64>() > 0);
         for k in &out.per_kernel {
             assert!(k.issued_accesses > 0);
         }

@@ -94,11 +94,6 @@ impl DramGeometry {
     pub fn group_of_bank(&self, bank: u32) -> u32 {
         bank % self.bank_groups
     }
-
-    /// Total banks across the whole system.
-    pub fn total_banks(&self) -> u32 {
-        self.channels * self.ranks * self.banks
-    }
 }
 
 impl Default for DramGeometry {
@@ -316,8 +311,9 @@ mod tests {
 
     #[test]
     fn geometry_validates() {
-        DramGeometry::table2_baseline().assert_valid();
-        assert_eq!(DramGeometry::table2_baseline().total_banks(), 64);
+        let g = DramGeometry::table2_baseline();
+        g.assert_valid();
+        assert_eq!(g.channels * g.ranks * g.banks, 64);
     }
 
     #[test]

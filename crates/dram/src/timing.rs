@@ -75,16 +75,6 @@ impl DramTiming {
     pub fn row_hit_latency(&self) -> u64 {
         self.t_cas + self.burst
     }
-
-    /// Latency of a row conflict (precharge + activate + column + burst).
-    pub fn row_conflict_latency(&self) -> u64 {
-        self.t_rp + self.t_rcd + self.t_cas + self.burst
-    }
-
-    /// Latency of an access to a closed (never opened) bank.
-    pub fn row_closed_latency(&self) -> u64 {
-        self.t_rcd + self.t_cas + self.burst
-    }
 }
 
 impl Default for DramTiming {
@@ -101,13 +91,6 @@ mod tests {
     fn table2_values() {
         let t = DramTiming::gddr3_table2();
         assert_eq!((t.t_rcd, t.t_cas, t.t_rp, t.t_ras), (11, 11, 11, 28));
-    }
-
-    #[test]
-    fn latency_ordering() {
-        let t = DramTiming::default();
-        assert!(t.row_hit_latency() < t.row_closed_latency());
-        assert!(t.row_closed_latency() < t.row_conflict_latency());
     }
 
     #[test]

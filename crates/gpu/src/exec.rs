@@ -78,15 +78,6 @@ impl AppTrace {
             .sum()
     }
 
-    /// Total number of warp-level dynamic memory instructions.
-    pub fn total_warp_instructions(&self) -> u64 {
-        self.warps
-            .iter()
-            .flat_map(|w| w.events.iter())
-            .filter(|e| matches!(e, WarpEvent::Access { .. }))
-            .count() as u64
-    }
-
     /// Flattens into `(thread, access)` entries for trace I/O, ordered by
     /// warp then event then lane.
     pub fn thread_entries(&self) -> Vec<TraceEntry> {
@@ -376,7 +367,13 @@ mod tests {
     #[test]
     fn counts_are_consistent() {
         let app = execute_kernel(&vecadd(2, 64));
-        assert_eq!(app.total_warp_instructions(), 4 * 3);
+        let instructions = app
+            .warps
+            .iter()
+            .flat_map(|w| w.events.iter())
+            .filter(|e| matches!(e, WarpEvent::Access { .. }))
+            .count();
+        assert_eq!(instructions, 4 * 3);
         assert_eq!(app.total_thread_accesses(), 4 * 3 * 32);
         assert_eq!(app.thread_entries().len(), 4 * 3 * 32);
     }

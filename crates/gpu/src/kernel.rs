@@ -605,23 +605,6 @@ pub mod dsl {
             iter_coefs,
         }
     }
-
-    /// An affine index expression decomposed by warp and lane.
-    pub fn warp_lane(
-        base: i64,
-        warp_coef: i64,
-        lane_coef: i64,
-        iter_coefs: Vec<(u8, i64)>,
-    ) -> IndexExpr {
-        IndexExpr::Affine {
-            base,
-            tid_coef: 0,
-            lane_coef,
-            warp_coef,
-            block_coef: 0,
-            iter_coefs,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -648,7 +631,14 @@ mod tests {
 
     #[test]
     fn warp_lane_eval() {
-        let e = dsl::warp_lane(0, 88, 1, vec![]);
+        let e = IndexExpr::Affine {
+            base: 0,
+            tid_coef: 0,
+            lane_coef: 1,
+            warp_coef: 88,
+            block_coef: 0,
+            iter_coefs: vec![],
+        };
         assert_eq!(e.eval(&ctx(0, &[])), 0);
         assert_eq!(e.eval(&ctx(33, &[])), 88 + 1);
     }

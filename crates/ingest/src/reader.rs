@@ -116,13 +116,6 @@ impl ChunkParser {
         }
     }
 
-    /// Bytes currently buffered (partial line/record). Bounded by
-    /// [`MAX_LINE_BYTES`]; this is the parser's entire variable memory
-    /// besides undrained output entries.
-    pub fn buffered_bytes(&self) -> usize {
-        self.carry.len()
-    }
-
     /// Feeds one chunk. Completed entries accumulate until [`Self::drain`]
     /// (`ChunkParser::drain`) is called.
     ///
@@ -604,7 +597,7 @@ mod tests {
         for chunk in buf.chunks(13) {
             p.push(chunk).expect("push");
             p.drain();
-            peak = peak.max(p.buffered_bytes());
+            peak = peak.max(p.carry.len());
         }
         p.finish().expect("finish");
         assert!(peak < 128, "carry held a whole trace: {peak}");

@@ -203,15 +203,6 @@ impl CacheStats {
         }
     }
 
-    /// Prefetch accuracy: useful / filled (0 if none issued).
-    pub fn prefetch_accuracy(&self) -> f64 {
-        if self.prefetch_fills == 0 {
-            0.0
-        } else {
-            self.prefetch_useful as f64 / self.prefetch_fills as f64
-        }
-    }
-
     /// Accumulates another instance's counters (used to aggregate per-core
     /// L1s).
     pub fn merge(&mut self, other: &CacheStats) {
@@ -719,7 +710,6 @@ mod tests {
         assert!(c.access(9, false).is_hit());
         assert!(c.access(9, false).is_hit());
         assert_eq!(c.stats().prefetch_useful, 1);
-        assert!((c.stats().prefetch_accuracy() - 1.0).abs() < 1e-12);
         // Prefetching a resident line is a no-op.
         c.prefetch_fill(9);
         assert_eq!(c.stats().prefetch_fills, 1);

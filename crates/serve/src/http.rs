@@ -65,12 +65,6 @@ impl RequestHead {
                 .any(|t| t.trim() == "close")
         })
     }
-
-    /// The path with any query string stripped (`/v1/ingest?grid=2` →
-    /// `/v1/ingest`), for routing.
-    pub fn route_path(&self) -> &str {
-        self.path.split('?').next().unwrap_or(&self.path)
-    }
 }
 
 /// One parsed HTTP request: its head plus the materialized body.
@@ -788,22 +782,6 @@ mod tests {
         }
         assert_eq!(collected, b"hello world");
         assert_eq!(body.consumed(), 11);
-    }
-
-    #[test]
-    fn route_path_strips_query_strings() {
-        let head = RequestHead {
-            method: "POST".into(),
-            path: "/v1/ingest?grid=2&block=64".into(),
-            headers: vec![],
-        };
-        assert_eq!(head.route_path(), "/v1/ingest");
-        let plain = RequestHead {
-            method: "GET".into(),
-            path: "/healthz".into(),
-            headers: vec![],
-        };
-        assert_eq!(plain.route_path(), "/healthz");
     }
 
     #[test]

@@ -169,14 +169,6 @@ impl RouteMetrics {
         }
     }
 
-    /// The forward count for one peer (tests and assertions).
-    pub fn forwards_to(&self, peer: &str) -> u64 {
-        self.forwards
-            .iter()
-            .find(|(p, _)| p == peer)
-            .map_or(0, |(_, c)| c.load(Ordering::Relaxed))
-    }
-
     /// Total forwards across all peers.
     pub fn forwards_total(&self) -> u64 {
         self.forwards
@@ -647,7 +639,6 @@ mod tests {
         route.record_forward("127.0.0.1:9002");
         route.record_forward("10.9.9.9:1"); // unknown peer: ignored
         route.failovers.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(route.forwards_to("127.0.0.1:9001"), 2);
         assert_eq!(route.forwards_total(), 3);
         let text = m.render(RuntimeStats::default());
         assert_eq!(

@@ -124,16 +124,6 @@ impl ReplicationState {
         self.hints_replayed.load(Ordering::Relaxed)
     }
 
-    /// Hints currently pending, across all peers (tests).
-    pub fn hints_pending(&self) -> usize {
-        self.hints
-            .lock()
-            .expect("hints lock")
-            .values()
-            .map(BTreeSet::len)
-            .sum()
-    }
-
     fn record_hint(&self, peer: &str, key: &str) {
         let mut hints = self.hints.lock().expect("hints lock");
         let owed = hints.entry(peer.to_string()).or_default();
@@ -347,6 +337,17 @@ mod tests {
 
     /// A fleet whose peers are bound-then-dropped addresses: everything
     /// is unreachable, so pushes fail deterministically.
+    /// Hints currently pending, across all peers.
+    fn hints_pending(state: &ReplicationState) -> usize {
+        state
+            .hints
+            .lock()
+            .expect("hints lock")
+            .values()
+            .map(BTreeSet::len)
+            .sum()
+    }
+
     fn dead_fleet(n: usize) -> (Vec<String>, Arc<Peers>) {
         let fleet: Vec<String> = (0..n)
             .map(|_| {
@@ -405,7 +406,7 @@ mod tests {
         wait_until("every store to settle as a hint or a drop", || {
             settled() == total
         });
-        assert_eq!(state.hints_pending(), MAX_HINTS_PER_PEER);
+        assert_eq!(hints_pending(&state), MAX_HINTS_PER_PEER);
         assert_eq!(state.hints_queued(), MAX_HINTS_PER_PEER as u64);
         assert_eq!(state.dropped(), 10, "overflow is counted, not kept");
         assert_eq!(state.sent(), 0);
@@ -433,7 +434,7 @@ mod tests {
         });
         assert!(faults.injected(FaultKind::ReplicateErr) >= 1);
         assert!(
-            state.hints_pending() >= 1,
+            hints_pending(&state) >= 1,
             "the dropped push leaves a hint for replay"
         );
         drop(worker);

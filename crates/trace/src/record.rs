@@ -108,13 +108,6 @@ impl ByteAddr {
         ByteAddr(self.0 & !(line_size - 1))
     }
 
-    /// Signed byte offset to another address (`other - self`), used when
-    /// computing stride distributions.
-    #[inline]
-    pub fn offset_to(self, other: ByteAddr) -> i64 {
-        other.0.wrapping_sub(self.0) as i64
-    }
-
     /// The address displaced by a signed byte offset, saturating at zero.
     #[inline]
     pub fn offset(self, delta: i64) -> ByteAddr {
@@ -142,18 +135,6 @@ impl From<u64> for ByteAddr {
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct LineAddr(pub u64);
-
-impl LineAddr {
-    /// The first byte address of this line for a given line size.
-    #[inline]
-    pub fn to_byte_addr(self, line_size: u64) -> ByteAddr {
-        debug_assert!(
-            line_size.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        ByteAddr(self.0 << line_size.trailing_zeros())
-    }
-}
 
 impl fmt::Display for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -260,15 +241,13 @@ mod tests {
     #[test]
     fn line_round_trip() {
         let a = ByteAddr(0x4680);
-        assert_eq!(a.line(128).to_byte_addr(128), a.line_base(128));
+        assert_eq!(ByteAddr(a.line(128).0 * 128), a.line_base(128));
     }
 
     #[test]
     fn signed_offsets() {
         let a = ByteAddr(0x1000);
         let b = ByteAddr(0x0F00);
-        assert_eq!(a.offset_to(b), -256);
-        assert_eq!(b.offset_to(a), 256);
         assert_eq!(a.offset(-256), b);
         assert_eq!(b.offset(256), a);
     }

@@ -93,15 +93,6 @@ impl AccessColumns {
         }
     }
 
-    /// Build columns from a row-ordered slice of records.
-    pub fn from_records(records: &[AccessRecord]) -> Self {
-        let mut cols = AccessColumns::with_capacity(records.len());
-        for r in records {
-            cols.push(*r);
-        }
-        cols
-    }
-
     /// Number of accesses in the stream.
     #[inline]
     pub fn len(&self) -> usize {
@@ -296,7 +287,7 @@ mod tests {
         let cols = sample(100);
         assert_eq!(cols.len(), 100);
         let rows: Vec<AccessRecord> = cols.iter().collect();
-        let back = AccessColumns::from_records(&rows);
+        let back: AccessColumns = rows.iter().copied().collect();
         assert_eq!(cols, back);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(cols.get(i), *r);
@@ -307,7 +298,7 @@ mod tests {
     fn lines_kernels_agree_for_all_tail_lengths() {
         for n in 0..(2 * LANES) {
             let cols = sample(n + 64);
-            let cols = AccessColumns::from_records(&cols.iter().take(n).collect::<Vec<_>>());
+            let cols: AccessColumns = cols.iter().take(n).collect();
             for shift in [0u32, 5, 7] {
                 let mut scalar = Vec::new();
                 let mut batched = Vec::new();

@@ -261,23 +261,6 @@ impl LatencyHistogram {
         self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
     }
-
-    /// Iterates over the non-empty buckets as `(upper_edge_ns, count)`
-    /// pairs in ascending order — the shape a metrics exporter wants.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let upper = if i + 1 >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                (upper, c)
-            })
-    }
 }
 
 #[cfg(test)]
@@ -350,7 +333,6 @@ mod tests {
         assert_eq!(h.mean(), Duration::ZERO);
         assert_eq!(h.p50(), Duration::ZERO);
         assert_eq!(h.max(), Duration::ZERO);
-        assert_eq!(h.nonzero_buckets().count(), 0);
     }
 
     #[test]
