@@ -21,6 +21,9 @@ pub enum GmapError {
         /// The offending factor.
         factor: f64,
     },
+    /// A launch of more than `u32::MAX` warps (or a block of more than
+    /// `u32::MAX` threads).
+    LaunchTooLarge,
 }
 
 impl fmt::Display for GmapError {
@@ -33,6 +36,7 @@ impl fmt::Display for GmapError {
             GmapError::BadScaleFactor { factor } => {
                 write!(f, "miniaturization factor {factor} must be positive")
             }
+            GmapError::LaunchTooLarge => write!(f, "launch has more than {} warps", u32::MAX),
         }
     }
 }

@@ -229,12 +229,14 @@ impl GmapProfile {
     }
 
     /// Sanity-checks internal consistency (all slot references in range,
-    /// parallel arrays of equal length).
+    /// parallel arrays of equal length) and that the launch's warps can
+    /// be counted.
     ///
     /// # Errors
     ///
     /// Returns [`GmapError::EmptyProfile`] for structurally broken or
-    /// empty profiles.
+    /// empty profiles, and [`GmapError::LaunchTooLarge`] for a launch of
+    /// more than `u32::MAX` warps.
     pub fn validate(&self) -> Result<(), GmapError> {
         let n = self.pcs.len();
         let consistent = self.kinds.len() == n
@@ -252,6 +254,9 @@ impl GmapProfile {
             && n > 0;
         if !consistent {
             return Err(GmapError::EmptyProfile);
+        }
+        if self.launch.checked_total_warps(self.warp_size).is_none() {
+            return Err(GmapError::LaunchTooLarge);
         }
         for p in &self.profiles {
             for e in &p.entries {
@@ -372,6 +377,15 @@ mod tests {
         let mut p = toy_profile();
         p.profiles[0].entries.push(PiEntry::Mem(99));
         assert!(matches!(p.validate(), Err(GmapError::EmptyProfile)));
+    }
+
+    #[test]
+    fn validate_rejects_a_launch_past_u32_warps() {
+        let mut p = toy_profile();
+        p.launch = LaunchConfig::new(1u32 << 27, 1024u32);
+        assert!(matches!(p.validate(), Err(GmapError::LaunchTooLarge)));
+        p.launch = LaunchConfig::new((1u32 << 27) - 1, 1024u32);
+        p.validate().expect("u32::MAX - 31 warps fit");
     }
 
     #[test]

@@ -49,8 +49,23 @@ impl LaunchConfig {
     }
 
     /// Total warps in the grid.
+    ///
+    /// # Panics
+    ///
+    /// On a launch [`LaunchConfig::checked_total_warps`] refuses.
     pub fn total_warps(&self, warp_size: u32) -> u32 {
-        self.num_blocks() * self.warps_per_block(warp_size)
+        self.checked_total_warps(warp_size)
+            .expect("a launch of at most u32::MAX warps")
+    }
+
+    /// Total warps in the grid, counted without wrapping: `None` when
+    /// the grid holds more than `u32::MAX` warps or a block more than
+    /// `u32::MAX` threads, the counts the other methods return as `u32`.
+    pub fn checked_total_warps(&self, warp_size: u32) -> Option<u32> {
+        let count = |d: Dim3| u128::from(d.x) * u128::from(d.y) * u128::from(d.z);
+        let threads = u32::try_from(count(self.block)).ok()?;
+        let warps = count(self.grid).checked_mul(u128::from(threads.div_ceil(warp_size)))?;
+        u32::try_from(warps).ok()
     }
 
     /// The block a global warp belongs to.
@@ -125,6 +140,23 @@ mod tests {
         assert_eq!(l.total_threads(), 2560);
         assert_eq!(l.warps_per_block(32), 8);
         assert_eq!(l.total_warps(32), 80);
+    }
+
+    #[test]
+    fn warp_counts_past_u32_are_refused_not_wrapped() {
+        // 2^27 blocks of 32 warps: 2^32 warps, one more than u32 holds.
+        let l = LaunchConfig::new(1u32 << 27, 1024u32);
+        assert_eq!(l.checked_total_warps(32), None);
+        assert_eq!(
+            LaunchConfig::new((1u32 << 27) - 1, 1024u32).checked_total_warps(32),
+            Some(u32::MAX - 31)
+        );
+        // A grid whose block count alone overflows u64.
+        let wide = LaunchConfig::new(Dim3::new(u32::MAX, u32::MAX, 2), 32u32);
+        assert_eq!(wide.checked_total_warps(32), None);
+        // A block of 2^32 threads.
+        let tall = LaunchConfig::new(1u32, Dim3::new(1 << 16, 1 << 16, 1));
+        assert_eq!(tall.checked_total_warps(32), None);
     }
 
     #[test]

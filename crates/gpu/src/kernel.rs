@@ -15,6 +15,7 @@
 //! irregular applications (hotspot, bfs) that have no dominant pattern.
 
 use crate::dim::Dim3;
+use crate::exec::WARP_SIZE;
 use crate::hierarchy::LaunchConfig;
 use gmap_trace::record::{AccessKind, ByteAddr, Pc};
 use gmap_trace::rng::mix64;
@@ -346,6 +347,9 @@ impl KernelDesc {
         if self.arrays.is_empty() {
             return Err(ValidateKernelError::NoArrays);
         }
+        if self.launch.checked_total_warps(WARP_SIZE).is_none() {
+            return Err(ValidateKernelError::LaunchTooLarge);
+        }
         for (i, a) in self.arrays.iter().enumerate() {
             // Both the region size and its end address must fit in u64;
             // otherwise every downstream bounds/footprint computation
@@ -425,6 +429,9 @@ pub enum ValidateKernelError {
         /// Index of the offending array in the array table.
         array: usize,
     },
+    /// The launch has more than `u32::MAX` warps (or a block more than
+    /// `u32::MAX` threads).
+    LaunchTooLarge,
 }
 
 impl fmt::Display for ValidateKernelError {
@@ -450,6 +457,9 @@ impl fmt::Display for ValidateKernelError {
                 f,
                 "array #{array}: elems * elem_size (or base + size) overflows u64"
             ),
+            ValidateKernelError::LaunchTooLarge => {
+                write!(f, "launch has more than {} warps", u32::MAX)
+            }
         }
     }
 }
@@ -854,5 +864,20 @@ mod tests {
         assert!(ValidateKernelError::ArraySizeOverflow { array: 0 }
             .to_string()
             .contains("overflows"));
+    }
+
+    #[test]
+    fn validate_rejects_a_launch_past_u32_warps() {
+        let kernel = |grid: u32| {
+            KernelBuilder::new("k", grid, 1024u32)
+                .array("a", 1024)
+                .read(Pc(1), 0, IndexExpr::tid_linear(0, 1))
+                .build()
+        };
+        assert!(kernel((1 << 27) - 1).is_ok());
+        assert_eq!(
+            kernel(1 << 27).unwrap_err(),
+            ValidateKernelError::LaunchTooLarge
+        );
     }
 }

@@ -317,19 +317,6 @@ pub struct ReplicateResponse {
     pub stored: bool,
 }
 
-/// `POST /v1/admin/drain` response: the decommission report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DrainResponse {
-    /// Always `"draining"` once the flag is set.
-    pub status: String,
-    /// Locally held models at drain time (memory + disk tiers).
-    pub keys: usize,
-    /// Models successfully pushed to a replica-set peer.
-    pub pushed: usize,
-    /// Models that could not be pushed anywhere (no reachable peer).
-    pub failed: usize,
-}
-
 /// Structured error body attached to every non-200 response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ErrorBody {

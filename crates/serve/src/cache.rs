@@ -275,41 +275,6 @@ impl ModelStore {
         }
     }
 
-    /// Every key this store holds, across both tiers: memory-resident
-    /// entries plus `<key>.json` disk entries, deduplicated and sorted.
-    /// Used by drain streaming and hint replay, which must not miss
-    /// entries that were evicted from memory but survive on disk.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the keys are sorted before they are returned"
-    )]
-    pub fn keys(&self) -> Vec<String> {
-        let mut keys: Vec<String> = self
-            .mem
-            .lock()
-            .expect("store lock poisoned")
-            .map
-            .keys()
-            .cloned()
-            .collect();
-        if let Some(dir) = &self.disk_dir {
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name();
-                    let Some(name) = name.to_str() else { continue };
-                    if let Some(stem) = name.strip_suffix(".json") {
-                        if !stem.is_empty() && stem.chars().all(|c| c.is_ascii_hexdigit()) {
-                            keys.push(stem.to_string());
-                        }
-                    }
-                }
-            }
-        }
-        keys.sort_unstable();
-        keys.dedup();
-        keys
-    }
-
     /// Looks a model up by key: memory first, then the disk tier (a disk
     /// hit is promoted into memory, subject to the same capacity bound).
     pub fn get(&self, key: &str) -> Option<Arc<StoredModel>> {
@@ -465,32 +430,6 @@ mod tests {
         fresh.insert("deadbeef", m.clone());
         let reopened = ModelStore::new(Some(dir.clone())).expect("reopen again");
         assert_eq!(reopened.get("deadbeef").expect("clean entry").model, m);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn keys_enumerates_both_tiers_without_duplicates() {
-        let dir = temp_dir("keys");
-        let m = model("kmeans");
-        {
-            let store = ModelStore::new(Some(dir.clone())).expect("create dir");
-            store.insert("aa11", m.clone());
-            store.insert("bb22", m.clone());
-        }
-        // Fresh store: both keys live only on disk.
-        let store = ModelStore::with_config(Some(dir.clone()), 2, None).expect("reopen dir");
-        assert_eq!(store.keys(), vec!["aa11".to_string(), "bb22".to_string()]);
-        // Promote one into memory: still no duplicate in the listing.
-        store.get("aa11").expect("disk hit");
-        assert_eq!(store.keys(), vec!["aa11".to_string(), "bb22".to_string()]);
-        // A memory-only entry (hostile key never hits disk) still lists.
-        let mem_only = ModelStore::new(None).expect("memory store");
-        mem_only.insert("cc33", m.clone());
-        assert_eq!(mem_only.keys(), vec!["cc33".to_string()]);
-        // Quarantine/tmp leftovers are not keys.
-        std::fs::write(dir.join("dd44.json.tmp"), "x").expect("tmp");
-        std::fs::write(dir.join("ee55.json.quarantine"), "x").expect("q");
-        assert_eq!(store.keys(), vec!["aa11".to_string(), "bb22".to_string()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -65,7 +65,7 @@ pub const RETRYABLE_STATUSES: [u16; 5] = [408, 429, 500, 503, 504];
 
 /// Whether `(method, path)` is safe to retry: any `GET`, and every row
 /// of the endpoint table — the pipeline is content-addressed (the body
-/// fully determines the result), a drain re-streams what is still held.
+/// fully determines the result).
 pub fn is_idempotent(method: &str, path: &str) -> bool {
     method == "GET" || Endpoint::resolve(method, path).is_ok()
 }

@@ -19,12 +19,6 @@
 //!   (counted in `gmap_peer_recoveries_total`); failure re-opens it and
 //!   restarts the cooldown.
 //!
-//! Orthogonally to the breaker, a peer can advertise **draining** via
-//! its `/healthz` body: it is alive (it still answers, still serves its
-//! cache) but asks not to receive new keyed traffic while it streams
-//! its models to successors. Routing walks treat draining like
-//! ejection — skip with fallback — but the breaker state is untouched.
-//!
 //! The active prober ([`spawn_prober`]) GETs `/healthz` from every peer
 //! each probe interval with a short timeout, feeding the same
 //! success/failure edges the passive path uses. This bounds
@@ -68,7 +62,6 @@ struct Slot {
     consecutive_failures: u32,
     /// When the breaker last opened (drives the cooldown).
     opened_at: Option<Instant>,
-    draining: bool,
 }
 
 impl Slot {
@@ -77,7 +70,6 @@ impl Slot {
             state: Breaker::Closed,
             consecutive_failures: 0,
             opened_at: None,
-            draining: false,
         }
     }
 }
@@ -90,8 +82,6 @@ pub struct PeerStatus {
     /// Whether the breaker currently admits requests (closed or
     /// half-open).
     pub up: bool,
-    /// Whether the peer advertises draining.
-    pub draining: bool,
 }
 
 /// The shared health registry over a fixed peer list.
@@ -147,18 +137,6 @@ impl PeerHealth {
         }
     }
 
-    /// Whether `peer` currently advertises draining.
-    pub fn is_draining(&self, peer: &str) -> bool {
-        self.index_of(peer)
-            .is_some_and(|i| self.slots.lock().expect("health lock")[i].draining)
-    }
-
-    /// Whether `peer` should receive new keyed traffic: admitted by the
-    /// breaker and not draining.
-    pub fn usable(&self, peer: &str) -> bool {
-        self.available(peer) && !self.is_draining(peer)
-    }
-
     /// Records a successful exchange with `peer`: resets the failure
     /// count and closes the breaker (counting a recovery if it was
     /// open or half-open).
@@ -199,14 +177,6 @@ impl PeerHealth {
         }
     }
 
-    /// Marks `peer` as draining (or not) from a `/healthz` probe or a
-    /// drain notification.
-    pub fn set_draining(&self, peer: &str, draining: bool) {
-        if let Some(i) = self.index_of(peer) {
-            self.slots.lock().expect("health lock")[i].draining = draining;
-        }
-    }
-
     /// Total Closed/HalfOpen → Open transitions.
     pub fn ejections(&self) -> u64 {
         self.ejections.load(Ordering::Relaxed)
@@ -226,7 +196,6 @@ impl PeerHealth {
             .map(|(peer, slot)| PeerStatus {
                 peer: peer.clone(),
                 up: slot.state != Breaker::Open,
-                draining: slot.draining,
             })
             .collect()
     }
@@ -260,8 +229,8 @@ impl Peers {
         &self.health
     }
 
-    /// The failover walk for `key`: usable peers in ring order first,
-    /// then ejected/draining ones as the last resort. Skipping an
+    /// The failover walk for `key`: peers the breaker admits in ring
+    /// order first, then ejected ones as the last resort. Skipping an
     /// ejected peer up front saves its connect timeout on the hot path;
     /// keeping it at the end means a key never becomes unservable just
     /// because the whole fleet looks down. Always as long as the ring's
@@ -271,7 +240,7 @@ impl Peers {
             .ring
             .successors(key)
             .into_iter()
-            .partition(|peer| self.health.usable(peer));
+            .partition(|peer| self.health.available(peer));
         walk.extend(last_resort);
         walk
     }
@@ -305,12 +274,7 @@ impl Peers {
 pub fn probe_once(peers: &Peers, peer: &str, timeout: Duration) -> bool {
     let row = Endpoint::Healthz.row();
     match peers.exchange(peer, row.method, row.path, Payload::Json(""), Some(timeout)) {
-        Ok(resp) if resp.is_ok() => {
-            peers
-                .health
-                .set_draining(peer, resp.body.contains("\"draining\""));
-            true
-        }
+        Ok(resp) if resp.is_ok() => true,
         // A non-2xx /healthz means the process is up but unhealthy —
         // count it against the peer like a transport failure.
         Ok(_) => {
@@ -435,19 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn draining_is_orthogonal_to_the_breaker() {
-        let h = PeerHealth::new(&peers(2), Duration::from_millis(10));
-        let p = "10.9.0.1:9001";
-        assert!(h.usable(p));
-        h.set_draining(p, true);
-        assert!(h.available(p), "draining peer is still alive");
-        assert!(!h.usable(p), "but not usable for new keyed traffic");
-        assert!(h.is_draining(p));
-        h.set_draining(p, false);
-        assert!(h.usable(p));
-    }
-
-    #[test]
     fn unknown_peers_are_admitted_and_uncounted() {
         let h = PeerHealth::new(&peers(1), Duration::from_millis(10));
         for _ in 0..10 {
@@ -463,13 +414,10 @@ mod tests {
         for _ in 0..FAILURE_THRESHOLD {
             h.record_failure("10.9.0.0:9000");
         }
-        h.set_draining("10.9.0.1:9001", true);
         let snap = h.snapshot();
         assert_eq!(snap.len(), 2);
         assert!(!snap[0].up);
-        assert!(!snap[0].draining);
         assert!(snap[1].up);
-        assert!(snap[1].draining);
     }
 
     #[test]
@@ -505,14 +453,9 @@ mod tests {
         }
         // (case, how the ring-ordered peers fall sick, how many do)
         type Sicken = fn(&Peers, &[String]);
-        let cases: [(&str, Sicken, usize); 4] = [
+        let cases: [(&str, Sicken, usize); 3] = [
             ("all healthy", |_, _| {}, 0),
             ("owner ejected", |p, order| eject(p, &order[0]), 1),
-            (
-                "owner draining",
-                |p, order| p.health.set_draining(&order[0], true),
-                1,
-            ),
             (
                 "all ejected",
                 |p, order| order.iter().for_each(|peer| eject(p, peer)),
@@ -529,9 +472,9 @@ mod tests {
             ring_set.sort_unstable();
             assert_eq!(sorted, ring_set, "{what}: the walk never loses a peer");
             let (usable, last_resort) = walk.split_at(fleet.len() - sick);
-            assert!(usable.iter().all(|peer| p.health.usable(peer)), "{what}");
+            assert!(usable.iter().all(|peer| p.health.available(peer)), "{what}");
             assert!(
-                !last_resort.iter().any(|peer| p.health.usable(peer)),
+                !last_resort.iter().any(|peer| p.health.available(peer)),
                 "{what}"
             );
             let in_ring_order = |group: &[&str]| {

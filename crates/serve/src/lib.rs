@@ -4,7 +4,7 @@
 //! This crate wraps the profile → clone → evaluate pipeline in a small,
 //! dependency-free HTTP/1.1 JSON service built directly on [`std::net`].
 //! Its endpoints — profile, analyze, clone, evaluate, streaming ingest,
-//! the fleet's replicate and drain, `/healthz` and `/metrics` — are the
+//! the fleet's replicate, `/healthz` and `/metrics` — are the
 //! rows of one table, [`metrics::Endpoint`].
 //!
 //! Architecture (one module each):
@@ -27,8 +27,7 @@
 //! * [`client`] — the one outbound exchange (connect within the
 //!   deadline budget, one request framer, read to EOF) behind `gmap
 //!   client`, the tests and every peer-facing module, plus the one
-//!   idempotent-only retry loop (backoff + jitter) and the peer-aware
-//!   sharded client built on it.
+//!   idempotent-only retry loop (backoff + jitter).
 //! * [`faults`] — deterministic seeded fault injection for chaos tests.
 //! * [`shard`] — consistent-hash ring over the FNV-128 content-key
 //!   space (128 virtual nodes per replica, minimal remapping on
@@ -41,12 +40,13 @@
 //!   outcomes and an active `/healthz` prober, and [`health::Peers`]:
 //!   the ring plus that registry, owner of the one health-ordered
 //!   successor walk and of the exchange that feeds the breaker. The
-//!   router, the sharded client, the replication worker and the prober
-//!   all talk to peers through it.
+//!   router, the replication worker and the prober all talk to peers
+//!   through it.
 //! * [`replicate`] — RF-way successor replication over
-//!   `POST /v1/replicate` (one round of RF−1 pushes per store), hinted
-//!   handoff as the one recovery mechanism, and the drain path behind
-//!   `POST /v1/admin/drain`.
+//!   `POST /v1/replicate` (one round of RF−1 pushes per store) and
+//!   hinted handoff as the one recovery mechanism. A replica leaves the
+//!   fleet by stopping: every entry it stored was pushed to the rest of
+//!   its key's replica set when it was stored.
 //!
 //! ```no_run
 //! let handle = gmap_serve::start(gmap_serve::ServeConfig::default())

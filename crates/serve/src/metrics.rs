@@ -23,7 +23,7 @@ use std::time::Duration;
 /// `/metrics` label all come from an endpoint's row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// `GET /healthz`: liveness probe (advertises `draining` when set).
+    /// `GET /healthz`: liveness probe.
     Healthz,
     /// `GET /metrics`: this registry's text exposition.
     Metrics,
@@ -40,8 +40,6 @@ pub enum Endpoint {
     Ingest,
     /// `POST /v1/replicate`: internal, idempotent model push from a peer.
     Replicate,
-    /// `POST /v1/admin/drain`: stream held models to ring successors.
-    Drain,
 }
 
 /// `/metrics` endpoint labels, in rendering order; the last is shared by
@@ -65,7 +63,7 @@ pub(crate) struct Row {
 
 /// The endpoint table, in [`Endpoint`] order.
 #[rustfmt::skip]
-pub(crate) const TABLE: [Row; 9] = {
+pub(crate) const TABLE: [Row; 8] = {
     use Endpoint::*;
     const fn row(
         endpoint: Endpoint, method: &'static str, path: &'static str, label: &'static str,
@@ -74,16 +72,15 @@ pub(crate) const TABLE: [Row; 9] = {
         Row { endpoint, method, path, label, forwarded, streams_body }
     }
     [
-        //  endpoint   method  path               label       forwarded  streams_body
-        row(Healthz,   "GET",  "/healthz",        OTHER,      false,     false),
-        row(Metrics,   "GET",  "/metrics",        OTHER,      false,     false),
-        row(Profile,   "POST", "/v1/profile",     "profile",  true,      false),
-        row(Analyze,   "POST", "/v1/analyze",     "analyze",  false,     false),
-        row(Clone,     "POST", "/v1/clone",       "clone",    true,      false),
-        row(Evaluate,  "POST", "/v1/evaluate",    "evaluate", true,      false),
-        row(Ingest,    "POST", "/v1/ingest",      "ingest",   true,      true),
-        row(Replicate, "POST", "/v1/replicate",   OTHER,      false,     false),
-        row(Drain,     "POST", "/v1/admin/drain", OTHER,      false,     false),
+        //  endpoint   method  path             label       forwarded  streams_body
+        row(Healthz,   "GET",  "/healthz",      OTHER,      false,     false),
+        row(Metrics,   "GET",  "/metrics",      OTHER,      false,     false),
+        row(Profile,   "POST", "/v1/profile",   "profile",  true,      false),
+        row(Analyze,   "POST", "/v1/analyze",   "analyze",  false,     false),
+        row(Clone,     "POST", "/v1/clone",     "clone",    true,      false),
+        row(Evaluate,  "POST", "/v1/evaluate",  "evaluate", true,      false),
+        row(Ingest,    "POST", "/v1/ingest",    "ingest",   true,      true),
+        row(Replicate, "POST", "/v1/replicate", OTHER,      false,     false),
     ]
 };
 
@@ -250,10 +247,8 @@ pub struct RuntimeStats {
     pub hints_queued: u64,
     /// Hinted models successfully replayed to their recovered owner.
     pub hints_replayed: u64,
-    /// Whether this replica is draining (gauge `gmap_draining`).
-    pub draining: bool,
-    /// Per-peer breaker/drain view (`gmap_peer_up`,
-    /// `gmap_peer_draining` gauges); empty outside fleet mode.
+    /// Per-peer breaker view (`gmap_peer_up` gauges); empty outside
+    /// fleet mode.
     pub peer_states: Vec<PeerStatus>,
 }
 
@@ -377,7 +372,6 @@ impl Metrics {
             ("gmap_models_cached", rt.models_cached),
             ("gmap_cache_capacity", rt.cache_capacity),
             ("gmap_active_connections", rt.active_connections),
-            ("gmap_draining", usize::from(rt.draining)),
         ] {
             let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
         }
@@ -389,15 +383,6 @@ impl Metrics {
                     "gmap_peer_up{{peer=\"{}\"}} {}",
                     p.peer,
                     u8::from(p.up)
-                );
-            }
-            out.push_str("# TYPE gmap_peer_draining gauge\n");
-            for p in &rt.peer_states {
-                let _ = writeln!(
-                    out,
-                    "gmap_peer_draining{{peer=\"{}\"}} {}",
-                    p.peer,
-                    u8::from(p.draining)
                 );
             }
         }
@@ -469,7 +454,7 @@ mod tests {
             .lines()
             .filter(|l| l.starts_with("gmap_requests_total{"))
             .collect();
-        // Five rows count under a label of their own; the other four
+        // Five rows count under a label of their own; the other three
         // and the unmatched request share `other`.
         let want = [
             "gmap_requests_total{endpoint=\"profile\"} 1",
@@ -477,7 +462,7 @@ mod tests {
             "gmap_requests_total{endpoint=\"evaluate\"} 1",
             "gmap_requests_total{endpoint=\"analyze\"} 1",
             "gmap_requests_total{endpoint=\"ingest\"} 1",
-            "gmap_requests_total{endpoint=\"other\"} 5",
+            "gmap_requests_total{endpoint=\"other\"} 4",
         ];
         assert_eq!(rendered, want);
         assert_eq!(
@@ -576,30 +561,26 @@ mod tests {
         assert_eq!(scrape(&text, "gmap_peer_ejections_total"), Some(11.0));
         assert_eq!(scrape(&text, "gmap_replication_total"), Some(12.0));
         assert_eq!(scrape(&text, "gmap_hints_replayed_total"), Some(13.0));
-        assert_eq!(scrape(&text, "gmap_draining"), Some(0.0));
     }
 
     #[test]
     fn peer_gauges_render_when_a_fleet_is_tracked() {
         let m = Metrics::new();
         let rt = RuntimeStats {
-            draining: true,
             peer_states: vec![
                 PeerStatus {
                     peer: "127.0.0.1:9001".into(),
                     up: true,
-                    draining: false,
                 },
                 PeerStatus {
                     peer: "127.0.0.1:9002".into(),
                     up: false,
-                    draining: true,
                 },
             ],
             ..RuntimeStats::default()
         };
         let text = m.render(rt);
-        assert_eq!(scrape(&text, "gmap_draining"), Some(1.0));
+        assert!(!text.contains("draining"), "{text}");
         assert_eq!(
             scrape(&text, "gmap_peer_up{peer=\"127.0.0.1:9001\"}"),
             Some(1.0)
@@ -607,10 +588,6 @@ mod tests {
         assert_eq!(
             scrape(&text, "gmap_peer_up{peer=\"127.0.0.1:9002\"}"),
             Some(0.0)
-        );
-        assert_eq!(
-            scrape(&text, "gmap_peer_draining{peer=\"127.0.0.1:9002\"}"),
-            Some(1.0)
         );
         // Outside fleet mode the per-peer families are absent.
         let plain = Metrics::new().render(RuntimeStats::default());

@@ -11,7 +11,7 @@
 //!   enqueues the key on a bounded queue
 //!   ([`ReplicationState::enqueue`]). Overflow drops the work and counts
 //!   it — correctness is untouched, only warm-failover locality is lost.
-//! * The **replication worker** drains the queue: for each key it
+//! * The **replication worker** takes keys off the queue: for each it
 //!   pushes the model to every member of the key's replica set (owner +
 //!   RF−1 ring successors) except itself, over the internal
 //!   `POST /v1/replicate` endpoint. That is the whole round: a store
@@ -55,7 +55,7 @@ pub const MAX_HINTS_PER_PEER: usize = 1024;
 const PUSH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Shared replication state: the enqueue side lives on the request
-/// path, the worker owns the drain side.
+/// path, the worker owns the receiving side.
 pub struct ReplicationState {
     peers: Arc<Peers>,
     self_addr: String,
@@ -219,26 +219,6 @@ impl ReplicationState {
                 }
             }
         }
-    }
-
-    /// Synchronously streams every locally held model to the first
-    /// peer of its health-ordered successor walk that takes it — the
-    /// key's replica set first, then the rest of the ring, ejected and
-    /// draining peers last: drain must not lose a key just because its
-    /// first successor is down. Returns `(keys, pushed, failed)`.
-    pub fn drain_to_successors(&self) -> (usize, usize, usize) {
-        let keys = self.store.keys();
-        let mut pushed = 0usize;
-        for key in &keys {
-            let taken = self
-                .peers
-                .walk(key)
-                .into_iter()
-                .filter(|peer| *peer != self.self_addr)
-                .any(|peer| !matches!(self.push(peer, key), Push::Failed));
-            pushed += usize::from(taken);
-        }
-        (keys.len(), pushed, keys.len() - pushed)
     }
 }
 
@@ -437,21 +417,6 @@ mod tests {
             hints_pending(&state) >= 1,
             "the dropped push leaves a hint for replay"
         );
-        drop(worker);
-    }
-
-    #[test]
-    fn drain_with_no_reachable_peer_reports_failures() {
-        let (fleet, peers) = dead_fleet(2);
-        let store = store_with(&[
-            "00cc00cc00cc00cc00cc00cc00cc00cc",
-            "00dd00dd00dd00dd00dd00dd00dd00dd",
-        ]);
-        let (state, worker) = spawn(peers, &fleet[0], 2, store, None, Duration::from_millis(20));
-        let (keys, pushed, failed) = state.drain_to_successors();
-        assert_eq!(keys, 2);
-        assert_eq!(pushed, 0);
-        assert_eq!(failed, 2, "an unreachable fleet loses nothing silently");
         drop(worker);
     }
 }

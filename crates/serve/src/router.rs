@@ -29,8 +29,8 @@
 //!   can't change bytes, only cache locality.
 //! * **Health-aware walks.** The walk and every exchange are
 //!   [`Peers`]': each attempt's outcome feeds the shared circuit
-//!   breaker, and peers whose breaker is open (or that advertise
-//!   draining) are moved to the *end* of the walk instead of being paid
+//!   breaker, and peers whose breaker is open are moved to the *end*
+//!   of the walk instead of being paid
 //!   a connect timeout up front. They are never dropped entirely — if
 //!   every healthy peer fails, the ejected ones are still tried, so
 //!   routing is never worse than breaker-less failover.

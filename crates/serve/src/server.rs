@@ -13,7 +13,7 @@
 //! one tail (count under the row's label, fold `reply.close` into
 //! keep-alive, `write_reply`). The reply comes from `route` once the
 //! body is read — a router forwards the rows marked so; `/healthz`,
-//! `/metrics`, analyze and drain answer on the connection thread, so the
+//! `/metrics` and analyze answer on the connection thread, so the
 //! service stays observable when every worker is busy; the rest wait on
 //! `run_job` — or from `ingest_endpoint` for the row that streams its
 //! own body.
@@ -160,7 +160,6 @@ pub struct ServerState {
     router: Option<Router>,
     peers: Arc<Peers>,
     replication: Option<Arc<ReplicationState>>,
-    draining: AtomicBool,
     connections: Connections,
 }
 
@@ -210,11 +209,6 @@ impl ServerState {
         self.replication.as_ref()
     }
 
-    /// Whether `/v1/admin/drain` has flipped this server to draining.
-    pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
     /// Samples the point-in-time values rendered alongside the counters.
     fn runtime_stats(&self) -> RuntimeStats {
         let repl = self.replication.as_deref();
@@ -236,7 +230,6 @@ impl ServerState {
             replication_dropped: repl.map_or(0, ReplicationState::dropped),
             hints_queued: repl.map_or(0, ReplicationState::hints_queued),
             hints_replayed: repl.map_or(0, ReplicationState::hints_replayed),
-            draining: self.is_draining(),
             peer_states: health.snapshot(),
         }
     }
@@ -352,7 +345,6 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         router,
         peers,
         replication,
-        draining: AtomicBool::new(false),
         connections: Connections::default(),
     });
     let worker_threads = (0..config.workers.max(1))
@@ -699,16 +691,7 @@ fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: D
         };
     }
     match endpoint {
-        Endpoint::Healthz => {
-            // A draining replica is still *alive* (200) but advertises
-            // the state so peers and routers deprioritize it.
-            let status = if state.is_draining() {
-                "draining"
-            } else {
-                "ok"
-            };
-            Reply::json(200, format!("{{\"status\":\"{status}\"}}"))
-        }
+        Endpoint::Healthz => Reply::json(200, "{\"status\":\"ok\"}".to_string()),
         Endpoint::Metrics => Reply {
             content_type: "text/plain; version=0.0.4",
             ..Reply::json(200, state.metrics.render(state.runtime_stats()))
@@ -739,23 +722,6 @@ fn route(endpoint: Endpoint, request: &Request, state: &Arc<ServerState>, due: D
         Endpoint::Replicate => run_job(state, due, parse_body(request), |state, req, cancel| {
             handlers::replicate_store(&state.store, &req, cancel)
         }),
-        Endpoint::Drain => {
-            // Graceful decommission, answered on the connection thread:
-            // flip to draining first (health probes now advertise it),
-            // then synchronously stream every owned model to reachable
-            // successors. Idempotent — a second call re-streams
-            // whatever is still held.
-            state.draining.store(true, Ordering::SeqCst);
-            let drained = state.replication().map(|r| r.drain_to_successors());
-            let (keys, pushed, failed) = drained.unwrap_or((0, 0, 0));
-            let resp = api::DrainResponse {
-                status: "draining".to_string(),
-                keys,
-                pushed,
-                failed,
-            };
-            Reply::json(200, canonical_json(&resp))
-        }
         Endpoint::Ingest => unreachable!("the row streams its own body: served before `route`"),
     }
 }

@@ -1610,7 +1610,7 @@ fn error_body(status: u16, message: &str) -> Body {
 /// statuses, and targets carrying a query string.
 fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
     use gmap_core::application::AppProfile;
-    use gmap_serve::api::{DrainResponse, ReplicateRequest, ReplicateResponse};
+    use gmap_serve::api::{ReplicateRequest, ReplicateResponse};
 
     let oracle = Oracle::new();
     let cancel = AtomicBool::new(false);
@@ -1898,24 +1898,15 @@ fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
             error_body(404, "no such route /v1/ingest?grid=1&block=32"),
             "ingest",
         ),
-        // Drain goes last: it flips what `/healthz` says.
+        // The retired drain route is refused like any unknown one, and
+        // `/healthz` still answers ok after it.
         row(
             post("/v1/admin/drain", ""),
-            200,
-            Body::Exact(canonical_json(&DrainResponse {
-                status: "draining".into(),
-                keys: 0,
-                pushed: 0,
-                failed: 0,
-            })),
+            404,
+            error_body(404, "no such route /v1/admin/drain"),
             "other",
         ),
-        row(
-            get("/healthz"),
-            200,
-            Body::Exact("{\"status\":\"draining\"}".into()),
-            "other",
-        ),
+        row(get("/healthz"), 200, healthy(), "other"),
     ]
 }
 

@@ -343,7 +343,7 @@ done
 expect '^gmap_replication_total [1-9]' "$GMAP" client metrics --addr "$FA1"
 echo "smoke: model replicated to the fleet peer"
 
-# Kill the member that stored the model — hard, no drain — and serve
+# Kill the member that stored the model — hard, no shutdown — and serve
 # its model from the survivor's replica copy: a cache hit, not a
 # recompute.
 kill -9 "$F1_PID" 2>/dev/null || true
@@ -352,12 +352,14 @@ expect '"cached":true' "$GMAP" client profile --addr "$FA2" --workload kmeans --
 expect '"values":' "$GMAP" client evaluate --addr "$FA2" --model "$FLEET_MODEL" --grid 16:4,32:4
 echo "smoke: survivor served the killed owner's model from its replica copy"
 
-# Graceful decommission via the CLI: the drain endpoint answers even
-# with the only peer dead (nothing is silently lost — failures are
-# reported in the response).
-expect '"status":"draining"' "$GMAP" client drain --addr "$FA2"
-expect '"status":"draining"' "$GMAP" client health --addr "$FA2"
-echo "smoke: drain flipped the survivor to draining"
+# A replica leaves the fleet by stopping: the client has no drain
+# action, and the survivor's health stays ok.
+if "$GMAP" client drain --addr "$FA2" >/dev/null 2>&1; then
+    echo "smoke: gmap client drain must be refused" >&2
+    exit 1
+fi
+expect '"status":"ok"' "$GMAP" client health --addr "$FA2"
+echo "smoke: no drain action; the survivor reports ok"
 
 exec 6>&-
 for _ in $(seq 1 100); do

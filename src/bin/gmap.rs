@@ -10,7 +10,7 @@
 //! gmap analyze  --trace trace.txt --grid 24 --block 128 [--json]
 //! gmap list
 //! gmap serve    [--listen 127.0.0.1:0] [--workers 4] [--queue 64]
-//! gmap client   <health|metrics|profile|analyze|ingest|clone|evaluate|drain>
+//! gmap client   <health|metrics|profile|analyze|ingest|clone|evaluate>
 //!               --addr HOST:PORT ...
 //! ```
 //!
@@ -32,13 +32,57 @@ use gmap::gpu::workloads::{self, Scale};
 use gmap::memsim::cache::{CacheConfig, ReplacementPolicy};
 use gmap::memsim::hierarchy::TraceCapture;
 use std::error::Error;
+use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
-/// What a subcommand returns. A message (`String`) is a usage or input
-/// error; an [`io::Error`] comes from writing stdout.
-type Outcome = Result<(), Box<dyn Error>>;
+/// Why a subcommand failed. A message (`String`) converts to a usage
+/// error; an [`io::Error`] (from writing stdout) to a runtime failure.
+#[derive(Debug)]
+enum Failure {
+    /// A command line the subcommand cannot read: reported with the
+    /// usage text.
+    Usage(String),
+    /// A failure while running it — a file, a request, a refusing
+    /// service, the analysis gate, stdout: reported alone.
+    Run(Box<dyn Error>),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_owned())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Run(Box::new(e))
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Usage(msg) => f.write_str(msg),
+            Failure::Run(e) => e.fmt(f),
+        }
+    }
+}
+
+/// A runtime failure with `msg`.
+fn failed(msg: String) -> Failure {
+    Failure::Run(msg.into())
+}
+
+/// What a subcommand returns.
+type Outcome = Result<(), Failure>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,16 +90,20 @@ fn main() -> ExitCode {
     match run(&args, &mut out).and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
         // The reader closed its end (`gmap … | head`): stop, quietly.
-        Err(e)
+        Err(Failure::Run(e))
             if e.downcast_ref::<io::Error>()
                 .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
         {
             ExitCode::FAILURE
         }
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprint!("{}", usage());
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -199,8 +247,6 @@ only, ingest excepted):
            [--seed N]
            [--stride-prefetch TABLE:DEGREE[:DISTANCE[:CONFIDENCE]]]  (l1 grids)
            [--stream-prefetch WINDOW:DEGREE[:STREAMS]]               (l2 grids)
-  drain    POST /v1/admin/drain: flip the --addr replica to draining
-           and stream its models to ring successors
 "
     .to_owned()
 }
@@ -264,13 +310,13 @@ fn parse_policy(spec: &str) -> Result<Policy, String> {
     }
 }
 
-fn load_profile(path: &str) -> Result<GmapProfile, String> {
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let profile =
-        GmapProfile::load(BufReader::new(file)).map_err(|e| format!("cannot parse {path}: {e}"))?;
+fn load_profile(path: &str) -> Result<GmapProfile, Failure> {
+    let file = File::open(path).map_err(|e| failed(format!("cannot open {path}: {e}")))?;
+    let profile = GmapProfile::load(BufReader::new(file))
+        .map_err(|e| failed(format!("cannot parse {path}: {e}")))?;
     profile
         .validate()
-        .map_err(|e| format!("{path} is inconsistent: {e}"))?;
+        .map_err(|e| failed(format!("{path} is inconsistent: {e}")))?;
     Ok(profile)
 }
 
@@ -290,10 +336,11 @@ fn cmd_profile(args: &[String], out: &mut dyn Write) -> Outcome {
     if let Some(delta) = f.value_with("--rebase", rebase)? {
         profile.rebase(delta);
     }
-    let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let file = File::create(path).map_err(|e| failed(format!("cannot create {path}: {e}")))?;
     let mut w = BufWriter::new(file);
-    profile.save(&mut w).map_err(|e| e.to_string())?;
-    w.flush().map_err(|e| format!("cannot write {path}: {e}"))?;
+    profile.save(&mut w).map_err(|e| failed(e.to_string()))?;
+    w.flush()
+        .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
     writeln!(
         out,
         "profiled {name}: {} PCs, {} pi profiles, {} warp accesses -> {path}",
@@ -336,21 +383,23 @@ fn trace_geometry(
 /// Streams the external per-thread trace at `path` through gmap-ingest,
 /// so arbitrarily large traces profile in bounded memory (the format is
 /// auto-detected).
-fn ingest_trace(f: &Flags, path: &str) -> Result<gmap::ingest::IngestOutcome, String> {
+fn ingest_trace(f: &Flags, path: &str) -> Result<gmap::ingest::IngestOutcome, Failure> {
     let (launch, name) = trace_geometry(f, path)?;
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let file = File::open(path).map_err(|e| failed(format!("cannot open {path}: {e}")))?;
     gmap::ingest::ingest_reader(
         &name,
         BufReader::new(file),
         &launch,
         gmap::ingest::IngestConfig::default(),
     )
-    .map_err(|e| format!("cannot ingest {path}: {e}"))
+    .map_err(|e| failed(format!("cannot ingest {path}: {e}")))
 }
 
-fn load_spec(path: &str) -> Result<KernelDesc, String> {
-    let raw = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    serde_json::from_str(&raw).map_err(|e| format!("cannot parse {path} as a kernel spec: {e}"))
+fn load_spec(path: &str) -> Result<KernelDesc, Failure> {
+    let raw =
+        std::fs::read_to_string(path).map_err(|e| failed(format!("cannot read {path}: {e}")))?;
+    serde_json::from_str(&raw)
+        .map_err(|e| failed(format!("cannot parse {path} as a kernel spec: {e}")))
 }
 
 fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
@@ -379,7 +428,7 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
             );
         };
         let spec = gmap::core::cachekey::canonical_json(kernel);
-        std::fs::write(path, spec).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, spec).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
     }
     let reports: Vec<gmap::analyze::StaticReport> =
         kernels.iter().map(gmap::analyze::analyze_kernel).collect();
@@ -392,7 +441,7 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
         } else {
             serde_json::to_string_pretty(&reports)
         }
-        .map_err(|e| format!("cannot serialize report: {e}"))?;
+        .map_err(|e| failed(format!("cannot serialize report: {e}")))?;
         writeln!(out, "{body}")?;
     } else {
         for report in &reports {
@@ -400,7 +449,9 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Outcome {
         }
     }
     if total_errors > 0 {
-        Err(format!("static analysis found {total_errors} error finding(s)").into())
+        Err(failed(format!(
+            "static analysis found {total_errors} error finding(s)"
+        )))
     } else {
         Ok(())
     }
@@ -488,7 +539,7 @@ fn cmd_clone(args: &[String], out: &mut dyn Write) -> Outcome {
     }
     let streams = generate_streams(&profile, seed);
     let entries = gmap::ingest::lane0_entries(&streams, &profile.launch);
-    let file = File::create(trace).map_err(|e| format!("cannot create {trace}: {e}"))?;
+    let file = File::create(trace).map_err(|e| failed(format!("cannot create {trace}: {e}")))?;
     let mut w = BufWriter::new(file);
     if binary {
         gmap::trace::io::write_binary(&mut w, &entries)
@@ -496,7 +547,7 @@ fn cmd_clone(args: &[String], out: &mut dyn Write) -> Outcome {
         gmap::trace::io::write_text(&mut w, &entries)
     }
     .and_then(|()| w.flush())
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| failed(e.to_string()))?;
     writeln!(
         out,
         "clone of '{}': {} transactions -> {trace}",
@@ -628,7 +679,8 @@ fn cmd_serve(args: &[String], out: &mut dyn Write) -> Outcome {
     if let Some(spec) = f.get("--faults") {
         eprintln!("gmap-serve: fault injection enabled ({spec})");
     }
-    let handle = gmap::serve::start(config).map_err(|e| format!("cannot start server: {e}"))?;
+    let handle =
+        gmap::serve::start(config).map_err(|e| failed(format!("cannot start server: {e}")))?;
     writeln!(out, "gmap-serve listening on {}", handle.addr())?;
     out.flush()?;
     // Run until the supervisor closes stdin, then drain. EOF as the stop
@@ -752,7 +804,7 @@ fn parse_grid(
 /// three fields). A workload carries the CLI's scale explicitly, default
 /// included: a request without one means `default` to the service, and
 /// `gmap profile` would name another model id for the same flags.
-fn client_source(f: &Flags) -> Result<gmap::serve::api::ProfileRequest, String> {
+fn client_source(f: &Flags) -> Result<gmap::serve::api::ProfileRequest, Failure> {
     let spec = f.get("--spec").map(load_spec).transpose()?;
     let workload = f.get("--workload").map(str::to_owned);
     if spec.is_none() && workload.is_none() {
@@ -795,7 +847,7 @@ fn client_ingest(f: &Flags, out: &mut dyn Write) -> Outcome {
     if chunk == 0 {
         return Err("--chunk must be nonzero".into());
     }
-    let file = File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let file = File::open(path).map_err(|e| failed(format!("cannot open {path}: {e}")))?;
     let url = format!(
         "/v1/ingest?grid={}&block={}&name={name}",
         launch.num_blocks(),
@@ -808,12 +860,12 @@ fn client_ingest(f: &Flags, out: &mut dyn Write) -> Outcome {
 
 /// Prints a service response's body; a non-2xx status fails the command.
 fn reply(response: io::Result<gmap::serve::client::Response>, out: &mut dyn Write) -> Outcome {
-    let response = response.map_err(|e| format!("request failed: {e}"))?;
+    let response = response.map_err(|e| failed(format!("request failed: {e}")))?;
     writeln!(out, "{}", response.body.trim_end())?;
     if response.is_ok() {
         Ok(())
     } else {
-        Err(format!("server answered {}", response.status).into())
+        Err(failed(format!("server answered {}", response.status)))
     }
 }
 
@@ -822,11 +874,10 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Outcome {
     use gmap::serve::{api, client};
 
     let action = args.first().map(String::as_str).ok_or(
-        "client needs an action: health, metrics, profile, analyze, ingest, clone, evaluate, \
-         or drain",
+        "client needs an action: health, metrics, profile, analyze, ingest, clone, or evaluate",
     )?;
     let values = match action {
-        "health" | "metrics" | "drain" => "--addr --retries",
+        "health" | "metrics" => "--addr --retries",
         "profile" | "analyze" => "--addr --retries --workload --scale --spec",
         "clone" => "--addr --retries --model --factor --seed",
         "evaluate" => {
@@ -846,7 +897,6 @@ fn cmd_client(args: &[String], out: &mut dyn Write) -> Outcome {
         "ingest" => return client_ingest(&f, out),
         "health" => ("/healthz", None),
         "metrics" => ("/metrics", None),
-        "drain" => ("/v1/admin/drain", Some(String::new())),
         "profile" => ("/v1/profile", Some(canonical_json(&client_source(&f)?))),
         "analyze" => {
             let named = client_source(&f)?;
@@ -1081,11 +1131,9 @@ mod tests {
     }
 
     #[test]
-    fn client_drain_is_addr_only() {
-        // Drain targets one replica; a fleet list is a usage error, and
-        // the flag set is validated before any connection.
-        assert!(run(&s(&["client", "drain", "--fleet", "a:1,b:2"])).is_err());
-        assert!(run(&s(&["client", "drain"])).is_err());
+    fn client_drain_is_an_unknown_action() {
+        let err = run(&s(&["client", "drain", "--addr", "a:1"])).expect_err("no drain action");
+        assert_eq!(err, "unknown client action \"drain\"");
     }
 
     #[test]

@@ -141,6 +141,7 @@ const ROWS: &[Row] = &[
     usage("error/unknown-workload", &["simulate", "--workload", "nope"], "nope"),
     usage("error/client-without-addr", &["client", "health"], "--addr"),
     usage("error/client-peers-unknown", &["client", "health", "--peers", "a:1"], "--peers"),
+    usage("error/client-drain-unknown", &["client", "drain", "--addr", "a:1"], "drain"),
     usage("error/serve-route-to-self", &["serve", "--listen", "127.0.0.1:9101", "--route", "127.0.0.1:9100,127.0.0.1:9101"], "--route"),
     usage("error/serve-route-empty", &["serve", "--route", ","], "--route"),
     usage("error/serve-route-duplicate", &["serve", "--route", "a:1, a:1"], "--route"),
@@ -253,6 +254,101 @@ fn cli_rows_match_golden() {
             row.args.join(" ")
         );
     }
+}
+
+/// Runs `gmap args` in `dir`; returns the exit code and stderr.
+fn gmap(args: &[&str], dir: &Path) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_gmap"))
+        .args(args)
+        .current_dir(dir)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn gmap");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn scratch_dir(what: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("gmap-cli-{what}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    dir
+}
+
+/// A command line `gmap` cannot read is answered with the usage text; a
+/// failure while running a well-formed one — here a service refusing a
+/// clone over its size bound — is answered with the error alone.
+#[test]
+fn only_command_line_errors_print_the_usage_text() {
+    let dir = scratch_dir("usage");
+    let (code, stderr) = gmap(&["simulate", "--workload", "kmeans", "--sedd", "7"], &dir);
+    assert_eq!(code, Some(1));
+    assert!(
+        stderr.contains("--sedd") && stderr.contains("USAGE:"),
+        "{stderr}"
+    );
+
+    let server = gmap::serve::start(gmap::serve::ServeConfig::default()).expect("start server");
+    let addr = server.addr().to_string();
+    let model = gmap::serve::handlers::model_id_for("kmeans", "tiny");
+    let profile = [
+        "client",
+        "profile",
+        "--addr",
+        &addr,
+        "--workload",
+        "kmeans",
+        "--scale",
+        "tiny",
+    ];
+    assert_eq!(gmap(&profile, &dir).0, Some(0));
+    let clone = [
+        "client", "clone", "--addr", &addr, "--model", &model, "--factor", "0.002",
+    ];
+    let (code, stderr) = gmap(&clone, &dir);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(1));
+    assert_eq!(stderr, "error: server answered 400\n");
+}
+
+/// A profile whose launch holds more warps than `u32` counts is refused
+/// before a clone is generated or its trace file created.
+#[test]
+fn a_launch_past_u32_warps_is_refused_before_anything_is_written() {
+    use gmap::core::GmapProfile;
+    use gmap::gpu::hierarchy::LaunchConfig;
+    let dir = scratch_dir("launch");
+    let tiny = [
+        "profile",
+        "--workload",
+        "kmeans",
+        "--scale",
+        "tiny",
+        "-o",
+        "p.json",
+    ];
+    assert_eq!(gmap(&tiny, &dir).0, Some(0));
+    let raw = std::fs::read(dir.join("p.json")).expect("profile written");
+    let mut profile = GmapProfile::load(&raw[..]).expect("profile parses");
+    // 2^27 blocks of 1024 threads: 2^32 warps of 32.
+    profile.launch = LaunchConfig::new(1u32 << 27, 1024u32);
+    let mut edited = Vec::new();
+    profile.save(&mut edited).expect("profile serializes");
+    std::fs::write(dir.join("big.json"), edited).expect("write edited profile");
+
+    let (code, stderr) = gmap(&["clone", "-p", "big.json", "-o", "t.txt"], &dir);
+    let written = dir.join("t.txt").exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!written, "a refused launch writes no trace");
+    assert!(
+        stderr
+            .starts_with("error: big.json is inconsistent: launch has more than 4294967295 warps"),
+        "{stderr}"
+    );
 }
 
 /// A reader that closes its end mid-output (`gmap … | head -1`) ends
