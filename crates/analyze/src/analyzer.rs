@@ -21,16 +21,12 @@
 //! - **divergence reachability**, and for every barrier whether it can
 //!   be reached under block-divergent control — the static signature of
 //!   a `__syncthreads()` deadlock.
-//!
-//! [`verify_against_trace`] is the self-check: every address the SIMT
-//! executor emits must lie inside the analyzer's per-PC interval.
 
 use crate::interval::{ByteRange, Interval};
 use crate::report::{rw, Finding, FindingKind, PatternKind, Severity, SiteReport, StaticReport};
-use gmap_gpu::exec::{AppTrace, WarpEvent, WARP_SIZE};
+use gmap_gpu::exec::WARP_SIZE;
 use gmap_gpu::kernel::{AccessDesc, EvalCtx, IndexExpr, KernelDesc, Pred, Stmt, Trip};
 use gmap_trace::record::AccessKind;
-use std::collections::BTreeMap;
 
 /// The coalescing granularity the degree is computed at (128-byte
 /// transactions, matching `gmap_core::COALESCE_BYTES`).
@@ -150,15 +146,9 @@ struct Loop {
 
 impl Loop {
     fn of(trip: &Trip) -> Self {
-        match *trip {
-            Trip::Const(n) => Loop {
-                max_trip: n as u64,
-                ragged: false,
-            },
-            Trip::Hashed { base, spread, .. } => Loop {
-                max_trip: base as u64 + spread.saturating_sub(1) as u64,
-                ragged: spread > 1,
-            },
+        Loop {
+            max_trip: trip.max_count(),
+            ragged: matches!(*trip, Trip::Hashed { spread, .. } if spread > 1),
         }
     }
 }
@@ -444,75 +434,4 @@ impl Walker<'_> {
         }
         iv
     }
-}
-
-/// One disagreement between the static report and a dynamic trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SelfCheckViolation {
-    /// PC of the offending access.
-    pub pc: u64,
-    /// The dynamically emitted address.
-    pub addr: u64,
-    /// The static interval it was supposed to lie in (`None` when the
-    /// PC has no static site at all).
-    pub expected: Option<ByteRange>,
-}
-
-impl std::fmt::Display for SelfCheckViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.expected {
-            Some(r) => write!(
-                f,
-                "pc {:#x}: dynamic address {:#x} escapes static interval {r}",
-                self.pc, self.addr
-            ),
-            None => write!(f, "pc {:#x}: no static site covers this access", self.pc),
-        }
-    }
-}
-
-/// The self-check: diffs a [`StaticReport`] against a dynamic execution
-/// trace. Sound analysis means an empty result — every address the SIMT
-/// executor emitted lies inside the per-PC static interval. Returns at
-/// most `limit` violations (the first ones found).
-pub fn verify_against_trace(
-    report: &StaticReport,
-    trace: &AppTrace,
-    limit: usize,
-) -> Vec<SelfCheckViolation> {
-    // A PC can occur at several statements (several sites); its sound
-    // interval is the join.
-    let mut per_pc: BTreeMap<u64, ByteRange> = BTreeMap::new();
-    for s in &report.sites {
-        per_pc
-            .entry(s.pc)
-            .and_modify(|r| {
-                r.lo = r.lo.min(s.addrs.lo);
-                r.hi = r.hi.max(s.addrs.hi);
-            })
-            .or_insert(s.addrs);
-    }
-    let mut out = Vec::new();
-    for warp in &trace.warps {
-        for ev in &warp.events {
-            let WarpEvent::Access { pc, lane_addrs, .. } = ev else {
-                continue;
-            };
-            let expected = per_pc.get(&pc.0).copied();
-            for &(_, addr) in lane_addrs {
-                let ok = expected.is_some_and(|r| r.contains(addr.0));
-                if !ok {
-                    out.push(SelfCheckViolation {
-                        pc: pc.0,
-                        addr: addr.0,
-                        expected,
-                    });
-                    if out.len() >= limit {
-                        return out;
-                    }
-                }
-            }
-        }
-    }
-    out
 }

@@ -14,9 +14,6 @@
 //!   reachability, and error findings for out-of-bounds affine indices,
 //!   overlapping written arrays, size overflows and barriers that
 //!   deadlock under divergence.
-//! - [`verify_against_trace`] is the self-check the analyzer's
-//!   property tests run: every address the executor emits must lie
-//!   inside the static interval for its PC.
 //!
 //! Severity is two-level by design: **errors** are correctness hazards
 //! and make a spec inadmissible (`gmap-serve` answers 422); **warnings**
@@ -31,6 +28,6 @@ pub mod fixtures;
 pub mod interval;
 pub mod report;
 
-pub use analyzer::{analyze_kernel, verify_against_trace, SelfCheckViolation};
+pub use analyzer::analyze_kernel;
 pub use interval::{ByteRange, Interval};
 pub use report::{Finding, FindingKind, PatternKind, Severity, SiteReport, StaticReport};

@@ -308,7 +308,8 @@ fn bundle_source(name: &str, scale: Scale, seed: u64) -> String {
 /// as the original.
 pub fn prepare(name: &str, scale: Scale, seed: u64) -> BenchData {
     let kernel = workloads::by_name(name, scale).expect("known benchmark name");
-    let (orig_streams, profile) = profile_kernel_with_streams(&kernel, &ProfilerConfig::default());
+    let (orig_streams, profile) = profile_kernel_with_streams(&kernel, &ProfilerConfig::default())
+        .expect("builtin kernels issue accesses");
     let proxy_streams = generate_streams(&profile, seed);
     BenchData {
         kernel,

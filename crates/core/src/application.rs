@@ -11,7 +11,7 @@ use crate::error::GmapError;
 use crate::generate::generate_streams;
 use crate::model::{original_streams, SimOutcome, SimtConfig};
 use crate::profile::GmapProfile;
-use crate::profiler::{profile_kernel, ProfilerConfig};
+use crate::profiler::{profile_kernel_with_streams, ProfilerConfig};
 use gmap_gpu::app::Application;
 use gmap_gpu::hierarchy::LaunchConfig;
 use gmap_gpu::schedule::{run_schedule, ScheduleOutcome, WarpStream};
@@ -98,11 +98,22 @@ impl AppProfile {
 }
 
 /// Profiles every kernel of an application.
-pub fn profile_application(app: &Application, cfg: &ProfilerConfig) -> AppProfile {
-    AppProfile {
+///
+/// # Errors
+///
+/// [`GmapError::EmptyProfile`] if a kernel issues no memory access.
+pub fn profile_application(
+    app: &Application,
+    cfg: &ProfilerConfig,
+) -> Result<AppProfile, GmapError> {
+    Ok(AppProfile {
         name: app.name.clone(),
-        kernels: app.kernels.iter().map(|k| profile_kernel(k, cfg)).collect(),
-    }
+        kernels: app
+            .kernels
+            .iter()
+            .map(|k| profile_kernel_with_streams(k, cfg).map(|(_, p)| p))
+            .collect::<Result<_, _>>()?,
+    })
 }
 
 /// Result of simulating a kernel sequence on one shared hierarchy.
@@ -211,7 +222,8 @@ mod tests {
     #[test]
     fn application_profile_round_trips() {
         let app = apps::backprop_training(Scale::Tiny);
-        let profile = profile_application(&app, &ProfilerConfig::default());
+        let profile =
+            profile_application(&app, &ProfilerConfig::default()).expect("kernels issue accesses");
         assert_eq!(profile.kernels.len(), 2);
         let mut buf = Vec::new();
         profile.save(&mut buf).expect("save");
@@ -244,7 +256,8 @@ mod tests {
     fn proxy_tracks_original_across_kernels() {
         let app = apps::backprop_training(Scale::Tiny);
         let orig = run_application_original(&app, &cfg()).expect("valid config");
-        let profile = profile_application(&app, &ProfilerConfig::default());
+        let profile =
+            profile_application(&app, &ProfilerConfig::default()).expect("kernels issue accesses");
         let proxy = run_application_proxy(&profile, &cfg()).expect("valid config");
         let o = orig.total.stats.l1_miss_rate() * 100.0;
         let p = proxy.total.stats.l1_miss_rate() * 100.0;

@@ -121,7 +121,7 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
                         }
                         let cand = t_addrs[j - back];
                         let prev = t_addrs[j - 1];
-                        let diff = cand as i64 - prev as i64;
+                        let diff = cand.wrapping_sub(prev) as i64;
                         intra[k].contains(diff).then_some(cand)
                     })
                 });
@@ -170,7 +170,7 @@ pub fn generate_streams(profile: &GmapProfile, seed: u64) -> Vec<WarpStream> {
                     } else {
                         0
                     };
-                    lines.push(ByteAddr(addr + (pos + j) * line));
+                    lines.push(ByteAddr(addr.wrapping_add((pos + j).wrapping_mul(line))));
                     pos += step.max(1);
                 }
                 lines.dedup();

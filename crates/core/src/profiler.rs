@@ -46,10 +46,13 @@ impl Default for ProfilerConfig {
 ///
 /// # Panics
 ///
-/// Panics if the kernel produces no memory accesses (a validated workload
-/// kernel always does); use [`profile_streams`] for a fallible interface.
+/// Panics if the kernel produces no memory accesses (every builtin
+/// workload does); [`profile_kernel_with_streams`] is the fallible
+/// interface.
 pub fn profile_kernel(kernel: &KernelDesc, cfg: &ProfilerConfig) -> GmapProfile {
-    profile_kernel_with_streams(kernel, cfg).1
+    profile_kernel_with_streams(kernel, cfg)
+        .expect("executed kernel has memory accesses")
+        .1
 }
 
 /// [`profile_kernel`] that also hands back the streams it profiled: the
@@ -58,18 +61,17 @@ pub fn profile_kernel(kernel: &KernelDesc, cfg: &ProfilerConfig) -> GmapProfile 
 /// [`crate::model::original_streams`] and a caller that needs both the
 /// original and its profile executes the kernel once.
 ///
-/// # Panics
+/// # Errors
 ///
-/// As [`profile_kernel`].
+/// [`GmapError::EmptyProfile`] if the kernel issues no memory access.
 pub fn profile_kernel_with_streams(
     kernel: &KernelDesc,
     cfg: &ProfilerConfig,
-) -> (Vec<WarpStream>, GmapProfile) {
+) -> Result<(Vec<WarpStream>, GmapProfile), GmapError> {
     let app = execute_kernel(kernel);
     let streams = coalesce_app(&app, cfg.line_size);
-    let profile = profile_streams(&kernel.name, &streams, &app.launch, app.warp_size, cfg)
-        .expect("executed kernel has memory accesses");
-    (streams, profile)
+    let profile = profile_streams(&kernel.name, &streams, &app.launch, app.warp_size, cfg)?;
+    Ok((streams, profile))
 }
 
 /// Profiles coalesced warp streams.
@@ -189,7 +191,7 @@ pub fn profile_streams(
             // absorbs them through the batched sort+RLE kernel; the
             // per-ordinal votes take one each.
             stride_scratch.clear();
-            stride_scratch.extend(execs.windows(2).map(|p| p[1] as i64 - p[0] as i64));
+            stride_scratch.extend(execs.windows(2).map(|p| p[1].wrapping_sub(p[0]) as i64));
             intra_stride[slot].add_slice(&stride_scratch, kmode);
             add_votes(&mut stride_votes[slot], &stride_scratch);
             // PC-localized reuse, and the same distances as the
@@ -302,7 +304,7 @@ pub fn profile_streams(
             match last_first_addr[slot] {
                 None => base_addrs[slot] = ByteAddr(first),
                 Some(prev) => {
-                    let stride = first as i64 - prev as i64;
+                    let stride = first.wrapping_sub(prev) as i64;
                     inter_stride[slot].add(stride);
                     phase_votes[slot][raw.warp as usize % wpb].add(stride);
                 }

@@ -11,7 +11,6 @@ use gmap_core::cachekey;
 use gmap_core::profiler::{profile_kernel, ProfilerConfig};
 use gmap_core::GmapProfile;
 use gmap_gpu::app::Application;
-use gmap_gpu::kernel::{dsl, KernelBuilder};
 use gmap_gpu::workloads::{self, Scale};
 use proptest::prelude::*;
 
@@ -43,7 +42,7 @@ fn compact_and_pretty_parse_to_the_same_profile() {
 #[test]
 fn app_profile_to_json_from_json_identity() {
     let app = gmap_gpu::app::apps::backprop_training(Scale::Tiny);
-    let model = gmap_core::profile_application(&app, &ProfilerConfig::default());
+    let model = gmap_core::profile_application(&app, &ProfilerConfig::default()).expect("profiles");
     let back = AppProfile::from_json(&model.to_json()).expect("parse back");
     assert_eq!(model, back);
     back.validate().expect("valid after round trip");
@@ -71,46 +70,25 @@ fn cache_keys_are_content_addressed() {
     );
 }
 
-/// A randomized multi-kernel application with varying geometry.
-fn arb_app() -> impl Strategy<Value = Application> {
-    proptest::collection::vec((1u32..5, 1u32..3, 1i64..32, -64i64..64), 1..4).prop_map(|specs| {
-        let kernels = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (blocks, warps_pb, tid_coef, iter_coef))| {
-                KernelBuilder::new(&format!("k{i}"), blocks, warps_pb * 32)
-                    .array("a", 1 << 14)
-                    .stmt(dsl::loop_n(
-                        3,
-                        vec![dsl::read(
-                            0x10 + i as u64 * 0x10,
-                            0,
-                            dsl::affine(0, tid_coef, vec![(0, iter_coef)]),
-                        )],
-                    ))
-                    .build()
-                    .expect("construction is valid by design")
-            })
-            .collect::<Vec<_>>();
-        Application::new("prop-app", kernels)
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `to_json`/`from_json` is the identity for arbitrary application
-    /// models, and canonical JSON (hence the cache key) is deterministic.
+    /// `to_json`/`from_json` is the identity for applications of one to
+    /// three random kernels, and canonical JSON (hence the cache key) is
+    /// deterministic.
     #[test]
-    fn app_model_json_identity(app in arb_app()) {
-        let model = gmap_core::profile_application(&app, &ProfilerConfig::default());
-        let json = model.to_json();
-        let back = AppProfile::from_json(&json).expect("parse back");
-        prop_assert_eq!(&model, &back);
-        // Canonical form is stable: re-rendering the parsed value gives
-        // the same bytes, so cache keys never depend on parse history.
-        prop_assert_eq!(json.clone(), back.to_json());
-        prop_assert_eq!(cachekey::key_of(&model), cachekey::key_of(&back));
-        prop_assert_eq!(cachekey::content_key(&json), cachekey::key_of(&model));
+    fn app_model_json_identity(seeds in proptest::collection::vec(any::<u64>(), 1..4)) {
+        let app = Application::new("prop-app", seeds.into_iter().map(gmap_testkit::kernel).collect());
+        // An application one of whose kernels issues no access has no model.
+        if let Ok(model) = gmap_core::profile_application(&app, &ProfilerConfig::default()) {
+            let json = model.to_json();
+            let back = AppProfile::from_json(&json).expect("parse back");
+            prop_assert_eq!(&model, &back);
+            // Canonical form is stable: re-rendering the parsed value gives
+            // the same bytes, so cache keys never depend on parse history.
+            prop_assert_eq!(json.clone(), back.to_json());
+            prop_assert_eq!(cachekey::key_of(&model), cachekey::key_of(&back));
+            prop_assert_eq!(cachekey::content_key(&json), cachekey::key_of(&model));
+        }
     }
 }

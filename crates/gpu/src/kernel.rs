@@ -213,6 +213,16 @@ impl Trip {
             }
         }
     }
+
+    /// The largest trip count any thread runs.
+    pub fn max_count(&self) -> u64 {
+        match *self {
+            Trip::Const(n) => u64::from(n),
+            Trip::Hashed { base, spread, .. } => {
+                u64::from(base) + u64::from(spread.saturating_sub(1))
+            }
+        }
+    }
 }
 
 /// A branch predicate, evaluated per thread.
@@ -396,6 +406,31 @@ impl KernelDesc {
     /// Total bytes across all arrays (the kernel's memory footprint).
     pub fn footprint_bytes(&self) -> u64 {
         self.arrays.iter().map(ArrayDesc::size_bytes).sum()
+    }
+
+    /// An upper bound on the thread-level accesses one execution emits,
+    /// known before anything runs: the launch's threads times, summed
+    /// over the access sites, the product of the enclosing loops' largest
+    /// trip counts, with both arms of every branch counted. Saturates
+    /// instead of wrapping.
+    pub fn max_thread_accesses(&self) -> u128 {
+        fn per_thread(stmts: &[Stmt]) -> u128 {
+            stmts.iter().fold(0, |sum: u128, s| {
+                sum.saturating_add(match s {
+                    Stmt::Access(_) => 1,
+                    Stmt::Loop { trip, body } => {
+                        u128::from(trip.max_count()).saturating_mul(per_thread(body))
+                    }
+                    Stmt::If {
+                        then_body,
+                        else_body,
+                        ..
+                    } => per_thread(then_body).saturating_add(per_thread(else_body)),
+                    Stmt::Sync => 0,
+                })
+            })
+        }
+        u128::from(self.launch.total_threads()).saturating_mul(per_thread(&self.body))
     }
 }
 
@@ -683,6 +718,8 @@ mod tests {
             let c = t.count_for(tid);
             assert!((3..7).contains(&c));
         }
+        assert_eq!(t.max_count(), 6);
+        assert_eq!(Trip::Const(7).max_count(), 7);
         assert_eq!(
             Trip::Hashed {
                 seed: 1,
@@ -692,6 +729,42 @@ mod tests {
             .count_for(5),
             2
         );
+    }
+
+    #[test]
+    fn max_thread_accesses_counts_both_arms_and_every_trip() {
+        let k = KernelBuilder::new("k", 2u32, 48u32)
+            .array("a", 100)
+            .stmt(dsl::loop_n(
+                3,
+                vec![
+                    dsl::read(0x10, 0, IndexExpr::tid_linear(0, 1)),
+                    Stmt::If {
+                        pred: Pred::TidLt(10),
+                        then_body: vec![dsl::read(0x18, 0, IndexExpr::tid_linear(0, 1))],
+                        else_body: vec![
+                            dsl::read(0x20, 0, IndexExpr::tid_linear(0, 1)),
+                            dsl::write(0x28, 0, IndexExpr::tid_linear(0, 1)),
+                        ],
+                    },
+                ],
+            ))
+            .stmt(Stmt::Sync)
+            .stmt(dsl::read(0x30, 0, IndexExpr::tid_linear(0, 1)))
+            .build()
+            .expect("valid");
+        assert_eq!(k.max_thread_accesses(), 96 * (3 * (1 + 1 + 2) + 1));
+        // Five nested loops of u32::MAX trips pass u128: the bound saturates.
+        let mut body = vec![dsl::read(0x10, 0, IndexExpr::tid_linear(0, 1))];
+        for _ in 0..5 {
+            body = vec![dsl::loop_n(u32::MAX, body)];
+        }
+        let deep = KernelBuilder::new("deep", 1u32, 32u32)
+            .array("a", 100)
+            .stmt(body.remove(0))
+            .build()
+            .expect("valid");
+        assert_eq!(deep.max_thread_accesses(), u128::MAX);
     }
 
     #[test]

@@ -337,6 +337,7 @@ mod tests {
     fn model(name: &str) -> AppProfile {
         let kernel = workloads::by_name(name, Scale::Tiny).expect("known workload");
         gmap_core::profile_application(&Application::single(kernel), &ProfilerConfig::default())
+            .expect("builtins issue accesses")
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

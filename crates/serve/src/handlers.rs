@@ -177,16 +177,38 @@ fn check_cancel(cancel: &AtomicBool) -> Result<(), ApiError> {
     }
 }
 
+/// Most thread-level accesses a `/v1/profile` miss may execute, by the
+/// static bound [`KernelDesc::max_thread_accesses`]. Execution holds
+/// every access of the kernel at once, and nothing else bounds an inline
+/// spec's launch and trip counts. The largest builtin bound is 11,298,816
+/// (kmeans at Default), so every builtin is admitted at every scale.
+pub const MAX_PROFILE_ACCESSES: u128 = 1 << 24;
+
+/// 400 when `kernel` may execute more than [`MAX_PROFILE_ACCESSES`]
+/// thread-level accesses, checked before it is analyzed or run.
+fn check_execution_size(kernel: &KernelDesc) -> Result<(), ApiError> {
+    let accesses = kernel.max_thread_accesses();
+    if accesses > MAX_PROFILE_ACCESSES {
+        return Err(ApiError::bad_request(format!(
+            "the spec may execute {accesses} thread accesses, over the limit of \
+             {MAX_PROFILE_ACCESSES} accesses per profile"
+        )));
+    }
+    Ok(())
+}
+
 /// `POST /v1/profile`, the whole decision in one pass: the request's
 /// identity, then the cache — a hit clones the stored summary and builds,
 /// analyzes, serializes and hashes nothing. Only a miss builds the
-/// kernel (once), analyzes it, passes the static-analysis gate,
-/// profiles and stores.
+/// kernel (once), bounds its execution, analyzes it, passes the
+/// static-analysis gate, profiles and stores.
 ///
 /// # Errors
 ///
-/// 400 for unknown workloads or scales or invalid specs, 422 when the
-/// analyzer finds correctness errors, 504 on cancellation.
+/// 400 for unknown workloads or scales, invalid specs, specs that may
+/// execute more than [`MAX_PROFILE_ACCESSES`] accesses or that issue
+/// none, 422 when the analyzer finds correctness errors, 504 on
+/// cancellation.
 pub fn profile(
     store: &ModelStore,
     metrics: &Metrics,
@@ -205,6 +227,7 @@ pub fn profile(
     }
     check_cancel(cancel)?;
     let kernel = named.kernel();
+    check_execution_size(&kernel)?;
     let report = analyze_kernel(&kernel);
     if report.has_errors() {
         // The gate: correctness errors are refused before anything
@@ -214,11 +237,12 @@ pub fn profile(
         let message = format!("spec rejected by static analysis: {}", findings.join("; "));
         return Err(ApiError::new(422, message));
     }
-    // A miss is a profile that was computed.
-    metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
     // (A builtin's kernel carries the workload's name.)
     let app = Application::single(kernel);
-    let model = gmap_core::profile_application(&app, &ProfilerConfig::default());
+    let model = gmap_core::profile_application(&app, &ProfilerConfig::default())
+        .map_err(|e| ApiError::bad_request(format!("spec cannot be profiled: {e}")))?;
+    // A miss is a profile that was computed.
+    metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
     check_cancel(cancel)?;
     let stored = store.insert(&model_id, model);
     Ok(ProfileResponse {
@@ -612,6 +636,81 @@ mod tests {
         let err = profile(&store, &metrics, &req, &fresh_cancel()).expect_err("rejected");
         assert_eq!(err.status, 400);
         assert!(err.message.contains("kmeans"), "lists known workloads");
+    }
+
+    /// An inline profile request for `kernel`.
+    fn spec_req(kernel: KernelDesc) -> ProfileRequest {
+        ProfileRequest {
+            workload: None,
+            scale: None,
+            spec: Some(kernel),
+        }
+    }
+
+    #[test]
+    fn a_spec_that_issues_no_access_is_a_400() {
+        use gmap_gpu::kernel::{dsl, IndexExpr, KernelBuilder};
+        let empty = KernelBuilder::new("empty", 1u32, 32u32)
+            .array("a", 64)
+            .stmt(dsl::loop_n(
+                0,
+                vec![dsl::read(0x10, 0, IndexExpr::tid_linear(0, 1))],
+            ))
+            .build()
+            .expect("valid");
+        assert!(!analyze_kernel(&empty).has_errors(), "passes the gate");
+        let (store, metrics) = state();
+        let err = profile(&store, &metrics, &spec_req(empty), &fresh_cancel())
+            .expect_err("nothing to profile");
+        assert_eq!(err.status, 400);
+        assert_eq!(
+            err.message,
+            "spec cannot be profiled: input contains no memory accesses"
+        );
+        assert_eq!(store.len(), 0);
+        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn every_builtin_is_admitted_at_every_scale() {
+        let mut largest = (0, "", "");
+        for name in workloads::NAMES {
+            for scale in [Scale::Tiny, Scale::Small, Scale::Default] {
+                let kernel = workloads::by_name(name, scale).expect("builtin");
+                check_execution_size(&kernel).expect("admitted");
+                largest = largest.max((kernel.max_thread_accesses(), name, scale.name()));
+            }
+        }
+        assert_eq!(largest, (11_298_816, "kmeans", "default"));
+    }
+
+    #[test]
+    fn specs_past_max_profile_accesses_are_400s() {
+        use gmap_gpu::kernel::{dsl, IndexExpr, KernelBuilder};
+        // One thread running a loop of `trips` reads.
+        let looped = |trips: u128| {
+            KernelBuilder::new("big", 1u32, 1u32)
+                .array("a", 64)
+                .stmt(dsl::loop_n(
+                    trips as u32,
+                    vec![dsl::read(0x10, 0, IndexExpr::tid_linear(0, 1))],
+                ))
+                .build()
+                .expect("valid")
+        };
+        check_execution_size(&looped(MAX_PROFILE_ACCESSES)).expect("at the limit");
+        // Refused before the analyzer or the executor sees it.
+        let (store, metrics) = state();
+        let req = spec_req(looped(MAX_PROFILE_ACCESSES + 1));
+        let err = profile(&store, &metrics, &req, &fresh_cancel()).expect_err("too large");
+        assert_eq!(err.status, 400);
+        assert_eq!(
+            err.message,
+            "the spec may execute 16777217 thread accesses, over the limit of 16777216 \
+             accesses per profile"
+        );
+        assert_eq!(metrics.analyze_rejects.load(Ordering::Relaxed), 0);
+        assert_eq!(store.len(), 0);
     }
 
     #[test]

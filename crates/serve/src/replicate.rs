@@ -308,7 +308,8 @@ mod tests {
         let model = gmap_core::profile_application(
             &Application::single(kernel),
             &ProfilerConfig::default(),
-        );
+        )
+        .expect("kmeans issues accesses");
         for key in keys {
             store.insert(key, model.clone());
         }

@@ -603,7 +603,8 @@ fn a_cached_profile_is_not_analyzed_again() {
     let model = gmap_core::profile_application(
         &gmap_gpu::app::Application::single(spec.clone()),
         &gmap_core::profiler::ProfilerConfig::default(),
-    );
+    )
+    .expect("the spec issues accesses");
     let model_id = gmap_core::cachekey::key_of(&spec);
     handle.state().store.insert(&model_id, model);
     let resp = client::post_json(&addr, "/v1/profile", &body).expect("reachable");
@@ -1610,6 +1611,7 @@ fn error_body(status: u16, message: &str) -> Body {
 /// statuses, and targets carrying a query string.
 fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
     use gmap_core::application::AppProfile;
+    use gmap_gpu::kernel::{dsl, IndexExpr, KernelBuilder};
     use gmap_serve::api::{ReplicateRequest, ReplicateResponse};
 
     let oracle = Oracle::new();
@@ -1660,6 +1662,22 @@ fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
     };
     let oob_report = gmap_analyze::analyze_kernel(&gmap_analyze::fixtures::oob_affine());
     let oob_errors: Vec<String> = oob_report.errors().map(|f| f.message.clone()).collect();
+    // Valid and admitted by the analyzer, but its one read sits in a
+    // loop of zero trips: there is nothing to profile.
+    let empty_req = ProfileRequest {
+        workload: None,
+        scale: None,
+        spec: Some(
+            KernelBuilder::new("empty", 1u32, 32u32)
+                .array("a", 64)
+                .stmt(dsl::loop_n(
+                    0,
+                    vec![dsl::read(0x10, 0, IndexExpr::tid_linear(0, 1))],
+                ))
+                .build()
+                .expect("valid"),
+        ),
+    };
 
     let row = |raw: String, status: u16, body: Body, label: &'static str| MatrixRow {
         raw,
@@ -1781,8 +1799,9 @@ fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
             Body::Contains("invalid request body"),
             "profile",
         ),
-        // A profile request that names nothing known, and one whose spec
-        // the static analyzer refuses: the exact 400 and 422.
+        // A profile request that names nothing known, one whose spec the
+        // static analyzer refuses and one that issues no access: the exact
+        // 400, 422 and 400.
         row(
             post("/v1/profile", &profile_req("nope", "tiny")),
             400,
@@ -1804,6 +1823,15 @@ fn matrix_rows(kind: Kind) -> Vec<MatrixRow> {
                     "spec rejected by static analysis: {}",
                     oob_errors.join("; ")
                 ),
+            ),
+            "profile",
+        ),
+        row(
+            post("/v1/profile", &canonical_json(&empty_req)),
+            400,
+            error_body(
+                400,
+                "spec cannot be profiled: input contains no memory accesses",
             ),
             "profile",
         ),
@@ -2002,8 +2030,14 @@ fn request_matrix() {
         keepalive_max: MATRIX_KEEPALIVE_MAX,
         ..ServeConfig::default()
     };
+    // Every refusal is a structured reply: no row panics a worker.
+    let no_panics = |server: &gmap_serve::ServerHandle| {
+        let m = client::get(&server.addr().to_string(), "/metrics").expect("metrics reachable");
+        assert_eq!(scrape(&m.body, "gmap_worker_panics_total"), Some(0.0));
+    };
     let (replica, _) = start(config());
     drive_matrix(&replica, Kind::Replica);
+    no_panics(&replica);
     replica.shutdown();
 
     let (backend, backend_addr) = start(config());
@@ -2012,6 +2046,8 @@ fn request_matrix() {
         ..config()
     });
     drive_matrix(&router, Kind::Router);
+    no_panics(&router);
+    no_panics(&backend);
     router.shutdown();
     backend.shutdown();
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), GmapError> {
     let orig = run_application_original(&app, &cfg)?;
 
     // Clone: per-kernel profiles, replayed in order on a shared hierarchy.
-    let profile = profile_application(&app, &ProfilerConfig::default());
+    let profile = profile_application(&app, &ProfilerConfig::default())?;
     let mut shipped = Vec::new();
     profile.save(&mut shipped)?;
     println!(
