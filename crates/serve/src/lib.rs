@@ -36,12 +36,12 @@
 //!   re-frames `/v1/ingest` streams) to the owning replica on the
 //!   connection thread, propagating the remaining deadline budget and
 //!   failing over to ring successors.
-//! * [`health`] — per-peer circuit breaker fed by passive request
-//!   outcomes and an active `/healthz` prober, and [`health::Peers`]:
-//!   the ring plus that registry, owner of the one health-ordered
-//!   successor walk and of the exchange that feeds the breaker. The
-//!   router, the replication worker and the prober all talk to peers
-//!   through it.
+//! * [`health`] — [`health::Peers`]: the ring plus one count of
+//!   consecutive failed exchanges per peer (down at 3, up again on any
+//!   answer), owner of the one health-ordered successor walk and of the
+//!   exchange that feeds the counts, and the active `/healthz` prober.
+//!   The router, the replication worker and the prober all talk to
+//!   peers through it.
 //! * [`replicate`] — RF-way successor replication over
 //!   `POST /v1/replicate` (one round of RF−1 pushes per store) and
 //!   hinted handoff as the one recovery mechanism. A replica leaves the

@@ -232,9 +232,10 @@ pub struct RuntimeStats {
     pub worker_panics: u64,
     /// Faults injected by the fault-injection layer (0 when disabled).
     pub faults_injected: u64,
-    /// Peer circuit breakers opened (Closed/HalfOpen → Open edges).
+    /// Peers taken down by consecutive failed exchanges (up → down
+    /// edges).
     pub peer_ejections: u64,
-    /// Peer circuit breakers closed again after ejection.
+    /// Down peers brought back up by an answer (down → up edges).
     pub peer_recoveries: u64,
     /// Models successfully pushed to a replica-set peer.
     pub replication_sent: u64,
@@ -247,8 +248,8 @@ pub struct RuntimeStats {
     pub hints_queued: u64,
     /// Hinted models successfully replayed to their recovered owner.
     pub hints_replayed: u64,
-    /// Per-peer breaker view (`gmap_peer_up` gauges); empty outside
-    /// fleet mode.
+    /// Per-peer up/down view (`gmap_peer_up` gauges); empty outside
+    /// router and fleet mode.
     pub peer_states: Vec<PeerStatus>,
 }
 

@@ -17,16 +17,15 @@
 //!   `POST /v1/replicate` endpoint. That is the whole round: a store
 //!   costs RF−1 pushes, and a receiver does not push onward — the
 //!   originator already aimed at every member of the set.
-//! * A push toward a peer whose circuit breaker is open, or one that
-//!   fails, is recorded as a **hint** — Dynamo-style hinted handoff,
-//!   specialized to immutable entries (a hint is just a key). Each
-//!   worker tick replays hints whose target the health registry admits
-//!   again, so a restarted owner receives everything it missed. Hints
-//!   are the one recovery mechanism: whatever a member of the set could
-//!   not be given when the entry was stored, it is owed until it is
-//!   back. At most [`MAX_HINTS_PER_PEER`] keys are owed to one peer; a
-//!   hint dropped beyond that costs the recovered peer one recompute,
-//!   never a wrong byte.
+//! * A push toward a down peer, or one that fails, is recorded as a
+//!   **hint** — Dynamo-style hinted handoff, specialized to immutable
+//!   entries (a hint is just a key). Each worker tick replays hints
+//!   whose target is up again, so a restarted owner receives everything
+//!   it missed. Hints are the one recovery mechanism: whatever a member
+//!   of the set could not be given when the entry was stored, it is
+//!   owed until it is back. At most [`MAX_HINTS_PER_PEER`] keys are
+//!   owed to one peer; a hint dropped beyond that costs the recovered
+//!   peer one recompute, never a wrong byte.
 //!
 //! The `replicate_err` fault kind drops a queued push deterministically
 //! (counted as dropped, recorded as a hint), exercising exactly the
@@ -183,23 +182,23 @@ impl ReplicationState {
                 self.record_hint(peer, key);
                 continue;
             }
-            // An ejected peer is not even tried: the store is owed to it.
-            let reached = self.peers.health().available(peer)
-                && !matches!(self.push(peer, key), Push::Failed);
+            // A down peer is not even tried: the store is owed to it.
+            let reached =
+                self.peers.available(peer) && !matches!(self.push(peer, key), Push::Failed);
             if !reached {
                 self.record_hint(peer, key);
             }
         }
     }
 
-    /// Replays pending hints whose target the health registry admits
-    /// again. Network calls happen outside the hints lock.
+    /// Replays pending hints whose target is up again. Network calls
+    /// happen outside the hints lock.
     fn replay_hints(&self) {
         let snapshot: Vec<(String, Vec<String>)> = {
             let hints = self.hints.lock().expect("hints lock");
             hints
                 .iter()
-                .filter(|(peer, keys)| !keys.is_empty() && self.peers.health().available(peer))
+                .filter(|(peer, keys)| !keys.is_empty() && self.peers.available(peer))
                 .map(|(peer, keys)| (peer.clone(), keys.iter().cloned().collect()))
                 .collect()
         };
@@ -336,7 +335,7 @@ mod tests {
                 l.local_addr().expect("addr").to_string()
             })
             .collect();
-        let peers = Arc::new(Peers::new(&fleet, Duration::from_secs(60)));
+        let peers = Arc::new(Peers::new(&fleet));
         (fleet, peers)
     }
 
@@ -368,12 +367,12 @@ mod tests {
 
         // While the peer stays down every store is owed to it — up to
         // the cap, past which the hint is dropped and counted. The held
-        // keys fail their pushes until the breaker opens; from then on a
+        // keys fail their pushes until the peer is down; from then on a
         // hint is recorded without touching the store.
         state.enqueue(&key(1));
         state.enqueue(&key(2));
-        wait_until("the breaker to open on the dead peer", || {
-            state.hints_queued() == 3 && !peers.health().available(&fleet[1])
+        wait_until("the dead peer to be down", || {
+            state.hints_queued() == 3 && !peers.available(&fleet[1])
         });
         let total = MAX_HINTS_PER_PEER + 10;
         let settled = || (state.hints_queued() + state.dropped()) as usize;

@@ -28,12 +28,11 @@
 //!   decision. Any replica computes any request correctly, so failover
 //!   can't change bytes, only cache locality.
 //! * **Health-aware walks.** The walk and every exchange are
-//!   [`Peers`]': each attempt's outcome feeds the shared circuit
-//!   breaker, and peers whose breaker is open are moved to the *end*
-//!   of the walk instead of being paid
-//!   a connect timeout up front. They are never dropped entirely — if
-//!   every healthy peer fails, the ejected ones are still tried, so
-//!   routing is never worse than breaker-less failover.
+//!   [`Peers`]': each attempt's outcome feeds the peer's shared failure
+//!   count, and down peers are moved to the *end* of the walk instead
+//!   of being paid a connect timeout up front. They are never dropped
+//!   entirely — if every up peer fails, the down ones are still tried,
+//!   so routing is never worse than plain ring failover.
 //!
 //! `/v1/ingest` streams: the same exchange pulls the inbound body piece
 //! by piece and re-frames it chunked to the owning replica (never

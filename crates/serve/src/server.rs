@@ -212,7 +212,6 @@ impl ServerState {
     /// Samples the point-in-time values rendered alongside the counters.
     fn runtime_stats(&self) -> RuntimeStats {
         let repl = self.replication.as_deref();
-        let health = self.peers.health();
         RuntimeStats {
             queue_depth: self.queue.depth(),
             jobs_in_flight: self.queue.in_flight(),
@@ -223,14 +222,14 @@ impl ServerState {
             cache_quarantined: self.store.quarantined(),
             worker_panics: self.queue.panics(),
             faults_injected: self.faults.as_ref().map_or(0, |f| f.injected_total()),
-            peer_ejections: health.ejections(),
-            peer_recoveries: health.recoveries(),
+            peer_ejections: self.peers.ejections(),
+            peer_recoveries: self.peers.recoveries(),
             replication_sent: repl.map_or(0, ReplicationState::sent),
             replication_failed: repl.map_or(0, ReplicationState::failed),
             replication_dropped: repl.map_or(0, ReplicationState::dropped),
             hints_queued: repl.map_or(0, ReplicationState::hints_queued),
             hints_replayed: repl.map_or(0, ReplicationState::hints_replayed),
-            peer_states: health.snapshot(),
+            peer_states: self.peers.snapshot(),
         }
     }
 }
@@ -277,7 +276,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         .as_deref()
         .or(config.fleet.as_deref())
         .unwrap_or(&[]);
-    let peers = Arc::new(Peers::new(peer_addrs, probe_interval));
+    let peers = Arc::new(Peers::new(peer_addrs));
     let router = match &config.route {
         Some(peers) if peers.is_empty() => {
             return Err(invalid(

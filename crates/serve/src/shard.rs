@@ -46,15 +46,9 @@ pub struct Ring {
 impl Ring {
     /// Builds a ring with [`DEFAULT_VNODES`] virtual nodes per peer.
     pub fn new(peers: &[String]) -> Ring {
-        Ring::with_vnodes(peers, DEFAULT_VNODES)
-    }
-
-    /// Builds a ring with an explicit virtual-node count (tests sweep
-    /// this; production uses [`Ring::new`]).
-    pub fn with_vnodes(peers: &[String], vnodes: usize) -> Ring {
-        let mut points = Vec::with_capacity(peers.len() * vnodes);
+        let mut points = Vec::with_capacity(peers.len() * DEFAULT_VNODES);
         for (index, peer) in peers.iter().enumerate() {
-            for v in 0..vnodes {
+            for v in 0..DEFAULT_VNODES {
                 points.push((ring_point(&format!("{peer}#{v}")), index));
             }
         }
@@ -305,7 +299,7 @@ mod tests {
         /// busiest replica carries at most 2× the quietest.
         #[test]
         fn ring_load_is_balanced(n in 2usize..7, seed in any::<u64>()) {
-            let ring = Ring::with_vnodes(&peer_list(n), DEFAULT_VNODES);
+            let ring = Ring::new(&peer_list(n));
             let keys = 4096u64;
             let load = load_per_peer(&ring, seed, keys);
             prop_assert_eq!(load.len(), n, "every replica owns some keys");

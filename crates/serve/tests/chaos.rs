@@ -898,10 +898,10 @@ fn replicated_fleet_serves_victim_keys_from_replica_without_recompute() {
         thread::sleep(Duration::from_millis(25));
     }
 
-    // Kill the owner; the router's breaker must eject it (passive
-    // failures plus failed /healthz probes), and the successor must
-    // serve the victim's keys from its replica copy with zero
-    // recompute: its miss counter stays exactly where it was.
+    // Kill the owner; the router must take it down (passive failures
+    // plus failed /healthz probes), and the successor must serve the
+    // victim's keys from its replica copy with zero recompute: its miss
+    // counter stays exactly where it was.
     let misses_before = route_metric(&successor, "gmap_cache_misses_total");
     // Nor does serving them make the successor push anything: the owner
     // is owed nothing it did not already hold.
@@ -949,8 +949,8 @@ fn replicated_fleet_serves_victim_keys_from_replica_without_recompute() {
         "a hit at a non-owner replica pushes nothing and owes nothing"
     );
 
-    // Restart the victim: the router's half-open probe must close the
-    // breaker again, and a clean routed pass stays byte-identical.
+    // Restart the victim: the router's next probe answer must bring it
+    // back up, and a clean routed pass stays byte-identical.
     fleet.restart(victim);
     wait_for_metric(
         &addr,
@@ -1046,8 +1046,8 @@ fn replicated_hinted_handoff_replays_after_victim_restart() {
         .position(|p| *p == successor)
         .expect("successor is a fleet member");
 
-    // Kill the successor and wait until the owner's breaker ejects it,
-    // so the upcoming store is *hinted* rather than pushed.
+    // Kill the successor and wait until the owner takes it down, so the
+    // upcoming store is *hinted* rather than pushed.
     fleet.kill(victim);
     wait_for_metric(
         &owner,

@@ -352,6 +352,25 @@ expect '"cached":true' "$GMAP" client profile --addr "$FA2" --workload kmeans --
 expect '"values":' "$GMAP" client evaluate --addr "$FA2" --model "$FLEET_MODEL" --grid 16:4,32:4
 echo "smoke: survivor served the killed owner's model from its replica copy"
 
+# The survivor's prober must take the killed member down: its gauge
+# reads 0 and the survivor counts exactly one ejection.
+DOWN=""
+for _ in $(seq 1 100); do
+    METRICS="$("$GMAP" client metrics --addr "$FA2")"
+    if grep -qxF "gmap_peer_up{peer=\"$FA1\"} 0" <<<"$METRICS" \
+        && grep -qx 'gmap_peer_ejections_total 1' <<<"$METRICS"; then
+        DOWN=1
+        break
+    fi
+    sleep 0.1
+done
+if [[ -z "$DOWN" ]]; then
+    echo "smoke: the survivor never marked the killed member down" >&2
+    grep '^gmap_peer' <<<"$METRICS" >&2 || true
+    exit 1
+fi
+echo "smoke: survivor marks the killed member down (gmap_peer_up 0, one ejection)"
+
 # A replica leaves the fleet by stopping: the client has no drain
 # action, and the survivor's health stays ok.
 if "$GMAP" client drain --addr "$FA2" >/dev/null 2>&1; then
